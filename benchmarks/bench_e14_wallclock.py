@@ -9,11 +9,11 @@ without the skip index) it times three stages with
 
 * **publish** -- encode the SXS stream, seal the container, store at
   the DSP (owner side);
-* **cold session** -- build a terminal, unlock the document secret
-  through the PKI and stream the full pull session (decrypt -> check ->
-  parse -> evaluate -> output), exactly the per-point work of
-  :func:`repro.bench.harness.run_pull_session`;
-* **warm session** -- a second query on the same terminal (key already
+* **cold session** -- a member's first session: allocate the card,
+  unlock the document secret through the PKI and stream the full pull
+  session (decrypt -> check -> parse -> evaluate -> output), exactly
+  the per-point work of :func:`repro.bench.harness.run_pull_session`;
+* **warm session** -- a second session on the same card (key already
   unlocked, compiled policy cached).
 
 The committed ``BENCH_E14.json`` records these numbers for the
@@ -43,12 +43,8 @@ import time
 
 from _common import emit
 
-from repro.crypto.pki import SimulatedPKI
-from repro.dsp.server import DSPServer
-from repro.dsp.store import DSPStore
+from repro.community import Community
 from repro.skipindex.encoder import IndexMode
-from repro.terminal.api import Publisher
-from repro.terminal.session import Terminal
 from repro.workloads.docgen import hospital
 from repro.workloads.rulegen import hospital_rules
 from repro.xmlstream.tree import tree_to_events
@@ -79,35 +75,36 @@ def calibrate() -> float:
     return best
 
 
+def _pull(reader, document) -> str:
+    """One full pull session of ``document`` through ``reader``'s card."""
+    with reader.open(document) as session:
+        return session.query().text()
+
+
 def _measure_point(patients: int, mode: IndexMode, repeats: int) -> dict:
     """Best-of-``repeats`` wall times for one corpus point."""
     events = list(tree_to_events(hospital(n_patients=patients)))
     rules = hospital_rules()
     best = None
     for _ in range(repeats):
-        pki = SimulatedPKI()
-        pki.enroll("owner")
-        for subject in SUBJECTS:
-            pki.enroll(subject)
-        store = DSPStore()
-        dsp = DSPServer(store)
-        publisher = Publisher("owner", store, pki)
+        community = Community()
+        owner = community.enroll("owner")
+        readers = [community.enroll(subject) for subject in SUBJECTS]
         start = time.perf_counter()
-        publisher.publish(
-            "bench-doc", events, rules, list(SUBJECTS),
+        document = owner.publish(
+            events, rules, to=readers, doc_id="bench-doc",
             index_mode=mode, chunk_size=CHUNK,
         )
         publish_s = time.perf_counter() - start
         cold_s = warm_s = 0.0
-        for subject in SUBJECTS:
+        for reader in readers:
             start = time.perf_counter()
-            terminal = Terminal(subject, dsp, pki)
-            terminal.query("bench-doc", owner="owner")
+            _pull(reader, document)
             cold_s += time.perf_counter() - start
             start = time.perf_counter()
-            terminal.query("bench-doc", owner="owner")
+            _pull(reader, document)
             warm_s += time.perf_counter() - start
-        plaintext = publisher.container("bench-doc").header.total_length
+        plaintext = document.container.header.total_length
         sample = {
             "publish_s": publish_s,
             "cold_s": cold_s,
@@ -191,19 +188,17 @@ _STAGE_PREFIXES = [
 def profile_session() -> None:
     """cProfile one representative cold session; print stage shares."""
     events = list(tree_to_events(hospital(n_patients=20)))
-    pki = SimulatedPKI()
-    for name in ("owner",) + SUBJECTS:
-        pki.enroll(name)
-    store = DSPStore()
-    dsp = DSPServer(store)
-    publisher = Publisher("owner", store, pki)
-    publisher.publish(
-        "bench-doc", events, hospital_rules(), list(SUBJECTS), chunk_size=CHUNK
+    community = Community()
+    owner = community.enroll("owner")
+    readers = [community.enroll(subject) for subject in SUBJECTS]
+    document = owner.publish(
+        events, hospital_rules(), to=readers, doc_id="bench-doc",
+        chunk_size=CHUNK,
     )
     profiler = cProfile.Profile()
     profiler.enable()
-    for subject in SUBJECTS:
-        Terminal(subject, dsp, pki).query("bench-doc", owner="owner")
+    for reader in readers:
+        _pull(reader, document)
     profiler.disable()
     stats = pstats.Stats(profiler)
     stage_seconds: dict[str, float] = {label: 0.0 for label, _ in _STAGE_PREFIXES}

@@ -48,17 +48,13 @@ from pathlib import Path
 from _common import emit
 from bench_e14_wallclock import CHUNK, SUBJECTS, calibrate
 
+from repro.community import Community
 from repro.core.compiled import compile_policy
 from repro.core.product import ProductEngine
 from repro.core.rules import Sign
 from repro.core.runtime import EngineStats, TokenEngine
 from repro.core.multicast import MultiSubjectEvaluator
-from repro.crypto.pki import SimulatedPKI
-from repro.dsp.server import DSPServer
-from repro.dsp.store import DSPStore
 from repro.skipindex.encoder import IndexMode
-from repro.terminal.api import Publisher
-from repro.terminal.session import Terminal
 from repro.terminal.transfer import TransferPolicy
 from repro.workloads.docgen import hospital
 from repro.workloads.rulegen import hospital_rules
@@ -226,24 +222,20 @@ def _measure_cold_sessions(
         events = list(tree_to_events(hospital(n_patients=patients)))
         best = None
         for _ in range(repeats):
-            pki = SimulatedPKI()
-            pki.enroll("owner")
-            for subject in SUBJECTS:
-                pki.enroll(subject)
-            store = DSPStore()
-            dsp = DSPServer(store)
-            publisher = Publisher("owner", store, pki)
-            publisher.publish(
-                "bench-doc", events, rules, list(SUBJECTS),
+            community = Community()
+            owner = community.enroll("owner")
+            readers = [community.enroll(subject) for subject in SUBJECTS]
+            document = owner.publish(
+                events, rules, to=readers, doc_id="bench-doc",
                 index_mode=mode, chunk_size=CHUNK,
             )
             cold_s = 0.0
-            for subject in SUBJECTS:
+            for reader in readers:
                 start = time.perf_counter()
-                terminal = Terminal(subject, dsp, pki, transfer=transfer)
-                terminal.query("bench-doc", owner="owner")
+                with reader.open(document, transfer=transfer) as session:
+                    session.query().text()
                 cold_s += time.perf_counter() - start
-            plaintext = publisher.container("bench-doc").header.total_length
+            plaintext = document.container.header.total_length
             if best is None or cold_s < best[0]:
                 best = (cold_s, plaintext)
         points.append({

@@ -74,7 +74,7 @@ def main() -> None:
     print("-" * len(header))
     for handle in handles:
         metrics = handle.metrics
-        card_time = handle.member.terminal.card.soe.clock.component("card_cpu")
+        card_time = handle.member.card.soe.clock.component("card_cpu")
         print(f"{handle.member.name:10s} {str(handle.ok):3s} "
               f"{len(handle.view):7d} {metrics.chunks_sent:11d} "
               f"{metrics.chunks_skipped:8d} {metrics.bytes_decrypted:11d} "

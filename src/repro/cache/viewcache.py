@@ -2,17 +2,15 @@
 
 An entry is one *completed* pull session's output: the settled view
 text, the stream pieces that produced it (so a cache hit replays as a
-normal ``ViewStream``), and the validators that decide freshness:
-
-* ``doc_version`` / ``rules_version`` -- the authoritative
-  per-document validators, captured from the pull itself;
-* ``(generation, boot)`` -- the store-wide fast path: when the probe's
-  generation and boot nonce match the entry's stamp, *nothing* at the
-  store changed since the entry was validated, so the piecewise check
-  is skipped.  The stamp is refreshed on every successful validation;
-  a mismatch (another document changed, or another process booted the
-  store) only falls back to the piecewise check -- it can cause a
-  probe, never a false hit.
+normal ``ViewStream``), and its :class:`~repro.dsp.freshness.Freshness`
+-- the document's ``(doc_version, rules_version)`` captured from the
+pull itself, plus the store stamp of the last successful validation.
+Freshness is decided by the shared rule
+(:meth:`~repro.dsp.freshness.Freshness.revalidate`): a matching stamp
+means nothing at the store changed; otherwise the versions must match,
+and the entry is re-stamped.  A stamp mismatch (another document
+changed, or another process booted the store) can cause a probe, never
+a false hit.
 
 Freshness is always established against a live
 :class:`~repro.dsp.wire.DocMeta` probe -- one tiny ``GET_META`` round
@@ -34,9 +32,10 @@ many documents it touches.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 from repro.cache import semantic
+from repro.dsp.freshness import UNSTAMPED, Freshness
 from repro.dsp.wire import DocMeta
 
 __all__ = [
@@ -93,14 +92,10 @@ class CachedView:
     xml: str
     pieces: tuple[PieceTuple, ...]
     fragments: tuple[tuple[int, str], ...]
-    doc_version: int
-    rules_version: int
-    #: Store-wide stamp from the last successful validation;
-    #: ``generation < 0`` (with an empty ``boot``) means unstamped --
-    #: the entry was recorded from a pull and must pass one piecewise
-    #: check before the fast path applies.
-    generation: int = -1
-    boot: str = ""
+    #: The document's versions plus the store stamp of the last
+    #: successful validation; an entry recorded from a pull is
+    #: unstamped and must pass one version check first.
+    freshness: Freshness
     size: int = 0
 
     def __post_init__(self) -> None:
@@ -223,21 +218,24 @@ class ViewCache:
         caller *before* lookup -- this method asserts the contract.
         """
         assert meta.has_key, "revoked subjects must be refused before lookup"
+        current = meta.freshness
         exact = self._entries.get(key)
         if exact is not None:
-            if self._fresh(exact, meta):
+            if self._fresh(exact, current):
                 self._entries.move_to_end(key)
                 self.count("hits")
                 return exact, False
             self._drop(key, stale=True)
-        derived = self._semantic(key, meta)
+        derived = self._semantic(key, current)
         if derived is not None:
             self.count("semantic_hits")
             return derived, True
         self.count("misses")
         return None
 
-    def _semantic(self, key: CacheKey, meta: DocMeta) -> CachedView | None:
+    def _semantic(
+        self, key: CacheKey, current: Freshness
+    ) -> CachedView | None:
         if key.query is None or not semantic.answerable(
             key.query, key.strategy, key.view_mode
         ):
@@ -247,13 +245,11 @@ class ViewCache:
             return None
         # Most-recently-used donors first; stale peers found along the
         # way are dropped -- the probe just proved them outdated.
-        for donor_key in sorted(
-            (peer for peer in peers if peer != key),
-            key=lambda peer: self._lru_index(peer),
-            reverse=True,
-        ):
+        for donor_key in reversed(list(self._entries)):
+            if donor_key not in peers or donor_key == key:
+                continue
             donor = self._entries[donor_key]
-            if not self._fresh(donor, meta):
+            if not self._fresh(donor, current):
                 self._drop(donor_key, stale=True)
                 continue
             if not semantic.covers(donor_key.query, key.query):
@@ -266,38 +262,21 @@ class ViewCache:
                 xml=answer,
                 pieces=(("view", answer, 0, None),) if answer else (),
                 fragments=(),
-                doc_version=donor.doc_version,
-                rules_version=donor.rules_version,
-                generation=meta.generation,
-                boot=meta.boot,
+                # The donor was just validated, so it already carries
+                # the probe's stamp.
+                freshness=donor.freshness,
             )
             self.put(derived)
             return derived
         return None
 
-    def _lru_index(self, key: CacheKey) -> int:
-        for index, existing in enumerate(self._entries):
-            if existing == key:
-                return index
-        return -1
-
-    def _fresh(self, entry: CachedView, meta: DocMeta) -> bool:
-        if (
-            entry.boot
-            and entry.boot == meta.boot
-            and entry.generation == meta.generation
-        ):
-            return True
-        if (
-            entry.doc_version == meta.doc_version
-            and entry.rules_version == meta.rules_version
-        ):
-            # Piecewise match: re-stamp so the store-wide fast path
-            # answers the next probe without the version comparison.
-            entry.generation = meta.generation
-            entry.boot = meta.boot
-            return True
-        return False
+    @staticmethod
+    def _fresh(entry: CachedView, current: Freshness) -> bool:
+        held = entry.freshness.revalidate(current, lambda: current.versions)
+        if held is None:
+            return False
+        entry.freshness = held
+        return True
 
     # -- population --------------------------------------------------------
 
@@ -324,8 +303,9 @@ class ViewCache:
             xml=xml,
             pieces=pieces,
             fragments=fragments,
-            doc_version=doc_version,
-            rules_version=rules_version,
+            freshness=replace(
+                UNSTAMPED, versions=((doc_version, rules_version),)
+            ),
         )
         self.put(entry)
         return entry

@@ -310,9 +310,7 @@ def _scenario_card(seed: int, fault: str) -> ScenarioResult:
     community = build_world()
     golden = golden_views(1)
     member = community.member("doctor")
-    wrapper = FaultyCard(member.terminal.card, plan)
-    member.terminal.card = wrapper  # type: ignore[assignment]
-    member.terminal.proxy.card = wrapper  # type: ignore[assignment]
+    member.proxy.card = FaultyCard(member.card, plan)  # type: ignore[assignment]
     expected: dict[str, tuple[type[BaseException], ...]] = {
         "exhaust": (ResourceExhausted,),
         "tamper": (TamperDetected,),
@@ -396,9 +394,9 @@ def _scenario_revocation_storm(seed: int, fault: str) -> ScenarioResult:
     try:
         if fault != "none":
             victim = community.member("accountant")
-            wrapper = FaultyCard(victim.terminal.card, plan)
-            victim.terminal.card = wrapper  # type: ignore[assignment]
-            victim.terminal.proxy.card = wrapper  # type: ignore[assignment]
+            victim.proxy.card = FaultyCard(  # type: ignore[assignment]
+                victim.card, plan
+            )
             plan.rules = (
                 FaultRule("card.process", fault, at=(10,), limit=1),
             )
@@ -473,9 +471,9 @@ def _scenario_feed_revoke(seed: int, fault: str) -> ScenarioResult:
     try:
         if fault != "none":
             victim = community.member("accountant")
-            wrapper = FaultyCard(victim.terminal.card, plan)
-            victim.terminal.card = wrapper  # type: ignore[assignment]
-            victim.terminal.proxy.card = wrapper  # type: ignore[assignment]
+            victim.proxy.card = FaultyCard(  # type: ignore[assignment]
+                victim.card, plan
+            )
             plan.rules = (
                 FaultRule("card.process", fault, at=(10,), limit=1),
             )

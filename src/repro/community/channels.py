@@ -126,11 +126,11 @@ class Channel:
                 subject=member.name,
             )
         doc = self.document
-        member.terminal.unlock_document(doc.doc_id, doc.owner.name)
+        member.unlock(doc.doc_id, doc.owner.name)
         stored = self.community._require_store().get(doc.doc_id)
         subscriber = Subscriber(
             member.name,
-            member.terminal.card,
+            member.card,
             stored.rules_version,
             list(stored.rule_records),
             clock=self.broadcast_channel.clock,

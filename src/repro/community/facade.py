@@ -8,7 +8,7 @@ compiled-policy :class:`~repro.core.compiled.PolicyRegistry` -- and
 hands out object handles instead:
 
 * ``community.enroll(name)`` -> :class:`Member` (a PKI identity plus a
-  lazily created publisher endpoint and smart-card terminal);
+  lazily created smart card and its :class:`~repro.terminal.CardProxy`);
 * ``member.publish(xml, rules, to=[...])`` -> :class:`Document` (an
   owner-side handle whose ``update_rules``/``grant``/``revoke``
   delegate to the paper's re-seal semantics: policy changes never
@@ -26,10 +26,9 @@ untrusted *service*, not a Python object):
 * ``Community(store_path="dsp.db")`` -- the DSP's disk is a durable
   SQLite file; ``Community.open(path)`` reopens it in a fresh process
   with every document, rule version and wrapped key intact;
-* ``community.serve()`` -- expose the DSP over TCP, by default through
-  the event-loop :class:`~repro.dsp.reactor.ReactorDSPServer` with
-  admission control (``server="threaded"`` keeps the
-  thread-per-connection baseline);
+* ``community.serve()`` -- expose the DSP over TCP through the
+  event-loop :class:`~repro.dsp.reactor.ReactorDSPServer` with
+  admission control;
   ``Community.attach(RemoteDSP.connect(addr))`` builds a reader-side
   community in another process whose terminals pull from it.
 
@@ -54,11 +53,11 @@ from repro.core.compiled import PolicyRegistry
 from repro.core.delivery import ViewMode
 from repro.core.rules import AccessRule, RuleSet
 from repro.crypto.container import DocumentContainer
+from repro.crypto.keys import random_key
 from repro.crypto.pki import SimulatedPKI
 from repro.dsp.backends import SQLiteBackend, StoreBackend
 from repro.dsp.client import DSPClient
 from repro.dsp.reactor import AdmissionPolicy, ReactorDSPServer
-from repro.dsp.remote import DSPSocketServer
 from repro.dsp.server import DSPServer
 from repro.dsp.store import DSPStore
 from repro.errors import PolicyError, UnknownDocument
@@ -66,9 +65,11 @@ from repro.feeds.feed import Feed
 from repro.feeds.subscriber import FeedSubscriberHandle
 from repro.feeds.tiers import TierSpec
 from repro.skipindex.encoder import IndexMode
+from repro.smartcard.card import SmartCard
 from repro.smartcard.resources import LinkModel, NetworkModel, SimClock
-from repro.terminal.api import Publisher, PublishReceipt
-from repro.terminal.session import Terminal
+from repro.smartcard.soe import SecureOperatingEnvironment
+from repro.terminal.api import PublishReceipt, publish_document, reseal_rules
+from repro.terminal.proxy import CardProxy
 from repro.terminal.transfer import TransferPolicy
 from repro.xmlstream.events import Event
 from repro.xmlstream.parser import parse_string
@@ -189,7 +190,7 @@ class Community:
         self._channels: dict[str, Channel] = {}
         self._feeds: dict[str, Feed] = {}
         self._doc_sequence = 0
-        self._servers: list[ReactorDSPServer | DSPSocketServer] = []
+        self._servers: list[ReactorDSPServer] = []
         self._restoring = False
 
     # -- topology ---------------------------------------------------------
@@ -212,11 +213,11 @@ class Community:
         each principal's key pair deterministically from its name, so
         re-enrolled members unwrap their stored wrapped keys.
 
-        Owner *plaintext* state (document events, rules, the publisher
+        Owner *plaintext* state (document events, rules, the document
         secrets) is deliberately not persisted at the untrusted store;
         restored :class:`Document` handles are **sealed** -- pull
-        sessions and broadcasts work, ``update_rules``/``grant``/
-        ``preview`` need the original owner process.
+        sessions and broadcasts work, republishing, ``update_rules``,
+        ``grant`` and ``preview`` need the original owner process.
         """
         if not Path(path).exists():
             raise PolicyError(
@@ -294,26 +295,21 @@ class Community:
         host: str = "127.0.0.1",
         port: int = 0,
         *,
-        server: str = "reactor",
         loops: int = 1,
         admission: AdmissionPolicy | None = None,
         idle_timeout: float | None = None,
-    ) -> "ReactorDSPServer | DSPSocketServer":
+    ) -> ReactorDSPServer:
         """Expose this community's DSP over TCP.
 
-        ``server`` picks the serving architecture: ``"reactor"`` (the
-        default) is the non-blocking event-loop
-        :class:`~repro.dsp.reactor.ReactorDSPServer` -- buffered
-        writes so slow readers never stall the fleet, ``loops`` loop
-        workers, ``admission`` capacity limits rejecting over-capacity
-        requests with typed :class:`~repro.errors.ResourceExhausted`
-        frames; ``"threaded"`` is the thread-per-connection
-        :class:`~repro.dsp.remote.DSPSocketServer` kept as the
-        comparison baseline.  Either way ``server.address`` is the
-        bound endpoint (``port=0`` picks an ephemeral port),
-        ``idle_timeout`` reaps abandoned connections, many remote
-        terminals can pull concurrently, and the server is also closed
-        by :meth:`close`.
+        The server is the non-blocking event-loop
+        :class:`~repro.dsp.reactor.ReactorDSPServer`: buffered writes so
+        slow readers never stall the fleet, ``loops`` loop workers, and
+        ``admission`` capacity limits rejecting over-capacity requests
+        with typed :class:`~repro.errors.ResourceExhausted` frames.
+        ``server.address`` is the bound endpoint (``port=0`` picks an
+        ephemeral port), ``idle_timeout`` reaps abandoned connections,
+        many remote terminals can pull concurrently, and the server is
+        also closed by :meth:`close`.
         """
         dsp = self.dsp
         if not isinstance(dsp, DSPServer):
@@ -321,30 +317,14 @@ class Community:
                 "this community is attached to a remote DSP; only the "
                 "process that owns the store can serve it"
             )
-        endpoint: ReactorDSPServer | DSPSocketServer
-        if server == "reactor":
-            endpoint = ReactorDSPServer(
-                dsp,
-                host=host,
-                port=port,
-                loops=loops,
-                admission=admission,
-                idle_timeout=idle_timeout,
-            )
-        elif server == "threaded":
-            if loops != 1 or admission is not None:
-                raise PolicyError(
-                    "loops= and admission= are reactor features; the "
-                    "threaded baseline takes only idle_timeout="
-                )
-            endpoint = DSPSocketServer(
-                dsp, host=host, port=port, idle_timeout=idle_timeout
-            )
-        else:
-            raise PolicyError(
-                f"unknown server architecture {server!r} "
-                "(choose 'reactor' or 'threaded')"
-            )
+        endpoint = ReactorDSPServer(
+            dsp,
+            host=host,
+            port=port,
+            loops=loops,
+            admission=admission,
+            idle_timeout=idle_timeout,
+        )
         self._servers.append(endpoint)
         return endpoint
 
@@ -530,10 +510,10 @@ class Community:
         DSP) and by :meth:`open` while restoring the manifest.  The
         handle supports the reader side -- ``member.open`` sessions,
         broadcasts from the stored container -- but carries no owner
-        plaintext: ``update_rules``/``grant``/``preview`` raise
-        :class:`~repro.errors.PolicyError` until the owning process
-        does them.  Enrolls ``owner`` on demand (deterministic PKI
-        keys make that match the serving process).
+        plaintext or secret: republishing, ``update_rules``, ``grant``
+        and ``preview`` raise :class:`~repro.errors.PolicyError`; the
+        owning process does them.  Enrolls ``owner`` on demand
+        (deterministic PKI keys make that match the serving process).
         """
         existing = self._documents.get(doc_id)
         if isinstance(owner, Member):
@@ -615,14 +595,13 @@ class Community:
 
 
 class Member:
-    """One enrolled principal: an identity, a publisher, a card.
+    """One enrolled principal: an identity and a smart card.
 
-    Handles are cheap; the underlying
-    :class:`~repro.terminal.api.Publisher` and
-    :class:`~repro.terminal.session.Terminal` (which allocates the
-    simulated card) are created on first use and then persist, so a
-    member keeps one card across sessions -- version registers and
-    unlocked documents behave like the paper's personalized card.
+    Handles are cheap; the member's simulated card and the
+    :class:`~repro.terminal.proxy.CardProxy` driving it are created on
+    first use and then persist, so a member keeps one card across
+    sessions -- version registers and unlocked documents behave like
+    the paper's personalized card.
     """
 
     def __init__(
@@ -634,40 +613,44 @@ class Member:
         self.community = community
         self.name = name
         self._card_config = card_config
-        self._publisher: Publisher | None = None
-        self._terminal: Terminal | None = None
+        self._proxy: CardProxy | None = None
+        self._unlocked: set[str] = set()
 
     def __repr__(self) -> str:
         return f"Member({self.name!r})"
 
     @property
-    def publisher(self) -> Publisher:
-        """The member's owner-side publishing endpoint (lazy)."""
-        if self._publisher is None:
-            self._publisher = Publisher(
-                self.name,
-                self.community._require_store(),
-                self.community.pki,
-                _warn=False,
-            )
-        return self._publisher
-
-    @property
-    def terminal(self) -> Terminal:
-        """The member's terminal with its smart card (lazy)."""
-        if self._terminal is None:
+    def proxy(self) -> CardProxy:
+        """The proxy driving the member's card against the DSP (lazy)."""
+        if self._proxy is None:
             ram_quota, strict_memory, link = self._card_config
-            self._terminal = Terminal(
-                self.name,
-                self.community.dsp,
-                self.community.pki,
-                link=link,
+            community = self.community
+            soe = SecureOperatingEnvironment(
                 ram_quota=ram_quota,
                 strict_memory=strict_memory,
-                registry=self.community.registry,
-                _warn=False,
+                clock=community.dsp.clock,
             )
-        return self._terminal
+            self._proxy = CardProxy(
+                SmartCard(soe, registry=community.registry),
+                community.dsp,
+                link=link,
+            )
+        return self._proxy
+
+    @property
+    def card(self) -> SmartCard:
+        """The member's smart card."""
+        return self.proxy.card
+
+    def unlock(self, doc_id: str, owner: str) -> None:
+        """Fetch and unwrap the document secret, provision the card."""
+        if doc_id in self._unlocked:
+            return
+        proxy = self.proxy
+        wrapped = proxy.dsp.get_wrapped_key(doc_id, self.name)
+        secret = self.community.pki.unwrap_secret(self.name, owner, wrapped)
+        proxy.provision_key(doc_id, secret)
+        self._unlocked.add(doc_id)
 
     # -- owner side -------------------------------------------------------
 
@@ -687,7 +670,8 @@ class Member:
         :class:`RuleSet`, parsed rules, or terse ``(sign, subject,
         xpath)`` triples; ``to`` the members granted the document
         secret.  Publishing the same ``doc_id`` again re-seals a new
-        version under the same handle (owner only).
+        version under the same handle and secret (owner only); a sealed
+        handle cannot be republished, since its secret is not here.
         """
         community = self.community
         recipients = [
@@ -697,17 +681,28 @@ class Member:
         if doc_id is None:
             doc_id = community._next_doc_id(self.name)
         existing = community._documents.get(doc_id)
-        if existing is not None and existing.owner is not self:
-            raise PolicyError(
-                f"document {doc_id!r} belongs to "
-                f"{existing.owner.name!r}, not {self.name!r}",
-                doc_id=doc_id,
-                subject=self.name,
-            )
+        if existing is not None:
+            if existing.owner is not self:
+                raise PolicyError(
+                    f"document {doc_id!r} belongs to "
+                    f"{existing.owner.name!r}, not {self.name!r}",
+                    doc_id=doc_id,
+                    subject=self.name,
+                )
+            secret = existing._owner_secret()
+            version = existing._version + 1
+        else:
+            secret = random_key()
+            version = 1
         events = _as_events(source)
         ruleset = _as_rules(rules)
-        receipt = self.publisher.publish(
+        receipt = publish_document(
+            community._require_store(),
+            community.pki,
+            self.name,
             doc_id,
+            version,
+            secret,
             events,
             ruleset,
             recipients,
@@ -719,7 +714,9 @@ class Member:
             community._invalidate_views(doc_id)
             community._save_manifest()
             return existing
-        document = Document(self, doc_id, events, ruleset, recipients, receipt)
+        document = Document(
+            self, doc_id, events, ruleset, recipients, receipt, secret
+        )
         community._documents[doc_id] = document
         community._save_manifest()
         return document
@@ -780,8 +777,9 @@ class Document:
 
     A handle restored by ``Community.open`` or created by
     ``Community.adopt`` is **sealed**: ``events``/``rules``/``receipt``
-    are ``None`` (the owner's plaintext is never persisted at the
-    untrusted store), so only the reader-side operations work.
+    are ``None`` and so is the document secret (the owner's plaintext
+    and keys are never persisted at the untrusted store), so only the
+    reader-side operations work.
     """
 
     def __init__(
@@ -792,6 +790,7 @@ class Document:
         rules: RuleSet | None,
         recipients: list[str],
         receipt: PublishReceipt | None,
+        secret: bytes | None = None,
     ) -> None:
         self.owner = owner
         self.doc_id = doc_id
@@ -799,6 +798,9 @@ class Document:
         self.rules = rules
         self.recipients = list(recipients)
         self.receipt = receipt
+        self._secret = secret
+        #: The container version of the last publish.
+        self._version = receipt.version if receipt is not None else 0
 
     def __repr__(self) -> str:
         return f"Document({self.doc_id!r}, owner={self.owner.name!r})"
@@ -807,6 +809,17 @@ class Document:
     def sealed(self) -> bool:
         """Whether this handle lacks the owner's plaintext state."""
         return self.events is None
+
+    def _owner_secret(self) -> bytes:
+        """The document secret; :class:`PolicyError` on a sealed handle."""
+        if self._secret is None:
+            raise PolicyError(
+                f"document {self.doc_id!r} is a sealed handle; republish, "
+                "update_rules and grant need the process that published it",
+                doc_id=self.doc_id,
+                subject=self.owner.name,
+            )
+        return self._secret
 
     def _update(
         self,
@@ -821,6 +834,7 @@ class Document:
             if recipient not in self.recipients:
                 self.recipients.append(recipient)
         self.receipt = receipt
+        self._version = receipt.version
 
     @property
     def container(self) -> DocumentContainer:
@@ -832,7 +846,12 @@ class Document:
     def update_rules(self, rules: RulesLike) -> PublishReceipt:
         """Change the policy; re-seals ONLY the tiny rule records."""
         ruleset = _as_rules(rules)
-        receipt = self.owner.publisher.update_rules(self.doc_id, ruleset)
+        receipt = reseal_rules(
+            self.owner.community._require_store(),
+            self.doc_id,
+            self._owner_secret(),
+            ruleset,
+        )
         self.rules = ruleset
         self.receipt = receipt
         self.owner.community._invalidate_views(self.doc_id)
@@ -841,8 +860,12 @@ class Document:
     def grant(self, member: "Member | str") -> None:
         """Wrap the document secret for one more member."""
         name = member.name if isinstance(member, Member) else member
-        self.owner.community.member(name)  # must be enrolled
-        self.owner.publisher.grant_access(self.doc_id, name)
+        community = self.owner.community
+        community.member(name)  # must be enrolled
+        blob = community.pki.wrap_secret(
+            self.owner.name, name, self._owner_secret()
+        )
+        community._require_store().put_wrapped_key(self.doc_id, name, blob)
         if name not in self.recipients:
             self.recipients.append(name)
         self.owner.community._save_manifest()

@@ -5,9 +5,8 @@ manager bound to the member's card with the document unlocked, whose
 ``query`` runs one pull evaluation and hands back a
 :class:`ViewStream`.
 
-The stream is the facade's replacement for the buffer-everything
-``AuthorizedResult``: an *incremental* iterator of authorized
-fragments.  Pieces surface as soon as the card's output drain produces
+The stream is an *incremental* iterator of authorized fragments.
+Pieces surface as soon as the card's output drain produces
 them -- before later chunks are even fetched from the DSP -- and
 refetched pending subtrees settle lazily, by document position rather
 than arrival order.  ``text()`` and ``events()`` materialize the
@@ -24,7 +23,6 @@ from repro.core.delivery import ViewMode
 from repro.errors import KeyNotGranted, PolicyError, UnknownDocument
 from repro.smartcard.applet import PendingStrategy
 from repro.smartcard.resources import SessionMetrics
-from repro.terminal.api import AuthorizedResult
 from repro.terminal.proxy import QueryOutcome, ViewPiece
 from repro.terminal.transfer import TransferPolicy
 from repro.xmlstream.events import Event
@@ -59,7 +57,6 @@ class ViewStream:
     * :meth:`text` -- the settled complete view (main view, then
       fragments ordered by their document position);
     * :meth:`events` -- the same, as parsed XML events;
-    * :meth:`result` -- a legacy ``AuthorizedResult`` bridge;
     * :attr:`metrics` -- the session metrics (drains the stream).
     """
 
@@ -182,13 +179,6 @@ class ViewStream:
             events.extend(_parse_view_text(piece.text))
         return events
 
-    def result(self) -> AuthorizedResult:
-        """Bridge to the deprecated buffer-everything result type."""
-        self.finish()
-        return AuthorizedResult(
-            xml=self._outcome.xml, fragments=list(self._outcome.fragments)
-        )
-
     @property
     def metrics(self) -> SessionMetrics:
         """Session metrics; drains the stream to finalize them."""
@@ -221,7 +211,7 @@ class Session:
         self.groups = groups
         self._streams: list[ViewStream] = []
         self._closed = False
-        member.terminal.unlock_document(document.doc_id, document.owner.name)
+        member.unlock(document.doc_id, document.owner.name)
 
     # -- context management ----------------------------------------------
 
@@ -302,7 +292,7 @@ class Session:
                 return cached
             probe_cost = cached
         outcome = QueryOutcome(xml="")
-        pieces = self.member.terminal.proxy.stream_query(
+        pieces = self.member.proxy.stream_query(
             self.document.doc_id,
             self.member.name,
             query=xpath,
@@ -340,7 +330,7 @@ class Session:
         doc_id = self.document.doc_id
         subject = self.member.name
         try:
-            meta = self.member.terminal.dsp.get_meta(doc_id, subject)
+            meta = self.member.proxy.dsp.get_meta(doc_id, subject)
         except UnknownDocument:
             cache.invalidate_document(doc_id)
             raise
@@ -375,12 +365,13 @@ class Session:
             metrics.cache_semantic_hit = 1
         else:
             metrics.cache_hit = 1
+        ((doc_version, rules_version),) = entry.freshness.versions
         outcome = QueryOutcome(
             xml=entry.xml,
             fragments=list(entry.fragments),
             metrics=metrics,
-            doc_version=entry.doc_version,
-            rules_version=entry.rules_version,
+            doc_version=doc_version,
+            rules_version=rules_version,
         )
 
         def replayed() -> "Iterator[ViewPiece]":

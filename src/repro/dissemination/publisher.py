@@ -48,7 +48,7 @@ class StreamPublisher:
     """Broadcasts a sealed document over a channel, chunk by chunk.
 
     In the demo this is the multimedia-stream head-end: the container
-    is produced once (by :class:`repro.terminal.api.Publisher`) and
+    is produced once (by :func:`repro.terminal.api.publish_document`) and
     then pushed; subscribers' rights differ, the broadcast does not.
 
     The publisher owns a :class:`~repro.core.compiled.PolicyRegistry`

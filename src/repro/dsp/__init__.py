@@ -11,15 +11,20 @@ push them (dissemination).  The layer is organized around three seams:
   :class:`~repro.dsp.backends.StoreBackend`
   (:class:`~repro.dsp.backends.MemoryBackend` in-process,
   :class:`~repro.dsp.backends.SQLiteBackend` durable);
-* **service** -- :class:`DSPServer` answers the five request types
-  (header, chunk, chunk range, rules, wrapped key) with network-cost
-  accounting;
+* **service** -- :class:`DSPServer` answers the six request types
+  (header, chunk, chunk range, rules, wrapped key, freshness probe)
+  with network-cost accounting;
 * **wire** -- :mod:`repro.dsp.wire` serializes those requests and
   responses (typed errors included), :class:`ReactorDSPServer` (the
-  event-loop production server with admission control) or the
-  threaded :class:`DSPSocketServer` (the comparison baseline) serves
-  them over TCP and :class:`RemoteDSP` consumes them; terminals only
-  ever see the :class:`~repro.dsp.client.DSPClient` protocol.
+  event-loop server with admission control) serves them over TCP and
+  :class:`RemoteDSP` consumes them; terminals only ever see the
+  :class:`~repro.dsp.client.DSPClient` protocol.
+
+Everything that keeps a copy of store data -- the terminal view cache,
+feed catch-up snapshots, the reactor's response cache -- decides
+whether the copy is current with one rule, :class:`Freshness` in
+:mod:`repro.dsp.freshness`: the store stamp ``(generation, boot)``
+plus per-document ``(doc_version, rules_version)``.
 
 :mod:`repro.dsp.tamper` implements the adversarial behaviours --
 substitution, modification, reordering, truncation, version replay --
@@ -34,10 +39,10 @@ from repro.dsp.backends import (
     StoredDocument,
 )
 from repro.dsp.client import DSPClient, LocalDSP
+from repro.dsp.freshness import Freshness
 from repro.dsp.reactor import AdmissionPolicy, ReactorDSPServer
 from repro.dsp.remote import (
     ConnectionStats,
-    DSPSocketServer,
     GenerationChanged,
     RemoteDSP,
     RetryPolicy,
@@ -50,8 +55,8 @@ __all__ = [
     "ConnectionStats",
     "DSPClient",
     "DSPServer",
-    "DSPSocketServer",
     "DSPStore",
+    "Freshness",
     "GenerationChanged",
     "LocalDSP",
     "MemoryBackend",

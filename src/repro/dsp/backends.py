@@ -232,7 +232,7 @@ class SQLiteBackend:
     ``put_*`` loses nothing already acknowledged; reopening the path in
     a fresh process sees every document, rule version and wrapped key
     intact.  All access is serialized on an internal lock, making one
-    backend instance safe under the threaded socket server.
+    backend instance safe under a multi-loop reactor server.
 
     Reads assemble a :class:`StoredDocument` snapshot per document and
     cache it until the next write to that id, so a pull session's

@@ -1,9 +1,8 @@
 """The DSP's event-loop server: non-blocking, buffered, admission-controlled.
 
-The threaded :class:`~repro.dsp.remote.DSPSocketServer` spends one OS
-thread per connection and serializes every dispatch behind one lock --
-fine for a handful of terminals, hopeless for the ROADMAP's "millions
-of users".  :class:`ReactorDSPServer` is the production shape: one
+A thread per connection with every dispatch serialized behind one
+lock is fine for a handful of terminals and hopeless for "millions of
+users".  :class:`ReactorDSPServer` is the DSP's one server: one
 non-blocking selector loop (or ``loops=N`` workers, connections
 round-robined across them) with per-connection read/write buffering
 over the same length-prefixed :mod:`repro.dsp.wire` codec, so
@@ -16,10 +15,11 @@ over the same length-prefixed :mod:`repro.dsp.wire` codec, so
   locks), and server totals are aggregated on demand;
 * read-mostly dissemination traffic is served from a per-loop response
   cache (raw request bytes -> framed response, invalidated wholesale
-  when the store's mutation ``generation`` moves) -- single-writer
-  like everything else the loop owns, which is exactly why it can
-  exist without a lock -- and a pipelined batch of responses leaves in
-  coalesced sends, one syscall per run of small frames;
+  when the store's :class:`~repro.dsp.freshness.Freshness` stamp
+  moves) -- single-writer like everything else the loop owns, which is
+  exactly why it can exist without a lock -- and a pipelined batch of
+  responses leaves in coalesced sends, one syscall per run of small
+  frames;
 * over-capacity traffic **fails fast** with a typed
   :class:`~repro.errors.ResourceExhausted` wire frame carrying a
   :class:`~repro.errors.CapacityReport` (scope, limit, current) --
@@ -34,9 +34,8 @@ deployments; the reactor's own totals (:attr:`requests`,
 :attr:`bytes_served`, :attr:`chunks_served`, rejection counters) are
 the operational truth.
 
-:class:`~repro.dsp.remote.RemoteDSP` speaks to either server
-unchanged; ``community.serve(server="reactor")`` is the facade-level
-switch (and the default).
+:class:`~repro.dsp.remote.RemoteDSP` is the matching client;
+``community.serve()`` is the facade-level entry point.
 """
 
 from __future__ import annotations
@@ -50,6 +49,7 @@ from collections import deque
 from dataclasses import dataclass
 from types import TracebackType
 
+from repro.dsp.freshness import UNSTAMPED
 from repro.dsp.remote import ConnectionStats
 from repro.dsp.server import (
     DSPServer,
@@ -68,7 +68,6 @@ from repro.dsp.wire import (
     GetHeader,
     GetMeta,
     GetRules,
-    GetWrappedKey,
     Request,
     WireError,
     decode_request,
@@ -192,10 +191,11 @@ class _LoopWorker(threading.Thread):
         # response, chunks it carries).  Single-writer like everything
         # else this loop owns, so it needs no locks -- the structural
         # payoff of the reactor shape.  Invalidated wholesale whenever
-        # the store's generation moves.
+        # the store's stamp moves.  Cached responses carry no versions,
+        # so they are checked by stamp alone.
         self._cache: dict[bytes, tuple[bytes, int]] = {}
         self._cache_bytes = 0
-        self._cache_generation = -1
+        self._cache_stamp = UNSTAMPED
 
     # -- cross-thread entry points ----------------------------------------
 
@@ -346,11 +346,11 @@ class _LoopWorker(threading.Thread):
         stats.requests += 1
         stats.bytes_in += 4 + len(body)
         self.requests += 1
-        generation = self.server.store.generation
-        if generation != self._cache_generation:
+        stamp = self.server.store.stamp
+        if not self._cache_stamp.same_stamp(stamp):
             self._cache.clear()
             self._cache_bytes = 0
-            self._cache_generation = generation
+            self._cache_stamp = stamp
         cached = self._cache.get(body)
         if cached is None:
             try:
@@ -371,7 +371,7 @@ class _LoopWorker(threading.Thread):
             return True
         if cached is not None:
             # The fast path: a request these exact bytes already
-            # answered under this store generation -- no decode, no
+            # answered under this store stamp -- no decode, no
             # fetch, no encode, no copy.
             framed, chunks = cached
             self.cache_hits += 1
@@ -455,8 +455,8 @@ class _LoopWorker(threading.Thread):
             return fetch_rules(store, request.doc_id)
         if isinstance(request, GetMeta):
             # Safe to response-cache like any other success: the
-            # generation rides *inside* the payload and the per-loop
-            # cache is dropped wholesale whenever the generation moves.
+            # stamp rides *inside* the payload and the per-loop cache
+            # is dropped wholesale whenever the stamp moves.
             return fetch_meta(store, request.doc_id, request.subject)
         return fetch_wrapped_key(store, request.doc_id, request.recipient)
 
@@ -527,11 +527,10 @@ class _LoopWorker(threading.Thread):
 class ReactorDSPServer:
     """Serves one DSP over TCP from ``loops`` selector event loops.
 
-    Same wire protocol, same :attr:`address` /
-    :attr:`connections` / ``close()`` surface as the threaded
-    :class:`~repro.dsp.remote.DSPSocketServer`, so
-    :class:`~repro.dsp.remote.RemoteDSP` and ``Community.attach`` work
-    against either.  Differences that matter under load:
+    Speaks the :mod:`repro.dsp.wire` protocol that
+    :class:`~repro.dsp.remote.RemoteDSP` and ``Community.attach``
+    consume; :attr:`address`, :attr:`connections` and ``close()`` are
+    its operational surface.  What matters under load:
 
     * connections are multiplexed, not threaded -- hundreds of clients
       cost ``loops`` threads total, and a reader that stops draining
@@ -539,8 +538,7 @@ class ReactorDSPServer:
     * :class:`AdmissionPolicy` limits are enforced per request with
       typed rejection frames;
     * ``idle_timeout`` reaps connections with no traffic in either
-      direction (the read-idle deadline the threaded server enforces
-      with a socket timeout).
+      direction.
     """
 
     def __init__(

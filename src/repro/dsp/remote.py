@@ -1,28 +1,22 @@
-"""The DSP as a real network service.
+"""The DSP's network client and the wire plumbing shared with the server.
 
-:class:`DSPSocketServer` fronts one in-process
-:class:`~repro.dsp.server.DSPServer` with a threaded TCP listener
-speaking the :mod:`repro.dsp.wire` codec -- one thread per connection,
-dispatch serialized on the server so its accounting (``requests``,
-``bytes_served``, the SimClock) stays coherent, and per-connection
-accounting so an operator can see who pulled what.
-
-:class:`RemoteDSP` is the matching :class:`~repro.dsp.client.DSPClient`:
+:class:`RemoteDSP` is the :class:`~repro.dsp.client.DSPClient` that
+talks to a DSP served by :class:`~repro.dsp.reactor.ReactorDSPServer`:
 it connects, sends one frame per request and decodes the response,
 re-raising the server's typed errors.  Many terminals in separate
 processes can each hold one and pull from the same durable DSP
-concurrently.
+concurrently.  The module also holds the length-prefixed frame helpers
+and the per-connection :class:`ConnectionStats` the server keeps.
 
-Typical wiring (see ``Community.serve`` / ``Community.attach`` for the
-facade-level version)::
+Typical wiring (see ``Community.serve`` / ``Community.attach``)::
 
     # process A -- owns the store
-    server = DSPSocketServer(dsp)          # 127.0.0.1, ephemeral port
+    server = community.serve()             # 127.0.0.1, ephemeral port
     print(server.address)
 
     # process B..N -- readers
     with RemoteDSP.connect(address) as dsp:
-        terminal = Terminal("reader", dsp, pki)
+        readers = Community.attach(dsp)
         ...
 """
 
@@ -38,7 +32,6 @@ from types import TracebackType
 from typing import Callable, Protocol
 
 from repro.crypto.container import DocumentHeader
-from repro.dsp.server import DSPServer
 from repro.dsp.wire import (
     MAX_FRAME,
     DocMeta,
@@ -50,11 +43,8 @@ from repro.dsp.wire import (
     GetWrappedKey,
     Request,
     WireError,
-    decode_request,
     decode_response,
-    encode_error,
     encode_request,
-    encode_response,
     frame,
 )
 from repro.errors import ResourceExhausted, TransportError
@@ -62,7 +52,6 @@ from repro.smartcard.resources import SimClock
 
 __all__ = [
     "ConnectionStats",
-    "DSPSocketServer",
     "GenerationChanged",
     "RemoteDSP",
     "RetryPolicy",
@@ -190,170 +179,6 @@ class ConnectionStats:
     bytes_in: int = 0
     bytes_out: int = 0
     open: bool = True
-
-
-class DSPSocketServer:
-    """Serves one DSP over TCP, one thread per connection.
-
-    Binding ``port=0`` picks an ephemeral port; :attr:`address` is the
-    bound ``(host, port)`` to hand to clients.  Dispatch into the
-    underlying :class:`DSPServer` is serialized on one lock so its
-    request/byte/clock accounting stays exactly as coherent as in the
-    single-process deployment.  A context manager: ``close`` stops the
-    listener and tears down every live connection.
-    """
-
-    def __init__(
-        self,
-        dsp: DSPServer,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        backlog: int = 16,
-        *,
-        idle_timeout: float | None = None,
-    ) -> None:
-        self.dsp = dsp
-        #: Seconds a connection may sit with no inbound traffic before
-        #: its thread reaps it -- an abandoned socket no longer pins a
-        #: thread forever.  ``None`` keeps the historical wait-forever.
-        self.idle_timeout = idle_timeout
-        self.reaped_connections = 0
-        self._dispatch_lock = threading.Lock()
-        self._state_lock = threading.Lock()
-        self._listener = socket.create_server((host, port), backlog=backlog)
-        bound = self._listener.getsockname()
-        self.address: tuple[str, int] = (str(bound[0]), int(bound[1]))
-        self.connections: list[ConnectionStats] = []
-        self._conn_socks: list[socket.socket] = []
-        self._closed = False
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop,
-            name=f"dsp-server-{self.address[1]}",
-            daemon=True,
-        )
-        self._accept_thread.start()
-
-    # -- service loop -----------------------------------------------------
-
-    def _accept_loop(self) -> None:
-        while True:
-            try:
-                conn, peer = self._listener.accept()
-            except OSError:
-                return  # listener closed
-            stats = ConnectionStats(peer=f"{peer[0]}:{peer[1]}")
-            with self._state_lock:
-                if self._closed:
-                    conn.close()
-                    return
-                self.connections.append(stats)
-                self._conn_socks.append(conn)
-            threading.Thread(
-                target=self._serve_connection,
-                args=(conn, stats),
-                name=f"dsp-conn-{stats.peer}",
-                daemon=True,
-            ).start()
-
-    def _serve_connection(
-        self, conn: socket.socket, stats: ConnectionStats
-    ) -> None:
-        if self.idle_timeout is not None:
-            conn.settimeout(self.idle_timeout)
-        try:
-            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        except OSError:
-            pass
-        try:
-            while True:
-                try:
-                    body = read_frame(conn)
-                except TimeoutError:
-                    # Idle (or mid-frame stalled) past the deadline:
-                    # reap the connection instead of pinning the
-                    # thread forever.
-                    self.reaped_connections += 1
-                    return
-                except (TransportError, WireError, OSError):
-                    return
-                if body is None:
-                    return
-                stats.requests += 1
-                stats.bytes_in += 4 + len(body)
-                response = self._dispatch(body, stats)
-                stats.bytes_out += 4 + len(response)
-                try:
-                    write_frame(conn, response)
-                except OSError:
-                    return
-        finally:
-            stats.open = False
-            conn.close()
-
-    def _dispatch(self, body: bytes, stats: ConnectionStats) -> bytes:
-        try:
-            request = decode_request(body)
-        except WireError as exc:
-            stats.errors += 1
-            return encode_error(exc)
-        try:
-            with self._dispatch_lock:
-                value = self._execute(request)
-            return encode_response(request, value)
-        except Exception as exc:  # typed errors travel; nothing escapes
-            stats.errors += 1
-            return encode_error(exc)
-
-    def _execute(self, request: Request) -> object:
-        dsp = self.dsp
-        if isinstance(request, GetHeader):
-            return dsp.get_header(request.doc_id)
-        if isinstance(request, GetChunk):
-            return dsp.get_chunk(request.doc_id, request.index)
-        if isinstance(request, GetChunkRange):
-            return dsp.get_chunk_range(
-                request.doc_id, request.start, request.count
-            )
-        if isinstance(request, GetRules):
-            return dsp.get_rules(request.doc_id)
-        if isinstance(request, GetMeta):
-            return dsp.get_meta(request.doc_id, request.subject)
-        return dsp.get_wrapped_key(request.doc_id, request.recipient)
-
-    # -- lifecycle --------------------------------------------------------
-
-    def close(self) -> None:
-        """Stop accepting and tear down live connections (idempotent)."""
-        with self._state_lock:
-            if self._closed:
-                return
-            self._closed = True
-            socks = list(self._conn_socks)
-        try:
-            # close() alone does not wake a thread blocked in accept();
-            # shutdown() does.
-            self._listener.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        self._listener.close()
-        for sock in socks:
-            try:
-                sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            sock.close()
-        self._accept_thread.join(timeout=5)
-
-    def __enter__(self) -> "DSPSocketServer":
-        return self
-
-    def __exit__(
-        self,
-        exc_type: type[BaseException] | None,
-        exc: BaseException | None,
-        tb: TracebackType | None,
-    ) -> None:
-        self.close()
 
 
 class RemoteDSP:

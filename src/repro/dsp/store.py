@@ -11,9 +11,11 @@ byte the historical behavior) or the durable
 from __future__ import annotations
 
 import os
+from typing import Iterable
 
 from repro.crypto.container import DocumentContainer
 from repro.dsp.backends import MemoryBackend, StoreBackend, StoredDocument
+from repro.dsp.freshness import Freshness, Versions
 
 __all__ = ["DSPStore", "StoredDocument"]
 
@@ -25,19 +27,27 @@ class DSPStore:
         self.backend: StoreBackend = (
             backend if backend is not None else MemoryBackend()
         )
-        #: Bumped after every mutation -- a cheap cache-invalidation
-        #: signal for read-mostly servers (the reactor's per-loop
-        #: response cache keys on it).  Incremented *after* the backend
-        #: write completes, so data observed under generation ``g`` is
-        #: never newer than ``g`` says.
+        #: Bumped after every mutation.  Incremented *after* the
+        #: backend write completes, so data observed under generation
+        #: ``g`` is never newer than ``g`` says.
         self.generation = 0
-        #: Random per-process nonce qualifying :attr:`generation`.  The
-        #: counter restarts at 0 in every process, so a generation
-        #: persisted by a previous process can coincidentally equal the
-        #: current counter; anything caching against the generation
-        #: across process boundaries (feed catch-up snapshots) must
-        #: also match the boot id, else fall back to piecewise checks.
+        #: Random per-process nonce qualifying :attr:`generation`, which
+        #: restarts at 0 in every process.
         self.boot = os.urandom(8).hex()
+        #: The current ``(generation, boot)`` stamp; holders of copies
+        #: check it with :class:`~repro.dsp.freshness.Freshness`.
+        self.stamp = Freshness(self.generation, self.boot)
+
+    def _bump(self) -> None:
+        self.generation += 1
+        self.stamp = Freshness(self.generation, self.boot)
+
+    def versions(self, doc_ids: Iterable[str]) -> Versions:
+        """``(doc_version, rules_version)`` of each document, in order."""
+        return tuple(
+            (record.container.header.version, record.rules_version)
+            for record in map(self.get, doc_ids)
+        )
 
     def put_document(
         self,
@@ -58,7 +68,7 @@ class DSPStore:
         self.backend.put_document(
             container, keep_rules=keep_rules, keep_keys=keep_keys
         )
-        self.generation += 1
+        self._bump()
 
     def get(self, doc_id: str) -> StoredDocument:
         """The stored record; raises
@@ -69,11 +79,11 @@ class DSPStore:
         self, doc_id: str, records: list[bytes], version: int
     ) -> None:
         self.backend.put_rules(doc_id, list(records), version)
-        self.generation += 1
+        self._bump()
 
     def put_wrapped_key(self, doc_id: str, recipient: str, blob: bytes) -> None:
         self.backend.put_wrapped_key(doc_id, recipient, blob)
-        self.generation += 1
+        self._bump()
 
     def remove_wrapped_key(self, doc_id: str, recipient: str) -> bool:
         """Drop a recipient's wrapped key (key-level revocation).
@@ -84,7 +94,7 @@ class DSPStore:
         """
         removed = self.backend.remove_wrapped_key(doc_id, recipient)
         if removed:
-            self.generation += 1
+            self._bump()
         return removed
 
     def document_ids(self) -> list[str]:

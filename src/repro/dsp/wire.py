@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from repro.crypto.container import DocumentHeader
+from repro.dsp.freshness import Freshness
 from repro.errors import (
     CapacityReport,
     KeyNotGranted,
@@ -135,10 +136,11 @@ class GetMeta:
 class DocMeta:
     """The :class:`GetMeta` response: version vector plus grant bit.
 
-    ``doc_version``/``rules_version`` are the authoritative per-document
-    validators; ``(generation, boot)`` is the store-wide fast path (a
-    match means *nothing* at the store changed).  ``has_key`` reports
-    whether the probing subject's wrapped key is still on the shelf.
+    The fields mirror the wire layout; :attr:`freshness` bundles the
+    store stamp ``(generation, boot)`` and the document's
+    ``(doc_version, rules_version)`` for the shared freshness rule in
+    :mod:`repro.dsp.freshness`.  ``has_key`` reports whether the
+    probing subject's wrapped key is still on the shelf.
     """
 
     doc_version: int
@@ -146,6 +148,13 @@ class DocMeta:
     generation: int
     boot: str
     has_key: bool
+
+    @property
+    def freshness(self) -> Freshness:
+        """The probed document's current :class:`Freshness`."""
+        return Freshness(
+            self.generation, self.boot, ((self.doc_version, self.rules_version),)
+        )
 
     @property
     def wire_size(self) -> int:

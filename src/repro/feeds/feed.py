@@ -28,6 +28,7 @@ owner process -- the same split as sealed :class:`Document` handles.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import TYPE_CHECKING, Sequence
 
 from repro.core.delivery import ViewMode
@@ -37,6 +38,7 @@ from repro.crypto.keys import DocumentKeys, random_key
 from repro.dissemination.channel import BroadcastChannel
 from repro.dissemination.publisher import StreamPublisher
 from repro.dsp.backends import SQLiteBackend, ShardedBackend, StoredDocument
+from repro.dsp.freshness import Versions
 from repro.dsp.store import DSPStore
 from repro.errors import KeyNotGranted, PolicyError
 from repro.feeds.keys import (
@@ -261,7 +263,7 @@ class Feed:
             chunk_size=chunk_size,
         )
         store = self._store()
-        secret = self.owner.publisher.secret_for(document.doc_id)
+        secret = document._owner_secret()
         for tier in self._tiers:
             store.put_wrapped_key(
                 document.doc_id,
@@ -531,18 +533,14 @@ class Feed:
         cycle.
         """
         store = self._store()
-        docs: list[tuple[str, int, int]] = []
+        doc_ids: list[str] = []
+        versions: list[tuple[int, int]] = []
         frames: list[tuple[str, int, bytes]] = []
         for document in self.broadcast_list(tier):
             record = store.get(document.doc_id)
             container = record.container
-            docs.append(
-                (
-                    document.doc_id,
-                    container.header.version,
-                    record.rules_version,
-                )
-            )
+            doc_ids.append(document.doc_id)
+            versions.append((container.header.version, record.rules_version))
             frames.append(("header", 0, encode_header(container.header)))
             for index, blob in enumerate(container.chunks):
                 frames.append(("chunk", index, blob))
@@ -551,9 +549,8 @@ class Feed:
             feed=self.name,
             tier=tier,
             epoch=self.epoch(tier),
-            generation=store.generation,
-            boot=store.boot,
-            docs=tuple(docs),
+            freshness=replace(store.stamp, versions=tuple(versions)),
+            doc_ids=tuple(doc_ids),
             frames=tuple(frames),
         )
 
@@ -572,35 +569,22 @@ class Feed:
         if backend is not None:
             backend.delete_feed_snapshot(self.name, tier)
 
-    def _snapshot_is_current(
+    def _revalidate(
         self, snapshot: CycleSnapshot, tier: str, expected_epoch: int
-    ) -> bool:
-        store = self._store()
-        if (
-            snapshot.boot == store.boot
-            and snapshot.generation == store.generation
-        ):
-            # PR-5 contract: an unchanged generation proves NOTHING at
-            # the store moved since the snapshot -- fresh, zero reads.
-            # The generation counter is process-lifetime (restarts at
-            # 0), so the fast path also demands the recording store's
-            # boot nonce: a snapshot from a previous process can never
-            # short-circuit on a coincidentally-equal counter and must
-            # pass the piecewise stamps below.
-            return snapshot.epoch == expected_epoch
+    ) -> CycleSnapshot | None:
+        """The snapshot, re-stamped if need be, or ``None`` when stale."""
         if snapshot.epoch != expected_epoch:
-            return False  # a revocation moved the tier epoch
-        current = [doc.doc_id for doc in self.broadcast_list(tier)]
-        if [doc_id for doc_id, _, _ in snapshot.docs] != current:
-            return False  # the corpus itself changed
-        for doc_id, version, rules_version in snapshot.docs:
-            record = store.get(doc_id)
-            if (
-                record.container.header.version != version
-                or record.rules_version != rules_version
-            ):
-                return False  # a republish or policy update landed
-        return True
+            return None  # a revocation moved the tier epoch
+        store = self._store()
+
+        def versions() -> "Versions | None":
+            current = tuple(doc.doc_id for doc in self.broadcast_list(tier))
+            if current != snapshot.doc_ids:
+                return None  # the corpus itself changed
+            return store.versions(current)
+
+        held = snapshot.freshness.revalidate(store.stamp, versions)
+        return None if held is None else replace(snapshot, freshness=held)
 
     def _current_snapshot(
         self, tier: str, *, expected_epoch: int
@@ -616,11 +600,14 @@ class Feed:
             )
             if blob is not None:
                 snapshot = decode_snapshot(blob)
-        if snapshot is not None and self._snapshot_is_current(
-            snapshot, tier, expected_epoch
-        ):
-            state.last_cycle = snapshot
-            return snapshot
+        current = (
+            self._revalidate(snapshot, tier, expected_epoch)
+            if snapshot is not None
+            else None
+        )
+        if current is not None:
+            state.last_cycle = current
+            return current
         if self.sealed:
             detail = (
                 "is stale (republish, policy update or revocation since)"

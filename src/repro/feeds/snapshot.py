@@ -2,22 +2,21 @@
 
 A :class:`CycleSnapshot` is one tier's complete broadcast cycle -- the
 exact ``(kind, index, payload)`` frames the channel carried -- plus the
-stamps needed to prove it is still current: the tier epoch, the store
-generation (and the store's per-process boot id) observed when it was
-recorded, and each document's (container version, rules version) pair.
+stamps needed to prove it is still current: the tier epoch and a
+:class:`~repro.dsp.freshness.Freshness` (the store stamp observed when
+it was recorded and each document's (container version, rules
+version) pair).
 
-Validity follows the PR-5 invalidation contract: if the snapshot was
-recorded by *this* process's store (boot ids match) and the store's
-generation still equals the stamp, *nothing* at the DSP changed and
-the snapshot is fresh with zero further reads.  The generation counter
-restarts at 0 in every process, so the boot id is what keeps a
-reopened process from trusting a coincidentally-equal counter; without
-a boot match the stamps are re-checked piecewise -- a republish moves a container version, a
-policy update moves a rules version, a tier revocation moves the epoch
--- and any mismatch makes the snapshot stale.  A live feed re-records
-a stale snapshot from the store; a sealed (reopened) feed reports it,
-so a late joiner can never be served a cycle from before a revocation
-or republish.
+Validity is the shared freshness rule: a matching store stamp means
+*nothing* at the DSP changed and the snapshot is fresh with zero
+further reads; the stamp carries the store's per-process boot id, so a
+reopened process never trusts a coincidentally-equal generation
+counter.  Otherwise the versions are re-read -- a republish moves a
+container version, a policy update moves a rules version -- and any
+mismatch, like a moved tier epoch (a revocation), makes the snapshot
+stale.  A live feed re-records a stale snapshot from the store; a
+sealed (reopened) feed reports it, so a late joiner can never be
+served a cycle from before a revocation or republish.
 
 Everything in a snapshot is ciphertext the broadcast channel already
 carried in public; persisting it at the untrusted DSP leaks nothing
@@ -29,6 +28,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
+from repro.dsp.freshness import Freshness
 from repro.errors import TamperDetected
 
 _MAGIC = b"FSNAP2\n"
@@ -42,14 +42,11 @@ class CycleSnapshot:
     feed: str
     tier: str
     epoch: int
-    generation: int
-    #: The recording store's per-process boot id
-    #: (:attr:`repro.dsp.store.DSPStore.boot`); the generation stamp is
-    #: only meaningful against the same boot.
-    boot: str
-    #: ``(doc_id, container_version, rules_version)`` per document, in
-    #: broadcast order.
-    docs: tuple[tuple[str, int, int], ...]
+    #: The recording store's stamp plus one ``(container_version,
+    #: rules_version)`` pair per document of :attr:`doc_ids`.
+    freshness: Freshness
+    #: The cycle's documents, in broadcast order.
+    doc_ids: tuple[str, ...]
     #: The cycle's frames, exactly as broadcast.
     frames: tuple[tuple[str, int, bytes], ...]
 
@@ -57,12 +54,15 @@ class CycleSnapshot:
 def encode_snapshot(snapshot: CycleSnapshot) -> bytes:
     """Serialize a snapshot to the backend's blob format."""
     parts: list[bytes] = [_MAGIC]
-    for label in (snapshot.feed, snapshot.tier, snapshot.boot):
+    freshness = snapshot.freshness
+    for label in (snapshot.feed, snapshot.tier, freshness.boot):
         raw = label.encode("utf-8")
         parts.append(struct.pack(">H", len(raw)) + raw)
-    parts.append(struct.pack(">QQ", snapshot.epoch, snapshot.generation))
-    parts.append(struct.pack(">H", len(snapshot.docs)))
-    for doc_id, version, rules_version in snapshot.docs:
+    parts.append(struct.pack(">QQ", snapshot.epoch, freshness.generation))
+    parts.append(struct.pack(">H", len(snapshot.doc_ids)))
+    for doc_id, (version, rules_version) in zip(
+        snapshot.doc_ids, freshness.versions
+    ):
         raw = doc_id.encode("utf-8")
         parts.append(struct.pack(">H", len(raw)) + raw)
         parts.append(struct.pack(">QQ", version, rules_version))
@@ -117,11 +117,12 @@ def decode_snapshot(blob: bytes) -> CycleSnapshot:
     boot = reader.label()
     epoch, generation = reader.unpack(">QQ")
     (doc_count,) = reader.unpack(">H")
-    docs: list[tuple[str, int, int]] = []
+    doc_ids: list[str] = []
+    versions: list[tuple[int, int]] = []
     for _ in range(doc_count):
-        doc_id = reader.label()
+        doc_ids.append(reader.label())
         version, rules_version = reader.unpack(">QQ")
-        docs.append((doc_id, version, rules_version))
+        versions.append((version, rules_version))
     (frame_count,) = reader.unpack(">I")
     frames: list[tuple[str, int, bytes]] = []
     for _ in range(frame_count):
@@ -140,8 +141,7 @@ def decode_snapshot(blob: bytes) -> CycleSnapshot:
         feed=feed,
         tier=tier,
         epoch=epoch,
-        generation=generation,
-        boot=boot,
-        docs=tuple(docs),
+        freshness=Freshness(generation, boot, tuple(versions)),
+        doc_ids=tuple(doc_ids),
         frames=tuple(frames),
     )

@@ -112,12 +112,12 @@ class FeedSubscriberHandle:
                 self.tier,
                 doc_id,
             )
-            self.member.terminal.proxy.provision_key(doc_id, secret)
+            self.member.proxy.provision_key(doc_id, secret)
             self._provisioned.add(doc_id)
         stored = self.feed.stored(doc_id)
         subscriber = Subscriber(
             self.member.name,
-            self.member.terminal.card,
+            self.member.card,
             stored.rules_version,
             list(stored.rule_records),
             clock=self.member.community.clock,

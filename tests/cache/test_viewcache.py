@@ -7,7 +7,7 @@ directly with hand-built entries and probes -- the session integration
 
 import pytest
 
-from repro.cache.viewcache import CacheKey, CachedView, ViewCache
+from repro.cache.viewcache import CacheKey, ViewCache
 from repro.dsp.wire import DocMeta
 
 
@@ -59,7 +59,8 @@ def test_exact_hit_via_piecewise_check_then_stamped_fast_path():
     probe = _meta(generation=7, boot="boot-a")
     found = cache.lookup(key, probe)
     assert found is not None and found[1] is False
-    assert found[0].generation == 7 and found[0].boot == "boot-a"
+    assert found[0].freshness.generation == 7
+    assert found[0].freshness.boot == "boot-a"
     # Same stamp, *different* doc version: the fast path answers
     # without ever comparing versions -- a matching (generation, boot)
     # proves nothing at the store changed, including this document.
@@ -94,7 +95,7 @@ def test_generation_mismatch_alone_is_not_a_miss():
     assert cache.lookup(key, _meta(generation=3, boot="b"))
     assert cache.lookup(key, _meta(generation=4, boot="b"))
     entry = cache.entry(key)
-    assert entry is not None and entry.generation == 4
+    assert entry is not None and entry.freshness.generation == 4
 
 
 def test_boot_nonce_change_invalidates_the_stamp_not_the_entry():
@@ -106,7 +107,7 @@ def test_boot_nonce_change_invalidates_the_stamp_not_the_entry():
     assert cache.lookup(key, _meta(generation=9, boot="boot-1"))
     assert cache.lookup(key, _meta(generation=1, boot="boot-2"))
     entry = cache.entry(key)
-    assert entry is not None and entry.boot == "boot-2"
+    assert entry is not None and entry.freshness.boot == "boot-2"
 
 
 def test_lookup_asserts_revoked_probes_are_refused_first():

@@ -8,6 +8,7 @@ matrix over random seeds: determinism means any red cell reproduces
 from its printed ``(scenario, fault, seed)`` coordinates.
 """
 
+import threading
 import time
 
 import pytest
@@ -67,14 +68,20 @@ def test_quick_matrix_holds_for_any_seed(seed):
 
 
 def test_watchdog_turns_a_hang_into_a_failed_cell():
-    hang = Scenario(
-        "hang",
-        ("sleep",),
-        ("sleep",),
-        lambda seed, fault: (time.sleep(30), None)[1],
-    )
+    release = threading.Event()
+
+    def hung(seed, fault):
+        # Blocks until the test releases it, then returns a proper
+        # result so the abandoned worker ends cleanly.
+        release.wait(30)
+        return ScenarioResult("hang", fault, seed, ok=False)
+
+    hang = Scenario("hang", ("sleep",), ("sleep",), hung)
     start = time.monotonic()
-    result = run_cell(hang, "sleep", seed=0, deadline=0.3)
+    try:
+        result = run_cell(hang, "sleep", seed=0, deadline=0.3)
+    finally:
+        release.set()
     assert time.monotonic() - start < 5
     assert not result.ok
     assert result.error == "Hang"

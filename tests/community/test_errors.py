@@ -7,7 +7,6 @@ from repro.crypto.container import IntegrityError
 from repro.crypto.keys import KeyRing
 from repro.crypto.modes import PaddingError
 from repro.crypto.pki import SimulatedPKI
-from repro.dsp.store import DSPStore
 from repro.errors import (
     AccessDenied,
     DocumentLocked,
@@ -21,7 +20,6 @@ from repro.errors import (
 )
 from repro.smartcard.memory import CardMemoryError
 from repro.smartcard.secure_channel import SecureChannelError
-from repro.terminal.api import Publisher
 from repro.terminal.proxy import CardOutOfResources, CardTampered, ProxyError
 
 
@@ -55,15 +53,20 @@ def test_layer_exceptions_join_the_taxonomy():
 
 
 def test_publisher_update_rules_names_the_document():
-    publisher = Publisher("owner", DSPStore(), SimulatedPKI(), _warn=False)
+    """Owner operations on a sealed handle name the document."""
+    community = Community()
+    owner = community.enroll("owner")
+    community.enroll("anyone")
+    sealed = community.adopt("ghost", owner)
     with pytest.raises(PolicyError) as info:
-        publisher.update_rules("ghost", [])
-    assert "'ghost'" in str(info.value) and "'owner'" in str(info.value)
+        sealed.update_rules([])
+    assert "'ghost'" in str(info.value)
     assert info.value.doc_id == "ghost"
+    assert info.value.subject == "owner"
     with pytest.raises(PolicyError, match="'ghost'"):
-        publisher.secret_for("ghost")
+        sealed.grant("anyone")
     with pytest.raises(PolicyError, match="'ghost'"):
-        publisher.grant_access("ghost", "anyone")
+        owner.publish("<r/>", [], doc_id="ghost")
 
 
 def test_dsp_wrapped_key_names_doc_and_subject():
@@ -87,16 +90,13 @@ def test_terminal_query_on_locked_document():
     owner = community.enroll("owner")
     reader = community.enroll("reader")
     owner.publish("<r/>", [("+", "reader", "/r")], to=[reader], doc_id="d")
-    terminal = reader.terminal
-    with pytest.raises(DocumentLocked) as info:
-        terminal.query("d")  # never unlocked, no owner given
-    message = str(info.value)
-    assert "'d'" in message and "'reader'" in message
-    assert info.value.doc_id == "d"
-    assert info.value.subject == "reader"
+    proxy = reader.proxy
+    with pytest.raises(ProxyError) as info:
+        proxy.query("d", "reader")  # never unlocked on this card
+    assert info.value.status == 0x6985
     # Unlocking fixes it.
-    result, __ = terminal.query("d", owner="owner")
-    assert result.xml == "<r></r>"
+    reader.unlock("d", "owner")
+    assert proxy.query("d", "reader").xml == "<r></r>"
 
 
 def test_keyring_and_pki_raise_key_not_granted():

@@ -141,3 +141,43 @@ def test_everything_is_a_repro_error():
         )
         assert isinstance(error, KeyError)
     assert doc is not None
+
+
+def test_republishing_a_sealed_document_is_refused_before_any_write(tmp_path):
+    """A reopened community holds no document secret, so a republish
+    there would seal under a fresh secret while the old wrapped keys
+    stay on the shelf, breaking every reader.  It must be refused
+    before the store is touched."""
+    path = tmp_path / "dsp.db"
+    community = Community(store_path=path)
+    owner = community.enroll("owner")
+    bob = community.enroll("bob")
+    owner.publish("<r><a>1</a></r>", [("+", "bob", "/r")], to=[bob], doc_id="d")
+    with bob.open("d") as session:
+        v1 = session.query().text()
+    community.close()
+
+    reopened = Community.open(path)
+    store = reopened.store
+    before = store.get("d")
+    snapshot = (
+        before.container,
+        before.rules_version,
+        list(before.rule_records),
+        dict(before.wrapped_keys),
+    )
+    with pytest.raises(PolicyError, match="sealed"):
+        reopened.member("owner").publish(
+            "<r><a>2</a></r>", [("+", "bob", "/r")], to=[], doc_id="d"
+        )
+    after = store.get("d")
+    assert after.container.header.version == 1
+    assert (
+        after.container,
+        after.rules_version,
+        list(after.rule_records),
+        dict(after.wrapped_keys),
+    ) == snapshot
+    with reopened.member("bob").open("d") as session:
+        assert session.query().text() == v1 == "<r><a>1</a></r>"
+    reopened.close()

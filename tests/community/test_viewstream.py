@@ -1,4 +1,4 @@
-"""Streaming semantics of ViewStream: laziness, settling, bridging."""
+"""Streaming semantics of ViewStream: laziness, settling, materializing."""
 
 import pytest
 
@@ -48,8 +48,9 @@ def test_incremental_pieces_join_to_the_buffered_view():
     with reader.open(doc, transfer=TransferPolicy.windowed(4)) as session:
         stream = session.query()
         joined = "".join(piece.text for piece in stream if piece.kind == "view")
-        assert joined == stream.result().xml
         assert len(stream.pieces) > 1  # genuinely incremental
+    # The buffered pull of the same view through the member's proxy.
+    assert joined == reader.proxy.query(doc.doc_id, "reader").xml
 
 
 def test_events_materializer_roundtrips():
@@ -89,7 +90,8 @@ def test_refetch_fragments_settle_by_document_position():
     texts = [piece.text for piece in fragments]
     assert texts == sorted(texts, key=lambda t: int(t.split()[1]))
     # And the settled text is the main view plus fragments in order.
-    assert stream.text() == stream.result().xml + "".join(texts)
+    main = "".join(p.text for p in stream.pieces if p.kind == "view")
+    assert stream.text() == main + "".join(texts)
 
 
 def test_viewstream_settles_out_of_order_fragments():
@@ -104,18 +106,6 @@ def test_viewstream_settles_out_of_order_fragments():
     outcome = QueryOutcome(xml="<r></r>")
     stream = ViewStream(iter(pieces), outcome)
     assert stream.text() == "<r></r><early/><mid/><late/>"
-
-
-def test_authorized_result_settles_out_of_order_fragments():
-    """Satellite: complete_view no longer concatenates arrival order."""
-    from repro.terminal.api import AuthorizedResult
-
-    result = AuthorizedResult(
-        xml="<r></r>",
-        fragments=[(2, "<late/>"), (0, "<early/>"), (1, "<mid/>")],
-    )
-    with pytest.warns(DeprecationWarning):
-        assert result.complete_view == "<r></r><early/><mid/><late/>"
 
 
 def test_metrics_available_after_exhaustion():
@@ -133,14 +123,14 @@ def test_transfer_override_never_leaks_into_the_terminal():
     failed open leaves nothing behind, and overlapping sessions each
     keep their own plan."""
     community, reader, doc = _flat_community()
-    default = reader.terminal.proxy.transfer
+    default = reader.proxy.transfer
     # Failed open (no key) with an override: terminal untouched.
     eve = community.enroll("eve")
     from repro.errors import KeyNotGranted
 
     with pytest.raises(KeyNotGranted):
         eve.open(doc, transfer=TransferPolicy.windowed(8))
-    assert reader.terminal.proxy.transfer is default
+    assert reader.proxy.transfer is default
     # Overlapping sessions: closing the first must not clobber the
     # second's plan nor pin the terminal afterwards.
     s1 = reader.open(doc, transfer=TransferPolicy.windowed(2))
@@ -150,7 +140,7 @@ def test_transfer_override_never_leaks_into_the_terminal():
     requests_w8 = s2.query().metrics.dsp_requests
     s2.close()
     assert requests_w8 < requests_w2  # s2 really ran at window 8
-    assert reader.terminal.proxy.transfer is default
+    assert reader.proxy.transfer is default
     with reader.open(doc) as session:
         sequential = session.query().metrics.dsp_requests
     assert sequential > requests_w2  # back to one request per chunk

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from repro.community import Community
 from repro.dsp import RemoteDSP
 from repro.dsp.reactor import AdmissionPolicy, ReactorDSPServer
-from repro.dsp.remote import DSPSocketServer, read_frame, write_frame
+from repro.dsp.remote import read_frame, write_frame
 from repro.dsp.wire import (
     GetChunkRange,
     GetHeader,
@@ -29,7 +29,6 @@ from repro.dsp.wire import (
     frame,
 )
 from repro.errors import (
-    PolicyError,
     ReproError,
     ResourceExhausted,
     TransportError,
@@ -149,17 +148,6 @@ def test_server_close_marks_connections_closed(published_community):
     server.close()
     assert all(not stats.open for stats in server.connections)
     server.close()  # idempotent
-
-
-def test_serve_threaded_baseline_choice(published_community):
-    reference = _reference_views(published_community)
-    with published_community.serve(server="threaded") as server:
-        assert isinstance(server, DSPSocketServer)
-        _pull_fleet(server, reference, fleet_size=4)
-    with pytest.raises(PolicyError):
-        published_community.serve(server="warp-drive")
-    with pytest.raises(PolicyError):
-        published_community.serve(server="threaded", loops=2)
 
 
 # -- admission control -------------------------------------------------------
@@ -340,11 +328,8 @@ def test_garbage_frames_answered_or_dropped_never_wedged(published_community):
 # -- idle timeout ------------------------------------------------------------
 
 
-@pytest.mark.parametrize("flavor", ["reactor", "threaded"])
-def test_idle_connections_are_reaped(published_community, flavor):
-    with published_community.serve(
-        server=flavor, idle_timeout=0.5
-    ) as server:
+def test_idle_connections_are_reaped(published_community):
+    with published_community.serve(idle_timeout=0.5) as server:
         idle = socket.create_connection(server.address, timeout=10)
         # Poll the idle socket in short slices so the busy client's
         # traffic stays genuinely steady (well under the deadline).

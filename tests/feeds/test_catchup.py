@@ -4,6 +4,7 @@ import pytest
 
 from repro.community import Community, TierSpec
 from repro.dsp.backends import ShardedBackend
+from repro.dsp.freshness import Freshness
 from repro.errors import PolicyError, TamperDetected
 from repro.feeds import CycleSnapshot, decode_snapshot, encode_snapshot
 
@@ -213,9 +214,8 @@ def _snapshot():
         feed="intel",
         tier="internal",
         epoch=3,
-        generation=17,
-        boot="deadbeefcafef00d",
-        docs=(("rpt", 2, 1), ("memo", 1, 1)),
+        freshness=Freshness(17, "deadbeefcafef00d", ((2, 1), (1, 1))),
+        doc_ids=("rpt", "memo"),
         frames=(
             ("header", 0, b"\x00\x01header"),
             ("chunk", 0, b"chunk-zero"),
@@ -288,7 +288,7 @@ def test_reopened_process_generation_coincidence_is_not_trusted(tmp_path):
     feed.subscribe("late", "internal")
     feed.broadcast()
     blob = community.store.backend.get_feed_snapshot("intel", "internal")
-    stamped = decode_snapshot(blob).generation
+    stamped = decode_snapshot(blob).freshness.generation
     feed.publish(
         "<report><summary>v2</summary><body>b2</body></report>",
         doc_id="rpt",

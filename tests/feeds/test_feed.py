@@ -18,7 +18,7 @@ from repro.core.nfa import compile_call_count
 from repro.crypto.groupkey import wrap_call_count
 from repro.errors import KeyNotGranted, PolicyError
 from repro.feeds import compose_rules, feed_doc_id
-from repro.feeds.keys import member_recipient
+from repro.feeds.keys import member_recipient, resolve_doc_secret, resolve_tier_keys
 
 REPORT = (
     "<report><summary>sum</summary>"
@@ -153,6 +153,24 @@ def test_revocation_is_exactly_one_rewrap_plus_epoch_bump():
     # Unrelated tiers keep their epoch.
     assert feed.epoch("public") == 1
     assert feed.epoch("internal") == 1
+
+
+def test_tier_revocation_does_not_rotate_the_content_key():
+    """The documented contract: a revoke bumps the tier epoch and
+    re-wraps ``C_tier`` once, but never rotates ``C_tier`` itself.  Keys
+    a member resolved before the revoke still unwrap documents
+    published after it; only the DSP fetch path is cut off."""
+    community, feed, __ = _feed_community()
+    dsp, pki = community.dsp, community.pki
+    retained = resolve_tier_keys(dsp, pki, "intel", "partner", "owner", "bob")
+    before = wrap_call_count()
+    feed.revoke("bob")
+    assert wrap_call_count() - before == 1
+    later = feed.publish("<report><summary>later</summary></report>", doc_id="later")
+    secret = resolve_doc_secret(dsp, retained, "intel", "partner", later.doc_id)
+    assert secret == later._owner_secret()
+    with pytest.raises(KeyNotGranted):
+        resolve_tier_keys(dsp, pki, "intel", "partner", "owner", "bob")
 
 
 def test_revoked_member_is_detached_and_denied_catch_up():

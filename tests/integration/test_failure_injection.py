@@ -7,60 +7,46 @@ following session could observe.
 
 import pytest
 
+from repro.community import Community
 from repro.core.rules import AccessRule, RuleSet
-from repro.crypto.pki import SimulatedPKI
-from repro.dsp.server import DSPServer
-from repro.dsp.store import DSPStore
 from repro.smartcard.apdu import CommandAPDU, Instruction, StatusWord
 from repro.smartcard.card import SmartCard
-from repro.smartcard.soe import SecureOperatingEnvironment
-from repro.terminal.api import Publisher
 from repro.terminal.proxy import ProxyError
-from repro.terminal.session import Terminal
-from repro.xmlstream.parser import parse_string
 
 RULES = RuleSet([AccessRule.parse("+", "u", "/r", rule_id="FI")])
 DOC = "<r>" + "<x>" * 30 + "deep" + "</x>" * 30 + "</r>"
 
 
-def _stack():
-    pki = SimulatedPKI()
-    pki.enroll("owner")
-    pki.enroll("u")
-    store = DSPStore()
-    dsp = DSPServer(store)
-    Publisher("owner", store, pki).publish(
-        "d", parse_string(DOC), RULES, ["u"], chunk_size=48
-    )
-    return dsp, pki
+def _reader(ram_quota):
+    """The reader ``u`` with a card of ``ram_quota`` bytes, ``d`` unlocked."""
+    community = Community()
+    owner = community.enroll("owner")
+    reader = community.enroll("u", ram_quota=ram_quota, strict_memory=True)
+    owner.publish(DOC, RULES, to=[reader], doc_id="d", chunk_size=48)
+    reader.unlock("d", "owner")
+    return reader
 
 
 def test_tiny_ram_card_fails_with_memory_status():
     """A 128-byte card cannot evaluate a depth-31 document."""
-    dsp, pki = _stack()
-    terminal = Terminal("u", dsp, pki, ram_quota=128, strict_memory=True)
+    reader = _reader(128)
     with pytest.raises(ProxyError) as info:
-        terminal.query("d", owner="owner")
+        reader.proxy.query("d", "u")
     assert info.value.status == StatusWord.MEMORY_FAILURE
 
 
 def test_adequate_ram_card_succeeds_on_same_document():
-    dsp, pki = _stack()
-    terminal = Terminal("u", dsp, pki, ram_quota=2048, strict_memory=True)
-    result, metrics = terminal.query("d", owner="owner")
-    assert "deep" in result.xml
-    assert metrics.ram_high_water <= 2048
+    outcome = _reader(2048).proxy.query("d", "u")
+    assert "deep" in outcome.xml
+    assert outcome.metrics.ram_high_water <= 2048
 
 
 def test_memory_failure_does_not_poison_next_session():
     """After an overflow, a new session on the same card still works."""
-    dsp, pki = _stack()
-    soe = SecureOperatingEnvironment(ram_quota=100_000, strict_memory=True)
-    card = SmartCard(soe)
-    terminal = Terminal("u", dsp, pki, card=card)
-    first, __ = terminal.query("d", owner="owner")
+    proxy = _reader(100_000).proxy
+    first = proxy.query("d", "u")
     assert "deep" in first.xml
-    second, __ = terminal.query("d")
+    second = proxy.query("d", "u")
     assert second.xml == first.xml
 
 

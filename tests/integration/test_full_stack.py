@@ -1,13 +1,9 @@
 """Full-architecture integration scenarios (Figure 3 end to end)."""
 
+from repro.community import Community
 from repro.core import reference_view
 from repro.core.rules import AccessRule, RuleSet
-from repro.crypto.pki import SimulatedPKI
-from repro.dsp.server import DSPServer
-from repro.dsp.store import DSPStore
 from repro.smartcard.applet import PendingStrategy
-from repro.terminal.api import Publisher
-from repro.terminal.session import Terminal
 from repro.workloads.docgen import agenda, hospital
 from repro.workloads.rulegen import agenda_rules, hospital_rules
 from repro.xmlstream.events import events_to_paths
@@ -16,41 +12,48 @@ from repro.xmlstream.tree import tree_to_events
 from repro.xmlstream.writer import write_string
 
 
+MEMBERS = ["alice", "bruno", "carla"]
+
+
 def _community():
-    members = ["alice", "bruno", "carla"]
-    pki = SimulatedPKI()
-    pki.enroll("owner")
-    for member in members:
-        pki.enroll(member)
-    store = DSPStore()
-    dsp = DSPServer(store)
-    publisher = Publisher("owner", store, pki)
-    return members, pki, dsp, publisher
+    community = Community()
+    owner = community.enroll("owner")
+    for member in MEMBERS:
+        community.enroll(member)
+    return community, owner
+
+
+def _pull(community, member, doc_id, subject=None, **kwargs):
+    """One buffered pull through ``member``'s card (unlocking first)."""
+    reader = community.member(member)
+    reader.unlock(doc_id, "owner")
+    return reader.proxy.query(doc_id, subject or member, **kwargs)
 
 
 def test_collaborative_community_scenario():
     """Demo application 1: a community shares an agenda via the DSP."""
-    members, pki, dsp, publisher = _community()
+    community, owner = _community()
     root = agenda(3, 5)
-    rules = agenda_rules(members)
-    publisher.publish("agenda", list(tree_to_events(root)), rules, members)
-    for member in members:
-        terminal = Terminal(member, dsp, pki)
-        result, metrics = terminal.query("agenda", owner="owner")
+    rules = agenda_rules(MEMBERS)
+    owner.publish(tree_to_events(root), rules, to=MEMBERS, doc_id="agenda")
+    for member in MEMBERS:
+        outcome = _pull(community, member, "agenda")
         expected = write_string(reference_view(root, rules, member))
-        assert result.xml == expected
-        assert metrics.ram_high_water <= 1024
+        assert outcome.xml == expected
+        assert outcome.metrics.ram_high_water <= 1024
 
 
 def test_dynamic_policy_evolution_cycle():
     """Publish, query, tighten policy, re-query -- no re-encryption."""
-    members, pki, dsp, publisher = _community()
+    community, owner = _community()
     root = agenda(3, 5)
-    publisher.publish(
-        "agenda", list(tree_to_events(root)), agenda_rules(members), members
+    doc = owner.publish(
+        tree_to_events(root), agenda_rules(MEMBERS), to=MEMBERS,
+        doc_id="agenda",
     )
-    bytes_before = dsp.store.get("agenda").container.stored_size
-    first, __ = Terminal("bruno", dsp, pki).query("agenda", owner="owner")
+    store = community.store
+    bytes_before = store.get("agenda").container.stored_size
+    _pull(community, "bruno", "agenda")
     tightened = RuleSet(
         [
             AccessRule.parse("+", "bruno", "/agenda", rule_id="T0"),
@@ -58,10 +61,10 @@ def test_dynamic_policy_evolution_cycle():
             AccessRule.parse("-", "bruno", "//private", rule_id="T2"),
         ]
     )
-    receipt = publisher.update_rules("agenda", tightened)
+    receipt = doc.update_rules(tightened)
     assert receipt.document_bytes_encrypted == 0
-    assert dsp.store.get("agenda").container.stored_size == bytes_before
-    second, __ = Terminal("bruno", dsp, pki).query("agenda", owner="owner")
+    assert store.get("agenda").container.stored_size == bytes_before
+    second = _pull(community, "bruno", "agenda")
     expected = write_string(reference_view(root, tightened, "bruno"))
     assert second.xml == expected
     assert "<participant>" not in second.xml
@@ -69,19 +72,14 @@ def test_dynamic_policy_evolution_cycle():
 
 def test_strict_1kb_card_completes_hospital_session():
     """The paper's hard constraint: the whole evaluation fits 1 KB."""
-    members, pki, dsp, publisher = _community()
+    community, owner = _community()
     root = hospital(n_patients=16, episodes_per_patient=4)
     rules = hospital_rules()
-    publisher.publish(
-        "med", list(tree_to_events(root)), rules, ["alice"]
-    )
-    terminal = Terminal("alice", dsp, pki, ram_quota=1024, strict_memory=True)
-    result, metrics = terminal.query(
-        "med", owner="owner", subject="doctor"
-    )
+    owner.publish(tree_to_events(root), rules, to=["alice"], doc_id="med")
+    outcome = _pull(community, "alice", "med", subject="doctor")
     expected = write_string(reference_view(root, rules, "doctor"))
-    assert result.xml == expected
-    assert metrics.ram_high_water <= 1024
+    assert outcome.xml == expected
+    assert outcome.metrics.ram_high_water <= 1024
 
 
 def test_refetch_and_buffer_deliver_same_content():
@@ -97,9 +95,9 @@ def test_refetch_and_buffer_deliver_same_content():
     rules = RuleSet(
         [AccessRule.parse("+", "u", '//msg[flag = "keep"]/body', rule_id="F0")]
     )
-    members, pki, dsp, publisher = _community()
-    pki.enroll("u")
-    publisher.publish("mail", parse_string(document), rules, ["u"], chunk_size=48)
+    community, owner = _community()
+    community.enroll("u")
+    owner.publish(document, rules, to=["u"], doc_id="mail", chunk_size=48)
 
     def delivered_texts(xml_parts):
         texts = []
@@ -110,42 +108,36 @@ def test_refetch_and_buffer_deliver_same_content():
                         texts.append(event.text)
         return sorted(texts)
 
-    buffer_result, buffer_metrics = Terminal("u", dsp, pki).query(
-        "mail", owner="owner", strategy=PendingStrategy.BUFFER
+    buffered = _pull(community, "u", "mail", strategy=PendingStrategy.BUFFER)
+    refetched = _pull(community, "u", "mail", strategy=PendingStrategy.REFETCH)
+    assert delivered_texts([buffered.xml]) == delivered_texts(
+        [refetched.xml] + [t for __, t in refetched.fragments]
     )
-    refetch_result, refetch_metrics = Terminal("u", dsp, pki).query(
-        "mail", owner="owner", strategy=PendingStrategy.REFETCH
+    assert (
+        refetched.metrics.max_pending_bytes
+        <= buffered.metrics.max_pending_bytes
     )
-    assert delivered_texts([buffer_result.xml]) == delivered_texts(
-        [refetch_result.xml] + [t for __, t in refetch_result.fragments]
-    )
-    assert refetch_metrics.max_pending_bytes <= buffer_metrics.max_pending_bytes
 
 
 def test_one_card_many_documents():
     """A single card serves several documents with separate keys."""
-    members, pki, dsp, publisher = _community()
+    community, owner = _community()
     doc_a = "<a><x>alpha</x></a>"
     doc_b = "<b><y>beta</y></b>"
     rules_a = RuleSet([AccessRule.parse("+", "alice", "/a", rule_id="A")])
     rules_b = RuleSet([AccessRule.parse("+", "alice", "/b", rule_id="B")])
-    publisher.publish("doc-a", parse_string(doc_a), rules_a, ["alice"])
-    publisher.publish("doc-b", parse_string(doc_b), rules_b, ["alice"])
-    terminal = Terminal("alice", dsp, pki)
-    result_a, __ = terminal.query("doc-a", owner="owner")
-    result_b, __ = terminal.query("doc-b", owner="owner")
-    assert "alpha" in result_a.xml
-    assert "beta" in result_b.xml
+    owner.publish(doc_a, rules_a, to=["alice"], doc_id="doc-a")
+    owner.publish(doc_b, rules_b, to=["alice"], doc_id="doc-b")
+    assert "alpha" in _pull(community, "alice", "doc-a").xml
+    assert "beta" in _pull(community, "alice", "doc-b").xml
 
 
 def test_output_paths_subset_of_input():
-    members, pki, dsp, publisher = _community()
+    community, owner = _community()
     root = hospital(10)
     rules = hospital_rules()
-    publisher.publish("med", list(tree_to_events(root)), rules, ["alice"])
-    result, __ = Terminal("alice", dsp, pki).query(
-        "med", owner="owner", subject="nurse"
-    )
+    owner.publish(tree_to_events(root), rules, to=["alice"], doc_id="med")
+    result = _pull(community, "alice", "med", subject="nurse")
     input_paths = set(events_to_paths(tree_to_events(root)))
     if result.xml:
         output_paths = set(events_to_paths(parse_string(result.xml)))

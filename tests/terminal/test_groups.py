@@ -1,53 +1,43 @@
 """Role/group subjects through the full card protocol."""
 
+from repro.community import Community
 from repro.core import reference_view
 from repro.core.rules import AccessRule, RuleSet, Subject
-from repro.crypto.pki import SimulatedPKI
-from repro.dsp.server import DSPServer
-from repro.dsp.store import DSPStore
-from repro.terminal.api import Publisher
-from repro.terminal.session import Terminal
 from repro.workloads.docgen import hospital
 from repro.workloads.rulegen import hospital_rules
 from repro.xmlstream.tree import tree_to_events
 from repro.xmlstream.writer import write_string
 
 
-def _stack(rules, doc_root):
-    pki = SimulatedPKI()
-    pki.enroll("owner")
-    pki.enroll("martin")
-    store = DSPStore()
-    dsp = DSPServer(store)
-    Publisher("owner", store, pki).publish(
-        "med", list(tree_to_events(doc_root)), rules, ["martin"]
+def _query(rules, doc_root, groups=frozenset()):
+    """Martin's view of the published document, holding ``groups``."""
+    community = Community()
+    owner = community.enroll("owner")
+    martin = community.enroll("martin")
+    doc = owner.publish(
+        tree_to_events(doc_root), rules, to=[martin], doc_id="med"
     )
-    return dsp, pki
+    with martin.open(doc, groups=groups) as session:
+        return session.query().text()
 
 
 def test_user_with_role_gets_role_rules():
     root = hospital(8)
     rules = hospital_rules()
-    dsp, pki = _stack(rules, root)
-    terminal = Terminal("martin", dsp, pki)
-    result, __ = terminal.query(
-        "med", owner="owner", groups=frozenset({"doctor"})
-    )
+    xml = _query(rules, root, frozenset({"doctor"}))
     expected = write_string(
         reference_view(root, rules, Subject("martin", frozenset({"doctor"})))
     )
-    assert result.xml == expected
-    assert "<diagnosis>" in result.xml
-    assert "<psychiatric>" not in result.xml
+    assert xml == expected
+    assert "<diagnosis>" in xml
+    assert "<psychiatric>" not in xml
 
 
 def test_user_without_role_sees_nothing():
     root = hospital(8)
     rules = hospital_rules()
-    dsp, pki = _stack(rules, root)
-    terminal = Terminal("martin", dsp, pki)
-    result, __ = terminal.query("med", owner="owner")
-    assert result.xml == ""
+    xml = _query(rules, root)
+    assert xml == ""
 
 
 def test_multiple_roles_combine():
@@ -55,20 +45,16 @@ def test_multiple_roles_combine():
     conflict resolution across them."""
     root = hospital(8)
     rules = hospital_rules()
-    dsp, pki = _stack(rules, root)
-    terminal = Terminal("martin", dsp, pki)
-    result, __ = terminal.query(
-        "med", owner="owner", groups=frozenset({"doctor", "accountant"})
-    )
+    xml = _query(rules, root, frozenset({"doctor", "accountant"}))
     expected = write_string(
         reference_view(
             root, rules, Subject("martin", frozenset({"doctor", "accountant"}))
         )
     )
-    assert result.xml == expected
+    assert xml == expected
     # The doctor's deny on billing and the accountant's permit on it
     # collide on the same nodes: denial takes precedence.
-    assert "<amount>" not in result.xml
+    assert "<amount>" not in xml
 
 
 def test_personal_rule_plus_role():
@@ -77,14 +63,10 @@ def test_personal_rule_plus_role():
         list(hospital_rules())
         + [AccessRule.parse("+", "martin", "//ssn", rule_id="ME")]
     )
-    dsp, pki = _stack(rules, root)
-    terminal = Terminal("martin", dsp, pki)
-    result, __ = terminal.query(
-        "med", owner="owner", groups=frozenset({"nurse"})
-    )
+    xml = _query(rules, root, frozenset({"nurse"}))
     expected = write_string(
         reference_view(root, rules, Subject("martin", frozenset({"nurse"})))
     )
-    assert result.xml == expected
-    assert "<ssn>" in result.xml  # personal grant
-    assert "<prescription>" in result.xml  # role grant
+    assert xml == expected
+    assert "<ssn>" in xml  # personal grant
+    assert "<prescription>" in xml  # role grant

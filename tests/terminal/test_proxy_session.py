@@ -1,17 +1,13 @@
-"""Integration tests: proxy + terminal against card and DSP."""
+"""Integration tests: a member's card proxy against card and DSP."""
 
 import pytest
 
+from repro.community import Community
 from repro.core import AccessRule, RuleSet, reference_view
 from repro.core.delivery import ViewMode
-from repro.crypto.pki import SimulatedPKI
-from repro.dsp.server import DSPServer
-from repro.dsp.store import DSPStore
+from repro.errors import KeyNotGranted
 from repro.smartcard.applet import PendingStrategy
-from repro.terminal.api import Publisher
 from repro.terminal.proxy import ProxyError
-from repro.terminal.session import Terminal
-from repro.xmlstream.parser import parse_string
 from repro.xmlstream.tree import parse_tree
 from repro.xmlstream.writer import write_string
 
@@ -26,67 +22,69 @@ RULES = RuleSet([
 
 
 def _stack():
-    pki = SimulatedPKI()
-    pki.enroll("owner")
-    pki.enroll("alice")
-    pki.enroll("bob")
-    store = DSPStore()
-    dsp = DSPServer(store)
-    publisher = Publisher("owner", store, pki)
-    publisher.publish("notes", parse_string(DOC), RULES, ["alice", "bob"])
-    return dsp, pki, publisher
+    community = Community()
+    owner = community.enroll("owner")
+    community.enroll("alice")
+    community.enroll("bob")
+    doc = owner.publish(DOC, RULES, to=["alice", "bob"], doc_id="notes")
+    return community, doc
+
+
+def _pull(member, doc_id="notes", **kwargs):
+    """Unlock the document on the member's card, run one buffered pull."""
+    member.unlock(doc_id, "owner")
+    return member.proxy.query(doc_id, member.name, **kwargs)
 
 
 def test_each_user_sees_own_view():
-    dsp, pki, __ = _stack()
+    community, __ = _stack()
     for user in ("alice", "bob"):
-        terminal = Terminal(user, dsp, pki)
-        result, metrics = terminal.query("notes", owner="owner")
+        outcome = _pull(community.member(user))
         expected = write_string(reference_view(parse_tree(DOC), RULES, user))
-        assert result.xml == expected
-        assert metrics.apdu_count > 0
-        assert metrics.clock.total() > 0
+        assert outcome.xml == expected
+        assert outcome.metrics.apdu_count > 0
+        assert outcome.metrics.clock.total() > 0
 
 
 def test_query_restriction_applies():
-    dsp, pki, __ = _stack()
-    terminal = Terminal("alice", dsp, pki)
-    result, __ = terminal.query("notes", query="//body", owner="owner")
+    community, __ = _stack()
+    outcome = _pull(community.member("alice"), query="//body")
     expected = write_string(
         reference_view(parse_tree(DOC), RULES, "alice", query="//body")
     )
-    assert result.xml == expected
+    assert outcome.xml == expected
 
 
 def test_unauthorized_user_has_no_wrapped_key():
-    dsp, pki, __ = _stack()
-    pki.enroll("eve")
-    terminal = Terminal("eve", dsp, pki)
-    with pytest.raises(KeyError):
-        terminal.query("notes", owner="owner")
+    community, __ = _stack()
+    eve = community.enroll("eve")
+    with pytest.raises(KeyNotGranted):
+        _pull(eve)
 
 
 def test_unlock_is_idempotent():
-    dsp, pki, __ = _stack()
-    terminal = Terminal("alice", dsp, pki)
-    terminal.unlock_document("notes", "owner")
-    terminal.unlock_document("notes", "owner")
-    result, __ = terminal.query("notes")
-    assert "alice" in result.xml
+    community, __ = _stack()
+    alice = community.member("alice")
+    alice.unlock("notes", "owner")
+    requests = community.dsp.requests
+    alice.unlock("notes", "owner")
+    assert community.dsp.requests == requests  # no second key fetch
+    outcome = alice.proxy.query("notes", "alice")
+    assert "alice" in outcome.xml
 
 
 def test_policy_update_changes_view_without_reencryption():
-    dsp, pki, publisher = _stack()
-    terminal = Terminal("alice", dsp, pki)
-    before, __ = terminal.query("notes", owner="owner")
+    community, doc = _stack()
+    alice = community.member("alice")
+    before = _pull(alice)
     assert "hello" in before.xml
     new_rules = RuleSet([
         AccessRule.parse("+", "alice", '//note[to = "alice"]', rule_id="S0"),
         AccessRule.parse("-", "alice", "//body", rule_id="S2"),
     ])
-    receipt = publisher.update_rules("notes", new_rules)
+    receipt = doc.update_rules(new_rules)
     assert receipt.document_bytes_encrypted == 0
-    after, __ = Terminal("alice", dsp, pki).query("notes", owner="owner")
+    after = _pull(alice)
     assert "hello" not in after.xml
     expected = write_string(reference_view(parse_tree(DOC), new_rules, "alice"))
     assert after.xml == expected
@@ -104,45 +102,36 @@ def test_refetch_strategy_returns_fragments():
     rules = RuleSet([
         AccessRule.parse("+", "alice", '//note[to = "alice"]/body', rule_id="R0"),
     ])
-    pki = SimulatedPKI()
-    pki.enroll("owner")
-    pki.enroll("alice")
-    store = DSPStore()
-    dsp = DSPServer(store)
-    publisher = Publisher("owner", store, pki)
-    publisher.publish(
-        "mail", parse_string(document), rules, ["alice"], chunk_size=32
-    )
-    terminal = Terminal("alice", dsp, pki)
-    result, metrics = terminal.query(
-        "mail", owner="owner", strategy=PendingStrategy.REFETCH
-    )
-    assert metrics.refetch_count >= 1
-    combined = result.xml + "".join(text for __, text in result.fragments)
+    community = Community()
+    owner = community.enroll("owner")
+    alice = community.enroll("alice")
+    owner.publish(document, rules, to=[alice], doc_id="mail", chunk_size=32)
+    outcome = _pull(alice, "mail", strategy=PendingStrategy.REFETCH)
+    assert outcome.metrics.refetch_count >= 1
+    combined = outcome.xml + "".join(text for __, text in outcome.fragments)
     assert "hello alice" in combined
     assert "bob stuff" not in combined
     # The buffering strategy must agree on delivered content.
-    buffered, buffered_metrics = Terminal("alice", dsp, pki).query(
-        "mail", owner="owner", strategy=PendingStrategy.BUFFER
-    )
+    buffered = _pull(alice, "mail", strategy=PendingStrategy.BUFFER)
     assert "hello alice" in buffered.xml
-    assert buffered_metrics.max_pending_bytes > metrics.max_pending_bytes
+    assert (
+        buffered.metrics.max_pending_bytes > outcome.metrics.max_pending_bytes
+    )
 
 
 def test_prune_view_mode_through_stack():
-    dsp, pki, __ = _stack()
-    terminal = Terminal("alice", dsp, pki)
-    result, __ = terminal.query("notes", owner="owner", view_mode=ViewMode.PRUNE)
+    community, __ = _stack()
+    outcome = _pull(community.member("alice"), view_mode=ViewMode.PRUNE)
     expected = write_string(
         reference_view(parse_tree(DOC), RULES, "alice", mode=ViewMode.PRUNE)
     )
-    assert result.xml == expected
+    assert outcome.xml == expected
 
 
 def test_proxy_error_carries_status():
-    dsp, pki, __ = _stack()
-    terminal = Terminal("alice", dsp, pki)
-    terminal.proxy.provision_key("notes", b"wrong-key-16byte")
+    community, __ = _stack()
+    proxy = community.member("alice").proxy
+    proxy.provision_key("notes", b"wrong-key-16byte")
     with pytest.raises(ProxyError) as info:
-        terminal.proxy.query("notes", "alice")
+        proxy.query("notes", "alice")
     assert info.value.status is not None
