@@ -11,8 +11,7 @@ from _common import emit
 
 from repro.crypto.container import seal_blob, seal_document
 from repro.crypto.keys import DocumentKeys
-from repro.dissemination.channel import BroadcastChannel
-from repro.dissemination.publisher import StreamPublisher
+from repro.dissemination.channel import BroadcastChannel, container_frames
 from repro.dissemination.subscriber import Subscriber
 from repro.skipindex.encoder import IndexMode, encode_document
 from repro.smartcard.card import SmartCard
@@ -52,7 +51,7 @@ def _run_broadcast(n_videos=40):
                                 clock=channel.clock)
         channel.subscribe(subscriber.on_frame)
         subscribers.append(subscriber)
-    StreamPublisher(channel).broadcast_document(container)
+    channel.send(container_frames(container))
     return channel, subscribers
 
 

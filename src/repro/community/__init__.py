@@ -30,6 +30,8 @@ Handles:
 :class:`Channel`    push/carousel path; ``subscribe``/``broadcast``
 :class:`Feed`       tiered dissemination; ``publish``/``subscribe``/
                     ``broadcast``/``catch_up``/``revoke``
+:class:`SubscriberHandle`  a member's end of a Channel or Feed lane;
+                    ``view``/``views``/``metrics``/``require_ok``
 =================  ====================================================
 
 Views stream: ``session.query(xpath)`` returns a :class:`ViewStream`
@@ -39,10 +41,11 @@ position.  Failures raise the :mod:`repro.errors` taxonomy.
 """
 
 from repro.cache.viewcache import ViewCache
-from repro.community.channels import Channel, SubscriberHandle
+from repro.community.channels import Channel
 from repro.community.facade import Community, Document, Member
 from repro.community.session import Session, ViewStream
-from repro.feeds import Feed, FeedSubscriberHandle, TierSpec
+from repro.dissemination import SubscriberHandle
+from repro.feeds import Feed, TierSpec
 from repro.terminal.proxy import ViewPiece
 
 __all__ = [
@@ -50,7 +53,6 @@ __all__ = [
     "Community",
     "Document",
     "Feed",
-    "FeedSubscriberHandle",
     "Member",
     "Session",
     "SubscriberHandle",

@@ -3,7 +3,10 @@
 ``community.channel(document)`` returns the :class:`Channel` for one
 published document: subscribe members, broadcast (optionally for
 several carousel cycles), and read each subscriber's filtered view off
-its :class:`SubscriberHandle`.
+its :class:`~repro.dissemination.SubscriberHandle`.  The channel is a
+thin adapter over the :mod:`repro.dissemination` core: its members
+hold per-member wrapped keys and unlock their cards at subscribe time,
+where a :class:`~repro.feeds.Feed` resolves tier keys per document.
 
 Two sharing effects make wide audiences cheap here:
 
@@ -14,8 +17,8 @@ Two sharing effects make wide audiences cheap here:
   ``compile_path`` calls over a 1-subscriber one;
 * :meth:`Channel.preview` computes every subscriber's authorized view
   in ONE shared evaluation pass over the plaintext
-  (:func:`~repro.core.multicast.multicast_view_texts` via the stream
-  publisher), the head-end amortization of the dissemination paper.
+  (:func:`~repro.core.multicast.multicast_view_texts`), the head-end
+  amortization of the dissemination paper.
 """
 
 from __future__ import annotations
@@ -23,56 +26,15 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable
 
 from repro.core.delivery import ViewMode
+from repro.core.multicast import multicast_view_texts
 from repro.core.rules import Sign, Subject
-from repro.dissemination.carousel import LateJoiningSubscriber
-from repro.dissemination.channel import BroadcastChannel
-from repro.dissemination.publisher import StreamPublisher
-from repro.dissemination.subscriber import Subscriber
+from repro.dissemination.channel import BroadcastChannel, container_frames
+from repro.dissemination.subscriber import SubscriberHandle
 from repro.errors import PolicyError
-from repro.smartcard.resources import SessionMetrics
 from repro.terminal.transfer import TransferPolicy
 
 if TYPE_CHECKING:
     from repro.community.facade import Community, Document, Member
-
-
-class SubscriberHandle:
-    """One member's receiving end of a broadcast channel."""
-
-    def __init__(
-        self,
-        member: "Member",
-        subscriber: Subscriber,
-        late: "LateJoiningSubscriber | None" = None,
-    ) -> None:
-        self.member = member
-        self.subscriber = subscriber
-        self._late = late
-
-    def __repr__(self) -> str:
-        return f"SubscriberHandle({self.member.name!r})"
-
-    @property
-    def view(self) -> str:
-        """The authorized view received so far."""
-        return self.subscriber.view
-
-    @property
-    def ok(self) -> bool:
-        return self.subscriber.ok
-
-    @property
-    def metrics(self) -> SessionMetrics:
-        return self.subscriber.metrics
-
-    @property
-    def frames_missed(self) -> int:
-        """Frames of the partial first cycle a late joiner discarded."""
-        return self._late.frames_missed if self._late is not None else 0
-
-    def require_ok(self) -> None:
-        """Raise the typed error behind a failed session, if any."""
-        self.subscriber.require_ok()
 
 
 class Channel:
@@ -80,18 +42,14 @@ class Channel:
 
     Owned by the community (``community.channel(doc)`` always returns
     the same handle for the same document); the underlying unsecured
-    :class:`BroadcastChannel` and head-end
-    :class:`StreamPublisher` stay reachable as ``broadcast_channel``
-    and ``publisher`` for tamper injection and bandwidth accounting.
+    :class:`BroadcastChannel` stays reachable as ``broadcast_channel``
+    for tamper injection and bandwidth accounting.
     """
 
     def __init__(self, community: "Community", document: "Document") -> None:
         self.community = community
         self.document = document
         self.broadcast_channel = BroadcastChannel(clock=community.clock)
-        self.publisher = StreamPublisher(
-            self.broadcast_channel, registry=community.registry
-        )
         self._handles: list[SubscriberHandle] = []
         self.cycles_sent = 0
 
@@ -104,21 +62,25 @@ class Channel:
         groups: frozenset[str] = frozenset(),
         view_mode: ViewMode = ViewMode.SKELETON,
         transfer: TransferPolicy | None = None,
-        late: bool = False,
     ) -> SubscriberHandle:
         """Attach a member's card to the channel.
 
         The member's card is provisioned with the document secret
         through the normal unlock path (wrapped key at the DSP), then
-        listens on the channel; ``groups`` carries its subscription
-        tiers, ``late`` wraps it as a late joiner that only engages
-        from the next carousel cycle's header.
+        listens on the channel from the next cycle's header; ``groups``
+        carries its subscription tiers.
+
+        Revocation is *soft*, as on a feed: after
+        ``document.revoke(member)`` a member subscribed before the
+        revoke keeps receiving full views, because its card already
+        holds the key; subscribing after the revoke raises
+        :class:`~repro.errors.KeyNotGranted`.
         """
         if isinstance(member, str):
             member = self.community.member(member)
         if any(h.member is member for h in self._handles):
-            # Two Subscribers on one card would interleave their
-            # sessions and silently corrupt both views.
+            # Two sessions on one card would interleave and silently
+            # corrupt both views.
             raise PolicyError(
                 f"{member.name!r} is already subscribed to "
                 f"{self.document.doc_id!r}",
@@ -127,25 +89,10 @@ class Channel:
             )
         doc = self.document
         member.unlock(doc.doc_id, doc.owner.name)
-        stored = self.community._require_store().get(doc.doc_id)
-        subscriber = Subscriber(
-            member.name,
-            member.card,
-            stored.rules_version,
-            list(stored.rule_records),
-            clock=self.broadcast_channel.clock,
-            view_mode=view_mode,
-            registry=self.community.registry,
-            transfer=transfer,
-            groups=groups,
+        handle = SubscriberHandle(
+            member, groups=groups, view_mode=view_mode, transfer=transfer
         )
-        late_wrapper: LateJoiningSubscriber | None = None
-        if late:
-            late_wrapper = LateJoiningSubscriber(subscriber)
-            self.broadcast_channel.subscribe(late_wrapper.on_frame)
-        else:
-            self.broadcast_channel.subscribe(subscriber.on_frame)
-        handle = SubscriberHandle(member, subscriber, late_wrapper)
+        self.broadcast_channel.subscribe(handle.on_frame)
         self._handles.append(handle)
         return handle
 
@@ -164,9 +111,9 @@ class Channel:
         """
         if cycles < 1:
             raise PolicyError("a broadcast needs at least one cycle")
-        container = self.document.container
+        frames = container_frames(self.document.container)
         for __ in range(cycles):
-            self.publisher.broadcast_document(container)
+            self.broadcast_channel.send(frames)
             self.cycles_sent += 1
 
     def preview(
@@ -190,15 +137,16 @@ class Channel:
                 doc_id=self.document.doc_id,
             )
         subjects = [
-            Subject(handle.member.name, handle.subscriber.groups)
+            Subject(handle.member.name, handle.groups)
             for handle in self._handles
         ]
-        return self.publisher.preview_views(
+        return multicast_view_texts(
             events,
             rules,
             subjects,
             default=Sign.DENY,
             mode=mode,
+            registry=self.community.registry,
         )
 
     def set_tamper(

@@ -55,6 +55,7 @@ from repro.core.rules import AccessRule, RuleSet
 from repro.crypto.container import DocumentContainer
 from repro.crypto.keys import random_key
 from repro.crypto.pki import SimulatedPKI
+from repro.dissemination.subscriber import SubscriberHandle
 from repro.dsp.backends import SQLiteBackend, StoreBackend
 from repro.dsp.client import DSPClient
 from repro.dsp.reactor import AdmissionPolicy, ReactorDSPServer
@@ -62,7 +63,6 @@ from repro.dsp.server import DSPServer
 from repro.dsp.store import DSPStore
 from repro.errors import PolicyError, UnknownDocument
 from repro.feeds.feed import Feed
-from repro.feeds.subscriber import FeedSubscriberHandle
 from repro.feeds.tiers import TierSpec
 from repro.skipindex.encoder import IndexMode
 from repro.smartcard.card import SmartCard
@@ -730,7 +730,7 @@ class Member:
         *,
         view_mode: ViewMode = ViewMode.SKELETON,
         transfer: TransferPolicy | None = None,
-    ) -> FeedSubscriberHandle:
+    ) -> SubscriberHandle:
         """Join a tier of a feed (``community.feed(...)`` sugar).
 
         One PKI wrap now, zero per-cycle cost after: the returned

@@ -2,9 +2,30 @@
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Iterable
 
+from repro.crypto.container import DocumentContainer
+from repro.smartcard.card import encode_header
 from repro.smartcard.resources import SimClock
+
+#: One broadcast frame: ``(kind, index, payload)`` with ``kind`` one of
+#: ``"header"``, ``"chunk"`` or ``"end"``.
+Frame = tuple[str, int, bytes]
+
+
+def container_frames(container: DocumentContainer) -> list[Frame]:
+    """The frames one cycle of ``container`` puts on the air.
+
+    The header, every chunk in order, then an empty ``end`` frame.  A
+    container version always yields the identical sequence, so a
+    recorded cycle replays indistinguishably from a live one.
+    """
+    frames: list[Frame] = [("header", 0, encode_header(container.header))]
+    frames.extend(
+        ("chunk", index, blob) for index, blob in enumerate(container.chunks)
+    )
+    frames.append(("end", 0, b""))
+    return frames
 
 
 class BroadcastChannel:
@@ -46,3 +67,8 @@ class BroadcastChannel:
             payload = self._tamper(kind, index, payload)
         for listener in self._listeners:
             listener(kind, index, payload)
+
+    def send(self, frames: Iterable[Frame]) -> None:
+        """Push a frame sequence (e.g. one carousel cycle), in order."""
+        for kind, index, payload in frames:
+            self.broadcast(kind, index, payload)

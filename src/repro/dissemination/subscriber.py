@@ -8,16 +8,34 @@ pays off in push mode.
 
 There is no backchannel, so pending subtrees must use the BUFFER
 strategy (REFETCH would require asking the publisher to re-send).
+
+A :class:`Subscriber` runs exactly one document session; a
+:class:`SubscriberHandle` is a member's receiving end of a lane that
+may carry several documents per carousel cycle.  It joins at the next
+``header`` frame -- frames of a cycle already in progress are counted
+and discarded -- and routes each document to its own
+:class:`Subscriber` on the member's one card.  Completed documents
+ignore repeat cycles.  Card refusals are recorded per document and
+converted to the typed :mod:`repro.errors` taxonomy by
+:meth:`SubscriberHandle.require_ok`.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Callable
 
 from repro.core.compiled import PolicyRegistry
 from repro.core.delivery import ViewMode
-from repro.errors import ResourceExhausted, TamperDetected, TransportError
+from repro.errors import (
+    KeyNotGranted,
+    PolicyError,
+    ReproError,
+    ResourceExhausted,
+    TamperDetected,
+    TransportError,
+)
 from repro.smartcard.apdu import (
     CommandAPDU,
     Instruction,
@@ -28,6 +46,9 @@ from repro.smartcard.apdu import (
 from repro.smartcard.card import SmartCard, decode_header, encode_groups
 from repro.smartcard.resources import LinkModel, SessionMetrics, SimClock
 from repro.terminal.transfer import TransferPolicy
+
+if TYPE_CHECKING:
+    from repro.community.facade import Member
 
 
 @dataclass(slots=True)
@@ -276,3 +297,158 @@ class Subscriber:
         if self.state.failed_sw == StatusWord.MEMORY_FAILURE:
             raise ResourceExhausted(message, subject=self.name)
         raise TransportError(message, subject=self.name)
+
+
+class SubscriberHandle:
+    """A member's receiving end of one broadcast lane.
+
+    ``provision`` puts a document's secret on the member's card the
+    first time the lane carries that document; it is ``None`` when the
+    card was unlocked up front.  It may raise a
+    :class:`~repro.errors.ReproError` (e.g. a grant withdrawn between
+    cycles), which is recorded rather than unwinding the publisher's
+    broadcast loop, and surfaced by :meth:`require_ok`.
+    """
+
+    def __init__(
+        self,
+        member: "Member",
+        provision: Callable[[str], None] | None = None,
+        *,
+        groups: frozenset[str] = frozenset(),
+        view_mode: ViewMode = ViewMode.SKELETON,
+        transfer: TransferPolicy | None = None,
+    ) -> None:
+        self.member = member
+        self.groups = groups
+        #: The feed tier this handle listens to (``None`` on a channel).
+        self.tier: str | None = None
+        self._provision = provision
+        self._view_mode = view_mode
+        self._transfer = transfer
+        self._subscribers: dict[str, Subscriber] = {}
+        self._current: Subscriber | None = None
+        #: Frames discarded outside any document (the tail of the cycle
+        #: in progress when the member tuned in).
+        self.frames_missed = 0
+        #: Set by ``Feed.revoke``: a detached handle ignores every
+        #: further frame, so a revoked member's view never grows.
+        self.revoked = False
+        self._failure: ReproError | None = None
+
+    def __repr__(self) -> str:
+        return f"SubscriberHandle({self.member.name!r}, tier={self.tier!r})"
+
+    # -- broadcast listener ----------------------------------------------
+
+    def on_frame(self, kind: str, index: int, payload: bytes) -> None:
+        """Channel callback: route frames to per-document sessions."""
+        if self.revoked or self._failure is not None:
+            return
+        if kind == "header":
+            try:
+                self._current = self._engage(decode_header(payload).doc_id)
+            except ReproError as exc:
+                self._failure = exc
+                self._current = None
+                return
+        elif self._current is None:
+            self.frames_missed += 1
+            return
+        self._current.on_frame(kind, index, payload)
+        if kind == "end":
+            self._current = None
+
+    def _engage(self, doc_id: str) -> Subscriber:
+        subscriber = self._subscribers.get(doc_id)
+        if subscriber is not None:
+            return subscriber
+        if self._provision is not None:
+            self._provision(doc_id)
+        community = self.member.community
+        stored = community._require_store().get(doc_id)
+        subscriber = Subscriber(
+            self.member.name,
+            self.member.card,
+            stored.rules_version,
+            list(stored.rule_records),
+            clock=community.clock,
+            view_mode=self._view_mode,
+            registry=community.registry,
+            transfer=self._transfer,
+            groups=self.groups,
+        )
+        self._subscribers[doc_id] = subscriber
+        return subscriber
+
+    # -- results ----------------------------------------------------------
+
+    @property
+    def views(self) -> dict[str, str]:
+        """Per-document authorized views, in first-engagement order."""
+        return {doc_id: sub.view for doc_id, sub in self._subscribers.items()}
+
+    @property
+    def view(self) -> str:
+        """The concatenated authorized view received so far."""
+        return "".join(self.views.values())
+
+    def metrics_for(self, doc_id: str) -> SessionMetrics:
+        """The card/link metrics of one document's session."""
+        subscriber = self._subscribers.get(doc_id)
+        if subscriber is None:
+            raise KeyNotGranted(
+                f"{self.member.name!r} never engaged document {doc_id!r}",
+                doc_id=doc_id,
+                subject=self.member.name,
+            )
+        return subscriber.metrics
+
+    @property
+    def metrics(self) -> SessionMetrics:
+        """The metrics of the handle's one document session.
+
+        Empty before the first header; a lane carrying several
+        documents must name one through :meth:`metrics_for`.
+        """
+        if not self._subscribers:
+            return SessionMetrics()
+        if len(self._subscribers) > 1:
+            raise PolicyError(
+                f"{self.member.name!r} received {len(self._subscribers)} "
+                "documents; use metrics_for(doc_id)",
+                subject=self.member.name,
+            )
+        return next(iter(self._subscribers.values())).metrics
+
+    @property
+    def docs_complete(self) -> int:
+        return sum(
+            1 for sub in self._subscribers.values() if sub.state.document_done
+        )
+
+    @property
+    def ok(self) -> bool:
+        return (
+            not self.revoked
+            and self._failure is None
+            and bool(self._subscribers)
+            and all(sub.ok for sub in self._subscribers.values())
+        )
+
+    def require_ok(self) -> None:
+        """Raise the typed error behind any failed document session."""
+        if self._failure is not None:
+            raise self._failure
+        if self.revoked:
+            raise KeyNotGranted(
+                f"{self.member.name!r} was revoked from tier {self.tier!r}",
+                subject=self.member.name,
+            )
+        if not self._subscribers:
+            raise TransportError(
+                f"subscriber {self.member.name!r} never saw a header frame",
+                subject=self.member.name,
+            )
+        for subscriber in self._subscribers.values():
+            subscriber.require_ok()

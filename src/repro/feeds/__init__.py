@@ -1,9 +1,11 @@
 """Tiered feeds: group-keyed dissemination that stays flat at scale.
 
-A :class:`Feed` sits above the per-document ``Channel``/``Carousel``
-layer: the publisher declares named **tiers** (public / partner /
-internal) as frozen rule templates (:class:`TierSpec`), members
-subscribe to a tier, and each tier is backed by a group-key hierarchy
+A :class:`Feed` is an adapter over the :mod:`repro.dissemination`
+push core, beside the per-document ``community.Channel``: the
+publisher declares named **tiers** (public / partner / internal) as
+frozen rule templates (:class:`TierSpec`), members subscribe to a tier
+(one :class:`~repro.dissemination.SubscriberHandle` per member, on the
+tier's lane), and each tier is backed by a group-key hierarchy
 (:mod:`repro.feeds.keys`) so a tier costs ONE wrapped key -- a
 per-member wrap happens only at join, and revoking a member from a
 tier is one re-wrap plus an epoch bump, never N re-grants.
@@ -24,13 +26,11 @@ from __future__ import annotations
 from repro.feeds.feed import Feed
 from repro.feeds.keys import TierKeyring, feed_doc_id
 from repro.feeds.snapshot import CycleSnapshot, decode_snapshot, encode_snapshot
-from repro.feeds.subscriber import FeedSubscriberHandle
 from repro.feeds.tiers import TierSpec, compose_rules
 
 __all__ = [
     "CycleSnapshot",
     "Feed",
-    "FeedSubscriberHandle",
     "TierKeyring",
     "TierSpec",
     "compose_rules",

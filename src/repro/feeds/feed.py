@@ -32,12 +32,13 @@ from dataclasses import replace
 from typing import TYPE_CHECKING, Sequence
 
 from repro.core.delivery import ViewMode
+from repro.core.multicast import multicast_view_texts
 from repro.core.rules import Sign, Subject
 from repro.crypto.container import seal_document
 from repro.crypto.keys import DocumentKeys, random_key
-from repro.dissemination.channel import BroadcastChannel
-from repro.dissemination.publisher import StreamPublisher
-from repro.dsp.backends import SQLiteBackend, ShardedBackend, StoredDocument
+from repro.dissemination.channel import BroadcastChannel, Frame, container_frames
+from repro.dissemination.subscriber import SubscriberHandle
+from repro.dsp.backends import SQLiteBackend, ShardedBackend
 from repro.dsp.freshness import Versions
 from repro.dsp.store import DSPStore
 from repro.errors import KeyNotGranted, PolicyError
@@ -49,14 +50,13 @@ from repro.feeds.keys import (
     feed_doc_id,
     grant_recipient,
     member_recipient,
+    resolve_doc_secret,
     resolve_tier_keys,
     tier_prefix,
 )
 from repro.feeds.snapshot import CycleSnapshot, decode_snapshot, encode_snapshot
-from repro.feeds.subscriber import FeedSubscriberHandle
 from repro.feeds.tiers import TierSpec, compose_rules
 from repro.skipindex.encoder import IndexMode
-from repro.smartcard.card import encode_header
 from repro.terminal.transfer import TransferPolicy
 
 if TYPE_CHECKING:
@@ -66,20 +66,18 @@ if TYPE_CHECKING:
 class _TierState:
     """One tier's runtime wiring inside a feed."""
 
-    __slots__ = ("spec", "keyring", "channel", "publisher", "handles", "last_cycle")
+    __slots__ = ("spec", "keyring", "channel", "handles", "last_cycle")
 
     def __init__(
         self,
         spec: TierSpec,
         keyring: TierKeyring | None,
         channel: BroadcastChannel,
-        publisher: StreamPublisher,
     ) -> None:
         self.spec = spec
         self.keyring = keyring
         self.channel = channel
-        self.publisher = publisher
-        self.handles: list[FeedSubscriberHandle] = []
+        self.handles: list[SubscriberHandle] = []
         self.last_cycle: CycleSnapshot | None = None
 
 
@@ -114,12 +112,10 @@ class Feed:
         self.sealed = sealed
         self._tiers: dict[str, _TierState] = {}
         for spec in tiers:
-            channel = BroadcastChannel(clock=community.clock)
             self._tiers[spec.name] = _TierState(
                 spec,
                 None if sealed else TierKeyring.create(name, spec.name),
-                channel,
-                StreamPublisher(channel, registry=community.registry),
+                BroadcastChannel(clock=community.clock),
             )
         self._members: dict[str, str] = {}
         self._docs: list[Document] = [
@@ -211,7 +207,7 @@ class Feed:
         """Member name -> tier name, in join order (live feeds only)."""
         return dict(self._members)
 
-    def handles(self, tier: str | None = None) -> list[FeedSubscriberHandle]:
+    def handles(self, tier: str | None = None) -> list[SubscriberHandle]:
         if tier is not None:
             return list(self._tier(tier).handles)
         return [h for state in self._tiers.values() for h in state.handles]
@@ -226,10 +222,6 @@ class Feed:
             feed_doc_id(self.name), epoch_recipient(self.name, tier)
         )
         return decode_epoch(record)
-
-    def stored(self, doc_id: str) -> StoredDocument:
-        """The DSP's record of one feed document (rules for the cards)."""
-        return self._store().get(doc_id)
 
     def broadcast_list(self, tier: str) -> "list[Document]":
         """The documents one cycle carries to ``tier`` (quota applied)."""
@@ -288,15 +280,12 @@ class Feed:
         self._require_live("broadcasting")
         if cycles < 1:
             raise PolicyError("a broadcast needs at least one cycle")
-        store = self._store()
         for tier, state in self._tiers.items():
-            documents = self.broadcast_list(tier)
-            stored = [store.get(document.doc_id) for document in documents]
+            snapshot = self._snapshot_from_store(tier)
             for _ in range(cycles):
-                for record in stored:
-                    state.publisher.broadcast_document(record.container)
-            state.last_cycle = self._snapshot_from_store(tier)
-            self._persist_snapshot(state.last_cycle)
+                state.channel.send(snapshot.frames)
+            state.last_cycle = snapshot
+            self._persist_snapshot(snapshot)
 
     def preview(
         self, mode: ViewMode = ViewMode.SKELETON
@@ -306,7 +295,7 @@ class Feed:
         One multicast lane per *tier* -- not per member -- because a
         tier's members share the tier group subject.  The result is
         each tier's concatenated view of its broadcast list, exactly
-        what a subscribed member's :attr:`FeedSubscriberHandle.view`
+        what a subscribed member's :attr:`SubscriberHandle.view`
         accumulates after one complete cycle.
         """
         self._require_live("previews")
@@ -315,7 +304,6 @@ class Feed:
             tier: {doc.doc_id for doc in self.broadcast_list(tier)}
             for tier in self._tiers
         }
-        publisher = next(iter(self._tiers.values())).publisher
         for document in self._docs:
             lanes = [
                 tier
@@ -332,12 +320,13 @@ class Feed:
                     "feed previews need the owner's plaintext",
                     doc_id=document.doc_id,
                 )
-            passes = publisher.preview_views(
+            passes = multicast_view_texts(
                 events,
                 rules,
                 [Subject(tier_prefix(self.name, tier)) for tier in lanes],
                 default=Sign.DENY,
                 mode=mode,
+                registry=self.community.registry,
             )
             for tier in lanes:
                 views[tier].append(passes[tier_prefix(self.name, tier)])
@@ -353,7 +342,7 @@ class Feed:
         view_mode: ViewMode = ViewMode.SKELETON,
         transfer: TransferPolicy | None = None,
         attach: bool = True,
-    ) -> FeedSubscriberHandle:
+    ) -> SubscriberHandle:
         """Join a member to a tier: ONE PKI wrap, ever.
 
         The member's wrapped ``S_tier`` blob is written at the DSP, the
@@ -392,9 +381,7 @@ class Feed:
             self.owner.name,
             member.name,
         )
-        handle = FeedSubscriberHandle(
-            self, member, tier, keys, view_mode=view_mode, transfer=transfer
-        )
+        handle = self._handle(member, tier, keys, view_mode, transfer)
         if attach:
             state.channel.subscribe(handle.on_frame)
             state.handles.append(handle)
@@ -459,7 +446,7 @@ class Feed:
         *,
         view_mode: ViewMode = ViewMode.SKELETON,
         transfer: TransferPolicy | None = None,
-    ) -> FeedSubscriberHandle:
+    ) -> SubscriberHandle:
         """Replay the tier's last broadcast cycle through the member's card.
 
         Resolves the member's tier keys from the DSP blobs (works in a
@@ -479,15 +466,41 @@ class Feed:
             member = self.community.member(member)
         tier, keys = self._resolve_membership(member.name)
         snapshot = self._current_snapshot(tier, expected_epoch=keys.epoch)
-        handle = FeedSubscriberHandle(
-            self, member, tier, keys, view_mode=view_mode, transfer=transfer
-        )
+        handle = self._handle(member, tier, keys, view_mode, transfer)
         # The handle is one-shot: it replays the snapshot NOW and never
         # attaches to the live lane -- a member who also subscribed
         # would otherwise run two interleaved sessions on one card
         # during the next cycle (the hazard double-subscribe refuses).
         for kind, index, payload in snapshot.frames:
             handle.on_frame(kind, index, payload)
+        return handle
+
+    def _handle(
+        self,
+        member: "Member",
+        tier: str,
+        keys: ResolvedTierKeys,
+        view_mode: ViewMode,
+        transfer: TransferPolicy | None,
+    ) -> SubscriberHandle:
+        """A tier-lane handle resolving each document's secret on first
+        sight -- so a member joining mid-cycle, or before a document
+        even existed, needs no re-grant."""
+
+        def provision(doc_id: str) -> None:
+            secret = resolve_doc_secret(
+                self.community.dsp, keys, self.name, tier, doc_id
+            )
+            member.proxy.provision_key(doc_id, secret)
+
+        handle = SubscriberHandle(
+            member,
+            provision,
+            groups=frozenset({tier_prefix(self.name, tier)}),
+            view_mode=view_mode,
+            transfer=transfer,
+        )
+        handle.tier = tier
         return handle
 
     def _resolve_membership(self, name: str) -> tuple[str, ResolvedTierKeys]:
@@ -527,24 +540,21 @@ class Feed:
     def _snapshot_from_store(self, tier: str) -> CycleSnapshot:
         """Synthesize the tier's cycle snapshot from the stored corpus.
 
-        The frames are exactly what :meth:`broadcast` emits -- header,
-        chunks in order, end, per document of the tier's broadcast
-        list -- so a replayed catch-up is byte-identical to a live
-        cycle.
+        The frames are exactly what :meth:`broadcast` sends -- one
+        :func:`~repro.dissemination.channel.container_frames` cycle per
+        document of the tier's broadcast list -- so a replayed catch-up
+        is byte-identical to a live cycle.
         """
         store = self._store()
         doc_ids: list[str] = []
         versions: list[tuple[int, int]] = []
-        frames: list[tuple[str, int, bytes]] = []
+        frames: list[Frame] = []
         for document in self.broadcast_list(tier):
             record = store.get(document.doc_id)
             container = record.container
             doc_ids.append(document.doc_id)
             versions.append((container.header.version, record.rules_version))
-            frames.append(("header", 0, encode_header(container.header)))
-            for index, blob in enumerate(container.chunks):
-                frames.append(("chunk", index, blob))
-            frames.append(("end", 0, b""))
+            frames.extend(container_frames(container))
         return CycleSnapshot(
             feed=self.name,
             tier=tier,

@@ -4,7 +4,13 @@ import pytest
 
 from repro.community import Community
 from repro.core.nfa import compile_call_count
-from repro.errors import PolicyError, ResourceExhausted, TamperDetected
+from repro.dissemination import container_frames
+from repro.errors import (
+    KeyNotGranted,
+    PolicyError,
+    ResourceExhausted,
+    TamperDetected,
+)
 from repro.terminal.transfer import TransferPolicy
 
 TIER_RULES = [("+", "viewers", "/tv"), ("-", "viewers", "//adult")]
@@ -84,11 +90,78 @@ def test_carousel_cycles_and_late_joiner():
     community, channel, handles = _broadcast_community(1)
     latecomer = community.enroll("latecomer", strict_memory=False)
     channel.document.grant(latecomer)
-    late = channel.subscribe(latecomer, groups=VIEWERS, late=True)
+    late = channel.subscribe(latecomer, groups=VIEWERS)
     channel.broadcast(cycles=2)
     assert channel.cycles_sent == 2
     assert late.ok
     assert late.view == handles[0].view
+
+
+def test_late_joiner_closes_its_card_session():
+    """Regression: a member tuning in mid-carousel must close its card
+    session (END_DOCUMENT, final metrics) exactly like an on-time one.
+    The late joiner used to drop the ``end`` frame once its document
+    completed, so its card reported 13 APDUs and zero decrypted bytes,
+    RAM high-water and card cycles."""
+    community, channel, handles = _broadcast_community(1)
+    channel.broadcast()  # cycle 1, before the latecomer tunes in
+    latecomer = community.enroll("latecomer", strict_memory=False)
+    channel.document.grant(latecomer)
+    late = channel.subscribe(latecomer, groups=VIEWERS)
+    # The latecomer tunes in during the last two chunks of a cycle.
+    tail = container_frames(channel.document.container)[-3:]
+    channel.broadcast_channel.send(tail)
+    channel.broadcast()
+    assert late.frames_missed == 3
+    late.require_ok()
+    assert late.view == handles[0].view
+    on_time, joined = handles[0].metrics, late.metrics
+    assert joined.apdu_count == on_time.apdu_count == 14
+    assert joined.bytes_decrypted == on_time.bytes_decrypted == 303
+    assert joined.ram_high_water == on_time.ram_high_water == 116
+    assert joined.card_cycles == on_time.card_cycles == 60992
+
+
+def test_revocation_is_soft_for_already_subscribed_members():
+    """The channel's revocation contract: ``document.revoke`` removes
+    the wrapped key at the DSP but not the copy a subscribed card
+    already holds, so that member keeps receiving full views; a member
+    revoked before subscribing cannot unlock the document."""
+    community, channel, handles = _broadcast_community(2)
+    kept = handles[0]
+    unsubscribed = community.enroll("unsubscribed", strict_memory=False)
+    channel.document.grant(unsubscribed)
+    assert channel.document.revoke(kept.member)
+    assert channel.document.revoke(unsubscribed)
+    channel.broadcast()
+    assert kept.ok
+    assert kept.view == handles[1].view
+    assert len(kept.view) == 309
+    with pytest.raises(KeyNotGranted):
+        channel.subscribe(unsubscribed, groups=VIEWERS)
+
+
+#: ``community.clock.snapshot()`` after a 2-cycle broadcast to three
+#: on-time subscribers, as recorded before the push path was merged
+#: into one core.  ``repr`` floats round-trip exactly, so the
+#: comparison is bit-for-bit.
+CHANNEL_CLOCK = {
+    "network": 0.015071999999999999,
+    "link": 0.07791796875000001,
+    "eeprom": 0.00234,
+    "broadcast": 0.0015106201171875,
+    "link:sub0": 0.48844921875,
+    "link:sub1": 0.48844921875,
+    "link:sub2": 0.48844921875,
+    "card_cpu": 0.005544727272727295,
+}
+
+
+def test_two_cycle_broadcast_clock_golden():
+    community, channel, handles = _broadcast_community(3)
+    channel.broadcast(cycles=2)
+    assert all(handle.ok for handle in handles)
+    assert community.clock.snapshot() == CHANNEL_CLOCK
 
 
 def test_batched_subscriber_transport_is_view_identical():

@@ -1,11 +1,10 @@
-"""Tests for the broadcast carousel and late joining."""
+"""Tests for carousel cycles and late joining on the shared push core."""
 
+from repro.community import Community
 from repro.core import reference_view
 from repro.crypto.container import seal_blob, seal_document
 from repro.crypto.keys import DocumentKeys
-from repro.dissemination.carousel import BroadcastCarousel, LateJoiningSubscriber
-from repro.dissemination.channel import BroadcastChannel
-from repro.dissemination.subscriber import Subscriber
+from repro.dissemination import BroadcastChannel, Subscriber, container_frames
 from repro.skipindex.encoder import IndexMode, encode_document
 from repro.smartcard.card import SmartCard
 from repro.smartcard.soe import SecureOperatingEnvironment
@@ -33,6 +32,20 @@ def _sealed_stream():
     return container, records, expected
 
 
+def _published_stream():
+    """The same stream published through the community facade."""
+    community = Community()
+    owner = community.enroll("owner")
+    sub = community.enroll("sub", strict_memory=False)
+    doc = video_catalog(12)
+    rules = subscription_rules("sub", ["news", "sports"])
+    document = owner.publish(
+        list(tree_to_events(doc)), rules, to=[sub], doc_id="tv", chunk_size=96
+    )
+    expected = write_string(reference_view(doc, rules, "sub"))
+    return community.channel(document), sub, expected
+
+
 def test_punctual_subscriber_completes_on_first_cycle():
     container, records, expected = _sealed_stream()
     channel = BroadcastChannel()
@@ -40,55 +53,40 @@ def test_punctual_subscriber_completes_on_first_cycle():
     soe.provision_key("tv", SECRET)
     subscriber = Subscriber("sub", SmartCard(soe), 1, records, clock=channel.clock)
     channel.subscribe(subscriber.on_frame)
-    carousel = BroadcastCarousel(channel)
-    carousel.run(container, cycles=2)
-    assert carousel.cycles_sent == 2
+    frames = container_frames(container)
+    for __ in range(2):
+        channel.send(frames)
+    assert channel.frames_broadcast == 2 * len(frames)
     assert subscriber.ok
     assert subscriber.view == expected  # second cycle did not duplicate
 
 
 def test_late_joiner_recovers_on_next_cycle():
-    container, records, expected = _sealed_stream()
-    channel = BroadcastChannel()
-    publisher = BroadcastCarousel(channel)
-
+    channel, sub, expected = _published_stream()
     # First cycle starts with nobody listening; the subscriber tunes in
     # "mid-air" -- simulate by broadcasting one full cycle, then
     # subscribing a late joiner, then running the next cycle.
-    publisher.run(container, cycles=1)
-
-    soe = SecureOperatingEnvironment(strict_memory=False)
-    soe.provision_key("tv", SECRET)
-    late = LateJoiningSubscriber(
-        Subscriber("sub", SmartCard(soe), 1, records, clock=channel.clock)
-    )
-    channel.subscribe(late.on_frame)
-    publisher.run(container, cycles=1)
+    channel.broadcast()
+    late = channel.subscribe(sub)
+    channel.broadcast()
     assert late.ok
     assert late.view == expected
 
 
 def test_mid_cycle_joiner_skips_partial_frames():
-    container, records, expected = _sealed_stream()
-    channel = BroadcastChannel()
+    channel, sub, expected = _published_stream()
+    late = channel.subscribe(sub)
+    chunks = channel.document.container.chunks
 
-    soe = SecureOperatingEnvironment(strict_memory=False)
-    soe.provision_key("tv", SECRET)
-    late = LateJoiningSubscriber(
-        Subscriber("sub", SmartCard(soe), 1, records, clock=channel.clock)
+    # The partial tail of a cycle (no header), then a full cycle.
+    channel.broadcast_channel.send(
+        [("chunk", 7, chunks[7]), ("chunk", 8, chunks[8]), ("end", 0, b"")]
     )
-
-    # Hand-feed a partial tail of a cycle (no header), then full cycles.
-    for index in (7, 8):
-        late.on_frame("chunk", index, container.chunks[index])
-    late.on_frame("end", 0, b"")
     assert late.frames_missed == 3
-    assert not late.joined
+    assert late.views == {}  # not joined yet
 
-    BroadcastCarouselChannel = BroadcastCarousel(channel)
-    channel.subscribe(late.on_frame)
-    BroadcastCarouselChannel.run(container, cycles=1)
-    assert late.joined and late.ok
+    channel.broadcast()
+    assert list(late.views) == ["tv"] and late.ok
     assert late.view == expected
 
 
@@ -100,7 +98,8 @@ def test_carousel_cycles_are_byte_deterministic():
     channel = BroadcastChannel()
     frames = []
     channel.subscribe(lambda kind, index, blob: frames.append((kind, index, blob)))
-    BroadcastCarousel(channel).run(container, cycles=2)
+    for __ in range(2):
+        channel.send(container_frames(container))
     assert len(frames) % 2 == 0
     half = len(frames) // 2
     assert frames[:half] == frames[half:]
@@ -109,13 +108,10 @@ def test_carousel_cycles_are_byte_deterministic():
 
 def test_carousel_same_version_not_replay():
     """Repeated cycles of one version pass the card's version register."""
-    container, records, expected = _sealed_stream()
-    channel = BroadcastChannel()
-    soe = SecureOperatingEnvironment(strict_memory=False)
-    soe.provision_key("tv", SECRET)
-    subscriber = Subscriber("sub", SmartCard(soe), 1, records, clock=channel.clock)
-    late = LateJoiningSubscriber(subscriber)
-    channel.subscribe(late.on_frame)
-    BroadcastCarousel(channel).run(container, cycles=3)
-    assert late.ok
-    assert subscriber.card.soe.version_register("tv") == 1
+    channel, sub, expected = _published_stream()
+    handle = channel.subscribe(sub)
+    channel.broadcast(cycles=3)
+    assert channel.cycles_sent == 3
+    assert handle.ok
+    assert handle.view == expected
+    assert sub.card.soe.version_register("tv") == 1

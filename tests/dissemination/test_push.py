@@ -4,8 +4,7 @@ from repro.core import reference_view
 from repro.core.rules import AccessRule, RuleSet
 from repro.crypto.container import seal_blob, seal_document
 from repro.crypto.keys import DocumentKeys
-from repro.dissemination.channel import BroadcastChannel
-from repro.dissemination.publisher import StreamPublisher
+from repro.dissemination.channel import BroadcastChannel, container_frames
 from repro.dissemination.subscriber import Subscriber
 from repro.skipindex.encoder import IndexMode, encode_document
 from repro.smartcard.card import SmartCard
@@ -58,7 +57,7 @@ def test_subscribers_get_personal_views():
         "kid": parental_rules("kid", "PG"),
     }
     channel, container, subscribers = _broadcast_setup(policies, doc)
-    StreamPublisher(channel).broadcast_document(container)
+    channel.send(container_frames(container))
     for subscriber in subscribers:
         assert subscriber.ok, subscriber.state.failed
         expected = write_string(
@@ -76,7 +75,7 @@ def test_broadcast_cost_is_shared_but_filtering_is_personal():
         ),
     }
     channel, container, subscribers = _broadcast_setup(policies, doc)
-    StreamPublisher(channel).broadcast_document(container)
+    channel.send(container_frames(container))
     narrow, wide = subscribers
     # Narrow subscription -> most chunks dropped before the card link.
     assert narrow.metrics.chunks_skipped > 0
@@ -99,7 +98,7 @@ def test_tampered_frame_detected_by_all_subscribers():
         return payload
 
     channel.set_tamper(corrupt)
-    StreamPublisher(channel).broadcast_document(container)
+    channel.send(container_frames(container))
     (subscriber,) = subscribers
     assert not subscriber.ok
     assert "0x6982" in subscriber.state.failed  # security status word
@@ -111,7 +110,7 @@ def test_subscriber_without_rules_receives_nothing():
         AccessRule.parse("+", "someone-else", "/stream", rule_id="Z0")
     ])}
     channel, container, subscribers = _broadcast_setup(policies, doc)
-    StreamPublisher(channel).broadcast_document(container)
+    channel.send(container_frames(container))
     (subscriber,) = subscribers
     assert subscriber.ok
     assert subscriber.view == ""
@@ -128,12 +127,12 @@ def test_batched_subscribers_see_identical_views():
         "kid": parental_rules("kid", "PG"),
     }
     channel, container, plain = _broadcast_setup(policies, doc)
-    StreamPublisher(channel).broadcast_document(container)
+    channel.send(container_frames(container))
     for batch in (2, 4, 8):
         channel, container, batched = _broadcast_setup(
             policies, doc, transfer=TransferPolicy.windowed(batch)
         )
-        StreamPublisher(channel).broadcast_document(container)
+        channel.send(container_frames(container))
         for seq, win in zip(plain, batched):
             assert win.ok, win.state.failed
             assert win.view == seq.view, (win.name, batch)

@@ -304,3 +304,62 @@ def test_reopened_process_generation_coincidence_is_not_trusted(tmp_path):
     with pytest.raises(PolicyError, match="is stale"):
         reopened.feed("intel").catch_up("late")
     reopened.close()
+
+
+# -- push-path goldens ----------------------------------------------------
+
+#: ``community.clock.snapshot()`` after one feed broadcast (two live
+#: members on two tiers, one detached member) and one catch-up, as
+#: recorded before the push path was merged into one core.  ``repr``
+#: floats round-trip exactly, so the comparison is bit-for-bit.
+FEED_CLOCK = {
+    "network": 0.100384,
+    "broadcast": 0.000957489013671875,
+    "link": 0.12639843750000002,
+    "eeprom": 0.0049499999999999995,
+    "link:alice": 0.44069140625000003,
+    "link:bob": 0.39918750000000003,
+    "link:late": 0.43971484375000003,
+    "card_cpu": 0.0042561818181818195,
+}
+
+
+def _two_document_feed(community):
+    feed = _build(community)
+    feed.publish(
+        "<report><summary>two</summary><body>b<secret>s2</secret></body>"
+        "</report>",
+        doc_id="rpt2",
+    )
+    return feed
+
+
+def test_broadcast_and_catch_up_clock_golden():
+    community = Community()
+    feed = _two_document_feed(community)
+    live = [feed.subscribe("alice", "internal"), feed.subscribe("bob", "public")]
+    feed.subscribe("late", "internal", attach=False)
+    feed.broadcast()
+    caught = feed.catch_up("late")
+    for handle in (*live, caught):
+        handle.require_ok()
+    assert caught.view == live[0].view
+    assert community.clock.snapshot() == FEED_CLOCK
+
+
+def test_catch_up_frames_equal_the_live_lane_byte_for_byte(tmp_path):
+    """The persisted catch-up snapshot carries exactly the frames a
+    listener on the live tier lane heard in the same cycle."""
+    community = Community(store_path=tmp_path / "community.db")
+    feed = _two_document_feed(community)
+    heard = []
+    feed._tier("internal").channel.subscribe(
+        lambda kind, index, payload: heard.append((kind, index, payload))
+    )
+    feed.broadcast()
+    blob = community.store.backend.get_feed_snapshot("intel", "internal")
+    snapshot = decode_snapshot(blob)
+    assert snapshot.doc_ids == ("rpt", "rpt2")
+    assert [kind for kind, __, __ in heard].count("header") == 2
+    assert snapshot.frames == tuple(heard)
+    community.close()

@@ -249,6 +249,10 @@ def test_multi_document_views_accumulate_in_cycle_order():
         "<report><summary>second</summary></report>"
     )
     assert handles["alice"].docs_complete == 2
+    # Two sessions: the metrics must name the document.
+    assert handles["alice"].metrics_for("rpt2").apdu_count > 0
+    with pytest.raises(PolicyError, match="metrics_for"):
+        handles["alice"].metrics
 
 
 def test_subscriber_joining_after_publish_needs_no_regrant():
