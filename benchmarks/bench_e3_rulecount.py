@@ -1,6 +1,6 @@
 """E3 -- evaluation cost vs number of access rules.
 
-All automata share one token-stack machine, so cost should grow
+All automata share one product machine, so cost should grow
 sub-linearly in the rule count (shared frames; suspended/inhibited
 rules drop out early).  Measured on the in-memory engine to isolate
 rule evaluation from crypto, plus one full-stack column as a sanity

@@ -135,11 +135,7 @@ def main() -> None:
                 f"{pumped} events pumped, "
                 f"{touched} tokens touched, "
                 f"{deltas['product_states_interned']} states interned"
-                + (
-                    f" ({touched / pumped:.3f} touched/event)"
-                    if pumped
-                    else " (product machine not engaged)"
-                )
+                + (f" ({touched / pumped:.3f} touched/event)" if pumped else "")
             )
             cache_after = cache_totals()
             cache_deltas = {

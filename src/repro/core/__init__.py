@@ -4,11 +4,13 @@ The package implements Section 2 of the paper:
 
 * :mod:`repro.core.rules` -- the ``<sign, subject, object>`` access-rule
   model with cascading propagation (Section 2.2),
-* :mod:`repro.core.nfa` / :mod:`repro.core.compile` -- the
+* :mod:`repro.core.nfa` / :mod:`repro.core.compiled` -- the
   non-deterministic automata of Figure 2 (navigational path + predicate
   paths),
-* :mod:`repro.core.runtime` -- the token-stack engine that advances all
-  automata on ``open``/``value``/``close`` events and backtracks,
+* :mod:`repro.core.product` -- the product machine that advances all
+  automata, predicate sub-automata included, on
+  ``open``/``value``/``close`` events and backtracks
+  (:mod:`repro.core.runtime` holds its counters and RAM sizes),
 * :mod:`repro.core.conditions` / :mod:`repro.core.decisions` -- the
   predicate set, pending rules and the sign stack with
   Denial-Takes-Precedence and Most-Specific-Object-Takes-Precedence,

@@ -1,7 +1,7 @@
 """The streaming access-rights evaluator.
 
-Binds together the token engine (:mod:`repro.core.runtime`) and the
-decision chain (:mod:`repro.core.decisions`): on every ``open`` all
+Binds together the evaluation engine (:mod:`repro.core.product`) and
+the decision chain (:mod:`repro.core.decisions`): on every ``open`` all
 automata advance and the direct matches reported for the new node are
 folded into a fresh :class:`DecisionNode`; ``close`` backtracks the
 automata, finalizes the predicate conditions anchored at the node and
@@ -22,7 +22,7 @@ from repro.core.decisions import DECISION_BYTES, DecisionNode
 from repro.core.nfa import CompiledPath, compile_path
 from repro.core.product import ProductEngine
 from repro.core.rules import RuleSet, Sign, Subject
-from repro.core.runtime import EngineStats, MatchSink, TokenEngine
+from repro.core.runtime import EngineStats
 from repro.xpathlib.ast import Path
 
 
@@ -43,18 +43,8 @@ class StreamingEvaluator:
     """Evaluates a set of signed paths over an event stream.
 
     For access control, construct with :meth:`for_policy`; for query
-    selection, with :meth:`for_query`.
-
-    The engine behind the facade is chosen per path set: a purely
-    navigational set (no predicates, no value tests -- every E1
-    workload) runs on the table-driven
-    :class:`~repro.core.product.ProductEngine`; anything with
-    conditions falls back to the legacy
-    :class:`~repro.core.runtime.TokenEngine`.  Both produce identical
-    decisions, stats and modeled RAM charges; the choice only moves
-    wall-clock time.  Registration is buffered until the set is known
-    (the named constructors realize the engine immediately after
-    seeding, so the secure-RAM charge order matches the seed's).
+    selection, with :meth:`for_query`.  Every path set, predicates or
+    not, runs on one :class:`~repro.core.product.ProductEngine`.
     """
 
     def __init__(
@@ -64,29 +54,11 @@ class StreamingEvaluator:
         stats: EngineStats | None = None,
     ) -> None:
         self._stats = stats or EngineStats()
-        self._engine: ProductEngine | TokenEngine | None = None
-        self._pending: list[tuple[CompiledPath, MatchSink]] = []
+        self._engine = ProductEngine(memory=memory, stats=self._stats)
         self._memory = memory
         root = DecisionNode.default_root(default)
         self._decisions: list[DecisionNode] = [root]
         self._collected: list[tuple[Sign, frozenset[Condition]]] = []
-        self._sealed = False
-
-    def _realize(self) -> "ProductEngine | TokenEngine":
-        """Pick and build the engine for the registered path set."""
-        engine = self._engine
-        if engine is None:
-            cls = (
-                ProductEngine
-                if all(path.pure for path, __ in self._pending)
-                else TokenEngine
-            )
-            engine = cls(memory=self._memory, stats=self._stats)
-            for path, sink in self._pending:
-                engine.add_automaton(path, sink)
-            self._pending.clear()
-            self._engine = engine
-        return engine
 
     # -- construction -----------------------------------------------------
 
@@ -107,7 +79,6 @@ class StreamingEvaluator:
         evaluator = cls(policy.default, memory=memory, stats=stats)
         for path, sign in zip(policy.automata, policy.signs):
             evaluator.add_compiled_path(path, sign)
-        evaluator._realize()
         return evaluator
 
     @classmethod
@@ -148,7 +119,6 @@ class StreamingEvaluator:
             evaluator.add_compiled_path(query, Sign.PERMIT)
         else:
             evaluator.add_rule_path(query, Sign.PERMIT)
-        evaluator._realize()
         return evaluator
 
     def add_rule_path(self, path: Path, sign: Sign) -> None:
@@ -157,22 +127,7 @@ class StreamingEvaluator:
 
     def add_compiled_path(self, path: CompiledPath, sign: Sign) -> None:
         """Register one prebuilt signed automaton (before parsing starts)."""
-        if self._sealed:
-            raise RuntimeError("cannot add rules after parsing started")
-        sink = _RuleSink(self, sign)
-        if self._engine is None:
-            self._pending.append((path, sink))
-        else:
-            # Engine already chosen (named constructor, or a pre-parse
-            # stats probe); a late impure path demotes it to the token
-            # engine, re-seeding the paths it held.
-            if isinstance(self._engine, ProductEngine) and not path.pure:
-                self._pending = self._engine.registered() + [(path, sink)]
-                self._engine.retire()
-                self._engine = None
-                self._realize()
-            else:
-                self._engine.add_automaton(path, sink)
+        self._engine.add_automaton(path, _RuleSink(self, sign))
 
     # -- events -------------------------------------------------------------
 
@@ -181,12 +136,8 @@ class StreamingEvaluator:
 
     def open(self, tag: str) -> DecisionNode:
         """Advance automata on an open; return the new node's decision."""
-        self._sealed = True
         self._collected.clear()
-        engine = self._engine
-        if engine is None:
-            engine = self._realize()
-        engine.open(tag)
+        self._engine.open(tag)
         node = DecisionNode(parent=self._decisions[-1])
         if self._memory is not None:
             self._memory.allocate("signs", DECISION_BYTES)
@@ -196,10 +147,10 @@ class StreamingEvaluator:
         return node
 
     def value(self, text: str) -> None:
-        (self._engine or self._realize()).value(text)
+        self._engine.value(text)
 
     def close(self) -> None:
-        (self._engine or self._realize()).close()
+        self._engine.close()
         self._decisions.pop()
         if self._memory is not None:
             self._memory.release("signs", DECISION_BYTES)
@@ -209,19 +160,17 @@ class StreamingEvaluator:
     def can_complete_inside(self, tags_inside: frozenset[str]) -> bool:
         """Whether any automaton could reach a final state in a subtree
         containing exactly the given element tags."""
-        return (self._engine or self._realize()).can_complete_inside(tags_inside)
+        return self._engine.can_complete_inside(tags_inside)
 
     def has_watchers_on_top(self) -> bool:
         """Whether the current node's text feeds a value predicate."""
-        return (self._engine or self._realize()).has_watchers_on_top()
+        return self._engine.has_watchers_on_top()
 
     def current_decision(self) -> DecisionNode:
         """Decision of the innermost open element (or the default)."""
         return self._decisions[-1]
 
     def active_token_count(self) -> int:
-        if self._engine is None:
-            return len(self._pending)
         return self._engine.active_token_count()
 
     @property

@@ -5,15 +5,17 @@ whole community; every subscriber holds different rights but the
 *document events are the same for everyone*.  Evaluating each
 subscriber in isolation parses (and tokenizes, and advances automata
 over) the identical stream N times.  This module amortizes that: one
-:class:`~repro.core.runtime.TokenEngine` pumps every subscriber's
+:class:`~repro.core.product.ProductEngine` pumps every subscriber's
 automata over a single pass of the event stream, while each subscriber
 keeps a private decision stack and delivery engine (their views
 genuinely differ).
 
 Shared automata are shared for real: when two subscribers carry the
 same compiled policy (one registry entry -- e.g. two members of the
-same subscription tier), their predicate conditions are instantiated
-once and both lanes' decisions hang off the same condition objects.
+same subscription tier), their automata fold into one product slot,
+so per-event cost tracks *distinct* automata rather than audience
+size, and their predicate conditions are instantiated once with both
+lanes' decisions hanging off the same condition objects.
 
 This mirrors the amortization argument of dissemination systems such
 as Sampaio et al. ("Secure and Privacy-Aware Data Dissemination for
@@ -31,7 +33,7 @@ from repro.core.decisions import DecisionNode
 from repro.core.delivery import DeliveryEngine, ViewMode
 from repro.core.product import ProductEngine
 from repro.core.rules import RuleSet, Sign, Subject
-from repro.core.runtime import EngineStats, TokenEngine
+from repro.core.runtime import EngineStats
 from repro.xmlstream.events import CloseEvent, Event, OpenEvent, ValueEvent
 from repro.xmlstream.writer import write_string
 
@@ -68,7 +70,7 @@ class MultiSubjectEvaluator:
 
     ``feed`` returns one output-event list per lane (same order as the
     ``policies`` argument); ``finish`` returns the final lists.  The
-    document is parsed once, the token stack is pumped once per event,
+    document is parsed once, the product machine is pumped once per event,
     and only the per-subject decision folding and delivery run N times.
     """
 
@@ -77,37 +79,11 @@ class MultiSubjectEvaluator:
         policies: Sequence[CompiledPolicy],
         mode: ViewMode = ViewMode.SKELETON,
         stats: EngineStats | None = None,
-        engine: str = "auto",
     ) -> None:
         if not policies:
             raise ValueError("at least one policy required")
         self.stats = stats or EngineStats()
-        # Purely navigational policies (the broadcast common case) run
-        # on the shared table-driven product machine: identical
-        # compiled paths across lanes collapse into one product slot,
-        # so per-event cost tracks *distinct* automata, not audience
-        # size.  Any predicate anywhere falls back to the token engine.
-        # ``engine`` pins the choice for A/B benchmarks and the
-        # differential test suite: "product" refuses impure policies
-        # rather than silently changing what is being measured.
-        pure = all(
-            path.pure for policy in policies for path in policy.automata
-        )
-        if engine == "auto":
-            use_product = pure
-        elif engine == "product":
-            if not pure:
-                raise ValueError("product engine requires pure policies")
-            use_product = True
-        elif engine == "legacy":
-            use_product = False
-        else:
-            raise ValueError(f"unknown engine {engine!r}")
-        self._engine: ProductEngine | TokenEngine = (
-            ProductEngine(stats=self.stats)
-            if use_product
-            else TokenEngine(stats=self.stats)
-        )
+        self._engine = ProductEngine(stats=self.stats)
         self._lanes: list[_Lane] = []
         for policy in policies:
             lane = _Lane(policy, mode)

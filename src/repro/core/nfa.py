@@ -42,11 +42,12 @@ class CompiledStep:
     value tests on the matched node itself.
 
     ``match_name`` and ``descendant`` are the step's transition table,
-    flattened at compile time: the token engine's ``open()`` decides
-    advance/stay per token with two attribute loads instead of a method
-    call and an enum identity test per event.  (A real tag->state dict
-    is impossible here -- wildcard steps accept an unbounded alphabet --
-    so the "dict" degenerates to its two precomputed entries.)
+    flattened at compile time: the product machine
+    (:mod:`repro.core.product`) decides advance/stay per position with
+    two attribute loads when it builds a transition.  (A real
+    tag->state dict is impossible here -- wildcard steps accept an
+    unbounded alphabet -- so the "dict" degenerates to its two
+    precomputed entries.)
     """
 
     axis: Axis
@@ -79,23 +80,6 @@ class CompiledPath:
     steps: tuple[CompiledStep, ...]
     comparison: Comparison | None
     suffix_labels: tuple[frozenset[str], ...]
-    #: Whether the path is purely navigational -- no predicates, no
-    #: value tests anywhere.  Pure paths never instantiate conditions
-    #: or watchers, which makes them eligible for the table-driven
-    #: product machine (:mod:`repro.core.product`); anything else runs
-    #: on the legacy token engine.  Derived at compile time.
-    pure: bool = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "pure",
-            self.comparison is None
-            and all(
-                not step.predicates and not step.dot_comparisons
-                for step in self.steps
-            ),
-        )
 
     @property
     def final_index(self) -> int:
@@ -120,8 +104,9 @@ def compile_path(path: Path, comparison: Comparison | None = None) -> CompiledPa
 
     ``comparison`` attaches a trailing value test (predicate paths
     only).  The same routine compiles absolute rule/query objects and
-    relative predicate paths; the distinction lives in how the runtime
-    seeds the initial token.
+    relative predicate paths; the distinction lives in how the engine
+    seeds them: rule spines at the root, predicate paths at the node
+    whose step carries them.
     """
     global _compile_calls
     _compile_calls += 1

@@ -1,54 +1,87 @@
-"""Table-driven product automaton over all pure navigational paths.
+"""The evaluation engine: one table-driven product machine over every
+rule automaton, predicates included.
 
-The legacy :class:`~repro.core.runtime.TokenEngine` interprets every
-automaton token on every XML event -- the per-event Python dispatch the
-paper's evaluator must avoid to keep pace with streaming decryption.
-This module compiles the whole per-subject automata *set* into one
-product machine, NFA->DFA on the fly:
+From Section 2.3:
 
-* a **product state** is the interned set of live ``(automaton, step)``
-  pairs (:class:`_StateEntry`); identical sets share one entry, so the
-  machine is a DFA over state *sets* built lazily as tags arrive;
-* a **transition** is resolved once per ``(state, tag)`` pair and then
-  memoized on the entry (:class:`_Transition`), so a subsequent open of
-  the same tag in the same state is one dict hit;
-* the per-frame **token multiplicities** (descendant-axis tokens
-  duplicate under self-overlapping paths such as ``//a//a``) are kept
-  *outside* the interned state as a count vector, and the arithmetic
-  for a given ``(transition, counts)`` pair is itself memoized -- the
-  steady state of a document replays ``(entry, tag, counts)`` triples
-  it has already solved.
+    "Basically, when an open or a value event is received, all the
+    automata are checked and go to their next state.  Upon receiving a
+    close event, all the automata backtrack.  To manage these automata
+    efficiently, we use a stack that keeps track of active states,
+    materializing all the possible paths that can be followed on the
+    non-deterministic automata."
 
-The machine is a **wall-clock optimization only**: for every event it
-produces the exact :class:`~repro.core.runtime.EngineStats` deltas,
-match firings and secure-RAM charges the token engine would have, so
-the modeled :class:`~repro.smartcard.resources.SimClock` stays
-bit-for-bit identical (guarded by ``tests/integration/
-test_wallclock_parity.py`` and the differential suite in
-``tests/core/test_product.py``).
+The machine composes the whole automata *set* into one product
+automaton, NFA->DFA on the fly:
 
-Eligibility: only *pure* paths (``CompiledPath.pure`` -- no predicates,
-no value tests) run here, because they provably never create
-conditions or watchers; :class:`~repro.core.evaluator.StreamingEvaluator`
-and :class:`~repro.core.multicast.MultiSubjectEvaluator` fall back to
-the token engine otherwise.
+* a **product state** is the interned set of live ``(slot, step)``
+  positions (:class:`_StateEntry`).  A slot is one compiled path: a
+  rule or query spine (seeded at the root) or a predicate sub-automaton
+  (seeded at ``(slot, 0)`` in the frame of the node whose step carries
+  the predicate).  Identical sets share one entry;
+* a **transition** is resolved once per ``(state, tag)`` pair and
+  memoized on the entry (:class:`_Transition`);
+* a **frame** (one per open element; popping it on ``close`` *is* the
+  backtracking) holds the state plus a count vector of *plain* tokens
+  -- unguarded tokens of a rule slot, one per registered sink --
+  and, when predicates are in play, its per-token payloads
+  (:data:`_Frame`): the guarded tokens (each a conjunction of pending
+  :class:`~repro.core.conditions.Condition` objects plus the sinks it
+  reports to; a predicate token reports to the condition it supports),
+  the conditions anchored at the node, and the value watchers that
+  collect the node's direct text for ``[x = "v"]``/``[. = "v"]`` tests
+  and fire at its ``close``.
 
-Sharing: slots are keyed by compiled-path identity, so two lanes (or
-two registry users) carrying the same ``CompiledPolicy`` share one slot
-per automaton with a per-sink fan-out -- a 1,000-subscriber broadcast
-under one effective policy advances *one* product machine per event.
+One algorithm (:meth:`ProductEngine._step`) advances a frame.  Plain
+tokens never read a condition, so when the transition creates none,
+their step depends only on ``(transition, counts)`` and is cached
+there; if no guarded token of the frame advances either, the guarded
+tokens just stay or die as they are and the cache answers the whole
+event.  That is every frame of a predicate-free policy (one dict hit
+per event, as before) and most frames inside a predicate's context.
+Frames where a guarded token advances, or a condition is created, run
+the same step uncached.  Conditions never enter a cache key, so
+per-node conditions cannot leak into the memo.
+
+The engine reproduces, token for token, the classic token-stack
+evaluation: advances are deduped per ``(target, sink, live guard set)``
+(a token whose guards all turned TRUE advances unguarded), stays keep
+their guards, there is one condition per ``(predicate path, node)``,
+each advancing token gets its own condition per ``[. = "v"]`` test, and
+the skip test ignores tokens whose guards already failed (the paper's
+"suspended rules").  Positions are processed deepest predicate slot
+first, so every predicate completion of an event lands before the
+tokens it guards advance.  Every
+:class:`~repro.core.runtime.EngineStats` counter and secure-RAM charge
+is therefore exactly that evaluation's, and the modeled
+:class:`~repro.smartcard.resources.SimClock` with it.
+
+Sharing: slots are keyed by compiled-path identity, so lanes carrying
+the same ``CompiledPolicy`` share one slot per automaton with a
+per-sink fan-out -- a broadcast under one effective policy advances
+*one* product machine per event, and its predicate conditions are
+instantiated once for every lane.
 """
 
 from __future__ import annotations
 
-from repro.core.conditions import EMPTY_CONDITIONS
-from repro.core.nfa import CompiledPath
+from typing import Callable
+
+from repro.core.conditions import (
+    EMPTY_CONDITIONS,
+    Condition,
+    Tristate,
+    live_conditions,
+)
+from repro.core.nfa import CompiledPath, CompiledStep
 from repro.core.runtime import (
+    CONDITION_BYTES,
     FRAME_BYTES,
     TOKEN_BYTES,
+    WATCHER_BYTES,
     EngineStats,
     MatchSink,
 )
+from repro.xpathlib.ast import Comparison
 
 
 class _Totals:
@@ -74,33 +107,96 @@ def dispatch_totals() -> dict[str, int]:
     }
 
 
+class _ConditionSink:
+    """Routes predicate-path completions into a condition's supports."""
+
+    __slots__ = ("condition",)
+
+    def __init__(self, condition: Condition) -> None:
+        self.condition = condition
+
+    def on_match(self, conditions: frozenset[Condition]) -> None:
+        self.condition.add_support(conditions)
+
+
+class _Watcher:
+    """Collects the direct text of one node, fires a test at its close."""
+
+    __slots__ = ("comparison", "deliver", "conditions", "parts")
+
+    def __init__(
+        self,
+        comparison: Comparison,
+        deliver: Callable[[frozenset[Condition]], None],
+        conditions: frozenset[Condition],
+    ) -> None:
+        self.comparison = comparison
+        self.deliver = deliver
+        self.conditions = conditions
+        self.parts: list[str] = []
+
+    def fire(self) -> None:
+        if self.comparison.test("".join(self.parts)):
+            self.deliver(self.conditions)
+
+
+def _report(sink: MatchSink, guards: frozenset[Condition]) -> None:
+    sink.on_match(guards)
+
+
+#: A guarded token group: one token per sink, all under the same guards.
+_Tokens = tuple[frozenset[Condition], tuple[MatchSink, ...]]
+
+#: The predicate payload of one frame: guarded token groups by position
+#: index (or None), the conditions anchored at the node and the value
+#: watchers collecting its text.
+_Payload = tuple[
+    "dict[int, list[_Tokens]] | None", "list[Condition]", "list[_Watcher]"
+]
+
+#: One open element: (state, plain counts, token total, payload or None).
+_Frame = tuple["_StateEntry", tuple[int, ...], int, "_Payload | None"]
+
+
+_StepRow = tuple[
+    "str | None",
+    bool,
+    CompiledStep,
+    "tuple[int, int] | None",
+    "tuple[tuple[int, int], ...]",
+    bool,
+]
+
+
 class _Slot:
     """One automaton of the product: a compiled path plus its sinks.
 
     The same path object registered several times (several lanes of a
-    shared policy, or one policy seeding several engines' lanes) folds
-    into one slot whose ``sinks`` fan a completed match out to every
-    registrant -- the token engine would have kept one token per sink;
-    here the duplication is a scalar weight.
+    shared policy) folds into one slot whose ``sinks`` fan a match out
+    to every registrant: a plain token at one of its positions stands
+    for one token per sink.  Predicate slots have no registered sinks;
+    their tokens are always guarded groups reporting to a condition.
+    ``depth`` is the predicate nesting depth (0 for a rule spine).
     """
 
-    __slots__ = ("path", "sinks", "steps")
+    __slots__ = ("path", "sinks", "steps", "depth")
 
-    def __init__(self, path: CompiledPath) -> None:
+    def __init__(self, path: CompiledPath, depth: int) -> None:
         self.path = path
-        self.sinks: list[MatchSink] = []
-        #: (match_name, descendant) per step, hoisted once.
-        self.steps = tuple(
-            (step.match_name, step.descendant) for step in path.steps
-        )
+        self.sinks: tuple[MatchSink, ...] = ()
+        self.depth = depth
+        #: Per step, hoisted once the predicate slots are known:
+        #: (match_name, descendant, step, next position or None on the
+        #: final step, seed position per predicate, whether a match
+        #: creates a condition or a watcher).
+        self.steps: tuple[_StepRow, ...] = ()
 
 
 class _StateEntry:
     """One interned product state: a canonical set of live positions."""
 
     __slots__ = (
-        "positions",  # tuple[(slot_index, step_index), ...] sorted
-        "weights",  # per-position sink fan-out (token multiplier)
+        "positions",  # tuple[(slot_index, step_index), ...], processing order
         "suffixes",  # per-position suffix label sets (skip-index test)
         "transitions",  # tag -> _Transition, built lazily
         "reach_memo",  # tags_inside -> bool, for can_complete_inside
@@ -109,55 +205,59 @@ class _StateEntry:
     def __init__(
         self,
         positions: tuple[tuple[int, int], ...],
-        weights: tuple[int, ...],
         suffixes: tuple[frozenset[str], ...],
     ) -> None:
         self.positions = positions
-        self.weights = weights
         self.suffixes = suffixes
         self.transitions: dict[str, _Transition] = {}
         self.reach_memo: dict[frozenset[str], bool] = {}
 
 
-class _Transition:
-    """The solved effect of one tag on one product state."""
+#: Advance target of a position sitting on its path's final step.
+_FINAL = -1
 
-    __slots__ = ("next_entry", "moves", "advance", "matchers", "memo")
+#: (position index, advance target index or _FINAL, seed target index
+#: per predicate of the step, slot, step) -- target indices address the
+#: next state's positions.
+_Advance = tuple[int, int, tuple[int, ...], _Slot, CompiledStep]
+
+
+class _Transition:
+    """The solved structure of one tag on one product state."""
+
+    __slots__ = ("next_entry", "advancing", "moving", "staying", "plain", "memo")
 
     def __init__(
         self,
         next_entry: _StateEntry,
-        moves: tuple[tuple[int, int], ...],
-        advance: tuple[tuple[int, int], ...],
-        matchers: tuple[tuple[int, tuple[MatchSink, ...]], ...],
+        advancing: tuple[_Advance, ...],
+        staying: dict[int, tuple[int, int]],
+        plain: bool,
     ) -> None:
         self.next_entry = next_entry
-        #: Per next-state position: (source position in the current
-        #: state or -1, +1 if an advance lands there).  Together with
-        #: the count vector this reproduces the token engine's frame
-        #: contents exactly (stays keep multiplicity, the advance is
-        #: deduped to one token per sink).
-        self.moves = moves
-        #: (current position, weight) pairs whose step matches the tag
-        #: -- the token engine's ``token_advances`` increments.
-        self.advance = advance
-        #: (current position, sinks) pairs whose *final* step matches
-        #: -- each sink fires once per token of that position.
-        self.matchers = matchers
-        #: counts -> (new_counts, new_total, advances, fires) memo.
+        #: The positions whose step accepts the tag, in processing
+        #: order (see :data:`_Advance`), and their indices.
+        self.advancing = advancing
+        self.moving = frozenset([move[0] for move in advancing])
+        #: position index -> (stay target index, sink fan-out) for every
+        #: position riding the descendant axis.
+        self.staying = staying
+        #: Whether no matching step creates a condition or a watcher.
+        self.plain = plain
+        #: counts -> (next frame, advances, fired sinks): the step of
+        #: the plain tokens, which never depends on a condition.
         self.memo: dict[
-            tuple[int, ...],
-            tuple[tuple[int, ...], int, int, tuple[MatchSink, ...]],
+            tuple[int, ...], tuple[_Frame, int, tuple[MatchSink, ...]]
         ] = {}
 
 
 class ProductEngine:
-    """Drop-in engine for :class:`~repro.core.runtime.TokenEngine`
-    restricted to pure navigational paths (see module docstring).
+    """The shared machine running every automaton at once.
 
-    ``memory`` is the optional secure-RAM meter; charges land in the
-    same ``engine`` pool, in the same per-event amounts, as the token
-    engine's.
+    ``memory`` is an optional secure-RAM meter (see
+    :mod:`repro.smartcard.memory`); when provided, every frame, token,
+    condition, watcher and collected text byte is charged to its
+    ``engine`` pool.
     """
 
     def __init__(self, memory=None, stats: EngineStats | None = None) -> None:
@@ -165,11 +265,11 @@ class ProductEngine:
         self.stats = stats or EngineStats()
         self._slots: list[_Slot] = []
         self._slot_of: dict[int, int] = {}  # id(path) -> slot index
-        self._added: list[tuple[CompiledPath, MatchSink]] = []
+        self._nested = False  # whether any predicate slot exists
         self._intern: dict[frozenset[tuple[int, int]], _StateEntry] = {}
-        #: Stack of (entry, counts, weighted token total); built from
-        #: the registered slots when the root opens.
-        self._frames: list[tuple[_StateEntry, tuple[int, ...], int]] | None = None
+        #: The frame stack, built from the registered slots when the
+        #: root opens.
+        self._frames: list[_Frame] | None = None
         self._root_tokens = 0
         self._charge(FRAME_BYTES)
 
@@ -185,173 +285,318 @@ class ProductEngine:
 
     # -- setup ----------------------------------------------------------
 
-    @property
-    def depth(self) -> int:
-        """Current element depth (0 before the root opens)."""
-        if self._frames is None:
-            return 0
-        return len(self._frames) - 1
-
     def add_automaton(self, path: CompiledPath, sink: MatchSink) -> None:
-        """Seed a root slot for an absolute pure path."""
+        """Seed a root token for an absolute path before parsing starts."""
         if self._frames is not None:
             raise RuntimeError("automata must be added before the root opens")
-        if not path.pure:
-            raise ValueError(
-                "ProductEngine only runs pure navigational paths; "
-                "predicate-carrying paths need the TokenEngine"
-            )
-        index = self._slot_of.get(id(path))
-        if index is None:
-            index = len(self._slots)
-            self._slot_of[id(path)] = index
-            self._slots.append(_Slot(path))
-        self._slots[index].sinks.append(sink)
-        self._added.append((path, sink))
+        slot = self._slots[self._slot(path, 0)]
+        slot.sinks += (sink,)
         self._root_tokens += 1
         self._charge(TOKEN_BYTES)
 
-    def registered(self) -> list[tuple[CompiledPath, MatchSink]]:
-        """The (path, sink) pairs added so far, in registration order."""
-        return list(self._added)
-
-    def retire(self) -> None:
-        """Release the setup charges so another engine can take over.
-
-        Used when a late-registered impure path demotes the evaluator
-        to the token engine before parsing starts -- the replacement
-        re-charges the same frame and tokens.
-        """
-        if self._frames is not None:
-            raise RuntimeError("cannot retire after the root opened")
-        self._release(FRAME_BYTES + TOKEN_BYTES * self._root_tokens)
-
     def add_policy(self, policy, sinks: "list[MatchSink]") -> None:
-        """Seed every automaton of a prebuilt compiled policy."""
+        """Seed every automaton of a prebuilt compiled policy.
+
+        ``policy`` is a :class:`~repro.core.compiled.CompiledPolicy`
+        (duck-typed: anything with an ``automata`` sequence works);
+        ``sinks`` supplies one match sink per automaton.
+        """
         if len(policy.automata) != len(sinks):
             raise ValueError("one sink per automaton required")
         for path, sink in zip(policy.automata, sinks):
             self.add_automaton(path, sink)
 
-    def _intern_state(
-        self, key: frozenset[tuple[int, int]]
-    ) -> _StateEntry:
+    def _slot(self, path: CompiledPath, depth: int) -> int:
+        """The slot index of ``path``, registering it and its predicate
+        sub-automata on first sight."""
+        index = self._slot_of.get(id(path))
+        if index is not None:
+            return index
+        index = self._slot_of[id(path)] = len(self._slots)
+        slot = _Slot(path, depth)
+        self._slots.append(slot)
+        self._nested = self._nested or depth > 0
+        last = len(path.steps) - 1
+        slot.steps = tuple(
+            (
+                step.match_name,
+                step.descendant,
+                step,
+                None if j == last else (index, j + 1),
+                tuple(
+                    (self._slot(predicate, depth + 1), 0)
+                    for predicate in step.predicates
+                ),
+                bool(
+                    step.predicates
+                    or step.dot_comparisons
+                    or (j == last and path.comparison is not None)
+                ),
+            )
+            for j, step in enumerate(path.steps)
+        )
+        return index
+
+    def _intern_state(self, key: frozenset[tuple[int, int]]) -> _StateEntry:
         entry = self._intern.get(key)
         if entry is None:
-            positions = tuple(sorted(key))
             slots = self._slots
+            positions = sorted(key)
+            if self._nested:
+                # Deepest predicate slots first: a predicate token's
+                # completion must resolve its condition before the
+                # tokens guarded by that condition advance in the same
+                # event.  (The sort is stable.)
+                positions.sort(key=lambda p: -slots[p[0]].depth)
             entry = _StateEntry(
-                positions,
-                tuple(len(slots[s].sinks) for s, _ in positions),
-                tuple(
-                    slots[s].path.suffix_labels[j] for s, j in positions
-                ),
+                tuple(positions),
+                tuple(slots[s].path.suffix_labels[j] for s, j in positions),
             )
             self._intern[key] = entry
             self.stats.product_states_interned += 1
             _TOTALS.product_states_interned += 1
         return entry
 
-    def _seal(self) -> None:
-        """Build the root frame from the registered slots."""
+    def _seal(self) -> list:
+        """Build the root frame from the registered rule slots."""
         key = frozenset(
-            (index, 0) for index in range(len(self._slots))
+            (index, 0) for index, slot in enumerate(self._slots) if slot.sinks
         )
         entry = self._intern_state(key)
         counts = (1,) * len(entry.positions)
-        self._frames = [(entry, counts, self._root_tokens)]
+        self._frames = [(entry, counts, self._root_tokens, None)]
+        return self._frames
 
     # -- transition construction ---------------------------------------
 
     def _build_transition(self, entry: _StateEntry, tag: str) -> _Transition:
-        """Solve the effect of ``tag`` on ``entry``, once.
+        """Solve the structure of ``tag`` on ``entry``, once.
 
-        Reproduces the token engine's ``open()`` loop at the level of
-        position sets: a position *stays* when its step rides the
-        descendant axis, *advances* when its step accepts the tag
-        (wildcard or exact), and *fires* instead of advancing when it
-        sits on the final step.  The advance into a given position is
-        deduped to one token per sink -- exactly the engine's ``seen``
-        set under empty guards.
+        A position *stays* when its step rides the descendant axis (the
+        self-loop of Figure 2), *advances* to the next step when its
+        step accepts the tag (wildcard or exact), and *fires* instead
+        when it sits on the final step.  A matching step with
+        predicates seeds each predicate slot at step 0.
         """
         slots = self._slots
-        positions = entry.positions
-        self.stats.tokens_touched += len(positions)
-        _TOTALS.tokens_touched += len(positions)
-        # target (slot, step) -> [stay source position or -1, advance 0/1]
-        targets: dict[tuple[int, int], list[int]] = {}
-        advance: list[tuple[int, int]] = []
-        matchers: list[tuple[int, tuple[MatchSink, ...]]] = []
-        for i, (s, j) in enumerate(positions):
+        self.stats.tokens_touched += len(entry.positions)
+        _TOTALS.tokens_touched += len(entry.positions)
+        targets: set[tuple[int, int]] = set()
+        # Targets are (slot, step) pairs until the next state is known.
+        advancing = []
+        staying = []
+        plain = True
+        for i, (s, j) in enumerate(entry.positions):
             slot = slots[s]
-            name, descendant = slot.steps[j]
-            weight = len(slot.sinks)
+            name, descendant, step, advance, seeds, impure = slot.steps[j]
             if name is None or name == tag:
-                advance.append((i, weight))
-                if j == len(slot.steps) - 1:
-                    matchers.append((i, tuple(slot.sinks)))
-                else:
-                    cell = targets.get((s, j + 1))
-                    if cell is None:
-                        targets[(s, j + 1)] = [-1, 1]
-                    else:
-                        cell[1] = 1
+                if impure:
+                    plain = False
+                if seeds:
+                    targets.update(seeds)
+                if advance is not None:
+                    targets.add(advance)
+                advancing.append((i, advance, seeds, slot, step))
             if descendant:
-                cell = targets.get((s, j))
-                if cell is None:
-                    targets[(s, j)] = [i, 0]
-                else:
-                    cell[0] = i
+                targets.add((s, j))
+                staying.append((i, (s, j), len(slot.sinks)))
         next_entry = self._intern_state(frozenset(targets))
-        moves = tuple(
-            (targets[position][0], targets[position][1])
-            for position in next_entry.positions
-        )
+        index = dict(zip(next_entry.positions, range(len(targets))))
         transition = _Transition(
-            next_entry, moves, tuple(advance), tuple(matchers)
+            next_entry,
+            tuple([
+                (
+                    i,
+                    _FINAL if advance is None else index[advance],
+                    tuple([index[seed] for seed in seeds]) if seeds else (),
+                    slot,
+                    step,
+                )
+                for i, advance, seeds, slot, step in advancing
+            ]),
+            {i: (index[stay], weight) for i, stay, weight in staying},
+            plain,
         )
         entry.transitions[tag] = transition
         return transition
 
-    def _build_memo(
-        self, transition: _Transition, counts: tuple[int, ...]
-    ) -> tuple[tuple[int, ...], int, int, tuple[MatchSink, ...]]:
-        """Solve the count arithmetic of one (transition, counts) pair."""
-        self.stats.tokens_touched += len(counts)
-        _TOTALS.tokens_touched += len(counts)
-        new_counts = tuple(
-            (counts[source] + add) if source >= 0 else 1
-            for source, add in transition.moves
-        )
-        new_total = sum(
-            weight * count
-            for weight, count in zip(transition.next_entry.weights, new_counts)
-        )
-        advances = sum(
-            weight * counts[i] for i, weight in transition.advance
-        )
-        fires: list[MatchSink] = []
-        for i, sinks in transition.matchers:
+    # -- the one advance algorithm ---------------------------------------
+
+    def _step(
+        self,
+        transition: _Transition,
+        counts: tuple[int, ...],
+        tokens: dict[int, list[_Tokens]] | None,
+        fire: Callable[[MatchSink, frozenset[Condition]], None],
+    ) -> tuple[_Frame, int]:
+        """Advance one frame's tokens over ``transition``.
+
+        Returns the next frame and the number of advancing tokens;
+        matches are reported through ``fire`` as they happen and
+        conditions are created (and counted) here.  The ``count`` plain tokens of a
+        position advance as one unit of that multiplicity: they carry
+        identical (empty) guards, so all but one dedupe away -- unless
+        a ``[. op v]`` test gives each its own condition.
+        """
+        depth = len(self._frames)  # type: ignore[arg-type]
+        new_counts = [0] * len(transition.next_entry.positions)
+        new_tokens: dict[int, list[_Tokens]] = {}
+        conditions: list[Condition] = []
+        watchers: list[_Watcher] = []
+        here: dict[int, Condition] = {}  # id(predicate path) -> condition
+        advances = total = 0
+        touched = len(counts)
+        for i, target, seeds, slot, step in transition.advancing:
             count = counts[i]
-            if count == 1:
-                fires.extend(sinks)
+            groups = tokens.get(i) if tokens else None
+            shared = EMPTY_CONDITIONS
+            if seeds:
+                fresh = []
+                for predicate, seed in zip(step.predicates, seeds):
+                    condition = here.get(id(predicate))
+                    if condition is None:
+                        condition = here[id(predicate)] = Condition(depth)
+                        conditions.append(condition)
+                        new_tokens.setdefault(seed, []).append(
+                            (EMPTY_CONDITIONS, (_ConditionSink(condition),))
+                        )
+                        total += 1
+                    fresh.append(condition)
+                shared = frozenset(fresh)
+            units: list[tuple[frozenset[Condition], tuple[MatchSink, ...], int]]
+            units = [(EMPTY_CONDITIONS, slot.sinks, count)] if count else []
+            if groups:
+                touched += len(groups)
+                units.extend((guards, group, 1) for guards, group in groups)
+            tests = step.dot_comparisons
+            landed: list[
+                tuple[frozenset[Condition], tuple[MatchSink, ...], int]
+            ] = []
+            for guards, sinks, copies in units:
+                advances += len(sinks) * copies
+                live = live_conditions(guards) if guards else shared
+                if guards and shared:
+                    live = live | shared
+                if not tests:
+                    landed.append((live, sinks, copies))
+                    continue
+                # Each advancing token gets its own condition per
+                # [. op v] test on the node it just matched.
+                for __ in range(copies):
+                    for sink in sinks:
+                        own = set(live)
+                        for test in tests:
+                            condition = Condition(depth)
+                            conditions.append(condition)
+                            watchers.append(
+                                _Watcher(
+                                    test, condition.add_support, EMPTY_CONDITIONS
+                                )
+                            )
+                            own.add(condition)
+                        landed.append((frozenset(own), (sink,), 1))
+            if target == _FINAL:
+                comparison = slot.path.comparison
+                for guard_set, group, copies in landed:
+                    for __ in range(copies):
+                        for sink in group:
+                            if comparison is None:
+                                fire(sink, guard_set)
+                            else:
+                                watchers.append(
+                                    _Watcher(comparison, sink.on_match, guard_set)
+                                )
+                continue
+            # Every advance into ``target`` comes from this position, so
+            # the dedupe per (sink, guard set) is local; the extra copies
+            # of a unit are always duplicates.
+            seen: dict[frozenset[Condition], set[MatchSink]] = {}
+            for guard_set, group, __ in landed:
+                prior = seen.get(guard_set)
+                if prior is None:
+                    seen[guard_set] = set(group)
+                else:
+                    group = tuple(x for x in group if x not in prior)
+                    if not group:
+                        continue
+                    prior.update(group)
+                total += len(group)
+                if not guard_set and group == slot.sinks:
+                    new_counts[target] += 1
+                else:
+                    new_tokens.setdefault(target, []).append((guard_set, group))
+        for i, (stay, weight) in transition.staying.items():
+            count = counts[i]
+            if count:
+                new_counts[stay] += count
+                total += count * weight
+        if tokens:
+            total += self._carry(transition, tokens, new_tokens)
+        stats = self.stats
+        stats.tokens_touched += touched
+        _TOTALS.tokens_touched += touched
+        stats.conditions_created += len(conditions)
+        payload = (
+            (new_tokens or None, conditions, watchers)
+            if new_tokens or conditions or watchers
+            else None
+        )
+        return (transition.next_entry, tuple(new_counts), total, payload), advances
+
+    @staticmethod
+    def _carry(
+        transition: _Transition,
+        tokens: dict[int, list[_Tokens]],
+        into: dict[int, list[_Tokens]],
+    ) -> int:
+        """Move the guarded groups that stay into ``into``; return how
+        many tokens moved.
+
+        A stay keeps its tokens, guards included, as they are.  Stays
+        run after every advance of the step, so a target no advance
+        landed on can share the parent frame's list: frames never
+        mutate a list once built.
+        """
+        moved = 0
+        staying = transition.staying
+        for i, groups in tokens.items():
+            route = staying.get(i)
+            if route is None:
+                continue
+            for __, group in groups:
+                moved += len(group)
+            landed = into.get(route[0])
+            if landed is None:
+                into[route[0]] = groups
             else:
-                for sink in sinks:
-                    fires.extend([sink] * count)
-        memo = (new_counts, new_total, advances, tuple(fires))
+                landed.extend(groups)
+        return moved
+
+    def _memoize(
+        self,
+        transition: _Transition,
+        counts: tuple[int, ...],
+    ) -> tuple[_Frame, int, tuple[MatchSink, ...]]:
+        """Run :meth:`_step` on an unguarded frame and cache the result."""
+        fired: list[MatchSink] = []
+        frame, advances = self._step(
+            transition, counts, None, lambda sink, __: fired.append(sink)
+        )
+        memo = (frame, advances, tuple(fired))
         transition.memo[counts] = memo
         return memo
 
     # -- event processing ------------------------------------------------
 
     def open(self, tag: str) -> None:
-        """Advance the product machine on an opening tag: one dict hit
-        per event in the steady state."""
-        frames = self._frames
-        if frames is None:
-            self._seal()
-            frames = self._frames
-        entry, counts, total = frames[-1]
+        """Advance every automaton on an opening tag.
+
+        When the transition creates no condition and no guarded token
+        advances, the event is one memo hit plus the guarded tokens'
+        stays; anything else runs the same step uncached.
+        """
+        frames = self._frames or self._seal()
+        entry, counts, total, payload = frames[-1]
         stats = self.stats
         stats.events += 1
         stats.events_pumped += 1
@@ -360,32 +605,53 @@ class ProductEngine:
         transition = entry.transitions.get(tag)
         if transition is None:
             transition = self._build_transition(entry, tag)
-        memo = transition.memo.get(counts)
-        if memo is None:
-            memo = self._build_memo(transition, counts)
-        new_counts, new_total, advances, fires = memo
+        tokens = payload[0] if payload is not None else None
+        if transition.plain and (
+            tokens is None or transition.moving.isdisjoint(tokens)
+        ):
+            memo = transition.memo.get(counts)
+            if memo is None:
+                memo = self._memoize(transition, counts)
+            frame, advances, fired = memo
+            for sink in fired:
+                sink.on_match(EMPTY_CONDITIONS)
+            if tokens is not None:
+                carried: dict[int, list[_Tokens]] = {}
+                moved = self._carry(transition, tokens, carried)
+                if carried:
+                    frame = (frame[0], frame[1], frame[2] + moved, (carried, (), ()))
+            charge = FRAME_BYTES + TOKEN_BYTES * frame[2]
+        else:
+            frame, advances = self._step(transition, counts, tokens, _report)
+            charge = FRAME_BYTES + TOKEN_BYTES * frame[2]
+            if frame[3] is not None:
+                __, conditions, watchers = frame[3]
+                charge += CONDITION_BYTES * len(conditions)
+                charge += WATCHER_BYTES * len(watchers)
         stats.token_advances += advances
-        for sink in fires:
-            sink.on_match(EMPTY_CONDITIONS)
-        frames.append((transition.next_entry, new_counts, new_total))
-        # One combined allocation: the token engine charges the frame
-        # then its tokens back to back with no release in between, so
-        # the running total (and therefore the high-water mark) is
-        # identical.
+        frames.append(frame)
+        # One combined allocation: nothing is released mid-event, so the
+        # running total (and the high-water mark) equals that of
+        # charging frame, conditions, watchers and tokens one by one.
         if self._memory is not None:
-            self._memory.allocate(
-                "engine", FRAME_BYTES + TOKEN_BYTES * new_total
-            )
+            self._memory.allocate("engine", charge)
 
     def value(self, text: str) -> None:
-        """Text events carry no watchers on pure paths: count and move on."""
+        """Feed a text event to the watchers of the innermost node."""
         stats = self.stats
         stats.events += 1
         stats.events_pumped += 1
         _TOTALS.events_pumped += 1
+        payload = self._frames[-1][3] if self._frames else None
+        if payload is not None and payload[2]:
+            watchers = payload[2]
+            stats.watcher_bytes += len(text) * len(watchers)
+            self._charge(len(text) * len(watchers))
+            for watcher in watchers:
+                watcher.parts.append(text)
 
     def close(self) -> None:
-        """Backtrack: pop the frame and release its modeled RAM."""
+        """Backtrack: fire watchers, fail open conditions, pop the frame."""
         stats = self.stats
         stats.events += 1
         stats.events_pumped += 1
@@ -393,36 +659,62 @@ class ProductEngine:
         frames = self._frames
         if frames is None or len(frames) <= 1:
             raise RuntimeError("close event without a matching open")
-        __, __, total = frames.pop()
-        self._release(FRAME_BYTES + TOKEN_BYTES * total)
+        __, __, total, payload = frames.pop()
+        freed = FRAME_BYTES + TOKEN_BYTES * total
+        if payload is not None:
+            __, conditions, watchers = payload
+            for watcher in watchers:
+                watcher.fire()
+                freed += WATCHER_BYTES + sum(map(len, watcher.parts))
+            for condition in conditions:
+                condition.finalize()
+            freed += CONDITION_BYTES * len(conditions)
+        self._release(freed)
 
     # -- skip-index queries ----------------------------------------------
 
     def can_complete_inside(self, tags_inside: frozenset[str]) -> bool:
-        """Reachability test of Section 2.3, memoized per interned state.
+        """Whether any active automaton could reach a final state within
+        a subtree containing exactly ``tags_inside`` element tags.
 
-        Pure paths carry no conditions, so the token engine's "skip
-        suspended rules" filter never removes anything and the answer
-        depends only on (state set, tag set) -- cacheable on the entry.
+        This is the reachability test of Section 2.3: "to check whether
+        an access rule automaton is likely to reach its final state".
+        Wildcard steps contribute no label and never rule a subtree
+        out.  A guarded token whose guards already failed can never
+        contribute (the paper's "suspended rules"); an unguarded frame
+        depends only on its state, so the answer is cached there.
         """
-        if self._frames is None:
-            self._seal()
-        entry = self._frames[-1][0]
-        memo = entry.reach_memo
-        result = memo.get(tags_inside)
-        if result is None:
-            result = any(
-                needed <= tags_inside for needed in entry.suffixes
-            )
-            memo[tags_inside] = result
-        return result
+        entry, counts, __, payload = (self._frames or self._seal())[-1]
+        tokens = payload[0] if payload is not None else None
+        if tokens is None:
+            memo = entry.reach_memo
+            result = memo.get(tags_inside)
+            if result is None:
+                result = any(needed <= tags_inside for needed in entry.suffixes)
+                memo[tags_inside] = result
+            return result
+        for i, needed in enumerate(entry.suffixes):
+            if needed <= tags_inside and (
+                counts[i]
+                or any(
+                    all(c.state is not Tristate.FALSE for c in guards)
+                    for guards, __ in tokens.get(i, ())
+                )
+            ):
+                return True
+        return False
 
     def has_watchers_on_top(self) -> bool:
-        """Pure paths never register value watchers."""
-        return False
+        """Whether the innermost node's text is being collected.
+
+        A subtree whose root carries a value watcher must not be
+        skipped: the skip would discard the text under test.
+        """
+        payload = self._frames[-1][3] if self._frames else None
+        return payload is not None and bool(payload[2])
 
     def active_token_count(self) -> int:
         """Number of live tokens (used by RAM benchmarks)."""
         if self._frames is None:
             return self._root_tokens
-        return sum(total for __, __, total in self._frames)
+        return sum(frame[2] for frame in self._frames)

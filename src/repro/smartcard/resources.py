@@ -135,10 +135,10 @@ class SessionMetrics:
     ram_high_water: int = 0
     max_pending_bytes: int = 0
     card_cycles: float = 0.0
-    #: Wall-clock dispatch counters of the table-driven product machine
-    #: (see :class:`~repro.core.runtime.EngineStats`); all zero when the
-    #: session fell back to the legacy token engine.  They observe real
-    #: Python dispatch cost, not modeled card time.
+    #: Wall-clock dispatch counters of the product machine, the one
+    #: evaluation engine (see :class:`~repro.core.runtime.EngineStats`;
+    #: ``events_pumped`` equals the session's engine events).  They
+    #: observe real Python dispatch cost, not modeled card time.
     events_pumped: int = 0
     tokens_touched: int = 0
     product_states_interned: int = 0

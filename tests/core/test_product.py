@@ -1,168 +1,51 @@
-"""Differential testing: product machine vs. the legacy token engine.
+"""Differential testing: the product machine vs. the tree-based oracle.
 
-The table-driven product automaton is a wall-clock optimization only:
-on any document and any *pure* (predicate-free) rule set it must be
-observationally identical to the token-stack engine it replaces --
-same delivered views, same match sets, same charge-relevant counters.
-These properties are exercised over the same random corpora as the
-engine-vs-oracle differential suite.
+The product machine is the only evaluation engine, predicates included.
+On any document and any rule set of the supported fragment its match
+sets must equal the reference XPath evaluator's node sets, and the
+views it drives -- through :class:`StreamingEvaluator` and through a
+shared :class:`MultiSubjectEvaluator` pass of one or three lanes --
+must equal :func:`repro.core.reference.reference_view`.  The E10
+pending workload (each ``[flag]`` resolves after the body it guards)
+pins the late-predicate path explicitly.  The interning and memo tests
+bound the machine's caches on predicate corpora.
 """
 
 from __future__ import annotations
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
+from repro.core import authorized_view, reference_view
 from repro.core.compiled import compile_policy
+from repro.core.conditions import Condition, Tristate, conjunction_state
 from repro.core.multicast import MultiSubjectEvaluator
 from repro.core.product import ProductEngine
 from repro.core.rules import AccessRule, RuleSet, Sign
-from repro.core.runtime import EngineStats, TokenEngine
+from repro.core.runtime import EngineStats
+from repro.workloads.docgen import video_catalog
+from repro.workloads.rulegen import parental_rules
 from repro.xmlstream.events import OpenEvent, ValueEvent
-from repro.xmlstream.tree import Element, tree_to_events
+from repro.xmlstream.parser import parse_string
+from repro.xmlstream.tree import events_to_tree, tree_to_events
 from repro.xmlstream.writer import write_string
+from repro.xpathlib.evaluator import evaluate_path
 
-from tests.strategies import TAGS, elements, rule_sets
-
-
-@st.composite
-def pure_xpath_texts(draw) -> str:
-    """A random predicate-free expression in XP{*,//}."""
-    steps = []
-    for _ in range(draw(st.integers(min_value=1, max_value=4))):
-        axis = draw(st.sampled_from(["/", "//"]))
-        test = draw(st.sampled_from(TAGS + ["*"]))
-        steps.append(f"{axis}{test}")
-    return "".join(steps)
-
-
-@st.composite
-def pure_rule_sets(draw, subject: str = "u") -> RuleSet:
-    """A random policy whose compiled automata are all pure."""
-    count = draw(st.integers(min_value=1, max_value=5))
-    rules = []
-    for index in range(count):
-        sign = draw(st.sampled_from([Sign.PERMIT, Sign.DENY]))
-        rules.append(
-            AccessRule.parse(
-                sign, subject, draw(pure_xpath_texts()), rule_id=f"G{index}"
-            )
-        )
-    return RuleSet(rules)
+from tests.strategies import elements, rule_sets
 
 
 class _RecordingSink:
-    """Captures (event_index, automaton, sign) for match-set diffing."""
+    """Captures (open-event index, automaton, guards) per match."""
 
-    __slots__ = ("log", "clock", "slot", "sign")
+    __slots__ = ("log", "clock", "slot")
 
-    def __init__(self, log, clock, slot, sign):
+    def __init__(self, log, clock, slot):
         self.log = log
         self.clock = clock
         self.slot = slot
-        self.sign = sign
 
     def on_match(self, conditions) -> None:
-        assert not conditions  # pure paths carry no predicate conditions
-        self.log.append((self.clock[0], self.slot, self.sign))
-
-
-def _pump_with_log(engine_cls, policy, events):
-    """Run one engine over ``events``; return (match log, stats)."""
-    stats = EngineStats()
-    engine = engine_cls(stats=stats)
-    log: list[tuple[int, int, Sign]] = []
-    clock = [0]
-    sinks = [
-        _RecordingSink(log, clock, slot, sign)
-        for slot, sign in enumerate(policy.signs)
-    ]
-    engine.add_policy(policy, sinks)
-    for event in events:
-        if isinstance(event, OpenEvent):
-            engine.open(event.tag)
-        elif isinstance(event, ValueEvent):
-            engine.value(event.text)
-        else:
-            engine.close()
-        clock[0] += 1
-    return log, stats
-
-
-@settings(max_examples=200, deadline=None)
-@given(root=elements(), rules=pure_rule_sets())
-def test_match_sets_identical(root, rules):
-    """Both engines report the same matches at the same events."""
-    policy = compile_policy(rules, "u", Sign.DENY)
-    events = list(tree_to_events(root))
-    legacy_log, _ = _pump_with_log(TokenEngine, policy, events)
-    product_log, stats = _pump_with_log(ProductEngine, policy, events)
-    # Within one event the engines may fire sinks in different orders
-    # (token iteration vs interned-set iteration), which no consumer
-    # can observe: compare as multisets per event.
-    assert sorted(legacy_log) == sorted(product_log), (
-        f"doc={write_string(events)!r} rules=\n{rules}"
-    )
-    assert stats.events_pumped == len(events)
-
-
-@settings(max_examples=150, deadline=None)
-@given(root=elements(), rules=rule_sets())
-def test_views_identical_any_rules(root, rules):
-    """Delivered views agree even when predicates force the fallback."""
-    events = list(tree_to_events(root))
-    policies = [compile_policy(rules, "u", Sign.DENY)]
-    auto = MultiSubjectEvaluator(policies).run(events)
-    legacy = MultiSubjectEvaluator(policies, engine="legacy").run(events)
-    assert [write_string(lane) for lane in auto] == [
-        write_string(lane) for lane in legacy
-    ]
-
-
-@settings(max_examples=150, deadline=None)
-@given(root=elements(), rules=pure_rule_sets())
-def test_multicast_views_identical_and_product_engaged(root, rules):
-    """Pure audiences run on the product machine, byte-identically."""
-    events = list(tree_to_events(root))
-    policy = compile_policy(rules, "u", Sign.DENY)
-    audience = [policy, policy, policy]
-    stats = EngineStats()
-    auto = MultiSubjectEvaluator(audience, stats=stats).run(events)
-    legacy = MultiSubjectEvaluator(audience, engine="legacy").run(events)
-    assert [write_string(lane) for lane in auto] == [
-        write_string(lane) for lane in legacy
-    ]
-    # Pure policies must have auto-selected the product machine.
-    assert stats.events_pumped == len(events)
-
-
-@settings(max_examples=150, deadline=None)
-@given(root=elements(), rules=pure_rule_sets())
-def test_interning_is_bounded_and_memoized(root, rules):
-    """Interned product states stay within the sound combinatorial
-    bounds, and a second pass over the same document interns nothing."""
-    policy = compile_policy(rules, "u", Sign.DENY)
-    events = list(tree_to_events(root))
-    stats = EngineStats()
-    engine = ProductEngine(stats=stats)
-    engine.add_policy(policy, [_NullSink()] * len(policy.automata))
-    opens = 0
-    for _ in range(2):
-        first_pass = stats.product_states_interned
-        for event in events:
-            if isinstance(event, OpenEvent):
-                engine.open(event.tag)
-                opens += 1
-            elif isinstance(event, ValueEvent):
-                engine.value(event.text)
-            else:
-                engine.close()
-    # Second pass hit only memoized transitions: nothing new interned.
-    assert stats.product_states_interned == first_pass
-    total_steps = sum(len(path.steps) for path in policy.automata)
-    bound = min(2 ** total_steps, 1 + opens)
-    assert stats.product_states_interned <= bound
+        self.log.append((self.clock[0], self.slot, conditions))
 
 
 class _NullSink:
@@ -172,29 +55,193 @@ class _NullSink:
         pass
 
 
-def test_product_engine_rejects_impure_paths():
-    rules = RuleSet(
-        [AccessRule.parse(Sign.PERMIT, "u", '/a[b = "1"]', rule_id="G0")]
-    )
-    policy = compile_policy(rules, "u", Sign.DENY)
+def _pump(engine, events) -> None:
+    for event in events:
+        if isinstance(event, OpenEvent):
+            engine.open(event.tag)
+        elif isinstance(event, ValueEvent):
+            engine.value(event.text)
+        else:
+            engine.close()
+
+
+def _match_set(policy, events) -> set[tuple[int, int]]:
+    """(open index, automaton) pairs whose match resolved TRUE."""
     engine = ProductEngine()
-    with pytest.raises(ValueError):
-        engine.add_policy(policy, [_NullSink()] * len(policy.automata))
-
-
-def test_multicast_engine_override_validation():
-    rules = RuleSet([AccessRule.parse(Sign.PERMIT, "u", "/a", rule_id="G0")])
-    impure = RuleSet(
-        [AccessRule.parse(Sign.PERMIT, "u", '/a[b = "1"]', rule_id="G0")]
+    log: list = []
+    clock = [0]
+    engine.add_policy(
+        policy,
+        [_RecordingSink(log, clock, slot) for slot in range(len(policy))],
     )
-    pure_policy = compile_policy(rules, "u", Sign.DENY)
-    impure_policy = compile_policy(impure, "u", Sign.DENY)
-    with pytest.raises(ValueError):
-        MultiSubjectEvaluator([pure_policy], engine="turbo")
-    with pytest.raises(ValueError):
-        MultiSubjectEvaluator([impure_policy], engine="product")
-    # Impure policies silently take the legacy engine under "auto".
+    for event in events:
+        if isinstance(event, OpenEvent):
+            engine.open(event.tag)
+            clock[0] += 1
+        elif isinstance(event, ValueEvent):
+            engine.value(event.text)
+        else:
+            engine.close()
+    # Every condition is final once the document closed.
+    return {
+        (index, slot)
+        for index, slot, guards in log
+        if conjunction_state(guards) is Tristate.TRUE
+    }
+
+
+@settings(max_examples=200, deadline=None)
+@given(root=elements(), rules=rule_sets())
+def test_match_sets_identical(root, rules):
+    """Each automaton matches exactly the reference node set."""
+    policy = compile_policy(rules, "u", Sign.DENY)
+    position = {id(node): index for index, node in enumerate(root.iter())}
+    expected = {
+        (position[id(node)], slot)
+        for slot, rule in enumerate(rules)
+        for node in evaluate_path(rule.object, root)
+    }
+    events = list(tree_to_events(root))
+    assert _match_set(policy, events) == expected, (
+        f"doc={write_string(events)!r} rules=\n{rules}"
+    )
+
+
+def _lane_texts(policy, lanes: int, events) -> list[str]:
     stats = EngineStats()
-    evaluator = MultiSubjectEvaluator([impure_policy], stats=stats)
-    evaluator.run(tree_to_events(Element("a")))
-    assert stats.product_states_interned == 0
+    views = MultiSubjectEvaluator([policy] * lanes, stats=stats).run(events)
+    assert stats.events_pumped == stats.events == len(events)
+    return [write_string(view) for view in views]
+
+
+@settings(max_examples=150, deadline=None)
+@given(root=elements(), rules=rule_sets())
+def test_views_identical_any_rules(root, rules):
+    """StreamingEvaluator and a 1-lane shared pass equal the oracle."""
+    events = list(tree_to_events(root))
+    expected = write_string(reference_view(root, rules, "u"))
+    assert write_string(authorized_view(events, rules, "u")) == expected
+    policy = compile_policy(rules, "u", Sign.DENY)
+    assert _lane_texts(policy, 1, events) == [expected]
+
+
+@settings(max_examples=150, deadline=None)
+@given(root=elements(), rules=rule_sets())
+def test_multicast_views_identical_and_product_engaged(root, rules):
+    """Three lanes sharing one policy each get the oracle's view."""
+    events = list(tree_to_events(root))
+    expected = write_string(reference_view(root, rules, "u"))
+    policy = compile_policy(rules, "u", Sign.DENY)
+    assert _lane_texts(policy, 3, events) == [expected] * 3
+
+
+E10_RULES = RuleSet(
+    [AccessRule.parse("+", "u", '//msg[flag = "keep"]/body', rule_id="E10")]
+)
+
+
+def _e10_document(payload: int, messages: int = 6) -> str:
+    parts = ["<mail>"]
+    for index in range(messages):
+        flag = "keep" if index % 2 == 0 else "drop"
+        parts.append(
+            f"<msg><body>{'x' * payload}</body><flag>{flag}</flag></msg>"
+        )
+    parts.append("</mail>")
+    return "".join(parts)
+
+
+@pytest.mark.parametrize("payload", [40, 160, 640])
+def test_e10_pending_workload_matches_oracle(payload):
+    """Late predicates: every body is pending until its flag closes."""
+    events = parse_string(_e10_document(payload))
+    root = events_to_tree(events)
+    expected = write_string(reference_view(root, E10_RULES, "u"))
+    assert write_string(authorized_view(events, E10_RULES, "u")) == expected
+    policy = compile_policy(E10_RULES, "u", Sign.DENY)
+    assert _lane_texts(policy, 1, events) == [expected]
+    assert _lane_texts(policy, 3, events) == [expected] * 3
+    assert expected.count("<body>") == 3
+
+
+@settings(max_examples=150, deadline=None)
+@given(root=elements(), rules=rule_sets())
+def test_interning_is_bounded_and_memoized(root, rules):
+    """Interned product states stay within the sound combinatorial
+    bounds, and a second pass over the same document interns nothing."""
+    policy = compile_policy(rules, "u", Sign.DENY)
+    events = list(tree_to_events(root))
+    stats = EngineStats()
+    engine = ProductEngine(stats=stats)
+    engine.add_policy(policy, [_NullSink()] * len(policy.automata))
+    _pump(engine, events)
+    first_pass = stats.product_states_interned
+    _pump(engine, events)
+    # Second pass hit only memoized transitions: nothing new interned.
+    assert stats.product_states_interned == first_pass
+    opens = 2 * sum(isinstance(event, OpenEvent) for event in events)
+    bound = min(2 ** policy.state_count, 1 + opens)
+    assert stats.product_states_interned <= bound
+
+
+def _cache_keys(engine: ProductEngine):
+    """Every key of every interning, transition, memo and reach cache."""
+    for key, entry in engine._intern.items():
+        yield key
+        for tag, transition in entry.transitions.items():
+            yield tag
+            yield from transition.memo
+        yield from entry.reach_memo
+
+
+def _flatten(value):
+    if isinstance(value, (tuple, frozenset, list, set)):
+        for item in value:
+            yield from _flatten(item)
+    else:
+        yield value
+
+
+def test_memo_is_bounded_on_a_long_predicate_document():
+    """Pumping a predicate document twice adds no state and no memo
+    entry the second time; no per-node condition ever keys a cache."""
+    rules = parental_rules("kid", max_rating="PG13")
+    policy = compile_policy(rules, "kid", Sign.DENY)
+    events = list(tree_to_events(video_catalog(60, payload=20)))
+    stats = EngineStats()
+    engine = ProductEngine(stats=stats)
+    engine.add_policy(policy, [_NullSink()] * len(policy.automata))
+    tags = [frozenset(), frozenset({"meta", "rating"}), frozenset({"payload"})]
+
+    def run_pass() -> None:
+        for event in events:
+            if isinstance(event, OpenEvent):
+                engine.open(event.tag)
+                for inside in tags:
+                    engine.can_complete_inside(inside)
+            elif isinstance(event, ValueEvent):
+                engine.value(event.text)
+            else:
+                engine.close()
+
+    def sizes() -> tuple[int, int, int]:
+        entries = engine._intern.values()
+        transitions = [t for e in entries for t in e.transitions.values()]
+        return (
+            len(engine._intern),
+            len(transitions),
+            sum(len(t.memo) for t in transitions),
+        )
+
+    run_pass()
+    first = sizes()
+    assert stats.conditions_created >= 60  # predicates did real work
+    assert first[2] > 0  # ...and unguarded frames still hit the memo
+    run_pass()
+    assert sizes() == first
+    assert stats.product_states_interned == first[0]
+    assert not any(
+        isinstance(item, Condition)
+        for key in _cache_keys(engine)
+        for item in _flatten(key)
+    )

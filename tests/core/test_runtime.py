@@ -1,10 +1,10 @@
-"""Unit tests for the token-stack engine."""
+"""Unit tests for the evaluation engine (the product machine)."""
 
 import pytest
 
 from repro.core.conditions import Tristate
 from repro.core.nfa import compile_path
-from repro.core.runtime import TokenEngine
+from repro.core.product import ProductEngine
 from repro.xmlstream.parser import parse_string
 from repro.xmlstream.events import OpenEvent, ValueEvent
 from repro.xpathlib.parser import parse_path
@@ -21,7 +21,7 @@ class _Collector:
 def _run(path_text: str, document: str):
     """Run one automaton over a document; returns (collector, engine,
     match node order) where matches are recorded per open element."""
-    engine = TokenEngine()
+    engine = ProductEngine()
     collector = _Collector()
     engine.add_automaton(compile_path(parse_path(path_text)), collector)
     per_node = []
@@ -76,7 +76,7 @@ def test_existence_predicate_definite_when_seen_before():
 
 
 def test_existence_predicate_pending_when_after():
-    engine = TokenEngine()
+    engine = ProductEngine()
     collector = _Collector()
     engine.add_automaton(compile_path(parse_path("//b[c]/d")), collector)
     engine.open("r")
@@ -91,8 +91,17 @@ def test_existence_predicate_pending_when_after():
     assert all(c.state is Tristate.TRUE for c in guards)
 
 
+def test_predicate_completing_at_the_same_event_resolves_first():
+    """The [b] sub-automaton and the /b spine step match the same node:
+    the predicate's completion lands before the guarded token advances,
+    so the match is reported unguarded rather than pending."""
+    collector, _, nodes = _run("//a[b]/b", "<r><a><b/></a></r>")
+    assert nodes == [("r", "a", "b")]
+    assert collector.matches == [frozenset()]
+
+
 def test_predicate_fails_at_context_close():
-    engine = TokenEngine()
+    engine = ProductEngine()
     collector = _Collector()
     engine.add_automaton(compile_path(parse_path("//b[c]/d")), collector)
     engine.open("r")
@@ -122,7 +131,7 @@ def test_value_comparison_fires_at_close():
 
 
 def test_split_text_concatenated_for_comparison():
-    engine = TokenEngine()
+    engine = ProductEngine()
     collector = _Collector()
     engine.add_automaton(compile_path(parse_path('//a[. = "xy"]/b')), collector)
     engine.open("a")
@@ -136,20 +145,20 @@ def test_split_text_concatenated_for_comparison():
 
 
 def test_close_without_open_rejected():
-    engine = TokenEngine()
+    engine = ProductEngine()
     with pytest.raises(RuntimeError):
         engine.close()
 
 
 def test_add_automaton_after_start_rejected():
-    engine = TokenEngine()
+    engine = ProductEngine()
     engine.open("a")
     with pytest.raises(RuntimeError):
         engine.add_automaton(compile_path(parse_path("/a")), _Collector())
 
 
 def test_can_complete_inside_uses_labels():
-    engine = TokenEngine()
+    engine = ProductEngine()
     engine.add_automaton(compile_path(parse_path("//x/y")), _Collector())
     engine.open("r")
     assert engine.can_complete_inside(frozenset({"x", "y"}))
@@ -158,14 +167,14 @@ def test_can_complete_inside_uses_labels():
 
 
 def test_can_complete_inside_wildcard_never_filtered():
-    engine = TokenEngine()
+    engine = ProductEngine()
     engine.add_automaton(compile_path(parse_path("//*")), _Collector())
     engine.open("r")
     assert engine.can_complete_inside(frozenset())
 
 
 def test_watchers_block_skipping():
-    engine = TokenEngine()
+    engine = ProductEngine()
     engine.add_automaton(
         compile_path(parse_path('//a[. = "x"]/b')), _Collector()
     )
@@ -174,7 +183,7 @@ def test_watchers_block_skipping():
 
 
 def test_backtracking_frees_tokens():
-    engine = TokenEngine()
+    engine = ProductEngine()
     engine.add_automaton(compile_path(parse_path("//a/b")), _Collector())
     engine.open("a")
     inside = engine.active_token_count()
@@ -186,7 +195,7 @@ def test_backtracking_frees_tokens():
 
 def test_token_dedupe_bounds_blowup():
     """//a//a on a deep chain of a's must not explode exponentially."""
-    engine = TokenEngine()
+    engine = ProductEngine()
     engine.add_automaton(compile_path(parse_path("//a//a")), _Collector())
     for __ in range(12):
         engine.open("a")
