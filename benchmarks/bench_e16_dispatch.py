@@ -1,35 +1,36 @@
 """E16 -- per-event dispatch throughput of the product machine.
 
-E14 measures the whole pipeline; E16 isolates the layer this repo's
-table-driven product automaton actually changed: per-event evaluation
-dispatch.  Three measurements, all wall-clock (``time.perf_counter``),
-all over the E1 hospital corpus:
+E14 measures the whole pipeline; E16 isolates the layer the product
+machine (:mod:`repro.core.product`, the one evaluation engine) owns:
+per-event evaluation dispatch.  All measurements are wall-clock
+(``time.perf_counter``):
 
-* **dispatch** -- pump every corpus document's event stream through the
-  legacy token-stack engine and the product machine directly (same
-  ``add_policy`` API, dummy sinks), at 1/4/16 lanes.  A lane is one
-  subscriber registering the same compiled policy with its own sinks --
-  the token engine's per-event work grows with the audience, the
-  product machine's with *distinct automata*.  This is the headline:
-  the product machine delivers >=2x event throughput on one lane and
-  ~4x on a 16-lane audience.
+* **dispatch** -- pump every E1 hospital corpus document's event stream
+  through the product machine (``add_policy`` API, counting sinks) at
+  1/4/16 lanes.  A lane is one subscriber registering the same compiled
+  policy with its own sinks.  Lanes sharing a policy share one product
+  slot per automaton, so per-event work tracks *distinct automata*,
+  not audience size: 16 lanes run at ~0.85x the 1-lane event rate.
+* **predicate dispatch** -- the same pump over the video catalog under
+  the parental-rating rules (``//segment[meta/rating = "G"]/*``...),
+  where every segment instantiates conditions, predicate tokens and
+  value watchers.  Reported, not gated.
 * **multicast** -- a cold push-scenario session: one
   :class:`~repro.core.multicast.MultiSubjectEvaluator` evaluating the
-  corpus for a 16-subscriber community, legacy vs product engine,
-  reported as aggregate delivered-view MB/s.  Its ratio is modest
-  (~1.1x) precisely *because* the engine is no longer the bottleneck
-  there: per-subscriber view materialization is irreducible O(lanes)
-  work either way.
+  corpus for a community of 1/4/16 subscribers, reported as aggregate
+  delivered-view MB/s.  Per-subscriber view materialization is
+  irreducible O(lanes) work here, not engine dispatch.
 * **end_to_end** -- cold card pull sessions (the E14 metric) under the
   sequential transfer policy and ``TransferPolicy.windowed(4)``, with
-  the committed ``BENCH_E14.json`` numbers alongside for context.  The
-  honest caveat lives here: engine dispatch was ~10% of a pull
-  session's wall time, so Amdahl caps the end-to-end gain at ~1.1-1.2x
-  -- the >=2x claim is about dispatch and multicast, where the product
-  machine is the dominant cost.
+  the committed ``BENCH_E14.json`` numbers alongside for context.
+  Engine dispatch is ~10% of a pull session's wall time, so Amdahl
+  keeps dispatch gains from moving this much.
 
-``--check`` gates CI on the *same-process* speedup ratios (product vs
-legacy in one interpreter), which need no machine calibration.
+``--check`` gates CI on the *same-process* audience scaling of the
+pure dispatch corpus: 16-lane kevents/s must stay at least
+:data:`SCALING_FLOOR` of the 1-lane rate.  Both arms run in one
+interpreter, so the ratio needs no machine calibration.  A product
+machine that stopped sharing slots across lanes would fall to ~1/16.
 
 Usage::
 
@@ -52,20 +53,23 @@ from repro.community import Community
 from repro.core.compiled import compile_policy
 from repro.core.product import ProductEngine
 from repro.core.rules import Sign
-from repro.core.runtime import EngineStats, TokenEngine
+from repro.core.runtime import EngineStats
 from repro.core.multicast import MultiSubjectEvaluator
 from repro.skipindex.encoder import IndexMode
 from repro.terminal.transfer import TransferPolicy
-from repro.workloads.docgen import hospital
-from repro.workloads.rulegen import hospital_rules
+from repro.workloads.docgen import hospital, video_catalog
+from repro.workloads.rulegen import hospital_rules, parental_rules
 from repro.xmlstream.events import OpenEvent, ValueEvent
 from repro.xmlstream.tree import tree_to_events
 from repro.xmlstream.writer import write_string
 
 FULL_PATIENTS = (5, 10, 20, 40)
 QUICK_PATIENTS = (5, 10)
+FULL_VIDEOS = (16, 40)
+QUICK_VIDEOS = (16,)
 FULL_LANES = (1, 4, 16)
 QUICK_LANES = (1, 16)
+PREDICATE_LANES = (1, 16)
 FULL_E2E = [
     (patients, mode)
     for patients in FULL_PATIENTS
@@ -73,9 +77,11 @@ FULL_E2E = [
 ]
 QUICK_E2E = [(5, IndexMode.RECURSIVE), (10, IndexMode.RECURSIVE)]
 
-#: CI gate floors (see ``check_speedups``) apply to the same-process
-#: product/legacy speedup ratios: both arms run in one interpreter, so
-#: the ratios are machine-independent and need no calibration.
+#: CI gate (see ``check_scaling``): 16-lane dispatch kevents/s over the
+#: 1-lane rate, same process.  The committed full-corpus ratio is 0.87
+#: (BENCH_E16.json); six ``--quick`` runs on a shared 2-vCPU host
+#: measured 0.76-0.88.
+SCALING_FLOOR = 0.5
 
 
 class _CountingSink:
@@ -103,18 +109,26 @@ def _policies():
     ]
 
 
-def _pump_corpus(engine_cls, corpus, policies, lanes: int) -> tuple[int, int]:
+def _predicate_corpus(videos_list) -> tuple[list[list], list]:
+    corpus = [list(tree_to_events(video_catalog(n))) for n in videos_list]
+    policy = compile_policy(parental_rules("kid", "PG13"), "kid", Sign.DENY)
+    return corpus, [policy]
+
+
+def _pump_corpus(corpus, policies, lanes: int) -> tuple[int, int]:
     """One timed pass: fresh engine per (document, policy) pair.
 
-    Engines are built inside the timed region -- a cold session pays
-    automaton registration too, and the product machine's lazy
-    transition tables mean its interning cost must not be hidden.
-    Returns ``(events_pumped, matches)`` for cross-engine verification.
+    Engines are built inside the timed region, so registration is
+    paid per pass.  The solved state and transition tables are shared
+    by every engine registering the same compiled paths, exactly as a
+    card's sessions under its cached policy share them: the first pass
+    solves them, later passes reuse them.  Returns
+    ``(events_pumped, matches)``.
     """
     pumped = matches = 0
     for events in corpus:
         for policy in policies:
-            engine = engine_cls(stats=EngineStats())
+            engine = ProductEngine(stats=EngineStats())
             sinks = [_CountingSink() for _ in range(lanes)]
             for sink in sinks:
                 engine.add_policy(policy, [sink] * len(policy.automata))
@@ -131,47 +145,50 @@ def _pump_corpus(engine_cls, corpus, policies, lanes: int) -> tuple[int, int]:
     return pumped, matches
 
 
-def measure_dispatch(quick: bool = False) -> dict:
-    """Token vs product event throughput at several audience sizes."""
-    corpus = _corpus_events(QUICK_PATIENTS if quick else FULL_PATIENTS)
-    policies = _policies()
-    repeats = 2 if quick else 3
-    lanes_axis = QUICK_LANES if quick else FULL_LANES
-    points = []
-    for lanes in lanes_axis:
-        sample = {}
-        for label, engine_cls in (
-            ("legacy", TokenEngine), ("product", ProductEngine)
-        ):
-            best = float("inf")
-            pumped = matches = 0
-            for _ in range(repeats):
-                start = time.perf_counter()
-                pumped, matches = _pump_corpus(
-                    engine_cls, corpus, policies, lanes
-                )
-                best = min(best, time.perf_counter() - start)
-            sample[label] = {
-                "kevents_per_s": pumped / best / 1e3,
-                "events": pumped,
-                "matches": matches,
-            }
-        if sample["legacy"]["matches"] != sample["product"]["matches"]:
-            raise AssertionError(
-                "engines disagree on match count: "
-                f"{sample['legacy']['matches']} vs "
-                f"{sample['product']['matches']}"
-            )
-        points.append({
+def _dispatch_points(corpus, policies, lanes_axis, repeats: int) -> list:
+    """Best-of-``repeats`` kevents/s per audience size.
+
+    Repeats interleave the audience sizes, so a burst of host noise
+    lands on every arm alike instead of skewing the lane ratio.
+    """
+    best = dict.fromkeys(lanes_axis, float("inf"))
+    counts = {}
+    for _ in range(repeats):
+        for lanes in lanes_axis:
+            start = time.perf_counter()
+            counts[lanes] = _pump_corpus(corpus, policies, lanes)
+            best[lanes] = min(best[lanes], time.perf_counter() - start)
+    points = [
+        {
             "lanes": lanes,
-            "legacy_kevps": sample["legacy"]["kevents_per_s"],
-            "product_kevps": sample["product"]["kevents_per_s"],
-            "speedup": sample["product"]["kevents_per_s"]
-            / sample["legacy"]["kevents_per_s"],
-            "events": sample["product"]["events"],
-            "matches": sample["product"]["matches"],
-        })
-    return {"points": points}
+            "kevps": counts[lanes][0] / best[lanes] / 1e3,
+            "events": counts[lanes][0],
+            "matches": counts[lanes][1],
+        }
+        for lanes in lanes_axis
+    ]
+    for point in points:
+        point["vs_one_lane"] = point["kevps"] / points[0]["kevps"]
+    return points
+
+
+def measure_dispatch(quick: bool = False) -> dict:
+    """Event throughput at several audience sizes, pure and predicate."""
+    repeats = 3 if quick else 5
+    predicate_corpus, predicate_policies = _predicate_corpus(
+        QUICK_VIDEOS if quick else FULL_VIDEOS
+    )
+    return {
+        "points": _dispatch_points(
+            _corpus_events(QUICK_PATIENTS if quick else FULL_PATIENTS),
+            _policies(),
+            QUICK_LANES if quick else FULL_LANES,
+            repeats,
+        ),
+        "predicate_points": _dispatch_points(
+            predicate_corpus, predicate_policies, PREDICATE_LANES, repeats
+        ),
+    }
 
 
 def measure_multicast(quick: bool = False) -> dict:
@@ -188,24 +205,19 @@ def measure_multicast(quick: bool = False) -> dict:
         audience = [base_policies[i % len(base_policies)] for i in range(lanes)]
         delivered = 0
         for events in corpus:
-            evaluator = MultiSubjectEvaluator(audience, engine="product")
+            evaluator = MultiSubjectEvaluator(audience)
             for view in evaluator.run(events):
                 delivered += len(write_string(view).encode("utf-8"))
-        sample = {}
-        for label in ("legacy", "product"):
-            best = float("inf")
-            for _ in range(repeats):
-                start = time.perf_counter()
-                for events in corpus:
-                    MultiSubjectEvaluator(audience, engine=label).run(events)
-                best = min(best, time.perf_counter() - start)
-            sample[label] = delivered / best / 1e6
+        best = float("inf")
+        for _ in range(repeats):
+            start = time.perf_counter()
+            for events in corpus:
+                MultiSubjectEvaluator(audience).run(events)
+            best = min(best, time.perf_counter() - start)
         points.append({
             "lanes": lanes,
             "delivered_view_bytes": delivered,
-            "legacy_mbps": sample["legacy"],
-            "product_mbps": sample["product"],
-            "speedup": sample["product"] / sample["legacy"],
+            "mbps": delivered / best / 1e6,
         })
     return {"points": points}
 
@@ -305,29 +317,31 @@ def measure_all(quick: bool = False) -> dict:
     return result
 
 
-_TITLE = "E16: per-event dispatch throughput (product machine; E1 corpus)"
-_HEADERS = ["measurement", "lanes", "legacy", "product", "speedup"]
+_TITLE = "E16: per-event dispatch throughput (product machine)"
+_HEADERS = ["measurement", "lanes", "value", "vs 1 lane"]
 
 
 def _table(result: dict):
     rows = []
     for point in result["dispatch"]["points"]:
         rows.append([
-            "dispatch (kev/s)", point["lanes"],
-            point["legacy_kevps"], point["product_kevps"], point["speedup"],
+            "dispatch, E1 (kev/s)", point["lanes"], point["kevps"],
+            point["vs_one_lane"],
+        ])
+    for point in result["dispatch"]["predicate_points"]:
+        rows.append([
+            "dispatch, predicates (kev/s)", point["lanes"], point["kevps"],
+            point["vs_one_lane"],
         ])
     for point in result["multicast"]["points"]:
-        rows.append([
-            "multicast (MB/s)", point["lanes"],
-            point["legacy_mbps"], point["product_mbps"], point["speedup"],
-        ])
+        rows.append(["multicast (MB/s)", point["lanes"], point["mbps"], ""])
     e2e = result["end_to_end"]
     rows.append([
-        "cold session (MB/s)", "seq", "",
+        "cold session (MB/s)", "seq",
         e2e["sequential"]["cold_session_mbps"], "",
     ])
     rows.append([
-        "cold session (MB/s)", "w4", "",
+        "cold session (MB/s)", "w4",
         e2e["windowed4"]["cold_session_mbps"], "",
     ])
     return _TITLE, _HEADERS, rows
@@ -337,39 +351,27 @@ def run_experiment(quick: bool = False):
     return _table(measure_all(quick=quick))
 
 
-def check_speedups(result: dict) -> int:
-    """CI gate on the same-process product/legacy speedup ratios."""
-    failures = []
-    checks = []
-    for point in result["dispatch"]["points"]:
-        # One-lane speedup on the small quick docs jitters between
-        # ~1.1x and ~1.9x; gate it at parity (the product machine must
-        # never be slower) and put the hard >=2x floor on the 16-lane
-        # audience, where the measured margin is 3.3-4.5x.
-        floor = 2.0 if point["lanes"] >= 16 else 1.0
-        checks.append(("dispatch", point["lanes"], point["speedup"], floor))
-    # The multicast speedup is reported but not gated: once engine
-    # dispatch is fast, per-subscriber view materialization dominates
-    # that measurement, and its ratio hovers near 1.1x by design.
-    for name, lanes, speedup, floor in checks:
-        status = "ok" if speedup >= floor else "REGRESSION"
-        print(
-            f"{name} lanes={lanes}: speedup {speedup:.2f}x "
-            f"(floor {floor:.1f}x) -> {status}"
-        )
-        if speedup < floor:
-            failures.append(f"{name}@{lanes}")
-    if failures:
-        print(f"dispatch speedup below floor in: {', '.join(failures)}")
-        return 1
-    return 0
+def check_scaling(result: dict) -> int:
+    """CI gate: the widest audience keeps SCALING_FLOOR of 1-lane speed.
+
+    Only the pure E1 corpus is gated; the predicate row is reported.
+    """
+    points = result["dispatch"]["points"]
+    widest = points[-1]
+    ok = widest["vs_one_lane"] >= SCALING_FLOOR
+    print(
+        f"dispatch lanes={widest['lanes']}: {widest['kevps']:.0f} kev/s = "
+        f"{widest['vs_one_lane']:.2f}x the 1-lane rate "
+        f"(floor {SCALING_FLOOR:.2f}x) -> {'ok' if ok else 'REGRESSION'}"
+    )
+    return 0 if ok else 1
 
 
 def test_e16_dispatch(benchmark):
     corpus = _corpus_events((5,))
     policies = _policies()
     benchmark.pedantic(
-        lambda: _pump_corpus(ProductEngine, corpus, policies, 4),
+        lambda: _pump_corpus(corpus, policies, 4),
         rounds=3, iterations=1,
     )
     emit(*run_experiment(quick=True))
@@ -381,8 +383,8 @@ def main() -> int:
     parser.add_argument("--json", metavar="PATH", default=None)
     parser.add_argument(
         "--check", action="store_true",
-        help="exit 1 when the product/legacy dispatch speedup falls "
-        "below the floors (>=1x at 1 lane, >=2x at 16 lanes)",
+        help="exit 1 when 16-lane dispatch falls below "
+        f"{SCALING_FLOOR}x the 1-lane event rate",
     )
     args = parser.parse_args()
     result = measure_all(quick=args.quick)
@@ -400,7 +402,7 @@ def main() -> int:
             json.dump(result, handle, indent=2, sort_keys=True)
         print(f"wrote {args.json}")
     if args.check:
-        return check_speedups(result)
+        return check_scaling(result)
     return 0
 
 

@@ -138,14 +138,5 @@ def conjunction_state(conditions: Iterable[Condition]) -> Tristate:
 
 
 def live_conditions(conditions: Iterable[Condition]) -> frozenset[Condition]:
-    """Drop already-TRUE members of a conjunction (they cannot regress).
-
-    A frozenset with no TRUE member comes back as is, uncopied.
-    """
-    if isinstance(conditions, frozenset):
-        for condition in conditions:
-            if condition.state is Tristate.TRUE:
-                break
-        else:
-            return conditions
-    return frozenset([c for c in conditions if c.state is not Tristate.TRUE])
+    """Drop already-TRUE members of a conjunction (they cannot regress)."""
+    return frozenset(c for c in conditions if c.state is not Tristate.TRUE)

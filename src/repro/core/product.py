@@ -37,10 +37,10 @@ their step depends only on ``(transition, counts)`` and is cached
 there; if no guarded token of the frame advances either, the guarded
 tokens just stay or die as they are and the cache answers the whole
 event.  That is every frame of a predicate-free policy (one dict hit
-per event, as before) and most frames inside a predicate's context.
-Frames where a guarded token advances, or a condition is created, run
-the same step uncached.  Conditions never enter a cache key, so
-per-node conditions cannot leak into the memo.
+per event) and most frames inside a predicate's context.  Frames
+where a guarded token advances, or a condition is created, run the
+same step uncached.  Conditions never enter a cache key, so per-node
+conditions cannot leak into the memo.
 
 The engine reproduces, token for token, the classic token-stack
 evaluation: advances are deduped per ``(target, sink, live guard set)``
@@ -59,12 +59,18 @@ Sharing: slots are keyed by compiled-path identity, so lanes carrying
 the same ``CompiledPolicy`` share one slot per automaton with a
 per-sink fan-out -- a broadcast under one effective policy advances
 *one* product machine per event, and its predicate conditions are
-instantiated once for every lane.
+instantiated once for every lane.  The solved tables themselves
+(:class:`_Machine`: states, transitions, memos) hold no sink and no
+condition, so every engine that registers the same compiled paths in
+the same order -- each session of a card under its cached policy --
+reuses them instead of solving the same document shapes again.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+import threading
+from collections import OrderedDict
+from typing import Callable, Sequence
 
 from repro.core.conditions import (
     EMPTY_CONDITIONS,
@@ -140,8 +146,11 @@ class _Watcher:
             self.deliver(self.conditions)
 
 
-def _report(sink: MatchSink, guards: frozenset[Condition]) -> None:
-    sink.on_match(guards)
+def _report(
+    slot: int, sinks: tuple[MatchSink, ...], guards: frozenset[Condition]
+) -> None:
+    for sink in sinks:
+        sink.on_match(guards)
 
 
 #: A guarded token group: one token per sink, all under the same guards.
@@ -157,7 +166,9 @@ _Payload = tuple[
 #: One open element: (state, plain counts, token total, payload or None).
 _Frame = tuple["_StateEntry", tuple[int, ...], int, "_Payload | None"]
 
-
+#: Per step of a slot: (match_name, descendant, step, next position or
+#: None on the final step, seed position per predicate, whether a match
+#: creates a condition or a watcher).
 _StepRow = tuple[
     "str | None",
     bool,
@@ -169,26 +180,19 @@ _StepRow = tuple[
 
 
 class _Slot:
-    """One automaton of the product: a compiled path plus its sinks.
+    """One automaton of the product: a compiled path.
 
-    The same path object registered several times (several lanes of a
-    shared policy) folds into one slot whose ``sinks`` fan a match out
-    to every registrant: a plain token at one of its positions stands
-    for one token per sink.  Predicate slots have no registered sinks;
-    their tokens are always guarded groups reporting to a condition.
-    ``depth`` is the predicate nesting depth (0 for a rule spine).
+    ``depth`` is the predicate nesting depth (0 for a rule spine).  The
+    sinks a slot's matches fan out to belong to each engine; the
+    machine only knows how many there are.
     """
 
-    __slots__ = ("path", "sinks", "steps", "depth")
+    __slots__ = ("index", "path", "depth", "steps")
 
-    def __init__(self, path: CompiledPath, depth: int) -> None:
+    def __init__(self, index: int, path: CompiledPath, depth: int) -> None:
+        self.index = index
         self.path = path
-        self.sinks: tuple[MatchSink, ...] = ()
         self.depth = depth
-        #: Per step, hoisted once the predicate slots are known:
-        #: (match_name, descendant, step, next position or None on the
-        #: final step, seed position per predicate, whether a match
-        #: creates a condition or a watcher).
         self.steps: tuple[_StepRow, ...] = ()
 
 
@@ -244,78 +248,52 @@ class _Transition:
         self.staying = staying
         #: Whether no matching step creates a condition or a watcher.
         self.plain = plain
-        #: counts -> (next frame, advances, fired sinks): the step of
-        #: the plain tokens, which never depends on a condition.
+        #: counts -> (next frame, advances, slot index per fired plain
+        #: token unit): the step of the plain tokens, which never
+        #: depends on a condition.
         self.memo: dict[
-            tuple[int, ...], tuple[_Frame, int, tuple[MatchSink, ...]]
+            tuple[int, ...], tuple[_Frame, int, tuple[int, ...]]
         ] = {}
 
 
-class ProductEngine:
-    """The shared machine running every automaton at once.
+class _Machine:
+    """The solved tables of one registration sequence.
 
-    ``memory`` is an optional secure-RAM meter (see
-    :mod:`repro.smartcard.memory`); when provided, every frame, token,
-    condition, watcher and collected text byte is charged to its
-    ``engine`` pool.
+    Built from the compiled paths registered with an engine, in order
+    (a path registered again folds into its slot with one more sink).
+    Holds the slots, the interned states and their transitions and
+    memos -- nothing that belongs to one engine, so every engine that
+    registers the same paths in the same order shares one machine.
+    Tables are only ever added to, each fully built before it is
+    published, so engines on several threads can share a machine.
     """
 
-    def __init__(self, memory=None, stats: EngineStats | None = None) -> None:
-        self._memory = memory
-        self.stats = stats or EngineStats()
-        self._slots: list[_Slot] = []
-        self._slot_of: dict[int, int] = {}  # id(path) -> slot index
-        self._nested = False  # whether any predicate slot exists
-        self._intern: dict[frozenset[tuple[int, int]], _StateEntry] = {}
-        #: The frame stack, built from the registered slots when the
-        #: root opens.
-        self._frames: list[_Frame] | None = None
-        self._root_tokens = 0
-        self._charge(FRAME_BYTES)
+    __slots__ = ("slots", "slot_of", "fanout", "nested", "intern")
 
-    # -- memory hooks ---------------------------------------------------
-
-    def _charge(self, nbytes: int) -> None:
-        if self._memory is not None:
-            self._memory.allocate("engine", nbytes)
-
-    def _release(self, nbytes: int) -> None:
-        if self._memory is not None:
-            self._memory.release("engine", nbytes)
-
-    # -- setup ----------------------------------------------------------
-
-    def add_automaton(self, path: CompiledPath, sink: MatchSink) -> None:
-        """Seed a root token for an absolute path before parsing starts."""
-        if self._frames is not None:
-            raise RuntimeError("automata must be added before the root opens")
-        slot = self._slots[self._slot(path, 0)]
-        slot.sinks += (sink,)
-        self._root_tokens += 1
-        self._charge(TOKEN_BYTES)
-
-    def add_policy(self, policy, sinks: "list[MatchSink]") -> None:
-        """Seed every automaton of a prebuilt compiled policy.
-
-        ``policy`` is a :class:`~repro.core.compiled.CompiledPolicy`
-        (duck-typed: anything with an ``automata`` sequence works);
-        ``sinks`` supplies one match sink per automaton.
-        """
-        if len(policy.automata) != len(sinks):
-            raise ValueError("one sink per automaton required")
-        for path, sink in zip(policy.automata, sinks):
-            self.add_automaton(path, sink)
+    def __init__(self, paths: Sequence[CompiledPath]) -> None:
+        self.slots: list[_Slot] = []
+        self.slot_of: dict[int, int] = {}  # id(path) -> slot index
+        self.nested = False  # whether any predicate slot exists
+        self.intern: dict[frozenset[tuple[int, int]], _StateEntry] = {}
+        for path in paths:
+            self._slot(path, 0)
+        fanout = [0] * len(self.slots)
+        for path in paths:
+            fanout[self.slot_of[id(path)]] += 1
+        #: Registered sinks per slot: a plain token at one of its
+        #: positions stands for one token per sink.
+        self.fanout = tuple(fanout)
 
     def _slot(self, path: CompiledPath, depth: int) -> int:
         """The slot index of ``path``, registering it and its predicate
         sub-automata on first sight."""
-        index = self._slot_of.get(id(path))
+        index = self.slot_of.get(id(path))
         if index is not None:
             return index
-        index = self._slot_of[id(path)] = len(self._slots)
-        slot = _Slot(path, depth)
-        self._slots.append(slot)
-        self._nested = self._nested or depth > 0
+        index = self.slot_of[id(path)] = len(self.slots)
+        slot = _Slot(index, path, depth)
+        self.slots.append(slot)
+        self.nested = self.nested or depth > 0
         last = len(path.steps) - 1
         slot.steps = tuple(
             (
@@ -337,12 +315,15 @@ class ProductEngine:
         )
         return index
 
-    def _intern_state(self, key: frozenset[tuple[int, int]]) -> _StateEntry:
-        entry = self._intern.get(key)
+    def state(
+        self, key: frozenset[tuple[int, int]], stats: EngineStats
+    ) -> _StateEntry:
+        """The interned entry of a position set."""
+        entry = self.intern.get(key)
         if entry is None:
-            slots = self._slots
+            slots = self.slots
             positions = sorted(key)
-            if self._nested:
+            if self.nested:
                 # Deepest predicate slots first: a predicate token's
                 # completion must resolve its condition before the
                 # tokens guarded by that condition advance in the same
@@ -352,24 +333,20 @@ class ProductEngine:
                 tuple(positions),
                 tuple(slots[s].path.suffix_labels[j] for s, j in positions),
             )
-            self._intern[key] = entry
-            self.stats.product_states_interned += 1
+            self.intern[key] = entry
+            stats.product_states_interned += 1
             _TOTALS.product_states_interned += 1
         return entry
 
-    def _seal(self) -> list:
-        """Build the root frame from the registered rule slots."""
-        key = frozenset(
-            (index, 0) for index, slot in enumerate(self._slots) if slot.sinks
+    def root(self, stats: EngineStats) -> _StateEntry:
+        """The state before the root opens: every rule slot at step 0."""
+        return self.state(
+            frozenset((s, 0) for s, n in enumerate(self.fanout) if n), stats
         )
-        entry = self._intern_state(key)
-        counts = (1,) * len(entry.positions)
-        self._frames = [(entry, counts, self._root_tokens, None)]
-        return self._frames
 
-    # -- transition construction ---------------------------------------
-
-    def _build_transition(self, entry: _StateEntry, tag: str) -> _Transition:
+    def transition(
+        self, entry: _StateEntry, tag: str, stats: EngineStats
+    ) -> _Transition:
         """Solve the structure of ``tag`` on ``entry``, once.
 
         A position *stays* when its step rides the descendant axis (the
@@ -378,8 +355,8 @@ class ProductEngine:
         when it sits on the final step.  A matching step with
         predicates seeds each predicate slot at step 0.
         """
-        slots = self._slots
-        self.stats.tokens_touched += len(entry.positions)
+        slots = self.slots
+        stats.tokens_touched += len(entry.positions)
         _TOTALS.tokens_touched += len(entry.positions)
         targets: set[tuple[int, int]] = set()
         # Targets are (slot, step) pairs until the next state is known.
@@ -399,8 +376,8 @@ class ProductEngine:
                 advancing.append((i, advance, seeds, slot, step))
             if descendant:
                 targets.add((s, j))
-                staying.append((i, (s, j), len(slot.sinks)))
-        next_entry = self._intern_state(frozenset(targets))
+                staying.append((i, (s, j), self.fanout[s]))
+        next_entry = self.state(frozenset(targets), stats)
         index = dict(zip(next_entry.positions, range(len(targets))))
         transition = _Transition(
             next_entry,
@@ -420,6 +397,100 @@ class ProductEngine:
         entry.transitions[tag] = transition
         return transition
 
+
+#: Machines of the most recent registration sequences, keyed by the
+#: identities of the registered paths.  A cached machine holds its
+#: paths, so no key can be reused by another path while it is cached.
+_MACHINES: OrderedDict[tuple[int, ...], _Machine] = OrderedDict()
+_MACHINES_LOCK = threading.Lock()
+#: How many registration sequences keep their machine.
+MACHINE_CACHE = 64
+#: A machine that interned more states than this is solved afresh, so
+#: no stream of documents can grow a cached machine without bound.
+MACHINE_STATE_LIMIT = 4096
+
+
+def _machine_for(paths: Sequence[CompiledPath]) -> _Machine:
+    key = tuple(map(id, paths))
+    with _MACHINES_LOCK:
+        machine = _MACHINES.get(key)
+        if machine is not None and len(machine.intern) <= MACHINE_STATE_LIMIT:
+            _MACHINES.move_to_end(key)
+            return machine
+    machine = _Machine(paths)
+    with _MACHINES_LOCK:
+        _MACHINES[key] = machine
+        while len(_MACHINES) > MACHINE_CACHE:
+            _MACHINES.popitem(last=False)
+    return machine
+
+
+class ProductEngine:
+    """The shared machine running every automaton at once.
+
+    ``memory`` is an optional secure-RAM meter (see
+    :mod:`repro.smartcard.memory`); when provided, every frame, token,
+    condition, watcher and collected text byte is charged to its
+    ``engine`` pool.
+    """
+
+    def __init__(self, memory=None, stats: EngineStats | None = None) -> None:
+        self._memory = memory
+        self.stats = stats or EngineStats()
+        self._registered: list[tuple[CompiledPath, MatchSink]] = []
+        #: Set when the root opens: the shared tables, and this
+        #: engine's sinks per slot.
+        self._machine: _Machine | None = None
+        self._sinks: list[tuple[MatchSink, ...]] = []
+        #: The frame stack, from the root frame on.
+        self._frames: list[_Frame] | None = None
+        self._charge(FRAME_BYTES)
+
+    # -- memory hooks ---------------------------------------------------
+
+    def _charge(self, nbytes: int) -> None:
+        if self._memory is not None:
+            self._memory.allocate("engine", nbytes)
+
+    def _release(self, nbytes: int) -> None:
+        if self._memory is not None:
+            self._memory.release("engine", nbytes)
+
+    # -- setup ----------------------------------------------------------
+
+    def add_automaton(self, path: CompiledPath, sink: MatchSink) -> None:
+        """Seed a root token for an absolute path before parsing starts."""
+        if self._frames is not None:
+            raise RuntimeError("automata must be added before the root opens")
+        self._registered.append((path, sink))
+        self._charge(TOKEN_BYTES)
+
+    def add_policy(self, policy, sinks: "list[MatchSink]") -> None:
+        """Seed every automaton of a prebuilt compiled policy.
+
+        ``policy`` is a :class:`~repro.core.compiled.CompiledPolicy`
+        (duck-typed: anything with an ``automata`` sequence works);
+        ``sinks`` supplies one match sink per automaton.
+        """
+        if len(policy.automata) != len(sinks):
+            raise ValueError("one sink per automaton required")
+        for path, sink in zip(policy.automata, sinks):
+            self.add_automaton(path, sink)
+
+    def _seal(self) -> list[_Frame]:
+        """Adopt the machine of the registered paths; build the root frame."""
+        machine = self._machine = _machine_for(
+            [path for path, __ in self._registered]
+        )
+        sinks: list[list[MatchSink]] = [[] for __ in machine.slots]
+        for path, sink in self._registered:
+            sinks[machine.slot_of[id(path)]].append(sink)
+        self._sinks = [tuple(group) for group in sinks]
+        entry = machine.root(self.stats)
+        counts = (1,) * len(entry.positions)
+        self._frames = [(entry, counts, len(self._registered), None)]
+        return self._frames
+
     # -- the one advance algorithm ---------------------------------------
 
     def _step(
@@ -427,17 +498,21 @@ class ProductEngine:
         transition: _Transition,
         counts: tuple[int, ...],
         tokens: dict[int, list[_Tokens]] | None,
-        fire: Callable[[MatchSink, frozenset[Condition]], None],
+        fire: Callable[
+            [int, tuple[MatchSink, ...], frozenset[Condition]], None
+        ],
     ) -> tuple[_Frame, int]:
         """Advance one frame's tokens over ``transition``.
 
         Returns the next frame and the number of advancing tokens;
-        matches are reported through ``fire`` as they happen and
-        conditions are created (and counted) here.  The ``count`` plain tokens of a
-        position advance as one unit of that multiplicity: they carry
-        identical (empty) guards, so all but one dedupe away -- unless
-        a ``[. op v]`` test gives each its own condition.
+        completed matches are reported through ``fire`` (slot index,
+        sinks, guards) as they happen, and conditions are created (and
+        counted) here.  The ``count`` plain tokens of a position
+        advance as one unit of that multiplicity: they carry identical
+        (empty) guards, so all but one dedupe away -- unless a
+        ``[. op v]`` test gives each its own condition.
         """
+        sinks_of = self._sinks
         depth = len(self._frames)  # type: ignore[arg-type]
         new_counts = [0] * len(transition.next_entry.positions)
         new_tokens: dict[int, list[_Tokens]] = {}
@@ -449,6 +524,7 @@ class ProductEngine:
         for i, target, seeds, slot, step in transition.advancing:
             count = counts[i]
             groups = tokens.get(i) if tokens else None
+            sinks = sinks_of[slot.index]
             shared = EMPTY_CONDITIONS
             if seeds:
                 fresh = []
@@ -464,7 +540,7 @@ class ProductEngine:
                     fresh.append(condition)
                 shared = frozenset(fresh)
             units: list[tuple[frozenset[Condition], tuple[MatchSink, ...], int]]
-            units = [(EMPTY_CONDITIONS, slot.sinks, count)] if count else []
+            units = [(EMPTY_CONDITIONS, sinks, count)] if count else []
             if groups:
                 touched += len(groups)
                 units.extend((guards, group, 1) for guards, group in groups)
@@ -472,18 +548,16 @@ class ProductEngine:
             landed: list[
                 tuple[frozenset[Condition], tuple[MatchSink, ...], int]
             ] = []
-            for guards, sinks, copies in units:
-                advances += len(sinks) * copies
-                live = live_conditions(guards) if guards else shared
-                if guards and shared:
-                    live = live | shared
+            for guards, group, copies in units:
+                advances += len(group) * copies
+                live = live_conditions(guards) | shared if guards else shared
                 if not tests:
-                    landed.append((live, sinks, copies))
+                    landed.append((live, group, copies))
                     continue
                 # Each advancing token gets its own condition per
                 # [. op v] test on the node it just matched.
                 for __ in range(copies):
-                    for sink in sinks:
+                    for sink in group:
                         own = set(live)
                         for test in tests:
                             condition = Condition(depth)
@@ -499,13 +573,13 @@ class ProductEngine:
                 comparison = slot.path.comparison
                 for guard_set, group, copies in landed:
                     for __ in range(copies):
-                        for sink in group:
-                            if comparison is None:
-                                fire(sink, guard_set)
-                            else:
-                                watchers.append(
-                                    _Watcher(comparison, sink.on_match, guard_set)
-                                )
+                        if comparison is None:
+                            fire(slot.index, group, guard_set)
+                        else:
+                            watchers.extend(
+                                _Watcher(comparison, sink.on_match, guard_set)
+                                for sink in group
+                            )
                 continue
             # Every advance into ``target`` comes from this position, so
             # the dedupe per (sink, guard set) is local; the extra copies
@@ -521,7 +595,7 @@ class ProductEngine:
                         continue
                     prior.update(group)
                 total += len(group)
-                if not guard_set and group == slot.sinks:
+                if not guard_set and group == sinks:
                     new_counts[target] += 1
                 else:
                     new_tokens.setdefault(target, []).append((guard_set, group))
@@ -576,11 +650,11 @@ class ProductEngine:
         self,
         transition: _Transition,
         counts: tuple[int, ...],
-    ) -> tuple[_Frame, int, tuple[MatchSink, ...]]:
-        """Run :meth:`_step` on an unguarded frame and cache the result."""
-        fired: list[MatchSink] = []
+    ) -> tuple[_Frame, int, tuple[int, ...]]:
+        """Run :meth:`_step` on the plain tokens and cache the result."""
+        fired: list[int] = []
         frame, advances = self._step(
-            transition, counts, None, lambda sink, __: fired.append(sink)
+            transition, counts, None, lambda slot, __, ___: fired.append(slot)
         )
         memo = (frame, advances, tuple(fired))
         transition.memo[counts] = memo
@@ -604,7 +678,9 @@ class ProductEngine:
         stats.token_checks += total
         transition = entry.transitions.get(tag)
         if transition is None:
-            transition = self._build_transition(entry, tag)
+            transition = self._machine.transition(  # type: ignore[union-attr]
+                entry, tag, stats
+            )
         tokens = payload[0] if payload is not None else None
         if transition.plain and (
             tokens is None or transition.moving.isdisjoint(tokens)
@@ -613,13 +689,16 @@ class ProductEngine:
             if memo is None:
                 memo = self._memoize(transition, counts)
             frame, advances, fired = memo
-            for sink in fired:
-                sink.on_match(EMPTY_CONDITIONS)
+            if fired:
+                sinks_of = self._sinks
+                for slot in fired:
+                    for sink in sinks_of[slot]:
+                        sink.on_match(EMPTY_CONDITIONS)
             if tokens is not None:
                 carried: dict[int, list[_Tokens]] = {}
                 moved = self._carry(transition, tokens, carried)
                 if carried:
-                    frame = (frame[0], frame[1], frame[2] + moved, (carried, (), ()))
+                    frame = (frame[0], frame[1], frame[2] + moved, (carried, [], []))
             charge = FRAME_BYTES + TOKEN_BYTES * frame[2]
         else:
             frame, advances = self._step(transition, counts, tokens, _report)
@@ -716,5 +795,5 @@ class ProductEngine:
     def active_token_count(self) -> int:
         """Number of live tokens (used by RAM benchmarks)."""
         if self._frames is None:
-            return self._root_tokens
+            return len(self._registered)
         return sum(frame[2] for frame in self._frames)

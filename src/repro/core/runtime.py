@@ -41,7 +41,9 @@ class EngineStats:
     that predate that), ``tokens_touched`` counts the Python-level
     position work actually performed (transition builds and uncached
     steps -- memoized hits touch nothing), and
-    ``product_states_interned`` counts distinct interned state sets.
+    ``product_states_interned`` counts the state sets this engine had
+    to intern (an engine adopting tables an earlier one solved for the
+    same compiled paths interns nothing it already has).
     A rising ``tokens_touched / events_pumped`` ratio is a
     dispatch-cost regression.
     """

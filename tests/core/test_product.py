@@ -8,7 +8,8 @@ shared :class:`MultiSubjectEvaluator` pass of one or three lanes --
 must equal :func:`repro.core.reference.reference_view`.  The E10
 pending workload (each ``[flag]`` resolves after the body it guards)
 pins the late-predicate path explicitly.  The interning and memo tests
-bound the machine's caches on predicate corpora.
+bound the machine's caches on predicate corpora, and the last test pins
+that engines of one registration share those caches.
 """
 
 from __future__ import annotations
@@ -186,7 +187,7 @@ def test_interning_is_bounded_and_memoized(root, rules):
 
 def _cache_keys(engine: ProductEngine):
     """Every key of every interning, transition, memo and reach cache."""
-    for key, entry in engine._intern.items():
+    for key, entry in engine._machine.intern.items():
         yield key
         for tag, transition in entry.transitions.items():
             yield tag
@@ -225,10 +226,10 @@ def test_memo_is_bounded_on_a_long_predicate_document():
                 engine.close()
 
     def sizes() -> tuple[int, int, int]:
-        entries = engine._intern.values()
+        entries = engine._machine.intern.values()
         transitions = [t for e in entries for t in e.transitions.values()]
         return (
-            len(engine._intern),
+            len(engine._machine.intern),
             len(transitions),
             sum(len(t.memo) for t in transitions),
         )
@@ -245,3 +246,37 @@ def test_memo_is_bounded_on_a_long_predicate_document():
         for key in _cache_keys(engine)
         for item in _flatten(key)
     )
+
+
+def test_engines_of_one_registration_share_solved_tables():
+    """A second engine registering the same compiled paths in the same
+    order adopts the first one's machine: it interns no state, yet
+    reports the same matches and modeled counters.  Another
+    registration sequence (two lanes) gets a machine of its own."""
+    policy = compile_policy(parental_rules("kid", "PG"), "kid", Sign.DENY)
+    events = list(tree_to_events(video_catalog(8, payload=10)))
+    modeled = ("events", "token_checks", "token_advances",
+               "conditions_created", "watcher_bytes")
+    runs = []
+    for lanes in (1, 1, 2):
+        stats = EngineStats()
+        engine = ProductEngine(stats=stats)
+        log: list = []
+        for _ in range(lanes):
+            engine.add_policy(
+                policy,
+                [_RecordingSink(log, [0], slot) for slot in range(len(policy))],
+            )
+        _pump(engine, events)
+        runs.append((engine, stats, [
+            (slot, conjunction_state(guards)) for __, slot, guards in log
+        ]))
+    (first, cold, matches), (second, warm, again), (third, __, ___) = runs
+    assert second._machine is first._machine
+    assert third._machine is not first._machine
+    assert cold.product_states_interned > 0
+    assert warm.product_states_interned == 0
+    assert again == matches
+    assert [getattr(warm, n) for n in modeled] == [
+        getattr(cold, n) for n in modeled
+    ]
