@@ -136,6 +136,8 @@ def main() -> None:
                 f"{touched} tokens touched, "
                 f"{deltas['product_states_interned']} states interned"
                 + (f" ({touched / pumped:.3f} touched/event)" if pumped else "")
+                + " -- touched/interned count table solving, so they"
+                " depend on the experiments run before in this process"
             )
             cache_after = cache_totals()
             cache_deltas = {

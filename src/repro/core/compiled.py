@@ -24,10 +24,11 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 from repro.core.nfa import CompiledPath, compile_path
+from repro.core.product import ProductTables
 from repro.core.rules import RuleSet, Sign, Subject
 from repro.xpathlib.ast import Path
 from repro.xpathlib.parser import parse_path
@@ -49,6 +50,10 @@ class CompiledPolicy:
     ``fingerprint`` is the content hash of the *effective* (already
     subject-filtered) sub-policy -- two subjects whose rights coincide
     compile to the same fingerprint.
+
+    ``tables`` are the product-machine tables of ``automata``, solved
+    lazily by the sessions that evaluate this policy alone; they live
+    exactly as long as the policy (a registry eviction drops them too).
     """
 
     fingerprint: str
@@ -57,6 +62,10 @@ class CompiledPolicy:
     automata: tuple[CompiledPath, ...]
     signs: tuple[Sign, ...]
     state_count: int
+    tables: ProductTables = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "tables", ProductTables(self.automata))
 
     def __len__(self) -> int:
         return len(self.automata)

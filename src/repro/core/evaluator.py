@@ -74,11 +74,13 @@ class StreamingEvaluator:
         This is the hot construction path: it seeds one token per
         automaton and allocates nothing else -- no parsing, no NFA
         compilation.  The same :class:`CompiledPolicy` may back any
-        number of concurrent evaluators.
+        number of concurrent evaluators, which share its solved
+        product tables.
         """
         evaluator = cls(policy.default, memory=memory, stats=stats)
-        for path, sign in zip(policy.automata, policy.signs):
-            evaluator.add_compiled_path(path, sign)
+        evaluator._engine.add_policy(
+            policy, [_RuleSink(evaluator, sign) for sign in policy.signs]
+        )
         return evaluator
 
     @classmethod

@@ -31,16 +31,13 @@ automaton, NFA->DFA on the fly:
   collect the node's direct text for ``[x = "v"]``/``[. = "v"]`` tests
   and fire at its ``close``.
 
-One algorithm (:meth:`ProductEngine._step`) advances a frame.  Plain
-tokens never read a condition, so when the transition creates none,
-their step depends only on ``(transition, counts)`` and is cached
-there; if no guarded token of the frame advances either, the guarded
-tokens just stay or die as they are and the cache answers the whole
-event.  That is every frame of a predicate-free policy (one dict hit
-per event) and most frames inside a predicate's context.  Frames
-where a guarded token advances, or a condition is created, run the
-same step uncached.  Conditions never enter a cache key, so per-node
-conditions cannot leak into the memo.
+One algorithm (:meth:`ProductEngine._step`) advances a frame.  When
+no token of the frame carries a payload and the transition creates no
+condition, the step depends only on ``(transition, counts)`` and is
+cached there: every frame of a predicate-free policy is one dict hit
+per event.  Any other frame runs the same step uncached.  Conditions
+never enter a cache key, so per-node conditions cannot leak into the
+memo.
 
 The engine reproduces, token for token, the classic token-stack
 evaluation: advances are deduped per ``(target, sink, live guard set)``
@@ -59,18 +56,18 @@ Sharing: slots are keyed by compiled-path identity, so lanes carrying
 the same ``CompiledPolicy`` share one slot per automaton with a
 per-sink fan-out -- a broadcast under one effective policy advances
 *one* product machine per event, and its predicate conditions are
-instantiated once for every lane.  The solved tables themselves
-(:class:`_Machine`: states, transitions, memos) hold no sink and no
-condition, so every engine that registers the same compiled paths in
-the same order -- each session of a card under its cached policy --
-reuses them instead of solving the same document shapes again.
+instantiated once for every lane.  The solved tables
+(:class:`ProductTables`: states, transitions, memos) hold no sink and
+no condition.  An engine running one compiled policy alone -- each
+session of a card under its cached policy -- adopts the tables the
+policy owns, so they are solved once per policy and die with it; any
+other registration solves tables of its own.  Tables stop growing at
+:data:`TABLE_LIMIT` entries: past it, steps are computed uncached.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.core.conditions import (
     EMPTY_CONDITIONS,
@@ -88,6 +85,9 @@ from repro.core.runtime import (
     MatchSink,
 )
 from repro.xpathlib.ast import Comparison
+
+if TYPE_CHECKING:
+    from repro.core.compiled import CompiledPolicy
 
 
 class _Totals:
@@ -229,7 +229,7 @@ _Advance = tuple[int, int, tuple[int, ...], _Slot, CompiledStep]
 class _Transition:
     """The solved structure of one tag on one product state."""
 
-    __slots__ = ("next_entry", "advancing", "moving", "staying", "plain", "memo")
+    __slots__ = ("next_entry", "advancing", "staying", "plain", "memo")
 
     def __init__(
         self,
@@ -240,41 +240,49 @@ class _Transition:
     ) -> None:
         self.next_entry = next_entry
         #: The positions whose step accepts the tag, in processing
-        #: order (see :data:`_Advance`), and their indices.
+        #: order (see :data:`_Advance`).
         self.advancing = advancing
-        self.moving = frozenset([move[0] for move in advancing])
         #: position index -> (stay target index, sink fan-out) for every
         #: position riding the descendant axis.
         self.staying = staying
         #: Whether no matching step creates a condition or a watcher.
         self.plain = plain
         #: counts -> (next frame, advances, slot index per fired plain
-        #: token unit): the step of the plain tokens, which never
-        #: depends on a condition.
+        #: token unit): the step of a frame without guarded tokens.
         self.memo: dict[
             tuple[int, ...], tuple[_Frame, int, tuple[int, ...]]
         ] = {}
 
 
-class _Machine:
+#: Entries (interned states, transitions, memoized steps, skip answers)
+#: one :class:`ProductTables` stores at most; past the limit, steps are
+#: computed uncached.  The E20 workloads peak at 39 entries per table.
+TABLE_LIMIT = 1024
+
+
+class ProductTables:
     """The solved tables of one registration sequence.
 
     Built from the compiled paths registered with an engine, in order
     (a path registered again folds into its slot with one more sink).
     Holds the slots, the interned states and their transitions and
-    memos -- nothing that belongs to one engine, so every engine that
-    registers the same paths in the same order shares one machine.
-    Tables are only ever added to, each fully built before it is
-    published, so engines on several threads can share a machine.
+    memos -- nothing that belongs to one engine, so a compiled policy
+    owns the tables of its automata and every session evaluating it
+    alone reuses them.  Tables are only ever added to, each entry fully
+    built before it is published, so engines on several threads can
+    share them.  ``entries`` counts what was stored (racing sessions
+    may each store one more), and nothing more is stored once it
+    reaches :data:`TABLE_LIMIT`.
     """
 
-    __slots__ = ("slots", "slot_of", "fanout", "nested", "intern")
+    __slots__ = ("slots", "slot_of", "fanout", "nested", "intern", "entries")
 
     def __init__(self, paths: Sequence[CompiledPath]) -> None:
         self.slots: list[_Slot] = []
         self.slot_of: dict[int, int] = {}  # id(path) -> slot index
         self.nested = False  # whether any predicate slot exists
         self.intern: dict[frozenset[tuple[int, int]], _StateEntry] = {}
+        self.entries = 0
         for path in paths:
             self._slot(path, 0)
         fanout = [0] * len(self.slots)
@@ -283,6 +291,13 @@ class _Machine:
         #: Registered sinks per slot: a plain token at one of its
         #: positions stands for one token per sink.
         self.fanout = tuple(fanout)
+
+    def admit(self) -> bool:
+        """Whether one more entry may be stored (and count it if so)."""
+        if self.entries >= TABLE_LIMIT:
+            return False
+        self.entries += 1
+        return True
 
     def _slot(self, path: CompiledPath, depth: int) -> int:
         """The slot index of ``path``, registering it and its predicate
@@ -333,9 +348,10 @@ class _Machine:
                 tuple(positions),
                 tuple(slots[s].path.suffix_labels[j] for s, j in positions),
             )
-            self.intern[key] = entry
-            stats.product_states_interned += 1
-            _TOTALS.product_states_interned += 1
+            if self.admit():
+                self.intern[key] = entry
+                stats.product_states_interned += 1
+                _TOTALS.product_states_interned += 1
         return entry
 
     def root(self, stats: EngineStats) -> _StateEntry:
@@ -394,35 +410,9 @@ class _Machine:
             {i: (index[stay], weight) for i, stay, weight in staying},
             plain,
         )
-        entry.transitions[tag] = transition
+        if self.admit():
+            entry.transitions[tag] = transition
         return transition
-
-
-#: Machines of the most recent registration sequences, keyed by the
-#: identities of the registered paths.  A cached machine holds its
-#: paths, so no key can be reused by another path while it is cached.
-_MACHINES: OrderedDict[tuple[int, ...], _Machine] = OrderedDict()
-_MACHINES_LOCK = threading.Lock()
-#: How many registration sequences keep their machine.
-MACHINE_CACHE = 64
-#: A machine that interned more states than this is solved afresh, so
-#: no stream of documents can grow a cached machine without bound.
-MACHINE_STATE_LIMIT = 4096
-
-
-def _machine_for(paths: Sequence[CompiledPath]) -> _Machine:
-    key = tuple(map(id, paths))
-    with _MACHINES_LOCK:
-        machine = _MACHINES.get(key)
-        if machine is not None and len(machine.intern) <= MACHINE_STATE_LIMIT:
-            _MACHINES.move_to_end(key)
-            return machine
-    machine = _Machine(paths)
-    with _MACHINES_LOCK:
-        _MACHINES[key] = machine
-        while len(_MACHINES) > MACHINE_CACHE:
-            _MACHINES.popitem(last=False)
-    return machine
 
 
 class ProductEngine:
@@ -438,9 +428,10 @@ class ProductEngine:
         self._memory = memory
         self.stats = stats or EngineStats()
         self._registered: list[tuple[CompiledPath, MatchSink]] = []
-        #: Set when the root opens: the shared tables, and this
-        #: engine's sinks per slot.
-        self._machine: _Machine | None = None
+        #: The solved tables: a lone policy's own (see :meth:`add_policy`)
+        #: or, from the root open on, private ones.
+        self._tables: ProductTables | None = None
+        #: Set when the root opens: this engine's sinks per slot.
         self._sinks: list[tuple[MatchSink, ...]] = []
         #: The frame stack, from the root frame on.
         self._frames: list[_Frame] | None = None
@@ -463,30 +454,36 @@ class ProductEngine:
         if self._frames is not None:
             raise RuntimeError("automata must be added before the root opens")
         self._registered.append((path, sink))
+        self._tables = None
         self._charge(TOKEN_BYTES)
 
-    def add_policy(self, policy, sinks: "list[MatchSink]") -> None:
+    def add_policy(self, policy: CompiledPolicy, sinks: list[MatchSink]) -> None:
         """Seed every automaton of a prebuilt compiled policy.
 
-        ``policy`` is a :class:`~repro.core.compiled.CompiledPolicy`
-        (duck-typed: anything with an ``automata`` sequence works);
-        ``sinks`` supplies one match sink per automaton.
+        ``sinks`` supplies one match sink per automaton.  An engine
+        running this one policy alone adopts the tables the policy
+        owns, solved by the sessions before it.
         """
         if len(policy.automata) != len(sinks):
             raise ValueError("one sink per automaton required")
+        alone = not self._registered
         for path, sink in zip(policy.automata, sinks):
             self.add_automaton(path, sink)
+        if alone:
+            self._tables = policy.tables
 
     def _seal(self) -> list[_Frame]:
-        """Adopt the machine of the registered paths; build the root frame."""
-        machine = self._machine = _machine_for(
-            [path for path, __ in self._registered]
-        )
-        sinks: list[list[MatchSink]] = [[] for __ in machine.slots]
+        """Fix the tables and the sinks per slot; build the root frame."""
+        tables = self._tables
+        if tables is None:
+            tables = self._tables = ProductTables(
+                [path for path, __ in self._registered]
+            )
+        sinks: list[list[MatchSink]] = [[] for __ in tables.slots]
         for path, sink in self._registered:
-            sinks[machine.slot_of[id(path)]].append(sink)
+            sinks[tables.slot_of[id(path)]].append(sink)
         self._sinks = [tuple(group) for group in sinks]
-        entry = machine.root(self.stats)
+        entry = tables.root(self.stats)
         counts = (1,) * len(entry.positions)
         self._frames = [(entry, counts, len(self._registered), None)]
         return self._frames
@@ -605,7 +602,22 @@ class ProductEngine:
                 new_counts[stay] += count
                 total += count * weight
         if tokens:
-            total += self._carry(transition, tokens, new_tokens)
+            # A stay keeps its guarded tokens as they are.  Stays run
+            # after every advance of the step, so a target no advance
+            # landed on can share the parent frame's list: frames never
+            # mutate a list once built.
+            staying = transition.staying
+            for i, groups in tokens.items():
+                route = staying.get(i)
+                if route is None:
+                    continue
+                for __, group in groups:
+                    total += len(group)
+                landed = new_tokens.get(route[0])
+                if landed is None:
+                    new_tokens[route[0]] = groups
+                else:
+                    landed.extend(groups)
         stats = self.stats
         stats.tokens_touched += touched
         _TOTALS.tokens_touched += touched
@@ -617,47 +629,20 @@ class ProductEngine:
         )
         return (transition.next_entry, tuple(new_counts), total, payload), advances
 
-    @staticmethod
-    def _carry(
-        transition: _Transition,
-        tokens: dict[int, list[_Tokens]],
-        into: dict[int, list[_Tokens]],
-    ) -> int:
-        """Move the guarded groups that stay into ``into``; return how
-        many tokens moved.
-
-        A stay keeps its tokens, guards included, as they are.  Stays
-        run after every advance of the step, so a target no advance
-        landed on can share the parent frame's list: frames never
-        mutate a list once built.
-        """
-        moved = 0
-        staying = transition.staying
-        for i, groups in tokens.items():
-            route = staying.get(i)
-            if route is None:
-                continue
-            for __, group in groups:
-                moved += len(group)
-            landed = into.get(route[0])
-            if landed is None:
-                into[route[0]] = groups
-            else:
-                landed.extend(groups)
-        return moved
-
     def _memoize(
         self,
         transition: _Transition,
         counts: tuple[int, ...],
     ) -> tuple[_Frame, int, tuple[int, ...]]:
-        """Run :meth:`_step` on the plain tokens and cache the result."""
+        """Run :meth:`_step` on a frame without guarded tokens and cache
+        the result while the tables have room."""
         fired: list[int] = []
         frame, advances = self._step(
             transition, counts, None, lambda slot, __, ___: fired.append(slot)
         )
         memo = (frame, advances, tuple(fired))
-        transition.memo[counts] = memo
+        if self._tables.admit():  # type: ignore[union-attr]
+            transition.memo[counts] = memo
         return memo
 
     # -- event processing ------------------------------------------------
@@ -665,9 +650,9 @@ class ProductEngine:
     def open(self, tag: str) -> None:
         """Advance every automaton on an opening tag.
 
-        When the transition creates no condition and no guarded token
-        advances, the event is one memo hit plus the guarded tokens'
-        stays; anything else runs the same step uncached.
+        When the frame has no guarded token and the transition creates
+        no condition, the event is one memo hit; anything else runs the
+        same step uncached.
         """
         frames = self._frames or self._seal()
         entry, counts, total, payload = frames[-1]
@@ -678,13 +663,11 @@ class ProductEngine:
         stats.token_checks += total
         transition = entry.transitions.get(tag)
         if transition is None:
-            transition = self._machine.transition(  # type: ignore[union-attr]
+            transition = self._tables.transition(  # type: ignore[union-attr]
                 entry, tag, stats
             )
         tokens = payload[0] if payload is not None else None
-        if transition.plain and (
-            tokens is None or transition.moving.isdisjoint(tokens)
-        ):
+        if tokens is None and transition.plain:
             memo = transition.memo.get(counts)
             if memo is None:
                 memo = self._memoize(transition, counts)
@@ -694,11 +677,6 @@ class ProductEngine:
                 for slot in fired:
                     for sink in sinks_of[slot]:
                         sink.on_match(EMPTY_CONDITIONS)
-            if tokens is not None:
-                carried: dict[int, list[_Tokens]] = {}
-                moved = self._carry(transition, tokens, carried)
-                if carried:
-                    frame = (frame[0], frame[1], frame[2] + moved, (carried, [], []))
             charge = FRAME_BYTES + TOKEN_BYTES * frame[2]
         else:
             frame, advances = self._step(transition, counts, tokens, _report)
@@ -770,7 +748,8 @@ class ProductEngine:
             result = memo.get(tags_inside)
             if result is None:
                 result = any(needed <= tags_inside for needed in entry.suffixes)
-                memo[tags_inside] = result
+                if self._tables.admit():  # type: ignore[union-attr]
+                    memo[tags_inside] = result
             return result
         for i, needed in enumerate(entry.suffixes):
             if needed <= tags_inside and (

@@ -42,8 +42,11 @@ class EngineStats:
     position work actually performed (transition builds and uncached
     steps -- memoized hits touch nothing), and
     ``product_states_interned`` counts the state sets this engine had
-    to intern (an engine adopting tables an earlier one solved for the
-    same compiled paths interns nothing it already has).
+    to intern.  Those two count *solving* work: an engine running a
+    compiled policy alone adopts the tables the policy owns, so it
+    only pays for what no earlier session under that policy solved.
+    Their values for one session therefore depend on which sessions
+    ran before it in the process; the modeled counters never do.
     A rising ``tokens_touched / events_pumped`` ratio is a
     dispatch-cost regression.
     """

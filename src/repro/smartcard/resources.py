@@ -138,7 +138,10 @@ class SessionMetrics:
     #: Wall-clock dispatch counters of the product machine, the one
     #: evaluation engine (see :class:`~repro.core.runtime.EngineStats`;
     #: ``events_pumped`` equals the session's engine events).  They
-    #: observe real Python dispatch cost, not modeled card time.
+    #: observe real Python dispatch cost, not modeled card time;
+    #: ``tokens_touched`` and ``product_states_interned`` count only the
+    #: table solving this session did, so they depend on the sessions
+    #: that ran before it under the same compiled policy.
     events_pumped: int = 0
     tokens_touched: int = 0
     product_states_interned: int = 0

@@ -8,8 +8,9 @@ shared :class:`MultiSubjectEvaluator` pass of one or three lanes --
 must equal :func:`repro.core.reference.reference_view`.  The E10
 pending workload (each ``[flag]`` resolves after the body it guards)
 pins the late-predicate path explicitly.  The interning and memo tests
-bound the machine's caches on predicate corpora, and the last test pins
-that engines of one registration share those caches.
+bound the machine's caches on predicate corpora; the last tests pin
+that the sessions of one compiled policy share its tables and that
+those tables stop growing at their entry limit.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ from repro.core import authorized_view, reference_view
 from repro.core.compiled import compile_policy
 from repro.core.conditions import Condition, Tristate, conjunction_state
 from repro.core.multicast import MultiSubjectEvaluator
+from repro.core import product
+from repro.core.evaluator import StreamingEvaluator
 from repro.core.product import ProductEngine
 from repro.core.rules import AccessRule, RuleSet, Sign
 from repro.core.runtime import EngineStats
@@ -187,7 +190,7 @@ def test_interning_is_bounded_and_memoized(root, rules):
 
 def _cache_keys(engine: ProductEngine):
     """Every key of every interning, transition, memo and reach cache."""
-    for key, entry in engine._machine.intern.items():
+    for key, entry in engine._tables.intern.items():
         yield key
         for tag, transition in entry.transitions.items():
             yield tag
@@ -226,10 +229,10 @@ def test_memo_is_bounded_on_a_long_predicate_document():
                 engine.close()
 
     def sizes() -> tuple[int, int, int]:
-        entries = engine._machine.intern.values()
+        entries = engine._tables.intern.values()
         transitions = [t for e in entries for t in e.transitions.values()]
         return (
-            len(engine._machine.intern),
+            len(engine._tables.intern),
             len(transitions),
             sum(len(t.memo) for t in transitions),
         )
@@ -248,11 +251,11 @@ def test_memo_is_bounded_on_a_long_predicate_document():
     )
 
 
-def test_engines_of_one_registration_share_solved_tables():
-    """A second engine registering the same compiled paths in the same
-    order adopts the first one's machine: it interns no state, yet
-    reports the same matches and modeled counters.  Another
-    registration sequence (two lanes) gets a machine of its own."""
+def test_sessions_of_one_policy_share_its_tables():
+    """Engines running one compiled policy alone adopt the tables the
+    policy owns: a later session interns no state, yet reports the same
+    matches and modeled counters.  Other registrations (two lanes, a
+    query path) solve tables of their own."""
     policy = compile_policy(parental_rules("kid", "PG"), "kid", Sign.DENY)
     events = list(tree_to_events(video_catalog(8, payload=10)))
     modeled = ("events", "token_checks", "token_advances",
@@ -272,11 +275,57 @@ def test_engines_of_one_registration_share_solved_tables():
             (slot, conjunction_state(guards)) for __, slot, guards in log
         ]))
     (first, cold, matches), (second, warm, again), (third, __, ___) = runs
-    assert second._machine is first._machine
-    assert third._machine is not first._machine
+    assert first._tables is second._tables is policy.tables
+    assert third._tables is not policy.tables
     assert cold.product_states_interned > 0
     assert warm.product_states_interned == 0
     assert again == matches
     assert [getattr(warm, n) for n in modeled] == [
         getattr(cold, n) for n in modeled
     ]
+    evaluator = StreamingEvaluator.from_compiled(policy)
+    assert evaluator._engine._tables is policy.tables
+    extended = ProductEngine()
+    extended.add_policy(policy, [_NullSink()] * len(policy))
+    extended.add_automaton(policy.automata[0], _NullSink())
+    _pump(extended, events)
+    assert extended._tables is not policy.tables
+
+
+def _stored(tables) -> int:
+    """Entries actually held by one set of tables."""
+    held = 0
+    for entry in tables.intern.values():
+        held += 1 + len(entry.transitions) + len(entry.reach_memo)
+        held += sum(len(t.memo) for t in entry.transitions.values())
+    return held
+
+
+def _chain(depth: int) -> str:
+    return "<a><b/>" * depth + "x" + "</a>" * depth
+
+
+def test_tables_stop_growing_at_the_limit(monkeypatch):
+    """Deep self-overlapping documents (``//a//a`` keys a memo entry by
+    every count vector) cannot grow a policy's tables past
+    TABLE_LIMIT, however many sessions run; the steps they can no
+    longer cache are computed uncached, with the oracle's matches."""
+    limit = 40
+    monkeypatch.setattr(product, "TABLE_LIMIT", limit)
+    rules = RuleSet([
+        AccessRule.parse("+", "u", "//a//a", rule_id="r1"),
+        AccessRule.parse("+", "u", "//a/b", rule_id="r2"),
+    ])
+    policy = compile_policy(rules, "u", Sign.DENY)
+    for depth in (4, 8, 16, 32, 16, 32):
+        events = parse_string(_chain(depth))
+        root = events_to_tree(events)
+        position = {id(node): index for index, node in enumerate(root.iter())}
+        expected = {
+            (position[id(node)], slot)
+            for slot, rule in enumerate(rules)
+            for node in evaluate_path(rule.object, root)
+        }
+        assert _match_set(policy, events) == expected
+        assert _stored(policy.tables) == policy.tables.entries <= limit
+    assert policy.tables.entries == limit
