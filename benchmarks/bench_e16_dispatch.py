@@ -10,7 +10,9 @@ per-event evaluation dispatch.  All measurements are wall-clock
   1/4/16 lanes.  A lane is one subscriber registering the same compiled
   policy with its own sinks.  Lanes sharing a policy share one product
   slot per automaton, so per-event work tracks *distinct automata*,
-  not audience size: 16 lanes run at ~0.85x the 1-lane event rate.
+  not audience size: 16 lanes run at ~0.7x the 1-lane event rate.
+  Every pass is cold: the product tables are solved inside the timed
+  region.
 * **predicate dispatch** -- the same pump over the video catalog under
   the parental-rating rules (``//segment[meta/rating = "G"]/*``...),
   where every segment instantiates conditions, predicate tokens and
@@ -78,9 +80,9 @@ FULL_E2E = [
 QUICK_E2E = [(5, IndexMode.RECURSIVE), (10, IndexMode.RECURSIVE)]
 
 #: CI gate (see ``check_scaling``): 16-lane dispatch kevents/s over the
-#: 1-lane rate, same process.  The committed full-corpus ratio is 0.87
-#: (BENCH_E16.json); six ``--quick`` runs on a shared 2-vCPU host
-#: measured 0.76-0.88.
+#: 1-lane rate, same process, cold passes.  The committed full-corpus
+#: ratio is 0.69 (BENCH_E16.json); seven ``--quick`` runs on a shared
+#: 2-vCPU host measured 0.56-0.75.
 SCALING_FLOOR = 0.5
 
 
@@ -109,21 +111,22 @@ def _policies():
     ]
 
 
-def _predicate_corpus(videos_list) -> tuple[list[list], list]:
-    corpus = [list(tree_to_events(video_catalog(n))) for n in videos_list]
-    policy = compile_policy(parental_rules("kid", "PG13"), "kid", Sign.DENY)
-    return corpus, [policy]
+def _predicate_policies():
+    return [compile_policy(parental_rules("kid", "PG13"), "kid", Sign.DENY)]
+
+
+def _video_events(videos_list) -> list[list]:
+    return [list(tree_to_events(video_catalog(n))) for n in videos_list]
 
 
 def _pump_corpus(corpus, policies, lanes: int) -> tuple[int, int]:
     """One timed pass: fresh engine per (document, policy) pair.
 
     Engines are built inside the timed region, so registration is
-    paid per pass.  The solved state and transition tables are shared
-    by every engine registering the same compiled paths, exactly as a
-    card's sessions under its cached policy share them: the first pass
-    solves them, later passes reuse them.  Returns
-    ``(events_pumped, matches)``.
+    paid per pass.  A 1-lane engine runs its policy alone and adopts
+    the tables the policy owns, so it solves them on the pass's first
+    document; a wider engine solves tables of its own per document.
+    Returns ``(events_pumped, matches)``.
     """
     pumped = matches = 0
     for events in corpus:
@@ -145,16 +148,20 @@ def _pump_corpus(corpus, policies, lanes: int) -> tuple[int, int]:
     return pumped, matches
 
 
-def _dispatch_points(corpus, policies, lanes_axis, repeats: int) -> list:
+def _dispatch_points(corpus, make_policies, lanes_axis, repeats: int) -> list:
     """Best-of-``repeats`` kevents/s per audience size.
 
-    Repeats interleave the audience sizes, so a burst of host noise
-    lands on every arm alike instead of skewing the lane ratio.
+    Every pass compiles its policies afresh (outside the timed region),
+    so every pass is cold: solving the product tables is timed, as in a
+    card's first session under a newly compiled policy.  Repeats
+    interleave the audience sizes, so a burst of host noise lands on
+    every arm alike instead of skewing the lane ratio.
     """
     best = dict.fromkeys(lanes_axis, float("inf"))
     counts = {}
     for _ in range(repeats):
         for lanes in lanes_axis:
+            policies = make_policies()
             start = time.perf_counter()
             counts[lanes] = _pump_corpus(corpus, policies, lanes)
             best[lanes] = min(best[lanes], time.perf_counter() - start)
@@ -175,18 +182,18 @@ def _dispatch_points(corpus, policies, lanes_axis, repeats: int) -> list:
 def measure_dispatch(quick: bool = False) -> dict:
     """Event throughput at several audience sizes, pure and predicate."""
     repeats = 3 if quick else 5
-    predicate_corpus, predicate_policies = _predicate_corpus(
-        QUICK_VIDEOS if quick else FULL_VIDEOS
-    )
     return {
         "points": _dispatch_points(
             _corpus_events(QUICK_PATIENTS if quick else FULL_PATIENTS),
-            _policies(),
+            _policies,
             QUICK_LANES if quick else FULL_LANES,
             repeats,
         ),
         "predicate_points": _dispatch_points(
-            predicate_corpus, predicate_policies, PREDICATE_LANES, repeats
+            _video_events(QUICK_VIDEOS if quick else FULL_VIDEOS),
+            _predicate_policies,
+            PREDICATE_LANES,
+            repeats,
         ),
     }
 
