@@ -378,12 +378,12 @@ class FaultyCard:
 
     Site ``card.process``: ``"exhaust"`` answers ``0x6581`` (memory
     failure -- the proxy maps it to
-    :class:`~repro.terminal.proxy.CardOutOfResources`, a
+    :class:`~repro.terminal.cardlink.CardOutOfResources`, a
     :class:`~repro.errors.ResourceExhausted`); ``"tamper"`` answers
-    ``0x6982`` (:class:`~repro.terminal.proxy.CardTampered`, a
+    ``0x6982`` (:class:`~repro.terminal.cardlink.CardTampered`, a
     :class:`~repro.errors.TamperDetected`).  Every other attribute
     (``soe``, ``applet``, ``use_registry``) delegates, so the wrapper
-    drops into :class:`~repro.terminal.proxy.CardProxy` unchanged.
+    drops under :class:`~repro.terminal.cardlink.CardLink` unchanged.
     """
 
     def __init__(self, inner: SmartCard, plan: FaultPlan) -> None:

@@ -9,42 +9,34 @@ pays off in push mode.
 There is no backchannel, so pending subtrees must use the BUFFER
 strategy (REFETCH would require asking the publisher to re-send).
 
+The card session itself -- APDU framing, PUT_CHUNK vs PUT_CHUNK_BATCH,
+the output drain, status words, the card metrics -- runs through the
+same :class:`~repro.terminal.cardlink.CardLink` the pull proxy uses;
+the subscriber adds only the frame dropping, its batch buffer and the
+failure record.
+
 A :class:`Subscriber` runs exactly one document session; a
 :class:`SubscriberHandle` is a member's receiving end of a lane that
 may carry several documents per carousel cycle.  It joins at the next
 ``header`` frame -- frames of a cycle already in progress are counted
 and discarded -- and routes each document to its own
 :class:`Subscriber` on the member's one card.  Completed documents
-ignore repeat cycles.  Card refusals are recorded per document and
-converted to the typed :mod:`repro.errors` taxonomy by
-:meth:`SubscriberHandle.require_ok`.
+ignore repeat cycles.  Card refusals are recorded per document
+(``"{step}: {status word}"``) and converted to the link's typed errors
+by :meth:`SubscriberHandle.require_ok`.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
 from repro.core.compiled import PolicyRegistry
 from repro.core.delivery import ViewMode
-from repro.errors import (
-    KeyNotGranted,
-    PolicyError,
-    ReproError,
-    ResourceExhausted,
-    TamperDetected,
-    TransportError,
-)
-from repro.smartcard.apdu import (
-    CommandAPDU,
-    Instruction,
-    ResponseAPDU,
-    StatusWord,
-    transmit_chunk_batch,
-)
-from repro.smartcard.card import SmartCard, decode_header, encode_groups
+from repro.errors import KeyNotGranted, PolicyError, ReproError
+from repro.smartcard.card import SmartCard, decode_header
 from repro.smartcard.resources import LinkModel, SessionMetrics, SimClock
+from repro.terminal.cardlink import CardLink, ProxyError, card_error
 from repro.terminal.transfer import TransferPolicy
 
 if TYPE_CHECKING:
@@ -84,17 +76,15 @@ class Subscriber:
         #: registry) therefore share ONE compiled policy -- their
         #: effective sub-policies fingerprint identically.
         self.groups = groups
-        self.card = card
         if registry is not None:
             # A fleet of simulated subscribers may share one compiled-
             # policy cache: subscribers on the same tier carry the same
             # rules, and carousel cycles repeat the same session, so
             # the automata are compiled once for the whole fleet.
             card.use_registry(registry)
-        self.link = link or LinkModel()
-        self.clock = clock or SimClock()
+        self._link = CardLink(card, link, clock, f"link:{name}")
         self.metrics = SessionMetrics()
-        self.metrics.clock = self.clock
+        self.metrics.clock = self._link.clock
         self._rules_version = rules_version
         self._rule_records = rule_records
         self._view_mode = view_mode
@@ -107,24 +97,9 @@ class Subscriber:
         self._ended = False
         self._pending_batch: list[tuple[int, bytes]] = []
 
-    # -- card link ------------------------------------------------------------
-
-    def _transmit(self, command: CommandAPDU) -> ResponseAPDU:
-        response = self.card.process(command)
-        nbytes = command.wire_size + response.wire_size
-        self.metrics.apdu_count += 1
-        self.metrics.bytes_to_card += command.wire_size
-        self.metrics.bytes_from_card += response.wire_size
-        self.clock.add(f"link:{self.name}", self.link.apdu_overhead_seconds)
-        self.clock.add(f"link:{self.name}", self.link.transfer_seconds(nbytes))
-        return response
-
-    def _drain(self, last: ResponseAPDU) -> None:
-        response = last
-        while (response.sw & 0xFF00) == 0x6100:
-            response = self._transmit(CommandAPDU(Instruction.GET_OUTPUT))
-            self.state.output.extend(response.data)
-            self.metrics.output_bytes += len(response.data)
+    @property
+    def card(self) -> SmartCard:
+        return self._link.card
 
     # -- broadcast listener -------------------------------------------------------
 
@@ -135,57 +110,34 @@ class Subscriber:
         if self.state.document_done and self._ended:
             # A completed session ignores further carousel cycles.
             return
-        if kind == "header":
-            self._on_header(payload)
-        elif kind == "chunk":
-            self._on_chunk(index, payload)
-        elif kind == "end":
-            self._on_end()
-
-    def _fail(self, context: str, response: ResponseAPDU) -> None:
-        self.state.failed = f"{context}: {response.sw:#06x}"
-        self.state.failed_sw = response.sw
+        try:
+            if kind == "header":
+                self._on_header(payload)
+            elif kind == "chunk":
+                self._on_chunk(index, payload)
+            elif kind == "end":
+                self._on_end()
+        except ProxyError as exc:
+            # No exception crosses a broadcast: record the refusal.
+            self.state.failed = f"{exc.context}: {exc.status:#06x}"
+            self.state.failed_sw = exc.status
 
     def _on_header(self, payload: bytes) -> None:
         header = decode_header(payload)
         self._chunk_size = header.chunk_size
-        response = self._transmit(
-            CommandAPDU(Instruction.SELECT, data=b"repro.applet")
+        link = self._link
+        link.open_session(
+            self.metrics,
+            header.doc_id,
+            self.name,
+            view_mode=self._view_mode,
+            groups=self.groups,
         )
-        doc = header.doc_id.encode("utf-8")
-        subject = self.name.encode("utf-8")
-        begin = bytes([0, len(doc)]) + doc + bytes([len(subject)]) + subject
-        begin += encode_groups(self.groups)
-        if self._view_mode is ViewMode.PRUNE:
-            begin = bytes([0x04]) + begin[1:]
-        response = self._transmit(
-            CommandAPDU(Instruction.BEGIN_SESSION, data=begin)
-        )
-        if not response.ok:
-            self._fail("begin", response)
-            return
-        response = self._transmit(
-            CommandAPDU(Instruction.PUT_HEADER, data=payload)
-        )
-        if not response.ok:
-            self._fail("header", response)
-            return
-        for rule_index, record in enumerate(self._rule_records):
-            data = struct.pack(">Q", self._rules_version) + record
-            response = self._transmit(
-                CommandAPDU(
-                    Instruction.PUT_RULES,
-                    p1=rule_index >> 8,
-                    p2=rule_index & 0xFF,
-                    data=data,
-                )
-            )
-            if not response.ok:
-                self._fail(f"rule {rule_index}", response)
-                return
+        link.put_header(payload, self.metrics)
+        link.put_rules(self._rules_version, self._rule_records, self.metrics)
 
     def _on_chunk(self, index: int, payload: bytes) -> None:
-        if self.state.failed or self.state.document_done:
+        if self.state.document_done:
             return
         chunk_end = (index + 1) * self._chunk_size
         if chunk_end <= self.state.next_needed_offset:
@@ -195,79 +147,31 @@ class Subscriber:
             # not rule out are dropped undecrypted on the card instead.)
             self.metrics.chunks_skipped += 1
             return
-        if self.transfer.apdu_batch == 1:
-            self.metrics.chunks_sent += 1
-            response = self._transmit(
-                CommandAPDU(
-                    Instruction.PUT_CHUNK,
-                    p1=index >> 8,
-                    p2=index & 0xFF,
-                    data=payload,
-                )
-            )
-            if not response.ok:
-                self._fail(f"chunk {index}", response)
-                return
-            next_offset, done = struct.unpack(">QB", response.data[:9])
-            self.state.next_needed_offset = next_offset
-            self._drain(response)
-            if done:
-                self.state.document_done = True
-            return
         self._pending_batch.append((index, payload))
         if len(self._pending_batch) >= self.transfer.apdu_batch:
             self._flush_batch()
 
     def _flush_batch(self) -> None:
-        """Push the accumulated frames through one batch exchange."""
-        if not self._pending_batch or self.state.failed:
-            self._pending_batch.clear()
+        """Push the accumulated frames through one chunk exchange."""
+        if not self._pending_batch:
             return
         batch = self._pending_batch
         self._pending_batch = []
-        first, last = batch[0][0], batch[-1][0]
-        outcome = transmit_chunk_batch(
-            self._transmit, batch, self.link.max_command_payload
+        outcome = self._link.put_chunks(
+            batch, self.transfer.apdu_batch, self.metrics, self.state.output
         )
-        if not outcome.completed:
-            self._fail(f"chunk batch {first}..{last}", outcome.response)
-            return
-        self.metrics.chunks_sent += len(batch) - outcome.dropped
-        self.metrics.chunks_wasted += outcome.dropped
-        self.metrics.bytes_wasted += outcome.dropped_bytes
         self.state.next_needed_offset = outcome.next_offset
-        self.state.output.extend(outcome.piggyback)
-        self.metrics.output_bytes += len(outcome.piggyback)
-        self._drain(outcome.response)
         if outcome.done:
             self.state.document_done = True
 
     def _on_end(self) -> None:
-        if self.state.failed:
-            return
         self._flush_batch()
-        if self.state.failed:
-            # Keep the flush's specific card-error diagnostic rather
-            # than misreporting it as a truncated broadcast.
-            return
         if not self.state.document_done:
             self.state.failed = "stream ended before document completed"
             return
-        response = self._transmit(CommandAPDU(Instruction.END_DOCUMENT))
-        if not response.ok:
-            self._fail("end", response)
-            return
-        self._drain(response)
+        self._link.end_document(self.metrics, self.state.output)
         self._ended = True
-        self._finalize_metrics()
-
-    def _finalize_metrics(self) -> None:
-        soe = self.card.soe
-        self.metrics.ram_high_water = soe.memory.high_water
-        self.metrics.card_cycles = soe.cycles_used
-        self.metrics.bytes_decrypted = self.card.applet.bytes_decrypted
-        self.metrics.bytes_skipped = self.card.applet.bytes_skipped
-        self.metrics.max_pending_bytes = self.card.applet.max_pending_bytes
+        self._link.close_session(self.metrics)
 
     # -- results --------------------------------------------------------------------
 
@@ -291,12 +195,11 @@ class Subscriber:
         if self.ok:
             return
         detail = self.state.failed or "stream ended before document completed"
-        message = f"subscriber {self.name!r}: {detail}"
-        if self.state.failed_sw == StatusWord.SECURITY_STATUS_NOT_SATISFIED:
-            raise TamperDetected(message, subject=self.name)
-        if self.state.failed_sw == StatusWord.MEMORY_FAILURE:
-            raise ResourceExhausted(message, subject=self.name)
-        raise TransportError(message, subject=self.name)
+        raise card_error(
+            f"subscriber {self.name!r}: {detail}",
+            self.state.failed_sw,
+            subject=self.name,
+        )
 
 
 class SubscriberHandle:

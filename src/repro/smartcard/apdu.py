@@ -4,9 +4,10 @@
 the terminal and the smart card" (footnote 1 of the paper).  We model
 the ISO 7816-4 short form: a 5-byte command header, up to 255 bytes of
 command data, up to 256 bytes of response data plus a 2-byte status
-word.  The proxy splits every larger transfer into APDU sequences, and
-the link model charges each unit's bytes and fixed latency -- that is
-how the paper's 2 KB/s bottleneck shows up in the benchmarks.
+word.  The host-side driver (:mod:`repro.terminal.cardlink`) splits
+every larger transfer into APDU sequences, and the link model charges
+each unit's bytes and fixed latency -- that is how the paper's 2 KB/s
+bottleneck shows up in the benchmarks.
 """
 
 from __future__ import annotations
@@ -49,14 +50,6 @@ class StatusWord(enum.IntEnum):
     RECORD_NOT_FOUND = 0x6A83
     MEMORY_FAILURE = 0x6581
     INS_NOT_SUPPORTED = 0x6D00
-
-
-class APDUError(Exception):
-    """Raised by the proxy when the card reports an error status."""
-
-    def __init__(self, status: int, context: str) -> None:
-        super().__init__(f"card returned {status:#06x} during {context}")
-        self.status = status
 
 
 @dataclass(frozen=True, slots=True)
@@ -164,15 +157,9 @@ def encode_batch_records(members: "list[tuple[int, bytes]]") -> bytearray:
 
 @dataclass(frozen=True, slots=True)
 class BatchOutcome:
-    """Parsed result of one PUT_CHUNK_BATCH exchange.
-
-    ``completed`` is False when a frame came back with an error status
-    (``response`` then holds the failing frame's response and the
-    summary fields are zero).
-    """
+    """Parsed result of one chunk exchange (the final frame's answer)."""
 
     response: ResponseAPDU
-    completed: bool = False
     next_offset: int = 0
     done: bool = False
     consumed: int = 0
@@ -188,16 +175,16 @@ def transmit_chunk_batch(
 ) -> BatchOutcome:
     """Drive one full batch exchange through ``send``.
 
-    The terminal half of the PUT_CHUNK_BATCH protocol, shared by the
-    pull proxy and the push subscriber: encode the records, cut them
-    into frames, flag the last frame BATCH_FINAL, and parse the final
-    response -- ``next_offset:u64 done:u8 consumed:u16 dropped:u16
-    dropped_bytes:u32`` followed by the piggybacked output slice.
-    Stops at the first frame the card refuses.
+    The terminal half of the PUT_CHUNK_BATCH protocol, called by
+    :meth:`repro.terminal.cardlink.CardLink.put_chunks`: encode the
+    records, cut them into frames, flag the last frame BATCH_FINAL, and
+    parse the final response -- ``next_offset:u64 done:u8 consumed:u16
+    dropped:u16 dropped_bytes:u32`` followed by the piggybacked output
+    slice.  ``send`` must raise on a frame the card refuses.
     """
     payload = encode_batch_records(members)
     frames = split_payload(payload, limit)
-    response = ResponseAPDU(StatusWord.OK)
+    response = RESPONSE_OK
     for position, frame in enumerate(frames):
         final = position == len(frames) - 1
         response = send(
@@ -207,15 +194,12 @@ def transmit_chunk_batch(
                 data=frame,
             )
         )
-        if not response.ok:
-            return BatchOutcome(response=response)
     summary_size = struct.calcsize(BATCH_SUMMARY)
     next_offset, done, consumed, dropped, dropped_bytes = struct.unpack(
         BATCH_SUMMARY, response.data[:summary_size]
     )
     return BatchOutcome(
         response=response,
-        completed=True,
         next_offset=next_offset,
         done=bool(done),
         consumed=consumed,

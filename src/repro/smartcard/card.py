@@ -63,9 +63,8 @@ def encode_groups(groups: frozenset[str]) -> bytes:
     """Serialize a subject's group set for BEGIN_SESSION.
 
     The card parses this ``[count][len g1]g1[len g2]g2...`` block in
-    :meth:`SmartCard._begin_session`; both the pull proxy and the push
-    subscriber frame it through here so the wire format cannot drift
-    between the two paths.  Empty group sets encode to nothing.
+    :meth:`SmartCard._begin_session`; :func:`encode_session_open`
+    appends it.  Empty group sets encode to nothing.
     """
     if not groups:
         return b""
@@ -74,6 +73,43 @@ def encode_groups(groups: frozenset[str]) -> bytes:
         raw = group.encode("utf-8")
         payload += bytes([len(raw)]) + raw
     return payload
+
+
+def encode_session_open(
+    doc_id: str,
+    subject: str,
+    query: str | None = None,
+    strategy: PendingStrategy = PendingStrategy.BUFFER,
+    view_mode: ViewMode = ViewMode.SKELETON,
+    groups: frozenset[str] = frozenset(),
+) -> bytes:
+    """Serialize a BEGIN_SESSION payload.
+
+    ``[flags][len doc]doc[len subject]subject``, then the query
+    (``u16`` length + text) when ``_FLAG_HAS_QUERY`` is set, then the
+    :func:`encode_groups` block.  :meth:`SmartCard._begin_session` is
+    the matching decoder.
+    """
+    flags = 0
+    payload = b""
+    if query is not None:
+        flags |= _FLAG_HAS_QUERY
+        raw = query.encode("utf-8")
+        payload = struct.pack(">H", len(raw)) + raw
+    if strategy is PendingStrategy.REFETCH:
+        flags |= _FLAG_REFETCH
+    if view_mode is ViewMode.PRUNE:
+        flags |= _FLAG_PRUNE
+    doc = doc_id.encode("utf-8")
+    subj = subject.encode("utf-8")
+    return (
+        bytes([flags, len(doc)])
+        + doc
+        + bytes([len(subj)])
+        + subj
+        + payload
+        + encode_groups(groups)
+    )
 
 
 def decode_header(data: bytes) -> DocumentHeader:

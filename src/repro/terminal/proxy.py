@@ -1,79 +1,56 @@
-"""The terminal-side proxy: XML API above, APDUs and DSP calls below.
+"""The terminal-side proxy: XML API above, DSP calls and the card below.
 
-The proxy owns the *mechanics* of a session: fetching encrypted chunks
-from the DSP, framing them into APDUs, honouring the card's skip
-directives (it simply does not fetch or transmit skipped chunks -- that
-is where the bandwidth saving of the skip index materializes), draining
-the card's authorized output, and replaying byte ranges for granted
-refetches.  It never sees a decryption key: everything through here is
-ciphertext or already-authorized output.
+The proxy plans the DSP side of a pull session: which encrypted chunks
+to fetch, honouring the card's skip directives (it simply does not
+fetch or transmit skipped chunks -- that is where the bandwidth saving
+of the skip index materializes), and which byte ranges to replay for
+granted refetches.  Everything that crosses the card link -- APDU
+framing, the output drain, status words -- goes through the one
+host-side driver, :class:`~repro.terminal.cardlink.CardLink`, which
+the push subscriber shares.  The proxy never sees a decryption key:
+everything through here is ciphertext or already-authorized output.
 
 Chunk movement is planned by a
 :class:`~repro.terminal.transfer.TransferPolicy`: the proxy keeps a
 speculative prefetch window of ``window`` chunks ahead of the card's
-cursor (one ranged DSP request per window refill) and packs up to
-``apdu_batch`` chunks into one ``PUT_CHUNK_BATCH`` exchange, so the
-card answers with one resume offset and one output drain per batch.
-Speculation interacts with the skip index: when a skip directive lands
-mid-window, prefetched chunks past the resume offset are discarded
-before the card link and charged to ``SessionMetrics.bytes_wasted``
-(chunks already inside the in-flight batch are dropped undecrypted on
-the card and charged the same way).  ``window=1, apdu_batch=1`` is the
+cursor (one ranged DSP request per window refill) and hands the link
+up to ``apdu_batch`` chunks at a time, so the card answers with one
+resume offset and one output drain per batch.  Speculation interacts
+with the skip index: when a skip directive lands mid-window,
+prefetched chunks past the resume offset are discarded before the
+card link and charged to ``SessionMetrics.bytes_wasted`` (chunks
+already inside the in-flight batch are dropped undecrypted on the
+card and charged the same way).  ``window=1, apdu_batch=1`` is the
 paper's original sequential transport, byte for byte.
 """
 
 from __future__ import annotations
 
 import codecs
-import struct
 from dataclasses import dataclass, field
 from typing import Iterator
 
 from repro.core.delivery import ViewMode
-from repro.errors import ResourceExhausted, TamperDetected, TransportError
-from repro.smartcard.apdu import (
-    BatchOutcome,
-    CommandAPDU,
-    Instruction,
-    ResponseAPDU,
-    StatusWord,
-    transmit_chunk_batch,
-)
-from repro.smartcard.applet import PendingStrategy
-from repro.smartcard.card import SmartCard, encode_groups, encode_header
-from repro.smartcard.resources import LinkModel, SessionMetrics, SimClock
 from repro.dsp.client import DSPClient
+from repro.smartcard.applet import PendingStrategy
+from repro.smartcard.card import SmartCard, encode_header
+from repro.smartcard.resources import LinkModel, SessionMetrics, SimClock
+from repro.terminal.cardlink import (
+    CardLink,
+    CardOutOfResources,
+    CardTampered,
+    ProxyError,
+)
 from repro.terminal.transfer import TransferPolicy
 
-_FLAG_HAS_QUERY = 0x01
-_FLAG_REFETCH = 0x02
-_FLAG_PRUNE = 0x04
-
-
-class ProxyError(TransportError):
-    """A session failed (card refused, integrity violation, ...)."""
-
-    def __init__(self, message: str, status: int | None = None) -> None:
-        super().__init__(message)
-        self.status = status
-
-
-class CardTampered(ProxyError, TamperDetected):
-    """The card reported tamper evidence (``0x6982``) mid-session."""
-
-
-class CardOutOfResources(ProxyError, ResourceExhausted):
-    """The card ran out of secure RAM (``0x6581``) mid-session."""
-
-
-def _proxy_error(message: str, status: int) -> ProxyError:
-    """The taxonomy-precise ProxyError for a card status word."""
-    if status == StatusWord.SECURITY_STATUS_NOT_SATISFIED:
-        return CardTampered(message, status=status)
-    if status == StatusWord.MEMORY_FAILURE:
-        return CardOutOfResources(message, status=status)
-    return ProxyError(message, status=status)
-
+__all__ = [
+    "CardOutOfResources",
+    "CardProxy",
+    "CardTampered",
+    "ProxyError",
+    "QueryOutcome",
+    "ViewPiece",
+]
 
 @dataclass(slots=True)
 class ViewPiece:
@@ -118,69 +95,21 @@ class CardProxy:
         clock: SimClock | None = None,
         transfer: TransferPolicy | None = None,
     ) -> None:
-        self.card = card
         self.dsp = dsp
-        self.link = link or LinkModel()
-        self.clock = clock or dsp.clock
         self.transfer = transfer or TransferPolicy()
-        self._selected = False
+        self._link = CardLink(card, link, clock or dsp.clock)
 
-    # -- link ------------------------------------------------------------
+    @property
+    def card(self) -> SmartCard:
+        return self._link.card
 
-    def _transmit(
-        self, command: CommandAPDU, metrics: SessionMetrics, context: str
-    ) -> ResponseAPDU:
-        """Send one APDU over the 2 KB/s link and account for it."""
-        response = self.card.process(command)
-        nbytes = command.wire_size + response.wire_size
-        metrics.apdu_count += 1
-        metrics.bytes_to_card += command.wire_size
-        metrics.bytes_from_card += response.wire_size
-        self.clock.add("link", self.link.apdu_overhead_seconds)
-        self.clock.add("link", self.link.transfer_seconds(nbytes))
-        if not response.ok:
-            raise _proxy_error(
-                f"card error {response.sw:#06x} during {context}",
-                response.sw,
-            )
-        return response
-
-    def select(self, metrics: SessionMetrics | None = None) -> None:
-        metrics = metrics or SessionMetrics()
-        self._transmit(
-            CommandAPDU(Instruction.SELECT, data=b"repro.applet"),
-            metrics,
-            "select",
-        )
-        self._selected = True
+    @card.setter
+    def card(self, card: SmartCard) -> None:
+        self._link.card = card
 
     def provision_key(self, doc_id: str, secret: bytes) -> None:
         """Install a document secret over the (simulated) secure channel."""
-        metrics = SessionMetrics()
-        if not self._selected:
-            self.select(metrics)
-        doc = doc_id.encode("utf-8")
-        self._transmit(
-            CommandAPDU(
-                Instruction.ADMIN_PROVISION_KEY,
-                data=bytes([len(doc)]) + doc + secret,
-            ),
-            metrics,
-            "provision key",
-        )
-
-    # -- output draining -----------------------------------------------------
-
-    def _drain_output(
-        self, metrics: SessionMetrics, sink: bytearray, last: ResponseAPDU
-    ) -> None:
-        response = last
-        while (response.sw & 0xFF00) == 0x6100:
-            response = self._transmit(
-                CommandAPDU(Instruction.GET_OUTPUT), metrics, "get output"
-            )
-            sink.extend(response.data)
-            metrics.output_bytes += len(response.data)
+        self._link.provision_key(doc_id, secret, SessionMetrics())
 
     # -- pull session ------------------------------------------------------------
 
@@ -194,53 +123,20 @@ class CardProxy:
         groups: frozenset[str] = frozenset(),
         transfer: TransferPolicy | None = None,
     ) -> QueryOutcome:
-        """Run a full pull session: fetch, filter, return the view.
-
-        Drives the same generators as :meth:`stream_query` but skips
-        the per-drain text decoding -- the buffered result needs one
-        decode at the end, so the hot path stays as cheap as before
-        the streaming API existed.  ``transfer`` overrides the proxy's
-        transport plan for this session only.
-        """
-        policy = transfer if transfer is not None else self.transfer
-        metrics = SessionMetrics()
-        clock_snapshot = self.clock.snapshot()
-        cycles_snapshot = self.card.soe.cycles_used
-        if not self._selected:
-            self.select(metrics)
-        self._begin(doc_id, subject, query, strategy, view_mode, groups, metrics)
-        header = self.dsp.get_header(doc_id)
-        encoded_header = encode_header(header)
-        metrics.dsp_requests += 1
-        metrics.bytes_from_dsp += len(encoded_header)
-        self._transmit(
-            CommandAPDU(Instruction.PUT_HEADER, data=encoded_header),
-            metrics,
-            "put header",
-        )
-        rules_version = self._send_rules(doc_id, metrics)
-        output = bytearray()
-        chunk_cache: dict[int, bytes] = {}
-        for __ in self._stream_document(
-            doc_id, header, metrics, output, chunk_cache, policy
+        """Run a full pull session: :meth:`stream_query`, drained."""
+        outcome = QueryOutcome(xml="")
+        for __ in self.stream_query(
+            doc_id,
+            subject,
+            query=query,
+            strategy=strategy,
+            view_mode=view_mode,
+            groups=groups,
+            outcome=outcome,
+            transfer=transfer,
         ):
             pass
-        fragments = [
-            (entry_id, text)
-            for entry_id, __, text in self._run_refetches(
-                doc_id, header, metrics, chunk_cache, policy
-            )
-        ]
-        self._fill_card_stats(metrics)
-        metrics.clock = self.clock.since(clock_snapshot)
-        metrics.card_cycles = self.card.soe.cycles_used - cycles_snapshot
-        return QueryOutcome(
-            xml=output.decode("utf-8"),
-            fragments=fragments,
-            metrics=metrics,
-            doc_version=header.version,
-            rules_version=rules_version,
-        )
+        return outcome
 
     def stream_query(
         self,
@@ -261,37 +157,39 @@ class CardProxy:
         transfers up to the first authorized output.  ``outcome`` (if
         given) is filled in place: the full view text after the main
         pass, fragments as they are refetched, and the session metrics
-        once the generator is exhausted.  The operation sequence is
-        identical to :meth:`query`, so clocks and metrics are
-        bit-for-bit the same however the stream is consumed.
+        once the generator is exhausted.  The operation sequence does
+        not depend on how the stream is consumed, so clocks and metrics
+        are bit-for-bit the same either way.  ``transfer`` overrides the
+        proxy's transport plan for this session only.
         """
         if outcome is None:
             outcome = QueryOutcome(xml="")
         policy = transfer if transfer is not None else self.transfer
         metrics = outcome.metrics
-        clock_snapshot = self.clock.snapshot()
-        cycles_snapshot = self.card.soe.cycles_used
-        if not self._selected:
-            self.select(metrics)
-        self._begin(doc_id, subject, query, strategy, view_mode, groups, metrics)
+        link = self._link
+        clock_snapshot = link.clock.snapshot()
+        link.open_session(
+            metrics, doc_id, subject, query, strategy, view_mode, groups
+        )
         header = self.dsp.get_header(doc_id)
         encoded_header = encode_header(header)
         metrics.dsp_requests += 1
         metrics.bytes_from_dsp += len(encoded_header)
-        self._transmit(
-            CommandAPDU(Instruction.PUT_HEADER, data=encoded_header),
-            metrics,
-            "put header",
-        )
+        link.put_header(encoded_header, metrics)
         outcome.doc_version = header.version
-        outcome.rules_version = self._send_rules(doc_id, metrics)
+        version, records = self.dsp.get_rules(doc_id)
+        metrics.dsp_requests += 1
+        metrics.bytes_from_dsp += sum(len(r) for r in records)
+        link.put_rules(version, records, metrics)
+        outcome.rules_version = version
         output = bytearray()
         chunk_cache: dict[int, bytes] = {}
+        refetches: list[tuple[int, int, int]] = []
         decoder = codecs.getincrementaldecoder("utf-8")()
         emitted_bytes = 0
         emitted_chars = 0
         for __ in self._stream_document(
-            doc_id, header, metrics, output, chunk_cache, policy
+            doc_id, header, metrics, output, chunk_cache, policy, refetches
         ):
             if len(output) > emitted_bytes:
                 text = decoder.decode(bytes(output[emitted_bytes:]))
@@ -304,72 +202,12 @@ class CardProxy:
             yield ViewPiece("view", tail, position=emitted_chars)
         outcome.xml = output.decode("utf-8")
         for entry_id, start, text in self._run_refetches(
-            doc_id, header, metrics, chunk_cache, policy
+            doc_id, header, metrics, chunk_cache, policy, refetches
         ):
             outcome.fragments.append((entry_id, text))
             yield ViewPiece("fragment", text, position=start, entry_id=entry_id)
-        self._fill_card_stats(metrics)
-        metrics.clock = self.clock.since(clock_snapshot)
-        metrics.card_cycles = self.card.soe.cycles_used - cycles_snapshot
-
-    def _begin(
-        self,
-        doc_id: str,
-        subject: str,
-        query: str | None,
-        strategy: PendingStrategy,
-        view_mode: ViewMode,
-        groups: frozenset[str],
-        metrics: SessionMetrics,
-    ) -> None:
-        # A new session must never see the previous session's pending
-        # refetch entries -- a pull abandoned mid-window leaves them
-        # set, and replaying them against a different document would
-        # splice foreign fragments into the view.
-        self._refetch_entries: list[tuple[int, int, int]] = []
-        flags = 0
-        payload = b""
-        if query is not None:
-            flags |= _FLAG_HAS_QUERY
-            raw = query.encode("utf-8")
-            payload = struct.pack(">H", len(raw)) + raw
-        payload += encode_groups(groups)
-        if strategy is PendingStrategy.REFETCH:
-            flags |= _FLAG_REFETCH
-        if view_mode is ViewMode.PRUNE:
-            flags |= _FLAG_PRUNE
-        doc = doc_id.encode("utf-8")
-        subj = subject.encode("utf-8")
-        data = (
-            bytes([flags, len(doc)])
-            + doc
-            + bytes([len(subj)])
-            + subj
-            + payload
-        )
-        self._transmit(
-            CommandAPDU(Instruction.BEGIN_SESSION, data=data),
-            metrics,
-            "begin session",
-        )
-
-    def _send_rules(self, doc_id: str, metrics: SessionMetrics) -> int:
-        version, records = self.dsp.get_rules(doc_id)
-        metrics.dsp_requests += 1
-        metrics.bytes_from_dsp += sum(len(r) for r in records)
-        for index, record in enumerate(records):
-            data = struct.pack(">Q", version) + record
-            self._transmit(
-                CommandAPDU(
-                    Instruction.PUT_RULES,
-                    p1=index >> 8,
-                    p2=index & 0xFF,
-                    data=data,
-                ),
-                metrics,
-                f"put rule {index}",
-            )
-        return version
+        link.close_session(metrics)
+        metrics.clock = link.clock.since(clock_snapshot)
 
     # -- chunk fetch planning ------------------------------------------------
 
@@ -442,45 +280,6 @@ class CardProxy:
 
     # -- document streaming --------------------------------------------------
 
-    def _transmit_batch(
-        self,
-        batch: list[tuple[int, bytes]],
-        metrics: SessionMetrics,
-        policy: TransferPolicy,
-    ) -> BatchOutcome:
-        """Send one chunk batch through the shared batch protocol."""
-        first, last = batch[0][0], batch[-1][0]
-        if len(batch) == 1 and policy.apdu_batch == 1:
-            # Degenerate policy: the paper's original PUT_CHUNK path.
-            index, blob = batch[0]
-            response = self._transmit(
-                CommandAPDU(
-                    Instruction.PUT_CHUNK,
-                    p1=index >> 8,
-                    p2=index & 0xFF,
-                    data=blob,
-                ),
-                metrics,
-                f"put chunk {index}",
-            )
-            next_offset, done = struct.unpack(">QB", response.data[:9])
-            return BatchOutcome(
-                response=response,
-                completed=True,
-                next_offset=next_offset,
-                done=bool(done),
-                consumed=1,
-            )
-        # _transmit raises ProxyError on any refused frame, so the
-        # outcome always comes back completed here.
-        return transmit_chunk_batch(
-            lambda command: self._transmit(
-                command, metrics, f"put chunk batch {first}..{last}"
-            ),
-            batch,
-            self.link.max_command_payload,
-        )
-
     def _stream_document(
         self,
         doc_id: str,
@@ -489,12 +288,14 @@ class CardProxy:
         output: bytearray,
         chunk_cache: dict[int, bytes],
         policy: TransferPolicy,
+        refetches: list[tuple[int, int, int]],
     ) -> Iterator[None]:
         """Drive the main pass; yields after every output drain.
 
         A generator so :meth:`stream_query` can surface freshly drained
         output between chunk batches -- the caller decides whether to
-        keep pulling.  Exhausting it is exactly the legacy main pass.
+        keep pulling.  The card's granted refetch entries land in
+        ``refetches`` at END_DOCUMENT.
         """
         prefetched: dict[int, bytes] = {}
         index = 0
@@ -505,13 +306,9 @@ class CardProxy:
             )
             batch_end = min(index + policy.apdu_batch, header.chunk_count)
             batch = [(i, prefetched.pop(i)) for i in range(index, batch_end)]
-            outcome = self._transmit_batch(batch, metrics, policy)
-            metrics.chunks_sent += len(batch) - outcome.dropped
-            metrics.chunks_wasted += outcome.dropped
-            metrics.bytes_wasted += outcome.dropped_bytes
-            output.extend(outcome.piggyback)
-            metrics.output_bytes += len(outcome.piggyback)
-            self._drain_output(metrics, output, outcome.response)
+            outcome = self._link.put_chunks(
+                batch, policy.apdu_batch, metrics, output
+            )
             yield None
             if outcome.done:
                 break
@@ -534,35 +331,8 @@ class CardProxy:
         for blob in prefetched.values():
             metrics.chunks_wasted += 1
             metrics.bytes_wasted += len(blob)
-        response = self._transmit(
-            CommandAPDU(Instruction.END_DOCUMENT), metrics, "end document"
-        )
-        self._refetch_entries = self._parse_refetch_pages(response, metrics)
-        self._drain_output(metrics, output, response)
+        refetches.extend(self._link.end_document(metrics, output))
         yield None
-
-    def _parse_refetch_pages(
-        self, first: ResponseAPDU, metrics: SessionMetrics
-    ) -> list[tuple[int, int, int]]:
-        total = struct.unpack(">H", first.data[:2])[0]
-        entries: list[tuple[int, int, int]] = []
-        data = first.data[2:]
-        page = 0
-        while True:
-            for position in range(0, len(data), 18):
-                entry_id, start, end = struct.unpack(
-                    ">HQQ", data[position:position + 18]
-                )
-                entries.append((entry_id, start, end))
-            if len(entries) >= total:
-                return entries
-            page += 1
-            response = self._transmit(
-                CommandAPDU(Instruction.END_DOCUMENT, p1=page),
-                metrics,
-                f"end document page {page}",
-            )
-            data = response.data[2:]
 
     def _run_refetches(
         self,
@@ -571,6 +341,7 @@ class CardProxy:
         metrics: SessionMetrics,
         chunk_cache: dict[int, bytes],
         policy: TransferPolicy,
+        refetches: list[tuple[int, int, int]],
     ) -> Iterator[tuple[int, int, str]]:
         """Replay granted pending subtrees; yields per settled fragment.
 
@@ -579,68 +350,21 @@ class CardProxy:
         assigned at skip time during the sequential main pass, so both
         keys increase in document order.
         """
-        for entry_id, start, end in getattr(self, "_refetch_entries", []):
+        for entry_id, start, end in refetches:
             metrics.refetch_count += 1
             sink = bytearray()
-            self._transmit(
-                CommandAPDU(
-                    Instruction.BEGIN_REFETCH,
-                    p1=entry_id >> 8,
-                    p2=entry_id & 0xFF,
-                ),
-                metrics,
-                f"begin refetch {entry_id}",
-            )
+            self._link.begin_refetch(entry_id, metrics)
             first_chunk = start // header.chunk_size
             last_chunk = (end - 1) // header.chunk_size
-            self._fetch_refetch_range(
-                doc_id, first_chunk, last_chunk, metrics, chunk_cache, policy
-            )
+            for run_start, count in self._missing_runs(
+                first_chunk, last_chunk + 1, chunk_cache
+            ):
+                self._fetch_range(
+                    doc_id, run_start, count, metrics, chunk_cache, policy
+                )
             for index in range(first_chunk, last_chunk + 1):
                 blob = chunk_cache[index]
                 metrics.refetch_bytes += len(blob)
-                response = self._transmit(
-                    CommandAPDU(
-                        Instruction.PUT_REFETCH_CHUNK,
-                        p1=index >> 8,
-                        p2=index & 0xFF,
-                        data=blob,
-                    ),
-                    metrics,
-                    f"refetch chunk {index}",
-                )
-                __, done = struct.unpack(">QB", response.data[:9])
-                self._drain_output(metrics, sink, response)
-                if done:
+                if self._link.put_refetch_chunk(index, blob, metrics, sink):
                     break
             yield entry_id, start, sink.decode("utf-8")
-
-    def _fetch_refetch_range(
-        self,
-        doc_id: str,
-        first_chunk: int,
-        last_chunk: int,
-        metrics: SessionMetrics,
-        chunk_cache: dict[int, bytes],
-        policy: TransferPolicy,
-    ) -> None:
-        """Fetch the cache's holes in [first, last], run by ranged run."""
-        for start, count in self._missing_runs(
-            first_chunk, last_chunk + 1, chunk_cache
-        ):
-            self._fetch_range(
-                doc_id, start, count, metrics, chunk_cache, policy
-            )
-
-    def _fill_card_stats(self, metrics: SessionMetrics) -> None:
-        soe = self.card.soe
-        metrics.ram_high_water = soe.memory.high_water
-        metrics.card_cycles = soe.cycles_used
-        metrics.bytes_decrypted = self.card.applet.bytes_decrypted
-        metrics.bytes_skipped = self.card.applet.bytes_skipped
-        metrics.max_pending_bytes = self.card.applet.max_pending_bytes
-        stats = self.card.applet.engine_stats
-        if stats is not None:
-            metrics.events_pumped = stats.events_pumped
-            metrics.tokens_touched = stats.tokens_touched
-            metrics.product_states_interned = stats.product_states_interned
