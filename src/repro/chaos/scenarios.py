@@ -39,7 +39,7 @@ from repro.chaos.plan import FaultPlan, FaultRule
 from repro.community import Community, TierSpec
 from repro.crypto.container import DocumentContainer
 from repro.crypto.groupkey import wrap_call_count
-from repro.dsp import LocalDSP, RemoteDSP
+from repro.dsp import RemoteDSP
 from repro.dsp.backends import MemoryBackend, ShardedBackend
 from repro.dsp.reactor import AdmissionPolicy
 from repro.dsp.remote import GenerationChanged, RetryPolicy
@@ -269,7 +269,7 @@ def _scenario_client_pull(seed: int, fault: str) -> ScenarioResult:
     plan = FaultPlan(seed)
     serving = build_world()
     golden = golden_views(1)
-    client = FaultyClient(LocalDSP(serving.dsp), plan)
+    client = FaultyClient(serving.dsp, plan)
     attached = Community.attach(client)
     attached.enroll("doctor")
     document = attached.adopt(DOC_ID, "owner")
@@ -538,7 +538,7 @@ def _scenario_republish_race(seed: int, fault: str) -> ScenarioResult:
             fired["done"] = True
             _republish(serving)
 
-    client = FaultyClient(LocalDSP(serving.dsp), plan, before=racer)
+    client = FaultyClient(serving.dsp, plan, before=racer)
     attached = Community.attach(client)
     attached.enroll("doctor")
     document = attached.adopt(DOC_ID, "owner")
@@ -599,7 +599,7 @@ def _scenario_stale_cache(seed: int, fault: str) -> ScenarioResult:
             fired["done"] = True
             _republish(serving)
 
-    client = FaultyClient(LocalDSP(serving.dsp), plan, before=racer)
+    client = FaultyClient(serving.dsp, plan, before=racer)
     attached = Community.attach(client)
     attached.enroll("doctor")
     document = attached.adopt(DOC_ID, "owner")

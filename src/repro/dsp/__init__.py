@@ -38,7 +38,7 @@ from repro.dsp.backends import (
     StoreBackend,
     StoredDocument,
 )
-from repro.dsp.client import DSPClient, LocalDSP
+from repro.dsp.client import DSPClient
 from repro.dsp.freshness import Freshness
 from repro.dsp.reactor import AdmissionPolicy, ReactorDSPServer
 from repro.dsp.remote import (
@@ -58,7 +58,6 @@ __all__ = [
     "DSPStore",
     "Freshness",
     "GenerationChanged",
-    "LocalDSP",
     "MemoryBackend",
     "ReactorDSPServer",
     "RemoteDSP",

@@ -3,13 +3,11 @@
 The terminal proxy, the pull terminal and the dissemination layers all
 talk to a :class:`DSPClient` -- the six request types of the DSP wire
 protocol plus a clock to charge transport time to -- never to a
-concrete server.  Three things satisfy it:
+concrete server.  Two things satisfy it:
 
 * :class:`~repro.dsp.server.DSPServer` itself (the zero-copy
   in-process deployment: no codec, no copy, metrics and SimClock
   totals bit-identical to the historical direct wiring);
-* :class:`LocalDSP`, an explicit pass-through handle over a server,
-  for code that wants a swappable client object;
 * :class:`~repro.dsp.remote.RemoteDSP`, the socket client speaking
   :mod:`repro.dsp.wire` to a served DSP in another process.
 """
@@ -19,11 +17,10 @@ from __future__ import annotations
 from typing import Protocol, runtime_checkable
 
 from repro.crypto.container import DocumentHeader
-from repro.dsp.server import DSPServer
 from repro.dsp.wire import DocMeta
 from repro.smartcard.resources import SimClock
 
-__all__ = ["DSPClient", "LocalDSP"]
+__all__ = ["DSPClient"]
 
 
 @runtime_checkable
@@ -68,38 +65,3 @@ class DSPClient(Protocol):
         """The cache-freshness probe (versions, generation, grant bit)."""
         ...
 
-
-class LocalDSP:
-    """A zero-copy in-process :class:`DSPClient` over a ``DSPServer``.
-
-    Pure delegation -- no codec, no copies, and the server's clock is
-    shared, so sessions through this handle are bit-for-bit identical
-    (metrics and SimClock totals) to sessions holding the server
-    directly.
-    """
-
-    __slots__ = ("server", "clock")
-
-    def __init__(self, server: DSPServer) -> None:
-        self.server = server
-        self.clock = server.clock
-
-    def get_header(self, doc_id: str) -> DocumentHeader:
-        return self.server.get_header(doc_id)
-
-    def get_chunk(self, doc_id: str, index: int) -> bytes:
-        return self.server.get_chunk(doc_id, index)
-
-    def get_chunk_range(
-        self, doc_id: str, start: int, count: int
-    ) -> list[bytes]:
-        return self.server.get_chunk_range(doc_id, start, count)
-
-    def get_rules(self, doc_id: str) -> tuple[int, list[bytes]]:
-        return self.server.get_rules(doc_id)
-
-    def get_wrapped_key(self, doc_id: str, recipient: str) -> bytes:
-        return self.server.get_wrapped_key(doc_id, recipient)
-
-    def get_meta(self, doc_id: str, subject: str) -> DocMeta:
-        return self.server.get_meta(doc_id, subject)

@@ -20,7 +20,7 @@ from repro.chaos.faults import FaultyClient
 from repro.chaos.plan import FaultPlan, FaultRule
 from repro.community import Community, ViewCache
 from repro.core.delivery import ViewMode
-from repro.dsp import LocalDSP, RemoteDSP
+from repro.dsp import RemoteDSP
 from repro.errors import KeyNotGranted, PolicyError, TransportError
 from repro.smartcard.applet import PendingStrategy
 from repro.workloads.docgen import hospital
@@ -284,7 +284,7 @@ def test_cross_subject_isolation():
 def test_failed_stream_never_populates():
     serving, _, _ = _world(cache=False)
     plan = FaultPlan(0)
-    client = FaultyClient(LocalDSP(serving.dsp), plan)
+    client = FaultyClient(serving.dsp, plan)
     attached = Community.attach(client)
     attached.enroll("bob")
     document = attached.adopt("doc", "alice")

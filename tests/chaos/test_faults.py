@@ -17,7 +17,6 @@ from repro.chaos import (
 from repro.crypto.container import seal_document
 from repro.crypto.keys import DocumentKeys
 from repro.dsp.backends import MemoryBackend, ShardedBackend, SQLiteBackend
-from repro.dsp.client import LocalDSP
 from repro.dsp.server import DSPServer
 from repro.dsp.store import DSPStore
 from repro.errors import PolicyError, TransportError
@@ -148,7 +147,7 @@ def _local_client(plan, **kwargs):
     store.put_rules("doc", [b"r"], 1)
     store.put_wrapped_key("doc", "doctor", b"wrap")
     server = DSPServer(store)
-    return FaultyClient(LocalDSP(server), plan, **kwargs)
+    return FaultyClient(server, plan, **kwargs)
 
 
 def test_client_fail_raises_before_the_request_leaves():

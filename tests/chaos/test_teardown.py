@@ -13,7 +13,6 @@ from repro.chaos import FaultPlan, FaultRule, FaultyClient, InjectedFault
 from repro.chaos.scenarios import DOC_ID, build_world, golden_views
 from repro.community import Community
 from repro.community.session import ViewStream
-from repro.dsp.client import LocalDSP
 from repro.errors import TransportError
 
 
@@ -22,7 +21,7 @@ def faulted_reader():
     """A reader attached through a client that can fail mid-window."""
     serving = build_world()
     plan = FaultPlan(0)
-    client = FaultyClient(LocalDSP(serving.dsp), plan)
+    client = FaultyClient(serving.dsp, plan)
     attached = Community.attach(client)
     attached.enroll("doctor")
     document = attached.adopt(DOC_ID, "owner")

@@ -11,7 +11,7 @@ import threading
 import pytest
 
 from repro.community import Community
-from repro.dsp import LocalDSP, RemoteDSP
+from repro.dsp import DSPClient, RemoteDSP
 from repro.errors import KeyNotGranted, TransportError, UnknownDocument
 from repro.terminal.transfer import TransferPolicy
 from repro.workloads.docgen import hospital
@@ -43,13 +43,8 @@ def _reference_views(community):
 
 
 def test_local_client_is_transparent(published_community):
-    """LocalDSP answers exactly like holding the server directly."""
-    client = LocalDSP(published_community.dsp)
-    server = published_community.dsp
-    assert client.clock is server.clock
-    assert client.get_header(DOC_ID) == server.get_header(DOC_ID)
-    assert client.get_chunk(DOC_ID, 0) == server.get_chunk(DOC_ID, 0)
-    assert client.get_rules(DOC_ID) == server.get_rules(DOC_ID)
+    """The in-process server is itself the zero-copy local client."""
+    assert isinstance(published_community.dsp, DSPClient)
 
 
 def test_four_concurrent_clients_byte_identical(published_community):
