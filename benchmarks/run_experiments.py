@@ -110,12 +110,6 @@ def main() -> None:
             import io
             import pstats
 
-            from repro.core.product import dispatch_totals
-
-            from repro.cache.viewcache import cache_totals
-
-            before = dispatch_totals()
-            cache_before = cache_totals()
             profiler = cProfile.Profile()
             profiler.enable()
             title, headers, rows = module.run_experiment(**run_kwargs)
@@ -126,33 +120,6 @@ def main() -> None:
             ).print_stats(25)
             print(f"\n[{path.name}] top 25 by cumulative time:")
             print(stream.getvalue())
-            after = dispatch_totals()
-            deltas = {key: after[key] - before[key] for key in after}
-            pumped = deltas["events_pumped"]
-            touched = deltas["tokens_touched"]
-            print(
-                f"[{path.name}] product dispatch: "
-                f"{pumped} events pumped, "
-                f"{touched} tokens touched, "
-                f"{deltas['product_states_interned']} states interned"
-                + (f" ({touched / pumped:.3f} touched/event)" if pumped else "")
-                + " -- touched/interned count table solving, so they"
-                " depend on the experiments run before in this process"
-            )
-            cache_after = cache_totals()
-            cache_deltas = {
-                key: cache_after[key] - cache_before[key]
-                for key in cache_after
-            }
-            if any(cache_deltas.values()):
-                summary = ", ".join(
-                    f"{count} {name}"
-                    for name, count in sorted(cache_deltas.items())
-                    if count
-                )
-                print(f"[{path.name}] view cache: {summary}")
-            else:
-                print(f"[{path.name}] view cache: not engaged")
         else:
             title, headers, rows = module.run_experiment(**run_kwargs)
         elapsed = time.time() - start

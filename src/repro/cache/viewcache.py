@@ -43,7 +43,6 @@ __all__ = [
     "CacheStats",
     "CachedView",
     "ViewCache",
-    "cache_totals",
 ]
 
 #: Fixed per-entry overhead charged against the byte budget (key,
@@ -133,17 +132,6 @@ class CacheStats:
         }
 
 
-#: Process-wide totals across every :class:`ViewCache` instance, for
-#: the profiler (``run_experiments.py --profile``).  Per-cache numbers
-#: live on ``ViewCache.stats``.
-_TOTALS = CacheStats()
-
-
-def cache_totals() -> dict[str, int]:
-    """A snapshot of the process-wide cache counters."""
-    return _TOTALS.as_dict()
-
-
 class ViewCache:
     """A bounded LRU + byte-budget cache of completed authorized views."""
 
@@ -164,9 +152,8 @@ class ViewCache:
     # -- introspection -----------------------------------------------------
 
     def count(self, slot: str, delta: int = 1) -> None:
-        """Bump one stats counter (and the process-wide totals)."""
+        """Bump one stats counter."""
         setattr(self.stats, slot, getattr(self.stats, slot) + delta)
-        setattr(_TOTALS, slot, getattr(_TOTALS, slot) + delta)
 
     def __len__(self) -> int:
         return len(self._entries)

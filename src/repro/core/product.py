@@ -90,29 +90,6 @@ if TYPE_CHECKING:
     from repro.core.compiled import CompiledPolicy
 
 
-class _Totals:
-    """Process-wide dispatch counters (``run_experiments.py --profile``)."""
-
-    __slots__ = ("events_pumped", "tokens_touched", "product_states_interned")
-
-    def __init__(self) -> None:
-        self.events_pumped = 0
-        self.tokens_touched = 0
-        self.product_states_interned = 0
-
-
-_TOTALS = _Totals()
-
-
-def dispatch_totals() -> dict[str, int]:
-    """Cumulative product-machine counters since interpreter start."""
-    return {
-        "events_pumped": _TOTALS.events_pumped,
-        "tokens_touched": _TOTALS.tokens_touched,
-        "product_states_interned": _TOTALS.product_states_interned,
-    }
-
-
 class _ConditionSink:
     """Routes predicate-path completions into a condition's supports."""
 
@@ -351,7 +328,6 @@ class ProductTables:
             if self.admit():
                 self.intern[key] = entry
                 stats.product_states_interned += 1
-                _TOTALS.product_states_interned += 1
         return entry
 
     def root(self, stats: EngineStats) -> _StateEntry:
@@ -373,7 +349,6 @@ class ProductTables:
         """
         slots = self.slots
         stats.tokens_touched += len(entry.positions)
-        _TOTALS.tokens_touched += len(entry.positions)
         targets: set[tuple[int, int]] = set()
         # Targets are (slot, step) pairs until the next state is known.
         advancing = []
@@ -620,7 +595,6 @@ class ProductEngine:
                     landed.extend(groups)
         stats = self.stats
         stats.tokens_touched += touched
-        _TOTALS.tokens_touched += touched
         stats.conditions_created += len(conditions)
         payload = (
             (new_tokens or None, conditions, watchers)
@@ -658,8 +632,6 @@ class ProductEngine:
         entry, counts, total, payload = frames[-1]
         stats = self.stats
         stats.events += 1
-        stats.events_pumped += 1
-        _TOTALS.events_pumped += 1
         stats.token_checks += total
         transition = entry.transitions.get(tag)
         if transition is None:
@@ -697,8 +669,6 @@ class ProductEngine:
         """Feed a text event to the watchers of the innermost node."""
         stats = self.stats
         stats.events += 1
-        stats.events_pumped += 1
-        _TOTALS.events_pumped += 1
         payload = self._frames[-1][3] if self._frames else None
         if payload is not None and payload[2]:
             watchers = payload[2]
@@ -711,8 +681,6 @@ class ProductEngine:
         """Backtrack: fire watchers, fail open conditions, pop the frame."""
         stats = self.stats
         stats.events += 1
-        stats.events_pumped += 1
-        _TOTALS.events_pumped += 1
         frames = self._frames
         if frames is None or len(frames) <= 1:
             raise RuntimeError("close event without a matching open")

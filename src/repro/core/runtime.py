@@ -36,11 +36,11 @@ class EngineStats:
     count the classic token-stack evaluation's work (tokens checked and
     advanced, conditions created, text bytes fed to watchers).  The
     last three observe the *wall-clock* dispatch cost of the product
-    machine: ``events_pumped`` now always equals ``events`` (every
-    event goes through the one engine; the field is kept for readers
-    that predate that), ``tokens_touched`` counts the Python-level
-    position work actually performed (transition builds and uncached
-    steps -- memoized hits touch nothing), and
+    machine: ``events_pumped`` is a read-only alias of ``events``
+    (every event goes through the one engine; the name is kept for
+    readers that predate that), ``tokens_touched`` counts the
+    Python-level position work actually performed (transition builds
+    and uncached steps -- memoized hits touch nothing), and
     ``product_states_interned`` counts the state sets this engine had
     to intern.  Those two count *solving* work: an engine running a
     compiled policy alone adopts the tables the policy owns, so it
@@ -57,7 +57,6 @@ class EngineStats:
         "token_advances",
         "conditions_created",
         "watcher_bytes",
-        "events_pumped",
         "tokens_touched",
         "product_states_interned",
     )
@@ -68,6 +67,10 @@ class EngineStats:
         self.token_advances = 0
         self.conditions_created = 0
         self.watcher_bytes = 0
-        self.events_pumped = 0
         self.tokens_touched = 0
         self.product_states_interned = 0
+
+    @property
+    def events_pumped(self) -> int:
+        """Events the product machine dispatched: all of them."""
+        return self.events
