@@ -98,7 +98,7 @@ class CardLink:
         self.link = link or LinkModel()
         self.clock = clock or SimClock()
         self.component = component
-        self.selected = False
+        self._selected = False
         self._cycles_at_open = 0.0
 
     # -- one APDU ----------------------------------------------------------
@@ -137,20 +137,22 @@ class CardLink:
 
     # -- session setup -----------------------------------------------------
 
-    def select(self, metrics: SessionMetrics) -> None:
+    def _select_once(self, metrics: SessionMetrics) -> None:
+        """SELECT the applet on the link's first use."""
+        if self._selected:
+            return
         self.transmit(
             CommandAPDU(Instruction.SELECT, data=b"repro.applet"),
             metrics,
             "select",
         )
-        self.selected = True
+        self._selected = True
 
     def provision_key(
         self, doc_id: str, secret: bytes, metrics: SessionMetrics
     ) -> None:
         """Install a document secret over the (simulated) secure channel."""
-        if not self.selected:
-            self.select(metrics)
+        self._select_once(metrics)
         doc = doc_id.encode("utf-8")
         self.transmit(
             CommandAPDU(
@@ -173,8 +175,7 @@ class CardLink:
     ) -> None:
         """SELECT on first use, then BEGIN_SESSION."""
         self._cycles_at_open = self.card.soe.cycles_used
-        if not self.selected:
-            self.select(metrics)
+        self._select_once(metrics)
         self.transmit(
             CommandAPDU(
                 Instruction.BEGIN_SESSION,

@@ -101,6 +101,8 @@ class CardProxy:
 
     @property
     def card(self) -> SmartCard:
+        """The driven card; reassignable (chaos wraps it in a fault
+        injector mid-life)."""
         return self._link.card
 
     @card.setter
