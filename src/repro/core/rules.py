@@ -103,11 +103,14 @@ class RuleSet:
 
     def __init__(self, rules: Iterable[AccessRule] = ()) -> None:
         self._rules: list[AccessRule] = list(rules)
-        self._past_fingerprints: list[str] = []
-        self._fingerprint: str | None = None
-        ids = [rule.rule_id for rule in self._rules]
-        if len(set(ids)) != len(ids):
+        self._ids = {rule.rule_id for rule in self._rules}
+        if len(self._ids) != len(self._rules):
             raise ValueError("duplicate rule identifiers in rule set")
+        self._past_fingerprints: list[str] = []
+        #: Running hash over the rules so far (built on first use);
+        #: ``add`` extends it, ``remove`` drops it for a rebuild.
+        self._digest: hashlib._Hash | None = None
+        self._fingerprint: str | None = None
 
     def __iter__(self) -> Iterator[AccessRule]:
         return iter(self._rules)
@@ -124,17 +127,24 @@ class RuleSet:
         self._fingerprint = None
 
     def add(self, rule: AccessRule) -> None:
-        """Append a rule (policies are dynamic -- the paper's point)."""
-        if any(existing.rule_id == rule.rule_id for existing in self._rules):
+        """Append a rule (policies are dynamic -- the paper's point).
+
+        O(1): the running digest absorbs the new rule only.
+        """
+        if rule.rule_id in self._ids:
             raise ValueError(f"duplicate rule id {rule.rule_id!r}")
         self._record_fingerprint()
+        _digest_rule(self._running_digest(), rule)
         self._rules.append(rule)
+        self._ids.add(rule.rule_id)
 
     def remove(self, rule_id: str) -> AccessRule:
         """Remove and return the rule with the given id."""
         for index, rule in enumerate(self._rules):
             if rule.rule_id == rule_id:
                 self._record_fingerprint()
+                self._digest = None  # a hash cannot forget: rebuild
+                self._ids.discard(rule_id)
                 return self._rules.pop(index)
         raise KeyError(rule_id)
 
@@ -160,14 +170,16 @@ class RuleSet:
         ``remove`` (the only mutators) drop the memo.
         """
         if self._fingerprint is None:
+            self._fingerprint = self._running_digest().hexdigest()
+        return self._fingerprint
+
+    def _running_digest(self) -> hashlib._Hash:
+        if self._digest is None:
             digest = hashlib.sha1()
             for rule in self._rules:
-                for part in (str(rule.sign), rule.subject, str(rule.object)):
-                    data = part.encode("utf-8")
-                    digest.update(len(data).to_bytes(4, "big"))
-                    digest.update(data)
-            self._fingerprint = digest.hexdigest()
-        return self._fingerprint
+                _digest_rule(digest, rule)
+            self._digest = digest
+        return self._digest
 
     def fingerprint_history(self) -> tuple[str, ...]:
         """Fingerprints this set carried before in-place churn.
@@ -193,3 +205,11 @@ class RuleSet:
 
     def __str__(self) -> str:
         return "\n".join(str(rule) for rule in self._rules)
+
+
+def _digest_rule(digest: hashlib._Hash, rule: AccessRule) -> None:
+    """Feed one rule's length-prefixed fields to a fingerprint hash."""
+    for part in (str(rule.sign), rule.subject, str(rule.object)):
+        data = part.encode("utf-8")
+        digest.update(len(data).to_bytes(4, "big"))
+        digest.update(data)

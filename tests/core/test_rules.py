@@ -1,8 +1,12 @@
 """Unit tests for the access-rule model."""
 
+import hashlib
+import random
+
 import pytest
 
 from repro.core.rules import AccessRule, RuleSet, Sign, Subject
+from repro.xpathlib.ast import Path
 from repro.xpathlib.parser import parse_path
 
 
@@ -79,3 +83,62 @@ def test_signs_tuple():
         AccessRule.parse("-", "u", "/b", rule_id="2"),
     ])
     assert rules.signs() == (Sign.PERMIT, Sign.DENY)
+
+
+def _scratch_fingerprint(rules) -> str:
+    """The fingerprint recomputed from nothing: length-prefixed
+    ``sign, subject, object`` fields of every rule, in order."""
+    digest = hashlib.sha1()
+    for rule in rules:
+        for part in (str(rule.sign), rule.subject, str(rule.object)):
+            data = part.encode("utf-8")
+            digest.update(len(data).to_bytes(4, "big"))
+            digest.update(data)
+    return digest.hexdigest()
+
+
+def test_fingerprint_history_matches_scratch_recomputation():
+    """Mixed add/remove churn: the running digest always agrees with a
+    from-scratch hash, and the history holds exactly the pre-mutation
+    fingerprints (deduplicated, newest 16)."""
+    rng = random.Random(7)
+    paths = ["/a", "//b", "/a/c", "//d[e]", "/a//f"]
+    rules = RuleSet()
+    expected: list[str] = []
+    for step in range(120):
+        before = _scratch_fingerprint(rules)
+        ids = [rule.rule_id for rule in rules]
+        if ids and rng.random() < 0.4:
+            rules.remove(rng.choice(ids))
+        else:
+            rules.add(
+                AccessRule.parse(
+                    rng.choice("+-"),
+                    rng.choice(["u", "v"]),
+                    rng.choice(paths),
+                    rule_id=f"r{step}",
+                )
+            )
+        if before not in expected:
+            expected.append(before)
+            del expected[:-16]
+        assert rules.fingerprint() == _scratch_fingerprint(rules)
+        assert rules.fingerprint_history() == tuple(expected)
+
+
+def test_adding_n_rules_renders_each_path_once(monkeypatch):
+    renders = []
+    original = Path.__str__
+
+    def counting(path):
+        renders.append(path)
+        return original(path)
+
+    monkeypatch.setattr(Path, "__str__", counting)
+    rules = RuleSet()
+    objects = [parse_path(f"/doc/item{i}//x") for i in range(18)]
+    for index, path in enumerate(objects):
+        rules.add(AccessRule(Sign.PERMIT, "u", path, f"r{index}"))
+        rules.fingerprint()
+    assert len(renders) == len(objects)
+    assert {id(path) for path in renders} == {id(path) for path in objects}
