@@ -17,6 +17,10 @@ TIER_RULES = [("+", "viewers", "/tv"), ("-", "viewers", "//adult")]
 VIEWERS = frozenset({"viewers"})
 
 
+def _card_cycles(community):
+    return sum(member.card.soe.cycles_used for member in community.members)
+
+
 def _broadcast_community(n_subscribers, cycles=1, transfer=None):
     community = Community()
     owner = community.enroll("owner")
@@ -155,6 +159,9 @@ CHANNEL_CLOCK = {
     "link:sub2": 0.48844921875,
     "card_cpu": 0.005544727272727295,
 }
+#: The card cycles behind ``CHANNEL_CLOCK["card_cpu"]``, summed over
+#: every member's card.
+CHANNEL_CARD_CYCLES = 182976
 
 
 def test_two_cycle_broadcast_clock_golden():
@@ -162,6 +169,7 @@ def test_two_cycle_broadcast_clock_golden():
     channel.broadcast(cycles=2)
     assert all(handle.ok for handle in handles)
     assert community.clock.snapshot() == CHANNEL_CLOCK
+    assert _card_cycles(community) == CHANNEL_CARD_CYCLES
 
 
 def test_batched_subscriber_transport_is_view_identical():

@@ -64,6 +64,9 @@ LEGACY_CLOCK = {
     "eeprom": 0.0018599999999999999,
     "card_cpu": 0.005066878787878794,
 }
+#: The card cycles behind ``LEGACY_CLOCK["card_cpu"]``, summed over
+#: every member's card.
+LEGACY_CARD_CYCLES = 167207
 
 
 def _run_facade():
@@ -83,16 +86,18 @@ def _run_facade():
         views["doctor//diagnosis"] = session.query("//diagnosis").text()
     with doctor.open(doc, transfer=TransferPolicy.windowed(8)) as session:
         views["doctor windowed"] = session.query().text()
-    return views, community.clock.snapshot()
+    cycles = sum(member.card.soe.cycles_used for member in community.members)
+    return views, community.clock.snapshot(), cycles
 
 
 def test_views_byte_identical_and_clock_bit_identical():
-    facade_views, facade_clock = _run_facade()
+    facade_views, facade_clock, facade_cycles = _run_facade()
     assert facade_views == LEGACY_VIEWS
     # Bit-for-bit: the facade performs exactly the operations of the
     # hand-wired stack, so every simulated-clock component matches to
     # the last float bit.
     assert facade_clock == LEGACY_CLOCK
+    assert facade_cycles == LEGACY_CARD_CYCLES
 
 
 def test_facade_itself_does_not_warn():

@@ -322,6 +322,9 @@ FEED_CLOCK = {
     "link:late": 0.43971484375000003,
     "card_cpu": 0.0042561818181818195,
 }
+#: The card cycles behind ``FEED_CLOCK["card_cpu"]``, summed over every
+#: member's card.
+FEED_CARD_CYCLES = 140454
 
 
 def _two_document_feed(community):
@@ -345,6 +348,8 @@ def test_broadcast_and_catch_up_clock_golden():
         handle.require_ok()
     assert caught.view == live[0].view
     assert community.clock.snapshot() == FEED_CLOCK
+    cycles = sum(member.card.soe.cycles_used for member in community.members)
+    assert cycles == FEED_CARD_CYCLES
 
 
 def test_catch_up_frames_equal_the_live_lane_byte_for_byte(tmp_path):

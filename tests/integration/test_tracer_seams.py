@@ -7,7 +7,9 @@ attributes (``subscriber.state.document_done``,
 ``subscriber.metrics.chunks_skipped``, ``EngineStats.events_pumped``).
 Renaming any of them breaks only the traced benchmark run, so this
 test loads the tracer by path, instruments a pull and a feed broadcast,
-and restores the originals.
+and restores the originals.  The pull must still route the card's
+output through the ``write_string`` and ``charge_output`` seams and its
+decoding through ``charge_decode``.
 """
 
 import importlib.util
@@ -71,7 +73,9 @@ def test_tracer_instruments_a_pull_and_a_feed_broadcast():
     try:
         tracer.begin_op()
         with reader.open(doc) as session:
-            view = session.query().text()
+            stream = session.query()
+            view = stream.text()
+            card_output = stream.metrics.output_bytes
         pull = tracer.end_op()
         tracer.begin_op()
         feed.broadcast()
@@ -89,6 +93,11 @@ def test_tracer_instruments_a_pull_and_a_feed_broadcast():
     assert pull.counts["smartcard.apdus"] > 0
     assert pull.counts["core.events_pumped"] > 0
     assert pull.counts["skipindex.items"] > 0
+    # The card's output goes through the module-level ``write_string``
+    # and ``charge_output`` seams, and decoding through ``charge_decode``.
+    assert pull.counts["xmlstream.output_bytes"] == card_output > 0
+    assert pull.counts["model.output_s"] > 0
+    assert pull.counts["model.decode_s"] > 0
     handle.require_ok()
     assert "<secret>" not in handle.view
     assert push.counts["calls:dissemination"] > 0

@@ -6,7 +6,8 @@ This module pins the others: pulls under the default, an 8-chunk
 prefetch window and a window-4/batch-3 plan, each under both pending
 strategies; and a channel broadcast at ``apdu_batch`` 1 and 4 with a
 late joiner tuning in mid-cycle.  Each case records the authorized
-views (sha256), the modeled SimClock as exact floats, and the link,
+views (sha256), the modeled SimClock as exact floats with the card
+cycles behind its ``card_cpu``, and the link,
 chunk, DSP and refetch counters, so a transport refactor that moves a
 single APDU, byte or wasted chunk shows up as a diff.
 
@@ -104,6 +105,7 @@ def _pull(policy: str, strategy: str) -> dict:
         "view_sha256": _sha(outcome.xml),
         "fragments_sha256": _sha(fragments),
         "clock": outcome.metrics.clock.snapshot(),
+        "card_cycles": outcome.metrics.card_cycles,
         **_counters(outcome.metrics),
     }
 
@@ -149,7 +151,13 @@ def _channel(apdu_batch: int) -> dict:
             "frames_missed": handle.frames_missed,
             **_counters(handle.metrics),
         }
-    return {"clock": community.clock.snapshot(), "sessions": sessions}
+    return {
+        "clock": community.clock.snapshot(),
+        "card_cycles": sum(
+            member.card.soe.cycles_used for member in community.members
+        ),
+        "sessions": sessions,
+    }
 
 
 CASES = {
