@@ -172,6 +172,12 @@ class AccessController:
         query = self._query.current_decision() if self._query else None
         return self._delivery._combined_status(auth, query)
 
+    def current_kind(self) -> str:
+        """Delivery kind of the innermost open element, as decided when
+        it opened (right after its open this is :meth:`current_status`'s
+        kind, without folding the decisions a second time)."""
+        return self._delivery.innermost_kind()
+
     def current_decision_nodes(self):
         """The (auth, query) decision nodes of the innermost element."""
         auth = self._policy.current_decision()

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from repro.core.compiled import AUTOMATON_STATE_BYTES, PolicyRegistry
 from repro.core.decisions import DecisionNode
@@ -56,6 +57,12 @@ from repro.xmlstream.writer import write_string
 
 #: Modeled RAM cost of the streaming decoder state per open level.
 DECODER_FRAME_BYTES = 8
+
+#: The :class:`~repro.core.runtime.EngineStats` counters the cycle
+#: model charges.
+_engine_counters = attrgetter(
+    "events", "token_checks", "token_advances", "conditions_created"
+)
 
 
 class PendingStrategy(enum.Enum):
@@ -126,8 +133,8 @@ class CardApplet:
         self.soe = soe
         self.default_strategy = strategy
         self.view_mode = view_mode
-        # Per-item engine-charge constants, read once (the cost model
-        # is frozen for the card's lifetime).
+        # Engine-charge constants in ``_engine_counters`` order, read
+        # once (the cost model is frozen for the card's lifetime).
         cost = soe.cost
         self._engine_costs = (
             cost.cycles_per_event,
@@ -343,22 +350,15 @@ class CardApplet:
             bytes_dropped=self._batch_dropped_bytes,
         )
 
-    def _charge_engine_work(self, controller: AccessController) -> None:
-        stats = controller.stats
-        events, checks, advances, conditions = self._stats_snapshot
-        per_event, per_check, per_advance, per_condition = self._engine_costs
-        self.soe.charge_cycles(
-            (stats.events - events) * per_event
-            + (stats.token_checks - checks) * per_check
-            + (stats.token_advances - advances) * per_advance
-            + (stats.conditions_created - conditions) * per_condition
-        )
-        self._stats_snapshot = (
-            stats.events,
-            stats.token_checks,
-            stats.token_advances,
-            stats.conditions_created,
-        )
+    def _charge_engine_work(self, counters: tuple[int, int, int, int]) -> None:
+        """Charge the engine work counted since the last charge."""
+        cycles = 0
+        for now, before, cost in zip(
+            counters, self._stats_snapshot, self._engine_costs
+        ):
+            cycles += (now - before) * cost
+        self.soe.charge_cycles(cycles)
+        self._stats_snapshot = counters
 
     def _emit(self, events: list[Event]) -> None:
         if not events:
@@ -371,21 +371,33 @@ class CardApplet:
     def _pump(self, controller: AccessController, decoder: SXSDecoder) -> None:
         """Drain every decodable item through the evaluator.
 
-        Bound methods are hoisted out of the per-item loop; the
-        charge/emit cadence is exactly the seed's (one engine-work
-        charge per item), keeping clock totals bit-identical.
+        Every event is fed on its own, but the bookkeeping runs once per
+        chunk: the released events are serialized in one ``_emit``, and
+        the engine work (the ``EngineStats`` delta) and the decoded
+        bytes are charged once -- integer cycle sums do not depend on
+        how they are split.  Decoder RAM is checked after opens only,
+        the one item that deepens the stack.  If an item faults (a
+        strict-RAM overflow), the items before it keep the charges a
+        per-item pump made: their output and engine work, and no decode
+        charge.
         """
         next_item = decoder.next_item
-        track = self._track_decoder_ram
         feed = controller.feed
-        emit = self._emit
-        charge = self._charge_engine_work
-        while (item := next_item()) is not None:
-            track(decoder.depth)
-            emit(feed(item.event))
-            if type(item) is DecodedOpen:
-                self._maybe_skip(controller, decoder, item)
-            charge(controller)
+        stats = controller.stats
+        settled = _engine_counters(stats)
+        released: list[Event] = []
+        try:
+            while (item := next_item()) is not None:
+                if type(item) is DecodedOpen:
+                    self._track_decoder_ram(decoder.depth)
+                    released += feed(item.event)
+                    self._maybe_skip(controller, decoder, item)
+                else:
+                    released += feed(item.event)
+                settled = _engine_counters(stats)
+        finally:
+            self._emit(released)
+            self._charge_engine_work(settled)
         self.soe.charge_decode(decoder.bytes_decoded - self._decoder_charged)
         self._decoder_charged = decoder.bytes_decoded
 
@@ -404,7 +416,7 @@ class CardApplet:
         """Apply the skip rule of Section 2.3 to a freshly opened subtree."""
         if item.resume_offset is None or item.tags_inside is None:
             return  # stream carries no skip index
-        kind, _ = controller.current_status()
+        kind = controller.current_kind()
         if kind == _Record.DELIVER:
             return  # content must be transferred anyway
         if kind == _Record.PENDING and self._strategy is not PendingStrategy.REFETCH:

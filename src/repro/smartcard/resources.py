@@ -66,47 +66,88 @@ class SimClock:
     ...); the end-to-end latency model of experiment E6 is the sum --
     the link is half-duplex and the card blocks on it, so the phases
     serialize exactly as they do on the real reader.
+
+    A component is kept either in float seconds (:meth:`add`) or as an
+    integer cycle count of a fixed-rate clock (:meth:`add_cycles`, the
+    card CPU).  A cycle component converts to seconds once, when it is
+    read (``cycles / hz``, correctly rounded), so its time does not
+    depend on how its charges were split.
     """
 
     def __init__(self) -> None:
-        self._seconds: dict[str, float] = {}
+        #: seconds, or integer cycles for the components in ``_hz``
+        self._ledger: dict[str, float] = {}
+        self._hz: dict[str, float] = {}
 
     def add(self, component: str, seconds: float) -> None:
         if seconds < 0:
             raise ValueError("time cannot run backwards")
+        if component in self._hz:
+            raise ValueError(f"{component!r} counts cycles; use add_cycles")
         try:
-            self._seconds[component] += seconds
+            self._ledger[component] += seconds
         except KeyError:
-            self._seconds[component] = seconds
+            self._ledger[component] = seconds
+
+    def add_cycles(self, component: str, cycles: int, hz: float) -> None:
+        """Charge ``cycles`` of a ``hz`` clock to ``component``."""
+        if cycles < 0:
+            raise ValueError("time cannot run backwards")
+        if self._hz.get(component) != hz:
+            if component in self._ledger:
+                raise ValueError(f"{component!r} is kept at another rate")
+            self._hz[component] = hz
+            self._ledger[component] = 0
+        self._ledger[component] += cycles
+
+    def cycles(self, name: str) -> int:
+        """Cycles charged to ``name`` (0 for a component kept in seconds)."""
+        return self._ledger.get(name, 0) if name in self._hz else 0
 
     def component(self, name: str) -> float:
-        return self._seconds.get(name, 0.0)
+        value = self._ledger.get(name, 0.0)
+        hz = self._hz.get(name)
+        return value if hz is None else value / hz
 
     def total(self) -> float:
-        return sum(self._seconds.values())
+        return sum(self.breakdown().values())
 
     def breakdown(self) -> dict[str, float]:
-        return dict(self._seconds)
+        hz = self._hz
+        return {
+            name: value / hz[name] if name in hz else value
+            for name, value in self._ledger.items()
+        }
 
     def snapshot(self) -> dict[str, float]:
         """Copy of the current component times (for session deltas)."""
-        return dict(self._seconds)
+        return self.breakdown()
 
     def since(self, snapshot: dict[str, float]) -> "SimClock":
         """A new clock holding the time elapsed since ``snapshot``.
 
         Sessions share one global clock (card, link, network); each
-        session's metrics report the difference.
+        session's metrics report the difference.  A cycle component's
+        count at the snapshot is recovered exactly from its seconds
+        (``round(seconds * hz)`` is exact below 2**51 cycles), so the
+        delta is still an integer count.
         """
         delta = SimClock()
-        for component, seconds in self._seconds.items():
-            elapsed = seconds - snapshot.get(component, 0.0)
-            if elapsed > 0:
-                delta.add(component, elapsed)
+        for component, value in self._ledger.items():
+            hz = self._hz.get(component)
+            if hz is None:
+                elapsed = value - snapshot.get(component, 0.0)
+                if elapsed > 0:
+                    delta.add(component, elapsed)
+            else:
+                elapsed = value - round(snapshot.get(component, 0.0) * hz)
+                if elapsed > 0:
+                    delta.add_cycles(component, elapsed, hz)
         return delta
 
     def reset(self) -> None:
-        self._seconds.clear()
+        self._ledger.clear()
+        self._hz.clear()
 
 
 @dataclass
@@ -134,7 +175,7 @@ class SessionMetrics:
     refetch_bytes: int = 0
     ram_high_water: int = 0
     max_pending_bytes: int = 0
-    card_cycles: float = 0.0
+    card_cycles: int = 0
     #: Wall-clock dispatch counters of the product machine, the one
     #: evaluation engine (see :class:`~repro.core.runtime.EngineStats`;
     #: ``events_pumped`` equals the session's engine events).  They

@@ -34,22 +34,19 @@ class SecureOperatingEnvironment:
         clock: SimClock | None = None,
     ) -> None:
         self.cost = cost_model or CostModel()
-        self._cpu_hz = self.cost.cpu_hz  # hoisted for the per-item charge
         self.memory = MemoryMeter(ram_quota, strict=strict_memory)
         self.clock = clock or SimClock()
         self.keyring = KeyRing()
         self._version_registers: dict[str, int] = {}
-        self.cycles_used = 0.0
+        self.cycles_used = 0
         self.eeprom_bytes_written = 0
 
     # -- CPU ----------------------------------------------------------------
 
-    def charge_cycles(self, cycles: float) -> None:
+    def charge_cycles(self, cycles: int) -> None:
         """Account CPU work and advance the simulated clock."""
         self.cycles_used += cycles
-        # Same arithmetic as ``cost.seconds``; the attribute hop is
-        # hoisted because this runs once per decoded item.
-        self.clock.add("card_cpu", cycles / self._cpu_hz)
+        self.clock.add_cycles("card_cpu", cycles, self.cost.cpu_hz)
 
     def charge_decrypt(self, nbytes: int) -> None:
         self.charge_cycles(nbytes * self.cost.cycles_decrypt_per_byte)

@@ -99,7 +99,7 @@ class CardLink:
         self.clock = clock or SimClock()
         self.component = component
         self._selected = False
-        self._cycles_at_open = 0.0
+        self._cycles_at_open = 0
 
     # -- one APDU ----------------------------------------------------------
 

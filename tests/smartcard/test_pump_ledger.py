@@ -1,13 +1,16 @@
 """The applet's pump charges the card CPU exactly, chunk by chunk.
 
-The pump settles its bookkeeping once per chunk, so these tests pin
-what must not move: a strict-RAM fault in the middle of a chunk
-charges the items before the fault once (their output and engine
-work, no decode charge), the same cycles a per-item pump charged.
+The pump settles its bookkeeping once per chunk on an integer cycle
+ledger, so these tests pin what must not move: a strict-RAM fault in
+the middle of a chunk charges the items before the fault once (their
+output and engine work, no decode charge), the same cycles a per-item
+pump charged; and a session's modeled card time is its cycle count
+divided by the clock rate, converted once.
 """
 
 import pytest
 
+from repro.community import Community
 from repro.crypto.container import seal_blob, seal_document
 from repro.crypto.keys import DocumentKeys
 from repro.skipindex.encoder import IndexMode, encode_document
@@ -93,3 +96,28 @@ def test_strict_ram_fault_mid_chunk_charges_finished_items_once(name):
     assert soe.clock.component("card_cpu") == pytest.approx(
         cycles / cost.cpu_hz, rel=1e-12
     )
+
+
+def test_pull_session_card_cpu_is_its_cycles_over_the_clock_rate():
+    """The session clock's card time is its cycle count converted once."""
+    community = Community()
+    owner = community.enroll("owner")
+    reader = community.enroll("reader")
+    body = "".join(
+        f"<item><title>t{i}</title><note>{'n' * 30}{i}</note></item>"
+        for i in range(12)
+    )
+    doc = owner.publish(
+        f"<list>{body}</list>",
+        [("+", "reader", "/list"), ("-", "reader", "//note")],
+        to=[reader],
+        doc_id="list",
+        chunk_size=48,
+    )
+    for query in (None, "//title"):
+        with reader.open(doc) as session:
+            metrics = session.query(query).metrics
+        assert type(metrics.card_cycles) is int
+        assert metrics.card_cycles > 0
+        hz = reader.card.soe.cost.cpu_hz
+        assert metrics.clock.component("card_cpu") == metrics.card_cycles / hz

@@ -56,3 +56,52 @@ def test_session_metrics_as_dict():
     assert flat["bytes_decrypted"] == 100
     assert flat["time_link"] == 2.0
     assert flat["time_total"] == 2.0
+
+
+def test_cycle_component_converts_once_on_read():
+    clock = SimClock()
+    for __ in range(10):
+        clock.add_cycles("card_cpu", 1, 3.0)
+    assert clock.cycles("card_cpu") == 10
+    assert clock.component("card_cpu") == 10 / 3.0
+    assert clock.breakdown() == {"card_cpu": 10 / 3.0}
+    assert clock.total() == 10 / 3.0
+    assert clock.cycles("link") == 0
+
+
+def test_cycle_component_keeps_one_rate_and_one_unit():
+    clock = SimClock()
+    clock.add_cycles("card_cpu", 5, 33e6)
+    clock.add("link", 1.0)
+    with pytest.raises(ValueError):
+        clock.add_cycles("card_cpu", 5, 1e6)
+    with pytest.raises(ValueError):
+        clock.add("card_cpu", 1.0)
+    with pytest.raises(ValueError):
+        clock.add_cycles("link", 5, 33e6)
+    with pytest.raises(ValueError):
+        clock.add_cycles("card_cpu", -1, 33e6)
+
+
+def test_since_recovers_exact_cycle_deltas_from_a_snapshot():
+    hz = CostModel().cpu_hz
+    clock = SimClock()
+    clock.add_cycles("card_cpu", 123_456_789_013, hz)
+    clock.add("link", 0.1)
+    before = clock.snapshot()
+    assert all(type(value) is float for value in before.values())
+    clock.add_cycles("card_cpu", 987_654_321, hz)
+    clock.add("link", 0.2)
+    delta = clock.since(before)
+    assert delta.cycles("card_cpu") == 987_654_321
+    assert delta.component("card_cpu") == 987_654_321 / hz
+    assert delta.component("link") == pytest.approx(0.2)
+    assert clock.since(clock.snapshot()).breakdown() == {}
+
+
+def test_reset_forgets_cycle_rates():
+    clock = SimClock()
+    clock.add_cycles("card_cpu", 7, 1e6)
+    clock.reset()
+    clock.add("card_cpu", 1.0)
+    assert clock.component("card_cpu") == 1.0

@@ -13,6 +13,15 @@ def test_cycle_charging_advances_clock():
     assert soe.clock.component("card_cpu") == pytest.approx(0.5)
 
 
+def test_cycles_are_an_integer_ledger():
+    soe = SecureOperatingEnvironment()
+    for __ in range(1000):
+        soe.charge_output(3)
+    assert type(soe.cycles_used) is int
+    assert soe.clock.cycles("card_cpu") == soe.cycles_used == 24_000
+    assert soe.clock.component("card_cpu") == 24_000 / soe.cost.cpu_hz
+
+
 def test_per_byte_charges_scale():
     soe = SecureOperatingEnvironment()
     soe.charge_decrypt(100)
