@@ -11,6 +11,7 @@ from repro.errors import (
     ResourceExhausted,
     TamperDetected,
 )
+from repro.smartcard.resources import CostModel
 from repro.terminal.transfer import TransferPolicy
 
 TIER_RULES = [("+", "viewers", "/tv"), ("-", "viewers", "//adult")]
@@ -147,8 +148,9 @@ def test_revocation_is_soft_for_already_subscribed_members():
 
 #: ``community.clock.snapshot()`` after a 2-cycle broadcast to three
 #: on-time subscribers, as recorded before the push path was merged
-#: into one core.  ``repr`` floats round-trip exactly, so the
-#: comparison is bit-for-bit.
+#: into one core; ``card_cpu`` was re-pinned to ``CHANNEL_CARD_CYCLES /
+#: cpu_hz`` when the card CPU became an integer cycle ledger.  ``repr``
+#: floats round-trip exactly, so the comparison is bit-for-bit.
 CHANNEL_CLOCK = {
     "network": 0.015071999999999999,
     "link": 0.07791796875000001,
@@ -157,7 +159,7 @@ CHANNEL_CLOCK = {
     "link:sub0": 0.48844921875,
     "link:sub1": 0.48844921875,
     "link:sub2": 0.48844921875,
-    "card_cpu": 0.005544727272727295,
+    "card_cpu": 0.005544727272727272,
 }
 #: The card cycles behind ``CHANNEL_CLOCK["card_cpu"]``, summed over
 #: every member's card.
@@ -170,6 +172,7 @@ def test_two_cycle_broadcast_clock_golden():
     assert all(handle.ok for handle in handles)
     assert community.clock.snapshot() == CHANNEL_CLOCK
     assert _card_cycles(community) == CHANNEL_CARD_CYCLES
+    assert CHANNEL_CLOCK["card_cpu"] == CHANNEL_CARD_CYCLES / CostModel().cpu_hz
 
 
 def test_batched_subscriber_transport_is_view_identical():

@@ -10,6 +10,7 @@ import warnings
 
 from repro.community import Community
 from repro.core.rules import AccessRule, RuleSet
+from repro.smartcard.resources import CostModel
 from repro.terminal.transfer import TransferPolicy
 
 DOCUMENT = (
@@ -35,8 +36,9 @@ def _ruleset():
 
 #: The quickstart scenario's views and ``SimClock`` component totals as
 #: the hand-wired publisher/terminal stack produced them, before that
-#: stack was removed.  ``repr`` floats round-trip exactly, so the clock
-#: comparison stays bit-for-bit.
+#: stack was removed; ``card_cpu`` was re-pinned to ``LEGACY_CARD_CYCLES
+#: / cpu_hz`` when the card CPU became an integer cycle ledger.  ``repr``
+#: floats round-trip exactly, so the clock comparison stays bit-for-bit.
 LEGACY_VIEWS = {
     "doctor": (
         "<hospital><patient><name>Smith</name><diagnosis>flu</diagnosis>"
@@ -62,7 +64,7 @@ LEGACY_CLOCK = {
     "network": 0.08646,
     "link": 1.39322265625,
     "eeprom": 0.0018599999999999999,
-    "card_cpu": 0.005066878787878794,
+    "card_cpu": 0.005066878787878788,
 }
 #: The card cycles behind ``LEGACY_CLOCK["card_cpu"]``, summed over
 #: every member's card.
@@ -98,6 +100,7 @@ def test_views_byte_identical_and_clock_bit_identical():
     # the last float bit.
     assert facade_clock == LEGACY_CLOCK
     assert facade_cycles == LEGACY_CARD_CYCLES
+    assert LEGACY_CLOCK["card_cpu"] == LEGACY_CARD_CYCLES / CostModel().cpu_hz
 
 
 def test_facade_itself_does_not_warn():

@@ -6,7 +6,8 @@ late-``[flag]`` mail document under both pending strategies, the
 parental-rating rules over a segment stream, the collaborative agenda
 policy, and a three-lane shared-pass evaluation of one predicate policy.
 Each case records its authorized view (sha256), the modeled SimClock
-(total and per-component breakdown, as exact floats), card cycles, RAM
+(total and per-component breakdown, as exact floats; ``card_cpu`` is
+exactly ``card_cycles / cpu_hz``), card cycles, RAM
 high-water, skipped bytes, APDU count and the five modeled
 :class:`~repro.core.runtime.EngineStats` counters, so any change to the
 evaluation engine that moves a single token, condition or watcher shows
@@ -32,6 +33,7 @@ from repro.core.multicast import MultiSubjectEvaluator
 from repro.core.rules import AccessRule, RuleSet, Sign
 from repro.core.runtime import EngineStats
 from repro.smartcard.applet import PendingStrategy
+from repro.smartcard.resources import CostModel
 from repro.workloads.docgen import agenda, video_catalog
 from repro.workloads.rulegen import agenda_rules, parental_rules
 from repro.xmlstream.parser import parse_string
@@ -175,6 +177,14 @@ def test_predicate_session_matches_golden(name):
     assert observed["engine"] == golden["engine"], "engine counters moved"
     for key, value in golden.items():
         assert observed[key] == value, f"{key} changed"
+
+
+def test_golden_card_cpu_is_card_cycles_over_the_clock_rate():
+    hz = CostModel().cpu_hz
+    card_cases = [g for g in _goldens().values() if "card_cycles" in g]
+    assert card_cases
+    for golden in card_cases:
+        assert golden["clock_breakdown"]["card_cpu"] == golden["card_cycles"] / hz
 
 
 def test_goldens_cover_every_case():

@@ -7,6 +7,7 @@ from repro.dsp.backends import ShardedBackend
 from repro.dsp.freshness import Freshness
 from repro.errors import PolicyError, TamperDetected
 from repro.feeds import CycleSnapshot, decode_snapshot, encode_snapshot
+from repro.smartcard.resources import CostModel
 
 REPORT = (
     "<report><summary>sum</summary>"
@@ -310,8 +311,10 @@ def test_reopened_process_generation_coincidence_is_not_trusted(tmp_path):
 
 #: ``community.clock.snapshot()`` after one feed broadcast (two live
 #: members on two tiers, one detached member) and one catch-up, as
-#: recorded before the push path was merged into one core.  ``repr``
-#: floats round-trip exactly, so the comparison is bit-for-bit.
+#: recorded before the push path was merged into one core; ``card_cpu``
+#: was re-pinned to ``FEED_CARD_CYCLES / cpu_hz`` when the card CPU
+#: became an integer cycle ledger.  ``repr`` floats round-trip exactly,
+#: so the comparison is bit-for-bit.
 FEED_CLOCK = {
     "network": 0.100384,
     "broadcast": 0.000957489013671875,
@@ -320,7 +323,7 @@ FEED_CLOCK = {
     "link:alice": 0.44069140625000003,
     "link:bob": 0.39918750000000003,
     "link:late": 0.43971484375000003,
-    "card_cpu": 0.0042561818181818195,
+    "card_cpu": 0.004256181818181818,
 }
 #: The card cycles behind ``FEED_CLOCK["card_cpu"]``, summed over every
 #: member's card.
@@ -350,6 +353,7 @@ def test_broadcast_and_catch_up_clock_golden():
     assert community.clock.snapshot() == FEED_CLOCK
     cycles = sum(member.card.soe.cycles_used for member in community.members)
     assert cycles == FEED_CARD_CYCLES
+    assert FEED_CLOCK["card_cpu"] == FEED_CARD_CYCLES / CostModel().cpu_hz
 
 
 def test_catch_up_frames_equal_the_live_lane_byte_for_byte(tmp_path):

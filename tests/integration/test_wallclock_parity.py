@@ -9,6 +9,13 @@ corpus of pull sessions; this test replays the same sessions on the
 current code and compares every observable -- view hashes, fragment
 hashes, clock totals and per-component breakdowns (as exact floats),
 card cycles, byte counters, APDU counts and RAM high-water.
+
+Not every value is still 8f1df44's: when the card CPU became an
+integer cycle ledger, each session's ``card_cpu`` seconds (and the
+``clock_total`` that sums them) were re-pinned to the correctly
+rounded ``card_cycles / cpu_hz``, a few ULPs from the old per-item
+float sum.  Every other value, the cycle counts included, is the
+original.
 """
 
 import hashlib
@@ -20,6 +27,7 @@ import pytest
 from repro.bench.harness import PullSetup, run_pull_session
 from repro.skipindex.encoder import IndexMode
 from repro.smartcard.applet import PendingStrategy
+from repro.smartcard.resources import CostModel
 from repro.workloads.docgen import hospital
 from repro.workloads.rulegen import hospital_rules
 from repro.xmlstream.tree import tree_to_events
@@ -71,6 +79,8 @@ def test_session_parity_with_pre_optimization_revision(golden):
     assert metrics.clock.total() == golden["clock_total"]
     assert metrics.clock.breakdown() == golden["clock_breakdown"]
     assert metrics.card_cycles == golden["card_cycles"]
+    hz = CostModel().cpu_hz
+    assert golden["clock_breakdown"]["card_cpu"] == golden["card_cycles"] / hz
 
     # Byte- and unit-level accounting unchanged.
     assert metrics.bytes_decrypted == golden["bytes_decrypted"]

@@ -7,9 +7,9 @@ prefetch window and a window-4/batch-3 plan, each under both pending
 strategies; and a channel broadcast at ``apdu_batch`` 1 and 4 with a
 late joiner tuning in mid-cycle.  Each case records the authorized
 views (sha256), the modeled SimClock as exact floats with the card
-cycles behind its ``card_cpu``, and the link,
-chunk, DSP and refetch counters, so a transport refactor that moves a
-single APDU, byte or wasted chunk shows up as a diff.
+cycles behind its ``card_cpu`` (exactly ``card_cycles / cpu_hz``), and
+the link, chunk, DSP and refetch counters, so a transport refactor that
+moves a single APDU, byte or wasted chunk shows up as a diff.
 
 Regenerate (only when the transport is meant to change, in a commit of
 its own that states the delta)::
@@ -30,7 +30,7 @@ from repro.community import Community
 from repro.core.rules import AccessRule, RuleSet
 from repro.dissemination import container_frames
 from repro.smartcard.applet import PendingStrategy
-from repro.smartcard.resources import SessionMetrics
+from repro.smartcard.resources import CostModel, SessionMetrics
 from repro.terminal.transfer import TransferPolicy
 from repro.xmlstream.parser import parse_string
 
@@ -180,6 +180,12 @@ def _goldens() -> dict:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_transport_matches_golden(name):
     assert CASES[name]() == _goldens()[name]
+
+
+def test_golden_card_cpu_is_card_cycles_over_the_clock_rate():
+    hz = CostModel().cpu_hz
+    for golden in _goldens().values():
+        assert golden["clock"]["card_cpu"] == golden["card_cycles"] / hz
 
 
 def test_goldens_exercise_every_transport_feature():
