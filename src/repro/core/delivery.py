@@ -266,10 +266,6 @@ class DeliveryEngine:
             self._watch(hole, auth, query, unknowns)
         self._records.append(record)
 
-    def innermost_kind(self) -> str:
-        """The kind :meth:`open` decided for the innermost open element."""
-        return self._records[-1].kind
-
     def _watch(
         self,
         hole: _Hole,

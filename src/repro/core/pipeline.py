@@ -176,7 +176,7 @@ class AccessController:
         """Delivery kind of the innermost open element, as decided when
         it opened (right after its open this is :meth:`current_status`'s
         kind, without folding the decisions a second time)."""
-        return self._delivery.innermost_kind()
+        return self._delivery._records[-1].kind
 
     def current_decision_nodes(self):
         """The (auth, query) decision nodes of the innermost element."""

@@ -39,10 +39,10 @@ def test_current_status_reports_innermost():
     controller = AccessController(RULES, "u")
     controller.feed(parse_string("<r><secret></secret></r>")[0])
     kind, __ = controller.current_status()
-    assert kind == _Record.DELIVER
+    assert kind == _Record.DELIVER == controller.current_kind()
     controller.feed(parse_string("<r><secret></secret></r>")[1])
     kind, __ = controller.current_status()
-    assert kind == _Record.DROP
+    assert kind == _Record.DROP == controller.current_kind()
 
 
 def test_subtree_is_irrelevant_combines_evaluators():
