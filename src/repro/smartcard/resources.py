@@ -9,6 +9,11 @@ in bytes, automaton work linear in tokens -- reproduces the platform's.
 Defaults model an e-gate-class card: 33 MHz CPU, software XTEA at ~60
 cycles/byte, HMAC at ~50 cycles/byte, a 2 KB/s half-duplex serial link
 with per-APDU latency, and millisecond-scale EEPROM writes.
+
+Every CPU constant is an integer cycle count, and :class:`SimClock`
+keeps the card CPU as an integer cycle ledger converted to seconds once
+on read (``cycles / cpu_hz``); the link, network and EEPROM, charged
+per APDU or per request, accumulate float seconds.
 """
 
 from __future__ import annotations
@@ -99,10 +104,6 @@ class SimClock:
             self._hz[component] = hz
             self._ledger[component] = 0
         self._ledger[component] += cycles
-
-    def cycles(self, name: str) -> int:
-        """Cycles charged to ``name`` (0 for a component kept in seconds)."""
-        return self._ledger.get(name, 0) if name in self._hz else 0
 
     def component(self, name: str) -> float:
         value = self._ledger.get(name, 0.0)

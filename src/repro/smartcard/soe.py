@@ -13,7 +13,11 @@ Section 2.1's three assumptions, made concrete:
    :attr:`memory`, the quota-enforcing RAM meter.
 
 All CPU work is charged in cycles through this object so that a session
-ends with a deterministic, reproducible time breakdown.
+ends with a deterministic, reproducible time breakdown.  Cycles are
+integers: :meth:`SecureOperatingEnvironment.charge_cycles` adds them to
+:attr:`cycles_used` and to the clock's ``card_cpu`` ledger, which turns
+them into seconds only when read, so the modeled time does not depend
+on how the callers batch their charges.
 """
 
 from __future__ import annotations

@@ -62,11 +62,9 @@ def test_cycle_component_converts_once_on_read():
     clock = SimClock()
     for __ in range(10):
         clock.add_cycles("card_cpu", 1, 3.0)
-    assert clock.cycles("card_cpu") == 10
     assert clock.component("card_cpu") == 10 / 3.0
     assert clock.breakdown() == {"card_cpu": 10 / 3.0}
     assert clock.total() == 10 / 3.0
-    assert clock.cycles("link") == 0
 
 
 def test_cycle_component_keeps_one_rate_and_one_unit():
@@ -93,7 +91,6 @@ def test_since_recovers_exact_cycle_deltas_from_a_snapshot():
     clock.add_cycles("card_cpu", 987_654_321, hz)
     clock.add("link", 0.2)
     delta = clock.since(before)
-    assert delta.cycles("card_cpu") == 987_654_321
     assert delta.component("card_cpu") == 987_654_321 / hz
     assert delta.component("link") == pytest.approx(0.2)
     assert clock.since(clock.snapshot()).breakdown() == {}
