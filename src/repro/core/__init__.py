@@ -16,7 +16,12 @@ The package implements Section 2 of the paper:
   Denial-Takes-Precedence and Most-Specific-Object-Takes-Precedence,
 * :mod:`repro.core.evaluator` + :mod:`repro.core.delivery` +
   :mod:`repro.core.pipeline` -- the streaming evaluator producing the
-  authorized view of a document,
+  authorized view of a document: one :class:`~repro.core.evaluator.Lane`
+  per compiled policy, and a pull query is a one-rule policy too
+  (``AccessController``'s ``query`` takes the
+  :class:`~repro.core.compiled.CompiledPolicy` of
+  :func:`~repro.core.compiled.compile_query` or
+  :meth:`~repro.core.compiled.PolicyRegistry.get_query`),
 * :mod:`repro.core.reference` -- a non-streaming oracle used for
   differential testing.
 """

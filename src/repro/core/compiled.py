@@ -10,11 +10,12 @@ The seed reproduction instead recompiled every rule path on each
   rule automata, their signs, the total automaton state count and the
   modeled secure-RAM cost.  It is immutable and safe to share between
   any number of concurrent evaluations.
-* :func:`compile_policy` builds one from a :class:`RuleSet`.
+* :func:`compile_policy` builds one from a :class:`RuleSet`;
+  :func:`compile_query` builds the one-rule policy of a pull query.
 * :class:`PolicyRegistry` is an LRU cache of compiled policies keyed by
   ``(ruleset_fingerprint, subject, default)``, with explicit
   invalidation for policy churn and a secondary cache for compiled
-  query paths.
+  queries.
 
 Per-document setup through this layer allocates only tokens and
 frames; NFAs are compiled exactly once per distinct policy.
@@ -22,6 +23,7 @@ frames; NFAs are compiled exactly once per distinct policy.
 
 from __future__ import annotations
 
+import hashlib
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -111,6 +113,27 @@ def compile_policy(
     )
 
 
+def compile_query(query: str | Path) -> CompiledPolicy:
+    """Compile a pull query as a one-rule policy.
+
+    "The authorized subpart matching the query" (Section 2) is the
+    conjunction of the subject's policy with this one: the query's
+    subtrees are PERMIT under a closed-world default.  The fingerprint
+    hashes the query's text form, so equal queries fingerprint alike.
+    """
+    if isinstance(query, str):
+        query = parse_path(query)
+    path = compile_path(query)
+    return CompiledPolicy(
+        fingerprint=hashlib.sha1(f"query:{query}".encode()).hexdigest(),
+        subject=None,
+        default=Sign.DENY,
+        automata=(path,),
+        signs=(Sign.PERMIT,),
+        state_count=path.state_count(),
+    )
+
+
 class RegistryStats:
     """Counters of one registry's cache behavior."""
 
@@ -152,8 +175,9 @@ class PolicyRegistry:
     lock-step with the entries (a reverse map cleans it on eviction),
     so invalidation never silently misses a live entry.
 
-    The registry also caches compiled *query* paths (pull scenarios),
-    keyed by their text form.  All methods are thread-safe.
+    The registry also caches compiled *queries* (pull scenarios), keyed
+    by their text form; each is a :func:`compile_query` policy that
+    owns its solved tables like any other.  All methods are thread-safe.
     """
 
     def __init__(self, capacity: int = 128) -> None:
@@ -176,7 +200,7 @@ class PolicyRegistry:
         self._aliases: OrderedDict[
             tuple[str, Subject | None, Sign], tuple[str, Sign]
         ] = OrderedDict()
-        self._queries: OrderedDict[str, CompiledPath] = OrderedDict()
+        self._queries: OrderedDict[str, CompiledPolicy] = OrderedDict()
 
     def __len__(self) -> int:
         return len(self._policies)
@@ -299,25 +323,16 @@ class PolicyRegistry:
 
     # -- queries ----------------------------------------------------------
 
-    def get_query(self, query: Union[str, Path, CompiledPath]) -> CompiledPath:
-        """The compiled automaton of one query path, cached by text."""
-        if isinstance(query, CompiledPath):
-            return query
-        if isinstance(query, str):
-            key = query
-            parsed: Path | None = None
-        else:
-            key = str(query)
-            parsed = query
+    def get_query(self, query: Union[str, Path]) -> CompiledPolicy:
+        """The :func:`compile_query` policy of one query, cached by text."""
+        key = query if isinstance(query, str) else str(query)
         with self._lock:
             cached = self._queries.get(key)
             if cached is not None:
                 self._queries.move_to_end(key)
                 self.stats.query_hits += 1
                 return cached
-        if parsed is None:
-            parsed = parse_path(query)  # type: ignore[arg-type]
-        compiled = compile_path(parsed)
+        compiled = compile_query(query)
         with self._lock:
             self.stats.query_misses += 1
             self._queries[key] = compiled

@@ -7,8 +7,8 @@ subscriber in isolation parses (and tokenizes, and advances automata
 over) the identical stream N times.  This module amortizes that: one
 :class:`~repro.core.product.ProductEngine` pumps every subscriber's
 automata over a single pass of the event stream, while each subscriber
-keeps a private decision stack and delivery engine (their views
-genuinely differ).
+keeps a private :class:`~repro.core.evaluator.Lane` (its decision
+stack) and delivery engine (their views genuinely differ).
 
 Shared automata are shared for real: when two subscribers carry the
 same compiled policy (one registry entry -- e.g. two members of the
@@ -28,41 +28,13 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from repro.core.compiled import CompiledPolicy, PolicyRegistry, compile_policy
-from repro.core.conditions import Condition
-from repro.core.decisions import DecisionNode
 from repro.core.delivery import DeliveryEngine, ViewMode
+from repro.core.evaluator import Lane
 from repro.core.product import ProductEngine
 from repro.core.rules import RuleSet, Sign, Subject
 from repro.core.runtime import EngineStats
 from repro.xmlstream.events import CloseEvent, Event, OpenEvent, ValueEvent
 from repro.xmlstream.writer import write_string
-
-
-class _LaneSink:
-    """Routes one automaton's completed matches to its subject's lane."""
-
-    __slots__ = ("lane", "sign")
-
-    def __init__(self, lane: "_Lane", sign: Sign) -> None:
-        self.lane = lane
-        self.sign = sign
-
-    def on_match(self, conditions: frozenset[Condition]) -> None:
-        self.lane.collected.append((self.sign, conditions))
-
-
-class _Lane:
-    """One subject's private state within the shared pass."""
-
-    __slots__ = ("policy", "delivery", "decisions", "collected")
-
-    def __init__(self, policy: CompiledPolicy, mode: ViewMode) -> None:
-        self.policy = policy
-        self.delivery = DeliveryEngine(mode)
-        self.decisions: list[DecisionNode] = [
-            DecisionNode.default_root(policy.default)
-        ]
-        self.collected: list[tuple[Sign, frozenset[Condition]]] = []
 
 
 class MultiSubjectEvaluator:
@@ -84,13 +56,8 @@ class MultiSubjectEvaluator:
             raise ValueError("at least one policy required")
         self.stats = stats or EngineStats()
         self._engine = ProductEngine(stats=self.stats)
-        self._lanes: list[_Lane] = []
-        for policy in policies:
-            lane = _Lane(policy, mode)
-            self._engine.add_policy(
-                policy, [_LaneSink(lane, sign) for sign in policy.signs]
-            )
-            self._lanes.append(lane)
+        self._lanes = [Lane(self._engine, policy) for policy in policies]
+        self._deliveries = [DeliveryEngine(mode) for __ in policies]
         self._depth = 0
         self._finished = False
 
@@ -101,7 +68,7 @@ class MultiSubjectEvaluator:
     def feed(self, event: Event) -> list[list[Event]]:
         """Process one event; return the per-lane output it released."""
         self._pump(event)
-        return [lane.delivery.drain() for lane in self._lanes]
+        return [delivery.drain() for delivery in self._deliveries]
 
     def run(self, events: Iterable[Event]) -> list[list[Event]]:
         """Pump a whole event slice per call; return complete outputs.
@@ -126,27 +93,23 @@ class MultiSubjectEvaluator:
             for lane in self._lanes:
                 lane.collected.clear()
             self._engine.open(event.tag)
-            for lane in self._lanes:
-                node = DecisionNode(parent=lane.decisions[-1])
-                for sign, conditions in lane.collected:
-                    node.add_match(sign, conditions)
-                lane.decisions.append(node)
-                lane.delivery.open(event, node)
+            for lane, delivery in zip(self._lanes, self._deliveries):
+                delivery.open(event, lane.push())
             self._depth += 1
         elif isinstance(event, ValueEvent):
             if self._depth == 0:
                 raise ValueError("text event outside the root element")
             self._engine.value(event.text)
-            for lane in self._lanes:
-                lane.delivery.value(event)
+            for delivery in self._deliveries:
+                delivery.value(event)
         elif isinstance(event, CloseEvent):
             if self._depth == 0:
                 raise ValueError("unbalanced close event")
-            for lane in self._lanes:
-                lane.delivery.close(event)
+            for delivery in self._deliveries:
+                delivery.close(event)
             self._engine.close()
             for lane in self._lanes:
-                lane.decisions.pop()
+                lane.pop()
             self._depth -= 1
         else:  # pragma: no cover - defensive
             raise TypeError(f"not an event: {event!r}")
@@ -156,7 +119,7 @@ class MultiSubjectEvaluator:
         if self._depth != 0:
             raise ValueError("document ended with unclosed elements")
         self._finished = True
-        return [lane.delivery.finish() for lane in self._lanes]
+        return [delivery.finish() for delivery in self._deliveries]
 
     def active_token_count(self) -> int:
         return self._engine.active_token_count()

@@ -10,15 +10,19 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from repro.core.compiled import CompiledPolicy, PolicyRegistry, compile_policy
+from repro.core.compiled import (
+    CompiledPolicy,
+    PolicyRegistry,
+    compile_policy,
+    compile_query,
+)
 from repro.core.delivery import DeliveryEngine, ViewMode
-from repro.core.evaluator import StreamingEvaluator
-from repro.core.nfa import CompiledPath, compile_path
+from repro.core.evaluator import Lane
+from repro.core.product import ProductEngine
 from repro.core.rules import RuleSet, Sign, Subject
 from repro.core.runtime import EngineStats
 from repro.xmlstream.events import CloseEvent, Event, OpenEvent, ValueEvent
 from repro.xpathlib.ast import Path
-from repro.xpathlib.parser import parse_path
 
 
 class AccessController:
@@ -37,7 +41,14 @@ class AccessController:
     :class:`~repro.core.compiled.CompiledPolicy`, in which case
     construction performs zero compilation -- the hot path for serving
     many documents or subscribers under one policy.  Likewise ``query``
-    accepts a prebuilt :class:`~repro.core.nfa.CompiledPath`.
+    accepts the prebuilt query policy of
+    :func:`~repro.core.compiled.compile_query` or
+    :meth:`~repro.core.compiled.PolicyRegistry.get_query`.
+
+    Each of the two :class:`~repro.core.evaluator.Lane` objects -- the
+    authorization lane and, with a query, the query lane -- runs alone
+    on its own :class:`~repro.core.product.ProductEngine`, so it adopts
+    its policy's solved tables.
 
     A :class:`CompiledPolicy` carries its subject and default sign;
     passing a conflicting ``subject`` or ``default`` alongside one is
@@ -48,7 +59,7 @@ class AccessController:
         self,
         rules: RuleSet | CompiledPolicy,
         subject: Subject | str | None = None,
-        query: Path | str | CompiledPath | None = None,
+        query: Path | str | CompiledPolicy | None = None,
         mode: ViewMode = ViewMode.SKELETON,
         default: Sign | None = None,
         memory=None,
@@ -73,26 +84,14 @@ class AccessController:
         else:
             policy = compile_policy(rules, subject, default if default is not None else Sign.DENY)
         self.compiled_policy = policy
-        self._policy = StreamingEvaluator.from_compiled(
-            policy, memory=memory, stats=self.stats
+        self._policy = Lane(
+            ProductEngine(memory=memory, stats=self.stats), policy, memory
         )
-        self.compiled_query: CompiledPath | None = None
-        if query is not None:
-            if isinstance(query, CompiledPath):
-                compiled_query = query
-            elif registry is not None:
-                compiled_query = registry.get_query(query)
-            else:
-                if isinstance(query, str):
-                    query = parse_path(query)
-                compiled_query = compile_path(query)
-            self.compiled_query = compiled_query
-        self._query = (
-            StreamingEvaluator.for_query(
-                self.compiled_query, memory=memory, stats=self.stats
-            )
-            if self.compiled_query is not None
-            else None
+        if query is not None and not isinstance(query, CompiledPolicy):
+            query = registry.get_query(query) if registry else compile_query(query)
+        self.compiled_query = query
+        self._query = None if query is None else Lane(
+            ProductEngine(memory=memory, stats=self.stats), query, memory
         )
         self._delivery = DeliveryEngine(mode, memory=memory)
         self._depth = 0
@@ -118,9 +117,9 @@ class AccessController:
         elif cls is ValueEvent or isinstance(event, ValueEvent):
             if self._depth == 0:
                 raise ValueError("text event outside the root element")
-            self._policy.value(event.text)
+            self._policy.engine.value(event.text)
             if self._query:
-                self._query.value(event.text)
+                self._query.engine.value(event.text)
             self._delivery.value(event)
         elif cls is CloseEvent or isinstance(event, CloseEvent):
             if self._depth == 0:
@@ -151,16 +150,15 @@ class AccessController:
         The applet combines this with the delivery status (a subtree is
         only actually skipped when it is also not being delivered).
         """
-        if self._policy.can_complete_inside(tags_inside):
+        policy = self._policy.engine
+        if policy.can_complete_inside(tags_inside) or policy.has_watchers_on_top():
             return False
-        if self._policy.has_watchers_on_top():
-            return False
-        if self._query is not None:
-            if self._query.can_complete_inside(tags_inside):
-                return False
-            if self._query.has_watchers_on_top():
-                return False
-        return True
+        if self._query is None:
+            return True
+        query = self._query.engine
+        return not (
+            query.can_complete_inside(tags_inside) or query.has_watchers_on_top()
+        )
 
     def current_status(self):
         """Combined delivery status of the innermost open element.
@@ -168,9 +166,7 @@ class AccessController:
         Returns ``(kind, unknowns)`` where kind is one of the
         ``_Record`` constants (``"deliver"``, ``"drop"``, ``"pending"``).
         """
-        auth = self._policy.current_decision()
-        query = self._query.current_decision() if self._query else None
-        return self._delivery._combined_status(auth, query)
+        return self._delivery._combined_status(*self.current_decision_nodes())
 
     def current_kind(self) -> str:
         """Delivery kind of the innermost open element, as decided when
@@ -180,8 +176,8 @@ class AccessController:
 
     def current_decision_nodes(self):
         """The (auth, query) decision nodes of the innermost element."""
-        auth = self._policy.current_decision()
-        query = self._query.current_decision() if self._query else None
+        auth = self._policy.decisions[-1]
+        query = self._query.decisions[-1] if self._query else None
         return auth, query
 
     def status_of(self, auth, query):
@@ -193,9 +189,9 @@ class AccessController:
         return self._delivery.max_pending_bytes
 
     def active_token_count(self) -> int:
-        count = self._policy.active_token_count()
+        count = self._policy.engine.active_token_count()
         if self._query is not None:
-            count += self._query.active_token_count()
+            count += self._query.engine.active_token_count()
         return count
 
 

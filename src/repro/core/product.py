@@ -59,9 +59,10 @@ per-sink fan-out -- a broadcast under one effective policy advances
 instantiated once for every lane.  The solved tables
 (:class:`ProductTables`: states, transitions, memos) hold no sink and
 no condition.  An engine running one compiled policy alone -- each
-session of a card under its cached policy -- adopts the tables the
-policy owns, so they are solved once per policy and die with it; any
-other registration solves tables of its own.  Tables stop growing at
+session of a card under its cached policy, and under its cached query
+-- adopts the tables the policy owns, so they are solved once per
+policy and die with it; any other registration solves tables of its
+own.  Tables stop growing at
 :data:`TABLE_LIMIT` entries: past it, steps are computed uncached.
 """
 

@@ -278,7 +278,7 @@ class CardApplet:
             # from the compiled artifact, no recompilation.
             states = policy.state_count
             if compiled_query is not None:
-                states += compiled_query.state_count()
+                states += compiled_query.state_count
             self._automata_ram = states * AUTOMATON_STATE_BYTES
             self.soe.memory.allocate("automata", self._automata_ram)
             self._decoder = SXSDecoder()

@@ -13,12 +13,13 @@ from repro.core.compiled import (
     AUTOMATON_STATE_BYTES,
     PolicyRegistry,
     compile_policy,
+    compile_query,
 )
-from repro.core.evaluator import StreamingEvaluator
 from repro.core.multicast import MultiSubjectEvaluator, multicast_views
-from repro.core.nfa import compile_call_count
+from repro.core.nfa import compile_call_count, compile_path
 from repro.core.pipeline import AccessController, authorized_view
 from repro.core.rules import AccessRule, RuleSet, Sign, Subject
+from repro.core.runtime import EngineStats
 from repro.workloads.docgen import agenda, hospital, video_catalog, _CATEGORIES
 from repro.workloads.rulegen import (
     agenda_rules,
@@ -30,6 +31,7 @@ from repro.workloads.rulegen import (
 from repro.xmlstream.parser import parse_string
 from repro.xmlstream.tree import tree_to_events
 from repro.xmlstream.writer import write_string
+from repro.xpathlib.parser import parse_path
 
 MEMBERS = ["alice", "bruno", "carla", "deng"]
 
@@ -240,6 +242,16 @@ def test_registry_query_cache():
     before = compile_call_count()
     registry.get_query("//a[b]/c")
     assert compile_call_count() == before
+    # A query is a one-rule policy: PERMIT on its subtrees, default DENY.
+    assert len(by_text) == 1
+    assert by_text.signs == (Sign.PERMIT,)
+    assert by_text.default is Sign.DENY
+    path = compile_path(parse_path("//a[b]/c"))
+    assert by_text.state_count == path.state_count() > 0
+    # Its fingerprint comes from the query text, not object identity.
+    assert compile_query("//a[b]/c").fingerprint == by_text.fingerprint
+    assert compile_query("//a[b]/d").fingerprint != by_text.fingerprint
+    assert registry.get_query(parse_path("//a[b]/c")) is by_text
 
 
 # -- AccessController through the registry ------------------------------------
@@ -274,22 +286,48 @@ def test_evaluator_from_compiled_matches_for_policy():
         "<hospital><patient><name>n</name>"
         "<billing><amount>5</amount></billing></patient></hospital>"
     )
-    def run(evaluator):
+    def run(controller):
         signs = []
         for event in doc:
-            kind = type(event).__name__
-            if kind == "OpenEvent":
-                evaluator.open(event.tag)
-            elif kind == "ValueEvent":
-                evaluator.value(event.text)
-            else:
-                evaluator.close()
-            signs.append(str(evaluator.current_decision().status()))
+            controller.feed(event)
+            auth, __ = controller.current_decision_nodes()
+            signs.append(str(auth.status()))
         return signs
 
-    legacy = run(StreamingEvaluator.for_policy(rules, "accountant"))
-    compiled = run(StreamingEvaluator.from_compiled(policy))
+    legacy = run(AccessController(rules, "accountant"))
+    compiled = run(AccessController(policy))
     assert legacy == compiled
+
+
+def test_repeated_query_sessions_intern_nothing():
+    """Sessions through one registry share the cached policy's and the
+    cached query's tables: the second interns no product state, and
+    every modeled counter and the view are unchanged."""
+    registry = PolicyRegistry()
+    rules = hospital_rules()
+    events = list(tree_to_events(hospital(n_patients=3)))
+    modeled = ("events", "token_checks", "token_advances",
+               "conditions_created", "watcher_bytes")
+    runs = []
+    for __ in range(2):
+        stats = EngineStats()
+        controller = AccessController(
+            rules, "accountant", query="//patient[billing]/name",
+            registry=registry, stats=stats,
+        )
+        output = []
+        for event in events:
+            output.extend(controller.feed(event))
+        output.extend(controller.finish())
+        runs.append((stats, write_string(output)))
+    (cold, first), (warm, second) = runs
+    assert registry.stats.query_misses == 1 and registry.stats.query_hits == 1
+    assert cold.product_states_interned > 0
+    assert warm.product_states_interned == 0
+    assert [getattr(warm, n) for n in modeled] == [
+        getattr(cold, n) for n in modeled
+    ]
+    assert second == first and "<name>" in first
 
 
 # -- differential: compiled vs legacy on the docgen corpus --------------------

@@ -1,11 +1,14 @@
-"""Unit tests for the streaming evaluator facade."""
+"""Unit tests for the lane: one compiled policy's decision stack."""
 
 import pytest
 
+from repro.core.compiled import compile_policy, compile_query
 from repro.core.decisions import Pending, Resolved
-from repro.core.evaluator import StreamingEvaluator
+from repro.core.evaluator import Lane
+from repro.core.pipeline import AccessController
+from repro.core.product import ProductEngine
 from repro.core.rules import AccessRule, RuleSet, Sign, Subject
-from repro.xpathlib.parser import parse_path
+from repro.xmlstream.events import CloseEvent, OpenEvent, ValueEvent
 
 
 def _rules(*defs):
@@ -15,68 +18,92 @@ def _rules(*defs):
     ])
 
 
+def _lane(rules, subject, default=Sign.DENY) -> Lane:
+    return Lane(ProductEngine(), compile_policy(rules, subject, default))
+
+
 def test_policy_evaluator_filters_by_subject():
     rules = _rules(("+", "alice", "//a"), ("-", "bob", "//a"))
-    evaluator = StreamingEvaluator.for_policy(rules, "alice")
-    node = evaluator.open("a")
-    assert node.status() == Resolved(Sign.PERMIT)
+    lane = _lane(rules, "alice")
+    assert lane.open("a").status() == Resolved(Sign.PERMIT)
+    controller = AccessController(rules, "bob")
+    controller.feed(OpenEvent("a"))
+    auth, query = controller.current_decision_nodes()
+    assert auth.status() == Resolved(Sign.DENY) and query is None
 
 
 def test_group_subjects_apply():
     rules = _rules(("+", "staff", "//a"))
-    evaluator = StreamingEvaluator.for_policy(
-        rules, Subject("alice", frozenset({"staff"}))
-    )
-    assert evaluator.open("a").status() == Resolved(Sign.PERMIT)
+    lane = _lane(rules, Subject("alice", frozenset({"staff"})))
+    assert lane.open("a").status() == Resolved(Sign.PERMIT)
 
 
 def test_default_sign_controls_root():
     rules = _rules(("+", "u", "//never"))
-    closed = StreamingEvaluator.for_policy(rules, "u", default=Sign.DENY)
+    closed = _lane(rules, "u", default=Sign.DENY)
     assert closed.open("a").status() == Resolved(Sign.DENY)
-    open_world = StreamingEvaluator.for_policy(rules, "u", default=Sign.PERMIT)
+    open_world = _lane(rules, "u", default=Sign.PERMIT)
     assert open_world.open("a").status() == Resolved(Sign.PERMIT)
 
 
 def test_query_selector_selects_subtrees():
-    selector = StreamingEvaluator.for_query(parse_path("//b"))
+    selector = Lane(ProductEngine(), compile_query("//b"))
     assert selector.open("a").status() == Resolved(Sign.DENY)
     assert selector.open("b").status() == Resolved(Sign.PERMIT)
     # Children of a selected node inherit selection.
     assert selector.open("c").status() == Resolved(Sign.PERMIT)
+    # Through the controller, the query lane decides beside the policy.
+    controller = AccessController(_rules(("+", "u", "//a")), "u", query="//b")
+    decisions = []
+    for tag in ("a", "b", "c"):
+        controller.feed(OpenEvent(tag))
+        auth, query = controller.current_decision_nodes()
+        decisions.append((auth.status(), query.status()))
+    permit, deny = Resolved(Sign.PERMIT), Resolved(Sign.DENY)
+    assert decisions == [(permit, deny), (permit, permit), (permit, permit)]
 
 
 def test_pending_status_surfaces_conditions():
     rules = _rules(("+", "u", "//a[b]"))
-    evaluator = StreamingEvaluator.for_policy(rules, "u")
-    status = evaluator.open("a").status()
+    status = _lane(rules, "u").open("a").status()
     assert isinstance(status, Pending)
     assert len(status.unknowns) == 1
+    controller = AccessController(rules, "u")
+    controller.feed(OpenEvent("a"))
+    kind, unknowns = controller.current_status()
+    assert kind == "pending" and len(unknowns) == 1
 
 
 def test_close_pops_decision_stack():
     rules = _rules(("+", "u", "/a"))
-    evaluator = StreamingEvaluator.for_policy(rules, "u")
-    evaluator.open("a")
-    evaluator.open("x")
-    inner = evaluator.current_decision()
-    evaluator.close()
-    assert evaluator.current_decision() is not inner
+    lane = _lane(rules, "u")
+    lane.open("a")
+    inner = lane.open("x")
+    assert lane.decisions[-1] is inner
+    lane.close()
+    assert lane.decisions[-1] is not inner
+    assert len(lane.decisions) == 2
 
 
 def test_add_rule_after_start_rejected():
+    """A lane cannot join an engine whose root already opened."""
     rules = _rules(("+", "u", "/a"))
-    evaluator = StreamingEvaluator.for_policy(rules, "u")
-    evaluator.open("a")
+    engine = ProductEngine()
+    Lane(engine, compile_policy(rules, "u"))
+    engine.open("a")
     with pytest.raises(RuntimeError):
-        evaluator.add_rule_path(parse_path("/b"), Sign.DENY)
+        Lane(engine, compile_query("/b"))
 
 
 def test_stats_accumulate():
     rules = _rules(("+", "u", "//a"))
-    evaluator = StreamingEvaluator.for_policy(rules, "u")
-    evaluator.open("a")
-    evaluator.value("text")
-    evaluator.close()
-    assert evaluator.stats.events == 3
-    assert evaluator.stats.token_checks >= 1
+    controller = AccessController(rules, "u")
+    controller.feed(OpenEvent("a"))
+    controller.feed(ValueEvent("text"))
+    controller.feed(CloseEvent("a"))
+    assert controller.stats.events == 3
+    assert controller.stats.token_checks >= 1
+    # A query lane's engine adds its own events to the same stats.
+    queried = AccessController(rules, "u", query="//a")
+    queried.feed(OpenEvent("a"))
+    assert queried.stats.events == 2

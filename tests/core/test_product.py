@@ -3,7 +3,7 @@
 The product machine is the only evaluation engine, predicates included.
 On any document and any rule set of the supported fragment its match
 sets must equal the reference XPath evaluator's node sets, and the
-views it drives -- through :class:`StreamingEvaluator` and through a
+views it drives -- through :class:`AccessController` and through a
 shared :class:`MultiSubjectEvaluator` pass of one or three lanes --
 must equal :func:`repro.core.reference.reference_view`.  The E10
 pending workload (each ``[flag]`` resolves after the body it guards)
@@ -23,7 +23,7 @@ from repro.core.compiled import compile_policy
 from repro.core.conditions import Condition, Tristate, conjunction_state
 from repro.core.multicast import MultiSubjectEvaluator
 from repro.core import product
-from repro.core.evaluator import StreamingEvaluator
+from repro.core.evaluator import Lane
 from repro.core.product import ProductEngine
 from repro.core.rules import AccessRule, RuleSet, Sign
 from repro.core.runtime import EngineStats
@@ -121,7 +121,7 @@ def _lane_texts(policy, lanes: int, events) -> list[str]:
 @settings(max_examples=150, deadline=None)
 @given(root=elements(), rules=rule_sets())
 def test_views_identical_any_rules(root, rules):
-    """StreamingEvaluator and a 1-lane shared pass equal the oracle."""
+    """AccessController and a 1-lane shared pass equal the oracle."""
     events = list(tree_to_events(root))
     expected = write_string(reference_view(root, rules, "u"))
     assert write_string(authorized_view(events, rules, "u")) == expected
@@ -254,8 +254,8 @@ def test_memo_is_bounded_on_a_long_predicate_document():
 def test_sessions_of_one_policy_share_its_tables():
     """Engines running one compiled policy alone adopt the tables the
     policy owns: a later session interns no state, yet reports the same
-    matches and modeled counters.  Other registrations (two lanes, a
-    query path) solve tables of their own."""
+    matches and modeled counters.  Other registrations (two lanes, an
+    extra automaton) solve tables of their own."""
     policy = compile_policy(parental_rules("kid", "PG"), "kid", Sign.DENY)
     events = list(tree_to_events(video_catalog(8, payload=10)))
     modeled = ("events", "token_checks", "token_advances",
@@ -283,8 +283,8 @@ def test_sessions_of_one_policy_share_its_tables():
     assert [getattr(warm, n) for n in modeled] == [
         getattr(cold, n) for n in modeled
     ]
-    evaluator = StreamingEvaluator.from_compiled(policy)
-    assert evaluator._engine._tables is policy.tables
+    lane = Lane(ProductEngine(), policy)
+    assert lane.engine._tables is policy.tables
     extended = ProductEngine()
     extended.add_policy(policy, [_NullSink()] * len(policy))
     extended.add_automaton(policy.automata[0], _NullSink())

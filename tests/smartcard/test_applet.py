@@ -37,8 +37,8 @@ def _applet(strict=False, strategy=PendingStrategy.BUFFER):
     return CardApplet(soe, strategy=strategy)
 
 
-def _run_session(applet, container, records, version, subject="u"):
-    applet.begin_session("d", subject)
+def _run_session(applet, container, records, version, subject="u", query=None):
+    applet.begin_session("d", subject, query=query)
     applet.put_header(container.header)
     for index, record in enumerate(records):
         applet.put_rule_record(index, version, record)
@@ -61,6 +61,26 @@ def test_full_session_produces_authorized_view():
     rules = RuleSet([AccessRule.parse(s, u, p) for s, u, p in RULES])
     expected = write_string(reference_view(parse_tree(DOC), rules, "u"))
     assert view == expected
+
+
+def test_repeated_query_sessions_intern_nothing():
+    """The card's registry caches the query policy with its tables: a
+    second pull under the same query interns no product state and
+    charges the same modeled work."""
+    container, records, version = _publish()
+    applet = _applet()
+    runs = []
+    for __ in range(2):
+        view = _run_session(applet, container, records, version, query="//pub")
+        stats = applet.engine_stats
+        runs.append((view, stats.product_states_interned, (
+            stats.events, stats.token_checks, stats.token_advances,
+            stats.conditions_created, stats.watcher_bytes,
+        )))
+    (view, cold, modeled), (again, warm, remodeled) = runs
+    assert view == again == "<r><pub>open</pub></r>"
+    assert cold > 0 and warm == 0
+    assert remodeled == modeled
 
 
 def test_session_requires_provisioned_key():
