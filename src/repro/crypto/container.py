@@ -35,6 +35,11 @@ class IntegrityError(TamperDetected):
     """Raised when a MAC check or structural invariant fails."""
 
 
+def _header_payload(total_length: int, tag_length: int) -> bytes:
+    """The header fields the MAC covers beyond id, version and shape."""
+    return total_length.to_bytes(8, "big") + bytes([tag_length])
+
+
 @dataclass(frozen=True, slots=True)
 class DocumentHeader:
     """Authenticated container metadata."""
@@ -48,7 +53,7 @@ class DocumentHeader:
     tag: bytes = field(repr=False, default=b"")
 
     def payload(self) -> bytes:
-        return self.total_length.to_bytes(8, "big") + bytes([self.tag_length])
+        return _header_payload(self.total_length, self.tag_length)
 
     def verify(self, keys: DocumentKeys) -> None:
         """Check the header MAC (card side, before any chunk is used)."""
@@ -119,18 +124,9 @@ def seal_document(
         chunk_count=chunk_count,
         total_length=len(plaintext),
         tag_length=tag_length,
-        tag=b"",
-    )
-    header = DocumentHeader(
-        doc_id=doc_id,
-        version=version,
-        chunk_size=chunk_size,
-        chunk_count=chunk_count,
-        total_length=len(plaintext),
-        tag_length=tag_length,
         tag=header_mac(
             keys.mac, doc_id, version, chunk_count, chunk_size,
-            header.payload(), tag_length,
+            _header_payload(len(plaintext), tag_length), tag_length,
         ),
     )
     return DocumentContainer(header=header, chunks=tuple(chunks))

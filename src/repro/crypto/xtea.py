@@ -13,13 +13,17 @@ Two implementation layers:
 * :class:`XTEACipher` is the wall-clock hot path: the key schedule
   (the 64 per-round ``sum + key[...]`` constants, which depend only on
   the key) is computed once per key and memoized, and whole buffers of
-  blocks are processed per call.  Multi-block calls run the rounds
-  *bit-sliced across blocks*: each 8-byte block occupies one 64-bit
-  lane of a pair of Python big integers, so one arithmetic operation
-  advances every block at once instead of paying interpreter dispatch
-  per block.  Lane values are 32 bits wide in 64-bit lanes, so adds
-  never carry across lanes and per-lane subtraction is an add of the
-  lane complement.
+  blocks are processed per call.  The CBC paths run the rounds
+  *bit-sliced across blocks*: a buffer read as one big-endian integer
+  already holds one 8-byte block per 64-bit lane, so ``whole & mask``
+  and ``(whole >> 32) & mask`` split it into the two 32-bit halves and
+  one arithmetic operation advances every block at once.  The round
+  function needs no mask of its own: its low part stays below 2^38
+  and the ``>> 5`` spill from the next lane sits in bits 59-63, so no
+  carry crosses a lane and one mask per half-round clears both.
+  Per-lane subtraction is an add of the complement,
+  ``v - x == v + (x ^ 0xFFFFFFFF) + 1 (mod 2^32)``, with the
+  complement folded into the replicated round keys.
 """
 
 from __future__ import annotations
@@ -33,8 +37,9 @@ _ROUNDS = 32
 BLOCK_SIZE = 8
 KEY_SIZE = 16
 
-#: Minimum number of blocks before the bit-sliced path beats the
-#: scheduled per-block loop (lane packing has fixed overhead).
+#: Minimum number of equal-length messages before the bit-sliced
+#: encrypt beats the scheduled per-block loop (a lone CBC message is
+#: sequential, and lane setup has fixed overhead).
 _SWAR_MIN_BLOCKS = 3
 
 
@@ -53,16 +58,11 @@ class _LaneState:
     the constants so repeated calls share them.
     """
 
-    __slots__ = ("ones", "mask", "kones", "full", "dec", "enc")
+    __slots__ = ("ones", "mask", "dec", "enc")
 
     def __init__(self, count: int) -> None:
         self.ones = (1 << (64 * count)) // ((1 << 64) - 1)  # 0x0001_0001...
         self.mask = _MASK * self.ones
-        # Lane-wise subtraction a - b (mod 2^32) is a + (2^32) - b with
-        # the borrow absorbed per lane; fold the 2^32-per-lane constant
-        # into kones once instead of two ops per round.
-        self.kones = self.mask + self.ones
-        self.full = (1 << (64 * count)) - 1
         self.dec: tuple[tuple[int, int], ...] | None = None
         self.enc: tuple[tuple[int, int], ...] | None = None
 
@@ -141,10 +141,12 @@ class XTEACipher:
         return state
 
     def _dec_replicated(self, state: "_LaneState") -> tuple[tuple[int, int], ...]:
+        """Replicated decrypt keys, complemented for add-as-subtract."""
         if state.dec is None:
             ones = state.ones
             state.dec = tuple(
-                (sum1 * ones, sum0 * ones) for sum1, sum0 in self.dec_schedule
+                ((sum1 ^ _MASK) * ones, (sum0 ^ _MASK) * ones)
+                for sum1, sum0 in self.dec_schedule
             )
         return state.dec
 
@@ -155,29 +157,6 @@ class XTEACipher:
                 (sum0 * ones, sum1 * ones) for sum0, sum1 in self.enc_schedule
             )
         return state.enc
-
-    @staticmethod
-    def _pack_lanes(words: tuple[int, ...], count: int) -> tuple[int, int]:
-        """Split interleaved (v0, v1) words into two lane integers.
-
-        Lane layout: word ``i`` sits in bits ``64*i..64*i+31`` -- i.e.
-        one 64-bit little-endian slot per 32-bit value, produced by a
-        single C-level pack per integer.
-        """
-        return (
-            int.from_bytes(struct.pack(f"<{count}Q", *words[0::2]), "little"),
-            int.from_bytes(struct.pack(f"<{count}Q", *words[1::2]), "little"),
-        )
-
-    @staticmethod
-    def _unpack_lanes(v0: int, v1: int, count: int) -> bytes:
-        """Interleave two lane integers back into big-endian blocks."""
-        lanes0 = struct.unpack(f"<{count}Q", v0.to_bytes(8 * count, "little"))
-        lanes1 = struct.unpack(f"<{count}Q", v1.to_bytes(8 * count, "little"))
-        interleaved: list[int] = [0] * (2 * count)
-        interleaved[0::2] = lanes0
-        interleaved[1::2] = lanes1
-        return struct.pack(f">{2 * count}L", *interleaved)
 
     # -- CBC over whole buffers ----------------------------------------------
 
@@ -210,9 +189,10 @@ class XTEACipher:
         """CBC-encrypt independent ``(padded, iv)`` messages together.
 
         Messages chain internally but not across each other, so the
-        lane dimension is the *message*: CBC step ``j`` encrypts block
-        ``j`` of every equal-length message in one bit-sliced pass.
-        Messages are grouped by block count; each group costs
+        lane dimension is the *message*: CBC step ``j`` joins block
+        ``j`` of every equal-length message into one integer (first
+        message in the top lane) and encrypts them in one bit-sliced
+        pass.  Messages are grouped by block count; each group costs
         ``blocks`` sequential steps regardless of how many messages it
         holds.  Output order matches input order.
         """
@@ -228,44 +208,33 @@ class XTEACipher:
             lanes = len(positions)
             if lanes < _SWAR_MIN_BLOCKS:
                 for position in positions:
-                    padded, iv = messages[position]
-                    results[position] = self.cbc_encrypt_padded(padded, iv)
+                    results[position] = self.cbc_encrypt_padded(*messages[position])
                 continue
             state = self._lanes(lanes)
             mask = state.mask
             schedule = self._enc_replicated(state)
-            unpack = struct.unpack
-            words = [unpack(f">{2 * block_count}L", messages[p][0]) for p in positions]
-            ivs = [unpack(">2L", messages[p][1]) for p in positions]
-            prev0, prev1 = self._pack_lanes(
-                tuple(w for iv in ivs for w in iv), lanes
-            )
-            outs = [bytearray(block_count * 8) for _ in positions]
-            for j in range(block_count):
-                interleaved = tuple(
-                    w
-                    for lane_words in words
-                    for w in (lane_words[2 * j], lane_words[2 * j + 1])
+            padded_group = [messages[p][0] for p in positions]
+            prev = int.from_bytes(b"".join(messages[p][1] for p in positions), "big")
+            steps: list[bytes] = []
+            for start in range(0, BLOCK_SIZE * block_count, BLOCK_SIZE):
+                v = prev ^ int.from_bytes(
+                    b"".join([padded[start:start + 8] for padded in padded_group]),
+                    "big",
                 )
-                x0, x1 = self._pack_lanes(interleaved, lanes)
-                v0 = (x0 ^ prev0) & mask
-                v1 = (x1 ^ prev1) & mask
-                # Shift garbage above bit 31 of a lane cannot reach the
-                # lane's low 32 bits through addition (carries only move
-                # up), so one mask after the add suffices.
+                v1 = v & mask
+                v0 = (v >> 32) & mask
                 for r0, r1 in schedule:
-                    t = (((v1 << 4) ^ (v1 >> 5)) + v1) & mask
-                    v0 = (v0 + (t ^ r0)) & mask
-                    t = (((v0 << 4) ^ (v0 >> 5)) + v0) & mask
-                    v1 = (v1 + (t ^ r1)) & mask
-                prev0, prev1 = v0, v1
-                # One 8-byte block per lane, already big-endian.
-                blocks = self._unpack_lanes(v0, v1, lanes)
-                start = 8 * j
-                for lane, out in enumerate(outs):
-                    out[start:start + 8] = blocks[8 * lane:8 * lane + 8]
+                    v0 = (v0 + ((((v1 << 4) ^ (v1 >> 5)) + v1) ^ r0)) & mask
+                    v1 = (v1 + ((((v0 << 4) ^ (v0 >> 5)) + v0) ^ r1)) & mask
+                prev = (v0 << 32) | v1
+                steps.append(prev.to_bytes(BLOCK_SIZE * lanes, "big"))
+            # Step j holds block j of every message; message i's blocks
+            # are every lanes-th 64-bit word from word i on.
+            words = struct.unpack(f">{block_count * lanes}Q", b"".join(steps))
             for lane, position in enumerate(positions):
-                results[position] = bytes(outs[lane])
+                results[position] = struct.pack(
+                    f">{block_count}Q", *words[lane::lanes]
+                )
         return results  # type: ignore[return-value]
 
     def cbc_decrypt_raw(self, ciphertext: bytes, iv: bytes) -> bytes:
@@ -273,45 +242,26 @@ class XTEACipher:
 
         Decryption has no chaining dependency (every block decrypts
         independently, then XORs with the previous *ciphertext* block),
-        so the whole buffer runs bit-sliced: one lane per block, the
-        final chaining XOR done between two big integers.
+        so the whole buffer runs bit-sliced at every length: one lane
+        per block, and the unchaining is one XOR with the ciphertext
+        shifted down one lane, the IV filling the top lane.
         """
-        count = len(ciphertext) // BLOCK_SIZE
-        if count < _SWAR_MIN_BLOCKS:
-            words = struct.unpack(f">{2 * count}L", ciphertext)
-            p0, p1 = struct.unpack(">2L", iv)
-            out = bytearray(len(ciphertext))
-            pack_into = struct.pack_into
-            schedule = self.dec_schedule
-            for index in range(count):
-                c0 = words[2 * index]
-                c1 = words[2 * index + 1]
-                v0, v1 = c0, c1
-                for sum1, sum0 in schedule:
-                    v1 = (v1 - ((((v0 << 4) ^ (v0 >> 5)) + v0) ^ sum1)) & _MASK
-                    v0 = (v0 - ((((v1 << 4) ^ (v1 >> 5)) + v1) ^ sum0)) & _MASK
-                pack_into(">2L", out, 8 * index, v0 ^ p0, v1 ^ p1)
-                p0, p1 = c0, c1
-            return bytes(out)
+        length = len(ciphertext)
+        if length % BLOCK_SIZE:
+            raise ValueError("ciphertext length is not a block multiple")
+        if not length:
+            return b""
+        count = length // BLOCK_SIZE
         state = self._lanes(count)
-        mask, kones, full = state.mask, state.kones, state.full
-        schedule = self._dec_replicated(state)
-        words = struct.unpack(f">{2 * count}L", ciphertext)
-        c0, c1 = self._pack_lanes(words, count)
-        # Chaining input: IV in lane 0, then each ciphertext block one
-        # lane up -- a single lane-shift of the packed ciphertext.
-        iv0, iv1 = struct.unpack(">2L", iv)
-        prev0 = ((c0 << 64) & full) | iv0
-        prev1 = ((c1 << 64) & full) | iv1
-        v0, v1 = c0, c1
-        # Lane-wise v - t == v + kones - t (no cross-lane borrow); shift
-        # garbage above bit 31 is cleared by the single mask per step.
-        for r1, r0 in schedule:
-            t = (((v0 << 4) ^ (v0 >> 5)) + v0) & mask
-            v1 = (v1 + kones - (t ^ r1)) & mask
-            t = (((v1 << 4) ^ (v1 >> 5)) + v1) & mask
-            v0 = (v0 + kones - (t ^ r0)) & mask
-        return self._unpack_lanes(v0 ^ prev0, v1 ^ prev1, count)
+        mask, ones = state.mask, state.ones
+        whole = int.from_bytes(ciphertext, "big")
+        v1 = whole & mask
+        v0 = (whole >> 32) & mask
+        for r1c, r0c in self._dec_replicated(state):
+            v1 = (v1 + ((((v0 << 4) ^ (v0 >> 5)) + v0) ^ r1c) + ones) & mask
+            v0 = (v0 + ((((v1 << 4) ^ (v1 >> 5)) + v1) ^ r0c) + ones) & mask
+        chain = (whole >> 64) | (int.from_bytes(iv, "big") << (64 * (count - 1)))
+        return (((v0 << 32) | v1) ^ chain).to_bytes(length, "big")
 
 
 def xtea_encrypt_block(block: bytes, key: bytes) -> bytes:

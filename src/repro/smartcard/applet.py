@@ -291,19 +291,24 @@ class CardApplet:
         if self._header is None:
             raise AppletError("header must be verified before chunks")
         controller = self._ensure_controller()
-        assert self._decoder is not None and self._keys is not None
-        self.soe.charge_mac(len(blob))
-        plaintext = open_chunk(self._header, index, blob, self._keys)
-        self.soe.charge_decrypt(len(blob) - self._header.tag_length)
-        self.bytes_decrypted += len(plaintext)
-        offset = index * self._header.chunk_size
-        self._decoder.push(plaintext, offset)
+        assert self._decoder is not None
+        self._decoder.push(self._open_chunk(index, blob), index * self._header.chunk_size)
         self._pump(controller, self._decoder)
         return ChunkResult(
             next_offset=self._decoder.next_needed_offset,
             document_done=self._decoder.document_done,
             output_available=len(self._output),
         )
+
+    def _open_chunk(self, index: int, blob: bytes) -> bytes:
+        """Verify and decrypt one chunk, charging its MAC and decryption."""
+        header = self._header
+        assert header is not None and self._keys is not None
+        self.soe.charge_mac(len(blob))
+        plaintext = open_chunk(header, index, blob, self._keys)
+        self.soe.charge_decrypt(len(blob) - header.tag_length)
+        self.bytes_decrypted += len(plaintext)
+        return plaintext
 
     # -- chunk batches (PUT_CHUNK_BATCH) ---------------------------------
 
@@ -483,13 +488,9 @@ class CardApplet:
         """Process one chunk of the refetched byte range."""
         if self._refetch_decoder is None or self._header is None:
             raise AppletError("no refetch in progress")
-        assert self._keys is not None and self._active_refetch is not None
-        self.soe.charge_mac(len(blob))
-        plaintext = open_chunk(self._header, index, blob, self._keys)
-        self.soe.charge_decrypt(len(blob) - self._header.tag_length)
-        self.bytes_decrypted += len(plaintext)
+        assert self._active_refetch is not None
         decoder = self._refetch_decoder
-        decoder.push(plaintext, index * self._header.chunk_size)
+        decoder.push(self._open_chunk(index, blob), index * self._header.chunk_size)
         events: list[Event] = []
         while (item := decoder.next_item()) is not None:
             if decoder.depth == 0 and isinstance(item, DecodedClose):

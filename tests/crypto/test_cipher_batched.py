@@ -9,6 +9,8 @@ count the batching thresholds distinguish.
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.crypto.modes import (
     PaddingError,
@@ -19,6 +21,7 @@ from repro.crypto.modes import (
 )
 from repro.crypto.xtea import (
     BLOCK_SIZE,
+    KEY_SIZE,
     XTEACipher,
     xtea_decrypt_block,
     xtea_encrypt_block,
@@ -110,6 +113,58 @@ def test_batched_cbc_matches_reference_bit_for_bit(size):
     assert cipher.cbc_decrypt_raw(ciphertext, IV) == reference_cbc_decrypt_raw(
         ciphertext, KEY, IV
     )
+
+
+keys = st.binary(min_size=KEY_SIZE, max_size=KEY_SIZE)
+ivs = st.binary(min_size=BLOCK_SIZE, max_size=BLOCK_SIZE)
+
+
+def _blocks(count):
+    return st.binary(min_size=count * BLOCK_SIZE, max_size=count * BLOCK_SIZE)
+
+
+# The 1-3 block examples sit where a scalar path once handed over to
+# the lanes.
+@settings(max_examples=60, deadline=None)
+@given(key=keys, iv=ivs, ciphertext=st.integers(1, 40).flatmap(_blocks))
+@example(key=KEY, iv=IV, ciphertext=bytes(range(8)))
+@example(key=KEY, iv=IV, ciphertext=bytes(range(16)))
+@example(key=KEY, iv=IV, ciphertext=bytes(range(24)))
+def test_decrypt_raw_matches_reference_chain(key, iv, ciphertext):
+    cipher = XTEACipher.for_key(key)
+    assert cipher.cbc_decrypt_raw(ciphertext, iv) == reference_cbc_decrypt_raw(
+        ciphertext, key, iv
+    )
+
+
+def test_decrypt_raw_empty_and_misaligned():
+    cipher = XTEACipher.for_key(KEY)
+    assert cipher.cbc_decrypt_raw(b"", IV) == b""
+    with pytest.raises(ValueError):
+        cipher.cbc_decrypt_raw(b"x" * 9, IV)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    key=keys,
+    messages=st.lists(
+        st.tuples(st.binary(max_size=4 * BLOCK_SIZE - 1), ivs),
+        min_size=1,
+        max_size=14,
+    ),
+)
+@example(  # groups of 1, 4, 1, 1 and 3 messages
+    key=KEY,
+    messages=[(bytes([n]) * n, bytes([n]) * BLOCK_SIZE)
+              for n in (0, 40, 40, 40, 40, 17, 100, 9, 9, 9)],
+)
+def test_encrypt_many_matches_reference_over_mixed_groups(key, messages):
+    # Plaintexts pad to 1-4 blocks, so a draw mixes single-message
+    # groups (the sequential path) with lane groups of 3 or more.
+    batched = cbc_encrypt_many(messages, key)
+    assert batched == [
+        reference_cbc_encrypt(plaintext, key, iv) for plaintext, iv in messages
+    ]
 
 
 def test_cbc_empty_plaintext_round_trip():

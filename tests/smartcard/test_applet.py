@@ -209,3 +209,65 @@ def test_refetch_requires_main_pass_done():
     applet.begin_session("d", "u")
     with pytest.raises(AppletError):
         applet.begin_refetch(0)
+
+
+SKIP_DOC = "<r><pub>open</pub><priv>" + "hidden " * 120 + "</priv></r>"
+
+
+def _run_batched(container, records, version, tampered=None, batch=4):
+    """One session sent as PUT_CHUNK_BATCH members, ``batch`` per batch;
+    member ``tampered`` (if any) has one ciphertext bit flipped.  Returns
+    the view, the applet, the members sent and the count dropped."""
+    applet = _applet()
+    applet.begin_session("d", "u")
+    applet.put_header(container.header)
+    for index, record in enumerate(records):
+        applet.put_rule_record(index, version, record)
+    chunk_size = container.header.chunk_size
+    count = container.header.chunk_count
+    index = dropped = 0
+    sent: list[int] = []
+    output = bytearray()
+    while index < count:
+        applet.begin_chunk_batch()
+        members = range(index, min(index + batch, count))
+        sent.extend(members)
+        for member in members:
+            blob = container.chunks[member]
+            if member == tampered:
+                blob = bytes([blob[0] ^ 1]) + blob[1:]
+            applet.put_batch_member(member, blob)
+        result = applet.end_chunk_batch()
+        dropped += result.chunks_dropped
+        output.extend(applet.read_output(1 << 20))
+        if result.document_done:
+            break
+        index = max(members.stop, result.next_offset // chunk_size)
+    applet.end_document()
+    output.extend(applet.read_output(1 << 20))
+    return output.decode("utf-8"), applet, sent, dropped
+
+
+def test_batch_members_a_skip_outran_are_dropped_before_mac():
+    """A batch member that a mid-batch skip made useless is dropped
+    on-card before MAC and decryption: tampering it changes nothing,
+    while tampering a consumed member is caught."""
+    container, records, version = _publish(SKIP_DOC, chunk_size=48)
+    golden, applet, sent, dropped = _run_batched(container, records, version)
+    assert golden == "<r><pub>open</pub></r>" and dropped > 0
+    cost = (applet.bytes_decrypted, applet.soe.cycles_used)
+    unread = []
+    caught = 0
+    for member in sent:
+        try:
+            view, tampered, __, again = _run_batched(
+                container, records, version, tampered=member
+            )
+        except IntegrityError:
+            caught += 1  # consumed: its MAC check saw the flip
+            continue
+        unread.append(member)
+        assert view == golden and again == dropped
+        assert (tampered.bytes_decrypted, tampered.soe.cycles_used) == cost
+    assert len(unread) == dropped
+    assert caught == len(sent) - dropped > 0
