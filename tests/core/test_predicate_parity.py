@@ -8,7 +8,8 @@ policy, and a three-lane shared-pass evaluation of one predicate policy.
 Each case records its authorized view (sha256), the modeled SimClock
 (total and per-component breakdown, as exact floats; ``card_cpu`` is
 exactly ``card_cycles / cpu_hz``), card cycles, RAM
-high-water, skipped bytes, APDU count and the five modeled
+high-water, the pending-buffer peak E10 reports
+(``max_pending_bytes``), skipped bytes, APDU count and the five modeled
 :class:`~repro.core.runtime.EngineStats` counters, so any change to the
 evaluation engine that moves a single token, condition or watcher shows
 up as a counter diff.
@@ -109,6 +110,7 @@ def _card_session(
         "clock_breakdown": metrics.clock.breakdown(),
         "card_cycles": metrics.card_cycles,
         "ram_high_water": metrics.ram_high_water,
+        "max_pending_bytes": metrics.max_pending_bytes,
         "bytes_skipped": metrics.bytes_skipped,
         "apdu_count": metrics.apdu_count,
         "engine": _counters(stats),
