@@ -147,6 +147,10 @@ class CardApplet:
         # every later session with the same policy.  It survives
         # session resets, like the automata stored in EEPROM would.
         self.registry = registry if registry is not None else PolicyRegistry()
+        # The card's RAM between sessions: a session's automata,
+        # decoder, engine, decision and pending charges all return to
+        # it when the session ends or is reset.
+        self._idle_ram = soe.memory.breakdown()
         self._reset_session()
 
     def use_registry(self, registry: PolicyRegistry) -> None:
@@ -158,6 +162,7 @@ class CardApplet:
         self.registry = registry
 
     def _reset_session(self) -> None:
+        self.soe.memory.release_to(self._idle_ram)
         self._subject: str | None = None
         self._groups: frozenset[str] = frozenset()
         self._doc_id: str | None = None
@@ -462,6 +467,8 @@ class CardApplet:
             entry.resolved_permit = kind == _Record.DELIVER
             if entry.resolved_permit:
                 granted.append(entry)
+        # The main pass is over: a refetch replays raw bytes only.
+        self.soe.memory.release_to(self._idle_ram)
         return granted
 
     # -- refetch pass -----------------------------------------------------------

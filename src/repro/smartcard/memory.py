@@ -79,3 +79,11 @@ class MemoryMeter:
     def breakdown(self) -> dict[str, int]:
         """Current per-tag usage (non-zero tags only)."""
         return {tag: used for tag, used in self._usage.items() if used}
+
+    def release_to(self, mark: dict[str, int]) -> None:
+        """Release every tag down to its usage in ``mark`` (a
+        :meth:`breakdown` taken earlier); the high-water mark stays."""
+        for tag, used in self._usage.items():
+            excess = used - mark.get(tag, 0)
+            if excess > 0:
+                self.release(tag, excess)

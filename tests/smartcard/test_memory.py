@@ -55,3 +55,15 @@ def test_negative_allocation_rejected():
     meter = MemoryMeter(quota=None)
     with pytest.raises(ValueError):
         meter.allocate("a", -1)
+
+
+def test_release_to_returns_each_tag_to_its_mark():
+    meter = MemoryMeter(quota=100)
+    meter.allocate("a", 10)
+    mark = meter.breakdown()
+    meter.allocate("a", 30)
+    meter.allocate("b", 20)
+    meter.release_to(mark)
+    assert meter.breakdown() == {"a": 10}
+    assert meter.usage() == 10
+    assert meter.high_water == 60
