@@ -61,13 +61,18 @@ class DecisionNode:
     *conditions* guarding pending matches evolve afterwards.
     """
 
-    __slots__ = ("parent", "_definite_deny", "_definite_permit", "_pending")
+    __slots__ = (
+        "parent", "_definite_deny", "_definite_permit", "_pending", "_resolved"
+    )
 
     def __init__(self, parent: "DecisionNode | None") -> None:
         self.parent = parent
         self._definite_deny = False
         self._definite_permit = False
         self._pending: list[tuple[frozenset[Condition], Sign]] = []
+        #: The status once it is :class:`Resolved` (it never changes
+        #: again), so a settled node answers without a walk.
+        self._resolved: Resolved | None = None
 
     @classmethod
     def default_root(cls, sign: Sign) -> "DecisionNode":
@@ -100,10 +105,18 @@ class DecisionNode:
         """Best-knowledge decision under the conflict-resolution policies.
 
         Monotone: once :class:`Resolved`, later calls return the same
-        sign; a :class:`Pending` result lists exactly the conditions
-        whose resolution can change the outcome (the delivery engine
-        subscribes to them).
+        sign (memoized); a :class:`Pending` result lists exactly the
+        conditions whose resolution can change the outcome (the
+        delivery engine subscribes to them).
         """
+        status = self._resolved
+        if status is None:
+            status = self._evaluate()
+            if type(status) is Resolved:
+                self._resolved = status
+        return status
+
+    def _evaluate(self) -> Status:
         if self._definite_deny:
             return _RESOLVED_DENY
         if not self._pending and not self._definite_permit:

@@ -24,6 +24,18 @@ skeleton iff any real content ends up inside"), a pending element's hole
 resolves when its conditions do.  Holes are created lazily -- a denied
 element with no delivered descendant never allocates one.
 
+The pending path is kept cheap by sharing.  A hole's sign lives in a
+:class:`_Fate`, the one object that watches the conditions its decision
+hangs on.  Only an element with direct rule matches of its own gets a
+new fate; an element with none, on either lane, has its parent's status
+at every moment (:meth:`~repro.core.decisions.DecisionNode.status`
+falls back to the parent), so it takes its parent's delivery kind
+without folding a status, and under a pending parent its hole joins the
+parent's fate instead of subscribing listeners of its own.  The buffers
+settle only when something can have changed -- a hole closed or a fate
+resolved since the last drain -- so the events that stream past a
+blocked region cost one scan of nothing.
+
 Output order is document order: a hole blocks the emission of
 everything behind it until it resolves (all holes resolve by the close
 of the document root at the latest).
@@ -57,6 +69,53 @@ class ViewMode(enum.Enum):
 _NO_CONDITIONS: frozenset[Condition] = frozenset()
 
 
+class _Fate:
+    """The resolution that one or more pending holes share.
+
+    ``sign`` stays None while the decision is open.  A fate subscribes
+    once to each condition the decision of ``auth`` (and ``query``)
+    hangs on and refolds the decision when one resolves; every hole
+    that joined it resolves with it.
+    """
+
+    __slots__ = ("sign", "_delivery", "_auth", "_query", "_watched")
+
+    def __init__(
+        self,
+        delivery: "DeliveryEngine | None",
+        auth: DecisionNode | None,
+        query: DecisionNode | None,
+        unknowns: frozenset[Condition],
+    ) -> None:
+        self.sign: Sign | None = None
+        self._delivery = delivery
+        self._auth = auth
+        self._query = query
+        self._watched = set(unknowns)
+        for condition in unknowns:
+            condition.add_listener(self.refresh)
+
+    def refresh(self, _: Condition) -> None:
+        if self.sign is not None:
+            return
+        delivery = self._delivery
+        kind, unknowns = delivery._combined_status(self._auth, self._query)
+        if kind == _Record.PENDING:
+            watched = self._watched
+            for condition in unknowns:
+                if condition not in watched:
+                    watched.add(condition)
+                    condition.add_listener(self.refresh)
+            return
+        self.sign = Sign.PERMIT if kind == _Record.DELIVER else Sign.DENY
+        delivery._dirty = True
+
+
+#: The fate of a denied element's shell: resolved from birth.
+_DENIED = _Fate(None, None, None, _NO_CONDITIONS)
+_DENIED.sign = Sign.DENY
+
+
 class _SelfText:
     """Text of a pending element; kept only if it resolves to PERMIT."""
 
@@ -70,52 +129,50 @@ class _Hole:
     """Buffered, possibly undecided output of one element.
 
     Contributes to its parent buffer once (a) the element has closed,
-    (b) its decision resolved, and (c) for a DENY resolution, emptiness
-    is decidable.
+    (b) its fate resolved, and (c) for a DENY resolution, emptiness is
+    decidable.
     """
 
-    __slots__ = ("open_event", "items", "closed", "final_sign", "_memory", "charged")
+    __slots__ = ("open_event", "items", "closed", "fate", "_delivery", "charged")
 
     def __init__(
-        self, open_event: OpenEvent, memory, final_sign: Sign | None = None
+        self, open_event: OpenEvent, delivery: "DeliveryEngine", fate: _Fate
     ) -> None:
         self.open_event = open_event
         self.items: list[Item] = []
         self.closed = False
-        self.final_sign = final_sign
-        self._memory = memory
+        self.fate = fate
+        self._delivery = delivery
         self.charged = 0
 
     def append(self, item: "Item") -> None:
         self.items.append(item)
-        if self._memory is not None:
-            nbytes = _item_bytes(item)
+        memory = self._delivery._memory
+        if memory is not None:
+            kind = type(item)
+            if kind is _Hole:
+                return  # nested holes charge their own items
+            nbytes = (
+                len(item.event.text) if kind is _SelfText else event_size(item)
+            )
             self.charged += nbytes
-            self._memory.allocate("pending", nbytes)
+            memory.allocate("pending", nbytes)
+            self._delivery._sample_pending(memory)
 
     def discharge(self) -> None:
         """Release the modeled RAM held by this hole's buffered items."""
-        if self._memory is not None and self.charged:
-            self._memory.release("pending", self.charged)
+        if self.charged:
+            self._delivery._memory.release("pending", self.charged)
             self.charged = 0
 
 
 Item = Union[Event, _SelfText, _Hole]
 
 
-def _item_bytes(item: "Item") -> int:
-    if isinstance(item, _SelfText):
-        return len(item.event.text)
-    if isinstance(item, _Hole):
-        return 0  # nested holes charge their own items
-    return event_size(item)
-
-
 class _Sink:
-    """Destination for one element's delivery items.
+    """Destination for one denied element's delivery items.
 
-    ``deliver`` sinks forward to the parent buffer directly.  ``deny``
-    sinks stay silent until content flows through them; then:
+    The sink stays silent until content flows through it; then:
 
     * plain content materializes the bare skeleton tag eagerly and the
       sink becomes a pass-through -- delivered descendants of denied
@@ -123,60 +180,58 @@ class _Sink:
     * a pending hole arriving first forces a buffered *shell* (a hole
       pre-resolved to DENY), because whether the skeleton appears at
       all depends on whether the pending content materializes.
+
+    In PRUNE mode the sink is a pass-through from the start.
     """
 
-    __slots__ = ("_target", "_parent", "_shell_open", "_memory", "shell", "materialized")
+    __slots__ = ("_parent", "_shell_open", "_delivery", "shell", "materialized")
 
     def __init__(
         self,
-        target: "list[Item] | _Hole | None" = None,
-        parent: "_Sink | None" = None,
-        shell_open: OpenEvent | None = None,
-        memory=None,
-        prune: bool = False,
+        parent: "list[Item] | _Sink | _Hole",
+        shell_open: OpenEvent,
+        delivery: "DeliveryEngine",
+        prune: bool,
     ) -> None:
-        self._target = target
         self._parent = parent
-        self._shell_open = shell_open if not prune else None
-        self._memory = memory
+        self._shell_open = shell_open
+        self._delivery = delivery
         self.shell: _Hole | None = None
-        self.materialized = prune and shell_open is not None
+        self.materialized = prune
 
     def append(self, item: Item) -> None:
-        if self._shell_open is not None and not self.materialized and self.shell is None:
-            if isinstance(item, _Hole):
-                self.shell = _Hole(
-                    self._shell_open, self._memory, final_sign=Sign.DENY
-                )
-                assert self._parent is not None
+        if not self.materialized and self.shell is None:
+            if type(item) is _Hole:
+                self.shell = _Hole(self._shell_open, self._delivery, _DENIED)
                 self._parent.append(self.shell)
             else:
                 self.materialized = True
-                assert self._parent is not None
                 self._parent.append(OpenEvent(self._shell_open.tag))
         if self.shell is not None:
             self.shell.append(item)
-        elif self._parent is not None:
-            self._parent.append(item)
         else:
-            assert self._target is not None
-            self._target.append(item)
+            self._parent.append(item)
 
 
 class _Record:
-    """Per-open-element delivery state."""
+    """Per-open-element delivery state.
+
+    ``sink`` receives the element's content: the parent's sink (the
+    root buffer at the top) for a delivered element, a :class:`_Sink`
+    for a denied one and the element's own :class:`_Hole` for a
+    pending one (``hole``).
+    """
 
     DELIVER = "deliver"
     DROP = "drop"
     PENDING = "pending"
 
-    __slots__ = ("kind", "sink", "hole", "open_event")
+    __slots__ = ("kind", "sink", "hole")
 
-    def __init__(self, kind: str, sink: _Sink, open_event: OpenEvent) -> None:
+    def __init__(self, kind: str, sink, hole: _Hole | None = None) -> None:
         self.kind = kind
         self.sink = sink
-        self.hole: _Hole | None = None
-        self.open_event = open_event
+        self.hole = hole
 
 
 class DeliveryEngine:
@@ -185,16 +240,28 @@ class DeliveryEngine:
     def __init__(self, mode: ViewMode = ViewMode.SKELETON, memory=None) -> None:
         self.mode = mode
         self._memory = memory
+        self._prune = mode is ViewMode.PRUNE
         self._root_items: list[Item] = []
-        self._root_sink = _Sink(target=self._root_items)
         self._records: list[_Record] = []
+        #: Peak of the meter's "pending" pool as seen by :meth:`drain`.
+        #: It is sampled right after each hole charge instead: the pool
+        #: only grows by those charges and only shrinks while a drain
+        #: settles, so every drain would see the last sample.
         self.max_pending_bytes = 0
         #: Set the first time a pending hole is created; until then the
         #: root buffer provably holds plain events only (shell holes
         #: are only ever triggered by a pending hole flowing through),
-        #: so :meth:`drain` can skip the hole scan and the pending-RAM
-        #: sample (the "pending" pool is exactly the holes' charges).
+        #: so :meth:`drain` can skip the hole scan.
         self._hole_born = False
+        #: Set when a hole closed or a fate resolved: only then can a
+        #: hole have become finalizable, so only then does
+        #: :meth:`drain` settle the buffers.
+        self._dirty = False
+
+    def _sample_pending(self, memory) -> None:
+        pending = memory.usage("pending")
+        if pending > self.max_pending_bytes:
+            self.max_pending_bytes = pending
 
     # -- decision combination ---------------------------------------------
 
@@ -205,12 +272,11 @@ class DeliveryEngine:
 
         A definite DENY on either side drops the element regardless of
         the other side; both must be definitively PERMIT to deliver.
-        The two sides are folded directly (no list materialization --
-        this runs at least once per element per session).
+        The two sides are folded directly (no list materialization).
         """
         auth_status = auth.status()
         query_status = query.status() if query is not None else None
-        if isinstance(auth_status, Resolved):
+        if type(auth_status) is Resolved:
             if auth_status.sign is Sign.DENY:
                 return _Record.DROP, _NO_CONDITIONS
             auth_unknowns = None
@@ -220,7 +286,7 @@ class DeliveryEngine:
             if auth_unknowns:
                 return _Record.PENDING, auth_unknowns
             return _Record.DELIVER, _NO_CONDITIONS
-        if isinstance(query_status, Resolved):
+        if type(query_status) is Resolved:
             if query_status.sign is Sign.DENY:
                 return _Record.DROP, _NO_CONDITIONS
             query_unknowns = None
@@ -244,54 +310,40 @@ class DeliveryEngine:
         query: DecisionNode | None = None,
     ) -> None:
         """Process an element open with its (possibly pending) decisions."""
-        parent_sink = self._records[-1].sink if self._records else self._root_sink
-        kind, unknowns = self._combined_status(auth, query)
+        records = self._records
+        fate = None
+        if records and not auth.has_direct_matches and (
+            query is None or not query.has_direct_matches
+        ):
+            # No direct match on either lane: the parent's status is
+            # this element's, so is its delivery kind (or fate).
+            parent = records[-1]
+            parent_sink = parent.sink
+            kind = parent.kind
+            if kind == _Record.PENDING:
+                fate = parent.hole.fate
+                if fate.sign is not None:
+                    kind = _Record.DELIVER if fate.sign is Sign.PERMIT else _Record.DROP
+            elif kind == _Record.DELIVER:
+                parent_sink.append(event)
+                records.append(parent)  # a delivered child shares it
+                return
+        else:
+            parent_sink = records[-1].sink if records else self._root_items
+            kind, unknowns = self._combined_status(auth, query)
         if kind == _Record.DELIVER:
             parent_sink.append(event)
-            record = _Record(kind, parent_sink, event)
+            record = _Record(kind, parent_sink)
         elif kind == _Record.DROP:
-            sink = _Sink(
-                parent=parent_sink,
-                shell_open=event,
-                memory=self._memory,
-                prune=self.mode is ViewMode.PRUNE,
-            )
-            record = _Record(kind, sink, event)
+            record = _Record(kind, _Sink(parent_sink, event, self, self._prune))
         else:
-            hole = _Hole(event, self._memory)
+            if fate is None:
+                fate = _Fate(self, auth, query, unknowns)
+            hole = _Hole(event, self, fate)
             self._hole_born = True
             parent_sink.append(hole)
-            record = _Record(kind, _Sink(target=hole), event)
-            record.hole = hole
-            self._watch(hole, auth, query, unknowns)
-        self._records.append(record)
-
-    def _watch(
-        self,
-        hole: _Hole,
-        auth: DecisionNode,
-        query: DecisionNode | None,
-        unknowns: frozenset[Condition],
-    ) -> None:
-        """Subscribe the hole to the conditions its decision hangs on."""
-        subscribed: set[int] = {c.condition_id for c in unknowns}
-
-        def refresh(_: Condition) -> None:
-            if hole.final_sign is not None:
-                return
-            kind, new_unknowns = self._combined_status(auth, query)
-            if kind == _Record.DELIVER:
-                hole.final_sign = Sign.PERMIT
-            elif kind == _Record.DROP:
-                hole.final_sign = Sign.DENY
-            else:
-                for condition in new_unknowns:
-                    if condition.condition_id not in subscribed:
-                        subscribed.add(condition.condition_id)
-                        condition.add_listener(refresh)
-
-        for condition in unknowns:
-            condition.add_listener(refresh)
+            record = _Record(kind, hole, hole)
+        records.append(record)
 
     def value(self, event: ValueEvent) -> None:
         """Process a text event (owned by the innermost open element)."""
@@ -299,7 +351,6 @@ class DeliveryEngine:
         if record.kind == _Record.DELIVER:
             record.sink.append(event)
         elif record.kind == _Record.PENDING:
-            assert record.hole is not None
             record.hole.append(_SelfText(event))
         # DROP: text is never delivered.
 
@@ -309,41 +360,43 @@ class DeliveryEngine:
         if record.kind == _Record.DELIVER:
             record.sink.append(event)
         elif record.kind == _Record.DROP:
-            if record.sink.shell is not None:
-                record.sink.shell.closed = True
-            elif record.sink.materialized and self.mode is ViewMode.SKELETON:
-                record.sink.append(CloseEvent(event.tag))
+            sink = record.sink
+            if sink.shell is not None:
+                sink.shell.closed = True
+                self._dirty = True
+            elif sink.materialized and not self._prune:
+                sink.append(CloseEvent(event.tag))
         else:
-            assert record.hole is not None
             record.hole.closed = True
+            self._dirty = True
 
     # -- output ---------------------------------------------------------------
 
     def _hole_contribution(self, hole: _Hole) -> list[Item] | None:
         """Finalized contribution of a hole, or None if not decidable yet."""
-        if not hole.closed or hole.final_sign is None:
+        sign = hole.fate.sign
+        if not hole.closed or sign is None:
             return None
         self._settle(hole.items)
-        if hole.final_sign is Sign.PERMIT:
+        if sign is Sign.PERMIT:
             out: list[Item] = [hole.open_event]
             for item in hole.items:
-                out.append(item.event if isinstance(item, _SelfText) else item)
+                out.append(item.event if type(item) is _SelfText else item)
             out.append(CloseEvent(hole.open_event.tag))
             hole.discharge()
             return out
         # DENY: keep only content contributed by delivered descendants.
         content: list[Item] = [
-            item for item in hole.items if not isinstance(item, _SelfText)
+            item for item in hole.items if type(item) is not _SelfText
         ]
-        has_nested_hole = any(isinstance(item, _Hole) for item in content)
-        has_plain = any(not isinstance(item, _Hole) for item in content)
+        has_nested_hole = any(type(item) is _Hole for item in content)
+        has_plain = any(type(item) is not _Hole for item in content)
         if has_nested_hole and not has_plain:
             return None  # emptiness unknown until nested holes resolve
-        if not content:
-            hole.discharge()
-            return []
         hole.discharge()
-        if self.mode is ViewMode.PRUNE:
+        if not content:
+            return []
+        if self._prune:
             return content
         skeleton: list[Item] = [OpenEvent(hole.open_event.tag)]
         skeleton.extend(content)
@@ -351,22 +404,23 @@ class DeliveryEngine:
         return skeleton
 
     def _settle(self, items: list[Item]) -> None:
-        """Replace finalizable holes with their contributions, in place."""
-        if not any(isinstance(item, _Hole) for item in items):
-            return  # hot path: nothing pending, no list rebuild
-        changed = True
-        while changed:
-            changed = False
-            new_items: list[Item] = []
-            for item in items:
-                if isinstance(item, _Hole):
-                    contribution = self._hole_contribution(item)
-                    if contribution is not None:
-                        new_items.extend(contribution)
-                        changed = True
-                        continue
-                new_items.append(item)
-            items[:] = new_items
+        """Replace finalizable holes with their contributions, in place.
+
+        One pass suffices: a contribution's own holes were tried (and
+        found undecidable) while it was built.
+        """
+        settled: list[Item] = []
+        changed = False
+        for item in items:
+            if type(item) is _Hole:
+                contribution = self._hole_contribution(item)
+                if contribution is not None:
+                    settled.extend(contribution)
+                    changed = True
+                    continue
+            settled.append(item)
+        if changed:
+            items[:] = settled
 
     def drain(self) -> list[Event]:
         """Emit every event no longer order-blocked by a pending hole."""
@@ -379,20 +433,18 @@ class DeliveryEngine:
             emitted = list(root_items)
             root_items.clear()
             return emitted
-        if self._memory is not None:
-            self.max_pending_bytes = max(
-                self.max_pending_bytes, self._memory.usage("pending")
-            )
-        self._settle(self._root_items)
-        emitted: list[Event] = []
+        if self._dirty:
+            self._dirty = False
+            self._settle(root_items)
         count = 0
-        for item in self._root_items:
-            if isinstance(item, _Hole):
+        for item in root_items:
+            if type(item) is _Hole:
                 break
-            assert not isinstance(item, _SelfText)
-            emitted.append(item)
             count += 1
-        del self._root_items[:count]
+        if not count:
+            return []
+        emitted = root_items[:count]
+        del root_items[:count]
         return emitted
 
     def finish(self) -> list[Event]:

@@ -31,13 +31,18 @@ automaton, NFA->DFA on the fly:
   collect the node's direct text for ``[x = "v"]``/``[. = "v"]`` tests
   and fire at its ``close``.
 
-One algorithm (:meth:`ProductEngine._step`) advances a frame.  When
-no token of the frame carries a payload and the transition creates no
-condition, the step depends only on ``(transition, counts)`` and is
-cached there: every frame of a predicate-free policy is one dict hit
-per event.  Any other frame runs the same step uncached.  Conditions
-never enter a cache key, so per-node conditions cannot leak into the
-memo.
+One step advances a frame, in two parts.  What depends only on
+``(transition, counts)`` -- every stay of the plain tokens and the
+advance of every plain token whose step creates no condition or
+watcher -- is computed once and cached on the transition
+(:meth:`ProductEngine._memoize`): every frame of a predicate-free
+policy is one dict hit per event.  The node's own work completes it
+(:meth:`ProductEngine._step`): the guarded tokens the tag advances and
+the plain tokens whose step creates a condition or a watcher; guarded
+tokens that merely ride the descendant axis are carried along as they
+are, and the ones the tag neither advances nor keeps just die.
+Conditions never enter a cache key, so per-node conditions cannot leak
+into the memo.
 
 The engine reproduces, token for token, the classic token-stack
 evaluation: advances are deduped per ``(target, sink, live guard set)``
@@ -124,21 +129,44 @@ class _Watcher:
             self.deliver(self.conditions)
 
 
-def _report(
-    slot: int, sinks: tuple[MatchSink, ...], guards: frozenset[Condition]
-) -> None:
-    for sink in sinks:
-        sink.on_match(guards)
-
-
 #: A guarded token group: one token per sink, all under the same guards.
 _Tokens = tuple[frozenset[Condition], tuple[MatchSink, ...]]
+
+
+def _carry(
+    tokens: "dict[int, list[_Tokens]]",
+    staying: "dict[int, tuple[int, int]]",
+    new_tokens: "dict[int, list[_Tokens]]",
+) -> int:
+    """Let the guarded tokens riding the descendant axis stay, as they
+    are; returns how many tokens stay.
+
+    Stays run after every advance of a step, so a target no advance
+    landed on can share the parent frame's list: frames never mutate a
+    list once built.
+    """
+    carried = 0
+    for i, groups in tokens.items():
+        route = staying.get(i)
+        if route is None:
+            continue
+        for __, group in groups:
+            carried += len(group)
+        landed = new_tokens.get(route[0])
+        if landed is None:
+            new_tokens[route[0]] = groups
+        else:
+            landed.extend(groups)
+    return carried
+
 
 #: The predicate payload of one frame: guarded token groups by position
 #: index (or None), the conditions anchored at the node and the value
 #: watchers collecting its text.
 _Payload = tuple[
-    "dict[int, list[_Tokens]] | None", "list[Condition]", "list[_Watcher]"
+    "dict[int, list[_Tokens]] | None",
+    "Sequence[Condition]",
+    "Sequence[_Watcher]",
 ]
 
 #: One open element: (state, plain counts, token total, payload or None).
@@ -199,15 +227,16 @@ class _StateEntry:
 _FINAL = -1
 
 #: (position index, advance target index or _FINAL, seed target index
-#: per predicate of the step, slot, step) -- target indices address the
-#: next state's positions.
-_Advance = tuple[int, int, tuple[int, ...], _Slot, CompiledStep]
+#: per predicate of the step, slot, step, whether a match creates a
+#: condition or a watcher) -- target indices address the next state's
+#: positions.
+_Advance = tuple[int, int, tuple[int, ...], _Slot, CompiledStep, bool]
 
 
 class _Transition:
     """The solved structure of one tag on one product state."""
 
-    __slots__ = ("next_entry", "advancing", "staying", "plain", "memo")
+    __slots__ = ("next_entry", "advancing", "staying", "accepting", "plain", "memo")
 
     def __init__(
         self,
@@ -223,10 +252,17 @@ class _Transition:
         #: position index -> (stay target index, sink fan-out) for every
         #: position riding the descendant axis.
         self.staying = staying
+        #: The positions whose step accepts the tag: a guarded token
+        #: anywhere else stays (if it rides the descendant axis) or dies.
+        self.accepting = frozenset(a[0] for a in advancing)
         #: Whether no matching step creates a condition or a watcher.
         self.plain = plain
         #: counts -> (next frame, advances, slot index per fired plain
-        #: token unit): the step of a frame without guarded tokens.
+        #: token unit): the part of the step that depends on the plain
+        #: counts alone -- every stay, and the advance of every plain
+        #: token whose step creates no condition or watcher.  For a
+        #: plain transition and a frame without guarded tokens it is
+        #: the whole step.
         self.memo: dict[
             tuple[int, ...], tuple[_Frame, int, tuple[int, ...]]
         ] = {}
@@ -365,7 +401,7 @@ class ProductTables:
                     targets.update(seeds)
                 if advance is not None:
                     targets.add(advance)
-                advancing.append((i, advance, seeds, slot, step))
+                advancing.append((i, advance, seeds, slot, step, impure))
             if descendant:
                 targets.add((s, j))
                 staying.append((i, (s, j), self.fanout[s]))
@@ -380,8 +416,9 @@ class ProductTables:
                     tuple([index[seed] for seed in seeds]) if seeds else (),
                     slot,
                     step,
+                    impure,
                 )
-                for i, advance, seeds, slot, step in advancing
+                for i, advance, seeds, slot, step, impure in advancing
             ]),
             {i: (index[stay], weight) for i, stay, weight in staying},
             plain,
@@ -466,40 +503,87 @@ class ProductEngine:
 
     # -- the one advance algorithm ---------------------------------------
 
-    def _step(
+    def _memoize(
         self,
         transition: _Transition,
         counts: tuple[int, ...],
-        tokens: dict[int, list[_Tokens]] | None,
-        fire: Callable[
-            [int, tuple[MatchSink, ...], frozenset[Condition]], None
-        ],
-    ) -> tuple[_Frame, int]:
-        """Advance one frame's tokens over ``transition``.
+    ) -> tuple[_Frame, int, tuple[int, ...]]:
+        """The part of a step that depends on ``(transition, counts)``
+        only, cached on the transition while the tables have room.
 
-        Returns the next frame and the number of advancing tokens;
-        completed matches are reported through ``fire`` (slot index,
-        sinks, guards) as they happen, and conditions are created (and
-        counted) here.  The ``count`` plain tokens of a position
-        advance as one unit of that multiplicity: they carry identical
-        (empty) guards, so all but one dedupe away -- unless a
-        ``[. op v]`` test gives each its own condition.
+        The ``count`` plain tokens of a position advance as one unit of
+        that multiplicity: they carry identical (empty) guards, so all
+        but one dedupe away.  Positions whose step creates a condition
+        or a watcher are left to :meth:`_step`, which needs the node.
+        """
+        sinks_of = self._sinks
+        new_counts = [0] * len(transition.next_entry.positions)
+        fired: list[int] = []
+        advances = total = 0
+        for i, target, __, slot, ___, impure in transition.advancing:
+            count = counts[i]
+            if impure or not count:
+                continue
+            fanout = len(sinks_of[slot.index])
+            advances += fanout * count
+            if target == _FINAL:
+                fired.extend([slot.index] * count)
+            else:
+                new_counts[target] += 1
+                total += fanout
+        for i, (stay, weight) in transition.staying.items():
+            count = counts[i]
+            if count:
+                new_counts[stay] += count
+                total += count * weight
+        self.stats.tokens_touched += len(counts)
+        memo = (
+            (transition.next_entry, tuple(new_counts), total, None),
+            advances,
+            tuple(fired),
+        )
+        if self._tables.admit():  # type: ignore[union-attr]
+            transition.memo[counts] = memo
+        return memo
+
+    def _step(
+        self,
+        transition: _Transition,
+        base: _Frame,
+        counts: tuple[int, ...],
+        tokens: dict[int, list[_Tokens]] | None,
+    ) -> tuple[_Frame, int]:
+        """Complete the memoized ``base`` of a step with the node's own
+        work: the guarded tokens of the frame and every plain token
+        whose step creates a condition or a watcher.
+
+        Returns the next frame and the number of advancing tokens it
+        adds; completed matches are reported to their sinks as they
+        happen, and conditions are created (and counted) here.
+        Positions run in processing order, so a predicate completion
+        lands before the tokens it guards advance.
         """
         sinks_of = self._sinks
         depth = len(self._frames)  # type: ignore[arg-type]
-        new_counts = [0] * len(transition.next_entry.positions)
+        __, base_counts, total, ___ = base
+        # The base counts, copied into a list on the first write.
+        new_counts: tuple[int, ...] | list[int] = base_counts
         new_tokens: dict[int, list[_Tokens]] = {}
         conditions: list[Condition] = []
         watchers: list[_Watcher] = []
-        here: dict[int, Condition] = {}  # id(predicate path) -> condition
-        advances = total = 0
-        touched = len(counts)
-        for i, target, seeds, slot, step in transition.advancing:
-            count = counts[i]
+        here: dict[int, Condition] | None = None  # id(predicate path) -> condition
+        advances = touched = 0
+        for i, target, seeds, slot, step, impure in transition.advancing:
             groups = tokens.get(i) if tokens else None
+            if not (impure or groups):
+                continue  # all in the memoized base
+            touched += 1
+            count = counts[i]
             sinks = sinks_of[slot.index]
             shared = EMPTY_CONDITIONS
             if seeds:
+                if here is None:
+                    here = {}
                 fresh = []
                 for predicate, seed in zip(step.predicates, seeds):
                     condition = here.get(id(predicate))
@@ -513,17 +597,24 @@ class ProductEngine:
                     fresh.append(condition)
                 shared = frozenset(fresh)
             units: list[tuple[frozenset[Condition], tuple[MatchSink, ...], int]]
-            units = [(EMPTY_CONDITIONS, sinks, count)] if count else []
+            units = [(EMPTY_CONDITIONS, sinks, count)] if count and impure else []
             if groups:
                 touched += len(groups)
-                units.extend((guards, group, 1) for guards, group in groups)
+                units += [(guards, group, 1) for guards, group in groups]
             tests = step.dot_comparisons
             landed: list[
                 tuple[frozenset[Condition], tuple[MatchSink, ...], int]
             ] = []
             for guards, group, copies in units:
                 advances += len(group) * copies
-                live = live_conditions(guards) | shared if guards else shared
+                if guards:
+                    for condition in guards:
+                        if condition.state is Tristate.TRUE:
+                            guards = live_conditions(guards)
+                            break
+                    live = guards | shared if shared else guards
+                else:
+                    live = shared
                 if not tests:
                     landed.append((live, group, copies))
                     continue
@@ -547,7 +638,8 @@ class ProductEngine:
                 for guard_set, group, copies in landed:
                     for __ in range(copies):
                         if comparison is None:
-                            fire(slot.index, group, guard_set)
+                            for sink in group:
+                                sink.on_match(guard_set)
                         else:
                             watchers.extend(
                                 _Watcher(comparison, sink.on_match, guard_set)
@@ -556,8 +648,11 @@ class ProductEngine:
                 continue
             # Every advance into ``target`` comes from this position, so
             # the dedupe per (sink, guard set) is local; the extra copies
-            # of a unit are always duplicates.
-            seen: dict[frozenset[Condition], set[MatchSink]] = {}
+            # of a unit are always duplicates.  A memoized plain unit
+            # landed first, unguarded.
+            seen: dict[frozenset[Condition], set[MatchSink]] = (
+                {EMPTY_CONDITIONS: set(sinks)} if count and not impure else {}
+            )
             for guard_set, group, __ in landed:
                 prior = seen.get(guard_set)
                 if prior is None:
@@ -569,31 +664,13 @@ class ProductEngine:
                     prior.update(group)
                 total += len(group)
                 if not guard_set and group == sinks:
+                    if type(new_counts) is tuple:
+                        new_counts = list(new_counts)
                     new_counts[target] += 1
                 else:
                     new_tokens.setdefault(target, []).append((guard_set, group))
-        for i, (stay, weight) in transition.staying.items():
-            count = counts[i]
-            if count:
-                new_counts[stay] += count
-                total += count * weight
         if tokens:
-            # A stay keeps its guarded tokens as they are.  Stays run
-            # after every advance of the step, so a target no advance
-            # landed on can share the parent frame's list: frames never
-            # mutate a list once built.
-            staying = transition.staying
-            for i, groups in tokens.items():
-                route = staying.get(i)
-                if route is None:
-                    continue
-                for __, group in groups:
-                    total += len(group)
-                landed = new_tokens.get(route[0])
-                if landed is None:
-                    new_tokens[route[0]] = groups
-                else:
-                    landed.extend(groups)
+            total += _carry(tokens, transition.staying, new_tokens)
         stats = self.stats
         stats.tokens_touched += touched
         stats.conditions_created += len(conditions)
@@ -602,32 +679,19 @@ class ProductEngine:
             if new_tokens or conditions or watchers
             else None
         )
-        return (transition.next_entry, tuple(new_counts), total, payload), advances
-
-    def _memoize(
-        self,
-        transition: _Transition,
-        counts: tuple[int, ...],
-    ) -> tuple[_Frame, int, tuple[int, ...]]:
-        """Run :meth:`_step` on a frame without guarded tokens and cache
-        the result while the tables have room."""
-        fired: list[int] = []
-        frame, advances = self._step(
-            transition, counts, None, lambda slot, __, ___: fired.append(slot)
-        )
-        memo = (frame, advances, tuple(fired))
-        if self._tables.admit():  # type: ignore[union-attr]
-            transition.memo[counts] = memo
-        return memo
+        if type(new_counts) is list:
+            new_counts = tuple(new_counts)
+        return (transition.next_entry, new_counts, total, payload), advances
 
     # -- event processing ------------------------------------------------
 
     def open(self, tag: str) -> None:
         """Advance every automaton on an opening tag.
 
-        When the frame has no guarded token and the transition creates
-        no condition, the event is one memo hit; anything else runs the
-        same step uncached.
+        The part of the step that depends on ``(transition, counts)``
+        is one memo hit; a frame whose guarded tokens survive the tag,
+        or a transition that creates conditions, completes it with
+        :meth:`_step`.
         """
         frames = self._frames or self._seal()
         entry, counts, total, payload = frames[-1]
@@ -639,25 +703,34 @@ class ProductEngine:
             transition = self._tables.transition(  # type: ignore[union-attr]
                 entry, tag, stats
             )
+        memo = transition.memo.get(counts)
+        if memo is None:
+            memo = self._memoize(transition, counts)
+        frame, advances, fired = memo
+        if fired:
+            sinks_of = self._sinks
+            for slot in fired:
+                for sink in sinks_of[slot]:
+                    sink.on_match(EMPTY_CONDITIONS)
         tokens = payload[0] if payload is not None else None
-        if tokens is None and transition.plain:
-            memo = transition.memo.get(counts)
-            if memo is None:
-                memo = self._memoize(transition, counts)
-            frame, advances, fired = memo
-            if fired:
-                sinks_of = self._sinks
-                for slot in fired:
-                    for sink in sinks_of[slot]:
-                        sink.on_match(EMPTY_CONDITIONS)
-            charge = FRAME_BYTES + TOKEN_BYTES * frame[2]
-        else:
-            frame, advances = self._step(transition, counts, tokens, _report)
+        if not transition.plain or (
+            tokens and not transition.accepting.isdisjoint(tokens)
+        ):
+            frame, more = self._step(transition, frame, counts, tokens)
+            advances += more
             charge = FRAME_BYTES + TOKEN_BYTES * frame[2]
             if frame[3] is not None:
                 __, conditions, watchers = frame[3]
                 charge += CONDITION_BYTES * len(conditions)
                 charge += WATCHER_BYTES * len(watchers)
+        else:
+            if tokens:
+                # No guarded token advances: the riding ones just stay.
+                carried: dict[int, list[_Tokens]] = {}
+                total = frame[2] + _carry(tokens, transition.staying, carried)
+                if carried:
+                    frame = (frame[0], frame[1], total, (carried, (), ()))
+            charge = FRAME_BYTES + TOKEN_BYTES * frame[2]
         stats.token_advances += advances
         frames.append(frame)
         # One combined allocation: nothing is released mid-event, so the

@@ -39,8 +39,10 @@ class EngineStats:
     machine: ``events_pumped`` is a read-only alias of ``events``
     (every event goes through the one engine; the name is kept for
     readers that predate that), ``tokens_touched`` counts the
-    Python-level position work actually performed (transition builds
-    and uncached steps -- memoized hits touch nothing), and
+    Python-level position work actually performed (positions examined
+    by transition builds and memo builds, plus the positions and
+    guarded token groups a step works on per node -- memoized parts
+    touch nothing), and
     ``product_states_interned`` counts the state sets this engine had
     to intern.  Those two count *solving* work: an engine running a
     compiled policy alone adopts the tables the policy owns, so it

@@ -118,6 +118,26 @@ def test_max_pending_bytes_tracked_with_memory():
     assert controller.max_pending_bytes >= 10
 
 
+def test_pending_descendants_without_matches_share_the_parents_fate():
+    """Only an element with direct matches watches conditions; the
+    elements inside it that match nothing join its resolution."""
+    controller = _controller([("+", '//b[x = "1"]')])
+    events = parse_string("<r><b><c><d>t</d></c><x>1</x></b></r>")
+    output = []
+    for event in events[:5]:  # up to the text of <d>
+        output.extend(controller.feed(event))
+    records = controller._delivery._records
+    assert [record.kind for record in records] == [
+        "drop", "pending", "pending", "pending"
+    ]
+    fates = {id(record.hole.fate) for record in records[1:]}
+    assert len(fates) == 1
+    for event in events[5:]:
+        output.extend(controller.feed(event))
+    output.extend(controller.finish())
+    assert write_string(output) == "<r><b><c><d>t</d></c><x>1</x></b></r>"
+
+
 def test_feed_after_finish_rejected():
     import pytest
 
