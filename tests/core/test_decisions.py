@@ -1,5 +1,8 @@
 """Unit tests for conflict resolution (the sign stack)."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.core.conditions import Condition
 from repro.core.decisions import DecisionNode, Pending, Resolved
 from repro.core.rules import Sign
@@ -112,3 +115,70 @@ def test_pending_inheritance_through_chain():
     assert isinstance(status, Pending)
     condition.add_support(frozenset())
     assert child.status() == Resolved(Sign.PERMIT)
+
+
+#: One step of a random session: open a child of a random node (an
+#: index into the nodes so far) with direct matches over a pool of four
+#: conditions, or resolve a pool condition TRUE or FALSE.
+_MATCHES = st.lists(
+    st.tuples(
+        st.sampled_from([Sign.PERMIT, Sign.DENY]),
+        st.frozensets(st.integers(min_value=0, max_value=3), max_size=2),
+    ),
+    max_size=3,
+)
+_STEPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("open"), st.integers(min_value=0), _MATCHES),
+        st.tuples(
+            st.just("resolve"), st.integers(min_value=0, max_value=3), st.booleans()
+        ),
+    ),
+    max_size=24,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(default=st.sampled_from([Sign.PERMIT, Sign.DENY]), steps=_STEPS)
+def test_status_is_monotone_and_fallback_nodes_follow_their_parent(default, steps):
+    """The two facts the delivery engine's pending path rests on: a
+    status never changes once it is :class:`Resolved` (so it may be
+    memoized), and a node without direct matches reports its parent's
+    status at every moment (so it may share its parent's resolution)."""
+    pool = [Condition(depth=1) for __ in range(4)]
+    nodes = [_root(default)]
+    parents: list[DecisionNode | None] = [None]
+    settled: dict[int, Resolved] = {}
+
+    def check() -> None:
+        for index, node in enumerate(nodes):
+            status = node.status()
+            if index in settled:
+                assert status == settled[index]
+            elif isinstance(status, Resolved):
+                settled[index] = status
+            if parents[index] is not None and not node.has_direct_matches:
+                assert status == parents[index].status()
+
+    for step in steps:
+        if step[0] == "open":
+            __, at, matches = step
+            parent = nodes[at % len(nodes)]
+            node = DecisionNode(parent)
+            for sign, members in matches:
+                node.add_match(sign, frozenset(pool[i] for i in members))
+            nodes.append(node)
+            parents.append(parent)
+        else:
+            __, which, outcome = step
+            condition = pool[which]
+            if outcome:
+                condition.add_support(frozenset())
+            else:
+                condition.finalize()
+        check()
+    for condition in pool:
+        condition.finalize()
+    check()
+    # Once every condition has resolved, every node has.
+    assert all(isinstance(node.status(), Resolved) for node in nodes)
