@@ -28,8 +28,10 @@ MODULES = sorted(BENCH_DIR.glob("bench_e*.py"))
 #: Small, fast experiments exercised by CI's smoke run (--quick).
 QUICK = {
     "bench_e2_skip_benefit",
+    "bench_e5_ram",
     "bench_e7_dissemination",
     "bench_e8_policy_churn",
+    "bench_e10_pending",
     "bench_e12_compile_cache",
     "bench_e19_viewcache",
 }
