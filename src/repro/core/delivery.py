@@ -157,7 +157,10 @@ class _Hole:
             )
             self.charged += nbytes
             memory.allocate("pending", nbytes)
-            self._delivery._sample_pending(memory)
+            delivery = self._delivery
+            pending = memory.usage("pending")
+            if pending > delivery.max_pending_bytes:
+                delivery.max_pending_bytes = pending
 
     def discharge(self) -> None:
         """Release the modeled RAM held by this hole's buffered items."""
@@ -243,10 +246,10 @@ class DeliveryEngine:
         self._prune = mode is ViewMode.PRUNE
         self._root_items: list[Item] = []
         self._records: list[_Record] = []
-        #: Peak of the meter's "pending" pool as seen by :meth:`drain`.
-        #: It is sampled right after each hole charge instead: the pool
+        #: Peak of the meter's "pending" pool at the drains (what E10
+        #: reports).  Holes sample it right after each charge: the pool
         #: only grows by those charges and only shrinks while a drain
-        #: settles, so every drain would see the last sample.
+        #: settles, so each drain reads the last sample before it.
         self.max_pending_bytes = 0
         #: Set the first time a pending hole is created; until then the
         #: root buffer provably holds plain events only (shell holes
@@ -257,11 +260,6 @@ class DeliveryEngine:
         #: hole have become finalizable, so only then does
         #: :meth:`drain` settle the buffers.
         self._dirty = False
-
-    def _sample_pending(self, memory) -> None:
-        pending = memory.usage("pending")
-        if pending > self.max_pending_bytes:
-            self.max_pending_bytes = pending
 
     # -- decision combination ---------------------------------------------
 
