@@ -727,9 +727,9 @@ class ProductEngine:
             if tokens:
                 # No guarded token advances: the riding ones just stay.
                 carried: dict[int, list[_Tokens]] = {}
-                total = frame[2] + _carry(tokens, transition.staying, carried)
+                riding = _carry(tokens, transition.staying, carried)
                 if carried:
-                    frame = (frame[0], frame[1], total, (carried, (), ()))
+                    frame = (frame[0], frame[1], frame[2] + riding, (carried, (), ()))
             charge = FRAME_BYTES + TOKEN_BYTES * frame[2]
         stats.token_advances += advances
         frames.append(frame)
