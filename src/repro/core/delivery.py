@@ -33,8 +33,8 @@ falls back to the parent), so it takes its parent's delivery kind
 without folding a status, and under a pending parent its hole joins the
 parent's fate instead of subscribing listeners of its own.  The buffers
 settle only when something can have changed -- a hole closed or a fate
-resolved since the last drain -- so the events that stream past a
-blocked region cost one scan of nothing.
+resolved since the last drain -- so the events that queue behind a
+blocked region cost no settle.
 
 Output order is document order: a hole blocks the emission of
 everything behind it until it resolves (all holes resolve by the close
