@@ -25,16 +25,23 @@ from repro.core.rules import Sign
 
 
 class _LaneSink:
-    """Routes one automaton's completed matches to its lane."""
+    """Routes one automaton's completed matches to its lane's list.
 
-    __slots__ = ("lane", "sign")
+    It holds the list, not the lane: the lane holds the engine, which
+    holds this sink, so a back reference to the lane would make every
+    session a reference cycle left to the cyclic collector.
+    """
 
-    def __init__(self, lane: "Lane", sign: Sign) -> None:
-        self.lane = lane
+    __slots__ = ("collected", "sign")
+
+    def __init__(
+        self, collected: list[tuple[Sign, frozenset[Condition]]], sign: Sign
+    ) -> None:
+        self.collected = collected
         self.sign = sign
 
     def on_match(self, conditions: frozenset[Condition]) -> None:
-        self.lane.collected.append((self.sign, conditions))
+        self.collected.append((self.sign, conditions))
 
 
 class Lane:
@@ -61,7 +68,9 @@ class Lane:
             DecisionNode.default_root(policy.default)
         ]
         self.collected: list[tuple[Sign, frozenset[Condition]]] = []
-        engine.add_policy(policy, [_LaneSink(self, sign) for sign in policy.signs])
+        engine.add_policy(
+            policy, [_LaneSink(self.collected, sign) for sign in policy.signs]
+        )
 
     def open(self, tag: str) -> DecisionNode:
         """Advance a lane that is alone on its engine; return the new

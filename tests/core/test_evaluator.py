@@ -1,14 +1,20 @@
 """Unit tests for the lane: one compiled policy's decision stack."""
 
+import gc
+
 import pytest
 
-from repro.core.compiled import compile_policy, compile_query
+from repro.core.compiled import PolicyRegistry, compile_policy, compile_query
 from repro.core.decisions import Pending, Resolved
 from repro.core.evaluator import Lane
 from repro.core.pipeline import AccessController
 from repro.core.product import ProductEngine
 from repro.core.rules import AccessRule, RuleSet, Sign, Subject
+from repro.smartcard.memory import MemoryMeter
+from repro.workloads.docgen import video_catalog
+from repro.workloads.rulegen import parental_rules
 from repro.xmlstream.events import CloseEvent, OpenEvent, ValueEvent
+from repro.xmlstream.tree import tree_to_events
 
 
 def _rules(*defs):
@@ -107,3 +113,35 @@ def test_stats_accumulate():
     queried = AccessController(rules, "u", query="//a")
     queried.feed(OpenEvent("a"))
     assert queried.stats.events == 2
+
+
+@pytest.mark.parametrize("metered", [False, True], ids=["plain", "metered"])
+def test_session_leaves_no_reference_cycles(metered):
+    """A finished session is freed by reference counting alone.
+
+    A pending-heavy session (parental control on a video catalog) on a
+    cached policy: with the cyclic collector off, nothing the session
+    built may be left for it to find.
+    """
+    events = list(tree_to_events(video_catalog(8)))
+    rules = parental_rules("kid")
+    registry = PolicyRegistry()
+
+    def session():
+        memory = MemoryMeter(None, strict=False) if metered else None
+        controller = AccessController(
+            rules, "kid", memory=memory, registry=registry
+        )
+        for event in events:
+            controller.feed(event)
+        controller.finish()
+
+    session()  # compile and cache the policy outside the measurement
+    gc.collect()
+    gc.disable()
+    try:
+        session()
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert unreachable == 0
