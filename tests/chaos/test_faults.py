@@ -16,7 +16,7 @@ from repro.chaos import (
 )
 from repro.crypto.container import seal_document
 from repro.crypto.keys import DocumentKeys
-from repro.dsp.backends import MemoryBackend, ShardedBackend, SQLiteBackend
+from repro.dsp.backends import MemoryBackend, SQLiteBackend
 from repro.dsp.server import DSPServer
 from repro.dsp.store import DSPStore
 from repro.errors import PolicyError, TransportError
@@ -109,19 +109,13 @@ def test_backend_mutation_failures_leave_state_untouched():
     assert stored.rule_records == [] and stored.wrapped_keys == {}
 
 
-def test_crash_reopen_sqlite_and_sharded(tmp_path):
+def test_crash_reopen_sqlite(tmp_path):
     sqlite = SQLiteBackend(tmp_path / "solo.db")
     sqlite.put_document(_container())
     reopened = crash_reopen(sqlite)
     assert reopened is not sqlite
     assert reopened.get("doc").container.header.version == 1
     reopened.close()
-
-    sharded = ShardedBackend.sqlite(tmp_path / "dsp.db", shards=2)
-    sharded.put_document(_container())
-    recovered = crash_reopen(sharded)
-    assert recovered.get("doc").container.header.version == 1
-    recovered.close()
 
 
 def test_crash_reopen_refuses_volatile_backends():

@@ -113,10 +113,9 @@ def _pull_fleet(server, reference, fleet_size):
 # -- concurrency -------------------------------------------------------------
 
 
-@pytest.mark.parametrize("loops", [1, 3])
-def test_concurrent_fleet_byte_identical(published_community, loops):
+def test_concurrent_fleet_byte_identical(published_community):
     reference = _reference_views(published_community)
-    with published_community.serve(loops=loops) as server:
+    with published_community.serve() as server:
         assert isinstance(server, ReactorDSPServer)
         _pull_fleet(server, reference, fleet_size=16)
         assert len(server.connections) == 16

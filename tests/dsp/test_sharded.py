@@ -7,8 +7,6 @@ corpus, keep that property under concurrent writers, and (for the
 SQLite composition) survive crash/reopen with every shard intact.
 """
 
-import threading
-
 import pytest
 
 from repro.community import Community
@@ -163,53 +161,7 @@ def test_sharded_views_byte_identical_end_to_end(tmp_path):
         assert views[("plain", reader)]
 
 
-# -- concurrency and durability ----------------------------------------------
-
-
-@pytest.mark.parametrize("flavor", ["memory", "sqlite"])
-def test_sharded_under_concurrent_writers(flavor, tmp_path):
-    """Parallel writers over many documents leave the sharded store
-    byte-identical to the same writes applied sequentially unsharded."""
-    if flavor == "memory":
-        sharded = DSPStore(ShardedBackend.memory(shards=4))
-    else:
-        sharded = DSPStore(ShardedBackend.sqlite(tmp_path / "dsp.db", shards=4))
-    reference = DSPStore(MemoryBackend())
-    payloads = {
-        f"doc-{n}": seal_document(
-            b"payload-%02d" % n * 17, f"doc-{n}", 1, KEYS, chunk_size=32
-        )
-        for n in range(16)
-    }
-    for doc_id, container in payloads.items():
-        reference.put_document(container)
-        reference.put_rules(doc_id, [doc_id.encode(), b"r"], 2)
-        reference.put_wrapped_key(doc_id, "reader", b"w-" + doc_id.encode())
-
-    errors = []
-
-    def writer(doc_ids):
-        try:
-            for doc_id in doc_ids:
-                sharded.put_document(payloads[doc_id])
-                sharded.put_rules(doc_id, [doc_id.encode(), b"r"], 2)
-                sharded.put_wrapped_key(
-                    doc_id, "reader", b"w-" + doc_id.encode()
-                )
-        except Exception as exc:  # pragma: no cover - surfaced below
-            errors.append(exc)
-
-    ids = list(payloads)
-    threads = [
-        threading.Thread(target=writer, args=(ids[lane::4],)) for lane in range(4)
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=30)
-    assert not errors, errors
-    assert _snapshot(sharded) == _snapshot(reference)
-    sharded.close()
+# -- durability --------------------------------------------------------------
 
 
 def test_sharded_sqlite_crash_reopen(tmp_path):
@@ -230,84 +182,3 @@ def test_sharded_sqlite_crash_reopen(tmp_path):
         if not p.name.endswith(("-wal", "-shm"))
     )
     assert shard_files == ["dsp.db.shard0", "dsp.db.shard1", "dsp.db.shard2"]
-
-
-def test_sharded_sqlite_crash_reopen_under_concurrent_writers(tmp_path):
-    """Concurrent writers, then a crash: every shard recovers, every
-    acknowledged write survives, snapshots are byte-identical.
-
-    The writers race across all shards (WAL sidecars live while they
-    run); the "crash" abandons the open handles without closing them,
-    and recovery is checked both through a fresh sharded front and
-    shard file by shard file.
-    """
-    from repro.chaos import crash_reopen
-
-    path = tmp_path / "dsp.db"
-    sharded = DSPStore(ShardedBackend.sqlite(path, shards=3))
-    reference = DSPStore(MemoryBackend())
-    payloads = {
-        f"doc-{n}": seal_document(
-            b"payload-%02d" % n * 17, f"doc-{n}", 1, KEYS, chunk_size=32
-        )
-        for n in range(12)
-    }
-    for doc_id, container in payloads.items():
-        reference.put_document(container)
-        reference.put_rules(doc_id, [doc_id.encode(), b"r"], 2)
-        reference.put_wrapped_key(doc_id, "reader", b"w-" + doc_id.encode())
-
-    errors = []
-
-    def writer(doc_ids):
-        try:
-            for doc_id in doc_ids:
-                sharded.put_document(payloads[doc_id])
-                sharded.put_rules(doc_id, [doc_id.encode(), b"r"], 2)
-                sharded.put_wrapped_key(
-                    doc_id, "reader", b"w-" + doc_id.encode()
-                )
-        except Exception as exc:  # pragma: no cover - surfaced below
-            errors.append(exc)
-
-    ids = list(payloads)
-    threads = [
-        threading.Thread(target=writer, args=(ids[lane::4],))
-        for lane in range(4)
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=30)
-    assert not errors, errors
-    expected = _snapshot(reference)
-    assert _snapshot(sharded) == expected
-
-    # Crash #1: abandon the open handles entirely (WAL sidecars still
-    # on disk) and recover through a brand-new sharded front.
-    recovered = DSPStore(ShardedBackend.sqlite(path, shards=3))
-    assert _snapshot(recovered) == expected
-
-    # Crash #2: close-and-reopen every shard in place via the chaos
-    # helper; the store keeps serving the identical bytes.
-    recovered.backend = crash_reopen(recovered.backend)
-    assert _snapshot(recovered) == expected
-
-    # Per-shard recovery: each shard file, opened alone, holds exactly
-    # the documents the router assigned it -- nothing leaked, nothing
-    # lost, nothing duplicated across shards.
-    routing = {
-        doc_id: recovered.backend.shard_index(doc_id) for doc_id in payloads
-    }
-    for index in range(3):
-        shard = SQLiteBackend(path.with_name(f"{path.name}.shard{index}"))
-        mine = sorted(d for d, s in routing.items() if s == index)
-        assert sorted(shard.document_ids()) == mine
-        for doc_id in mine:
-            stored = shard.get(doc_id)
-            ref = reference.get(doc_id)
-            assert stored.container.chunks == ref.container.chunks
-            assert stored.rule_records == ref.rule_records
-            assert stored.wrapped_keys == ref.wrapped_keys
-        shard.close()
-    recovered.close()

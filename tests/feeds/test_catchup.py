@@ -3,7 +3,7 @@
 import pytest
 
 from repro.community import Community, TierSpec
-from repro.dsp.backends import ShardedBackend
+from repro.dsp.backends import MemoryBackend, SQLiteBackend
 from repro.dsp.freshness import Freshness
 from repro.errors import PolicyError, TamperDetected
 from repro.feeds import CycleSnapshot, decode_snapshot, encode_snapshot
@@ -241,8 +241,8 @@ def test_snapshot_codec_rejects_corruption():
         decode_snapshot(blob + b"\x00")  # trailing bytes
 
 
-def test_sharded_backend_snapshots_live_on_shard_zero(tmp_path):
-    backend = ShardedBackend.sqlite(tmp_path / "dsp.db", shards=4)
+def test_sqlite_backend_stores_feed_snapshots(tmp_path):
+    backend = SQLiteBackend(tmp_path / "dsp.db")
     try:
         assert backend.get_feed_snapshot("intel", "public") is None
         backend.put_feed_snapshot("intel", "public", b"blob", epoch=2)
@@ -253,26 +253,18 @@ def test_sharded_backend_snapshots_live_on_shard_zero(tmp_path):
         backend.close()
 
 
-def test_sharded_memory_backend_degrades_snapshot_persistence():
-    """A volatile shard 0 cannot persist snapshots; put must be a
-    silent no-op (matching get/delete), never an error -- broadcast's
-    contract is 'persisted when the store is durable'."""
-    backend = ShardedBackend.memory(shards=4)
-    backend.put_feed_snapshot("intel", "public", b"blob")
-    assert backend.get_feed_snapshot("intel", "public") is None
-    assert backend.delete_feed_snapshot("intel", "public") is False
-
-
-def test_feed_broadcast_works_on_sharded_memory_backend():
-    """Regression: broadcast() on a ShardedBackend.memory community
-    must not crash on snapshot persistence; catch-up still works by
-    rebuilding the cycle from the stored corpus."""
-    community = Community(backend=ShardedBackend.memory(shards=2))
+def test_memory_backend_skips_snapshot_persistence():
+    """A volatile store cannot persist snapshots: broadcast skips that
+    silently, never with an error -- its contract is 'persisted when
+    the store is durable' -- and a catch-up that lost the live cycle
+    rebuilds it from the stored corpus."""
+    community = Community(backend=MemoryBackend())
     feed = _build(community)
     live = feed.subscribe("alice", "internal")
     feed.subscribe("late", "internal")
     feed.broadcast()
     live.require_ok()
+    feed._tier("internal").last_cycle = None  # nothing persisted to reread
     caught = feed.catch_up("late")
     caught.require_ok()
     assert caught.view == live.view
