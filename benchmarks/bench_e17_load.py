@@ -5,7 +5,7 @@ benchmark is the repo's *load* experiment: real sockets, real wall
 time, a fleet of concurrent pulling clients plus one deliberately slow
 reader against the event-loop server behind ``community.serve()``
 (``repro.dsp.reactor``: per-connection buffering, coalesced writes, a
-lock-free per-loop response cache checked against the store's
+lock-free response cache checked against the store's
 freshness stamp, and admission control).
 
 The fleet speaks the raw wire protocol and pipelines a window of

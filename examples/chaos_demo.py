@@ -4,8 +4,8 @@ The chaos engine drops seeded, deterministic faults into every trust
 seam of the architecture -- the DSP's disk, the client transport, the
 raw socket under ``RemoteDSP``, the card boundary -- while real
 workloads run: pulls, carousel broadcasts, revocation storms, a
-republish racing an in-flight session, crash-reopened SQLite shards,
-admission-control flapping.
+republish racing an in-flight session, a crash-reopened SQLite store
+after concurrent writers, admission-control flapping.
 
 The invariant every cell must satisfy:
 

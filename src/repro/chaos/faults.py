@@ -29,7 +29,7 @@ from typing import Callable
 
 from repro.chaos.plan import FaultPlan, FaultRule
 from repro.crypto.container import DocumentContainer, DocumentHeader
-from repro.dsp.backends import ShardedBackend, SQLiteBackend, StoreBackend, StoredDocument
+from repro.dsp.backends import SQLiteBackend, StoreBackend, StoredDocument
 from repro.dsp.client import DSPClient
 from repro.dsp.wire import DocMeta
 from repro.errors import PolicyError, TransportError
@@ -63,8 +63,8 @@ def crash_reopen(backend: StoreBackend) -> StoreBackend:
     """Simulate a process crash: drop the handle, reopen from disk.
 
     Only durable backends survive: a :class:`SQLiteBackend` reopens
-    from its file (exercising WAL recovery), a
-    :class:`ShardedBackend` crash-reopens every durable shard.
+    from its file (exercising WAL recovery), and a
+    :class:`FaultyBackend` crash-reopens its inner backend in place.
     Volatile backends raise :class:`~repro.errors.PolicyError` --
     there is nothing to recover.
     """
@@ -72,8 +72,6 @@ def crash_reopen(backend: StoreBackend) -> StoreBackend:
         path = backend.path
         backend.close()
         return SQLiteBackend(path)
-    if isinstance(backend, ShardedBackend):
-        return ShardedBackend([crash_reopen(shard) for shard in backend.shards])
     if isinstance(backend, FaultyBackend):
         backend.crash()
         return backend
@@ -217,20 +215,7 @@ class FaultyBackend:
     def close(self) -> None:
         self.inner.close()
 
-    # -- durable extras ----------------------------------------------------
-
-    def put_meta(self, key: str, value: str) -> None:
-        put_meta = getattr(self.inner, "put_meta", None)
-        if put_meta is None:
-            raise PolicyError("meta storage needs a durable inner backend")
-        put_meta(key, value)
-
-    def get_meta(self, key: str) -> str | None:
-        get_meta = getattr(self.inner, "get_meta", None)
-        if get_meta is None:
-            return None
-        value: str | None = get_meta(key)
-        return value
+    # -- crash -------------------------------------------------------------
 
     def crash(self) -> None:
         """Crash-reopen the inner backend in place (durable inners only)."""

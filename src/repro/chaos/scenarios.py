@@ -40,7 +40,7 @@ from repro.community import Community, TierSpec
 from repro.crypto.container import DocumentContainer
 from repro.crypto.groupkey import wrap_call_count
 from repro.dsp import RemoteDSP
-from repro.dsp.backends import MemoryBackend, ShardedBackend
+from repro.dsp.backends import MemoryBackend, SQLiteBackend
 from repro.dsp.reactor import AdmissionPolicy
 from repro.dsp.remote import GenerationChanged, RetryPolicy
 from repro.errors import (
@@ -745,12 +745,12 @@ def _scenario_remote_storm(seed: int, fault: str) -> ScenarioResult:
 
 
 def _scenario_crash_reopen(seed: int, fault: str) -> ScenarioResult:
-    """Concurrent writers, then crash-reopen every SQLite shard."""
+    """Concurrent writers, then crash-reopen the SQLite store."""
     result = ScenarioResult("crash-reopen", fault, seed, ok=False)
     plan = FaultPlan(seed)
     golden = golden_views(1)
     with tempfile.TemporaryDirectory() as tmp:
-        backend = ShardedBackend.sqlite(Path(tmp) / "dsp", shards=2)
+        backend = SQLiteBackend(Path(tmp) / "dsp.db")
         community = build_world(backend=backend)
         try:
             owner = community.member("owner")
@@ -766,7 +766,7 @@ def _scenario_crash_reopen(seed: int, fault: str) -> ScenarioResult:
             store = community.store
             assert store is not None
             doc_ids = [DOC_ID, *side_ids]
-            # Concurrent writers hammer disjoint keys across shards.
+            # Concurrent writers hammer disjoint keys across documents.
             errors: list[BaseException] = []
 
             def write(slot: int) -> None:
@@ -801,7 +801,7 @@ def _scenario_crash_reopen(seed: int, fault: str) -> ScenarioResult:
                 doc_id: dict(store.get(doc_id).wrapped_keys)
                 for doc_id in doc_ids
             }
-            # The crash: every shard closed and reopened from disk.
+            # The crash: the store closed and reopened from disk.
             store.backend = crash_reopen(store.backend)
             for doc_id in doc_ids:
                 stored = store.get(doc_id)

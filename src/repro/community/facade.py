@@ -227,7 +227,7 @@ class Community:
         community = cls(
             store_path=path, clock=clock, network=network, registry=registry
         )
-        meta = community._meta_backend()
+        meta = community._require_store().durable_backend
         raw = meta.get_meta(_MANIFEST_KEY) if meta is not None else None
         if raw is not None:
             manifest = json.loads(raw)
@@ -295,7 +295,6 @@ class Community:
         host: str = "127.0.0.1",
         port: int = 0,
         *,
-        loops: int = 1,
         admission: AdmissionPolicy | None = None,
         idle_timeout: float | None = None,
     ) -> ReactorDSPServer:
@@ -303,7 +302,7 @@ class Community:
 
         The server is the non-blocking event-loop
         :class:`~repro.dsp.reactor.ReactorDSPServer`: buffered writes so
-        slow readers never stall the fleet, ``loops`` loop workers, and
+        slow readers never stall the fleet, one selector loop, and
         ``admission`` capacity limits rejecting over-capacity requests
         with typed :class:`~repro.errors.ResourceExhausted` frames.
         ``server.address`` is the bound endpoint (``port=0`` picks an
@@ -321,7 +320,6 @@ class Community:
             dsp,
             host=host,
             port=port,
-            loops=loops,
             admission=admission,
             idle_timeout=idle_timeout,
         )
@@ -393,12 +391,6 @@ class Community:
             )
         return self.store
 
-    def _meta_backend(self) -> SQLiteBackend | None:
-        if self.store is None:
-            return None
-        backend = self.store.backend
-        return backend if isinstance(backend, SQLiteBackend) else None
-
     def _save_manifest(self) -> None:
         """Persist the deployment manifest next to a durable store.
 
@@ -406,9 +398,9 @@ class Community:
         learns from uploads and wrapped-key recipients -- never key
         material or plaintext.
         """
-        if self._restoring:
+        if self._restoring or self.store is None:
             return
-        meta = self._meta_backend()
+        meta = self.store.durable_backend
         if meta is None:
             return
         manifest = {

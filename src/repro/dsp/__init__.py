@@ -33,7 +33,6 @@ used by the security tests and E9.
 
 from repro.dsp.backends import (
     MemoryBackend,
-    ShardedBackend,
     SQLiteBackend,
     StoreBackend,
     StoredDocument,
@@ -62,7 +61,6 @@ __all__ = [
     "ReactorDSPServer",
     "RemoteDSP",
     "RetryPolicy",
-    "ShardedBackend",
     "SQLiteBackend",
     "StoreBackend",
     "StoredDocument",

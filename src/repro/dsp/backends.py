@@ -29,10 +29,9 @@ from __future__ import annotations
 
 import sqlite3
 import threading
-import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Protocol, Sequence
+from typing import Protocol
 
 from repro.crypto.container import DocumentContainer, DocumentHeader
 from repro.errors import PolicyError, UnknownDocument
@@ -61,9 +60,10 @@ class StoredDocument:
 class StoreBackend(Protocol):
     """What a DSP disk must provide (documents, rules, wrapped keys).
 
-    Implementations must be safe to call from several threads -- the
-    socket server in :mod:`repro.dsp.remote` dispatches one thread per
-    connection.  ``get`` raises
+    Implementations must be safe to call from several threads -- a
+    served community's reactor thread
+    (:class:`~repro.dsp.reactor.ReactorDSPServer`) reads while the
+    owner's threads publish, update rules and grant keys.  ``get`` raises
     :class:`~repro.errors.UnknownDocument` for ids the store has never
     seen; whether the returned record is live (memory) or an assembled
     snapshot (SQLite) is backend-defined, so all mutation must go
@@ -231,8 +231,8 @@ class SQLiteBackend:
     Every write commits before returning, so a process crash after any
     ``put_*`` loses nothing already acknowledged; reopening the path in
     a fresh process sees every document, rule version and wrapped key
-    intact.  All access is serialized on an internal lock, making one
-    backend instance safe under a multi-loop reactor server.
+    intact.  All access is serialized on an internal lock, so the
+    reactor thread may read while owner threads write.
 
     Reads assemble a :class:`StoredDocument` snapshot per document and
     cache it until the next write to that id, so a pull session's
@@ -506,153 +506,3 @@ class SQLiteBackend:
                 (feed, tier),
             )
             return cursor.rowcount > 0
-
-
-class ShardedBackend:
-    """N independent :class:`StoreBackend` shards keyed by document id.
-
-    Every doc-keyed operation routes to ``shards[crc32(doc_id) % N]``
-    (a *stable* hash -- Python's builtin ``hash`` is salted per
-    process, which would scatter a reopened store), so concurrent
-    pulls on different documents land on different backends and stop
-    contending on one backend lock: N SQLite shards means N
-    independent connections and N locks, and the event-loop server's
-    workers touch disjoint shards in parallel.
-
-    The composition satisfies the same :class:`StoreBackend` protocol,
-    so :class:`~repro.dsp.store.DSPStore`, ``Community.serve`` and
-    ``Community.open`` work unchanged -- build one with
-    :meth:`memory` or :meth:`sqlite` (or hand in any mixed shard
-    list) and pass it as ``Community(backend=...)``.
-
-    A sharded store is byte-identical to its unsharded counterpart:
-    routing only decides *where* a record lives, never what it holds,
-    and ``document_ids`` merges the shard listings back into one
-    sorted view.
-    """
-
-    def __init__(self, shards: Sequence[StoreBackend]) -> None:
-        if not shards:
-            raise ValueError("a sharded backend needs at least one shard")
-        self.shards: tuple[StoreBackend, ...] = tuple(shards)
-
-    @classmethod
-    def memory(cls, shards: int = 4) -> "ShardedBackend":
-        """``shards`` independent :class:`MemoryBackend` stores."""
-        return cls([MemoryBackend() for _ in range(shards)])
-
-    @classmethod
-    def sqlite(cls, path: str | Path, shards: int = 4) -> "ShardedBackend":
-        """``shards`` SQLite files ``<path>.shard0 .. <path>.shardN-1``.
-
-        Reopening the same ``path`` with the same shard count restores
-        the store intact; the shard count is part of the layout (the
-        routing function depends on it), so reopen with the count you
-        created it with.
-        """
-        base = Path(path)
-        return cls(
-            [
-                SQLiteBackend(base.with_name(f"{base.name}.shard{index}"))
-                for index in range(shards)
-            ]
-        )
-
-    def shard_index(self, doc_id: str) -> int:
-        """Which shard holds ``doc_id`` (stable across processes)."""
-        return zlib.crc32(doc_id.encode("utf-8")) % len(self.shards)
-
-    def _shard(self, doc_id: str) -> StoreBackend:
-        return self.shards[self.shard_index(doc_id)]
-
-    # -- StoreBackend ----------------------------------------------------
-
-    def put_document(
-        self,
-        container: DocumentContainer,
-        *,
-        keep_rules: bool = False,
-        keep_keys: bool = False,
-    ) -> None:
-        self._shard(container.header.doc_id).put_document(
-            container, keep_rules=keep_rules, keep_keys=keep_keys
-        )
-
-    def get(self, doc_id: str) -> StoredDocument:
-        return self._shard(doc_id).get(doc_id)
-
-    def put_rules(
-        self, doc_id: str, records: list[bytes], version: int
-    ) -> None:
-        self._shard(doc_id).put_rules(doc_id, records, version)
-
-    def put_wrapped_key(
-        self, doc_id: str, recipient: str, blob: bytes
-    ) -> None:
-        self._shard(doc_id).put_wrapped_key(doc_id, recipient, blob)
-
-    def remove_wrapped_key(self, doc_id: str, recipient: str) -> bool:
-        return self._shard(doc_id).remove_wrapped_key(doc_id, recipient)
-
-    def document_ids(self) -> list[str]:
-        merged: list[str] = []
-        for shard in self.shards:
-            merged.extend(shard.document_ids())
-        return sorted(merged)
-
-    def contains(self, doc_id: str) -> bool:
-        return self._shard(doc_id).contains(doc_id)
-
-    def close(self) -> None:
-        for shard in self.shards:
-            shard.close()
-
-    # -- meta (beyond the protocol) --------------------------------------
-
-    def put_meta(self, key: str, value: str) -> None:
-        """Meta rides on shard 0 when that shard is durable."""
-        shard = self.shards[0]
-        if isinstance(shard, SQLiteBackend):
-            shard.put_meta(key, value)
-        else:
-            raise PolicyError(
-                "meta storage needs a durable shard 0 "
-                "(ShardedBackend.sqlite)"
-            )
-
-    def get_meta(self, key: str) -> str | None:
-        shard = self.shards[0]
-        if isinstance(shard, SQLiteBackend):
-            return shard.get_meta(key)
-        return None
-
-    # -- feed snapshots (beyond the protocol) ----------------------------
-
-    def put_feed_snapshot(
-        self, feed: str, tier: str, blob: bytes, *, epoch: int = 0
-    ) -> None:
-        """Feed snapshots ride on shard 0 when that shard is durable.
-
-        Snapshots are feed-keyed, not document-keyed, so the crc32
-        document routing does not apply; like the deployment manifest
-        they live on the durable shard 0.  On a volatile shard 0
-        (``ShardedBackend.memory``) this is a silent no-op, matching
-        ``get``/``delete`` -- snapshots are a durability optimization,
-        and a live feed rebuilds catch-up cycles from the stored
-        corpus anyway.
-        """
-        shard = self.shards[0]
-        if isinstance(shard, SQLiteBackend):
-            shard.put_feed_snapshot(feed, tier, blob, epoch=epoch)
-
-    def get_feed_snapshot(self, feed: str, tier: str) -> bytes | None:
-        shard = self.shards[0]
-        if isinstance(shard, SQLiteBackend):
-            return shard.get_feed_snapshot(feed, tier)
-        return None
-
-    def delete_feed_snapshot(self, feed: str, tier: str) -> bool:
-        shard = self.shards[0]
-        if isinstance(shard, SQLiteBackend):
-            return shard.delete_feed_snapshot(feed, tier)
-        return False

@@ -3,17 +3,16 @@
 A thread per connection with every dispatch serialized behind one
 lock is fine for a handful of terminals and hopeless for "millions of
 users".  :class:`ReactorDSPServer` is the DSP's one server: one
-non-blocking selector loop (or ``loops=N`` workers, connections
-round-robined across them) with per-connection read/write buffering
+non-blocking selector loop with per-connection read/write buffering
 over the same length-prefixed :mod:`repro.dsp.wire` codec, so
 
 * a slow reader never blocks anyone -- its responses queue in *its*
   write buffer while the loop keeps serving everybody else;
-* there is no dispatch lock -- each loop serves its connections
-  sequentially, per-connection accounting lives in loop-owned
-  :class:`~repro.dsp.remote.ConnectionStats` (single-writer, no
-  locks), and server totals are aggregated on demand;
-* read-mostly dissemination traffic is served from a per-loop response
+* there is no dispatch lock -- the loop serves its connections
+  sequentially, and per-connection accounting
+  (:class:`~repro.dsp.remote.ConnectionStats`) and the server totals
+  have the loop thread as their one writer;
+* read-mostly dissemination traffic is served from the loop's response
   cache (raw request bytes -> framed response, invalidated wholesale
   when the store's :class:`~repro.dsp.freshness.Freshness` stamp
   moves) -- single-writer like everything else the loop owns, which is
@@ -94,7 +93,7 @@ _BACKLOG_HARD_FACTOR = 2
 #: syscall, not one per frame.
 _COALESCE_BYTES = 1 << 16
 
-#: Per-loop response-cache bounds.  Dissemination traffic is
+#: Response-cache bounds.  Dissemination traffic is
 #: read-mostly and narrow (a fleet pulling the same few documents), so
 #: the hot set is small; on overflow the oldest entries fall out FIFO.
 _CACHE_MAX_ENTRIES = 4096
@@ -139,7 +138,7 @@ class AdmissionPolicy:
 
 
 class _Connection:
-    """One buffered non-blocking connection, owned by exactly one loop."""
+    """One buffered non-blocking connection, owned by the loop thread."""
 
     __slots__ = (
         "sock",
@@ -165,83 +164,111 @@ class _Connection:
         self.wants_write = False
 
 
-class _LoopWorker(threading.Thread):
-    """One selector loop: reads, dispatches, buffers writes, reaps idle."""
+class ReactorDSPServer:
+    """Serves one DSP over TCP from one selector event loop.
 
-    def __init__(self, server: "ReactorDSPServer", index: int) -> None:
-        super().__init__(name=f"dsp-reactor-{server.address[1]}-{index}", daemon=True)
-        self.server = server
-        self.index = index
-        self.selector = selectors.DefaultSelector()
-        self._wake_r, self._wake_w = socket.socketpair()
-        self._wake_r.setblocking(False)
-        self.selector.register(self._wake_r, selectors.EVENT_READ, "wake")
-        self._inbox: deque[tuple[socket.socket, ConnectionStats]] = deque()
-        self._inbox_lock = threading.Lock()
-        self.conns: set[_Connection] = set()
-        self.closing = False
-        # Single-writer counters; other threads only read them.
+    Speaks the :mod:`repro.dsp.wire` protocol that
+    :class:`~repro.dsp.remote.RemoteDSP` and ``Community.attach``
+    consume; :attr:`address`, :attr:`connections` and ``close()`` are
+    its operational surface.  What matters under load:
+
+    * connections are multiplexed, not threaded -- hundreds of clients
+      cost one loop thread, and a reader that stops draining its
+      socket only grows *its own* write buffer;
+    * :class:`AdmissionPolicy` limits are enforced per request with
+      typed rejection frames;
+    * ``idle_timeout`` reaps connections with no traffic in either
+      direction.
+
+    The counters (:attr:`requests`, :attr:`bytes_served`,
+    :attr:`chunks_served`, :attr:`rejected_requests`,
+    :attr:`cache_hits`, :attr:`rejected_connections`,
+    :attr:`reaped_connections`) are written by the loop thread only;
+    other threads just read them.
+    """
+
+    def __init__(
+        self,
+        dsp: DSPServer,
+        host: str = "127.0.0.1",
+        port: int = 0,
+        backlog: int = 128,
+        *,
+        admission: AdmissionPolicy | None = None,
+        idle_timeout: float | None = None,
+    ) -> None:
+        self.dsp = dsp
+        self.store: DSPStore = dsp.store
+        self.admission = admission if admission is not None else AdmissionPolicy()
+        self.idle_timeout = idle_timeout
+        self._listener = socket.create_server(
+            (host, port), backlog=backlog
+        )
+        self._listener.setblocking(False)
+        bound = self._listener.getsockname()
+        self.address: tuple[str, int] = (str(bound[0]), int(bound[1]))
+        #: Accept-ordered stats for every connection ever admitted.
+        self.connections: list[ConnectionStats] = []
         self.requests = 0
         self.bytes_served = 0
         self.chunks_served = 0
+        #: Requests refused by admission control with a typed frame.
         self.rejected_requests = 0
+        #: Requests served straight from the response cache.
         self.cache_hits = 0
-        self.inflight = 0
-        # The loop-local response cache: raw request body -> (framed
-        # response, chunks it carries).  Single-writer like everything
-        # else this loop owns, so it needs no locks -- the structural
-        # payoff of the reactor shape.  Invalidated wholesale whenever
-        # the store's stamp moves.  Cached responses carry no versions,
-        # so they are checked by stamp alone.
+        self.rejected_connections = 0
+        #: Connections closed by the idle-timeout reaper.
+        self.reaped_connections = 0
+        self._conns: set[_Connection] = set()
+        #: Responses queued across every connection.
+        self._inflight = 0
+        # The response cache: raw request body -> (framed response,
+        # chunks it carries).  Only the loop thread touches it, so it
+        # needs no lock -- the structural payoff of the reactor shape.
+        # Invalidated wholesale whenever the store's stamp moves.
+        # Cached responses carry no versions, so they are checked by
+        # stamp alone.
         self._cache: dict[bytes, tuple[bytes, int]] = {}
         self._cache_bytes = 0
         self._cache_stamp = UNSTAMPED
-
-    # -- cross-thread entry points ----------------------------------------
-
-    def wake(self) -> None:
-        try:
-            self._wake_w.send(b"\x00")
-        except OSError:
-            pass
-
-    def hand_off(self, sock: socket.socket, stats: ConnectionStats) -> None:
-        with self._inbox_lock:
-            self._inbox.append((sock, stats))
-        self.wake()
+        self._closed = False
+        self._selector = selectors.DefaultSelector()
+        # ``close()`` wakes a loop blocked in ``select`` through this pair.
+        self._wake_r, self._wake_w = socket.socketpair()
+        self._wake_r.setblocking(False)
+        self._selector.register(self._wake_r, selectors.EVENT_READ, "wake")
+        self._selector.register(self._listener, selectors.EVENT_READ, "listener")
+        self._thread = threading.Thread(
+            target=self._run, name=f"dsp-reactor-{self.address[1]}", daemon=True
+        )
+        self._thread.start()
 
     # -- loop body ---------------------------------------------------------
 
-    def run(self) -> None:
-        idle = self.server.idle_timeout
+    def _run(self) -> None:
+        idle = self.idle_timeout
         timeout = None if idle is None else max(0.05, idle / 4)
         try:
             while True:
-                for key, events in self.selector.select(timeout):
+                for key, events in self._selector.select(timeout):
                     if key.data == "wake":
                         self._drain_wake()
                     elif key.data == "listener":
-                        self.server._accept_ready()
+                        self._accept_ready()
                     else:
                         conn: _Connection = key.data
                         if events & selectors.EVENT_WRITE:
                             self._writable(conn)
                         if events & selectors.EVENT_READ:
                             self._readable(conn)
-                if self.closing:
+                if self._closed:
                     return
                 if idle is not None:
                     self._reap_idle(idle)
         finally:
-            for conn in list(self.conns):
+            for conn in list(self._conns):
                 self._close_conn(conn)
-            with self._inbox_lock:
-                leftover = list(self._inbox)
-                self._inbox.clear()
-            for sock, stats in leftover:
-                sock.close()
-                stats.open = False
-            self.selector.close()
+            self._selector.close()
             self._wake_r.close()
             self._wake_w.close()
 
@@ -251,33 +278,65 @@ class _LoopWorker(threading.Thread):
                 pass
         except (BlockingIOError, InterruptedError):
             pass
-        while True:
-            with self._inbox_lock:
-                if not self._inbox:
-                    return
-                sock, stats = self._inbox.popleft()
-            self._adopt(sock, stats)
 
-    def _adopt(self, sock: socket.socket, stats: ConnectionStats) -> None:
-        if self.closing:
-            sock.close()
-            stats.open = False
-            return
-        conn = _Connection(sock, stats)
-        self.conns.add(conn)
-        self.selector.register(sock, selectors.EVENT_READ, conn)
+    def _accept_ready(self) -> None:
+        while True:
+            try:
+                sock, peer = self._listener.accept()
+            except (BlockingIOError, InterruptedError):
+                return
+            except OSError:
+                return  # listener closed
+            sock.setblocking(False)
+            try:
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                if self.admission.sndbuf is not None:
+                    sock.setsockopt(
+                        socket.SOL_SOCKET,
+                        socket.SO_SNDBUF,
+                        self.admission.sndbuf,
+                    )
+            except OSError:
+                pass
+            open_now = self._open_connections()
+            if open_now >= self.admission.max_connections:
+                self._reject_connection(sock, open_now)
+                continue
+            stats = ConnectionStats(peer=f"{peer[0]}:{peer[1]}")
+            self.connections.append(stats)
+            conn = _Connection(sock, stats)
+            self._conns.add(conn)
+            self._selector.register(sock, selectors.EVENT_READ, conn)
+
+    def _reject_connection(self, sock: socket.socket, current: int) -> None:
+        """One typed rejection frame, best effort, then the door."""
+        self.rejected_connections += 1
+        rejection = ResourceExhausted(
+            "server connection capacity reached",
+            capacity=CapacityReport(
+                "connections", self.admission.max_connections, current
+            ),
+        )
+        try:
+            sock.send(frame(encode_error(rejection)))
+        except OSError:
+            pass
+        sock.close()
+
+    def _open_connections(self) -> int:
+        return len(self._conns)
 
     def _reap_idle(self, idle: float) -> None:
         now = time.monotonic()
-        for conn in [c for c in self.conns if now - c.last_activity > idle]:
-            self.server._reaped += 1
+        for conn in [c for c in self._conns if now - c.last_activity > idle]:
+            self.reaped_connections += 1
             self._close_conn(conn)
 
     def _close_conn(self, conn: _Connection) -> None:
-        self.conns.discard(conn)
-        self.inflight -= len(conn.pending)
+        self._conns.discard(conn)
+        self._inflight -= len(conn.pending)
         try:
-            self.selector.unregister(conn.sock)
+            self._selector.unregister(conn.sock)
         except (KeyError, ValueError):
             pass
         conn.sock.close()
@@ -327,7 +386,7 @@ class _LoopWorker(threading.Thread):
                 if not self._serve_frame(conn, body):
                     self._close_conn(conn)
                     return False
-                if conn not in self.conns:
+                if conn not in self._conns:
                     # A write error closed the connection mid-batch;
                     # the remaining buffered frames died with it.
                     return False
@@ -346,7 +405,7 @@ class _LoopWorker(threading.Thread):
         stats.requests += 1
         stats.bytes_in += 4 + len(body)
         self.requests += 1
-        stamp = self.server.store.stamp
+        stamp = self.store.stamp
         if not self._cache_stamp.same_stamp(stamp):
             self._cache.clear()
             self._cache_bytes = 0
@@ -364,7 +423,7 @@ class _LoopWorker(threading.Thread):
             self.rejected_requests += 1
             stats.errors += 1
             if conn.pending_bytes >= (
-                self.server.admission.client_backlog * _BACKLOG_HARD_FACTOR
+                self.admission.client_backlog * _BACKLOG_HARD_FACTOR
             ):
                 return False  # not even reading its rejections: drop it
             self._queue(conn, frame(encode_error(rejection)))
@@ -416,7 +475,7 @@ class _LoopWorker(threading.Thread):
             self._cache_bytes -= len(evicted)
 
     def _admit(self, conn: _Connection) -> ResourceExhausted | None:
-        policy = self.server.admission
+        policy = self.admission
         if len(conn.pending) >= policy.client_inflight:
             return ResourceExhausted(
                 "client has too many responses in flight",
@@ -431,18 +490,17 @@ class _LoopWorker(threading.Thread):
                     "client-backlog", policy.client_backlog, conn.pending_bytes
                 ),
             )
-        total = self.server._inflight_total()
-        if total >= policy.server_inflight:
+        if self._inflight >= policy.server_inflight:
             return ResourceExhausted(
                 "server is at capacity",
                 capacity=CapacityReport(
-                    "server-inflight", policy.server_inflight, total
+                    "server-inflight", policy.server_inflight, self._inflight
                 ),
             )
         return None
 
     def _execute(self, request: Request) -> object:
-        store = self.server.store
+        store = self.store
         if isinstance(request, GetHeader):
             return fetch_header(store, request.doc_id)
         if isinstance(request, GetChunk):
@@ -455,7 +513,7 @@ class _LoopWorker(threading.Thread):
             return fetch_rules(store, request.doc_id)
         if isinstance(request, GetMeta):
             # Safe to response-cache like any other success: the
-            # stamp rides *inside* the payload and the per-loop cache
+            # stamp rides *inside* the payload and the response cache
             # is dropped wholesale whenever the stamp moves.
             return fetch_meta(store, request.doc_id, request.subject)
         return fetch_wrapped_key(store, request.doc_id, request.recipient)
@@ -467,7 +525,7 @@ class _LoopWorker(threading.Thread):
         conn.pending_bytes += len(framed)
         conn.stats.bytes_out += len(framed)
         self.bytes_served += len(framed)
-        self.inflight += 1
+        self._inflight += 1
 
     def _writable(self, conn: _Connection) -> None:
         try:
@@ -502,7 +560,7 @@ class _LoopWorker(threading.Thread):
                     if sent >= headroom:
                         conn.pending.popleft()
                         conn.head_sent = 0
-                        self.inflight -= 1
+                        self._inflight -= 1
                         sent -= headroom
                     else:
                         conn.head_sent += sent
@@ -519,160 +577,17 @@ class _LoopWorker(threading.Thread):
             if wants_write:
                 events |= selectors.EVENT_WRITE
             try:
-                self.selector.modify(conn.sock, events, conn)
+                self._selector.modify(conn.sock, events, conn)
             except (KeyError, ValueError):
                 pass
 
-
-class ReactorDSPServer:
-    """Serves one DSP over TCP from ``loops`` selector event loops.
-
-    Speaks the :mod:`repro.dsp.wire` protocol that
-    :class:`~repro.dsp.remote.RemoteDSP` and ``Community.attach``
-    consume; :attr:`address`, :attr:`connections` and ``close()`` are
-    its operational surface.  What matters under load:
-
-    * connections are multiplexed, not threaded -- hundreds of clients
-      cost ``loops`` threads total, and a reader that stops draining
-      its socket only grows *its own* write buffer;
-    * :class:`AdmissionPolicy` limits are enforced per request with
-      typed rejection frames;
-    * ``idle_timeout`` reaps connections with no traffic in either
-      direction.
-    """
-
-    def __init__(
-        self,
-        dsp: DSPServer,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        backlog: int = 128,
-        *,
-        loops: int = 1,
-        admission: AdmissionPolicy | None = None,
-        idle_timeout: float | None = None,
-    ) -> None:
-        if loops < 1:
-            raise ValueError("a reactor needs at least one loop")
-        self.dsp = dsp
-        self.store: DSPStore = dsp.store
-        self.admission = admission if admission is not None else AdmissionPolicy()
-        self.idle_timeout = idle_timeout
-        self._listener = socket.create_server(
-            (host, port), backlog=backlog
-        )
-        self._listener.setblocking(False)
-        bound = self._listener.getsockname()
-        self.address: tuple[str, int] = (str(bound[0]), int(bound[1]))
-        #: Accept-ordered stats for every connection ever admitted;
-        #: appended only by loop 0, mutated only by the owning loop.
-        self.connections: list[ConnectionStats] = []
-        self.rejected_connections = 0
-        self._reaped = 0
-        self._closed = False
-        self._next_loop = 0
-        self._loops = [_LoopWorker(self, index) for index in range(loops)]
-        self._loops[0].selector.register(
-            self._listener, selectors.EVENT_READ, "listener"
-        )
-        for worker in self._loops:
-            worker.start()
-
-    # -- accept path (runs on loop 0) --------------------------------------
-
-    def _accept_ready(self) -> None:
-        while True:
-            try:
-                sock, peer = self._listener.accept()
-            except (BlockingIOError, InterruptedError):
-                return
-            except OSError:
-                return  # listener closed
-            sock.setblocking(False)
-            try:
-                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                if self.admission.sndbuf is not None:
-                    sock.setsockopt(
-                        socket.SOL_SOCKET,
-                        socket.SO_SNDBUF,
-                        self.admission.sndbuf,
-                    )
-            except OSError:
-                pass
-            open_now = self._open_connections()
-            if open_now >= self.admission.max_connections:
-                self._reject_connection(sock, open_now)
-                continue
-            stats = ConnectionStats(peer=f"{peer[0]}:{peer[1]}")
-            self.connections.append(stats)
-            worker = self._loops[self._next_loop]
-            self._next_loop = (self._next_loop + 1) % len(self._loops)
-            if worker is self._loops[0]:
-                worker._adopt(sock, stats)
-            else:
-                worker.hand_off(sock, stats)
-
-    def _reject_connection(self, sock: socket.socket, current: int) -> None:
-        """One typed rejection frame, best effort, then the door."""
-        self.rejected_connections += 1
-        rejection = ResourceExhausted(
-            "server connection capacity reached",
-            capacity=CapacityReport(
-                "connections", self.admission.max_connections, current
-            ),
-        )
-        try:
-            sock.send(frame(encode_error(rejection)))
-        except OSError:
-            pass
-        sock.close()
-
-    def _open_connections(self) -> int:
-        total = 0
-        for worker in self._loops:
-            total += len(worker.conns) + len(worker._inbox)
-        return total
-
-    def _inflight_total(self) -> int:
-        return sum(worker.inflight for worker in self._loops)
-
-    # -- aggregated accounting ----------------------------------------------
-
-    @property
-    def requests(self) -> int:
-        """Frames received across every loop (including rejected ones)."""
-        return sum(worker.requests for worker in self._loops)
-
-    @property
-    def bytes_served(self) -> int:
-        return sum(worker.bytes_served for worker in self._loops)
-
-    @property
-    def chunks_served(self) -> int:
-        return sum(worker.chunks_served for worker in self._loops)
-
-    @property
-    def rejected_requests(self) -> int:
-        """Requests refused by admission control with a typed frame."""
-        return sum(worker.rejected_requests for worker in self._loops)
-
-    @property
-    def cache_hits(self) -> int:
-        """Requests served straight from a loop's response cache."""
-        return sum(worker.cache_hits for worker in self._loops)
-
-    @property
-    def reaped_connections(self) -> int:
-        """Connections closed by the idle-timeout reaper."""
-        return self._reaped
-
     @property
     def cache_entries(self) -> int:
-        """Entries across every loop's response cache."""
-        return sum(len(worker._cache) for worker in self._loops)
+        """Entries in the response cache."""
+        return len(self._cache)
 
     def validate_caches(self) -> list[str]:
-        """Audit every loop's response cache; returns problem strings.
+        """Audit the response cache; returns problem strings.
 
         An empty list means every cached entry is a *complete*,
         well-framed success response whose key decodes back to a
@@ -685,58 +600,51 @@ class ReactorDSPServer:
         it on a quiesced or steady server.
         """
         problems: list[str] = []
-        for worker in self._loops:
-            label = f"loop {worker.index}"
-            for body, (framed, chunks) in list(worker._cache.items()):
-                if len(framed) < 5:
-                    problems.append(
-                        f"{label}: entry smaller than a frame header "
-                        f"({len(framed)} B)"
-                    )
-                    continue
-                (length,) = _U32.unpack_from(framed, 0)
-                if length != len(framed) - 4:
-                    problems.append(
-                        f"{label}: torn entry -- prefix says {length} B, "
-                        f"{len(framed) - 4} B stored"
-                    )
-                    continue
-                op = framed[4]
-                if op == 0x7F or not op & 0x80:
-                    problems.append(
-                        f"{label}: non-success opcode 0x{op:02x} cached"
-                    )
-                    continue
-                try:
-                    decode_request(body)
-                except WireError:
-                    problems.append(
-                        f"{label}: cache key is not a decodable request"
-                    )
-                    continue
-                if (op & 0x7F) != body[0]:
-                    problems.append(
-                        f"{label}: response opcode 0x{op & 0x7F:02x} does "
-                        f"not answer request opcode 0x{body[0]:02x}"
-                    )
-                    continue
-                if chunks < 0:
-                    problems.append(f"{label}: negative chunk count")
+        for body, (framed, chunks) in list(self._cache.items()):
+            if len(framed) < 5:
+                problems.append(
+                    f"entry smaller than a frame header ({len(framed)} B)"
+                )
+                continue
+            (length,) = _U32.unpack_from(framed, 0)
+            if length != len(framed) - 4:
+                problems.append(
+                    f"torn entry -- prefix says {length} B, "
+                    f"{len(framed) - 4} B stored"
+                )
+                continue
+            op = framed[4]
+            if op == 0x7F or not op & 0x80:
+                problems.append(f"non-success opcode 0x{op:02x} cached")
+                continue
+            try:
+                decode_request(body)
+            except WireError:
+                problems.append("cache key is not a decodable request")
+                continue
+            if (op & 0x7F) != body[0]:
+                problems.append(
+                    f"response opcode 0x{op & 0x7F:02x} does not answer "
+                    f"request opcode 0x{body[0]:02x}"
+                )
+                continue
+            if chunks < 0:
+                problems.append("negative chunk count")
         return problems
 
     # -- lifecycle ----------------------------------------------------------
 
     def close(self) -> None:
-        """Stop the loops and tear down every connection (idempotent)."""
+        """Stop the loop and tear down every connection (idempotent)."""
         if self._closed:
             return
         self._closed = True
         self._listener.close()
-        for worker in self._loops:
-            worker.closing = True
-            worker.wake()
-        for worker in self._loops:
-            worker.join(timeout=5)
+        try:
+            self._wake_w.send(b"\x00")
+        except OSError:
+            pass
+        self._thread.join(timeout=5)
 
     def __enter__(self) -> "ReactorDSPServer":
         return self

@@ -14,7 +14,12 @@ import os
 from typing import Iterable
 
 from repro.crypto.container import DocumentContainer
-from repro.dsp.backends import MemoryBackend, StoreBackend, StoredDocument
+from repro.dsp.backends import (
+    MemoryBackend,
+    SQLiteBackend,
+    StoreBackend,
+    StoredDocument,
+)
 from repro.dsp.freshness import Freshness, Versions
 
 __all__ = ["DSPStore", "StoredDocument"]
@@ -37,6 +42,17 @@ class DSPStore:
         #: The current ``(generation, boot)`` stamp; holders of copies
         #: check it with :class:`~repro.dsp.freshness.Freshness`.
         self.stamp = Freshness(self.generation, self.boot)
+
+    @property
+    def durable_backend(self) -> SQLiteBackend | None:
+        """The backend if it persists to disk, else ``None``.
+
+        What only a durable store can keep -- the community's
+        deployment manifest, feed catch-up snapshots -- is written
+        through it; on a volatile store those writes are skipped.
+        """
+        backend = self.backend
+        return backend if isinstance(backend, SQLiteBackend) else None
 
     def _bump(self) -> None:
         self.generation += 1

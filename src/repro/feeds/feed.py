@@ -38,7 +38,6 @@ from repro.crypto.container import seal_document
 from repro.crypto.keys import DocumentKeys, random_key
 from repro.dissemination.channel import BroadcastChannel, Frame, container_frames
 from repro.dissemination.subscriber import SubscriberHandle
-from repro.dsp.backends import SQLiteBackend, ShardedBackend
 from repro.dsp.freshness import Versions
 from repro.dsp.store import DSPStore
 from repro.errors import KeyNotGranted, PolicyError
@@ -528,15 +527,6 @@ class Feed:
 
     # -- snapshots --------------------------------------------------------
 
-    def _snapshot_backend(self) -> "SQLiteBackend | ShardedBackend | None":
-        store = self.community.store
-        if store is None:
-            return None
-        backend = store.backend
-        if isinstance(backend, (SQLiteBackend, ShardedBackend)):
-            return backend
-        return None
-
     def _snapshot_from_store(self, tier: str) -> CycleSnapshot:
         """Synthesize the tier's cycle snapshot from the stored corpus.
 
@@ -565,7 +555,7 @@ class Feed:
         )
 
     def _persist_snapshot(self, snapshot: CycleSnapshot) -> None:
-        backend = self._snapshot_backend()
+        backend = self._store().durable_backend
         if backend is not None:
             backend.put_feed_snapshot(
                 snapshot.feed,
@@ -575,7 +565,7 @@ class Feed:
             )
 
     def _delete_snapshot(self, tier: str) -> None:
-        backend = self._snapshot_backend()
+        backend = self._store().durable_backend
         if backend is not None:
             backend.delete_feed_snapshot(self.name, tier)
 
@@ -602,7 +592,7 @@ class Feed:
         state = self._tier(tier)
         snapshot = state.last_cycle
         if snapshot is None:
-            backend = self._snapshot_backend()
+            backend = self._store().durable_backend
             blob = (
                 backend.get_feed_snapshot(self.name, tier)
                 if backend is not None
