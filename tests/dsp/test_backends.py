@@ -19,6 +19,7 @@ from repro.crypto.keys import DocumentKeys
 from repro.dsp.backends import MemoryBackend, SQLiteBackend
 from repro.dsp.store import DSPStore
 from repro.errors import PolicyError, UnknownDocument
+from repro.skipindex.encoder import IndexMode, encode_document
 from repro.workloads.docgen import agenda, bibliography, hospital
 from repro.workloads.rulegen import hospital_rules
 from repro.xmlstream.tree import tree_to_events
@@ -120,6 +121,26 @@ def _snapshot(store):
     return state
 
 
+def _corpus_containers():
+    """The docgen corpus, sealed under a fixed key (deterministic bytes)."""
+    containers = []
+    for name, build in CORPUS:
+        events = list(tree_to_events(build()))
+        plaintext = encode_document(events, IndexMode.RECURSIVE)
+        containers.append(seal_document(plaintext, name, 1, KEYS, chunk_size=64))
+    return containers
+
+
+def _populate(store, containers):
+    for container in containers:
+        name = container.header.doc_id
+        index = [entry[0] for entry in CORPUS].index(name)
+        store.put_document(container)
+        store.put_rules(name, [b"rule-%d" % index, b"rule-x"], index + 1)
+        store.put_wrapped_key(name, "doctor", b"wrap-d-%d" % index)
+        store.put_wrapped_key(name, "accountant", b"wrap-a-%d" % index)
+
+
 def test_backends_byte_identical_over_corpus(tmp_path):
     """The same uploads read back byte-identically from both backends.
 
@@ -128,21 +149,34 @@ def test_backends_byte_identical_over_corpus(tmp_path):
     what the backends must agree on is that identical uploads produce
     identical served state.
     """
-    from repro.skipindex.encoder import IndexMode, encode_document
-
+    containers = _corpus_containers()
     memory = DSPStore(MemoryBackend())
     sqlite_backed = DSPStore(SQLiteBackend(tmp_path / "dsp.db"))
-    for index, (name, build) in enumerate(CORPUS):
-        events = list(tree_to_events(build()))
-        plaintext = encode_document(events, IndexMode.RECURSIVE)
-        container = seal_document(plaintext, name, 1, KEYS, chunk_size=64)
-        for store in (memory, sqlite_backed):
-            store.put_document(container)
-            store.put_rules(name, [b"rule-%d" % index, b"rule-x"], index + 1)
-            store.put_wrapped_key(name, "doctor", b"wrap-d-%d" % index)
-            store.put_wrapped_key(name, "accountant", b"wrap-a-%d" % index)
+    for store in (memory, sqlite_backed):
+        _populate(store, containers)
     assert _snapshot(memory) == _snapshot(sqlite_backed)
     sqlite_backed.close()
+
+
+@pytest.mark.parametrize("flavor", ["memory", "sqlite"])
+def test_corpus_snapshot_independent_of_upload_order(flavor, tmp_path):
+    """Served state is a function of the uploads, not of their order:
+    two stores of one backend kind, filled with the corpus forwards and
+    backwards, serve the same bytes (and neither invents a document)."""
+    containers = _corpus_containers()
+    if flavor == "memory":
+        forwards, backwards = DSPStore(MemoryBackend()), DSPStore(MemoryBackend())
+    else:
+        forwards = DSPStore(SQLiteBackend(tmp_path / "forwards.db"))
+        backwards = DSPStore(SQLiteBackend(tmp_path / "backwards.db"))
+    _populate(forwards, containers)
+    _populate(backwards, containers[::-1])
+    assert _snapshot(backwards) == _snapshot(forwards)
+    assert sorted(backwards.document_ids()) == [name for name, _ in sorted(CORPUS)]
+    with pytest.raises(UnknownDocument):
+        backwards.get("ghost")
+    forwards.close()
+    backwards.close()
 
 
 def test_backend_views_byte_identical_end_to_end(tmp_path):
@@ -171,6 +205,40 @@ def test_backend_views_byte_identical_end_to_end(tmp_path):
     for reader in ("doctor", "accountant"):
         assert views[("memory", reader)] == views[("sqlite", reader)]
         assert views[("memory", reader)]  # non-trivial views
+
+
+def test_explicit_backend_views_byte_identical_end_to_end(tmp_path):
+    """A community handed its backend object (``backend=``) serves the
+    same authorized views as the default in-memory community."""
+    events = list(tree_to_events(hospital(n_patients=4)))
+    views = {}
+    communities = [
+        ("default", Community()),
+        ("memory", Community(backend=MemoryBackend())),
+        ("sqlite", Community(backend=SQLiteBackend(tmp_path / "dsp.db"))),
+    ]
+    for label, community in communities:
+        owner = community.enroll("owner")
+        doctor = community.enroll("doctor")
+        accountant = community.enroll("accountant")
+        document = owner.publish(
+            events,
+            hospital_rules(),
+            to=[doctor, accountant],
+            doc_id="hospital",
+            chunk_size=64,
+        )
+        for reader in (doctor, accountant):
+            with reader.open(document) as session:
+                views[(label, reader.name)] = session.query().text()
+        community.close()
+    for reader in ("doctor", "accountant"):
+        assert (
+            views[("default", reader)]
+            == views[("memory", reader)]
+            == views[("sqlite", reader)]
+        )
+        assert views[("default", reader)]
 
 
 # -- durability --------------------------------------------------------------

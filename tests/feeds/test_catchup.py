@@ -259,12 +259,28 @@ def test_memory_backend_skips_snapshot_persistence():
     the store is durable' -- and a catch-up that lost the live cycle
     rebuilds it from the stored corpus."""
     community = Community(backend=MemoryBackend())
+    assert community.store.durable_backend is None  # nowhere to persist
     feed = _build(community)
     live = feed.subscribe("alice", "internal")
     feed.subscribe("late", "internal")
     feed.broadcast()
     live.require_ok()
     feed._tier("internal").last_cycle = None  # nothing persisted to reread
+    caught = feed.catch_up("late")
+    caught.require_ok()
+    assert caught.view == live.view
+
+
+def test_feed_broadcast_works_on_memory_backend():
+    """Regression: broadcast() on a community handed a MemoryBackend
+    must not crash on snapshot persistence, and catch-up serves the
+    live view."""
+    community = Community(backend=MemoryBackend())
+    feed = _build(community)
+    live = feed.subscribe("alice", "internal")
+    feed.subscribe("late", "internal")
+    feed.broadcast()
+    live.require_ok()
     caught = feed.catch_up("late")
     caught.require_ok()
     assert caught.view == live.view
