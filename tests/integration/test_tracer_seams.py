@@ -9,7 +9,8 @@ Renaming any of them breaks only the traced benchmark run, so this
 test loads the tracer by path, instruments a pull and a feed broadcast,
 and restores the originals.  The pull must still route the card's
 output through the ``write_string`` and ``charge_output`` seams and its
-decoding through ``charge_decode``.
+decoding through ``charge_decode``, and every item the pull and the
+feed decode must pass ``SXSDecoder.next_item``.
 """
 
 import importlib.util
@@ -93,6 +94,11 @@ def test_tracer_instruments_a_pull_and_a_feed_broadcast():
     assert pull.counts["smartcard.apdus"] > 0
     assert pull.counts["core.events_pumped"] > 0
     assert pull.counts["skipindex.items"] > 0
+    # Every decoded item goes through ``SXSDecoder.next_item`` once and
+    # reaches the evaluator once, so the two layers count alike; a
+    # decoder that stopped decoding in ``next_item`` would zero the
+    # skipindex layer here first.
+    assert pull.counts["skipindex.items"] == pull.counts["core.events"]
     # The card's output goes through the module-level ``write_string``
     # and ``charge_output`` seams, and decoding through ``charge_decode``.
     assert pull.counts["xmlstream.output_bytes"] == card_output > 0
@@ -104,3 +110,4 @@ def test_tracer_instruments_a_pull_and_a_feed_broadcast():
     assert push.counts["calls:feeds"] > 0
     assert push.counts["dissemination.frames_dropped"] > 0
     assert push.counts["smartcard.apdus"] > 0
+    assert push.counts["skipindex.items"] == push.counts["core.events"] > 0

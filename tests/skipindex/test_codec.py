@@ -1,5 +1,8 @@
 """Encoder/decoder round trips and skipping semantics."""
 
+import random
+from bisect import bisect_right
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +17,8 @@ from repro.skipindex.decoder import (
 )
 from repro.skipindex.encoder import IndexMode, encode_document, encoded_size
 from repro.skipindex.tagdict import TagDictionary
+from repro.workloads.docgen import agenda, hospital, video_catalog
+from repro.xmlstream.events import OpenEvent
 from repro.xmlstream.parser import parse_string
 from repro.xmlstream.tree import tree_to_events
 
@@ -28,10 +33,14 @@ def test_round_trip_all_modes(root, mode):
 
 
 @settings(max_examples=60, deadline=None)
-@given(root=elements(), chunk=st.integers(min_value=1, max_value=17))
-def test_incremental_push_equals_bulk(root, chunk):
+@given(
+    root=elements(),
+    mode=st.sampled_from(list(IndexMode)),
+    chunk=st.integers(min_value=1, max_value=17),
+)
+def test_incremental_push_equals_bulk(root, mode, chunk):
     events = list(tree_to_events(root))
-    data = encode_document(events, IndexMode.RECURSIVE)
+    data = encode_document(events, mode)
     decoder = SXSDecoder()
     out = []
     for start in range(0, len(data), chunk):
@@ -39,6 +48,71 @@ def test_incremental_push_equals_bulk(root, chunk):
         while (item := decoder.next_item()) is not None:
             out.append(item.event)
     assert out == events
+
+
+def _decode_with_skips(data, pieces, seed):
+    """Decode ``data`` pushed as ``pieces``, skipping seeded random opens.
+
+    ``pieces`` are ``(start, end)`` byte ranges covering ``data``; the
+    next piece pushed is the one holding ``next_needed_offset``, so a
+    skip past the buffer jumps over whole pieces.  One random draw per
+    indexed non-root open decides whether to skip it.  Returns the
+    events, ``bytes_decoded`` and every skip's resume offset.
+    """
+    rng = random.Random(seed)
+    starts = [start for start, _ in pieces]
+    decoder = SXSDecoder()
+    events, resumes = [], []
+    while not decoder.document_done:
+        need = decoder.next_needed_offset
+        assert need < len(data), "decoder starved at the end of the data"
+        start, end = pieces[bisect_right(starts, need) - 1]
+        decoder.push(data[start:end], start)
+        while (item := decoder.next_item()) is not None:
+            events.append(item.event)
+            if (
+                type(item.event) is OpenEvent
+                and decoder.mode is not IndexMode.NONE
+                and decoder.depth > 1
+                and rng.random() < 0.3
+            ):
+                resumes.append(decoder.skip_open_subtree())
+    return events, decoder.bytes_decoded, resumes
+
+
+def _pieces(size, bounds):
+    bounds = sorted({0, *bounds})
+    return list(zip(bounds, bounds[1:] + [size]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    root=elements(),
+    mode=st.sampled_from(list(IndexMode)),
+    cuts=st.lists(st.integers(min_value=1, max_value=4096), max_size=40),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_split_pushes_with_skips_equal_one_push(root, mode, cuts, seed):
+    data = encode_document(list(tree_to_events(root)), mode)
+    pieces = _pieces(len(data), [cut % len(data) for cut in cuts])
+    whole = _decode_with_skips(data, [(0, len(data))], seed)
+    assert _decode_with_skips(data, pieces, seed) == whole
+
+
+@pytest.mark.parametrize("mode", list(IndexMode), ids=lambda mode: mode.name)
+def test_chunked_skips_equal_one_push_on_corpus(mode):
+    documents = [
+        hospital(n_patients=3, episodes_per_patient=2),
+        agenda(n_members=3, events_per_member=3),
+        video_catalog(n_videos=6, payload=40),
+    ]
+    for root in documents:
+        data = encode_document(list(tree_to_events(root)), mode)
+        for chunk in (1, 7, 16, 64, 96, 256):
+            pieces = _pieces(len(data), range(0, len(data), chunk))
+            for seed in range(5):
+                whole = _decode_with_skips(data, [(0, len(data))], seed)
+                assert _decode_with_skips(data, pieces, seed) == whole
 
 
 def test_attributes_survive():
