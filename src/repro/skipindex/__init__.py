@@ -20,9 +20,7 @@ Three encodings are provided (experiment E4 ablates them):
 
 from repro.skipindex.encoder import IndexMode, encode_document, encoded_size
 from repro.skipindex.decoder import (
-    DecodedClose,
-    DecodedOpen,
-    DecodedText,
+    OpenFrame,
     SXSDecoder,
     SXSFormatError,
     decode_document,
@@ -30,10 +28,8 @@ from repro.skipindex.decoder import (
 from repro.skipindex.tagdict import TagDictionary
 
 __all__ = [
-    "DecodedClose",
-    "DecodedOpen",
-    "DecodedText",
     "IndexMode",
+    "OpenFrame",
     "SXSDecoder",
     "SXSFormatError",
     "TagDictionary",

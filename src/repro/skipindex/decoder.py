@@ -1,13 +1,18 @@
 """Streaming decoder for the SXS format, with subtree skipping.
 
 This is the card-side component: it consumes decrypted plaintext bytes
-*incrementally* (the card never holds more than the current chunk),
-yields one decoded item at a time, and supports jumping over a subtree
--- the caller reads the skip metadata exposed on :class:`DecodedOpen`,
-decides, and calls :meth:`SXSDecoder.skip_open_subtree`, after which
-the decoder discards buffered bytes in the region, synthesizes the
-matching close, and reports the absolute ``resume_offset`` so the proxy
-can stop transferring the skipped chunks at all.
+*incrementally* (the card never holds more than the current chunk), and
+:meth:`SXSDecoder.next_item` returns one decoded
+:class:`~repro.xmlstream.events.OpenEvent`, ``ValueEvent`` or
+``CloseEvent`` at a time, or ``None`` when it needs more bytes.  After
+an open, the element's skip metadata -- its tag-id set and content
+size -- is the decoder's innermost :class:`OpenFrame`
+(:attr:`SXSDecoder.frame`).  The caller decides and calls
+:meth:`SXSDecoder.skip_open_subtree`, after which the decoder discards
+buffered bytes in the region, yields the element's close next, and
+reports the absolute resume offset so the proxy can stop transferring
+the skipped chunks at all.  A skipped frame later seeds
+:meth:`SXSDecoder.for_region` for the refetch pass.
 
 The buffer is consumed through a read cursor with amortized compaction
 (no ``del buffer[:n]`` per token) and tokens are decoded directly off
@@ -18,8 +23,6 @@ rather than once per child bitmap.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from repro.skipindex.bitset import decode_relative, ids_from_bitmap
 from repro.skipindex.encoder import IndexMode, MAGIC, OP_CLOSE, OP_OPEN, OP_TEXT
@@ -32,54 +35,17 @@ class SXSFormatError(ValueError):
     """Raised on malformed SXS input."""
 
 
-class DecodedOpen:
-    """An element open with its skip metadata.
+class OpenFrame:
+    """One open element on the decoder's stack, with its skip metadata.
 
-    ``tags_inside`` is the set of tag *names* occurring strictly inside
-    the subtree (``None`` when the stream carries no index);
-    ``resume_offset`` is the absolute offset just past the subtree
-    (``None`` without an index).
-
-    The ``Decoded*`` wrappers are plain slotted classes, not frozen
-    dataclasses: one is born per stream item on the card's hottest
-    loop, and ``object.__setattr__``-based frozen init costs more than
-    the rest of the dispatch.
+    ``tags_inside`` is the set of tag *ids* occurring strictly inside
+    the subtree and ``content_size`` the encoded size of its content
+    (both ``None`` when the stream carries no index); ``content_start``
+    is the absolute offset of the content, so a skip resumes at
+    ``content_start + content_size``.  A skipped frame is also what
+    :meth:`SXSDecoder.for_region` replays.
     """
 
-    __slots__ = ("event", "tags_inside", "content_size", "resume_offset")
-
-    def __init__(
-        self,
-        event: OpenEvent,
-        tags_inside: frozenset[str] | None,
-        content_size: int | None,
-        resume_offset: int | None,
-    ) -> None:
-        self.event = event
-        self.tags_inside = tags_inside
-        self.content_size = content_size
-        self.resume_offset = resume_offset
-
-
-class DecodedText:
-    __slots__ = ("event",)
-
-    def __init__(self, event: ValueEvent) -> None:
-        self.event = event
-
-
-class DecodedClose:
-    __slots__ = ("event", "synthetic")
-
-    def __init__(self, event: CloseEvent, synthetic: bool = False) -> None:
-        self.event = event
-        self.synthetic = synthetic  # True when produced by a skip
-
-
-DecodedItem = DecodedOpen | DecodedText | DecodedClose
-
-
-class _OpenFrame:
     __slots__ = (
         "tag",
         "tags_inside",
@@ -108,16 +74,6 @@ class _OpenFrame:
         self.child_width: int | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class FrameSnapshot:
-    """Decoder context of one open element (for skip-and-refetch)."""
-
-    tag: str
-    tags_inside: frozenset[int]
-    content_size: int
-    content_start: int
-
-
 #: Consumed-prefix length above which the buffer is compacted (when the
 #: prefix also dominates the buffer, keeping compaction amortized O(1)).
 _COMPACT_THRESHOLD = 1024
@@ -137,8 +93,8 @@ class SXSDecoder:
         self._pos = 0  # read cursor into _buffer
         self._mode: IndexMode | None = None
         self.dictionary: TagDictionary | None = None
-        self._stack: list[_OpenFrame] = []
-        self._pending_close: list[str] = []
+        self._stack: list[OpenFrame] = []
+        self._pending_close: str | None = None  # tag of a skipped element
         self._skip_target: int | None = None
         self._document_done = False
         self.bytes_decoded = 0
@@ -203,8 +159,6 @@ class SXSDecoder:
     # -- header -----------------------------------------------------------
 
     def _try_parse_header(self) -> bool:
-        if self.dictionary is not None:
-            return True
         if len(self._buffer) - self._pos < len(MAGIC) + 1:
             return False
         start = self._pos
@@ -230,21 +184,19 @@ class SXSDecoder:
 
     # -- item decoding -------------------------------------------------------
 
-    def next_item(self) -> DecodedItem | None:
-        """Decode and return the next item, or ``None`` if starved."""
-        if self._pending_close:
-            tag = self._pending_close.pop()
-            return DecodedClose(self._close_event(tag), synthetic=True)
-        if self._skip_target is not None:
-            return None  # waiting for post-skip bytes
-        if not self._try_parse_header():
-            return None
-        if self._document_done:
-            return None
-        item = self._try_decode_token()
-        return item
+    def next_item(self) -> Event | None:
+        """Decode and return the next event, or ``None`` if starved.
 
-    def _try_decode_token(self) -> DecodedItem | None:
+        After an open, :attr:`frame` holds the element's skip metadata
+        until the next item is pulled.
+        """
+        if self._pending_close is not None:
+            tag, self._pending_close = self._pending_close, None
+            return self._close_event(tag)
+        if self._skip_target is not None or self._document_done:
+            return None  # waiting for post-skip bytes, or finished
+        if self.dictionary is None and not self._try_parse_header():
+            return None
         buffer = self._buffer
         start = self._pos
         if start >= len(buffer):
@@ -257,12 +209,13 @@ class SXSDecoder:
             self._advance(1)
             if not self._stack:
                 self._document_done = True
-            return DecodedClose(self._close_event(frame.tag))
-        if opcode == OP_TEXT:
-            try:
-                length, after = decode_varint(buffer, start + 1)
-            except ValueError:
-                return None
+            return self._close_event(frame.tag)
+        if opcode != OP_OPEN and opcode != OP_TEXT:
+            raise SXSFormatError(f"unknown opcode {opcode:#x}")
+        try:
+            if opcode == OP_OPEN:
+                return self._decode_open(buffer, start)
+            length, after = decode_varint(buffer, start + 1)
             if len(buffer) < after + length:
                 return None
             # Decode straight off the buffer via an unnamed temporary
@@ -271,128 +224,111 @@ class SXSDecoder:
             # BufferError).
             text = str(memoryview(buffer)[after:after + length], "utf-8")
             self._advance(after - start + length)
-            return DecodedText(ValueEvent(text))
-        if opcode == OP_OPEN:
-            return self._try_decode_open()
-        raise SXSFormatError(f"unknown opcode {opcode:#x}")
-
-    def _try_decode_open(self) -> DecodedOpen | None:
-        assert self.dictionary is not None and self._mode is not None
-        buffer = self._buffer
-        start = self._pos
-        size = len(buffer)
-        try:
-            # Batched field decode off the live buffer: the one-byte
-            # varint case (nearly every tag id and length) is inlined.
-            position = start + 1
-            if position >= size:
-                return None
-            byte = buffer[position]
-            if byte < 0x80:
-                tag_id, offset = byte, position + 1
-            else:
-                tag_id, offset = decode_varint(buffer, position)
-            if offset >= size:
-                return None
-            byte = buffer[offset]
-            if byte < 0x80:
-                n_attrs, offset = byte, offset + 1
-            else:
-                n_attrs, offset = decode_varint(buffer, offset)
-            attributes: list[tuple[str, str]] = []
-            for _ in range(n_attrs):
-                name_len, offset = decode_varint(buffer, offset)
-                if offset + name_len > size:
-                    return None
-                name = str(memoryview(buffer)[offset:offset + name_len], "utf-8")
-                offset += name_len
-                value_len, offset = decode_varint(buffer, offset)
-                if offset + value_len > size:
-                    return None
-                value = str(memoryview(buffer)[offset:offset + value_len], "utf-8")
-                offset += value_len
-                attributes.append((name, value))
-            tags_inside_ids: frozenset[int] | None = None
-            content_size: int | None = None
-            if self._mode is IndexMode.FLAT:
-                content_size, offset = decode_varint(buffer, offset)
-                width = (len(self.dictionary) + 7) // 8
-                if offset + width > size:
-                    return None
-                tags_inside_ids = ids_from_bitmap(
-                    buffer[offset:offset + width], len(self.dictionary)
-                )
-                offset += width
-            elif self._mode is IndexMode.RECURSIVE:
-                if not self._stack:
-                    content_size, offset = decode_varint(buffer, offset)
-                    width = (len(self.dictionary) + 7) // 8
-                    if offset + width > size:
-                        return None
-                    tags_inside_ids = ids_from_bitmap(
-                        buffer[offset:offset + width], len(self.dictionary)
-                    )
-                    offset += width
-                else:
-                    parent = self._stack[-1]
-                    assert parent.content_size is not None
-                    assert parent.tags_inside is not None
-                    width = parent.child_width
-                    if width is None:
-                        width = width_for_bound(parent.content_size)
-                        parent.child_width = width
-                    if offset + width > size:
-                        return None
-                    if width == 1:
-                        content_size = buffer[offset]
-                        offset += 1
-                    else:
-                        content_size = int.from_bytes(
-                            buffer[offset:offset + width], "little"
-                        )
-                        offset += width
-                    if parent.support is None:
-                        parent.support = tuple(sorted(parent.tags_inside))
-                    tags_inside_ids, offset = decode_relative(
-                        buffer, offset, parent.tags_inside, parent.support
-                    )
+            return ValueEvent(text)
+        except SXSFormatError:
+            raise
         except ValueError:
             return None  # starved mid-token
+
+    def _decode_open(self, buffer: bytearray, start: int) -> OpenEvent | None:
+        """Decode the OPEN token at ``start`` and push its frame."""
+        dictionary = self.dictionary
+        assert dictionary is not None
+        size = len(buffer)
+        # Batched field decode off the live buffer: the one-byte varint
+        # case (nearly every tag id and length) is inlined.
+        position = start + 1
+        if position >= size:
+            return None
+        byte = buffer[position]
+        if byte < 0x80:
+            tag_id, offset = byte, position + 1
+        else:
+            tag_id, offset = decode_varint(buffer, position)
+        if offset >= size:
+            return None
+        byte = buffer[offset]
+        if byte < 0x80:
+            n_attrs, offset = byte, offset + 1
+        else:
+            n_attrs, offset = decode_varint(buffer, offset)
+        attributes: list[tuple[str, str]] = []
+        for _ in range(n_attrs):
+            name_len, offset = decode_varint(buffer, offset)
+            if offset + name_len > size:
+                return None
+            name = str(memoryview(buffer)[offset:offset + name_len], "utf-8")
+            offset += name_len
+            value_len, offset = decode_varint(buffer, offset)
+            if offset + value_len > size:
+                return None
+            value = str(memoryview(buffer)[offset:offset + value_len], "utf-8")
+            offset += value_len
+            attributes.append((name, value))
+        tags_inside: frozenset[int] | None = None
+        content_size: int | None = None
+        mode = self._mode
+        if mode is IndexMode.FLAT or (mode is IndexMode.RECURSIVE and not self._stack):
+            content_size, offset = decode_varint(buffer, offset)
+            width = (len(dictionary) + 7) // 8
+            if offset + width > size:
+                return None
+            tags_inside = ids_from_bitmap(
+                buffer[offset:offset + width], len(dictionary)
+            )
+            offset += width
+        elif mode is IndexMode.RECURSIVE:
+            parent = self._stack[-1]
+            assert parent.content_size is not None
+            assert parent.tags_inside is not None
+            width = parent.child_width
+            if width is None:
+                width = width_for_bound(parent.content_size)
+                parent.child_width = width
+            if offset + width > size:
+                return None
+            if width == 1:
+                content_size = buffer[offset]
+                offset += 1
+            else:
+                content_size = int.from_bytes(
+                    buffer[offset:offset + width], "little"
+                )
+                offset += width
+            if parent.support is None:
+                parent.support = tuple(sorted(parent.tags_inside))
+            tags_inside, offset = decode_relative(
+                buffer, offset, parent.tags_inside, parent.support
+            )
         try:
-            tag = self.dictionary.name_of(tag_id)
+            tag = dictionary.name_of(tag_id)
         except IndexError as exc:
             raise SXSFormatError(f"unknown tag id {tag_id}") from exc
         self._advance(offset - start)
-        content_start = self._base + self._pos
-        frame = _OpenFrame(tag, tags_inside_ids, content_size, content_start)
-        self._stack.append(frame)
-        tags_inside = (
-            self.dictionary.ids_to_names(tags_inside_ids)
-            if tags_inside_ids is not None
-            else None
-        )
-        resume = (
-            content_start + content_size
-            if content_size is not None
-            else None
+        self._stack.append(
+            OpenFrame(tag, tags_inside, content_size, self._base + self._pos)
         )
         if attributes:
-            open_event = OpenEvent(tag, tuple(attributes))
-        else:
-            open_event = self._plain_opens.get(tag)
-            if open_event is None:
-                open_event = self._plain_opens[tag] = OpenEvent(tag)
-        return DecodedOpen(open_event, tags_inside, content_size, resume)
+            return OpenEvent(tag, tuple(attributes))
+        event = self._plain_opens.get(tag)
+        if event is None:
+            event = self._plain_opens[tag] = OpenEvent(tag)
+        return event
 
     # -- skipping ----------------------------------------------------------
+
+    @property
+    def frame(self) -> OpenFrame:
+        """The innermost open element (IndexError when none is open)."""
+        return self._stack[-1]
 
     def skip_open_subtree(self) -> int:
         """Skip the content of the most recently opened element.
 
         Must be called right after :meth:`next_item` returned the
-        corresponding :class:`DecodedOpen` (before pulling more items).
+        corresponding :class:`OpenEvent` (before pulling more items).
         Returns the absolute resume offset; the next :meth:`next_item`
-        yields the synthetic close.
+        yields the element's close.
         """
         if not self._stack:
             raise RuntimeError("no open element to skip")
@@ -414,49 +350,27 @@ class SXSDecoder:
             self._pos = 0
             self._base = resume
             self._skip_target = resume
-        self._pending_close.append(frame.tag)
+        self._pending_close = frame.tag
         if not self._stack:
             self._document_done = True
         return resume
 
-    def snapshot_top_frame(self) -> FrameSnapshot:
-        """Context of the innermost open element (for refetch seeding)."""
-        if not self._stack:
-            raise RuntimeError("no open element")
-        frame = self._stack[-1]
-        if frame.content_size is None or frame.tags_inside is None:
-            raise RuntimeError("stream carries no skip index")
-        return FrameSnapshot(
-            tag=frame.tag,
-            tags_inside=frame.tags_inside,
-            content_size=frame.content_size,
-            content_start=frame.content_start,
-        )
-
     @classmethod
     def for_region(
-        cls,
-        dictionary: TagDictionary,
-        mode: IndexMode,
-        tag: str,
-        tags_inside_ids: frozenset[int],
-        content_size: int,
-        content_start: int,
+        cls, dictionary: TagDictionary, mode: IndexMode, frame: OpenFrame
     ) -> "SXSDecoder":
-        """A decoder seeded to read one subtree's content region.
+        """A decoder seeded to read the content of a skipped ``frame``.
 
         Used by the refetch pass: recursive bitmaps and bounded sizes
-        need the parent context, which the snapshot provides.  The
-        region ends at the element's own close (``document_done``).
+        need the parent context, which the frame holds.  The region
+        ends at the element's own close (``document_done``).
         """
         decoder = cls()
         decoder._mode = mode
         decoder.dictionary = dictionary
-        decoder._stack.append(
-            _OpenFrame(tag, tags_inside_ids, content_size, content_start)
-        )
-        decoder._base = content_start
-        decoder._skip_target = content_start  # trims pre-region chunk bytes
+        decoder._stack.append(frame)
+        decoder._base = frame.content_start
+        decoder._skip_target = frame.content_start  # trims pre-region bytes
         return decoder
 
     @property
@@ -483,9 +397,7 @@ def decode_document(data: bytes) -> list[Event]:
     """Decode a complete SXS byte string back into events."""
     decoder = SXSDecoder()
     decoder.push(data)
-    events: list[Event] = []
-    while (item := decoder.next_item()) is not None:
-        events.append(item.event)
+    events = list(iter(decoder.next_item, None))
     if not decoder.document_done:
         raise SXSFormatError("truncated document")
     return events

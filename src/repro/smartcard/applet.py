@@ -46,13 +46,9 @@ from repro.crypto.container import (
 )
 from repro.crypto.keys import DocumentKeys
 from repro.errors import DocumentLocked, ReproError
-from repro.skipindex.decoder import (
-    DecodedClose,
-    DecodedOpen,
-    SXSDecoder,
-)
+from repro.skipindex.decoder import OpenFrame, SXSDecoder
 from repro.smartcard.soe import SecureOperatingEnvironment
-from repro.xmlstream.events import Event
+from repro.xmlstream.events import Event, OpenEvent
 from repro.xmlstream.writer import write_string
 
 #: Modeled RAM cost of the streaming decoder state per open level.
@@ -81,14 +77,20 @@ class RefetchRequest:
     """A skipped pending subtree the proxy must re-send if permitted."""
 
     entry_id: int
-    start: int  # absolute plaintext offset of the subtree content
-    end: int  # absolute plaintext offset just past the subtree
-    tag: str
-    tags_inside_ids: frozenset[int]
-    content_size: int
+    frame: OpenFrame = field(repr=False)  # the decoder's frame of the subtree
     auth: DecisionNode = field(repr=False, default=None)  # type: ignore[assignment]
     query: DecisionNode | None = field(repr=False, default=None)
     resolved_permit: bool | None = None
+
+    @property
+    def start(self) -> int:
+        """Absolute plaintext offset of the subtree content."""
+        return self.frame.content_start
+
+    @property
+    def end(self) -> int:
+        """Absolute plaintext offset just past the subtree."""
+        return self.frame.content_start + self.frame.content_size
 
 
 @dataclass(slots=True)
@@ -397,13 +399,13 @@ class CardApplet:
         settled = _engine_counters(stats)
         released: list[Event] = []
         try:
-            while (item := next_item()) is not None:
-                if type(item) is DecodedOpen:
+            while (event := next_item()) is not None:
+                if type(event) is OpenEvent:
                     self._track_decoder_ram(decoder.depth)
-                    released += feed(item.event)
-                    self._maybe_skip(controller, decoder, item)
+                    released += feed(event)
+                    self._maybe_skip(controller, decoder)
                 else:
-                    released += feed(item.event)
+                    released += feed(event)
                 settled = _engine_counters(stats)
         finally:
             self._emit(released)
@@ -418,40 +420,32 @@ class CardApplet:
             self._decoder_ram = needed
 
     def _maybe_skip(
-        self,
-        controller: AccessController,
-        decoder: SXSDecoder,
-        item: DecodedOpen,
+        self, controller: AccessController, decoder: SXSDecoder
     ) -> None:
-        """Apply the skip rule of Section 2.3 to a freshly opened subtree."""
-        if item.resume_offset is None or item.tags_inside is None:
+        """Apply the skip rule of Section 2.3 to a freshly opened subtree.
+
+        The skip metadata is the decoder's innermost frame; its tag ids
+        become names only for the subtrees that reach the skip test.
+        """
+        frame = decoder.frame
+        if frame.tags_inside is None:
             return  # stream carries no skip index
         kind = controller.current_kind()
         if kind == _Record.DELIVER:
             return  # content must be transferred anyway
         if kind == _Record.PENDING and self._strategy is not PendingStrategy.REFETCH:
             return
-        if not controller.subtree_is_irrelevant(item.tags_inside):
-            return
-        try:
-            snapshot = decoder.snapshot_top_frame()
-        except RuntimeError:
+        assert decoder.dictionary is not None
+        tags_inside = decoder.dictionary.ids_to_names(frame.tags_inside)
+        if not controller.subtree_is_irrelevant(tags_inside):
             return
         if kind == _Record.PENDING:
             auth, query = controller.current_decision_nodes()
-            entry = RefetchRequest(
-                entry_id=len(self._refetches),
-                start=snapshot.content_start,
-                end=snapshot.content_start + snapshot.content_size,
-                tag=snapshot.tag,
-                tags_inside_ids=snapshot.tags_inside,
-                content_size=snapshot.content_size,
-                auth=auth,
-                query=query,
+            self._refetches.append(
+                RefetchRequest(len(self._refetches), frame, auth, query)
             )
-            self._refetches.append(entry)
         resume = decoder.skip_open_subtree()
-        self.bytes_skipped += resume - snapshot.content_start
+        self.bytes_skipped += resume - frame.content_start
 
     def end_document(self) -> list[RefetchRequest]:
         """Finish the main pass; return the refetches resolved to PERMIT."""
@@ -483,12 +477,7 @@ class CardApplet:
         assert self._decoder is not None and self._decoder.dictionary is not None
         self._active_refetch = entry
         self._refetch_decoder = SXSDecoder.for_region(
-            self._decoder.dictionary,
-            self._decoder.mode,
-            tag=entry.tag,
-            tags_inside_ids=entry.tags_inside_ids,
-            content_size=entry.content_size,
-            content_start=entry.start,
+            self._decoder.dictionary, self._decoder.mode, entry.frame
         )
 
     def put_refetch_chunk(self, index: int, blob: bytes) -> ChunkResult:
@@ -499,10 +488,10 @@ class CardApplet:
         decoder = self._refetch_decoder
         decoder.push(self._open_chunk(index, blob), index * self._header.chunk_size)
         events: list[Event] = []
-        while (item := decoder.next_item()) is not None:
-            if decoder.depth == 0 and isinstance(item, DecodedClose):
+        while (event := decoder.next_item()) is not None:
+            if decoder.document_done:
                 break  # the subtree's own close: the shell already has it
-            events.append(item.event)
+            events.append(event)
         self._emit(events)
         done = decoder.document_done
         next_offset = 0 if done else decoder.next_needed_offset

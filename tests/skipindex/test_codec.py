@@ -8,9 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.skipindex.decoder import (
-    DecodedClose,
-    DecodedOpen,
-    DecodedText,
     SXSDecoder,
     SXSFormatError,
     decode_document,
@@ -18,7 +15,7 @@ from repro.skipindex.decoder import (
 from repro.skipindex.encoder import IndexMode, encode_document, encoded_size
 from repro.skipindex.tagdict import TagDictionary
 from repro.workloads.docgen import agenda, hospital, video_catalog
-from repro.xmlstream.events import OpenEvent
+from repro.xmlstream.events import CloseEvent, OpenEvent, ValueEvent
 from repro.xmlstream.parser import parse_string
 from repro.xmlstream.tree import tree_to_events
 
@@ -45,8 +42,7 @@ def test_incremental_push_equals_bulk(root, mode, chunk):
     out = []
     for start in range(0, len(data), chunk):
         decoder.push(data[start:start + chunk], start)
-        while (item := decoder.next_item()) is not None:
-            out.append(item.event)
+        out.extend(iter(decoder.next_item, None))
     assert out == events
 
 
@@ -68,10 +64,10 @@ def _decode_with_skips(data, pieces, seed):
         assert need < len(data), "decoder starved at the end of the data"
         start, end = pieces[bisect_right(starts, need) - 1]
         decoder.push(data[start:end], start)
-        while (item := decoder.next_item()) is not None:
-            events.append(item.event)
+        while (event := decoder.next_item()) is not None:
+            events.append(event)
             if (
-                type(item.event) is OpenEvent
+                type(event) is OpenEvent
                 and decoder.mode is not IndexMode.NONE
                 and decoder.depth > 1
                 and rng.random() < 0.3
@@ -125,12 +121,12 @@ def test_index_metadata_contents():
     data = encode_document(events, IndexMode.RECURSIVE)
     decoder = SXSDecoder()
     decoder.push(data)
-    first = decoder.next_item()
-    assert isinstance(first, DecodedOpen)
-    assert first.tags_inside == {"b", "c", "d"}
-    assert first.resume_offset == len(data)
-    second = decoder.next_item()
-    assert second.tags_inside == {"c"}
+    assert decoder.next_item() == OpenEvent("a")
+    frame = decoder.frame
+    assert decoder.dictionary.ids_to_names(frame.tags_inside) == {"b", "c", "d"}
+    assert frame.content_start + frame.content_size == len(data)
+    assert decoder.next_item() == OpenEvent("b")
+    assert decoder.dictionary.ids_to_names(decoder.frame.tags_inside) == {"c"}
 
 
 def test_no_index_mode_has_no_metadata():
@@ -138,8 +134,9 @@ def test_no_index_mode_has_no_metadata():
     data = encode_document(events, IndexMode.NONE)
     decoder = SXSDecoder()
     decoder.push(data)
-    first = decoder.next_item()
-    assert first.tags_inside is None and first.resume_offset is None
+    assert decoder.next_item() == OpenEvent("a")
+    assert decoder.frame.tags_inside is None
+    assert decoder.frame.content_size is None
 
 
 def test_skip_synthesizes_close_and_lands_after_subtree():
@@ -148,14 +145,12 @@ def test_skip_synthesizes_close_and_lands_after_subtree():
     decoder = SXSDecoder()
     decoder.push(data)
     decoder.next_item()  # a
-    item = decoder.next_item()
-    assert item.event.tag == "skipme"
+    assert decoder.next_item() == OpenEvent("skipme")
+    decoded = decoder.bytes_decoded
     decoder.skip_open_subtree()
-    close = decoder.next_item()
-    assert isinstance(close, DecodedClose) and close.synthetic
-    assert close.event.tag == "skipme"
-    following = decoder.next_item()
-    assert isinstance(following, DecodedOpen) and following.event.tag == "next"
+    assert decoder.next_item() == CloseEvent("skipme")
+    assert decoder.bytes_decoded == decoded  # the close costs no bytes
+    assert decoder.next_item() == OpenEvent("next")
 
 
 def test_skip_without_index_rejected():
@@ -243,22 +238,14 @@ def test_for_region_decodes_subtree():
     decoder = SXSDecoder()
     decoder.push(data)
     decoder.next_item()  # a
-    mid = decoder.next_item()
-    snapshot = decoder.snapshot_top_frame()
+    assert decoder.next_item() == OpenEvent("mid")
+    frame = decoder.frame
     resume = decoder.skip_open_subtree()
-    region = SXSDecoder.for_region(
-        decoder.dictionary,
-        decoder.mode,
-        tag=snapshot.tag,
-        tags_inside_ids=snapshot.tags_inside,
-        content_size=snapshot.content_size,
-        content_start=snapshot.content_start,
-    )
-    region.push(data[snapshot.content_start:resume], snapshot.content_start)
-    tags = []
-    while (item := region.next_item()) is not None:
-        tags.append(
-            item.event.tag if not isinstance(item, DecodedText) else item.event.text
-        )
+    region = SXSDecoder.for_region(decoder.dictionary, decoder.mode, frame)
+    region.push(data[frame.content_start:resume], frame.content_start)
+    tags = [
+        event.text if type(event) is ValueEvent else event.tag
+        for event in iter(region.next_item, None)
+    ]
     assert tags == ["x", "1", "x", "y", "2", "y", "mid"]
     assert region.document_done

@@ -86,15 +86,14 @@ def _trace(decoder: SXSDecoder, data: bytes, chunk: int):
         decoder.push(data[offset:offset + chunk], offset)
         described = []
         skips = []
-        while (item := decoder.next_item()) is not None:
-            event = item.event
+        while (event := decoder.next_item()) is not None:
             described.append(_describe(event))
             if type(event) is not OpenEvent:
                 continue
             ordinal += 1
             indexed = decoder.mode is not IndexMode.NONE
             if indexed and decoder.depth > 1 and _skip(event.tag, ordinal):
-                frame = decoder.snapshot_top_frame()
+                frame = decoder.frame
                 if largest is None or frame.content_size > largest.content_size:
                     largest = frame
                 buffered_end = decoder.next_needed_offset
@@ -122,12 +121,7 @@ def run_all() -> dict[str, list[str]]:
                 cases[key], largest = _trace(decoder, data, chunk)
                 if key == REGION_CASE:
                     region = SXSDecoder.for_region(
-                        decoder.dictionary,
-                        decoder.mode,
-                        tag=largest.tag,
-                        tags_inside_ids=largest.tags_inside,
-                        content_size=largest.content_size,
-                        content_start=largest.content_start,
+                        decoder.dictionary, decoder.mode, largest
                     )
                     cases[f"{key}/region"], _ = _trace(region, data, chunk)
     return cases
