@@ -10,6 +10,8 @@ when the document dictionary is large.
 
 from __future__ import annotations
 
+from repro.skipindex.varint import Truncated
+
 
 def bitmap_from_ids(ids: frozenset[int] | set[int], universe: int) -> bytes:
     """Pack tag ids into a little-endian bit array of ``universe`` bits."""
@@ -74,7 +76,7 @@ def decode_relative(
     """
     width = relative_width(parent_ids)
     if offset + width > len(data):
-        raise ValueError("truncated relative bitmap")
+        raise Truncated("truncated relative bitmap")
     if support is None:
         support = tuple(sorted(parent_ids))
     value = int.from_bytes(data[offset:offset + width], "little")

@@ -14,6 +14,11 @@ reports the absolute resume offset so the proxy can stop transferring
 the skipped chunks at all.  A skipped frame later seeds
 :meth:`SXSDecoder.for_region` for the refetch pass.
 
+Missing bytes only ever starve the decoder; bytes that are all present
+but cannot decode (bad UTF-8, an over-long varint, an unknown tag id or
+opcode) raise :class:`SXSFormatError` at once, so malformed input is
+never mistaken for a truncated document.
+
 The buffer is consumed through a read cursor with amortized compaction
 (no ``del buffer[:n]`` per token) and tokens are decoded directly off
 the live buffer -- the seed copied the entire buffered region once per
@@ -27,7 +32,7 @@ from __future__ import annotations
 from repro.skipindex.bitset import decode_relative, ids_from_bitmap
 from repro.skipindex.encoder import IndexMode, MAGIC, OP_CLOSE, OP_OPEN, OP_TEXT
 from repro.skipindex.tagdict import TagDictionary
-from repro.skipindex.varint import decode_varint, width_for_bound
+from repro.skipindex.varint import Truncated, decode_varint, width_for_bound
 from repro.xmlstream.events import CloseEvent, Event, OpenEvent, ValueEvent
 
 
@@ -175,8 +180,10 @@ class SXSDecoder:
             dictionary, offset = TagDictionary.decode(
                 buffer, start + len(MAGIC) + 1
             )
-        except ValueError:
+        except Truncated:
             return False  # need more bytes
+        except ValueError as exc:
+            raise SXSFormatError(f"malformed tag dictionary: {exc}") from exc
         self._mode = mode
         self.dictionary = dictionary
         self._advance(offset - start)
@@ -187,8 +194,9 @@ class SXSDecoder:
     def next_item(self) -> Event | None:
         """Decode and return the next event, or ``None`` if starved.
 
-        After an open, :attr:`frame` holds the element's skip metadata
-        until the next item is pulled.
+        Missing bytes starve; a complete token that cannot be decoded
+        raises :class:`SXSFormatError`.  After an open, :attr:`frame`
+        holds the element's skip metadata until the next item is pulled.
         """
         if self._pending_close is not None:
             tag, self._pending_close = self._pending_close, None
@@ -225,10 +233,12 @@ class SXSDecoder:
             text = str(memoryview(buffer)[after:after + length], "utf-8")
             self._advance(after - start + length)
             return ValueEvent(text)
-        except SXSFormatError:
-            raise
-        except ValueError:
+        except Truncated:
             return None  # starved mid-token
+        except ValueError as exc:  # bad UTF-8, over-long varint, unknown tag
+            raise SXSFormatError(
+                f"malformed token at offset {self._base + start}: {exc}"
+            ) from exc
 
     def _decode_open(self, buffer: bytearray, start: int) -> OpenEvent | None:
         """Decode the OPEN token at ``start`` and push its frame."""
@@ -302,8 +312,8 @@ class SXSDecoder:
             )
         try:
             tag = dictionary.name_of(tag_id)
-        except IndexError as exc:
-            raise SXSFormatError(f"unknown tag id {tag_id}") from exc
+        except IndexError:
+            raise ValueError(f"unknown tag id {tag_id}") from None
         self._advance(offset - start)
         self._stack.append(
             OpenFrame(tag, tags_inside, content_size, self._base + self._pos)

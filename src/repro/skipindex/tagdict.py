@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from repro.skipindex.varint import decode_varint, encode_varint
+from repro.skipindex.varint import Truncated, decode_varint, encode_varint
 
 
 class TagDictionary:
@@ -90,7 +90,7 @@ class TagDictionary:
         for _ in range(count):
             length, offset = decode_varint(data, offset)
             if offset + length > len(data):
-                raise ValueError("truncated tag dictionary")
+                raise Truncated("truncated tag dictionary")
             names.append(data[offset:offset + length].decode("utf-8"))
             offset += length
         return cls(names), offset

@@ -10,6 +10,14 @@ enough bytes for the parent's size, typically one.
 from __future__ import annotations
 
 
+class Truncated(ValueError):
+    """The data ends inside an encoded value: more bytes may complete it.
+
+    Every other ``ValueError`` a decoder here raises means the bytes
+    present can never decode.
+    """
+
+
 def encode_varint(value: int) -> bytes:
     """Encode a non-negative integer as LEB128."""
     if value < 0:
@@ -35,7 +43,7 @@ def decode_varint(data: "bytes | bytearray | memoryview", offset: int = 0) -> tu
     """
     size = len(data)
     if offset >= size:
-        raise ValueError("truncated varint")
+        raise Truncated("truncated varint")
     byte = data[offset]
     if byte < 0x80:
         return byte, offset + 1
@@ -44,7 +52,7 @@ def decode_varint(data: "bytes | bytearray | memoryview", offset: int = 0) -> tu
     position = offset + 1
     while True:
         if position >= size:
-            raise ValueError("truncated varint")
+            raise Truncated("truncated varint")
         byte = data[position]
         position += 1
         result |= (byte & 0x7F) << shift
@@ -84,6 +92,6 @@ def decode_bounded(data: bytes, offset: int, bound: int) -> tuple[int, int]:
     """Decode a width-bounded integer; return ``(value, next_offset)``."""
     width = width_for_bound(bound)
     if offset + width > len(data):
-        raise ValueError("truncated bounded integer")
+        raise Truncated("truncated bounded integer")
     value = int.from_bytes(data[offset:offset + width], "little")
     return value, offset + width

@@ -208,6 +208,65 @@ def test_unknown_opcode_rejected():
             pass
 
 
+#: Two accented letters: four UTF-8 bytes to overwrite with invalid ones.
+ACCENTS = "\u00e9\u00e9"
+
+
+def _corrupt(xml, mode, old, new):
+    """Encode ``xml`` and replace the one occurrence of ``old`` by ``new``."""
+    data = encode_document(parse_string(xml), mode)
+    assert data.count(old) == 1
+    return data.replace(old, new)
+
+
+def _decode_all(data):
+    decoder = SXSDecoder()
+    decoder.push(data)
+    return list(iter(decoder.next_item, None))
+
+
+@pytest.mark.parametrize("mode", list(IndexMode), ids=lambda mode: mode.name)
+def test_every_prefix_starves_without_error(mode):
+    events = parse_string(f'<a k="{ACCENTS}"><b>t{ACCENTS}</b><c/></a>')
+    data = encode_document(events, mode)
+    for end in range(len(data)):
+        decoder = SXSDecoder()
+        decoder.push(data[:end])
+        decoded = list(iter(decoder.next_item, None))
+        assert decoded == events[:len(decoded)]
+        assert not decoder.document_done
+
+
+@pytest.mark.parametrize("mode", list(IndexMode), ids=lambda mode: mode.name)
+def test_invalid_utf8_attribute_is_malformed(mode):
+    data = _corrupt(f'<a k="{ACCENTS}"/>', mode, ACCENTS.encode(), b"\xff" * 4)
+    with pytest.raises(SXSFormatError):
+        _decode_all(data)
+
+
+@pytest.mark.parametrize("mode", list(IndexMode), ids=lambda mode: mode.name)
+def test_invalid_utf8_text_is_malformed(mode):
+    data = _corrupt(f"<a>{ACCENTS}</a>", mode, ACCENTS.encode(), b"\xff" * 4)
+    with pytest.raises(SXSFormatError):
+        _decode_all(data)
+
+
+@pytest.mark.parametrize("mode", list(IndexMode), ids=lambda mode: mode.name)
+def test_overlong_varint_is_malformed(mode):
+    # The text length 1 becomes eleven continuation bytes: every byte
+    # is present, but no 64-bit varint is that long.
+    data = _corrupt("<a>q</a>", mode, b"\x01q", b"\x80" * 11 + b"\x01q")
+    with pytest.raises(SXSFormatError):
+        _decode_all(data)
+
+
+@pytest.mark.parametrize("mode", list(IndexMode), ids=lambda mode: mode.name)
+def test_bad_dictionary_name_is_malformed(mode):
+    data = _corrupt("<abc/>", mode, b"abc", b"\xff\xfe\xfd")
+    with pytest.raises(SXSFormatError):
+        _decode_all(data)
+
+
 def test_non_contiguous_push_rejected():
     decoder = SXSDecoder()
     decoder.push(b"SXS1")

@@ -98,13 +98,14 @@ def test_get_status_payload():
     assert ram >= 0 and cycles >= 0 and decrypted == 0 and skipped == 0
 
 
-def _streaming_card(doc_id="d"):
+def _streaming_card(doc_id="d", plaintext=None):
     """A card with a verified header, ready to take chunks."""
     keys = DocumentKeys(SECRET)
-    body = " ".join(f"word{i}" for i in range(40))
-    plaintext = encode_document(
-        parse_string(f"<a><b>{body}</b><c>two</c></a>")
-    )
+    if plaintext is None:
+        body = " ".join(f"word{i}" for i in range(40))
+        plaintext = encode_document(
+            parse_string(f"<a><b>{body}</b><c>two</c></a>")
+        )
     container = seal_document(plaintext, doc_id, 1, keys, chunk_size=32)
     card = SmartCard()
     _select(card)
@@ -131,6 +132,21 @@ def _streaming_card(doc_id="d"):
         CommandAPDU(Instruction.PUT_RULES, data=rule)
     ).sw == StatusWord.OK
     return card, container
+
+
+def test_malformed_plaintext_maps_to_wrong_data_at_its_chunk():
+    # A complete attribute whose value is not UTF-8: the card reports
+    # malformed data at the chunk carrying it, not a truncated document
+    # (tamper) at END_DOCUMENT.
+    plaintext = encode_document(parse_string('<a k="vv"><b>x</b></a>'))
+    assert plaintext.count(b"vv") == 1
+    card, container = _streaming_card(
+        plaintext=plaintext.replace(b"vv", b"\xff\xff")
+    )
+    response = card.process(
+        CommandAPDU(Instruction.PUT_CHUNK, p1=0, p2=0, data=container.chunks[0])
+    )
+    assert response.sw == StatusWord.WRONG_DATA
 
 
 def test_chunk_batch_before_header_rejected():
