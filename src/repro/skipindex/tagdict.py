@@ -84,7 +84,12 @@ class TagDictionary:
     def decode(
         cls, data: "bytes | bytearray", offset: int = 0
     ) -> tuple["TagDictionary", int]:
-        """Deserialize; return ``(dictionary, next_offset)``."""
+        """Deserialize; return ``(dictionary, next_offset)``.
+
+        Raises :class:`~repro.skipindex.varint.Truncated` when ``data``
+        ends early and ``ValueError`` on a name that is not UTF-8 or
+        that repeats (which would shift every later tag id).
+        """
         count, offset = decode_varint(data, offset)
         names: list[str] = []
         for _ in range(count):
@@ -93,4 +98,7 @@ class TagDictionary:
                 raise Truncated("truncated tag dictionary")
             names.append(data[offset:offset + length].decode("utf-8"))
             offset += length
-        return cls(names), offset
+        dictionary = cls(names)
+        if len(dictionary) != count:
+            raise ValueError("repeated tag name in dictionary")
+        return dictionary, offset

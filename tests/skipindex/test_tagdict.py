@@ -51,6 +51,12 @@ def test_decode_rejects_truncated():
         TagDictionary.decode(encoded[:-2])
 
 
+def test_decode_rejects_repeated_names():
+    encoded = TagDictionary(["ab", "cd", "ef"]).encode().replace(b"cd", b"ab")
+    with pytest.raises(ValueError):
+        TagDictionary.decode(encoded)
+
+
 def test_unicode_tags_survive():
     dictionary = TagDictionary(["élément"])
     decoded, __ = TagDictionary.decode(dictionary.encode())
