@@ -96,7 +96,7 @@ class SXSDecoder:
         self._buffer = bytearray()
         self._base = 0  # absolute offset of _buffer[0]
         self._pos = 0  # read cursor into _buffer
-        self._mode: IndexMode | None = None
+        self.mode: IndexMode | None = None
         self.dictionary: TagDictionary | None = None
         self._stack: list[OpenFrame] = []
         self._pending_close: str | None = None  # tag of a skipped element
@@ -184,7 +184,7 @@ class SXSDecoder:
             return False  # need more bytes
         except ValueError as exc:
             raise SXSFormatError(f"malformed tag dictionary: {exc}") from exc
-        self._mode = mode
+        self.mode = mode
         self.dictionary = dictionary
         self._advance(offset - start)
         return True
@@ -277,7 +277,7 @@ class SXSDecoder:
             attributes.append((name, value))
         tags_inside: frozenset[int] | None = None
         content_size: int | None = None
-        mode = self._mode
+        mode = self.mode
         if mode is IndexMode.FLAT or (mode is IndexMode.RECURSIVE and not self._stack):
             content_size, offset = decode_varint(buffer, offset)
             width = (len(dictionary) + 7) // 8
@@ -376,16 +376,12 @@ class SXSDecoder:
         ends at the element's own close (``document_done``).
         """
         decoder = cls()
-        decoder._mode = mode
+        decoder.mode = mode
         decoder.dictionary = dictionary
         decoder._stack.append(frame)
         decoder._base = frame.content_start
         decoder._skip_target = frame.content_start  # trims pre-region bytes
         return decoder
-
-    @property
-    def mode(self) -> IndexMode | None:
-        return self._mode
 
     @property
     def next_needed_offset(self) -> int:

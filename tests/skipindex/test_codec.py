@@ -22,6 +22,11 @@ from repro.xmlstream.tree import tree_to_events
 from tests.strategies import elements
 
 
+every_mode = pytest.mark.parametrize(
+    "mode", list(IndexMode), ids=lambda mode: mode.name
+)
+
+
 @settings(max_examples=80, deadline=None)
 @given(root=elements(), mode=st.sampled_from(list(IndexMode)))
 def test_round_trip_all_modes(root, mode):
@@ -95,7 +100,7 @@ def test_split_pushes_with_skips_equal_one_push(root, mode, cuts, seed):
     assert _decode_with_skips(data, pieces, seed) == whole
 
 
-@pytest.mark.parametrize("mode", list(IndexMode), ids=lambda mode: mode.name)
+@every_mode
 def test_chunked_skips_equal_one_push_on_corpus(mode):
     documents = [
         hospital(n_patients=3, episodes_per_patient=2),
@@ -225,33 +230,21 @@ def _decode_all(data):
     return list(iter(decoder.next_item, None))
 
 
-@pytest.mark.parametrize("mode", list(IndexMode), ids=lambda mode: mode.name)
-def test_every_prefix_starves_without_error(mode):
-    events = parse_string(f'<a k="{ACCENTS}"><b>t{ACCENTS}</b><c/></a>')
-    data = encode_document(events, mode)
-    for end in range(len(data)):
-        decoder = SXSDecoder()
-        decoder.push(data[:end])
-        decoded = list(iter(decoder.next_item, None))
-        assert decoded == events[:len(decoded)]
-        assert not decoder.document_done
-
-
-@pytest.mark.parametrize("mode", list(IndexMode), ids=lambda mode: mode.name)
+@every_mode
 def test_invalid_utf8_attribute_is_malformed(mode):
     data = _corrupt(f'<a k="{ACCENTS}"/>', mode, ACCENTS.encode(), b"\xff" * 4)
     with pytest.raises(SXSFormatError):
         _decode_all(data)
 
 
-@pytest.mark.parametrize("mode", list(IndexMode), ids=lambda mode: mode.name)
+@every_mode
 def test_invalid_utf8_text_is_malformed(mode):
     data = _corrupt(f"<a>{ACCENTS}</a>", mode, ACCENTS.encode(), b"\xff" * 4)
     with pytest.raises(SXSFormatError):
         _decode_all(data)
 
 
-@pytest.mark.parametrize("mode", list(IndexMode), ids=lambda mode: mode.name)
+@every_mode
 def test_overlong_varint_is_malformed(mode):
     # The text length 1 becomes eleven continuation bytes: every byte
     # is present, but no 64-bit varint is that long.
@@ -260,11 +253,15 @@ def test_overlong_varint_is_malformed(mode):
         _decode_all(data)
 
 
-@pytest.mark.parametrize("mode", list(IndexMode), ids=lambda mode: mode.name)
-def test_bad_dictionary_name_is_malformed(mode):
-    data = _corrupt("<abc/>", mode, b"abc", b"\xff\xfe\xfd")
+@every_mode
+@pytest.mark.parametrize("name", [b"\xff\xfe", b"ab"], ids=["utf8", "repeated"])
+def test_bad_dictionary_name_is_malformed(mode, name):
+    # A repeated name would shift every later tag id, so the header
+    # itself is rejected, before any element is decoded.
+    decoder = SXSDecoder()
+    decoder.push(_corrupt("<ab><cd/><ef/></ab>", mode, b"cd", name))
     with pytest.raises(SXSFormatError):
-        _decode_all(data)
+        decoder.next_item()
 
 
 def test_non_contiguous_push_rejected():
@@ -275,13 +272,16 @@ def test_non_contiguous_push_rejected():
 
 
 def test_truncated_document_not_done():
-    events = parse_string("<a><b/></a>")
-    data = encode_document(events)
-    decoder = SXSDecoder()
-    decoder.push(data[:-1])
-    while decoder.next_item() is not None:
-        pass
-    assert not decoder.document_done
+    """Every proper prefix starves: no error, a prefix of the events."""
+    events = parse_string(f'<a k="{ACCENTS}"><b>t{ACCENTS}</b><c/></a>')
+    for mode in IndexMode:
+        data = encode_document(events, mode)
+        for end in range(len(data)):
+            decoder = SXSDecoder()
+            decoder.push(data[:end])
+            decoded = list(iter(decoder.next_item, None))
+            assert decoded == events[:len(decoded)]
+            assert not decoder.document_done
 
 
 def test_shared_dictionary_reused():
