@@ -406,4 +406,6 @@ def decode_document(data: bytes) -> list[Event]:
     events = list(iter(decoder.next_item, None))
     if not decoder.document_done:
         raise SXSFormatError("truncated document")
+    if decoder.position != len(data):
+        raise SXSFormatError(f"{len(data) - decoder.position} bytes after the document")
     return events

@@ -264,6 +264,13 @@ def test_bad_dictionary_name_is_malformed(mode, name):
         decoder.next_item()
 
 
+@every_mode
+def test_trailing_bytes_are_malformed(mode):
+    data = encode_document(parse_string("<a>x</a>"), mode)
+    with pytest.raises(SXSFormatError):
+        decode_document(data + b"\x03")
+
+
 def test_non_contiguous_push_rejected():
     decoder = SXSDecoder()
     decoder.push(b"SXS1")
