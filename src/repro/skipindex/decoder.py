@@ -15,9 +15,10 @@ the skipped chunks at all.  A skipped frame later seeds
 :meth:`SXSDecoder.for_region` for the refetch pass.
 
 Missing bytes only ever starve the decoder; bytes that are all present
-but cannot decode (bad UTF-8, an over-long varint, an unknown tag id or
-opcode) raise :class:`SXSFormatError` at once, so malformed input is
-never mistaken for a truncated document.
+but cannot decode (bad UTF-8, an over-long varint, a repeated
+dictionary name, an unknown tag id or opcode) raise
+:class:`SXSFormatError` at once, so malformed input is never mistaken
+for a truncated document.
 
 The buffer is consumed through a read cursor with amortized compaction
 (no ``del buffer[:n]`` per token) and tokens are decoded directly off
