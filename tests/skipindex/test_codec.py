@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.skipindex.bitset import decode_relative, ids_from_bitmap, relative_width
 from repro.skipindex.decoder import (
     SXSDecoder,
     SXSFormatError,
@@ -315,3 +316,114 @@ def test_for_region_decodes_subtree():
     ]
     assert tags == ["x", "1", "x", "y", "2", "y", "mid"]
     assert region.document_done
+
+
+# -- tag-id sets: the decoded ids against an eager decode of the bytes ----
+
+
+def _eager_ids(data, frame, parent_ids, universe):
+    """Decode ``frame``'s bitmap straight from ``data``, eagerly.
+
+    An open's bitmap ends where its content starts: the root's spans the
+    whole dictionary, a child's is relative to its parent's ids.
+    """
+    if parent_ids is None:
+        width = (universe + 7) // 8
+        start = frame.content_start - width
+        return ids_from_bitmap(data[start:frame.content_start], universe)
+    ids, end = decode_relative(
+        data, frame.content_start - relative_width(parent_ids), parent_ids
+    )
+    assert end == frame.content_start
+    return ids
+
+
+def _opens_with_ids(data, chunk, decoder=None):
+    """Decode ``data`` in ``chunk``-byte pushes; yield each open's frame
+    with the eager ids of its bitmap."""
+    decoder = decoder or SXSDecoder()
+    stack = []
+    for start in range(0, len(data), chunk):
+        decoder.push(data[start:start + chunk], start)
+        while (event := decoder.next_item()) is not None:
+            if type(event) is OpenEvent:
+                frame = decoder.frame
+                parent = stack[-1] if stack else None
+                ids = _eager_ids(data, frame, parent, len(decoder.dictionary))
+                stack.append(ids)
+                yield frame, ids
+            elif type(event) is CloseEvent:
+                stack.pop()
+
+
+@pytest.mark.parametrize("chunk", [7, 64, 96])
+def test_tags_inside_equals_eager_decode_on_corpus(chunk):
+    documents = [
+        hospital(n_patients=3, episodes_per_patient=2),
+        agenda(n_members=3, events_per_member=3),
+        video_catalog(n_videos=6, payload=40),
+    ]
+    for root in documents:
+        data = encode_document(list(tree_to_events(root)), IndexMode.RECURSIVE)
+        opens = list(_opens_with_ids(data, chunk))
+        assert len(opens) > 10
+        for frame, ids in opens:
+            assert frame.tags_inside == ids
+
+
+def _stray_padding_stream():
+    """A stream whose relative bitmap for ``b`` sets every padding bit.
+
+    The root holds nine ids, so a child's bitmap spans two bytes with
+    seven padding bits.  ``b`` holds two ids; counting the padding would
+    give it nine and widen its child's bitmap to two bytes.
+    """
+    xml = "<a><b><c1><c2/></c1></b>" + "".join(f"<t{i}/>" for i in range(6)) + "</a>"
+    data = bytearray(encode_document(parse_string(xml), IndexMode.RECURSIVE))
+    decoder = SXSDecoder()
+    decoder.push(bytes(data))
+    decoder.next_item()  # a
+    assert len(decoder.frame.tags_inside) == 9
+    decoder.next_item()  # b
+    bitmap_end = decoder.frame.content_start
+    data[bitmap_end - 1] |= 0xFE  # bits 9..15 of b's two-byte bitmap
+    return parse_string(xml), bytes(data), decoder.dictionary
+
+
+def test_stray_padding_bits_are_ignored():
+    events, data, dictionary = _stray_padding_stream()
+    decoder = SXSDecoder()
+    decoder.push(data)
+    names = []
+    while (event := decoder.next_item()) is not None:
+        if type(event) is OpenEvent:
+            names.append(dictionary.ids_to_names(decoder.frame.tags_inside))
+    assert decoder.document_done and decoder.position == len(data)
+    assert names[:3] == [
+        frozenset({"b", "c1", "c2", *(f"t{i}" for i in range(6))}),
+        frozenset({"c1", "c2"}),
+        frozenset({"c2"}),
+    ]
+    assert decode_document(data) == events
+
+
+def test_for_region_replay_decodes_the_same_ids():
+    root = hospital(n_patients=3, episodes_per_patient=2)
+    data = encode_document(list(tree_to_events(root)), IndexMode.RECURSIVE)
+    expected = {frame.content_start: ids for frame, ids in _opens_with_ids(data, 64)}
+    decoder = SXSDecoder()
+    decoder.push(data)
+    decoder.next_item()  # the root
+    decoder.next_item()  # its first child, which has children of its own
+    frame = decoder.frame
+    resume = decoder.skip_open_subtree()
+    region = SXSDecoder.for_region(decoder.dictionary, decoder.mode, frame)
+    region.push(data[frame.content_start:resume], frame.content_start)
+    replayed = 0
+    while (event := region.next_item()) is not None:
+        if type(event) is OpenEvent:
+            start = region.frame.content_start
+            assert region.frame.tags_inside == expected[start]
+            replayed += 1
+    assert region.document_done and replayed > 3
+    assert frame.tags_inside == expected[frame.content_start]
