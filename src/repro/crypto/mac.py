@@ -28,25 +28,36 @@ import hmac
 
 DEFAULT_TAG_LENGTH = 8
 
-#: Keyed HMAC contexts with the key pads already absorbed; ``copy()``
-#: per message skips the two key-schedule compression rounds that
+#: Per-key SHA-256 states with the inner and outer key pads already
+#: absorbed (RFC 2104).  A message copies both -- no ``hmac.HMAC``
+#: object, and none of the two key-schedule compression rounds that
 #: ``hmac.new`` pays on every call.  Every message is still MAC'd in
-#: full -- only the key-dependent prefix state is shared.  The memo is
+#: full; only the key-dependent prefix states are shared.  The memo is
 #: shared with :mod:`repro.crypto.keys` (IV/subkey derivation).
-_BASES: dict[bytes, "hmac.HMAC"] = {}
+_BASES: dict[bytes, tuple["hashlib._Hash", "hashlib._Hash"]] = {}
 _BASE_LIMIT = 256
+_BLOCK = hashlib.sha256().block_size
+_INNER_PAD = bytes(byte ^ 0x36 for byte in range(256))
+_OUTER_PAD = bytes(byte ^ 0x5C for byte in range(256))
 
 
 def keyed_digest(key: bytes, message: bytes) -> bytes:
-    """HMAC-SHA-256 with a per-key precomputed pad state."""
-    base = _BASES.get(key)
-    if base is None:
+    """HMAC-SHA-256 with per-key precomputed pad states."""
+    pads = _BASES.get(key)
+    if pads is None:
         if len(_BASES) >= _BASE_LIMIT:
             _BASES.clear()
-        base = _BASES[key] = hmac.new(key, b"", hashlib.sha256)
-    mac = base.copy()
-    mac.update(message)
-    return mac.digest()
+        block = key if len(key) <= _BLOCK else hashlib.sha256(key).digest()
+        block = block.ljust(_BLOCK, b"\0")
+        pads = _BASES[key] = (
+            hashlib.sha256(block.translate(_INNER_PAD)),
+            hashlib.sha256(block.translate(_OUTER_PAD)),
+        )
+    inner = pads[0].copy()
+    inner.update(message)
+    outer = pads[1].copy()
+    outer.update(inner.digest())
+    return outer.digest()
 
 
 def _mac(key: bytes, message: bytes, length: int) -> bytes:
