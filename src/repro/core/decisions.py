@@ -85,17 +85,22 @@ class DecisionNode:
         return root
 
     def add_match(self, sign: Sign, conditions: frozenset[Condition]) -> None:
-        """Record a direct rule match on this node."""
-        state = conjunction_state(conditions)
-        if state is Tristate.FALSE:
-            return
-        if state is Tristate.TRUE:
-            if sign is Sign.DENY:
-                self._definite_deny = True
-            else:
-                self._definite_permit = True
+        """Record a direct rule match on this node.
+
+        An unguarded match (no conditions, nearly every match) is
+        definite without a conjunction walk.
+        """
+        if conditions:
+            state = conjunction_state(conditions)
+            if state is Tristate.FALSE:
+                return
+            if state is Tristate.UNKNOWN:
+                self._pending.append((conditions, sign))
+                return
+        if sign is Sign.DENY:
+            self._definite_deny = True
         else:
-            self._pending.append((conditions, sign))
+            self._definite_permit = True
 
     @property
     def has_direct_matches(self) -> bool:
