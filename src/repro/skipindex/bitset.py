@@ -23,21 +23,28 @@ def bitmap_from_ids(ids: frozenset[int] | set[int], universe: int) -> bytes:
     return bytes(out)
 
 
-def ids_from_bitmap(bitmap: "bytes | bytearray | memoryview", universe: int) -> frozenset[int]:
-    """Unpack a bit array into the set of tag ids.
+def peel_ids(bits: int, support: "tuple[int, ...] | None" = None) -> tuple[int, ...]:
+    """The ids of the set bits of ``bits``, ascending.
 
-    Runs over the bitmap as one integer, peeling set bits -- cost is
-    proportional to the population count, not the universe size.
+    Bit *i* stands for id *i*, or for ``support[i]`` when a sorted
+    parent support is given.  Peels one set bit per step, so the cost is
+    the population count, not the width.  The one bit-peeling routine:
+    the decoder's frames and both unpackers below call it.
     """
+    positions = []
+    while bits:
+        low = bits & -bits
+        positions.append(low.bit_length() - 1)
+        bits ^= low
+    if support is None:
+        return tuple(positions)
+    return tuple([support[position] for position in positions])
+
+
+def ids_from_bitmap(bitmap: "bytes | bytearray | memoryview", universe: int) -> frozenset[int]:
+    """Unpack a bit array of ``universe`` bits into the set of tag ids."""
     value = int.from_bytes(bitmap, "little")
-    if universe % 8:
-        value &= (1 << universe) - 1
-    ids = []
-    while value:
-        low = value & -value
-        ids.append(low.bit_length() - 1)
-        value ^= low
-    return frozenset(ids)
+    return frozenset(peel_ids(value & ((1 << universe) - 1)))
 
 
 def relative_width(parent_ids: frozenset[int]) -> int:
@@ -66,26 +73,13 @@ def decode_relative(
     data: "bytes | bytearray | memoryview",
     offset: int,
     parent_ids: frozenset[int],
-    support: "tuple[int, ...] | None" = None,
 ) -> tuple[frozenset[int], int]:
-    """Decode a parent-relative tag set; return ``(ids, next_offset)``.
-
-    ``support`` is the sorted parent id list; callers decoding many
-    children of one parent (the streaming decoder) pass it precomputed
-    so the sort is paid once per parent, not once per child.
-    """
+    """Decode a parent-relative tag set; return ``(ids, next_offset)``."""
     width = relative_width(parent_ids)
     if offset + width > len(data):
         raise Truncated("truncated relative bitmap")
-    if support is None:
-        support = tuple(sorted(parent_ids))
     value = int.from_bytes(data[offset:offset + width], "little")
     # Stray padding bits beyond the support are ignored (as the
     # bit-by-bit decoder did).
-    value &= (1 << len(support)) - 1
-    ids = []
-    while value:
-        low = value & -value
-        ids.append(support[low.bit_length() - 1])
-        value ^= low
-    return frozenset(ids), offset + width
+    value &= (1 << len(parent_ids)) - 1
+    return frozenset(peel_ids(value, tuple(sorted(parent_ids)))), offset + width

@@ -22,15 +22,19 @@ for a truncated document.
 
 The buffer is consumed through a read cursor with amortized compaction
 (no ``del buffer[:n]`` per token) and tokens are decoded directly off
-the live buffer -- the seed copied the entire buffered region once per
-OPEN token.  Varint runs decode in one batched pass per token, and the
-sorted support of a parent's tag set is computed once per parent
-rather than once per child bitmap.
+the live buffer.  :meth:`SXSDecoder.next_item` is one Python frame per
+item: it decodes an OPEN, TEXT or CLOSE token itself, with the one-byte
+varint case inline, and takes attribute-less opens and every close
+from per-dictionary event tables.  An open keeps its tag bit array as
+raw bits; the byte widths of its children's fields come from popcounts,
+so decoding never builds a tag-id set -- a frame decodes its ids on
+demand (:attr:`OpenFrame.tags_inside`), for the skip test, a child
+whose ids are read, or a :meth:`SXSDecoder.for_region` replay.
 """
 
 from __future__ import annotations
 
-from repro.skipindex.bitset import decode_relative, ids_from_bitmap
+from repro.skipindex.bitset import peel_ids
 from repro.skipindex.encoder import IndexMode, MAGIC, OP_CLOSE, OP_OPEN, OP_TEXT
 from repro.skipindex.tagdict import TagDictionary
 from repro.skipindex.varint import Truncated, decode_varint, width_for_bound
@@ -44,40 +48,67 @@ class SXSFormatError(ValueError):
 class OpenFrame:
     """One open element on the decoder's stack, with its skip metadata.
 
-    ``tags_inside`` is the set of tag *ids* occurring strictly inside
-    the subtree and ``content_size`` the encoded size of its content
-    (both ``None`` when the stream carries no index); ``content_start``
-    is the absolute offset of the content, so a skip resumes at
-    ``content_start + content_size``.  A skipped frame is also what
+    ``content_size`` is the encoded size of the element's content and
+    ``content_start`` its absolute offset, so a skip resumes at
+    ``content_start + content_size``.  ``bits`` is the element's tag bit
+    array as read, padding cleared: bit *i* is tag id *i* when
+    ``parent`` is ``None`` (a full-width bitmap), else the *i*-th
+    smallest id of the parent's set (recursive compression).  Both are
+    ``None`` when the stream carries no index.  The id set, its sorted
+    support and the widths of the children's fields are built only when
+    first read; a skipped frame is also what
     :meth:`SXSDecoder.for_region` replays.
     """
 
     __slots__ = (
         "tag",
-        "tags_inside",
         "content_size",
         "content_start",
-        "support",
-        "child_width",
+        "bits",
+        "parent",
+        "_support",
+        "_ids",
+        "_child_fields",
     )
 
     def __init__(
         self,
         tag: str,
-        tags_inside: frozenset[int] | None,
         content_size: int | None,
         content_start: int,
+        bits: int | None,
+        parent: "OpenFrame | None",
     ) -> None:
         self.tag = tag
-        self.tags_inside = tags_inside
         self.content_size = content_size
         self.content_start = content_start
-        #: Sorted ``tags_inside`` (computed on first child, reused by
-        #: every sibling's relative bitmap).
-        self.support: tuple[int, ...] | None = None
-        #: Byte width of child size fields (derived from content_size
-        #: once per parent instead of once per child).
-        self.child_width: int | None = None
+        self.bits = bits
+        self.parent = parent
+        self._support: tuple[int, ...] | None = None
+        self._ids: frozenset[int] | None = None
+        #: ``(size width, bitmap width, bitmap mask)`` of the children's
+        #: index fields, set by the decoder at the first child.
+        self._child_fields: tuple[int, int, int] | None = None
+
+    @property
+    def support(self) -> tuple[int, ...]:
+        """The tag ids inside, ascending: what a child's bits index."""
+        support = self._support
+        if support is None:
+            parent = self.parent
+            support = self._support = peel_ids(
+                self.bits, None if parent is None else parent.support
+            )
+        return support
+
+    @property
+    def tags_inside(self) -> frozenset[int] | None:
+        """The set of tag *ids* occurring strictly inside the subtree
+        (``None`` when the stream carries no index)."""
+        ids = self._ids
+        if ids is None and self.bits is not None:
+            ids = self._ids = frozenset(self.support)
+        return ids
 
 
 #: Consumed-prefix length above which the buffer is compacted (when the
@@ -104,17 +135,25 @@ class SXSDecoder:
         self._skip_target: int | None = None
         self._document_done = False
         self.bytes_decoded = 0
-        # Per-tag event memos: events are immutable value objects, so
-        # every </patient> can be the same CloseEvent instance (ditto
-        # attribute-less opens).  The tag universe is the dictionary's.
+        # Per-dictionary tables (see _use_dictionary).
+        self._plain_opens: list[OpenEvent] = []
         self._close_events: dict[str, CloseEvent] = {}
-        self._plain_opens: dict[str, OpenEvent] = {}
+        self._root_width = 0
+        self._root_mask = 0
 
-    def _close_event(self, tag: str) -> CloseEvent:
-        event = self._close_events.get(tag)
-        if event is None:
-            event = self._close_events[tag] = CloseEvent(tag)
-        return event
+    def _use_dictionary(self, mode: IndexMode, dictionary: TagDictionary) -> None:
+        """Adopt the stream's index mode and tag dictionary.
+
+        Events are immutable value objects, so every ``</patient>`` is
+        one ``CloseEvent`` and every attribute-less ``<patient>`` one
+        ``OpenEvent``, built here once per tag.
+        """
+        self.mode = mode
+        self.dictionary = dictionary
+        self._plain_opens = [OpenEvent(name) for name in dictionary]
+        self._close_events = {name: CloseEvent(name) for name in dictionary}
+        self._root_width = (len(dictionary) + 7) // 8
+        self._root_mask = (1 << len(dictionary)) - 1
 
     # -- input ----------------------------------------------------------
 
@@ -152,16 +191,6 @@ class SXSDecoder:
             )
         self._buffer.extend(data)
 
-    def _advance(self, count: int) -> None:
-        """Move the cursor past ``count`` decoded bytes."""
-        position = self._pos + count
-        self._pos = position
-        self.bytes_decoded += count
-        if position >= _COMPACT_THRESHOLD and position * 2 >= len(self._buffer):
-            del self._buffer[:position]
-            self._base += position
-            self._pos = 0
-
     # -- header -----------------------------------------------------------
 
     def _try_parse_header(self) -> bool:
@@ -185,9 +214,9 @@ class SXSDecoder:
             return False  # need more bytes
         except ValueError as exc:
             raise SXSFormatError(f"malformed tag dictionary: {exc}") from exc
-        self.mode = mode
-        self.dictionary = dictionary
-        self._advance(offset - start)
+        self._use_dictionary(mode, dictionary)
+        self._pos = offset
+        self.bytes_decoded += offset - start
         return True
 
     # -- item decoding -------------------------------------------------------
@@ -201,129 +230,127 @@ class SXSDecoder:
         """
         if self._pending_close is not None:
             tag, self._pending_close = self._pending_close, None
-            return self._close_event(tag)
+            return self._close_events[tag]
         if self._skip_target is not None or self._document_done:
             return None  # waiting for post-skip bytes, or finished
         if self.dictionary is None and not self._try_parse_header():
             return None
         buffer = self._buffer
         start = self._pos
-        if start >= len(buffer):
+        size = len(buffer)
+        if start >= size:
             return None
         opcode = buffer[start]
         if opcode == OP_CLOSE:
-            if not self._stack:
+            stack = self._stack
+            if not stack:
                 raise SXSFormatError("unbalanced CLOSE token")
-            frame = self._stack.pop()
-            self._advance(1)
-            if not self._stack:
+            event: Event = self._close_events[stack.pop().tag]
+            if not stack:
                 self._document_done = True
-            return self._close_event(frame.tag)
-        if opcode != OP_OPEN and opcode != OP_TEXT:
+            end = start + 1
+        elif opcode != OP_OPEN and opcode != OP_TEXT:
             raise SXSFormatError(f"unknown opcode {opcode:#x}")
-        try:
-            if opcode == OP_OPEN:
-                return self._decode_open(buffer, start)
-            length, after = decode_varint(buffer, start + 1)
-            if len(buffer) < after + length:
-                return None
-            # Decode straight off the buffer via an unnamed temporary
-            # view -- it is released before _advance may compact (a
-            # live exported view would make the bytearray resize raise
-            # BufferError).
-            text = str(memoryview(buffer)[after:after + length], "utf-8")
-            self._advance(after - start + length)
-            return ValueEvent(text)
-        except Truncated:
-            return None  # starved mid-token
-        except ValueError as exc:  # bad UTF-8, over-long varint, unknown tag
-            raise SXSFormatError(
-                f"malformed token at offset {self._base + start}: {exc}"
-            ) from exc
-
-    def _decode_open(self, buffer: bytearray, start: int) -> OpenEvent | None:
-        """Decode the OPEN token at ``start`` and push its frame."""
-        dictionary = self.dictionary
-        assert dictionary is not None
-        size = len(buffer)
-        # Batched field decode off the live buffer: the one-byte varint
-        # case (nearly every tag id and length) is inlined.
-        position = start + 1
-        if position >= size:
-            return None
-        byte = buffer[position]
-        if byte < 0x80:
-            tag_id, offset = byte, position + 1
         else:
-            tag_id, offset = decode_varint(buffer, position)
-        if offset >= size:
-            return None
-        byte = buffer[offset]
-        if byte < 0x80:
-            n_attrs, offset = byte, offset + 1
-        else:
-            n_attrs, offset = decode_varint(buffer, offset)
-        attributes: list[tuple[str, str]] = []
-        for _ in range(n_attrs):
-            name_len, offset = decode_varint(buffer, offset)
-            if offset + name_len > size:
-                return None
-            name = str(memoryview(buffer)[offset:offset + name_len], "utf-8")
-            offset += name_len
-            value_len, offset = decode_varint(buffer, offset)
-            if offset + value_len > size:
-                return None
-            value = str(memoryview(buffer)[offset:offset + value_len], "utf-8")
-            offset += value_len
-            attributes.append((name, value))
-        tags_inside: frozenset[int] | None = None
-        content_size: int | None = None
-        mode = self.mode
-        if mode is IndexMode.FLAT or (mode is IndexMode.RECURSIVE and not self._stack):
-            content_size, offset = decode_varint(buffer, offset)
-            width = (len(dictionary) + 7) // 8
-            if offset + width > size:
-                return None
-            tags_inside = ids_from_bitmap(
-                buffer[offset:offset + width], len(dictionary)
-            )
-            offset += width
-        elif mode is IndexMode.RECURSIVE:
-            parent = self._stack[-1]
-            assert parent.content_size is not None
-            assert parent.tags_inside is not None
-            width = parent.child_width
-            if width is None:
-                width = width_for_bound(parent.content_size)
-                parent.child_width = width
-            if offset + width > size:
-                return None
-            if width == 1:
-                content_size = buffer[offset]
-                offset += 1
-            else:
-                content_size = int.from_bytes(
-                    buffer[offset:offset + width], "little"
-                )
-                offset += width
-            if parent.support is None:
-                parent.support = tuple(sorted(parent.tags_inside))
-            tags_inside, offset = decode_relative(
-                buffer, offset, parent.tags_inside, parent.support
-            )
-        try:
-            tag = dictionary.name_of(tag_id)
-        except IndexError:
-            raise ValueError(f"unknown tag id {tag_id}") from None
-        self._advance(offset - start)
-        self._stack.append(
-            OpenFrame(tag, tags_inside, content_size, self._base + self._pos)
-        )
-        if attributes:
-            return OpenEvent(tag, tuple(attributes))
-        event = self._plain_opens.get(tag)
-        if event is None:
-            event = self._plain_opens[tag] = OpenEvent(tag)
+            try:
+                # A text length or tag id, then (OPEN) the attribute
+                # count; the one-byte varint case is inline.
+                end = start + 1
+                if end >= size:
+                    return None
+                value = buffer[end]
+                if value < 0x80:
+                    end += 1
+                else:
+                    value, end = decode_varint(buffer, end)
+                if opcode == OP_TEXT:
+                    if size < end + value:
+                        return None
+                    # Decode straight off the buffer via an unnamed
+                    # temporary view -- it is released before the
+                    # compaction below (a live exported view would make
+                    # the bytearray resize raise BufferError).
+                    event = ValueEvent(str(memoryview(buffer)[end:end + value], "utf-8"))
+                    end += value
+                else:
+                    tag_id = value
+                    if end >= size:
+                        return None
+                    n_attrs = buffer[end]
+                    if n_attrs < 0x80:
+                        end += 1
+                    else:
+                        n_attrs, end = decode_varint(buffer, end)
+                    attributes: list[tuple[str, str]] = []
+                    for _ in range(n_attrs):
+                        name_len, end = decode_varint(buffer, end)
+                        if end + name_len > size:
+                            return None
+                        name = str(memoryview(buffer)[end:end + name_len], "utf-8")
+                        end += name_len
+                        value_len, end = decode_varint(buffer, end)
+                        if end + value_len > size:
+                            return None
+                        text = str(memoryview(buffer)[end:end + value_len], "utf-8")
+                        end += value_len
+                        attributes.append((name, text))
+                    stack = self._stack
+                    mode = self.mode
+                    parent = None
+                    if mode is IndexMode.RECURSIVE and stack:
+                        # Size bounded by the parent's, bitmap on the
+                        # parent's support: both widths from the parent.
+                        parent = stack[-1]
+                        fields = parent._child_fields
+                        if fields is None:
+                            assert parent.content_size is not None
+                            count = parent.bits.bit_count()
+                            fields = parent._child_fields = (
+                                width_for_bound(parent.content_size),
+                                (count + 7) // 8,
+                                (1 << count) - 1,
+                            )
+                        size_width, bits_width, mask = fields
+                        bits_at = end + size_width
+                        if bits_at + bits_width > size:
+                            return None
+                        if size_width == 1:
+                            content_size: int | None = buffer[end]
+                        else:
+                            content_size = int.from_bytes(buffer[end:bits_at], "little")
+                        end = bits_at + bits_width
+                        bits: int | None = (
+                            int.from_bytes(buffer[bits_at:end], "little") & mask
+                        )
+                    elif mode is IndexMode.NONE:
+                        content_size = bits = None
+                    else:  # FLAT, or the RECURSIVE root: a full-width bitmap
+                        content_size, end = decode_varint(buffer, end)
+                        if end + self._root_width > size:
+                            return None
+                        bits_at, end = end, end + self._root_width
+                        bits = int.from_bytes(buffer[bits_at:end], "little") & self._root_mask
+                    try:
+                        event = self._plain_opens[tag_id]
+                    except IndexError:
+                        raise ValueError(f"unknown tag id {tag_id}") from None
+                    if attributes:
+                        event = OpenEvent(event.tag, tuple(attributes))
+                    stack.append(
+                        OpenFrame(event.tag, content_size, self._base + end, bits, parent)
+                    )
+            except Truncated:
+                return None  # starved mid-token
+            except ValueError as exc:  # bad UTF-8, over-long varint, unknown tag
+                raise SXSFormatError(
+                    f"malformed token at offset {self._base + start}: {exc}"
+                ) from exc
+        self.bytes_decoded += end - start
+        if end >= _COMPACT_THRESHOLD and end * 2 >= size:
+            del buffer[:end]
+            self._base += end
+            end = 0
+        self._pos = end
         return event
 
     # -- skipping ----------------------------------------------------------
@@ -351,9 +378,7 @@ class SXSDecoder:
         resume = frame.content_start + frame.content_size
         buffered_end = self._base + len(self._buffer)
         if resume <= buffered_end:
-            skipped = resume - (self._base + self._pos)
-            self._advance(skipped)
-            self.bytes_decoded -= skipped  # skipped bytes are not decoded
+            self._pos = resume - self._base  # skipped bytes are not decoded
         else:
             # Bytes in the buffer were never counted as decoded; just
             # drop them and wait for the resume offset.
@@ -377,8 +402,7 @@ class SXSDecoder:
         ends at the element's own close (``document_done``).
         """
         decoder = cls()
-        decoder.mode = mode
-        decoder.dictionary = dictionary
+        decoder._use_dictionary(mode, dictionary)
         decoder._stack.append(frame)
         decoder._base = frame.content_start
         decoder._skip_target = frame.content_start  # trims pre-region bytes

@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.skipindex.bitset import decode_relative, ids_from_bitmap, relative_width
+from repro.skipindex.bitset import (
+    decode_relative,
+    ids_from_bitmap,
+    peel_ids,
+    relative_width,
+)
 from repro.skipindex.decoder import (
     SXSDecoder,
     SXSFormatError,
@@ -427,3 +432,36 @@ def test_for_region_replay_decodes_the_same_ids():
             replayed += 1
     assert region.document_done and replayed > 3
     assert frame.tags_inside == expected[frame.content_start]
+
+
+def test_decoding_builds_no_id_set_until_one_is_read(monkeypatch):
+    import repro.skipindex.decoder as decoder_module
+
+    calls = []
+
+    def counting(bits, support=None):
+        calls.append(bits)
+        return peel_ids(bits, support)
+
+    monkeypatch.setattr(decoder_module, "peel_ids", counting)
+    root = hospital(n_patients=3, episodes_per_patient=2)
+    data = encode_document(list(tree_to_events(root)), IndexMode.RECURSIVE)
+    frames = []
+    for chunk in (7, 64, len(data)):
+        decoder = SXSDecoder()
+        for start in range(0, len(data), chunk):
+            decoder.push(data[start:start + chunk], start)
+            while (event := decoder.next_item()) is not None:
+                if type(event) is OpenEvent:
+                    frames.append(decoder.frame)
+        assert decoder.document_done
+    assert len(frames) > 30 and calls == []
+    # Reading a leaf's ids decodes its chain of supports, once each.
+    leaf = frames[-1]
+    depth = 0
+    node = leaf
+    while node is not None:
+        depth += 1
+        node = node.parent
+    assert leaf.tags_inside is leaf.tags_inside
+    assert len(calls) == depth
