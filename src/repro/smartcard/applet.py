@@ -295,17 +295,23 @@ class CardApplet:
 
     def put_chunk(self, index: int, blob: bytes) -> ChunkResult:
         """Verify, decrypt and process one document chunk."""
+        decoder = self._consume_chunk(index, blob)
+        return ChunkResult(
+            next_offset=decoder.next_needed_offset,
+            document_done=decoder.document_done,
+            output_available=len(self._output),
+        )
+
+    def _consume_chunk(self, index: int, blob: bytes) -> SXSDecoder:
+        """Verify, decrypt and pump one chunk of the main pass."""
         if self._header is None:
             raise AppletError("header must be verified before chunks")
         controller = self._ensure_controller()
-        assert self._decoder is not None
-        self._decoder.push(self._open_chunk(index, blob), index * self._header.chunk_size)
-        self._pump(controller, self._decoder)
-        return ChunkResult(
-            next_offset=self._decoder.next_needed_offset,
-            document_done=self._decoder.document_done,
-            output_available=len(self._output),
-        )
+        decoder = self._decoder
+        assert decoder is not None
+        decoder.push(self._open_chunk(index, blob), index * self._header.chunk_size)
+        self._pump(controller, decoder)
+        return decoder
 
     def _open_chunk(self, index: int, blob: bytes) -> bytes:
         """Verify and decrypt one chunk, charging its MAC and decryption."""
@@ -346,7 +352,7 @@ class CardApplet:
                 self._batch_dropped += 1
                 self._batch_dropped_bytes += len(blob)
                 return
-        self.put_chunk(index, blob)
+        self._consume_chunk(index, blob)
         self._batch_consumed += 1
 
     def end_chunk_batch(self) -> BatchResult:
@@ -388,22 +394,33 @@ class CardApplet:
         the engine work (the ``EngineStats`` delta) and the decoded
         bytes are charged once -- integer cycle sums do not depend on
         how they are split.  Decoder RAM is checked after opens only,
-        the one item that deepens the stack.  If an item faults (a
-        strict-RAM overflow), the items before it keep the charges a
-        per-item pump made: their output and engine work, and no decode
-        charge.
+        the one item that deepens the stack.  An open leaves the loop
+        for :meth:`_maybe_skip` only when its subtree could be skipped:
+        the stream carries an index and the element is not delivered.
+        If an item faults (a strict-RAM overflow), the items before it
+        keep the charges a per-item pump made: their output and engine
+        work, and no decode charge.
         """
         next_item = decoder.next_item
         feed = controller.feed
+        current_kind = controller.current_kind
         stats = controller.stats
+        allocate = self.soe.memory.allocate
         settled = _engine_counters(stats)
         released: list[Event] = []
         try:
             while (event := next_item()) is not None:
                 if type(event) is OpenEvent:
-                    self._track_decoder_ram(decoder.depth)
+                    needed = decoder.depth * DECODER_FRAME_BYTES
+                    if needed > self._decoder_ram:
+                        allocate("decoder", needed - self._decoder_ram)
+                        self._decoder_ram = needed
                     released += feed(event)
-                    self._maybe_skip(controller, decoder)
+                    frame = decoder.frame
+                    if frame.content_size is not None:
+                        kind = current_kind()
+                        if kind != _Record.DELIVER:
+                            self._maybe_skip(controller, decoder, frame, kind)
                 else:
                     released += feed(event)
                 settled = _engine_counters(stats)
@@ -413,29 +430,22 @@ class CardApplet:
         self.soe.charge_decode(decoder.bytes_decoded - self._decoder_charged)
         self._decoder_charged = decoder.bytes_decoded
 
-    def _track_decoder_ram(self, depth: int) -> None:
-        needed = depth * DECODER_FRAME_BYTES
-        if needed > self._decoder_ram:
-            self.soe.memory.allocate("decoder", needed - self._decoder_ram)
-            self._decoder_ram = needed
-
     def _maybe_skip(
-        self, controller: AccessController, decoder: SXSDecoder
+        self,
+        controller: AccessController,
+        decoder: SXSDecoder,
+        frame: OpenFrame,
+        kind: str,
     ) -> None:
         """Apply the skip rule of Section 2.3 to a freshly opened subtree.
 
-        The skip metadata is the decoder's innermost frame; its tag ids
-        become names only for the subtrees that reach the skip test.
+        ``frame`` is the decoder's innermost frame, indexed, and ``kind``
+        its delivery kind, not DELIVER; its tag ids are decoded, and
+        become names, only here.
         """
-        frame = decoder.frame
-        if frame.tags_inside is None:
-            return  # stream carries no skip index
-        kind = controller.current_kind()
-        if kind == _Record.DELIVER:
-            return  # content must be transferred anyway
         if kind == _Record.PENDING and self._strategy is not PendingStrategy.REFETCH:
             return
-        assert decoder.dictionary is not None
+        assert decoder.dictionary is not None and frame.tags_inside is not None
         tags_inside = decoder.dictionary.ids_to_names(frame.tags_inside)
         if not controller.subtree_is_irrelevant(tags_inside):
             return
