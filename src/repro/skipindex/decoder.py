@@ -281,19 +281,21 @@ class SXSDecoder:
                         end += 1
                     else:
                         n_attrs, end = decode_varint(buffer, end)
-                    attributes: list[tuple[str, str]] = []
-                    for _ in range(n_attrs):
-                        name_len, end = decode_varint(buffer, end)
-                        if end + name_len > size:
-                            return None
-                        name = str(memoryview(buffer)[end:end + name_len], "utf-8")
-                        end += name_len
-                        value_len, end = decode_varint(buffer, end)
-                        if end + value_len > size:
-                            return None
-                        text = str(memoryview(buffer)[end:end + value_len], "utf-8")
-                        end += value_len
-                        attributes.append((name, text))
+                    attributes: list[tuple[str, str]] | None = None
+                    if n_attrs:
+                        attributes = []
+                        for _ in range(n_attrs):
+                            name_len, end = decode_varint(buffer, end)
+                            if end + name_len > size:
+                                return None
+                            name = str(memoryview(buffer)[end:end + name_len], "utf-8")
+                            end += name_len
+                            value_len, end = decode_varint(buffer, end)
+                            if end + value_len > size:
+                                return None
+                            text = str(memoryview(buffer)[end:end + value_len], "utf-8")
+                            end += value_len
+                            attributes.append((name, text))
                     stack = self._stack
                     mode = self.mode
                     parent = None
@@ -319,9 +321,10 @@ class SXSDecoder:
                         else:
                             content_size = int.from_bytes(buffer[end:bits_at], "little")
                         end = bits_at + bits_width
-                        bits: int | None = (
-                            int.from_bytes(buffer[bits_at:end], "little") & mask
-                        )
+                        if bits_width == 1:
+                            bits: int | None = buffer[bits_at] & mask
+                        else:
+                            bits = int.from_bytes(buffer[bits_at:end], "little") & mask
                     elif mode is IndexMode.NONE:
                         content_size = bits = None
                     else:  # FLAT, or the RECURSIVE root: a full-width bitmap
