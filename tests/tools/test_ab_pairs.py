@@ -1,0 +1,64 @@
+"""The verdict of ``benchmarks/ab_pairs.py`` on fixed numbers."""
+
+import importlib.util
+import pathlib
+import sys
+
+import pytest
+
+AB_PAIRS_PATH = (
+    pathlib.Path(__file__).resolve().parents[2] / "benchmarks" / "ab_pairs.py"
+)
+
+
+def _load():
+    spec = importlib.util.spec_from_file_location("ab_pairs", AB_PAIRS_PATH)
+    assert spec is not None and spec.loader is not None
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+verdict = _load().verdict
+
+PARENT = [6.70, 6.80, 6.60, 6.90, 6.75, 6.85, 6.65, 6.95, 6.78, 6.72]
+
+
+def test_a_clear_gain_holds():
+    change = [value - 0.6 for value in PARENT]
+    judged = verdict(PARENT, change, "lower")
+    assert judged.wins == 10 and judged.pairs == 10
+    assert judged.parent[1] == pytest.approx(6.765)
+    assert judged.parent_iqr == pytest.approx(6.8625 - 6.6875)
+    assert judged.gain == pytest.approx(0.6)
+    assert judged.holds
+
+
+def test_nine_wins_of_ten_suffice_eight_do_not():
+    change = [value - 0.6 for value in PARENT]
+    change[0] = PARENT[0] + 1.0
+    assert verdict(PARENT, change, "lower").holds
+    change[1] = PARENT[1]  # a tie counts for neither side
+    judged = verdict(PARENT, change, "lower")
+    assert judged.wins == 8 and not judged.holds
+
+
+def test_a_gain_inside_the_parent_spread_fails():
+    change = [value - 0.1 for value in PARENT]  # IQR is 0.175
+    judged = verdict(PARENT, change, "lower")
+    assert judged.wins == 10 and not judged.holds
+
+
+def test_higher_is_better():
+    rates = [100.0, 102.0, 98.0, 101.0, 99.0, 100.5, 99.5, 101.5, 98.5, 100.2]
+    judged = verdict(rates, [rate + 10 for rate in rates], "higher")
+    assert judged.wins == 10 and judged.gain == pytest.approx(10.0) and judged.holds
+    assert not verdict(rates, [rate - 10 for rate in rates], "higher").holds
+
+
+def test_rejects_unpaired_runs():
+    with pytest.raises(ValueError):
+        verdict([1.0, 2.0], [1.0], "lower")
+    with pytest.raises(ValueError):
+        verdict([1.0], [1.0], "faster")
