@@ -1,7 +1,7 @@
 """Tests for the compile-once / evaluate-many layer.
 
-Covers: registry cache hit/miss and LRU behavior, invalidation under
-policy churn (the E8 scenario), differential equality of the
+Covers: registry cache hit/miss and LRU behavior, misses under policy
+churn (the E8 scenario) and the LRU bound under in-place churn, differential equality of the
 CompiledPolicy-driven paths against the legacy constructor path on the
 ``workloads/docgen`` corpus, and the zero-recompile guarantee for
 repeated :class:`AccessController` construction.
@@ -18,6 +18,7 @@ from repro.core.compiled import (
 from repro.core.multicast import MultiSubjectEvaluator, multicast_views
 from repro.core.nfa import compile_call_count, compile_path
 from repro.core.pipeline import AccessController, authorized_view
+from repro.core.reference import reference_view
 from repro.core.rules import AccessRule, RuleSet, Sign, Subject
 from repro.core.runtime import EngineStats
 from repro.workloads.docgen import agenda, hospital, video_catalog, _CATEGORIES
@@ -159,10 +160,10 @@ def test_registry_lru_eviction():
     assert registry.stats.misses == 4  # nurse was recompiled
 
 
-def test_registry_invalidation_on_policy_churn():
-    """Reuses the E8 policy-churn scenario: a revision that changes a
-    subject's effective rights misses; invalidate() evicts the retired
-    generation's entries."""
+def test_registry_misses_on_policy_churn():
+    """Reuses the E8 policy-churn scenario: content addressing alone
+    answers churn -- a revision that changes a subject's effective
+    rights misses, one that leaves them alone hits."""
     registry = PolicyRegistry()
     base = agenda_rules(MEMBERS)
     for member in MEMBERS:
@@ -182,40 +183,38 @@ def test_registry_invalidation_on_policy_churn():
         registry.get(revoked, member)
     assert registry.stats.hits == len(MEMBERS) - 1
     assert registry.stats.misses == 2 * len(MEMBERS) + 1
-    # Explicitly retire the base generation.
-    dropped = registry.invalidate(base)
-    assert dropped == len(MEMBERS)
-    # A second invalidation finds nothing left to drop.
-    assert registry.invalidate(base) == 0
-    registry.clear()
-    assert len(registry) == 0
 
 
-def test_registry_invalidate_after_in_place_churn():
-    """The documented churn flow: mutate the rule set IN PLACE, then
-    invalidate(rules) -- the superseded generation must still be
-    evicted (via the rule set's fingerprint history)."""
+def test_registry_in_place_churn_compiles_the_new_policy():
+    """A rule set mutated in place after a ``get`` fingerprints anew,
+    so the next ``get`` compiles the new policy, never the stale one."""
     registry = PolicyRegistry()
-    rules = RuleSet([AccessRule.parse("+", "u", "//a", rule_id="IP0")])
-    registry.get(rules, "u")
-    rules.add(AccessRule.parse("-", "u", "//a/b", rule_id="IP1"))
-    registry.get(rules, "u")
-    assert len(registry) == 2
-    dropped = registry.invalidate(rules)
-    assert dropped == 2  # current generation AND the pre-churn one
-    assert len(registry) == 0
-
-
-def test_registry_invalidate_survives_lru_eviction_of_entries():
-    """The source index is cleaned when entries fall out of the LRU, so
-    invalidate() reports exactly the live entries it removed."""
-    registry = PolicyRegistry(capacity=1)
+    root = hospital(n_patients=3)
+    events = list(tree_to_events(root))
     rules = hospital_rules()
-    registry.get(rules, "doctor")
-    registry.get(rules, "nurse")  # evicts doctor's entry
-    # Only nurse's entry is still live; doctor's was already evicted.
-    assert registry.invalidate(rules) == 1
-    assert len(registry) == 0
+    before = registry.get(rules, "doctor")
+    assert "<diagnosis>" in _view(events, rules, "doctor", registry=registry)
+    rules.add(AccessRule.parse("-", "doctor", "//diagnosis", rule_id="IP0"))
+    compiles = compile_call_count()
+    after = registry.get(rules, "doctor")
+    assert after is not before
+    assert compile_call_count() > compiles
+    via_registry = _view(events, rules, "doctor", registry=registry)
+    assert via_registry == write_string(reference_view(root, rules, "doctor"))
+    assert "<diagnosis>" not in via_registry
+
+
+def test_registry_stays_bounded_under_churn():
+    """In-place churn leaves superseded generations behind; the LRU
+    bound, not an eviction call, caps what stays."""
+    registry = PolicyRegistry(capacity=4)
+    rules = RuleSet([AccessRule.parse("+", "u", "/r", rule_id="B0")])
+    for generation in range(50):
+        rules.add(AccessRule.parse("-", "u", f"/r/g{generation}", rule_id=f"B{generation + 1}"))
+        registry.get(rules, "u")
+        assert len(registry) <= 4
+    assert registry.stats.misses == 50
+    assert registry.stats.evictions == 46
 
 
 def test_registry_shares_identical_effective_policies():

@@ -97,16 +97,13 @@ def _scratch_fingerprint(rules) -> str:
     return digest.hexdigest()
 
 
-def test_fingerprint_history_matches_scratch_recomputation():
+def test_running_digest_matches_scratch_recomputation():
     """Mixed add/remove churn: the running digest always agrees with a
-    from-scratch hash, and the history holds exactly the pre-mutation
-    fingerprints (deduplicated, newest 16)."""
+    from-scratch hash."""
     rng = random.Random(7)
     paths = ["/a", "//b", "/a/c", "//d[e]", "/a//f"]
     rules = RuleSet()
-    expected: list[str] = []
     for step in range(120):
-        before = _scratch_fingerprint(rules)
         ids = [rule.rule_id for rule in rules]
         if ids and rng.random() < 0.4:
             rules.remove(rng.choice(ids))
@@ -119,11 +116,7 @@ def test_fingerprint_history_matches_scratch_recomputation():
                     rule_id=f"r{step}",
                 )
             )
-        if before not in expected:
-            expected.append(before)
-            del expected[:-16]
         assert rules.fingerprint() == _scratch_fingerprint(rules)
-        assert rules.fingerprint_history() == tuple(expected)
 
 
 def test_adding_n_rules_renders_each_path_once(monkeypatch):
