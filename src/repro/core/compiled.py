@@ -13,9 +13,11 @@ The seed reproduction instead recompiled every rule path on each
 * :func:`compile_policy` builds one from a :class:`RuleSet`;
   :func:`compile_query` builds the one-rule policy of a pull query.
 * :class:`PolicyRegistry` is an LRU cache of compiled policies keyed by
-  ``(ruleset_fingerprint, subject, default)``, with explicit
-  invalidation for policy churn and a secondary cache for compiled
-  queries.
+  the content fingerprint of the effective sub-policy and the default
+  sign, with a secondary cache for compiled queries.  Content
+  addressing is its whole answer to policy churn: a changed policy
+  fingerprints anew and misses, and the LRU bound caps the superseded
+  generations left behind.
 
 Per-document setup through this layer allocates only tokens and
 frames; NFAs are compiled exactly once per distinct policy.
@@ -137,7 +139,7 @@ def compile_query(query: str | Path) -> CompiledPolicy:
 class RegistryStats:
     """Counters of one registry's cache behavior."""
 
-    __slots__ = ("hits", "misses", "query_hits", "query_misses", "evictions", "invalidated")
+    __slots__ = ("hits", "misses", "query_hits", "query_misses", "evictions")
 
     def __init__(self) -> None:
         self.hits = 0
@@ -145,13 +147,12 @@ class RegistryStats:
         self.query_hits = 0
         self.query_misses = 0
         self.evictions = 0
-        self.invalidated = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"RegistryStats(hits={self.hits}, misses={self.misses}, "
             f"query_hits={self.query_hits}, query_misses={self.query_misses}, "
-            f"evictions={self.evictions}, invalidated={self.invalidated})"
+            f"evictions={self.evictions})"
         )
 
 
@@ -164,16 +165,10 @@ class PolicyRegistry:
     subjects whose rights coincide (e.g. two members of the same
     subscription tier) therefore share one entry and one set of
     compiled automata, and policy churn (a changed, added or removed
-    rule) naturally misses and compiles fresh automata.
-
-    A side index maps each *source* rule set's fingerprint (current
-    and, via :meth:`~repro.core.rules.RuleSet.fingerprint_history`,
-    recently superseded) to the entries it produced, so
-    :meth:`invalidate` can eagerly evict a retired policy generation
-    -- even when the rule set was churned in place -- instead of
-    letting it linger until LRU pressure.  The index is kept in
-    lock-step with the entries (a reverse map cleans it on eviction),
-    so invalidation never silently misses a live entry.
+    rule, in place or in a new rule set) naturally misses and compiles
+    fresh automata.  Nothing is evicted eagerly: a superseded
+    generation is never looked up again and ages out under the
+    ``capacity`` bound.
 
     The registry also caches compiled *queries* (pull scenarios), keyed
     by their text form; each is a :func:`compile_query` policy that
@@ -189,10 +184,6 @@ class PolicyRegistry:
         self._policies: OrderedDict[tuple[str, Sign], CompiledPolicy] = (
             OrderedDict()
         )
-        # source ruleset fingerprint -> the policy keys it produced,
-        # plus the reverse map used to clean up on eviction.
-        self._sources: dict[str, set[tuple[str, Sign]]] = {}
-        self._key_sources: dict[tuple[str, Sign], set[str]] = {}
         # (source fingerprint, subject, default) -> policy key: an O(1)
         # accelerator so warm lookups skip the for_subject filter and
         # the effective-fingerprint hash.  Entries may dangle after an
@@ -205,28 +196,20 @@ class PolicyRegistry:
     def __len__(self) -> int:
         return len(self._policies)
 
-    def __bool__(self) -> bool:
-        # An empty registry is still a registry: callers use
-        # ``registry or PolicyRegistry()``-style defaulting, which must
-        # not silently replace an empty shared cache.
-        return True
-
     # -- policies ---------------------------------------------------------
 
     def get(
         self,
-        rules: Union[RuleSet, "CompiledPolicy"],
+        rules: RuleSet,
         subject: Subject | str | None = None,
         default: Sign = Sign.DENY,
     ) -> CompiledPolicy:
         """The compiled policy for ``(rules, subject, default)``.
 
-        Compiles on the first request and returns the cached automata
-        afterwards.  A prebuilt :class:`CompiledPolicy` passes through
-        untouched.
+        Compiles on the first request for a policy content and returns
+        the cached automata afterwards; a rule set mutated since its
+        last ``get`` fingerprints anew, so it compiles its new policy.
         """
-        if isinstance(rules, CompiledPolicy):
-            return rules
         source_fingerprint = rules.fingerprint()
         subject = _subject_key(subject)
         alias = (source_fingerprint, subject, default)
@@ -245,7 +228,12 @@ class PolicyRegistry:
         effective = rules.for_subject(subject) if subject is not None else rules
         key = (effective.fingerprint(), default)
         with self._lock:
-            self._index_source(source_fingerprint, alias, key)
+            self._aliases[alias] = key
+            self._aliases.move_to_end(alias)
+            # Aliases are a pure accelerator -- bound them independently;
+            # dropping one only costs a slow-path lookup later.
+            while len(self._aliases) > 4 * self.capacity:
+                self._aliases.popitem(last=False)
             cached = self._policies.get(key)
             if cached is not None:
                 self._policies.move_to_end(key)
@@ -257,69 +245,9 @@ class PolicyRegistry:
             self._policies[key] = policy
             self._policies.move_to_end(key)
             while len(self._policies) > self.capacity:
-                evicted, __ = self._policies.popitem(last=False)
-                self._unindex(evicted)
+                self._policies.popitem(last=False)
                 self.stats.evictions += 1
         return policy
-
-    def _index_source(
-        self,
-        fingerprint: str,
-        alias: tuple[str, Subject | None, Sign],
-        key: tuple[str, Sign],
-    ) -> None:
-        self._sources.setdefault(fingerprint, set()).add(key)
-        self._key_sources.setdefault(key, set()).add(fingerprint)
-        self._aliases[alias] = key
-        self._aliases.move_to_end(alias)
-        # Aliases are a pure accelerator -- bound them independently;
-        # dropping one only costs a slow-path lookup later.
-        while len(self._aliases) > 4 * self.capacity:
-            self._aliases.popitem(last=False)
-
-    def _unindex(self, key: tuple[str, Sign]) -> None:
-        """Remove a dead policy key from the source index."""
-        for fingerprint in self._key_sources.pop(key, ()):
-            keys = self._sources.get(fingerprint)
-            if keys is not None:
-                keys.discard(key)
-                if not keys:
-                    del self._sources[fingerprint]
-
-    def invalidate(self, rules: Union[RuleSet, str, None] = None) -> int:
-        """Evict cached policies; returns the number of entries dropped.
-
-        ``rules`` may be the rule set itself (current *and* recently
-        superseded in-place generations are evicted, via its
-        fingerprint history), a source fingerprint string, or ``None``
-        to drop everything including cached queries.
-        """
-        with self._lock:
-            if rules is None:
-                dropped = len(self._policies) + len(self._queries)
-                self._policies.clear()
-                self._sources.clear()
-                self._key_sources.clear()
-                self._aliases.clear()
-                self._queries.clear()
-            else:
-                if isinstance(rules, str):
-                    fingerprints = {rules}
-                else:
-                    fingerprints = {rules.fingerprint()}
-                    fingerprints.update(rules.fingerprint_history())
-                dropped = 0
-                for fingerprint in fingerprints:
-                    for key in self._sources.pop(fingerprint, set()).copy():
-                        if self._policies.pop(key, None) is not None:
-                            dropped += 1
-                        self._unindex(key)
-            self.stats.invalidated += dropped
-            return dropped
-
-    def clear(self) -> None:
-        """Drop every cached policy and query."""
-        self.invalidate(None)
 
     # -- queries ----------------------------------------------------------
 

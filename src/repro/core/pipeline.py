@@ -88,7 +88,7 @@ class AccessController:
             ProductEngine(memory=memory, stats=self.stats), policy, memory
         )
         if query is not None and not isinstance(query, CompiledPolicy):
-            query = registry.get_query(query) if registry else compile_query(query)
+            query = registry.get_query(query) if registry is not None else compile_query(query)
         self.compiled_query = query
         self._query = None if query is None else Lane(
             ProductEngine(memory=memory, stats=self.stats), query, memory

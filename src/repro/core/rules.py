@@ -97,18 +97,15 @@ class RuleSet:
     which is what actually gets compiled into automata.
     """
 
-    #: How many superseded fingerprints a rule set remembers (see
-    #: :meth:`fingerprint_history`).
-    _HISTORY_LIMIT = 16
-
     def __init__(self, rules: Iterable[AccessRule] = ()) -> None:
         self._rules: list[AccessRule] = list(rules)
         self._ids = {rule.rule_id for rule in self._rules}
         if len(self._ids) != len(self._rules):
             raise ValueError("duplicate rule identifiers in rule set")
-        self._past_fingerprints: list[str] = []
-        #: Running hash over the rules so far (built on first use);
-        #: ``add`` extends it, ``remove`` drops it for a rebuild.
+        #: Running hash over the rules so far, built by the first
+        #: :meth:`fingerprint`; ``add`` extends one that exists,
+        #: ``remove`` drops it for a rebuild.  A set whose fingerprint
+        #: is never read is never hashed.
         self._digest: hashlib._Hash | None = None
         self._fingerprint: str | None = None
 
@@ -118,23 +115,16 @@ class RuleSet:
     def __len__(self) -> int:
         return len(self._rules)
 
-    def _record_fingerprint(self) -> None:
-        """Remember the pre-mutation fingerprint, drop the memo."""
-        fingerprint = self.fingerprint()
-        if fingerprint not in self._past_fingerprints:
-            self._past_fingerprints.append(fingerprint)
-            del self._past_fingerprints[: -self._HISTORY_LIMIT]
-        self._fingerprint = None
-
     def add(self, rule: AccessRule) -> None:
         """Append a rule (policies are dynamic -- the paper's point).
 
-        O(1): the running digest absorbs the new rule only.
+        O(1): the running digest, if built, absorbs the new rule only.
         """
         if rule.rule_id in self._ids:
             raise ValueError(f"duplicate rule id {rule.rule_id!r}")
-        self._record_fingerprint()
-        _digest_rule(self._running_digest(), rule)
+        self._fingerprint = None
+        if self._digest is not None:
+            _digest_rule(self._digest, rule)
         self._rules.append(rule)
         self._ids.add(rule.rule_id)
 
@@ -142,7 +132,7 @@ class RuleSet:
         """Remove and return the rule with the given id."""
         for index, rule in enumerate(self._rules):
             if rule.rule_id == rule_id:
-                self._record_fingerprint()
+                self._fingerprint = None
                 self._digest = None  # a hash cannot forget: rebuild
                 self._ids.discard(rule_id)
                 return self._rules.pop(index)
@@ -180,18 +170,6 @@ class RuleSet:
                 _digest_rule(digest, rule)
             self._digest = digest
         return self._digest
-
-    def fingerprint_history(self) -> tuple[str, ...]:
-        """Fingerprints this set carried before in-place churn.
-
-        ``add``/``remove`` record the pre-mutation fingerprint (up to
-        the last :data:`_HISTORY_LIMIT` generations), so a
-        :class:`~repro.core.compiled.PolicyRegistry` can evict the
-        superseded generations of a rule set that was mutated in place
-        -- by the time ``invalidate(rules)`` runs, the current
-        fingerprint alone would no longer match them.
-        """
-        return tuple(self._past_fingerprints)
 
     def label_set(self) -> frozenset[str]:
         """Union of all tag names the rules mention (skip-index filter)."""

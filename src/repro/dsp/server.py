@@ -209,7 +209,3 @@ class TrustedFilterService:
         for text in rendered.values():
             self.server._charge(len(text.encode("utf-8")))
         return rendered
-
-    def invalidate_policy(self, rules: RuleSet) -> int:
-        """Evict a superseded policy generation from the view cache."""
-        return self.registry.invalidate(rules)
