@@ -266,11 +266,7 @@ class SXSDecoder:
                 if opcode == OP_TEXT:
                     if size < end + value:
                         return None
-                    # Decode straight off the buffer via an unnamed
-                    # temporary view -- it is released before the
-                    # compaction below (a live exported view would make
-                    # the bytearray resize raise BufferError).
-                    event = ValueEvent(str(memoryview(buffer)[end:end + value], "utf-8"))
+                    event = ValueEvent(buffer[end:end + value].decode("utf-8"))
                     end += value
                 else:
                     tag_id = value
@@ -288,12 +284,12 @@ class SXSDecoder:
                             name_len, end = decode_varint(buffer, end)
                             if end + name_len > size:
                                 return None
-                            name = str(memoryview(buffer)[end:end + name_len], "utf-8")
+                            name = buffer[end:end + name_len].decode("utf-8")
                             end += name_len
                             value_len, end = decode_varint(buffer, end)
                             if end + value_len > size:
                                 return None
-                            text = str(memoryview(buffer)[end:end + value_len], "utf-8")
+                            text = buffer[end:end + value_len].decode("utf-8")
                             end += value_len
                             attributes.append((name, text))
                     stack = self._stack
