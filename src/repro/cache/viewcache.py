@@ -166,30 +166,6 @@ class ViewCache:
         """The raw entry (no freshness check, no LRU touch); tests only."""
         return self._entries.get(key)
 
-    # -- candidate pre-check ----------------------------------------------
-
-    def has_candidates(self, key: CacheKey) -> bool:
-        """Whether a probe could possibly be answered for ``key``.
-
-        ``False`` means the caller should skip the ``GET_META`` round
-        trip entirely: there is no exact entry and no donor a semantic
-        answer could come from.
-        """
-        if key in self._entries:
-            return True
-        peers = self._by_base.get(key.base)
-        if not peers:
-            return False
-        if key.query is None or not semantic.answerable(
-            key.query, key.strategy, key.view_mode
-        ):
-            return False
-        return any(
-            semantic.covers(peer.query, key.query)
-            for peer in peers
-            if peer != key
-        )
-
     # -- lookup ------------------------------------------------------------
 
     def lookup(

@@ -292,16 +292,6 @@ def test_stale_donor_is_dropped_not_answered_from():
     assert cache.stats.invalidations == 1
 
 
-def test_has_candidates_predicts_lookup():
-    cache = ViewCache()
-    assert not cache.has_candidates(_key("/notes/work"))
-    _store(cache, _key(None), xml=DONOR_XML)
-    assert cache.has_candidates(_key(None))  # exact
-    assert cache.has_candidates(_key("/notes/work"))  # semantic donor
-    assert not cache.has_candidates(_key("/x", subject="carol"))
-    assert not cache.has_candidates(_key('/a[b = "1"]'))  # not answerable
-
-
 # -- stats -------------------------------------------------------------------
 
 
