@@ -33,7 +33,7 @@ import enum
 from dataclasses import dataclass, field
 from operator import attrgetter
 
-from repro.core.compiled import AUTOMATON_STATE_BYTES, PolicyRegistry
+from repro.core.compiled import PolicyRegistry
 from repro.core.decisions import DecisionNode
 from repro.core.pipeline import AccessController
 from repro.core.delivery import ViewMode, _Record
@@ -283,10 +283,9 @@ class CardApplet:
             )
             # Charge the compiled automata to secure RAM -- straight
             # from the compiled artifact, no recompilation.
-            states = policy.state_count
+            self._automata_ram = policy.ram_bytes
             if compiled_query is not None:
-                states += compiled_query.state_count
-            self._automata_ram = states * AUTOMATON_STATE_BYTES
+                self._automata_ram += compiled_query.ram_bytes
             self.soe.memory.allocate("automata", self._automata_ram)
             self._decoder = SXSDecoder()
         return self._controller
