@@ -10,8 +10,13 @@ output is its JSON result.  For every end-to-end metric that
 median and quartiles, the pairs the change won (ties count for
 neither) and whether the gain rule holds: the change wins at least 9
 of every 10 pairs, and its median beats the parent's by more than the
-parent's interquartile range.  Every pair is printed as it finishes.
-The script exits 1 when a run fails or reports failed operations.
+parent's interquartile range.  Each metric also gets a no-regression
+verdict against its ``bound`` (a fraction of the parent median):
+``regressed`` when the change's median is worse than the parent's by
+more than the bound, ``unresolved`` when the parent's IQR/median
+exceeds the bound and not every change run beats every parent run,
+else ``ok``.  Every pair is printed as it finishes.  The script exits
+1 when a run fails or reports failed operations.
 """
 
 from __future__ import annotations
@@ -36,12 +41,23 @@ class Verdict:
     change: tuple[float, float, float]
     gain: float  # parent median - change median, positive when better
     parent_iqr: float
+    separated: bool  # every change run beat every parent run
 
     @property
     def holds(self) -> bool:
         """At least 9/10 of the pairs won, and a gain wider than the
         parent's spread."""
         return self.wins * 10 >= 9 * self.pairs and self.gain > self.parent_iqr
+
+    def regression(self, bound: float) -> str:
+        """``regressed``, ``unresolved`` or ``ok`` under ``bound``, a
+        fraction of the parent median."""
+        limit = bound * abs(self.parent[1])
+        if -self.gain > limit:
+            return "regressed"
+        if self.parent_iqr > limit and not self.separated:
+            return "unresolved"
+        return "ok"
 
 
 def _quartiles(values: Sequence[float]) -> tuple[float, float, float]:
@@ -70,6 +86,7 @@ def verdict(parent: Sequence[float], change: Sequence[float], better: str) -> Ve
         change=after,
         gain=sign * (before[1] - after[1]),
         parent_iqr=before[2] - before[0],
+        separated=min(sign * p for p in parent) > max(sign * c for c in change),
     )
 
 
@@ -88,7 +105,7 @@ def run_once(tree: pathlib.Path, workload: str, seed: int) -> dict:
     return result
 
 
-def _row(name: str, unit: str, judged: Verdict) -> str:
+def _row(name: str, unit: str, bound: float, judged: Verdict) -> str:
     q1, median, q3 = judged.parent
     c1, cmedian, c3 = judged.change
     return (
@@ -96,6 +113,7 @@ def _row(name: str, unit: str, judged: Verdict) -> str:
         f"  change {cmedian:10.4g} [{c1:.4g}, {c3:.4g}]"
         f"  wins {judged.wins}/{judged.pairs}  gain {judged.gain:+.4g}"
         f"  parent IQR {judged.parent_iqr:.4g}  rule {'holds' if judged.holds else 'fails'}"
+        f"  bound {bound:g} {judged.regression(bound)}"
     )
 
 
@@ -132,7 +150,7 @@ def main(argv: list[str] | None = None) -> int:
     for metric in metrics:
         name = metric["name"]
         judged = verdict(values["parent"][name], values["change"][name], metric["better"])
-        print(_row(name, metric["unit"], judged))
+        print(_row(name, metric["unit"], metric["bound"], judged))
     return 1 if failed else 0
 
 

@@ -57,6 +57,25 @@ def test_higher_is_better():
     assert not verdict(rates, [rate - 10 for rate in rates], "higher").holds
 
 
+def test_no_regression_lower_is_better():
+    # Parent median 6.765, IQR/median 0.026: resolved under 0.15.
+    assert verdict(PARENT, [v + 0.5 for v in PARENT], "lower").regression(0.15) == "ok"
+    assert verdict(PARENT, [v + 1.2 for v in PARENT], "lower").regression(0.15) == "regressed"
+    # Under 0.02 the parent's own spread is too wide to tell ...
+    assert verdict(PARENT, [v + 0.05 for v in PARENT], "lower").regression(0.02) == "unresolved"
+    # ... unless every change run beats every parent run.
+    assert verdict(PARENT, [v - 1.0 for v in PARENT], "lower").regression(0.02) == "ok"
+
+
+def test_no_regression_higher_is_better():
+    rates = [100.0, 102.0, 98.0, 101.0, 99.0, 100.5, 99.5, 101.5, 98.5, 100.2]
+    # Parent median 100.1, IQR/median 0.022: resolved under 0.15.
+    assert verdict(rates, [r - 10 for r in rates], "higher").regression(0.15) == "ok"
+    assert verdict(rates, [r - 20 for r in rates], "higher").regression(0.15) == "regressed"
+    assert verdict(rates, [r - 1 for r in rates], "higher").regression(0.02) == "unresolved"
+    assert verdict(rates, [r + 5 for r in rates], "higher").regression(0.02) == "ok"
+
+
 def test_rejects_unpaired_runs():
     with pytest.raises(ValueError):
         verdict([1.0, 2.0], [1.0], "lower")
