@@ -206,9 +206,9 @@ class PolicyRegistry:
     ) -> CompiledPolicy:
         """The compiled policy for ``(rules, subject, default)``.
 
-        Compiles on the first request for a policy content and returns
-        the cached automata afterwards; a rule set mutated since its
-        last ``get`` fingerprints anew, so it compiles its new policy.
+        Compiles the first time a policy's content is requested and
+        returns the cached automata afterwards; a rule set mutated since
+        its last ``get`` fingerprints anew, so its new policy compiles.
         """
         source_fingerprint = rules.fingerprint()
         subject = _subject_key(subject)
