@@ -3,6 +3,7 @@
 import pytest
 
 from repro.community import Community, TierSpec
+from repro.dissemination import SubscriberHandle
 from repro.dsp.backends import MemoryBackend, SQLiteBackend
 from repro.dsp.freshness import Freshness
 from repro.errors import PolicyError, TamperDetected
@@ -276,6 +277,7 @@ def test_feed_broadcast_works_on_memory_backend():
     must not crash on snapshot persistence, and catch-up serves the
     live view."""
     community = Community(backend=MemoryBackend())
+    assert community.store.durable_backend is None  # nowhere to persist
     feed = _build(community)
     live = feed.subscribe("alice", "internal")
     feed.subscribe("late", "internal")
@@ -364,19 +366,27 @@ def test_broadcast_and_catch_up_clock_golden():
     assert FEED_CLOCK["card_cpu"] == FEED_CARD_CYCLES / CostModel().cpu_hz
 
 
-def test_catch_up_frames_equal_the_live_lane_byte_for_byte(tmp_path):
-    """The persisted catch-up snapshot carries exactly the frames a
-    listener on the live tier lane heard in the same cycle."""
+def test_catch_up_frames_equal_the_live_lane_byte_for_byte(tmp_path, monkeypatch):
+    """A catch-up handle receives exactly the frames a listener on the
+    live tier lane heard in the last cycle."""
     community = Community(store_path=tmp_path / "community.db")
     feed = _two_document_feed(community)
+    feed.subscribe("late", "internal", attach=False)
     heard = []
     feed._tier("internal").channel.subscribe(
         lambda kind, index, payload: heard.append((kind, index, payload))
     )
     feed.broadcast()
-    blob = community.store.backend.get_feed_snapshot("intel", "internal")
-    snapshot = decode_snapshot(blob)
-    assert snapshot.doc_ids == ("rpt", "rpt2")
+    replayed = []
+    on_frame = SubscriberHandle.on_frame
+
+    def record(handle, kind, index, payload):
+        replayed.append((kind, index, payload))
+        on_frame(handle, kind, index, payload)
+
+    monkeypatch.setattr(SubscriberHandle, "on_frame", record)
+    caught = feed.catch_up("late")
+    caught.require_ok()
     assert [kind for kind, __, __ in heard].count("header") == 2
-    assert snapshot.frames == tuple(heard)
+    assert replayed == heard
     community.close()
