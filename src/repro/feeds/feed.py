@@ -548,7 +548,7 @@ class Feed:
         return CycleSnapshot(
             feed=self.name,
             tier=tier,
-            epoch=self.epoch(tier),
+            epoch=self._keyring(tier).epoch,
             freshness=replace(store.stamp, versions=tuple(versions)),
             doc_ids=tuple(doc_ids),
             frames=tuple(frames),

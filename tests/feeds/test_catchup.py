@@ -323,10 +323,12 @@ def test_reopened_process_generation_coincidence_is_not_trusted(tmp_path):
 #: members on two tiers, one detached member) and one catch-up, as
 #: recorded before the push path was merged into one core; ``card_cpu``
 #: was re-pinned to ``FEED_CARD_CYCLES / cpu_hz`` when the card CPU
-#: became an integer cycle ledger.  ``repr`` floats round-trip exactly,
-#: so the comparison is bit-for-bit.
+#: became an integer cycle ledger, and ``network`` dropped by two
+#: epoch-record reads (0.005008 s each) when the broadcast stopped
+#: reading the tier epoch over the DSP.  ``repr`` floats round-trip
+#: exactly, so the comparison is bit-for-bit.
 FEED_CLOCK = {
-    "network": 0.100384,
+    "network": 0.090368,
     "broadcast": 0.000957489013671875,
     "link": 0.12639843750000002,
     "eeprom": 0.0049499999999999995,
