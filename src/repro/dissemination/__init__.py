@@ -17,7 +17,7 @@ saving the card link and decryption time, which is what makes
 real-time rates reachable (E7).
 
 ``community.Channel`` (one document, per-member keys) and
-``feeds.Feed`` (tiered group keys, catch-up snapshots) are thin
+``feeds.Feed`` (tiered group keys, catch-up from the store) are thin
 adapters over this core: they differ only in how a handle's card gets
 each document's secret.
 """

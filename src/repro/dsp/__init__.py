@@ -20,9 +20,9 @@ push them (dissemination).  The layer is organized around three seams:
   :class:`RemoteDSP` consumes them; terminals only ever see the
   :class:`~repro.dsp.client.DSPClient` protocol.
 
-Everything that keeps a copy of store data -- the terminal view cache,
-feed catch-up snapshots, the reactor's response cache -- decides
-whether the copy is current with one rule, :class:`Freshness` in
+Everything that keeps a copy of store data -- the terminal view cache
+and the reactor's response cache -- decides whether the copy is
+current with one rule, :class:`Freshness` in
 :mod:`repro.dsp.freshness`: the store stamp ``(generation, boot)``
 plus per-document ``(doc_version, rules_version)``.
 

@@ -215,13 +215,6 @@ CREATE TABLE IF NOT EXISTS wrapped_keys (
     blob BLOB NOT NULL,
     PRIMARY KEY (doc_id, recipient)
 ) WITHOUT ROWID;
-CREATE TABLE IF NOT EXISTS feed_snapshots (
-    feed TEXT NOT NULL,
-    tier TEXT NOT NULL,
-    epoch INTEGER NOT NULL,
-    blob BLOB NOT NULL,
-    PRIMARY KEY (feed, tier)
-) WITHOUT ROWID;
 """
 
 
@@ -467,42 +460,3 @@ class SQLiteBackend:
                 "SELECT value FROM meta WHERE key = ?", (key,)
             ).fetchone()
             return str(row[0]) if row is not None else None
-
-    # -- feed snapshots (beyond the protocol) ----------------------------
-
-    def put_feed_snapshot(
-        self, feed: str, tier: str, blob: bytes, *, epoch: int = 0
-    ) -> None:
-        """Persist one tier's latest carousel cycle for catch-up.
-
-        Keyed on ``(feed, tier)`` -- a new cycle replaces the old one;
-        the blob carries its own epoch/generation/version stamps (see
-        :mod:`repro.feeds.snapshot`), and the ``epoch`` column mirrors
-        the blob's stamp so operators can inspect currency with SQL.
-        Everything stored is ciphertext the broadcast channel already
-        carried in public.
-        """
-        with self._lock, self._conn:
-            self._conn.execute(
-                "INSERT OR REPLACE INTO feed_snapshots "
-                "(feed, tier, epoch, blob) VALUES (?, ?, ?, ?)",
-                (feed, tier, epoch, blob),
-            )
-
-    def get_feed_snapshot(self, feed: str, tier: str) -> bytes | None:
-        """The persisted cycle blob for one tier, if any."""
-        with self._lock:
-            row = self._conn.execute(
-                "SELECT blob FROM feed_snapshots WHERE feed = ? AND tier = ?",
-                (feed, tier),
-            ).fetchone()
-            return bytes(row[0]) if row is not None else None
-
-    def delete_feed_snapshot(self, feed: str, tier: str) -> bool:
-        """Drop a tier's persisted cycle (returns whether one existed)."""
-        with self._lock, self._conn:
-            cursor = self._conn.execute(
-                "DELETE FROM feed_snapshots WHERE feed = ? AND tier = ?",
-                (feed, tier),
-            )
-            return cursor.rowcount > 0

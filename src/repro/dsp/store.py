@@ -11,7 +11,6 @@ byte the historical behavior) or the durable
 from __future__ import annotations
 
 import os
-from typing import Iterable
 
 from repro.crypto.container import DocumentContainer
 from repro.dsp.backends import (
@@ -20,7 +19,7 @@ from repro.dsp.backends import (
     StoreBackend,
     StoredDocument,
 )
-from repro.dsp.freshness import Freshness, Versions
+from repro.dsp.freshness import Freshness
 
 __all__ = ["DSPStore", "StoredDocument"]
 
@@ -48,8 +47,8 @@ class DSPStore:
         """The backend if it persists to disk, else ``None``.
 
         What only a durable store can keep -- the community's
-        deployment manifest, feed catch-up snapshots -- is written
-        through it; on a volatile store those writes are skipped.
+        deployment manifest -- is written through it; on a volatile
+        store that write is skipped.
         """
         backend = self.backend
         return backend if isinstance(backend, SQLiteBackend) else None
@@ -57,13 +56,6 @@ class DSPStore:
     def _bump(self) -> None:
         self.generation += 1
         self.stamp = Freshness(self.generation, self.boot)
-
-    def versions(self, doc_ids: Iterable[str]) -> Versions:
-        """``(doc_version, rules_version)`` of each document, in order."""
-        return tuple(
-            (record.container.header.version, record.rules_version)
-            for record in map(self.get, doc_ids)
-        )
 
     def put_document(
         self,

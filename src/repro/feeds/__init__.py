@@ -15,26 +15,21 @@ O(members), and the head-end previews the whole audience in one
 multi-subject pass (one evaluation lane per tier, since every member
 of a tier shares the tier's group subject).
 
-Late joiners catch up from a persisted carousel snapshot
-(:mod:`repro.feeds.snapshot`, stored by ``SQLiteBackend``), validated
-against the store's generation counter and the tier epoch so a
-republish or a tier revocation can never serve a stale cycle.
+Late joiners catch up by replaying one cycle rebuilt from the
+containers the DSP stores, so a republish or a tier revocation is
+served as it stands, never a stale cycle.
 """
 
 from __future__ import annotations
 
 from repro.feeds.feed import Feed
 from repro.feeds.keys import TierKeyring, feed_doc_id
-from repro.feeds.snapshot import CycleSnapshot, decode_snapshot, encode_snapshot
 from repro.feeds.tiers import TierSpec, compose_rules
 
 __all__ = [
-    "CycleSnapshot",
     "Feed",
     "TierKeyring",
     "TierSpec",
     "compose_rules",
-    "decode_snapshot",
-    "encode_snapshot",
     "feed_doc_id",
 ]

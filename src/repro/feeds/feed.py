@@ -14,11 +14,11 @@ tier.  The publisher's per-cycle work is O(tiers):
 * revoking a member is one blob deletion, one epoch bump and exactly
   one re-wrap, regardless of member and document count.
 
-Late joiners call :meth:`Feed.catch_up`: the last broadcast cycle is
-persisted at the DSP (``SQLiteBackend``'s ``feed_snapshots`` table)
-and replayed through the member's card after validation against the
-store generation, the tier epoch and each document's versions -- a
-republish or revocation can never serve a stale cycle.
+Late joiners call :meth:`Feed.catch_up`: one cycle is rebuilt from
+the containers the DSP stores and replayed through the member's card.
+The store holds only ciphertext and the card enforces the policy, so
+the stored corpus is the whole catch-up state -- a republish or a
+revocation is served by construction, never a stale cycle.
 
 A feed restored by ``Community.open`` is **sealed** (the owner's tier
 keyrings and plaintext live only in the publishing process): catch-up
@@ -28,7 +28,6 @@ owner process -- the same split as sealed :class:`Document` handles.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import TYPE_CHECKING, Sequence
 
 from repro.core.delivery import ViewMode
@@ -38,7 +37,6 @@ from repro.crypto.container import seal_document
 from repro.crypto.keys import DocumentKeys, random_key
 from repro.dissemination.channel import BroadcastChannel, Frame, container_frames
 from repro.dissemination.subscriber import SubscriberHandle
-from repro.dsp.freshness import Versions
 from repro.dsp.store import DSPStore
 from repro.errors import KeyNotGranted, PolicyError
 from repro.feeds.keys import (
@@ -53,7 +51,6 @@ from repro.feeds.keys import (
     resolve_tier_keys,
     tier_prefix,
 )
-from repro.feeds.snapshot import CycleSnapshot, decode_snapshot, encode_snapshot
 from repro.feeds.tiers import TierSpec, compose_rules
 from repro.skipindex.encoder import IndexMode
 from repro.terminal.transfer import TransferPolicy
@@ -65,7 +62,7 @@ if TYPE_CHECKING:
 class _TierState:
     """One tier's runtime wiring inside a feed."""
 
-    __slots__ = ("spec", "keyring", "channel", "handles", "last_cycle")
+    __slots__ = ("spec", "keyring", "channel", "handles")
 
     def __init__(
         self,
@@ -77,7 +74,6 @@ class _TierState:
         self.keyring = keyring
         self.channel = channel
         self.handles: list[SubscriberHandle] = []
-        self.last_cycle: CycleSnapshot | None = None
 
 
 class Feed:
@@ -272,19 +268,17 @@ class Feed:
         Per cycle each tier broadcasts its quota-capped document list;
         the byte cost is O(tiers x documents) regardless of audience
         size, and zero key wraps or policy compiles happen (asserted
-        by tests through the process-wide counters).  The last cycle
-        is recorded as each tier's catch-up snapshot and persisted
-        when the store is durable.
+        by tests through the process-wide counters).  Each cycle is
+        read from the stored containers, the same frames
+        :meth:`catch_up` replays.
         """
         self._require_live("broadcasting")
         if cycles < 1:
             raise PolicyError("a broadcast needs at least one cycle")
         for tier, state in self._tiers.items():
-            snapshot = self._snapshot_from_store(tier)
+            frames = self._cycle_frames(tier)
             for _ in range(cycles):
-                state.channel.send(snapshot.frames)
-            state.last_cycle = snapshot
-            self._persist_snapshot(snapshot)
+                state.channel.send(frames)
 
     def preview(
         self, mode: ViewMode = ViewMode.SKELETON
@@ -394,8 +388,7 @@ class Feed:
         re-wraps the tier content key under the new epoch key -- the
         only wrap performed, however many members and documents exist.
         Attached handles are detached immediately (no further frames),
-        persisted snapshots of the tier are invalidated, and the
-        member's next catch-up fails with
+        and the member's next catch-up fails with
         :class:`~repro.errors.KeyNotGranted`.
 
         Like flat-channel revocation this is *soft* against a member
@@ -434,8 +427,6 @@ class Feed:
             if handle.member.name == name:
                 handle.revoked = True
         state.handles = [h for h in state.handles if h.member.name != name]
-        state.last_cycle = None
-        self._delete_snapshot(tier)
 
     # -- late-joiner catch-up ---------------------------------------------
 
@@ -446,33 +437,38 @@ class Feed:
         view_mode: ViewMode = ViewMode.SKELETON,
         transfer: TransferPolicy | None = None,
     ) -> SubscriberHandle:
-        """Replay the tier's last broadcast cycle through the member's card.
+        """Replay one cycle of the member's tier through its card.
 
         Resolves the member's tier keys from the DSP blobs (works in a
         reopened process: the simulated PKI re-derives key pairs
-        deterministically), validates the persisted snapshot against
-        the store generation / tier epoch / document versions, and
-        replays its frames through a fresh handle -- the resulting view
-        is byte-identical to having listened to the full live cycle.
-
-        On a live feed a missing or stale snapshot is rebuilt from the
-        store; on a sealed feed it raises
-        :class:`~repro.errors.PolicyError` (the owner process must
-        rebroadcast), and a revoked member fails with
+        deterministically) and replays the stored containers of the
+        tier's broadcast list through a fresh handle -- the resulting
+        view is byte-identical to having listened to a full live cycle
+        of the current versions.  Sealed feeds catch up the same way;
+        a revoked member fails with
         :class:`~repro.errors.KeyNotGranted` before any frame flows.
         """
         if isinstance(member, str):
             member = self.community.member(member)
         tier, keys = self._resolve_membership(member.name)
-        snapshot = self._current_snapshot(tier, expected_epoch=keys.epoch)
+        frames = self._cycle_frames(tier)
         handle = self._handle(member, tier, keys, view_mode, transfer)
-        # The handle is one-shot: it replays the snapshot NOW and never
+        # The handle is one-shot: it replays the cycle NOW and never
         # attaches to the live lane -- a member who also subscribed
         # would otherwise run two interleaved sessions on one card
         # during the next cycle (the hazard double-subscribe refuses).
-        for kind, index, payload in snapshot.frames:
+        for kind, index, payload in frames:
             handle.on_frame(kind, index, payload)
         return handle
+
+    def _cycle_frames(self, tier: str) -> list[Frame]:
+        """One carousel cycle of ``tier``: the frames of each stored
+        container on its broadcast list, in order."""
+        store = self._store()
+        frames: list[Frame] = []
+        for document in self.broadcast_list(tier):
+            frames.extend(container_frames(store.get(document.doc_id).container))
+        return frames
 
     def _handle(
         self,
@@ -524,103 +520,3 @@ class Feed:
             "(never subscribed, or revoked)",
             subject=name,
         ) from failure
-
-    # -- snapshots --------------------------------------------------------
-
-    def _snapshot_from_store(self, tier: str) -> CycleSnapshot:
-        """Synthesize the tier's cycle snapshot from the stored corpus.
-
-        The frames are exactly what :meth:`broadcast` sends -- one
-        :func:`~repro.dissemination.channel.container_frames` cycle per
-        document of the tier's broadcast list -- so a replayed catch-up
-        is byte-identical to a live cycle.
-        """
-        store = self._store()
-        doc_ids: list[str] = []
-        versions: list[tuple[int, int]] = []
-        frames: list[Frame] = []
-        for document in self.broadcast_list(tier):
-            record = store.get(document.doc_id)
-            container = record.container
-            doc_ids.append(document.doc_id)
-            versions.append((container.header.version, record.rules_version))
-            frames.extend(container_frames(container))
-        return CycleSnapshot(
-            feed=self.name,
-            tier=tier,
-            epoch=self._keyring(tier).epoch,
-            freshness=replace(store.stamp, versions=tuple(versions)),
-            doc_ids=tuple(doc_ids),
-            frames=tuple(frames),
-        )
-
-    def _persist_snapshot(self, snapshot: CycleSnapshot) -> None:
-        backend = self._store().durable_backend
-        if backend is not None:
-            backend.put_feed_snapshot(
-                snapshot.feed,
-                snapshot.tier,
-                encode_snapshot(snapshot),
-                epoch=snapshot.epoch,
-            )
-
-    def _delete_snapshot(self, tier: str) -> None:
-        backend = self._store().durable_backend
-        if backend is not None:
-            backend.delete_feed_snapshot(self.name, tier)
-
-    def _revalidate(
-        self, snapshot: CycleSnapshot, tier: str, expected_epoch: int
-    ) -> CycleSnapshot | None:
-        """The snapshot, re-stamped if need be, or ``None`` when stale."""
-        if snapshot.epoch != expected_epoch:
-            return None  # a revocation moved the tier epoch
-        store = self._store()
-
-        def versions() -> "Versions | None":
-            current = tuple(doc.doc_id for doc in self.broadcast_list(tier))
-            if current != snapshot.doc_ids:
-                return None  # the corpus itself changed
-            return store.versions(current)
-
-        held = snapshot.freshness.revalidate(store.stamp, versions)
-        return None if held is None else replace(snapshot, freshness=held)
-
-    def _current_snapshot(
-        self, tier: str, *, expected_epoch: int
-    ) -> CycleSnapshot:
-        state = self._tier(tier)
-        snapshot = state.last_cycle
-        if snapshot is None:
-            backend = self._store().durable_backend
-            blob = (
-                backend.get_feed_snapshot(self.name, tier)
-                if backend is not None
-                else None
-            )
-            if blob is not None:
-                snapshot = decode_snapshot(blob)
-        current = (
-            self._revalidate(snapshot, tier, expected_epoch)
-            if snapshot is not None
-            else None
-        )
-        if current is not None:
-            state.last_cycle = current
-            return current
-        if self.sealed:
-            detail = (
-                "is stale (republish, policy update or revocation since)"
-                if snapshot is not None
-                else "was never recorded"
-            )
-            raise PolicyError(
-                f"the catch-up snapshot for tier {tier!r} of sealed feed "
-                f"{self.name!r} {detail}; the owner process must "
-                "broadcast again",
-                subject=self.owner.name,
-            )
-        snapshot = self._snapshot_from_store(tier)
-        state.last_cycle = snapshot
-        self._persist_snapshot(snapshot)
-        return snapshot
