@@ -235,7 +235,7 @@ class ViewCache:
 
     @staticmethod
     def _fresh(entry: CachedView, current: Freshness) -> bool:
-        held = entry.freshness.revalidate(current, lambda: current.versions)
+        held = entry.freshness.revalidate(current)
         if held is None:
             return False
         entry.freshness = held

@@ -1,8 +1,7 @@
 """The one freshness rule for everything cached against the DSP store.
 
-A :class:`Freshness` is what a holder -- a view-cache entry, a feed
-catch-up snapshot, the reactor's response cache -- remembers about the
-store it copied from:
+A :class:`Freshness` is what a holder -- a view-cache entry, the
+reactor's response cache -- remembers about the store it copied from:
 
 * the store stamp ``(generation, boot)``: the store's mutation counter
   and its per-process boot nonce.  The counter restarts at 0 in every
@@ -13,9 +12,9 @@ store it copied from:
 :meth:`Freshness.revalidate` is the single rule:
 
 * equal stamps -- nothing at the store changed, the holding is fresh
-  and no versions are read;
+  and the versions are not compared;
 * otherwise the holding is fresh only if the current versions equal
-  the held ones, and the holder then keeps the returned, re-stamped
+  the held ones, and the holder then keeps the current, re-stamped
   value so the next check takes the stamp path.
 
 A holder without versions (the reactor's response cache) must compare
@@ -26,7 +25,6 @@ compare, a version match would always pass and serve stale bytes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 __all__ = ["Freshness", "UNSTAMPED", "Versions"]
 
@@ -54,23 +52,17 @@ class Freshness:
             and self.generation == other.generation
         )
 
-    def revalidate(
-        self, stamp: "Freshness", versions: "Callable[[], Versions | None]"
-    ) -> "Freshness | None":
+    def revalidate(self, current: "Freshness") -> "Freshness | None":
         """The freshness to hold from now on, or ``None`` when stale.
 
-        ``stamp`` is the store's current stamp (its versions are not
-        used); ``versions`` reads the current per-document versions and
-        is only called when the stamps differ.  It may return ``None``
-        when the holding can no longer be compared (its document set
-        changed), which is stale.
+        ``current`` is the store's current stamp with the current
+        versions of the held documents.  Equal stamps keep ``self``
+        (the versions are not compared); equal versions keep
+        ``current``.
         """
-        if self.same_stamp(stamp):
+        if self.same_stamp(current):
             return self
-        current = versions()
-        if current is None or current != self.versions:
-            return None
-        return Freshness(stamp.generation, stamp.boot, current)
+        return current if current.versions == self.versions else None
 
 
 #: The stamp of a holding that has not been validated yet.

@@ -1,29 +1,26 @@
-"""The shared freshness rule (view cache, feed snapshots, reactor)."""
+"""The shared freshness rule (view cache, reactor)."""
 
 from repro.community import Community
 from repro.dsp.freshness import UNSTAMPED, Freshness
 
 
-def _unread():
-    raise AssertionError("a matching stamp must not read versions")
-
-
 def test_equal_stamps_are_fresh_without_reading_versions():
     held = Freshness(4, "boot-a", ((1, 1),))
-    assert held.revalidate(Freshness(4, "boot-a"), _unread) is held
+    assert held.revalidate(Freshness(4, "boot-a", ((1, 1),))) is held
+    # The stamp path holds even when the versions differ.
+    assert held.revalidate(Freshness(4, "boot-a", ((2, 7),))) is held
 
 
 def test_stamp_mismatch_with_equal_versions_re_stamps():
     held = Freshness(4, "boot-a", ((1, 1), (2, 3)))
-    fresh = held.revalidate(Freshness(9, "boot-b"), lambda: ((1, 1), (2, 3)))
-    assert fresh == Freshness(9, "boot-b", ((1, 1), (2, 3)))
+    current = Freshness(9, "boot-b", ((1, 1), (2, 3)))
+    assert held.revalidate(current) is current
 
 
 def test_stamp_mismatch_with_moved_versions_is_stale():
     held = Freshness(4, "boot-a", ((1, 1),))
-    assert held.revalidate(Freshness(5, "boot-a"), lambda: ((1, 2),)) is None
-    # A holder whose document set changed cannot be compared at all.
-    assert held.revalidate(Freshness(5, "boot-a"), lambda: None) is None
+    assert held.revalidate(Freshness(5, "boot-a", ((1, 2),))) is None
+    assert held.revalidate(Freshness(5, "boot-a")) is None
 
 
 def test_unstamped_and_cross_boot_stamps_never_match():
