@@ -93,9 +93,6 @@ class StaticEncryptionScheme:
         """Everything is encrypted once at setup."""
         return self.total_bytes
 
-    def initial_keys_distributed(self) -> int:
-        return sum(len(keys) for keys in self._key_sets.values())
-
     def rekey_for(self, new_rules: RuleSet) -> ChurnCost:
         """Price a policy change, then adopt it.
 

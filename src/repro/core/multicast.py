@@ -61,10 +61,6 @@ class MultiSubjectEvaluator:
         self._depth = 0
         self._finished = False
 
-    @property
-    def lane_count(self) -> int:
-        return len(self._lanes)
-
     def feed(self, event: Event) -> list[list[Event]]:
         """Process one event; return the per-lane output it released."""
         self._pump(event)

@@ -68,10 +68,6 @@ class CardSecureChannel:
         self._session_key: bytes | None = None
         self._expected_seq = 0
 
-    @property
-    def is_open(self) -> bool:
-        return self._session_key is not None
-
     def open(self, host_challenge: bytes) -> tuple[bytes, bytes]:
         """Answer a channel opening; returns (card challenge, cryptogram)."""
         if len(host_challenge) != CHALLENGE_SIZE:

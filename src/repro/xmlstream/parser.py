@@ -212,10 +212,6 @@ class _Scanner:
         return not self._fill(1)
 
 
-def _read_name(scanner: _Scanner) -> str:
-    return scanner.take_name()
-
-
 def _decode_entities(text: str, offset: int) -> str:
     """Replace entity and character references in ``text``."""
     if "&" not in text:

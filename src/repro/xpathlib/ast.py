@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterator
 
 
 class Axis(enum.Enum):
@@ -147,12 +146,6 @@ class Path:
         return "".join(parts)
 
     # -- structural helpers used by the compiler and analyses ---------
-
-    def iter_predicates(self) -> Iterator[tuple[int, Predicate]]:
-        """Yield ``(step_index, predicate)`` for every predicate."""
-        for index, step in enumerate(self.steps):
-            for predicate in step.predicates:
-                yield index, predicate
 
     @property
     def has_predicates(self) -> bool:
