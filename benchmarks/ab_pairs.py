@@ -15,8 +15,13 @@ verdict against its ``bound`` (a fraction of the parent median):
 ``regressed`` when the change's median is worse than the parent's by
 more than the bound, ``unresolved`` when the parent's IQR/median
 exceeds the bound and not every change run beats every parent run,
-else ``ok``.  Every pair is printed as it finishes.  The script exits
-1 when a run fails or reports failed operations.
+else ``ok``.  Every pair is printed as it finishes.  Each run also
+writes its full record (``--json``), whose ``exact`` block holds the
+seeded counts over the first ops (APDUs, DSP requests, wraps, compiles
+and modeled clock components); the script prints in how many pairs the
+two sides' blocks were identical, and each differing key with both
+values.  The script exits 1 when a run fails or reports failed
+operations.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ import pathlib
 import statistics
 import subprocess
 import sys
+import tempfile
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -90,18 +96,35 @@ def verdict(parent: Sequence[float], change: Sequence[float], better: str) -> Ve
     )
 
 
+def exact_diff(parent: dict, change: dict) -> dict[str, tuple]:
+    """The keys of two ``exact`` blocks whose values differ, each with
+    its ``(parent, change)`` values; a key one side lacks reads ``None``."""
+    return {
+        key: (parent.get(key), change.get(key))
+        for key in sorted(parent.keys() | change.keys())
+        if parent.get(key) != change.get(key)
+    }
+
+
 def run_once(tree: pathlib.Path, workload: str, seed: int) -> dict:
-    """One untraced E20 run in ``tree``; its parsed JSON result."""
-    command = [
-        sys.executable, "benchmarks/e20/run.py",
-        "--workload", workload, "--seed", str(seed), "--trace", "0",
-    ]
-    done = subprocess.run(command, cwd=tree, capture_output=True, text=True)
-    lines = done.stdout.strip().splitlines()
-    if not lines:
-        raise RuntimeError(f"{tree}: no output (exit {done.returncode}): {done.stderr[-2000:]}")
-    result = json.loads(lines[-1])
-    result["exit"] = done.returncode
+    """One untraced E20 run in ``tree``; its parsed JSON result, with
+    the full record's ``exact`` block added."""
+    with tempfile.TemporaryDirectory() as scratch:
+        record_path = pathlib.Path(scratch) / "record.json"
+        command = [
+            sys.executable, "benchmarks/e20/run.py",
+            "--workload", workload, "--seed", str(seed), "--trace", "0",
+            "--json", str(record_path),
+        ]
+        done = subprocess.run(command, cwd=tree, capture_output=True, text=True)
+        lines = done.stdout.strip().splitlines()
+        if not lines:
+            raise RuntimeError(f"{tree}: no output (exit {done.returncode}): {done.stderr[-2000:]}")
+        result = json.loads(lines[-1])
+        result["exit"] = done.returncode
+        result["exact"] = (
+            json.loads(record_path.read_text())["exact"] if record_path.exists() else {}
+        )
     return result
 
 
@@ -133,6 +156,7 @@ def main(argv: list[str] | None = None) -> int:
         side: {metric["name"]: [] for metric in metrics} for side in sides
     }
     failed = 0
+    exact_diffs: list[dict[str, tuple]] = []
     for seed in range(1, args.pairs + 1):
         order = ("parent", "change") if seed % 2 else ("change", "parent")
         results = {side: run_once(sides[side], args.workload, seed) for side in order}
@@ -146,11 +170,17 @@ def main(argv: list[str] | None = None) -> int:
             for metric in metrics
         )
         print(f"pair {seed:2d} ({order[0]} first)  {cells}", flush=True)
+        exact_diffs.append(exact_diff(results["parent"]["exact"], results["change"]["exact"]))
     print(f"\n{args.workload}: {args.pairs} pairs, failed runs or ops: {failed}")
     for metric in metrics:
         name = metric["name"]
         judged = verdict(values["parent"][name], values["change"][name], metric["better"])
         print(_row(name, metric["unit"], metric["bound"], judged))
+    identical = sum(not diff for diff in exact_diffs)
+    print(f"exact identical in {identical}/{args.pairs} pairs")
+    for seed, diff in enumerate(exact_diffs, start=1):
+        for key, (before, after) in diff.items():
+            print(f"  pair {seed:2d} exact {key}: {before} -> {after}")
     return 1 if failed else 0
 
 

@@ -20,7 +20,9 @@ def _load():
     return module
 
 
-verdict = _load().verdict
+_AB_PAIRS = _load()
+verdict = _AB_PAIRS.verdict
+exact_diff = _AB_PAIRS.exact_diff
 
 PARENT = [6.70, 6.80, 6.60, 6.90, 6.75, 6.85, 6.65, 6.95, 6.78, 6.72]
 
@@ -81,3 +83,32 @@ def test_rejects_unpaired_runs():
         verdict([1.0, 2.0], [1.0], "lower")
     with pytest.raises(ValueError):
         verdict([1.0], [1.0], "faster")
+
+
+EXACT = {
+    "ops": 50,
+    "terminal.dsp_requests": 255,
+    "smartcard.apdus": 1104,
+    "model.network_s": 1.28024,
+}
+
+
+def test_identical_exact_blocks_have_no_diff():
+    assert exact_diff(EXACT, dict(EXACT)) == {}
+
+
+def test_exact_diff_names_each_differing_key_with_both_values():
+    change = dict(EXACT, **{"terminal.dsp_requests": 248, "model.network_s": 1.245184})
+    assert exact_diff(EXACT, change) == {
+        "model.network_s": (1.28024, 1.245184),
+        "terminal.dsp_requests": (255, 248),
+    }
+
+
+def test_exact_diff_reads_a_missing_key_as_none():
+    change = {key: value for key, value in EXACT.items() if key != "smartcard.apdus"}
+    change["feeds.wraps"] = 0
+    assert exact_diff(EXACT, change) == {
+        "feeds.wraps": (None, 0),
+        "smartcard.apdus": (1104, None),
+    }
