@@ -451,13 +451,12 @@ class Feed:
         if isinstance(member, str):
             member = self.community.member(member)
         tier, keys = self._resolve_membership(member.name)
-        frames = self._cycle_frames(tier)
         handle = self._handle(member, tier, keys, view_mode, transfer)
         # The handle is one-shot: it replays the cycle NOW and never
         # attaches to the live lane -- a member who also subscribed
         # would otherwise run two interleaved sessions on one card
         # during the next cycle (the hazard double-subscribe refuses).
-        for kind, index, payload in frames:
+        for kind, index, payload in self._cycle_frames(tier):
             handle.on_frame(kind, index, payload)
         return handle
 
