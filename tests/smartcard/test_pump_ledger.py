@@ -44,26 +44,39 @@ def _nest(depth: int = 30) -> str:
 MAIL_RULES = [("+", "u", '//msg[flag = "keep"]/body'), ("+", "u", "//flag")]
 NEST_RULES = [("+", "u", "/n0"), ("-", "u", "//t")]
 
-#: (document, rules, RAM quota, faulting chunk, bytes the fault asked
-#: for, card cycles at the fault, output bytes at the fault), pinned
-#: from the per-item pump.  The three faults land in different places:
-#: the decision-sign allocation after the engine counted the open
-#: (mail), the decoder stack (nest/300) and the engine frame (nest/360).
+#: (document, rules, query, RAM quota, faulting chunk, the fault's
+#: ``CardMemoryError`` as (requested, used, quota), the meter's
+#: high-water mark at the fault, card cycles at the fault, output bytes
+#: at the fault), pinned from the per-item pump.  The faults land in
+#: every pool a session charges per item: the decision-sign allocation
+#: after the engine counted the open (mail), the decoder stack
+#: (nest/300), the engine frame (nest/360), a buffered pending hole
+#: (mail/360), and the query lane's engine frame and decision sign
+#: (mail under ``//msg``).  The high-water mark can exceed the use at
+#: the fault: the query-engine fault comes after a closed element
+#: returned its frames.
 FAULTS = {
-    "mail-signs": (_mail(), MAIL_RULES, 340, 3, 4, 48210, 0),
-    "nest-decoder": (_nest(), NEST_RULES, 300, 2, 8, 36260, 40),
-    "nest-engine": (_nest(), NEST_RULES, 360, 3, 14, 46004, 48),
+    "mail-signs": (_mail(), MAIL_RULES, None, 340, 3, (4, 337, 340), 337, 48210, 0),
+    "mail-pending": (_mail(), MAIL_RULES, None, 360, 3, (7, 355, 360), 355, 48670, 0),
+    "mail-query-engine": (
+        _mail(), MAIL_RULES, "//msg", 295, 1, (14, 283, 295), 291, 27885, 0
+    ),
+    "mail-query-signs": (
+        _mail(), MAIL_RULES, "//msg", 355, 2, (4, 355, 355), 355, 39510, 0
+    ),
+    "nest-decoder": (_nest(), NEST_RULES, None, 300, 2, (8, 298, 300), 298, 36260, 40),
+    "nest-engine": (_nest(), NEST_RULES, None, 360, 3, (14, 358, 360), 358, 46004, 48),
 }
 
 
-def _session(document: str, rules, quota: int):
+def _session(document: str, rules, quota: int, query: str | None = None):
     keys = DocumentKeys(SECRET)
     plaintext = encode_document(parse_string(document), IndexMode.RECURSIVE)
     container = seal_document(plaintext, "d", 1, keys, chunk_size=64)
     soe = SecureOperatingEnvironment(ram_quota=quota, strict_memory=True)
     soe.provision_key("d", SECRET)
     applet = CardApplet(soe)
-    applet.begin_session("d", "u")
+    applet.begin_session("d", "u", query=query)
     applet.put_header(container.header)
     for index, (sign, subject, path) in enumerate(rules):
         record = seal_blob(
@@ -75,13 +88,19 @@ def _session(document: str, rules, quota: int):
 
 @pytest.mark.parametrize("name", sorted(FAULTS))
 def test_strict_ram_fault_mid_chunk_charges_finished_items_once(name):
-    document, rules, quota, chunk, requested, cycles, output = FAULTS[name]
-    soe, applet, container = _session(document, rules, quota)
+    (
+        document, rules, query, quota, chunk, error, high_water, cycles, output
+    ) = FAULTS[name]
+    soe, applet, container = _session(document, rules, quota, query)
     with pytest.raises(CardMemoryError) as fault:
         for index, blob in enumerate(container.chunks):
             before = soe.cycles_used
             applet.put_chunk(index, blob)
-    assert (index, fault.value.requested) == (chunk, requested)
+    assert index == chunk
+    assert (
+        fault.value.requested, fault.value.used, fault.value.quota
+    ) == error
+    assert soe.memory.high_water == high_water
     # The items the faulting chunk finished were charged: more than
     # the chunk's MAC and decryption alone ...
     cost = soe.cost
