@@ -154,7 +154,6 @@ def decode_epoch(record: bytes) -> int:
 class ResolvedTierKeys:
     """What a reader derives from the DSP's tier blobs."""
 
-    epoch: int
     content: bytes
 
 
@@ -187,7 +186,7 @@ def resolve_tier_keys(
     content = unwrap_with_kek(
         key, f"feed:{feed}:{tier}:grant:{epoch}", grant
     )
-    return ResolvedTierKeys(epoch=epoch, content=content)
+    return ResolvedTierKeys(content=content)
 
 
 def resolve_doc_secret(
