@@ -22,6 +22,7 @@ The default policy (closed-world) is a virtual root decision of DENY.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from repro.core.conditions import Condition, Tristate, conjunction_state
 from repro.core.rules import Sign
@@ -58,26 +59,38 @@ class DecisionNode:
 
     Direct matches are recorded at the node's ``open`` (all automata are
     checked there, so the match set is complete immediately); only the
-    *conditions* guarding pending matches evolve afterwards.
+    *conditions* guarding pending matches evolve afterwards.  The
+    ``matches`` a node is built with, ``(sign, conditions)`` pairs, are
+    folded in by :meth:`add_match`.
     """
 
     __slots__ = (
-        "parent", "_definite_deny", "_definite_permit", "_pending", "_resolved"
+        "parent", "matched", "_definite_deny", "_definite_permit", "_pending",
+        "_resolved",
     )
 
-    def __init__(self, parent: "DecisionNode | None") -> None:
+    def __init__(
+        self,
+        parent: "DecisionNode | None",
+        matches: "Iterable[tuple[Sign, frozenset[Condition]]]" = (),
+    ) -> None:
         self.parent = parent
+        #: Whether a direct match was recorded (definite or pending).
+        self.matched = False
         self._definite_deny = False
         self._definite_permit = False
         self._pending: list[tuple[frozenset[Condition], Sign]] = []
         #: The status once it is :class:`Resolved` (it never changes
         #: again), so a settled node answers without a walk.
         self._resolved: Resolved | None = None
+        for sign, conditions in matches:
+            self.add_match(sign, conditions)
 
     @classmethod
     def default_root(cls, sign: Sign) -> "DecisionNode":
         """The virtual decision above the document root (default policy)."""
         root = cls(None)
+        root.matched = True
         if sign is Sign.DENY:
             root._definite_deny = True
         else:
@@ -96,7 +109,9 @@ class DecisionNode:
                 return
             if state is Tristate.UNKNOWN:
                 self._pending.append((conditions, sign))
+                self.matched = True
                 return
+        self.matched = True
         if sign is Sign.DENY:
             self._definite_deny = True
         else:
@@ -104,7 +119,7 @@ class DecisionNode:
 
     @property
     def has_direct_matches(self) -> bool:
-        return bool(self._definite_deny or self._definite_permit or self._pending)
+        return self.matched
 
     def status(self) -> Status:
         """Best-knowledge decision under the conflict-resolution policies.
@@ -124,7 +139,7 @@ class DecisionNode:
     def _evaluate(self) -> Status:
         if self._definite_deny:
             return _RESOLVED_DENY
-        if not self._pending and not self._definite_permit:
+        if not self.matched:
             # Pure fallback node: nothing recorded here can ever decide
             # (the match set is complete at open), so the answer is the
             # nearest ancestor that holds any decision state.  Compress
@@ -132,12 +147,7 @@ class DecisionNode:
             # probes on deep chains become O(1) instead of O(depth).
             target = self.parent
             assert target is not None, "virtual root must be definite"
-            while (
-                target.parent is not None
-                and not target._pending
-                and not target._definite_deny
-                and not target._definite_permit
-            ):
+            while target.parent is not None and not target.matched:
                 target = target.parent
             self.parent = target
             return target.status()

@@ -147,7 +147,8 @@ class _Hole:
 
     def append(self, item: "Item") -> None:
         self.items.append(item)
-        memory = self._delivery._memory
+        delivery = self._delivery
+        memory = delivery._memory
         if memory is not None:
             kind = type(item)
             if kind is _Hole:
@@ -155,17 +156,25 @@ class _Hole:
             nbytes = (
                 len(item.event.text) if kind is _SelfText else event_size(item)
             )
+            used = memory.used + nbytes
+            if used > memory.limit:
+                memory.overflow("pending", nbytes)
+            else:
+                memory.used = used
+                memory.pending += nbytes
+                if used > memory.high_water:
+                    memory.high_water = used
             self.charged += nbytes
-            memory.allocate("pending", nbytes)
-            delivery = self._delivery
-            pending = memory.usage("pending")
-            if pending > delivery.max_pending_bytes:
-                delivery.max_pending_bytes = pending
+            if memory.pending > delivery.max_pending_bytes:
+                delivery.max_pending_bytes = memory.pending
 
     def discharge(self) -> None:
         """Release the modeled RAM held by this hole's buffered items."""
-        if self.charged:
-            self._delivery._memory.release("pending", self.charged)
+        charged = self.charged
+        if charged:
+            memory = self._delivery._memory
+            memory.used -= charged
+            memory.pending -= charged
             self.charged = 0
 
 
@@ -201,6 +210,16 @@ class _Sink:
         self._delivery = delivery
         self.shell: _Hole | None = None
         self.materialized = prune
+
+    def resolved(self) -> "list[Item] | _Sink | _Hole":
+        """Where this sink's items end up: once it is materialized with
+        no shell it passes every item straight on, so the destination
+        is the first sink up its chain that is not such a pass-through
+        (itself if it is not one)."""
+        sink: list[Item] | _Sink | _Hole = self
+        while type(sink) is _Sink and sink.materialized and sink.shell is None:
+            sink = sink._parent
+        return sink
 
     def append(self, item: Item) -> None:
         if not self.materialized and self.shell is None:
@@ -310,9 +329,7 @@ class DeliveryEngine:
         """Process an element open with its (possibly pending) decisions."""
         records = self._records
         fate = None
-        if records and not auth.has_direct_matches and (
-            query is None or not query.has_direct_matches
-        ):
+        if records and not auth.matched and (query is None or not query.matched):
             # No direct match on either lane: the parent's status is
             # this element's, so is its delivery kind (or fate).
             parent = records[-1]
@@ -329,10 +346,17 @@ class DeliveryEngine:
         else:
             parent_sink = records[-1].sink if records else self._root_items
             kind, unknowns = self._combined_status(auth, query)
+        # A denied parent's sink that already passes its items on is
+        # resolved to its destination here, once, so that descendants
+        # append there directly.
         if kind == _Record.DELIVER:
             parent_sink.append(event)
+            if type(parent_sink) is _Sink:
+                parent_sink = parent_sink.resolved()
             record = _Record(kind, parent_sink)
         elif kind == _Record.DROP:
+            if type(parent_sink) is _Sink:
+                parent_sink = parent_sink.resolved()
             record = _Record(kind, _Sink(parent_sink, event, self, self._prune))
         else:
             if fate is None:

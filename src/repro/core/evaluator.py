@@ -50,10 +50,15 @@ class Lane:
     Construction registers the policy's automata with ``engine`` (one
     sink per automaton); an engine running this lane alone adopts the
     policy's solved tables.  The matches the engine reports during one
-    ``open`` collect in :attr:`collected`, which the caller clears
-    before that ``open`` and :meth:`push` folds into the new node.
-    With a ``memory`` meter each open decision is charged to its
-    ``signs`` pool.
+    ``open`` collect in :attr:`collected`, which the new node's
+    :class:`DecisionNode` folds in.
+
+    A lane alone on its engine runs :meth:`open` and :meth:`close`, one
+    call per element; with a ``memory`` meter each open decision is
+    charged inline to its ``signs`` pool.  Lanes sharing one engine
+    (:mod:`repro.core.multicast`) are unmetered: their caller clears
+    :attr:`collected`, steps the engine once, and runs :meth:`push` and
+    :meth:`pop` on every lane.
     """
 
     __slots__ = ("engine", "policy", "decisions", "collected", "_memory")
@@ -75,28 +80,40 @@ class Lane:
     def open(self, tag: str) -> DecisionNode:
         """Advance a lane that is alone on its engine; return the new
         node's decision."""
-        self.collected.clear()
+        collected = self.collected
+        collected.clear()
         self.engine.open(tag)
-        return self.push()
-
-    def push(self) -> DecisionNode:
-        """Fold the collected matches into the decision of the node the
-        engine just opened."""
-        node = DecisionNode(parent=self.decisions[-1])
-        if self._memory is not None:
-            self._memory.allocate("signs", DECISION_BYTES)
-        for sign, conditions in self.collected:
-            node.add_match(sign, conditions)
-        self.decisions.append(node)
+        decisions = self.decisions
+        node = DecisionNode(decisions[-1], collected)
+        memory = self._memory
+        if memory is not None:
+            used = memory.used + DECISION_BYTES
+            if used > memory.limit:
+                memory.overflow("signs", DECISION_BYTES)
+            else:
+                memory.used = used
+                memory.signs += DECISION_BYTES
+                if used > memory.high_water:
+                    memory.high_water = used
+        decisions.append(node)
         return node
 
     def close(self) -> None:
         """Backtrack a lane that is alone on its engine."""
         self.engine.close()
-        self.pop()
+        self.decisions.pop()
+        memory = self._memory
+        if memory is not None:
+            memory.used -= DECISION_BYTES
+            memory.signs -= DECISION_BYTES
+
+    def push(self) -> DecisionNode:
+        """Fold the collected matches into the decision of the node the
+        shared engine just opened."""
+        node = DecisionNode(self.decisions[-1], self.collected)
+        self.decisions.append(node)
+        return node
 
     def pop(self) -> None:
         """Drop the innermost node's decision."""
         self.decisions.pop()
-        if self._memory is not None:
-            self._memory.release("signs", DECISION_BYTES)

@@ -102,36 +102,44 @@ class AccessController:
     def feed(self, event: Event) -> list[Event]:
         """Process one event; return output events released by it.
 
-        Exact-type dispatch first (the event classes are final in
-        practice), with the isinstance chain kept as a fallback for
-        duck-typed subclasses.
+        Dispatch is on the exact event type: the event classes are
+        frozen and nothing subclasses them.
         """
         if self._finished:
             raise RuntimeError("controller already finished")
         cls = type(event)
-        if cls is OpenEvent or isinstance(event, OpenEvent):
-            auth = self._policy.open(event.tag)
-            query = self._query.open(event.tag) if self._query else None
-            self._delivery.open(event, auth, query)
+        query = self._query
+        delivery = self._delivery
+        if cls is OpenEvent:
+            tag = event.tag  # type: ignore[union-attr]
+            auth = self._policy.open(tag)
+            delivery.open(
+                event,  # type: ignore[arg-type]
+                auth,
+                query.open(tag) if query is not None else None,
+            )
             self._depth += 1
-        elif cls is ValueEvent or isinstance(event, ValueEvent):
+        elif cls is ValueEvent:
             if self._depth == 0:
                 raise ValueError("text event outside the root element")
-            self._policy.engine.value(event.text)
-            if self._query:
-                self._query.engine.value(event.text)
-            self._delivery.value(event)
-        elif cls is CloseEvent or isinstance(event, CloseEvent):
+            text = event.text  # type: ignore[union-attr]
+            self._policy.engine.value(text)
+            if query is not None:
+                query.engine.value(text)
+            delivery.value(event)  # type: ignore[arg-type]
+        elif cls is CloseEvent:
             if self._depth == 0:
                 raise ValueError("unbalanced close event")
-            self._delivery.close(event)
+            delivery.close(event)  # type: ignore[arg-type]
             self._policy.close()
-            if self._query:
-                self._query.close()
+            if query is not None:
+                query.close()
             self._depth -= 1
-        else:  # pragma: no cover - defensive
+        else:
             raise TypeError(f"not an event: {event!r}")
-        return self._delivery.drain()
+        if not delivery._root_items:
+            return []  # nothing buffered, so nothing to release
+        return delivery.drain()
 
     def finish(self) -> list[Event]:
         """Signal end of document; return the final output events."""

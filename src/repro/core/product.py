@@ -453,12 +453,10 @@ class ProductEngine:
     # -- memory hooks ---------------------------------------------------
 
     def _charge(self, nbytes: int) -> None:
+        """Charge set-up and watched text; :meth:`open` and :meth:`close`
+        keep the ``engine`` pool inline."""
         if self._memory is not None:
             self._memory.allocate("engine", nbytes)
-
-    def _release(self, nbytes: int) -> None:
-        if self._memory is not None:
-            self._memory.release("engine", nbytes)
 
     # -- setup ----------------------------------------------------------
 
@@ -736,8 +734,16 @@ class ProductEngine:
         # One combined allocation: nothing is released mid-event, so the
         # running total (and the high-water mark) equals that of
         # charging frame, conditions, watchers and tokens one by one.
-        if self._memory is not None:
-            self._memory.allocate("engine", charge)
+        memory = self._memory
+        if memory is not None:
+            used = memory.used + charge
+            if used > memory.limit:
+                memory.overflow("engine", charge)
+            else:
+                memory.used = used
+                memory.engine += charge
+                if used > memory.high_water:
+                    memory.high_water = used
 
     def value(self, text: str) -> None:
         """Feed a text event to the watchers of the innermost node."""
@@ -768,7 +774,10 @@ class ProductEngine:
             for condition in conditions:
                 condition.finalize()
             freed += CONDITION_BYTES * len(conditions)
-        self._release(freed)
+        memory = self._memory
+        if memory is not None:
+            memory.used -= freed
+            memory.engine -= freed
 
     # -- skip-index queries ----------------------------------------------
 

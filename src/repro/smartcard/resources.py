@@ -64,6 +64,33 @@ class NetworkModel:
         return nbytes / self.bandwidth_bytes_per_second
 
 
+class CycleLedger:
+    """One cycle component of a :class:`SimClock`: the integer count of
+    a fixed-rate clock's cycles.
+
+    A caller that charges on every element keeps the ledger
+    :meth:`SimClock.cycle_ledger` returned and adds to :attr:`cycles`
+    itself.  :meth:`SimClock.reset` retires the ledger by deleting
+    ``cycles``, so such a caller's next add raises ``AttributeError``
+    and it asks the clock again.
+    """
+
+    __slots__ = ("cycles", "hz")
+
+    def __init__(self, hz: float) -> None:
+        self.cycles = 0
+        self.hz = hz
+
+    def retire(self) -> None:
+        del self.cycles
+
+
+#: A ledger retired from birth: the ledger a caller holds before its
+#: first charge, so that charge asks the clock for the real one.
+UNBOUND_LEDGER = CycleLedger(1.0)
+UNBOUND_LEDGER.retire()
+
+
 class SimClock:
     """Accumulates simulated time per component.
 
@@ -73,50 +100,59 @@ class SimClock:
     serialize exactly as they do on the real reader.
 
     A component is kept either in float seconds (:meth:`add`) or as an
-    integer cycle count of a fixed-rate clock (:meth:`add_cycles`, the
-    card CPU).  A cycle component converts to seconds once, when it is
-    read (``cycles / hz``, correctly rounded), so its time does not
-    depend on how its charges were split.
+    integer cycle count of a fixed-rate clock (a :class:`CycleLedger`:
+    :meth:`add_cycles`, or :meth:`cycle_ledger` for a caller that adds
+    to it inline, as the card CPU does).  A cycle component converts to
+    seconds once, when it is read (``cycles / hz``, correctly rounded),
+    so its time does not depend on how its charges were split.  A
+    component exists from its first charge on.
     """
 
     def __init__(self) -> None:
-        #: seconds, or integer cycles for the components in ``_hz``
-        self._ledger: dict[str, float] = {}
-        self._hz: dict[str, float] = {}
+        #: float seconds, or the ledger of a cycle component
+        self._ledger: dict[str, float | CycleLedger] = {}
 
     def add(self, component: str, seconds: float) -> None:
         if seconds < 0:
             raise ValueError("time cannot run backwards")
-        if component in self._hz:
-            raise ValueError(f"{component!r} counts cycles; use add_cycles")
+        ledger = self._ledger
         try:
-            self._ledger[component] += seconds
+            ledger[component] += seconds  # type: ignore[operator]
         except KeyError:
-            self._ledger[component] = seconds
+            ledger[component] = seconds
+        except TypeError:
+            raise ValueError(
+                f"{component!r} counts cycles; use add_cycles"
+            ) from None
+
+    def cycle_ledger(self, component: str, hz: float) -> CycleLedger:
+        """The ledger of cycle component ``component`` at ``hz``,
+        registered on first use."""
+        ledger = self._ledger.get(component)
+        if ledger is None:
+            ledger = self._ledger[component] = CycleLedger(hz)
+        elif not isinstance(ledger, CycleLedger) or ledger.hz != hz:
+            raise ValueError(f"{component!r} is kept at another rate")
+        return ledger
 
     def add_cycles(self, component: str, cycles: int, hz: float) -> None:
         """Charge ``cycles`` of a ``hz`` clock to ``component``."""
         if cycles < 0:
             raise ValueError("time cannot run backwards")
-        if self._hz.get(component) != hz:
-            if component in self._ledger:
-                raise ValueError(f"{component!r} is kept at another rate")
-            self._hz[component] = hz
-            self._ledger[component] = 0
-        self._ledger[component] += cycles
+        self.cycle_ledger(component, hz).cycles += cycles
 
     def component(self, name: str) -> float:
         value = self._ledger.get(name, 0.0)
-        hz = self._hz.get(name)
-        return value if hz is None else value / hz
+        if isinstance(value, CycleLedger):
+            return value.cycles / value.hz
+        return value
 
     def total(self) -> float:
         return sum(self.breakdown().values())
 
     def breakdown(self) -> dict[str, float]:
-        hz = self._hz
         return {
-            name: value / hz[name] if name in hz else value
+            name: value.cycles / value.hz if isinstance(value, CycleLedger) else value
             for name, value in self._ledger.items()
         }
 
@@ -135,20 +171,22 @@ class SimClock:
         """
         delta = SimClock()
         for component, value in self._ledger.items():
-            hz = self._hz.get(component)
-            if hz is None:
+            if isinstance(value, CycleLedger):
+                hz = value.hz
+                cycles = value.cycles - round(snapshot.get(component, 0.0) * hz)
+                if cycles > 0:
+                    delta.add_cycles(component, cycles, hz)
+            else:
                 elapsed = value - snapshot.get(component, 0.0)
                 if elapsed > 0:
                     delta.add(component, elapsed)
-            else:
-                elapsed = value - round(snapshot.get(component, 0.0) * hz)
-                if elapsed > 0:
-                    delta.add_cycles(component, elapsed, hz)
         return delta
 
     def reset(self) -> None:
+        for value in self._ledger.values():
+            if isinstance(value, CycleLedger):
+                value.retire()
         self._ledger.clear()
-        self._hz.clear()
 
 
 @dataclass

@@ -14,17 +14,18 @@ Section 2.1's three assumptions, made concrete:
 
 All CPU work is charged in cycles through this object so that a session
 ends with a deterministic, reproducible time breakdown.  Cycles are
-integers: :meth:`SecureOperatingEnvironment.charge_cycles` adds them to
-:attr:`cycles_used` and to the clock's ``card_cpu`` ledger, which turns
-them into seconds only when read, so the modeled time does not depend
-on how the callers batch their charges.
+integers: each ``charge_*`` method adds them to :attr:`cycles_used` and
+straight onto the clock's ``card_cpu`` ledger (a
+:class:`~repro.smartcard.resources.CycleLedger`, fetched at the first
+charge), which turns them into seconds only when read, so the modeled
+time does not depend on how the callers batch their charges.
 """
 
 from __future__ import annotations
 
 from repro.crypto.keys import DocumentKeys, KeyRing
 from repro.smartcard.memory import DEFAULT_QUOTA, MemoryMeter
-from repro.smartcard.resources import CostModel, SimClock
+from repro.smartcard.resources import UNBOUND_LEDGER, CostModel, SimClock
 
 
 class SecureOperatingEnvironment:
@@ -44,25 +45,59 @@ class SecureOperatingEnvironment:
         self._version_registers: dict[str, int] = {}
         self.cycles_used = 0
         self.eeprom_bytes_written = 0
+        #: The clock's ``card_cpu`` ledger once a charge fetched it.
+        self._cpu = UNBOUND_LEDGER
 
     # -- CPU ----------------------------------------------------------------
+    #
+    # Each charge is its own method (profilers and the E20 tracer wrap
+    # them by name) and adds its cycles inline.
+
+    def _fetch_cpu(self, cycles: int) -> None:
+        """Charge the first cycles onto the clock's ``card_cpu`` ledger,
+        registering it (or after the clock was reset)."""
+        self._cpu = self.clock.cycle_ledger("card_cpu", self.cost.cpu_hz)
+        self._cpu.cycles += cycles
 
     def charge_cycles(self, cycles: int) -> None:
         """Account CPU work and advance the simulated clock."""
         self.cycles_used += cycles
-        self.clock.add_cycles("card_cpu", cycles, self.cost.cpu_hz)
+        try:
+            self._cpu.cycles += cycles
+        except AttributeError:
+            self._fetch_cpu(cycles)
 
     def charge_decrypt(self, nbytes: int) -> None:
-        self.charge_cycles(nbytes * self.cost.cycles_decrypt_per_byte)
+        cycles = nbytes * self.cost.cycles_decrypt_per_byte
+        self.cycles_used += cycles
+        try:
+            self._cpu.cycles += cycles
+        except AttributeError:
+            self._fetch_cpu(cycles)
 
     def charge_mac(self, nbytes: int) -> None:
-        self.charge_cycles(nbytes * self.cost.cycles_mac_per_byte)
+        cycles = nbytes * self.cost.cycles_mac_per_byte
+        self.cycles_used += cycles
+        try:
+            self._cpu.cycles += cycles
+        except AttributeError:
+            self._fetch_cpu(cycles)
 
     def charge_decode(self, nbytes: int) -> None:
-        self.charge_cycles(nbytes * self.cost.cycles_decode_per_byte)
+        cycles = nbytes * self.cost.cycles_decode_per_byte
+        self.cycles_used += cycles
+        try:
+            self._cpu.cycles += cycles
+        except AttributeError:
+            self._fetch_cpu(cycles)
 
     def charge_output(self, nbytes: int) -> None:
-        self.charge_cycles(nbytes * self.cost.cycles_per_output_byte)
+        cycles = nbytes * self.cost.cycles_per_output_byte
+        self.cycles_used += cycles
+        try:
+            self._cpu.cycles += cycles
+        except AttributeError:
+            self._fetch_cpu(cycles)
 
     # -- EEPROM (secure stable storage) ----------------------------------------
 

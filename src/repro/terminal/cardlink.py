@@ -108,14 +108,15 @@ class CardLink:
     ) -> ResponseAPDU:
         """Send one APDU over the link and account for it."""
         response = self.card.process(command)
+        sent = command.wire_size
+        received = response.wire_size
         metrics.apdu_count += 1
-        metrics.bytes_to_card += command.wire_size
-        metrics.bytes_from_card += response.wire_size
+        metrics.bytes_to_card += sent
+        metrics.bytes_from_card += received
+        # Two charges, not one of their sum: the link's float total
+        # depends on how its additions are split.
         self.clock.add(self.component, self.link.apdu_overhead_seconds)
-        self.clock.add(
-            self.component,
-            self.link.transfer_seconds(command.wire_size + response.wire_size),
-        )
+        self.clock.add(self.component, self.link.transfer_seconds(sent + received))
         if not response.ok:
             raise card_error(
                 f"card error {response.sw:#06x} during {context}",
