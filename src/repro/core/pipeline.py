@@ -111,26 +111,22 @@ class AccessController:
         query = self._query
         delivery = self._delivery
         if cls is OpenEvent:
-            tag = event.tag  # type: ignore[union-attr]
+            tag = event.tag
             auth = self._policy.open(tag)
-            delivery.open(
-                event,  # type: ignore[arg-type]
-                auth,
-                query.open(tag) if query is not None else None,
-            )
+            delivery.open(event, auth, query.open(tag) if query is not None else None)
             self._depth += 1
         elif cls is ValueEvent:
             if self._depth == 0:
                 raise ValueError("text event outside the root element")
-            text = event.text  # type: ignore[union-attr]
+            text = event.text
             self._policy.engine.value(text)
             if query is not None:
                 query.engine.value(text)
-            delivery.value(event)  # type: ignore[arg-type]
+            delivery.value(event)
         elif cls is CloseEvent:
             if self._depth == 0:
                 raise ValueError("unbalanced close event")
-            delivery.close(event)  # type: ignore[arg-type]
+            delivery.close(event)
             self._policy.close()
             if query is not None:
                 query.close()

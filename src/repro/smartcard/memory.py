@@ -106,7 +106,7 @@ class MemoryMeter:
         nothing; a soft one records the overflow and charges.
         """
         if self.strict:
-            raise CardMemoryError(nbytes, self.used, self._quota)  # type: ignore[arg-type]
+            raise CardMemoryError(nbytes, self.used, self._quota)
         self.overflowed = True
         self._charge(tag, nbytes)
 

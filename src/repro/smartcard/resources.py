@@ -117,7 +117,7 @@ class SimClock:
             raise ValueError("time cannot run backwards")
         ledger = self._ledger
         try:
-            ledger[component] += seconds  # type: ignore[operator]
+            ledger[component] += seconds
         except KeyError:
             ledger[component] = seconds
         except TypeError:

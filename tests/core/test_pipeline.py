@@ -61,6 +61,25 @@ def test_text_outside_root_rejected():
         controller.feed(ValueEvent("stray"))
 
 
+@pytest.mark.parametrize("thing", ["<r>", ("open", "r"), None])
+def test_feed_rejects_what_is_not_an_event(thing):
+    controller = AccessController(RULES, "u")
+    with pytest.raises(TypeError):
+        controller.feed(thing)
+
+
+def test_feed_releases_nothing_while_everything_is_dropped():
+    from repro.xmlstream.events import CloseEvent, OpenEvent, ValueEvent
+
+    controller = AccessController(RULES, "u")
+    assert controller.feed(OpenEvent("r")) == [OpenEvent("r")]
+    assert controller.feed(OpenEvent("secret")) == []
+    assert controller.feed(ValueEvent("x")) == []
+    assert controller.feed(CloseEvent("secret")) == []
+    assert controller.feed(CloseEvent("r")) == [CloseEvent("r")]
+    assert controller.finish() == []
+
+
 def test_active_token_count_exposed():
     controller = AccessController(RULES, "u", query="//x")
     controller.feed(parse_string("<r></r>")[0])
