@@ -8,12 +8,23 @@ chunk`` grew quadratically on large single-token documents).
 
 import time
 
+import pytest
+
 from repro.xmlstream.escape import escape_attribute, escape_text, resolve_entity
 from repro.xmlstream.parser import parse_events, parse_string
 
 
 def _chunks(text: str, size: int):
     return [text[i:i + size] for i in range(0, len(text), size)]
+
+
+def _time_best_of_three(chunks):
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        list(parse_events(iter(chunks)))
+        best = min(best, time.perf_counter() - start)
+    return best
 
 
 def test_any_chunking_parses_identically():
@@ -40,18 +51,32 @@ def test_single_token_buffering_is_linear():
     def build(n):
         return ["<root><big>"] + ["y" * 64] * n + ["</big></root>"]
 
-    def measure(n):
-        chunks = build(n)
-        best = float("inf")
-        for _ in range(3):
-            start = time.perf_counter()
-            list(parse_events(iter(chunks)))
-            best = min(best, time.perf_counter() - start)
-        return best
-
-    small, large = measure(1500), measure(6000)
+    small = _time_best_of_three(build(1500))
+    large = _time_best_of_three(build(6000))
     # 4x the input; allow up to 10x the time (noise margin) -- the
     # quadratic seed scanner showed ~16x and grew with size.
+    assert large < small * 10, (small, large)
+
+
+@pytest.mark.parametrize(
+    ("opener", "closer"),
+    [
+        ("<!--", "-->"),
+        ("<![CDATA[", "]]>"),
+        ("<?pi ", "?>"),
+        ("<big a='", "'/>"),
+    ],
+    ids=["comment", "cdata", "pi", "attribute"],
+)
+def test_long_markup_token_buffering_is_linear(opener, closer):
+    """A ~200 KB comment, CDATA section, PI or attribute value fed in
+    37-character chunks: 4x the input must not take 10x the time."""
+
+    def measure(size):
+        doc = f"<root>{opener}{'z' * size}{closer}</root>"
+        return _time_best_of_three(_chunks(doc, 37))
+
+    small, large = measure(50_000), measure(200_000)
     assert large < small * 10, (small, large)
 
 
