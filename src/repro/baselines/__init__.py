@@ -16,14 +16,10 @@ from repro.baselines.static_encryption import (
     ChurnCost,
     StaticEncryptionScheme,
 )
-from repro.baselines.server_filter import (
-    trusted_server_multicast,
-    trusted_server_query,
-)
+from repro.baselines.server_filter import trusted_server_query
 
 __all__ = [
     "ChurnCost",
     "StaticEncryptionScheme",
-    "trusted_server_multicast",
     "trusted_server_query",
 ]

@@ -8,14 +8,11 @@ experiment E6's comparison table.
 
 from __future__ import annotations
 
-from typing import Sequence
-
-from repro.core.compiled import PolicyRegistry
 from repro.core.delivery import ViewMode
 from repro.core.reference import reference_view
-from repro.core.rules import RuleSet, Sign, Subject
+from repro.core.rules import RuleSet, Sign
 from repro.smartcard.resources import NetworkModel, SimClock
-from repro.xmlstream.tree import Element, tree_to_events
+from repro.xmlstream.tree import Element
 from repro.xmlstream.writer import write_string
 
 
@@ -40,32 +37,3 @@ def trusted_server_query(
     clock.add("network", network.transfer_seconds(len(payload)))
     return view, clock
 
-
-def trusted_server_multicast(
-    root: Element,
-    rules: RuleSet,
-    subjects: Sequence[Subject | str],
-    mode: ViewMode = ViewMode.SKELETON,
-    default: Sign = Sign.DENY,
-    network: NetworkModel | None = None,
-    clock: SimClock | None = None,
-    registry: PolicyRegistry | None = None,
-) -> tuple[dict[str, str], SimClock]:
-    """Trusted-server views for a whole audience in one parse pass.
-
-    The multicast analogue of :func:`trusted_server_query`: instead of
-    walking the document once per subject, all subjects' automata run
-    over a single shared pass.  Delegates to
-    :class:`~repro.dsp.server.TrustedFilterService` (the one place
-    that renders and charges multicast views) over a throwaway DSP
-    front, so the two trusted-server reference points price transfers
-    identically.
-    """
-    from repro.dsp.server import DSPServer, TrustedFilterService
-
-    server = DSPServer(network=network, clock=clock)
-    service = TrustedFilterService(server, registry=registry)
-    rendered = service.multicast(
-        tree_to_events(root), rules, subjects, default=default, mode=mode
-    )
-    return rendered, server.clock

@@ -46,7 +46,7 @@ from repro.dsp.remote import (
     RemoteDSP,
     RetryPolicy,
 )
-from repro.dsp.server import DSPServer, TrustedFilterService
+from repro.dsp.server import DSPServer
 from repro.dsp.store import DSPStore
 
 __all__ = [
@@ -64,5 +64,4 @@ __all__ = [
     "SQLiteBackend",
     "StoreBackend",
     "StoredDocument",
-    "TrustedFilterService",
 ]

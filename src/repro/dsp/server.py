@@ -2,19 +2,12 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
-
-from repro.core.compiled import PolicyRegistry
-from repro.core.delivery import ViewMode
-from repro.core.multicast import multicast_view_texts
-from repro.core.rules import RuleSet, Sign, Subject
 from repro.crypto.container import DocumentHeader
 from repro.dsp.store import DSPStore
 from repro.dsp.wire import DocMeta
 from repro.errors import KeyNotGranted
 from repro.smartcard.card import encode_header
 from repro.smartcard.resources import NetworkModel, SimClock
-from repro.xmlstream.events import Event
 
 # -- pure reads --------------------------------------------------------------
 #
@@ -164,48 +157,3 @@ class DSPServer:
         self._charge(meta.wire_size)
         return meta
 
-
-class TrustedFilterService:
-    """The *trusted-server* reference point (E6) at multicast scale.
-
-    The paper's threat model rules this architecture out -- a DSP must
-    never see plaintext -- but the latency-floor comparison of E6 keeps
-    it around.  This service extends that baseline to dissemination:
-    given the plaintext events and the policy, it computes the
-    authorized views of N subscribers in ONE parse pass
-    (:func:`~repro.core.multicast.multicast_views`) and charges each
-    view's transfer to the owning :class:`DSPServer`'s network clock.
-
-    A per-service :class:`~repro.core.compiled.PolicyRegistry` caches
-    the compiled policies, so repeated broadcasts of new documents
-    under an unchanged policy compile nothing.
-    """
-
-    def __init__(
-        self,
-        server: DSPServer,
-        registry: PolicyRegistry | None = None,
-    ) -> None:
-        self.server = server
-        self.registry = registry if registry is not None else PolicyRegistry()
-
-    def multicast(
-        self,
-        events: Iterable[Event],
-        rules: RuleSet,
-        subjects: Sequence[Subject | str],
-        default: Sign = Sign.DENY,
-        mode: ViewMode = ViewMode.SKELETON,
-    ) -> dict[str, str]:
-        """Per-subject views of one document, one parse pass for all."""
-        rendered = multicast_view_texts(
-            events,
-            rules,
-            subjects,
-            default=default,
-            mode=mode,
-            registry=self.registry,
-        )
-        for text in rendered.values():
-            self.server._charge(len(text.encode("utf-8")))
-        return rendered
