@@ -24,12 +24,17 @@ byte-faithful to a fresh card pull:
   over the full document, so they always miss to a live pull.
 
 Within those bounds the answer is computed with the reference
-evaluator: parse the cached view, re-run
-:func:`repro.core.reference.reference_view` with an empty PERMIT-all
-policy and ``q`` as the query, and render with the shared writer --
-the same writer the card's applet uses, so the bytes match a fresh
-pull exactly (the differential suite asserts this over the docgen
-corpus).
+evaluator: build the cached view's tree straight from the
+:func:`~repro.xmlstream.parser.parse_events` generator (no event list
+in between), re-run :func:`repro.core.reference.reference_view` with
+an empty PERMIT-all policy and ``q`` as the query, and render with the
+shared writer -- the same writer the card's applet uses, so the bytes
+match a fresh pull exactly (the differential suite asserts this over
+the docgen corpus).  The reference evaluator walks the tree and
+compiles nothing; answering through the streaming
+:class:`~repro.core.pipeline.AccessController` would add
+``compile_path`` calls to every answer and move the ``feeds.compiles``
+count that E20's ``exact`` block pins.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from __future__ import annotations
 from repro.core.delivery import ViewMode
 from repro.core.reference import reference_view
 from repro.core.rules import RuleSet, Sign
-from repro.xmlstream.parser import parse_string
+from repro.xmlstream.parser import parse_events
 from repro.xmlstream.tree import Element, events_to_tree
 from repro.xmlstream.writer import write_string
 from repro.xpathlib import XPathSyntaxError, parse_path
@@ -105,14 +110,15 @@ def _view_root(view_xml: str) -> Element | None:
 
     A skeleton view of a document is either empty (nothing authorized)
     or single-rooted (the document root is always the first retained
-    ancestor).  Anything else is not a shape this module answers from.
+    ancestor).  Anything else -- two roots, or text beside the root --
+    is not a shape this module answers from.  The tree is built as the
+    scanner yields its events; no event list is kept.
     """
-    events = parse_string(f"<v>{view_xml}</v>", keep_whitespace=True)
-    wrapper = events_to_tree(events)
-    roots = wrapper.element_children
-    if len(roots) != 1:
+    wrapper = events_to_tree(parse_events(f"<v>{view_xml}</v>", keep_whitespace=True))
+    if len(wrapper.children) != 1:
         return None
-    return roots[0]
+    root = wrapper.children[0]
+    return root if isinstance(root, Element) else None
 
 
 def answer_from_view(view_xml: str, query: str) -> str | None:

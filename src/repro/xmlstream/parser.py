@@ -15,12 +15,24 @@ Supported XML subset (sufficient for the paper's data model):
   declaration (the last three are skipped),
 * no namespace processing (``:`` is treated as a plain name character).
 
-Scanning is find/regex-based rather than character-at-a-time: names,
-text runs, whitespace and markup delimiters are located with
-:meth:`str.find` and compiled patterns (one C-level scan per token),
-and the buffer is consumed through a read cursor with batched chunk
-joins, so total buffering cost stays linear in the input even when a
-single token spans many chunks.
+Scanning is one compiled alternation, ``_TOKEN``, matched at the
+cursor: each match is one whole token -- a text run, a closing tag, an
+opening tag with its attribute span, a CDATA section, or a skipped
+comment, PI or declaration -- and :func:`parse_events` dispatches on
+the group that matched.  The attributes of a tag are read from its span
+by one ``findall`` (``finditer`` when a value carries an entity, for
+error offsets).
+
+Chunked input is buffered behind the cursor.  Every markup token ends
+in its own delimiter, so a markup match is complete; a text run that
+touches the end of the buffer before the input ends, or no match
+before the input ends, refills and retries.  Each refill at least
+doubles the unconsumed buffer, so a token spanning many chunks is
+rescanned a geometric number of times and costs linear time overall.
+When nothing matches, :func:`_diagnose` walks the token the way the
+grammar reads it and either raises its :class:`XMLSyntaxError` -- as
+soon as the buffered text proves it malformed, with the same message
+and offset however the input is chunked -- or asks for more input.
 """
 
 from __future__ import annotations
@@ -33,8 +45,32 @@ from repro.xmlstream.events import CloseEvent, Event, OpenEvent, ValueEvent
 
 #: Name production of the supported subset: ``:`` is a plain name
 #: character, no Unicode classes (workload documents are ASCII).
-_NAME_RE = re.compile(r"[A-Za-z_:][A-Za-z0-9_:.\-]*")
-#: First non-whitespace character (whitespace per the XML subset).
+_NAME_CHAR = r"[A-Za-z0-9_:.\-]"
+_NAME = rf"[A-Za-z_:]{_NAME_CHAR}*"
+#: Whitespace per the XML subset.
+_WS = r"[ \t\r\n]"
+#: One ``name="value"`` pair inside an opening tag.
+_ATTRIBUTE = rf"""{_NAME}{_WS}*={_WS}*(?:"[^"]*"|'[^']*')"""
+
+#: One token at the cursor.  The outer named group of each alternative
+#: is the match's ``lastgroup``.  The tag name of an opening tag must
+#: not be followed by a name character, so backtracking cannot split
+#: ``<ab='1'>`` into a tag ``a`` and an attribute ``b``; a declaration
+#: ``<!...>`` is whatever is neither a comment nor a CDATA section.
+_TOKEN = re.compile(
+    r"(?P<text>[^<]+)"
+    rf"|(?P<close></(?P<close_tag>{_NAME}){_WS}*>)"
+    rf"|(?P<open><(?P<open_tag>{_NAME})(?!{_NAME_CHAR})"
+    rf"(?P<attributes>(?:{_WS}*{_ATTRIBUTE})*){_WS}*(?P<empty>/?)>)"
+    r"|(?P<cdata><!\[CDATA\[(?P<cdata_text>.*?)\]\]>)"
+    r"|(?P<skip><!--.*?-->|<\?.*?\?>|<!(?!--|\[CDATA\[)[^>]*>)",
+    re.DOTALL,
+)
+#: ``_ATTRIBUTE`` with groups for the name, the double-quoted and the
+#: single-quoted value, read over a matched attribute span.
+_ATTRIBUTE_RE = re.compile(rf"""({_NAME}){_WS}*={_WS}*(?:"([^"]*)"|'([^']*)')""")
+_NAME_RE = re.compile(_NAME)
+#: First non-whitespace character.
 _NON_WS_RE = re.compile(r"[^ \t\r\n]")
 
 
@@ -44,172 +80,6 @@ class XMLSyntaxError(ValueError):
     def __init__(self, message: str, offset: int) -> None:
         super().__init__(f"{message} (at offset {offset})")
         self.offset = offset
-
-
-class _Scanner:
-    """Buffered scanner over an iterator of text chunks.
-
-    The buffer is consumed through ``_pos`` (no per-take prefix
-    slicing); incoming chunks are merged with one ``join`` per refill
-    instead of repeated ``+=``, so memory traffic is bounded by the
-    input length plus the largest single token.
-    """
-
-    __slots__ = ("_chunks", "_buffer", "_pos", "_consumed", "_eof")
-
-    def __init__(self, chunks: Iterable[str]) -> None:
-        self._chunks = iter(chunks)
-        self._buffer = ""
-        self._pos = 0  # index of the next unconsumed character
-        self._consumed = 0  # absolute offset of _buffer[_pos]
-        self._eof = False
-
-    @property
-    def offset(self) -> int:
-        """Absolute offset of the scanner position in the input."""
-        return self._consumed
-
-    def _fill(self, length: int) -> bool:
-        """Make ``length`` unconsumed characters available, or hit EOF."""
-        available = len(self._buffer) - self._pos
-        if available >= length:
-            return True
-        if self._eof:
-            return False
-        parts = [self._buffer[self._pos:]] if available else []
-        while available < length:
-            try:
-                chunk = next(self._chunks)
-            except StopIteration:
-                self._eof = True
-                break
-            parts.append(chunk)
-            available += len(chunk)
-        self._buffer = "".join(parts)
-        self._pos = 0
-        return available >= length
-
-    def peek(self, index: int = 0) -> str:
-        """Return the character at ``index`` or '' at EOF."""
-        if not self._fill(index + 1):
-            return ""
-        return self._buffer[self._pos + index]
-
-    def startswith(self, prefix: str) -> bool:
-        if not self._fill(len(prefix)):
-            return False
-        return self._buffer.startswith(prefix, self._pos)
-
-    def take(self, count: int) -> str:
-        """Consume and return exactly ``count`` characters."""
-        if not self._fill(count):
-            raise XMLSyntaxError("unexpected end of input", self.offset)
-        position = self._pos
-        text = self._buffer[position:position + count]
-        self._pos = position + count
-        self._consumed += count
-        return text
-
-    def take_until(self, marker: str, *, error: str) -> str:
-        """Consume text up to ``marker`` and the marker itself.
-
-        Returns the text before the marker.  When the marker is not yet
-        buffered, chunks are scanned as they arrive (searching only the
-        boundary overlap plus the new chunk), so cost is linear in the
-        bytes consumed rather than quadratic in the token length.
-        """
-        index = self._buffer.find(marker, self._pos)
-        if index >= 0:
-            text = self._buffer[self._pos:index]
-            self._pos = index + len(marker)
-            self._consumed += len(text) + len(marker)
-            return text
-        overlap = len(marker) - 1
-        parts = [self._buffer[self._pos:]]
-        total = len(parts[0])
-        # ``tail`` rolls the last overlap characters of everything
-        # accumulated so far, so a marker split across any number of
-        # tiny chunks is still found.
-        tail = parts[0][-overlap:] if overlap else ""
-        while True:
-            try:
-                chunk = next(self._chunks)
-            except StopIteration:
-                self._eof = True
-                raise XMLSyntaxError(error, self.offset) from None
-            probe = tail + chunk
-            hit = probe.find(marker)
-            if hit >= 0:
-                start = total - len(tail) + hit  # marker start, accumulated
-                parts.append(chunk)
-                whole = "".join(parts)
-                self._buffer = whole[start + len(marker):]
-                self._pos = 0
-                self._consumed += start + len(marker)
-                return whole[:start]
-            parts.append(chunk)
-            total += len(chunk)
-            if overlap:
-                tail = probe[-overlap:]
-
-    def take_name(self) -> str:
-        """Consume one XML name (find-based, spanning chunk boundaries)."""
-        if not self._fill(1):
-            raise XMLSyntaxError("expected a name, found ''", self.offset)
-        while True:
-            match = _NAME_RE.match(self._buffer, self._pos)
-            if match is None:
-                found = self._buffer[self._pos]
-                raise XMLSyntaxError(
-                    f"expected a name, found {found!r}", self.offset
-                )
-            end = match.end()
-            if end < len(self._buffer) or self._eof:
-                break
-            # The name may continue into the next chunk: refill, then
-            # rematch from the top -- _fill compacts the buffer (moving
-            # the cursor), so pre-refill coordinates are always stale.
-            self._fill(len(self._buffer) - self._pos + 1)
-        name = self._buffer[self._pos:end]
-        self._consumed += end - self._pos
-        self._pos = end
-        return name
-
-    def take_text(self) -> str:
-        """Consume raw text up to (excluding) the next ``<`` or EOF."""
-        if not self._fill(1):
-            return ""
-        parts: list[str] = []
-        while True:
-            index = self._buffer.find("<", self._pos)
-            if index >= 0:
-                parts.append(self._buffer[self._pos:index])
-                self._consumed += index - self._pos
-                self._pos = index
-                break
-            parts.append(self._buffer[self._pos:])
-            self._consumed += len(self._buffer) - self._pos
-            self._buffer = ""
-            self._pos = 0
-            if not self._fill(1):
-                break
-        return "".join(parts)
-
-    def skip_whitespace(self) -> None:
-        while True:
-            match = _NON_WS_RE.search(self._buffer, self._pos)
-            if match is not None:
-                self._consumed += match.start() - self._pos
-                self._pos = match.start()
-                return
-            self._consumed += len(self._buffer) - self._pos
-            self._buffer = ""
-            self._pos = 0
-            if not self._fill(1):
-                return
-
-    def at_eof(self) -> bool:
-        return not self._fill(1)
 
 
 def _decode_entities(text: str, offset: int) -> str:
@@ -236,42 +106,112 @@ def _decode_entities(text: str, offset: int) -> str:
         position = semi + 1
 
 
-def _read_attributes(
-    scanner: _Scanner,
-) -> tuple[tuple[tuple[str, str], ...], bool]:
-    """Parse attributes up to ``>`` or ``/>``.
+def _read_attributes(span: str, offset: int) -> tuple[tuple[str, str], ...]:
+    """The ``(name, value)`` pairs of a matched attribute span.
 
-    Returns ``(attributes, self_closing)``.
+    ``offset`` is the absolute offset of ``span``; it places the error
+    of an entity reference that does not resolve.
     """
+    if "&" not in span:
+        return tuple([(name, dq or sq) for name, dq, sq in _ATTRIBUTE_RE.findall(span)])
     attributes: list[tuple[str, str]] = []
-    while True:
-        scanner.skip_whitespace()
-        char = scanner.peek()
+    for match in _ATTRIBUTE_RE.finditer(span):
+        group = 2 if match.group(2) is not None else 3
+        attributes.append(
+            (match.group(1), _decode_entities(match.group(group), offset + match.start(group)))
+        )
+    return tuple(attributes)
+
+
+def _diagnose(buffer: str, pos: int, base: int, eof: bool) -> XMLSyntaxError | None:
+    """The error of the markup at ``buffer[pos]``, which ``_TOKEN`` did
+    not match, or ``None`` when it may yet complete with more input.
+
+    Walks the token in grammar order -- the same order a
+    character-at-a-time reader takes -- so the first fault is the one
+    reported.  ``base`` is the absolute offset of ``buffer[0]``; past
+    the buffer's end an unfinished token is an error only at ``eof``.
+    """
+    end = len(buffer)
+
+    def fault(message: str, index: int) -> XMLSyntaxError:
+        return XMLSyntaxError(message, base + index)
+
+    def unterminated(marker: str, start: int, message: str) -> XMLSyntaxError | None:
+        if eof and buffer.find(marker, start) < 0:
+            return fault(message, start)
+        return None
+
+    def name_at(index: int) -> int | XMLSyntaxError | None:
+        """The end of the name at ``index``, or its fault."""
+        match = _NAME_RE.match(buffer, index)
+        if match is None:
+            if index < end:
+                return fault(f"expected a name, found {buffer[index]!r}", index)
+            return fault("expected a name, found ''", index) if eof else None
+        if match.end() == end and not eof:
+            return None
+        return match.end()
+
+    def skip_whitespace(index: int) -> int:
+        match = _NON_WS_RE.search(buffer, index)
+        return end if match is None else match.start()
+
+    rest = buffer[pos:pos + 9]
+    if not eof and any(
+        len(rest) < len(marker) and marker.startswith(rest)
+        for marker in ("<![CDATA[", "<!--", "<?", "</")
+    ):
+        return None  # which kind of markup is not known yet
+    if rest.startswith("<![CDATA["):
+        return unterminated("]]>", pos + 9, "unterminated CDATA section")
+    if rest.startswith("<!--"):
+        return unterminated("-->", pos + 4, "unterminated comment")
+    if rest.startswith("<?"):
+        return unterminated("?>", pos + 2, "unterminated processing instruction")
+    if rest.startswith("<!"):
+        return unterminated(">", pos + 2, "unterminated declaration")
+    if rest.startswith("</"):
+        index = name_at(pos + 2)
+        if not isinstance(index, int):
+            return index
+        index = skip_whitespace(index)
+        if index == end and not eof or buffer.startswith(">", index):
+            return None
+        return fault("malformed closing tag", index)
+    index = name_at(pos + 1)
+    while isinstance(index, int):
+        index = skip_whitespace(index)
+        if index == end:
+            return fault("unexpected end of tag", index) if eof else None
+        char = buffer[index]
         if char == ">":
-            scanner.take(1)
-            return tuple(attributes), False
+            return None
         if char == "/":
-            if not scanner.startswith("/>"):
-                raise XMLSyntaxError("expected '/>'", scanner.offset)
-            scanner.take(2)
-            return tuple(attributes), True
-        if not char:
-            raise XMLSyntaxError("unexpected end of tag", scanner.offset)
-        name = scanner.take_name()
-        scanner.skip_whitespace()
-        if scanner.peek() != "=":
-            raise XMLSyntaxError(
-                f"expected '=' after attribute {name!r}", scanner.offset
-            )
-        scanner.take(1)
-        scanner.skip_whitespace()
-        quote = scanner.peek()
-        if quote not in ("'", '"'):
-            raise XMLSyntaxError("attribute value must be quoted", scanner.offset)
-        scanner.take(1)
-        value_offset = scanner.offset
-        raw = scanner.take_until(quote, error="unterminated attribute value")
-        attributes.append((name, _decode_entities(raw, value_offset)))
+            if index + 1 == end and not eof or buffer.startswith("/>", index):
+                return None
+            return fault("expected '/>'", index)
+        attribute = index
+        index = name_at(index)
+        if not isinstance(index, int):
+            return index
+        name = buffer[attribute:index]
+        index = skip_whitespace(index)
+        if index == end and not eof:
+            return None
+        if index == end or buffer[index] != "=":
+            return fault(f"expected '=' after attribute {name!r}", index)
+        index = skip_whitespace(index + 1)
+        if index == end and not eof:
+            return None
+        if index == end or buffer[index] not in "'\"":
+            return fault("attribute value must be quoted", index)
+        close = buffer.find(buffer[index], index + 1)
+        if close < 0:
+            return fault("unterminated attribute value", index + 1) if eof else None
+        _decode_entities(buffer[index + 1:close], base + index + 1)
+        index = close + 1
+    return index
 
 
 def parse_events(
@@ -288,91 +228,104 @@ def parse_events(
     into a single :class:`ValueEvent`.
     """
     if isinstance(source, str):
-        source = (source,)
-    scanner = _Scanner(source)
-    depth = 0
+        chunks: Iterator[str] = iter(())
+        buffer, eof = source, True
+    else:
+        chunks = iter(source)
+        buffer, eof = "", False
+    pos = 0  # cursor: index of the next unconsumed character
+    base = 0  # absolute offset of buffer[0]
     open_tags: list[str] = []
     seen_root = False
     pending_text: list[str] = []
-
-    def flush_text() -> Iterator[Event]:
-        if not pending_text:
-            return
-        text = "".join(pending_text)
-        pending_text.clear()
-        if depth == 0:
-            if text.strip():
-                raise XMLSyntaxError("text outside the root element", scanner.offset)
-            return
-        if text.strip() or keep_whitespace:
-            yield ValueEvent(text)
+    match = _TOKEN.match
 
     while True:
-        if scanner.at_eof():
-            break
-        if scanner.peek() != "<":
-            text_offset = scanner.offset
-            raw = scanner.take_text()
-            pending_text.append(_decode_entities(raw, text_offset))
-            continue
-        # Markup.
-        if scanner.startswith("<![CDATA["):
-            scanner.take(9)
-            pending_text.append(
-                scanner.take_until("]]>", error="unterminated CDATA section")
-            )
-            continue
-        yield from flush_text()
-        if scanner.startswith("<!--"):
-            scanner.take(4)
-            scanner.take_until("-->", error="unterminated comment")
-            continue
-        if scanner.startswith("<?"):
-            scanner.take(2)
-            scanner.take_until("?>", error="unterminated processing instruction")
-            continue
-        if scanner.startswith("<!"):
-            scanner.take(2)
-            scanner.take_until(">", error="unterminated declaration")
-            continue
-        if scanner.startswith("</"):
-            scanner.take(2)
-            name = scanner.take_name()
-            scanner.skip_whitespace()
-            if scanner.peek() != ">":
-                raise XMLSyntaxError("malformed closing tag", scanner.offset)
-            scanner.take(1)
-            if depth == 0:
-                raise XMLSyntaxError(
-                    f"unmatched closing tag </{name}>", scanner.offset
+        token = match(buffer, pos)
+        start = pos
+        if token is not None and (
+            eof or token.end() < len(buffer) or token.lastgroup != "text"
+        ):
+            kind = token.lastgroup
+            pos = token.end()
+            if kind == "text":
+                text = token.group()
+                pending_text.append(
+                    _decode_entities(text, base + start) if "&" in text else text
                 )
+                continue
+            if kind == "cdata":
+                pending_text.append(token.group("cdata_text"))
+                continue
+        elif eof and pos == len(buffer):
+            kind = None  # end of input
+        else:
+            error = None
+            if token is None and pos < len(buffer):
+                error = _diagnose(buffer, pos, base, eof)
+            if error is None:
+                if eof:
+                    raise AssertionError("token pattern and diagnosis disagree")
+                # Refill: at least double what is left unconsumed.
+                parts = [buffer[pos:]]
+                have = len(parts[0])
+                need = 2 * have or 1
+                while have < need:
+                    try:
+                        chunk = next(chunks)
+                    except StopIteration:
+                        eof = True
+                        break
+                    parts.append(chunk)
+                    have += len(chunk)
+                base += pos
+                buffer = "".join(parts)
+                pos = 0
+                continue
+            if buffer.startswith("<![CDATA[", pos):
+                raise error  # a CDATA section continues the text run
+            kind = "error"
+        # Any token but text and CDATA ends the pending text run.
+        if pending_text:
+            text = "".join(pending_text)
+            pending_text.clear()
+            if not open_tags:
+                if text.strip():
+                    raise XMLSyntaxError("text outside the root element", base + start)
+            elif keep_whitespace or text.strip():
+                yield ValueEvent(text)
+        if kind == "close":
+            name = token.group("close_tag")
+            if not open_tags:
+                raise XMLSyntaxError(f"unmatched closing tag </{name}>", base + pos)
             expected = open_tags.pop()
             if expected != name:
                 raise XMLSyntaxError(
-                    f"closing tag </{name}> does not match <{expected}>",
-                    scanner.offset,
+                    f"closing tag </{name}> does not match <{expected}>", base + pos
                 )
-            depth -= 1
             yield CloseEvent(name)
-            continue
-        scanner.take(1)  # '<'
-        name = scanner.take_name()
-        attributes, self_closing = _read_attributes(scanner)
-        if depth == 0 and seen_root:
-            raise XMLSyntaxError("multiple root elements", scanner.offset)
-        seen_root = True
-        yield OpenEvent(name, attributes)
-        if self_closing:
-            yield CloseEvent(name)
-        else:
-            depth += 1
-            open_tags.append(name)
+        elif kind == "open":
+            name, span, empty = token.group("open_tag", "attributes", "empty")
+            attributes = (
+                _read_attributes(span, base + token.start("attributes")) if span else ()
+            )
+            if seen_root and not open_tags:
+                raise XMLSyntaxError("multiple root elements", base + pos)
+            seen_root = True
+            yield OpenEvent(name, attributes)
+            if empty:
+                yield CloseEvent(name)
+            else:
+                open_tags.append(name)
+        elif kind == "error":
+            raise error
+        elif kind is None:
+            break
 
-    yield from flush_text()
-    if depth != 0:
-        raise XMLSyntaxError("unclosed elements at end of input", scanner.offset)
+    if open_tags:
+        raise XMLSyntaxError("unclosed elements at end of input", base + pos)
     if not seen_root:
-        raise XMLSyntaxError("document has no root element", scanner.offset)
+        raise XMLSyntaxError("document has no root element", base + pos)
 
 
 def parse_string(text: str, *, keep_whitespace: bool = False) -> list[Event]:

@@ -15,7 +15,7 @@ from repro.core.delivery import ViewMode
 from repro.core.reference import reference_view
 from repro.core.rules import RuleSet, Sign
 from repro.workloads import docgen
-from repro.xmlstream.tree import tree_to_events
+from repro.xmlstream.tree import Element, tree_to_events
 from repro.xmlstream.writer import write_string
 from repro.xpathlib import parse_path
 
@@ -128,3 +128,58 @@ def test_answer_matches_reference_evaluation_on_docgen(data):
         )
     )
     assert semantic.answer_from_view(donor_xml, query) == expected
+
+
+# -- escaped content ---------------------------------------------------------
+#
+# Text and attribute values that carry the escaped characters, plus
+# whitespace-only text nodes, must survive the parse of the cached
+# view and come back out of the writer byte for byte.
+
+
+def _escaped_tree():
+    root = Element("r", {"title": 'R&D <"lab"> & co'})
+    a = root.child("a", "x &amp; y < z > w", kind='"quoted" & <angled>')
+    a.add_text("   ")
+    b = a.child("b", "&lt;already&gt; \"escaped\"")
+    b.child("c", "  ")
+    a.child("c", "tail & end")
+    root.add_text("\n\t")
+    d = root.child("d", kind="plain")
+    d.child("b", "<b>not a tag</b>")
+    d.add_text(" ")
+    return root
+
+
+_ESCAPED_QUERIES = [
+    "/r", "/r/a", "/r/d", "//b", "//c", "/r/*", "/r/a/b", "/r//c",
+    "//*", "/r/a/c", "/r/d/b", "//b/c", "/r/none",
+]
+
+
+def test_escaped_view_answers_match_reference_evaluation():
+    root = _escaped_tree()
+    donor_xml = write_string(tree_to_events(root))
+    for entity in ("&amp;", "&lt;", "&gt;", "&quot;"):
+        assert entity in donor_xml
+    for query in _ESCAPED_QUERIES:
+        expected = write_string(
+            reference_view(
+                root,
+                RuleSet([]),
+                query=parse_path(query),
+                mode=ViewMode.SKELETON,
+                default=Sign.PERMIT,
+            )
+        )
+        assert semantic.answer_from_view(donor_xml, query) == expected, query
+
+
+def test_escaped_multirooted_view_is_refused():
+    view = '<a k="&quot;">x &amp; y</a><b>&lt;</b>'
+    assert semantic.answer_from_view(view, "/a") is None
+
+
+def test_view_with_top_level_text_is_refused():
+    for view in ("text<a/>", "<a/>tail &amp;", " <a>x</a>"):
+        assert semantic.answer_from_view(view, "/a") is None
