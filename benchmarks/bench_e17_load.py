@@ -51,7 +51,7 @@ from bench_e14_wallclock import calibrate
 from repro.community import Community
 from repro.dsp import RemoteDSP
 from repro.dsp.reactor import AdmissionPolicy
-from repro.dsp.remote import read_frame, write_frame
+from repro.dsp.remote import FrameReader, write_frame
 from repro.dsp.wire import (
     GetChunkRange,
     decode_response,
@@ -114,7 +114,7 @@ def _expected_response(address) -> bytes:
         write_frame(
             sock, encode_request(GetChunkRange(DOC_ID, 0, RANGE_CHUNKS))
         )
-        body = read_frame(sock)
+        body = FrameReader(sock).read()
         assert body is not None
         return frame(body)
     finally:
@@ -382,8 +382,9 @@ def measure_admission() -> dict:
                 write_frame(sock, request)
             served = rejected = 0
             report = None
+            reader = FrameReader(sock)
             for _ in range(flood):
-                body = read_frame(sock)
+                body = reader.read()
                 assert body is not None
                 try:
                     decode_response(GetChunkRange(DOC_ID, 0, 999), body)

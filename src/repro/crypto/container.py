@@ -77,10 +77,6 @@ class DocumentContainer:
     header: DocumentHeader
     chunks: tuple[bytes, ...]  # each = ciphertext || tag
 
-    def chunk_for_offset(self, offset: int) -> int:
-        """Index of the chunk containing plaintext ``offset``."""
-        return offset // self.header.chunk_size
-
     @property
     def stored_size(self) -> int:
         """Total bytes at rest (ciphertext + tags), the E4/E6 metric."""

@@ -52,6 +52,7 @@ from repro.smartcard.resources import SimClock
 
 __all__ = [
     "ConnectionStats",
+    "FrameReader",
     "GenerationChanged",
     "RemoteDSP",
     "RetryPolicy",
@@ -78,38 +79,46 @@ class SocketLike(Protocol):
     def close(self) -> None: ...
 
 
-def _recv_exact(sock: SocketLike, count: int) -> bytes | None:
-    """``count`` bytes from the socket, or ``None`` on a clean EOF.
+#: Smallest ``recv``; asking for 64 KiB per response grew client RSS.
+RECV_SIZE = 4096
 
-    A connection that dies mid-message raises
-    :class:`~repro.errors.TransportError`; only an EOF on a message
-    boundary reads as an orderly close.
+
+class FrameReader:
+    """Length-prefixed frame bodies off one socket.
+
+    ``recv`` asks for ``max(RECV_SIZE, bytes still missing)``, so a
+    frame under 4 KiB costs one call.  Bytes read past a frame (a peer
+    that pipelines) stay buffered for the next :meth:`read`, so a
+    reader lives and dies with its socket.
     """
-    parts: list[bytes] = []
-    remaining = count
-    while remaining:
-        chunk = sock.recv(min(remaining, 65536))
-        if not chunk:
-            if remaining == count:
+
+    __slots__ = ("_sock", "_buf")
+
+    def __init__(self, sock: SocketLike) -> None:
+        self._sock = sock
+        self._buf = bytearray()
+
+    def read(self) -> bytes | None:
+        """One frame body, or ``None`` on EOF at a frame boundary."""
+        buf = self._buf
+        end = 0  # prefix plus body, once the prefix is buffered
+        while True:
+            have = len(buf)
+            if not end and have >= 4:
+                length: int = _U32.unpack_from(buf)[0]
+                if length > MAX_FRAME:
+                    raise WireError(f"peer announced an oversized frame ({length} B)")
+                end = 4 + length
+            if end and have >= end:
+                body = bytes(buf[4:end])
+                del buf[:end]
+                return body
+            chunk = self._sock.recv(max(RECV_SIZE, (end or 4) - have))
+            if not chunk:
+                if have:
+                    raise TransportError("DSP connection closed mid-frame")
                 return None
-            raise TransportError("DSP connection closed mid-frame")
-        parts.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(parts)
-
-
-def read_frame(sock: SocketLike) -> bytes | None:
-    """One length-prefixed frame body, or ``None`` on orderly EOF."""
-    prefix = _recv_exact(sock, 4)
-    if prefix is None:
-        return None
-    length: int = _U32.unpack(prefix)[0]
-    if length > MAX_FRAME:
-        raise WireError(f"peer announced an oversized frame ({length} B)")
-    body = _recv_exact(sock, length)
-    if body is None:
-        raise TransportError("DSP connection closed mid-frame")
-    return body
+            buf += chunk
 
 
 def write_frame(sock: SocketLike, body: bytes) -> None:
@@ -217,6 +226,7 @@ class RemoteDSP:
         socket_wrapper: "Callable[[socket.socket], SocketLike] | None" = None,
     ) -> None:
         self._sock = sock
+        self._reader = FrameReader(sock)
         self._lock = threading.Lock()
         self._broken: str | None = None
         self.retry = retry
@@ -278,11 +288,11 @@ class RemoteDSP:
     def _poison(self, reason: str) -> None:
         """Mark the connection unusable and drop the socket.
 
-        After a timeout or mid-frame failure the stream may still hold
-        a stale response; reading it would silently answer the *next*
-        request with the previous payload, so the handle refuses all
-        further use instead.  With a retry policy, ``_call`` reconnects
-        a fresh socket before the next attempt.
+        After a timeout or mid-frame failure the stream and the reader's
+        buffer may still hold a stale response; reading it would answer
+        the *next* request with the previous payload, so the handle
+        refuses all further use instead.  With a retry policy, ``_call``
+        reconnects a fresh socket and reader before the next attempt.
         """
         self._broken = reason
         self._sock.close()
@@ -298,6 +308,7 @@ class RemoteDSP:
         with self._lock:
             self._sock.close()
             self._sock = fresh
+            self._reader = FrameReader(fresh)
             self._broken = None
         self.reconnects += 1
         self._guard_generation(request)
@@ -352,7 +363,7 @@ class RemoteDSP:
                     pass
             try:
                 write_frame(self._sock, encode_request(request))
-                body = read_frame(self._sock)
+                body = self._reader.read()
             except (OSError, TransportError, WireError) as exc:
                 self._poison(str(exc))
                 raise TransportError(

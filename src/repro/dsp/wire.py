@@ -190,6 +190,14 @@ def _pack_bytes(value: bytes) -> bytes:
     return _U32.pack(len(value)) + value
 
 
+def _pack_blobs(head: bytes, blobs: list[bytes]) -> bytes:
+    """``head``, a ``u16`` count, then each blob ``u32``-prefixed."""
+    parts = [head, _U16.pack(len(blobs))]
+    for blob in blobs:
+        parts += (_U32.pack(len(blob)), blob)
+    return b"".join(parts)
+
+
 class _Reader:
     """A bounds-checked cursor over one frame body."""
 
@@ -234,6 +242,24 @@ class _Reader:
         if length > MAX_FRAME:
             raise WireError("blob length exceeds frame bound")
         return self.take(length)
+
+    def blobs(self) -> list[bytes]:
+        """A ``u16`` count and that many blobs, read in one loop."""
+        count = self.u16()
+        data, pos, end = self.data, self.pos, len(self.data)
+        values: list[bytes] = []
+        for __ in range(count):
+            if pos + 4 > end:
+                raise WireError("truncated frame")
+            length: int = _U32.unpack_from(data, pos)[0]
+            if length > MAX_FRAME:
+                raise WireError("blob length exceeds frame bound")
+            pos += 4 + length
+            if pos > end:
+                raise WireError("truncated frame")
+            values.append(data[pos - length:pos])
+        self.pos = pos
+        return values
 
     def finish(self) -> None:
         if self.pos != len(self.data):
@@ -309,10 +335,7 @@ def encode_response(request: Request, value: object) -> bytes:
         return head + _pack_bytes(value)
     if isinstance(request, GetChunkRange):
         assert isinstance(value, list)
-        body = head + _U16.pack(len(value))
-        for blob in value:
-            body += _pack_bytes(blob)
-        return body
+        return _pack_blobs(head, value)
     if isinstance(request, GetMeta):
         assert isinstance(value, DocMeta)
         return (
@@ -325,10 +348,7 @@ def encode_response(request: Request, value: object) -> bytes:
         )
     assert isinstance(value, tuple)
     version, records = value
-    body = head + _U64.pack(version) + _U16.pack(len(records))
-    for record in records:
-        body += _pack_bytes(record)
-    return body
+    return _pack_blobs(head + _U64.pack(version), records)
 
 
 def encode_error(exc: BaseException) -> bytes:
@@ -433,7 +453,7 @@ def decode_response(request: Request, body: bytes) -> object:
     elif isinstance(request, (GetChunk, GetWrappedKey)):
         value = reader.blob()
     elif isinstance(request, GetChunkRange):
-        value = [reader.blob() for __ in range(reader.u16())]
+        value = reader.blobs()
     elif isinstance(request, GetMeta):
         value = DocMeta(
             doc_version=reader.u64(),
@@ -444,6 +464,6 @@ def decode_response(request: Request, body: bytes) -> object:
         )
     else:
         version = reader.u64()
-        value = (version, [reader.blob() for __ in range(reader.u16())])
+        value = (version, reader.blobs())
     reader.finish()
     return value

@@ -45,11 +45,6 @@ class TransferPolicy:
         if self.apdu_batch > self.window:
             raise ValueError("apdu_batch cannot exceed the prefetch window")
 
-    @property
-    def is_sequential(self) -> bool:
-        """True when this policy degenerates to the one-at-a-time path."""
-        return self.window == 1 and self.apdu_batch == 1
-
     @classmethod
     def windowed(cls, size: int) -> "TransferPolicy":
         """A symmetric policy: prefetch ``size``, batch ``size``."""

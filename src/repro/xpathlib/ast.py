@@ -151,10 +151,6 @@ class Path:
     def has_predicates(self) -> bool:
         return any(step.predicates for step in self.steps)
 
-    @property
-    def has_descendant_axis(self) -> bool:
-        return any(step.axis is Axis.DESCENDANT for step in self.steps)
-
     def label_set(self) -> frozenset[str]:
         """All non-wildcard tag names mentioned anywhere in the path.
 
@@ -177,15 +173,3 @@ class Path:
             tuple(Step(s.axis, s.test) for s in self.steps),
             absolute=self.absolute,
         )
-
-    def depth_bounds(self) -> tuple[int, float]:
-        """(min, max) depth at which the final step can match.
-
-        ``max`` is ``inf`` when a descendant axis occurs.  Used by the
-        analyses and by memory sizing in the card applet.
-        """
-        minimum = len(self.steps)
-        maximum: float = len(self.steps)
-        if self.has_descendant_axis:
-            maximum = float("inf")
-        return minimum, maximum

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from repro.community import Community
 from repro.dsp import RemoteDSP
 from repro.dsp.reactor import AdmissionPolicy, ReactorDSPServer
-from repro.dsp.remote import read_frame, write_frame
+from repro.dsp.remote import FrameReader, write_frame
 from repro.dsp.wire import (
     GetChunkRange,
     GetHeader,
@@ -193,8 +193,9 @@ def test_client_inflight_cap_rejects_pipelined_flood(published_community):
             write_frame(sock, request)
         outcomes = {"ok": 0, "rejected": 0}
         reports = []
+        reader = FrameReader(sock)
         for _ in range(flood):
-            body = read_frame(sock)
+            body = reader.read()
             assert body is not None
             try:
                 decode_response(probe, body)
@@ -276,7 +277,7 @@ def test_slow_loris_partial_frame_never_wedges(published_community):
         _pull_fleet(server, reference, fleet_size=4)
         # Completing the frame later still gets a correct answer.
         loris.sendall(bytes(framed[2:]))
-        response = read_frame(loris)
+        response = FrameReader(loris).read()
         assert response is not None
         header = decode_response(GetHeader(DOC_ID), response)
         assert header.doc_id == DOC_ID
@@ -306,13 +307,14 @@ def test_garbage_frames_answered_or_dropped_never_wedged(published_community):
     with published_community.serve() as server:
         # Garbage body: typed bad-request error frame, connection lives.
         sock = socket.create_connection(server.address, timeout=10)
+        reader = FrameReader(sock)
         write_frame(sock, b"\xffnot-a-request")
-        body = read_frame(sock)
+        body = reader.read()
         assert body is not None
         with pytest.raises(ValueError):
             decode_response(GetHeader(DOC_ID), body)
         write_frame(sock, encode_request(GetHeader(DOC_ID)))
-        ok = read_frame(sock)
+        ok = reader.read()
         assert decode_response(GetHeader(DOC_ID), ok).doc_id == DOC_ID
         sock.close()
         # Hostile length prefix: the connection is dropped outright.
@@ -361,7 +363,7 @@ def test_cache_intact_after_mid_write_run_disconnects(published_community):
         request = encode_request(GetChunkRange(DOC_ID, 0, 32))
         warm = socket.create_connection(server.address, timeout=10)
         write_frame(warm, request)
-        good = read_frame(warm)
+        good = FrameReader(warm).read()
         assert good is not None
         warm.close()
         assert server.cache_entries >= 1
@@ -389,7 +391,7 @@ def test_cache_intact_after_mid_write_run_disconnects(published_community):
         # And the cache still answers byte-identically.
         again = socket.create_connection(server.address, timeout=10)
         write_frame(again, request)
-        assert read_frame(again) == good
+        assert FrameReader(again).read() == good
         again.close()
 
 
@@ -439,7 +441,7 @@ def test_fuzzed_read_path_yields_only_typed_errors_never_hangs(
             sock.sendall(framed[: max(1, len(framed) - 2)])
             sock.shutdown(socket.SHUT_WR)
         try:
-            body = read_frame(sock)
+            body = FrameReader(sock).read()
         except (WireError, TransportError):
             body = None  # hostile reply or mid-frame cut: an orderly end
         if body is not None:
@@ -456,7 +458,7 @@ def test_fuzzed_read_path_yields_only_typed_errors_never_hangs(
     probe = socket.create_connection(fuzz_server.address, timeout=10)
     probe.settimeout(5)
     write_frame(probe, encode_request(GetHeader(DOC_ID)))
-    ok = read_frame(probe)
+    ok = FrameReader(probe).read()
     assert ok is not None
     assert decode_response(GetHeader(DOC_ID), ok).doc_id == DOC_ID
     probe.close()

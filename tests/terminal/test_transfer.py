@@ -37,8 +37,6 @@ def _hospital_setup(subject, transfer=None, **kwargs):
 
 
 def test_policy_validation():
-    assert TransferPolicy().is_sequential
-    assert not TransferPolicy.windowed(4).is_sequential
     with pytest.raises(ValueError):
         TransferPolicy(window=0)
     with pytest.raises(ValueError):

@@ -56,12 +56,6 @@ def test_spine_strips_predicates():
     assert str(spine) == "//a/c"
 
 
-def test_depth_bounds():
-    assert parse_path("/a/b").depth_bounds() == (2, 2)
-    minimum, maximum = parse_path("/a//b").depth_bounds()
-    assert minimum == 2 and maximum == float("inf")
-
-
 def test_str_forms():
     for text in ("/a", "//a", "/a//b", "//a[b]/c", '//a[b = "1"]',
                  '//a[. = "x"]', "//*[.//y]"):
