@@ -86,6 +86,13 @@ class StaticEncryptionScheme:
         """Number of distinct encryption classes (keys) in use."""
         return len(set(self._vectors.values()))
 
+    def keys_held_by(self, subject: str) -> int:
+        return len(self._key_sets.get(subject, ()))
+
+    def initial_encryption_bytes(self) -> int:
+        """Everything is encrypted once at setup."""
+        return self.total_bytes
+
     def rekey_for(self, new_rules: RuleSet) -> ChurnCost:
         """Price a policy change, then adopt it.
 

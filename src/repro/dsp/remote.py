@@ -79,15 +79,17 @@ class SocketLike(Protocol):
     def close(self) -> None: ...
 
 
-#: Smallest ``recv``; asking for 64 KiB per response grew client RSS.
-RECV_SIZE = 4096
+#: ``recv`` bounds: a 4 KiB floor (64 KiB per response grew client RSS)
+#: and a 64 KiB cap (``recv(n)`` allocates ``n`` bytes before it returns).
+RECV_SIZE, RECV_MAX = 4096, 1 << 16
 
 
 class FrameReader:
     """Length-prefixed frame bodies off one socket.
 
-    ``recv`` asks for ``max(RECV_SIZE, bytes still missing)``, so a
-    frame under 4 KiB costs one call.  Bytes read past a frame (a peer
+    ``recv`` asks for the bytes still missing, at least ``RECV_SIZE``
+    and at most ``RECV_MAX``, so a frame under 4 KiB costs one call and
+    a large one is read in 64 KiB calls.  Bytes read past a frame (a peer
     that pipelines) stay buffered for the next :meth:`read`, so a
     reader lives and dies with its socket.
     """
@@ -113,7 +115,7 @@ class FrameReader:
                 body = bytes(buf[4:end])
                 del buf[:end]
                 return body
-            chunk = self._sock.recv(max(RECV_SIZE, (end or 4) - have))
+            chunk = self._sock.recv(max(RECV_SIZE, min(RECV_MAX, (end or 4) - have)))
             if not chunk:
                 if have:
                     raise TransportError("DSP connection closed mid-frame")

@@ -18,6 +18,8 @@ def test_static_scheme_builds_classes():
     root = agenda(3, 4)
     scheme = StaticEncryptionScheme(root, agenda_rules(MEMBERS), MEMBERS)
     assert scheme.class_count >= 2  # at least "everyone" and "owner only"
+    assert scheme.initial_encryption_bytes() == scheme.total_bytes
+    assert scheme.keys_held_by("alice") >= 1
 
 
 def test_noop_change_costs_nothing():

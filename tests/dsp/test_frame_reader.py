@@ -11,7 +11,7 @@ its socket.
 import pytest
 
 from repro.dsp import RemoteDSP, wire
-from repro.dsp.remote import RECV_SIZE, FrameReader, RetryPolicy
+from repro.dsp.remote import RECV_MAX, RECV_SIZE, FrameReader, RetryPolicy
 from repro.errors import TransportError
 
 
@@ -130,13 +130,17 @@ def test_recv_never_asks_past_what_is_missing_or_4k(size):
         prefix_left = 4 - (consumed - start)
         missing = prefix_left if prefix_left > 0 else end - consumed
         assert asked <= max(RECV_SIZE, missing)
+        assert asked <= RECV_MAX
         consumed = min(len(stream), consumed + asked)
-    # Two frames that fit in one buffer take one recv, and a larger
-    # frame takes a second that asks for exactly its missing bytes.
+    # Two frames that fit in one buffer take one recv, a larger frame
+    # takes a second that asks for exactly its missing bytes, and one
+    # past 64 KiB is read in calls of at most 64 KiB.
     if size + 12 <= RECV_SIZE:
         assert sock.asked == [RECV_SIZE, RECV_SIZE]
-    elif size == 70_000:
+    elif size == 3 * RECV_SIZE + 5:
         assert sock.asked[:2] == [RECV_SIZE, 4 + size - RECV_SIZE]
+    elif size == 70_000:
+        assert sock.asked[:3] == [RECV_SIZE, RECV_MAX, RECV_SIZE]
 
 
 # -- the reader belongs to its socket ------------------------------------------
