@@ -4,6 +4,7 @@ import pytest
 
 from repro.smartcard.apdu import (
     BatchAssembler,
+    BatchOutcome,
     CommandAPDU,
     Instruction,
     ResponseAPDU,
@@ -95,3 +96,71 @@ def test_batch_record_bounds():
         encode_batch_records([(0x10000, b"")])
     with pytest.raises(ValueError):
         encode_batch_records([(0, b"x" * 0x10001)])
+
+
+# -- validation errors and value semantics ------------------------------------
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"data": b"x" * 256}, "short-form APDU data exceeds 255 bytes"),
+        ({"p1": 256}, "p1 out of byte range"),
+        ({"p1": -1}, "p1 out of byte range"),
+        ({"p2": 0x100}, "p2 out of byte range"),
+        ({"p2": -5}, "p2 out of byte range"),
+        ({"cla": 0x100}, "cla out of byte range"),
+        ({"cla": -1}, "cla out of byte range"),
+        # The first offending field is named.
+        ({"p1": 300, "p2": 300, "cla": 300}, "p1 out of byte range"),
+        ({"p2": 300, "cla": -1}, "p2 out of byte range"),
+    ],
+)
+def test_command_validation_errors(kwargs, message):
+    with pytest.raises(ValueError) as caught:
+        CommandAPDU(Instruction.PUT_CHUNK, **kwargs)
+    assert str(caught.value) == message
+
+
+def test_command_accepts_the_byte_range_edges():
+    command = CommandAPDU(Instruction.PUT_CHUNK, p1=0xFF, p2=0, data=b"x" * 255, cla=0)
+    assert (command.p1, command.p2, command.cla, command.wire_size) == (255, 0, 0, 260)
+
+
+def test_response_validation_error():
+    with pytest.raises(ValueError) as caught:
+        ResponseAPDU(StatusWord.OK, b"x" * 257)
+    assert str(caught.value) == "short-form APDU response exceeds 256 bytes"
+    assert ResponseAPDU(StatusWord.OK, b"x" * 256).wire_size == 258
+
+
+def test_apdu_value_semantics():
+    select = CommandAPDU(Instruction.SELECT, data=b"ab")
+    assert select == CommandAPDU(Instruction.SELECT, 0, 0, b"ab", 0x80)
+    assert select != CommandAPDU(Instruction.SELECT, data=b"ab", cla=0)
+    assert hash(select) == hash((Instruction.SELECT, 0, 0, b"ab", 0x80))
+    assert repr(select) == (
+        "CommandAPDU(ins=<Instruction.SELECT: 164>, p1=0, p2=0, data=b'ab', cla=128)"
+    )
+    ok = ResponseAPDU(StatusWord.OK)
+    assert ok == ResponseAPDU(0x9000, b"")
+    assert ok != ResponseAPDU(0x9000, b"x")
+    assert ok != select
+    assert hash(ok) == hash((0x9000, b""))
+    assert repr(ok) == "ResponseAPDU(sw=<StatusWord.OK: 36864>, data=b'')"
+
+
+def test_batch_outcome_value_semantics():
+    response = ResponseAPDU(StatusWord.OK)
+    outcome = BatchOutcome(response)
+    assert (
+        outcome.next_offset, outcome.done, outcome.consumed, outcome.dropped,
+        outcome.dropped_bytes, outcome.piggyback,
+    ) == (0, False, 0, 0, 0, b"")
+    assert outcome == BatchOutcome(response=response)
+    assert outcome != BatchOutcome(response, consumed=1)
+    assert repr(outcome) == (
+        "BatchOutcome(response=ResponseAPDU(sw=<StatusWord.OK: 36864>, data=b''), "
+        "next_offset=0, "
+        "done=False, consumed=0, dropped=0, dropped_bytes=0, piggyback=b'')"
+    )
