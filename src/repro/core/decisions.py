@@ -117,10 +117,6 @@ class DecisionNode:
         else:
             self._definite_permit = True
 
-    @property
-    def has_direct_matches(self) -> bool:
-        return self.matched
-
     def status(self) -> Status:
         """Best-knowledge decision under the conflict-resolution policies.
 

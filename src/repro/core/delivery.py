@@ -100,14 +100,14 @@ class _Fate:
             return
         delivery = self._delivery
         kind, unknowns = delivery._combined_status(self._auth, self._query)
-        if kind == _Record.PENDING:
+        if kind == Record.PENDING:
             watched = self._watched
             for condition in unknowns:
                 if condition not in watched:
                     watched.add(condition)
                     condition.add_listener(self.refresh)
             return
-        self.sign = Sign.PERMIT if kind == _Record.DELIVER else Sign.DENY
+        self.sign = Sign.PERMIT if kind == Record.DELIVER else Sign.DENY
         delivery._dirty = True
 
 
@@ -235,13 +235,14 @@ class _Sink:
             self._parent.append(item)
 
 
-class _Record:
+class Record:
     """Per-open-element delivery state.
 
-    ``sink`` receives the element's content: the parent's sink (the
-    root buffer at the top) for a delivered element, a :class:`_Sink`
-    for a denied one and the element's own :class:`_Hole` for a
-    pending one (``hole``).
+    ``kind``, one of the three constants below, is how the element is
+    delivered, decided at its open.  ``sink`` receives the element's
+    content: the parent's sink (the root buffer at the top) for a
+    delivered element, a :class:`_Sink` for a denied one and the
+    element's own :class:`_Hole` for a pending one (``hole``).
     """
 
     DELIVER = "deliver"
@@ -264,7 +265,8 @@ class DeliveryEngine:
         self._memory = memory
         self._prune = mode is ViewMode.PRUNE
         self._root_items: list[Item] = []
-        self._records: list[_Record] = []
+        #: The records of the open elements, innermost last.
+        self.records: list[Record] = []
         #: Peak of the meter's "pending" pool at the drains (what E10
         #: reports).  Holes sample it right after each charge: the pool
         #: only grows by those charges and only shrinks while a drain
@@ -295,28 +297,28 @@ class DeliveryEngine:
         query_status = query.status() if query is not None else None
         if type(auth_status) is Resolved:
             if auth_status.sign is Sign.DENY:
-                return _Record.DROP, _NO_CONDITIONS
+                return Record.DROP, _NO_CONDITIONS
             auth_unknowns = None
         else:
             auth_unknowns = auth_status.unknowns
         if query_status is None:
             if auth_unknowns:
-                return _Record.PENDING, auth_unknowns
-            return _Record.DELIVER, _NO_CONDITIONS
+                return Record.PENDING, auth_unknowns
+            return Record.DELIVER, _NO_CONDITIONS
         if type(query_status) is Resolved:
             if query_status.sign is Sign.DENY:
-                return _Record.DROP, _NO_CONDITIONS
+                return Record.DROP, _NO_CONDITIONS
             query_unknowns = None
         else:
             query_unknowns = query_status.unknowns
         if not auth_unknowns and not query_unknowns:
-            return _Record.DELIVER, _NO_CONDITIONS
+            return Record.DELIVER, _NO_CONDITIONS
         unknowns: set[Condition] = set()
         if auth_unknowns:
             unknowns.update(auth_unknowns)
         if query_unknowns:
             unknowns.update(query_unknowns)
-        return _Record.PENDING, frozenset(unknowns)
+        return Record.PENDING, frozenset(unknowns)
 
     # -- events -------------------------------------------------------------
 
@@ -327,7 +329,7 @@ class DeliveryEngine:
         query: DecisionNode | None = None,
     ) -> None:
         """Process an element open with its (possibly pending) decisions."""
-        records = self._records
+        records = self.records
         fate = None
         if records and not auth.matched and (query is None or not query.matched):
             # No direct match on either lane: the parent's status is
@@ -335,11 +337,11 @@ class DeliveryEngine:
             parent = records[-1]
             parent_sink = parent.sink
             kind = parent.kind
-            if kind == _Record.PENDING:
+            if kind == Record.PENDING:
                 fate = parent.hole.fate
                 if fate.sign is not None:
-                    kind = _Record.DELIVER if fate.sign is Sign.PERMIT else _Record.DROP
-            elif kind == _Record.DELIVER:
+                    kind = Record.DELIVER if fate.sign is Sign.PERMIT else Record.DROP
+            elif kind == Record.DELIVER:
                 parent_sink.append(event)
                 records.append(parent)  # a delivered child shares it
                 return
@@ -349,39 +351,39 @@ class DeliveryEngine:
         # A denied parent's sink that already passes its items on is
         # resolved to its destination here, once, so that descendants
         # append there directly.
-        if kind == _Record.DELIVER:
+        if kind == Record.DELIVER:
             parent_sink.append(event)
             if type(parent_sink) is _Sink:
                 parent_sink = parent_sink.resolved()
-            record = _Record(kind, parent_sink)
-        elif kind == _Record.DROP:
+            record = Record(kind, parent_sink)
+        elif kind == Record.DROP:
             if type(parent_sink) is _Sink:
                 parent_sink = parent_sink.resolved()
-            record = _Record(kind, _Sink(parent_sink, event, self, self._prune))
+            record = Record(kind, _Sink(parent_sink, event, self, self._prune))
         else:
             if fate is None:
                 fate = _Fate(self, auth, query, unknowns)
             hole = _Hole(event, self, fate)
             self._hole_born = True
             parent_sink.append(hole)
-            record = _Record(kind, hole, hole)
+            record = Record(kind, hole, hole)
         records.append(record)
 
     def value(self, event: ValueEvent) -> None:
         """Process a text event (owned by the innermost open element)."""
-        record = self._records[-1]
-        if record.kind == _Record.DELIVER:
+        record = self.records[-1]
+        if record.kind == Record.DELIVER:
             record.sink.append(event)
-        elif record.kind == _Record.PENDING:
+        elif record.kind == Record.PENDING:
             record.hole.append(_SelfText(event))
         # DROP: text is never delivered.
 
     def close(self, event: CloseEvent) -> None:
         """Process an element close."""
-        record = self._records.pop()
-        if record.kind == _Record.DELIVER:
+        record = self.records.pop()
+        if record.kind == Record.DELIVER:
             record.sink.append(event)
-        elif record.kind == _Record.DROP:
+        elif record.kind == Record.DROP:
             sink = record.sink
             if sink.shell is not None:
                 sink.shell.closed = True
@@ -450,8 +452,6 @@ class DeliveryEngine:
         if not self._hole_born:
             # Hot path: no hole was ever created, so nothing is
             # order-blocked and nothing was charged to "pending".
-            if not root_items:
-                return []
             emitted = list(root_items)
             root_items.clear()
             return emitted

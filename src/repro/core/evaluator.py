@@ -3,9 +3,9 @@
 Binds together the evaluation engine (:mod:`repro.core.product`) and
 the decision chain (:mod:`repro.core.decisions`): on every ``open`` the
 engine advances all automata and the direct matches it reports for the
-new node are folded into a fresh :class:`DecisionNode`; ``close``
-backtracks the automata, finalizes the predicate conditions anchored at
-the node and pops the decision.
+new node are folded into a fresh :class:`DecisionNode`; on ``close``
+the engine backtracks the automata and finalizes the predicate
+conditions anchored at the node, and the decision is popped.
 
 Every evaluation is built from lanes.  The user *query* (pull
 scenarios) is a one-rule policy under a closed-world default (see
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from repro.core.compiled import CompiledPolicy
 from repro.core.conditions import Condition
-from repro.core.decisions import DECISION_BYTES, DecisionNode
+from repro.core.decisions import DecisionNode
 from repro.core.product import ProductEngine
 from repro.core.rules import Sign
 
@@ -51,24 +51,17 @@ class Lane:
     sink per automaton); an engine running this lane alone adopts the
     policy's solved tables.  The matches the engine reports during one
     ``open`` collect in :attr:`collected`, which the new node's
-    :class:`DecisionNode` folds in.
-
-    A lane alone on its engine runs :meth:`open` and :meth:`close`, one
-    call per element; with a ``memory`` meter each open decision is
-    charged inline to its ``signs`` pool.  Lanes sharing one engine
-    (:mod:`repro.core.multicast`) are unmetered: their caller clears
-    :attr:`collected`, steps the engine once, and runs :meth:`push` and
-    :meth:`pop` on every lane.
+    :class:`DecisionNode` folds in.  The driver steps the engine and the
+    stack: :class:`~repro.core.pipeline.AccessController` inline, for a
+    metered lane alone on its engine, and the unmetered lanes sharing
+    one engine (:mod:`repro.core.multicast`) through :meth:`push` and
+    :meth:`pop`.
     """
 
-    __slots__ = ("engine", "policy", "decisions", "collected", "_memory")
+    __slots__ = ("engine", "decisions", "collected")
 
-    def __init__(
-        self, engine: ProductEngine, policy: CompiledPolicy, memory=None
-    ) -> None:
+    def __init__(self, engine: ProductEngine, policy: CompiledPolicy) -> None:
         self.engine = engine
-        self.policy = policy
-        self._memory = memory
         self.decisions: list[DecisionNode] = [
             DecisionNode.default_root(policy.default)
         ]
@@ -76,36 +69,6 @@ class Lane:
         engine.add_policy(
             policy, [_LaneSink(self.collected, sign) for sign in policy.signs]
         )
-
-    def open(self, tag: str) -> DecisionNode:
-        """Advance a lane that is alone on its engine; return the new
-        node's decision."""
-        collected = self.collected
-        collected.clear()
-        self.engine.open(tag)
-        decisions = self.decisions
-        node = DecisionNode(decisions[-1], collected)
-        memory = self._memory
-        if memory is not None:
-            used = memory.used + DECISION_BYTES
-            if used > memory.limit:
-                memory.overflow("signs", DECISION_BYTES)
-            else:
-                memory.used = used
-                memory.signs += DECISION_BYTES
-                if used > memory.high_water:
-                    memory.high_water = used
-        decisions.append(node)
-        return node
-
-    def close(self) -> None:
-        """Backtrack a lane that is alone on its engine."""
-        self.engine.close()
-        self.decisions.pop()
-        memory = self._memory
-        if memory is not None:
-            memory.used -= DECISION_BYTES
-            memory.signs -= DECISION_BYTES
 
     def push(self) -> DecisionNode:
         """Fold the collected matches into the decision of the node the

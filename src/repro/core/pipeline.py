@@ -8,7 +8,7 @@ one-call convenience API used by examples and tests.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from repro.core.compiled import (
     CompiledPolicy,
@@ -16,6 +16,7 @@ from repro.core.compiled import (
     compile_policy,
     compile_query,
 )
+from repro.core.decisions import DECISION_BYTES, DecisionNode
 from repro.core.delivery import DeliveryEngine, ViewMode
 from repro.core.evaluator import Lane
 from repro.core.product import ProductEngine
@@ -84,65 +85,98 @@ class AccessController:
         else:
             policy = compile_policy(rules, subject, default if default is not None else Sign.DENY)
         self.compiled_policy = policy
-        self._policy = Lane(
-            ProductEngine(memory=memory, stats=self.stats), policy, memory
-        )
+        self._memory = memory
+        self._policy = Lane(ProductEngine(memory=memory, stats=self.stats), policy)
         if query is not None and not isinstance(query, CompiledPolicy):
             query = registry.get_query(query) if registry is not None else compile_query(query)
         self.compiled_query = query
         self._query = None if query is None else Lane(
-            ProductEngine(memory=memory, stats=self.stats), query, memory
+            ProductEngine(memory=memory, stats=self.stats), query
         )
+        #: The lanes :meth:`feed` steps, policy first.
+        self._lanes = (self._policy,) if self._query is None else (self._policy, self._query)
         self._delivery = DeliveryEngine(mode, memory=memory)
-        self._depth = 0
+        #: The open elements' delivery records, innermost last: the
+        #: innermost delivery kind is ``records[-1].kind``.
+        self.records = self._delivery.records
         self._finished = False
 
     # -- streaming interface ------------------------------------------------
 
     def feed(self, event: Event) -> list[Event]:
-        """Process one event; return output events released by it.
+        """Process one event; return the output events it released.
 
-        Dispatch is on the exact event type: the event classes are
-        frozen and nothing subclasses them.
+        Read the returned list before the next call: until a pending
+        hole appears it is the delivery's root buffer itself, emptied
+        then, so a delivering event allocates no list.  Dispatch is on
+        the exact event type.  Each lane's engine and decision stack
+        are stepped here, policy lane first, and with a memory meter
+        each open decision is charged inline to its ``signs`` pool.
         """
         if self._finished:
             raise RuntimeError("controller already finished")
-        cls = type(event)
-        query = self._query
         delivery = self._delivery
+        released = delivery._root_items
+        if released and not delivery._hole_born:
+            released.clear()  # the previous event's release, read by now
+        cls = type(event)
         if cls is OpenEvent:
             tag = event.tag
-            auth = self._policy.open(tag)
-            delivery.open(event, auth, query.open(tag) if query is not None else None)
-            self._depth += 1
+            memory = self._memory
+            for lane in self._lanes:
+                collected = lane.collected
+                if collected:
+                    collected.clear()
+                lane.engine.open(tag)
+                decisions = lane.decisions
+                node = DecisionNode(decisions[-1], collected)
+                if memory is not None:
+                    used = memory.used + DECISION_BYTES
+                    if used > memory.limit:
+                        memory.overflow("signs", DECISION_BYTES)
+                    else:
+                        memory.used = used
+                        memory.signs += DECISION_BYTES
+                        if used > memory.high_water:
+                            memory.high_water = used
+                decisions.append(node)
+            if self._query is None:
+                delivery.open(event, node, None)
+            else:
+                delivery.open(event, self._policy.decisions[-1], node)
         elif cls is ValueEvent:
-            if self._depth == 0:
+            if not self.records:
                 raise ValueError("text event outside the root element")
             text = event.text
-            self._policy.engine.value(text)
-            if query is not None:
-                query.engine.value(text)
+            for lane in self._lanes:
+                lane.engine.value(text)
             delivery.value(event)
         elif cls is CloseEvent:
-            if self._depth == 0:
+            if not self.records:
                 raise ValueError("unbalanced close event")
             delivery.close(event)
-            self._policy.close()
-            if query is not None:
-                query.close()
-            self._depth -= 1
+            memory = self._memory
+            for lane in self._lanes:
+                lane.engine.close()
+                lane.decisions.pop()
+                if memory is not None:
+                    memory.used -= DECISION_BYTES
+                    memory.signs -= DECISION_BYTES
         else:
             raise TypeError(f"not an event: {event!r}")
-        if not delivery._root_items:
-            return []  # nothing buffered, so nothing to release
-        return delivery.drain()
+        if delivery._hole_born:
+            return delivery.drain()
+        return released
 
     def finish(self) -> list[Event]:
         """Signal end of document; return the final output events."""
-        if self._depth != 0:
+        if self.records:
             raise ValueError("document ended with unclosed elements")
         self._finished = True
-        return self._delivery.finish()
+        delivery = self._delivery
+        if not delivery._hole_born:
+            delivery._root_items.clear()  # the last event's release
+        return delivery.finish()
 
     # -- skip-index interface (used by the card applet) -----------------------
 
@@ -168,15 +202,9 @@ class AccessController:
         """Combined delivery status of the innermost open element.
 
         Returns ``(kind, unknowns)`` where kind is one of the
-        ``_Record`` constants (``"deliver"``, ``"drop"``, ``"pending"``).
+        :class:`~repro.core.delivery.Record` constants (``"deliver"``, ``"drop"``, ``"pending"``).
         """
         return self._delivery._combined_status(*self.current_decision_nodes())
-
-    def current_kind(self) -> str:
-        """Delivery kind of the innermost open element, as decided when
-        it opened (right after its open this is :meth:`current_status`'s
-        kind, without folding the decisions a second time)."""
-        return self._delivery._records[-1].kind
 
     def current_decision_nodes(self):
         """The (auth, query) decision nodes of the innermost element."""
@@ -223,25 +251,3 @@ def authorized_view(
     output.extend(controller.finish())
     return output
 
-
-def stream_authorized_view(
-    events: Iterable[Event],
-    rules: RuleSet | CompiledPolicy,
-    subject: Subject | str | None = None,
-    query: Path | str | None = None,
-    mode: ViewMode = ViewMode.SKELETON,
-    default: Sign | None = None,
-    registry: PolicyRegistry | None = None,
-) -> Iterator[Event]:
-    """Like :func:`authorized_view` but yields output incrementally."""
-    controller = AccessController(
-        rules,
-        subject=subject,
-        query=query,
-        mode=mode,
-        default=default,
-        registry=registry,
-    )
-    for event in events:
-        yield from controller.feed(event)
-    yield from controller.finish()

@@ -10,8 +10,6 @@ when the document dictionary is large.
 
 from __future__ import annotations
 
-from repro.skipindex.varint import Truncated
-
 
 def bitmap_from_ids(ids: frozenset[int] | set[int], universe: int) -> bytes:
     """Pack tag ids into a little-endian bit array of ``universe`` bits."""
@@ -29,22 +27,20 @@ def peel_ids(bits: int, support: "tuple[int, ...] | None" = None) -> tuple[int, 
     Bit *i* stands for id *i*, or for ``support[i]`` when a sorted
     parent support is given.  Peels one set bit per step, so the cost is
     the population count, not the width.  The one bit-peeling routine:
-    the decoder's frames and both unpackers below call it.
+    the decoder's frames call it.
     """
-    positions = []
-    while bits:
-        low = bits & -bits
-        positions.append(low.bit_length() - 1)
-        bits ^= low
+    ids = []
     if support is None:
-        return tuple(positions)
-    return tuple([support[position] for position in positions])
-
-
-def ids_from_bitmap(bitmap: "bytes | bytearray | memoryview", universe: int) -> frozenset[int]:
-    """Unpack a bit array of ``universe`` bits into the set of tag ids."""
-    value = int.from_bytes(bitmap, "little")
-    return frozenset(peel_ids(value & ((1 << universe) - 1)))
+        while bits:
+            low = bits & -bits
+            ids.append(low.bit_length() - 1)
+            bits ^= low
+    else:
+        while bits:
+            low = bits & -bits
+            ids.append(support[low.bit_length() - 1])
+            bits ^= low
+    return tuple(ids)
 
 
 def relative_width(parent_ids: frozenset[int]) -> int:
@@ -68,18 +64,3 @@ def encode_relative(child_ids: frozenset[int], parent_ids: frozenset[int]) -> by
         out[position // 8] |= 1 << (position % 8)
     return bytes(out)
 
-
-def decode_relative(
-    data: "bytes | bytearray | memoryview",
-    offset: int,
-    parent_ids: frozenset[int],
-) -> tuple[frozenset[int], int]:
-    """Decode a parent-relative tag set; return ``(ids, next_offset)``."""
-    width = relative_width(parent_ids)
-    if offset + width > len(data):
-        raise Truncated("truncated relative bitmap")
-    value = int.from_bytes(data[offset:offset + width], "little")
-    # Stray padding bits beyond the support are ignored (as the
-    # bit-by-bit decoder did).
-    value &= (1 << len(parent_ids)) - 1
-    return frozenset(peel_ids(value, tuple(sorted(parent_ids)))), offset + width

@@ -52,22 +52,14 @@ class TagDictionary:
         self._sets.clear()  # ids shifted into existence; drop stale memo
         return tag_id
 
-    def id_of(self, name: str) -> int:
-        """Id of a known tag (KeyError if absent)."""
-        return self._ids[name]
-
-    def name_of(self, tag_id: int) -> str:
-        """Name of a known id (IndexError if out of range)."""
-        return self._names[tag_id]
-
     def ids_to_names(self, ids: Iterable[int]) -> frozenset[str]:
         if isinstance(ids, frozenset):
             cached = self._sets.get(ids)
             if cached is None:
-                cached = frozenset(self._names[i] for i in ids)
+                cached = frozenset(map(self._names.__getitem__, ids))
                 self._sets[ids] = cached
             return cached
-        return frozenset(self._names[i] for i in ids)
+        return frozenset(map(self._names.__getitem__, ids))
 
     # -- serialization ---------------------------------------------------
 

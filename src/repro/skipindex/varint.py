@@ -87,11 +87,3 @@ def encode_bounded(value: int, bound: int) -> bytes:
         raise ValueError(f"value {value} outside [0, {bound}]")
     return value.to_bytes(width_for_bound(bound), "little")
 
-
-def decode_bounded(data: bytes, offset: int, bound: int) -> tuple[int, int]:
-    """Decode a width-bounded integer; return ``(value, next_offset)``."""
-    width = width_for_bound(bound)
-    if offset + width > len(data):
-        raise Truncated("truncated bounded integer")
-    value = int.from_bytes(data[offset:offset + width], "little")
-    return value, offset + width

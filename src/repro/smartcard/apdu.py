@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import enum
 import struct
-from dataclasses import dataclass, field
 from typing import Callable
+
+from repro.values import ValueObject
 
 
 class Instruction(enum.IntEnum):
@@ -52,49 +53,50 @@ class StatusWord(enum.IntEnum):
     INS_NOT_SUPPORTED = 0x6D00
 
 
-@dataclass(frozen=True, slots=True)
-class CommandAPDU:
-    """A command unit.  ``data`` must fit the short-form limit."""
+class CommandAPDU(ValueObject):
+    """A command unit.  ``data`` must fit the short-form limit.
 
-    ins: Instruction
-    p1: int = 0
-    p2: int = 0
-    data: bytes = b""
-    cla: int = 0x80
+    ``wire_size`` -- bytes on the wire, CLA INS P1 P2 Lc + data -- is
+    derived once, at construction.
+    """
 
-    def __post_init__(self) -> None:
-        if len(self.data) > 255:
+    __slots__ = ("ins", "p1", "p2", "data", "cla", "wire_size")
+    _fields = ("ins", "p1", "p2", "data", "cla")
+
+    def __init__(
+        self, ins: Instruction, p1: int = 0, p2: int = 0, data: bytes = b"", cla: int = 0x80
+    ) -> None:
+        if len(data) > 255:
             raise ValueError("short-form APDU data exceeds 255 bytes")
-        if not (0 <= self.p1 <= 0xFF and 0 <= self.p2 <= 0xFF and 0 <= self.cla <= 0xFF):
-            for name in ("p1", "p2", "cla"):
-                if not 0 <= getattr(self, name) <= 0xFF:
+        if not (0 <= p1 <= 0xFF and 0 <= p2 <= 0xFF and 0 <= cla <= 0xFF):
+            for name, value in (("p1", p1), ("p2", p2), ("cla", cla)):
+                if not 0 <= value <= 0xFF:
                     raise ValueError(f"{name} out of byte range")
+        self.ins = ins
+        self.p1 = p1
+        self.p2 = p2
+        self.data = data
+        self.cla = cla
+        self.wire_size = 5 + len(data)
 
-    @property
-    def wire_size(self) -> int:
-        """Bytes on the wire: CLA INS P1 P2 Lc + data."""
-        return 5 + len(self.data)
 
+class ResponseAPDU(ValueObject):
+    """A response unit: data plus status word.
 
-@dataclass(frozen=True, slots=True)
-class ResponseAPDU:
-    """A response unit: data plus status word."""
+    ``ok`` (success or more output pending) and ``wire_size`` (data +
+    SW1 SW2) are derived once, at construction.
+    """
 
-    sw: int
-    data: bytes = field(default=b"")
+    __slots__ = ("sw", "data", "ok", "wire_size")
+    _fields = ("sw", "data")
 
-    def __post_init__(self) -> None:
-        if len(self.data) > 256:
+    def __init__(self, sw: int, data: bytes = b"") -> None:
+        if len(data) > 256:
             raise ValueError("short-form APDU response exceeds 256 bytes")
-
-    @property
-    def ok(self) -> bool:
-        return self.sw == StatusWord.OK or (self.sw & 0xFF00) == 0x6100
-
-    @property
-    def wire_size(self) -> int:
-        """Bytes on the wire: data + SW1 SW2."""
-        return len(self.data) + 2
+        self.sw = sw
+        self.data = data
+        self.ok = sw == StatusWord.OK or (sw & 0xFF00) == 0x6100
+        self.wire_size = len(data) + 2
 
 
 #: Shared bare-OK response -- the answer to every PUT-style command,
@@ -155,17 +157,30 @@ def encode_batch_records(members: "list[tuple[int, bytes]]") -> bytearray:
     return out
 
 
-@dataclass(frozen=True, slots=True)
-class BatchOutcome:
+class BatchOutcome(ValueObject):
     """Parsed result of one chunk exchange (the final frame's answer)."""
 
-    response: ResponseAPDU
-    next_offset: int = 0
-    done: bool = False
-    consumed: int = 0
-    dropped: int = 0
-    dropped_bytes: int = 0
-    piggyback: bytes = b""
+    __slots__ = _fields = (
+        "response", "next_offset", "done", "consumed", "dropped", "dropped_bytes", "piggyback"
+    )
+
+    def __init__(
+        self,
+        response: ResponseAPDU,
+        next_offset: int = 0,
+        done: bool = False,
+        consumed: int = 0,
+        dropped: int = 0,
+        dropped_bytes: int = 0,
+        piggyback: bytes = b"",
+    ) -> None:
+        self.response = response
+        self.next_offset = next_offset
+        self.done = done
+        self.consumed = consumed
+        self.dropped = dropped
+        self.dropped_bytes = dropped_bytes
+        self.piggyback = piggyback
 
 
 def transmit_chunk_batch(

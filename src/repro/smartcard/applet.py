@@ -36,7 +36,7 @@ from operator import attrgetter
 from repro.core.compiled import PolicyRegistry
 from repro.core.decisions import DecisionNode
 from repro.core.pipeline import AccessController
-from repro.core.delivery import ViewMode, _Record
+from repro.core.delivery import Record, ViewMode
 from repro.core.rules import AccessRule, RuleSet, Sign, Subject
 from repro.crypto.container import (
     DocumentHeader,
@@ -305,7 +305,9 @@ class CardApplet:
         """Verify, decrypt and pump one chunk of the main pass."""
         if self._header is None:
             raise AppletError("header must be verified before chunks")
-        controller = self._ensure_controller()
+        controller = self._controller
+        if controller is None:
+            controller = self._ensure_controller()
         decoder = self._decoder
         assert decoder is not None
         decoder.push(self._open_chunk(index, blob), index * self._header.chunk_size)
@@ -367,16 +369,6 @@ class CardApplet:
             bytes_dropped=self._batch_dropped_bytes,
         )
 
-    def _charge_engine_work(self, counters: tuple[int, int, int, int]) -> None:
-        """Charge the engine work counted since the last charge."""
-        cycles = 0
-        for now, before, cost in zip(
-            counters, self._stats_snapshot, self._engine_costs
-        ):
-            cycles += (now - before) * cost
-        self.soe.charge_cycles(cycles)
-        self._stats_snapshot = counters
-
     def _emit(self, events: list[Event]) -> None:
         if not events:
             return
@@ -388,46 +380,57 @@ class CardApplet:
     def _pump(self, controller: AccessController, decoder: SXSDecoder) -> None:
         """Drain every decodable item through the evaluator.
 
-        Every event is fed on its own, but the bookkeeping runs once per
-        chunk: the released events are serialized in one ``_emit``, and
-        the engine work (the ``EngineStats`` delta) and the decoded
-        bytes are charged once -- integer cycle sums do not depend on
-        how they are split.  Decoder RAM is checked after opens only,
-        the one item that deepens the stack.  An open leaves the loop
-        for :meth:`_maybe_skip` only when its subtree could be skipped:
-        the stream carries an index and the element is not delivered.
-        If an item faults (a strict-RAM overflow), the items before it
-        keep the charges a per-item pump made: their output and engine
-        work, and no decode charge.
+        Per item the loop makes two Python calls, ``next_item`` and
+        ``feed``; the decoder's frame stack and the controller's delivery
+        records, which give an open's depth, skip metadata and delivery
+        kind, are read into locals once per pump.  The released events
+        are serialized in one ``_emit``, and the engine work (the
+        ``EngineStats`` delta) and the decoded bytes are charged once per
+        chunk -- integer cycle sums do not depend on how they are split.
+        Decoder RAM is checked after opens only, the one item that
+        deepens the stack.  An open leaves the loop for
+        :meth:`_maybe_skip` only when the stream carries an index and the
+        element is not delivered.  If an item faults (a strict-RAM
+        overflow), the items before it keep the charges a per-item pump
+        made: their output and engine work, and no decode charge.
         """
         next_item = decoder.next_item
         feed = controller.feed
-        current_kind = controller.current_kind
+        frames = decoder.frames
+        records = controller.records
+        deliver = Record.DELIVER
         stats = controller.stats
         allocate = self.soe.memory.allocate
+        decoder_ram = self._decoder_ram
         settled = _engine_counters(stats)
         released: list[Event] = []
         try:
             while (event := next_item()) is not None:
                 if type(event) is OpenEvent:
-                    needed = decoder.depth * DECODER_FRAME_BYTES
-                    if needed > self._decoder_ram:
-                        allocate("decoder", needed - self._decoder_ram)
-                        self._decoder_ram = needed
+                    needed = len(frames) * DECODER_FRAME_BYTES
+                    if needed > decoder_ram:
+                        allocate("decoder", needed - decoder_ram)
+                        decoder_ram = self._decoder_ram = needed
                     released += feed(event)
-                    frame = decoder.frame
+                    frame = frames[-1]
                     if frame.content_size is not None:
-                        kind = current_kind()
-                        if kind != _Record.DELIVER:
+                        kind = records[-1].kind
+                        if kind != deliver:
                             self._maybe_skip(controller, decoder, frame, kind)
                 else:
                     released += feed(event)
                 settled = _engine_counters(stats)
         finally:
             self._emit(released)
-            self._charge_engine_work(settled)
-        self.soe.charge_decode(decoder.bytes_decoded - self._decoder_charged)
-        self._decoder_charged = decoder.bytes_decoded
+            # The engine work counted since the last charge.
+            cycles = 0
+            for now, before, cost in zip(settled, self._stats_snapshot, self._engine_costs):
+                cycles += (now - before) * cost
+            self.soe.charge_cycles(cycles)
+            self._stats_snapshot = settled
+        decoded = decoder.bytes_decoded
+        self.soe.charge_decode(decoded - self._decoder_charged)
+        self._decoder_charged = decoded
 
     def _maybe_skip(
         self,
@@ -442,13 +445,13 @@ class CardApplet:
         its delivery kind, not DELIVER; its tag ids are decoded, and
         become names, only here.
         """
-        if kind == _Record.PENDING and self._strategy is not PendingStrategy.REFETCH:
+        if kind == Record.PENDING and self._strategy is not PendingStrategy.REFETCH:
             return
         assert decoder.dictionary is not None and frame.tags_inside is not None
         tags_inside = decoder.dictionary.ids_to_names(frame.tags_inside)
         if not controller.subtree_is_irrelevant(tags_inside):
             return
-        if kind == _Record.PENDING:
+        if kind == Record.PENDING:
             auth, query = controller.current_decision_nodes()
             self._refetches.append(
                 RefetchRequest(len(self._refetches), frame, auth, query)
@@ -467,7 +470,7 @@ class CardApplet:
         granted: list[RefetchRequest] = []
         for entry in self._refetches:
             kind, _ = self._controller.status_of(entry.auth, entry.query)
-            entry.resolved_permit = kind == _Record.DELIVER
+            entry.resolved_permit = kind == Record.DELIVER
             if entry.resolved_permit:
                 granted.append(entry)
         # The main pass is over: a refetch replays raw bytes only.

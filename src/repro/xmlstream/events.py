@@ -5,25 +5,29 @@ SAX) raising open, value and close events respectively for each opening,
 text and closing tag in the input document".  These three event classes
 are the common currency of the whole system: the parser produces them,
 the skip-index encoder serializes them, the card applet consumes them and
-the delivery module re-emits the authorized subset.
+the delivery module re-emits the authorized subset, as plain slotted
+:class:`~repro.values.ValueObject` classes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Union
 
+from repro.values import ValueObject
 
-@dataclass(frozen=True, slots=True)
-class OpenEvent:
+
+class OpenEvent(ValueObject):
     """An opening tag ``<tag attr="...">``.
 
     Attributes are kept as an ordered tuple of ``(name, value)`` pairs so
     events are hashable and round-trip deterministically.
     """
 
-    tag: str
-    attributes: tuple[tuple[str, str], ...] = field(default=())
+    __slots__ = _fields = ("tag", "attributes")
+
+    def __init__(self, tag: str, attributes: tuple[tuple[str, str], ...] = ()) -> None:
+        self.tag = tag
+        self.attributes = attributes
 
     def attribute(self, name: str, default: str | None = None) -> str | None:
         """Return the value of attribute ``name`` or ``default``."""
@@ -33,18 +37,22 @@ class OpenEvent:
         return default
 
 
-@dataclass(frozen=True, slots=True)
-class ValueEvent:
+class ValueEvent(ValueObject):
     """A text node.  Adjacent text is merged into a single event."""
 
-    text: str
+    __slots__ = _fields = ("text",)
+
+    def __init__(self, text: str) -> None:
+        self.text = text
 
 
-@dataclass(frozen=True, slots=True)
-class CloseEvent:
+class CloseEvent(ValueObject):
     """A closing tag ``</tag>``."""
 
-    tag: str
+    __slots__ = _fields = ("tag",)
+
+    def __init__(self, tag: str) -> None:
+        self.tag = tag
 
 
 Event = Union[OpenEvent, ValueEvent, CloseEvent]

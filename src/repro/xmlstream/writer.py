@@ -117,7 +117,7 @@ def write_string(events: Iterable[Event], *, indent: str | None = None) -> str:
     for event in events:
         cls = type(event)
         if cls is OpenEvent:
-            append(_open_tag_text(event))
+            append(_open_tag_text(event) if event.attributes else f"<{event.tag}>")
         elif cls is ValueEvent:
             append(escape_text(event.text))
         elif cls is CloseEvent:

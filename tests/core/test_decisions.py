@@ -102,7 +102,7 @@ def test_failed_match_never_recorded():
     node = DecisionNode(_root(Sign.PERMIT))
     node.add_match(Sign.DENY, frozenset({condition}))
     assert node.status() == Resolved(Sign.PERMIT)
-    assert not node.has_direct_matches
+    assert not node.matched
 
 
 def test_pending_inheritance_through_chain():
@@ -157,7 +157,7 @@ def test_status_is_monotone_and_fallback_nodes_follow_their_parent(default, step
                 assert status == settled[index]
             elif isinstance(status, Resolved):
                 settled[index] = status
-            if parents[index] is not None and not node.has_direct_matches:
+            if parents[index] is not None and not node.matched:
                 assert status == parents[index].status()
 
     for step in steps:

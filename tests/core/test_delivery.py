@@ -126,7 +126,7 @@ def test_pending_descendants_without_matches_share_the_parents_fate():
     output = []
     for event in events[:5]:  # up to the text of <d>
         output.extend(controller.feed(event))
-    records = controller._delivery._records
+    records = controller.records
     assert [record.kind for record in records] == [
         "drop", "pending", "pending", "pending"
     ]

@@ -28,10 +28,23 @@ def _lane(rules, subject, default=Sign.DENY) -> Lane:
     return Lane(ProductEngine(), compile_policy(rules, subject, default))
 
 
+def _open(lane: Lane, tag: str):
+    """Step a lane alone on its engine through an open, as the
+    controller does; return the new node's decision."""
+    lane.collected.clear()
+    lane.engine.open(tag)
+    return lane.push()
+
+
+def _close(lane: Lane) -> None:
+    lane.engine.close()
+    lane.pop()
+
+
 def test_policy_evaluator_filters_by_subject():
     rules = _rules(("+", "alice", "//a"), ("-", "bob", "//a"))
     lane = _lane(rules, "alice")
-    assert lane.open("a").status() == Resolved(Sign.PERMIT)
+    assert _open(lane, "a").status() == Resolved(Sign.PERMIT)
     controller = AccessController(rules, "bob")
     controller.feed(OpenEvent("a"))
     auth, query = controller.current_decision_nodes()
@@ -41,23 +54,23 @@ def test_policy_evaluator_filters_by_subject():
 def test_group_subjects_apply():
     rules = _rules(("+", "staff", "//a"))
     lane = _lane(rules, Subject("alice", frozenset({"staff"})))
-    assert lane.open("a").status() == Resolved(Sign.PERMIT)
+    assert _open(lane, "a").status() == Resolved(Sign.PERMIT)
 
 
 def test_default_sign_controls_root():
     rules = _rules(("+", "u", "//never"))
     closed = _lane(rules, "u", default=Sign.DENY)
-    assert closed.open("a").status() == Resolved(Sign.DENY)
+    assert _open(closed, "a").status() == Resolved(Sign.DENY)
     open_world = _lane(rules, "u", default=Sign.PERMIT)
-    assert open_world.open("a").status() == Resolved(Sign.PERMIT)
+    assert _open(open_world, "a").status() == Resolved(Sign.PERMIT)
 
 
 def test_query_selector_selects_subtrees():
     selector = Lane(ProductEngine(), compile_query("//b"))
-    assert selector.open("a").status() == Resolved(Sign.DENY)
-    assert selector.open("b").status() == Resolved(Sign.PERMIT)
+    assert _open(selector, "a").status() == Resolved(Sign.DENY)
+    assert _open(selector, "b").status() == Resolved(Sign.PERMIT)
     # Children of a selected node inherit selection.
-    assert selector.open("c").status() == Resolved(Sign.PERMIT)
+    assert _open(selector, "c").status() == Resolved(Sign.PERMIT)
     # Through the controller, the query lane decides beside the policy.
     controller = AccessController(_rules(("+", "u", "//a")), "u", query="//b")
     decisions = []
@@ -71,7 +84,7 @@ def test_query_selector_selects_subtrees():
 
 def test_pending_status_surfaces_conditions():
     rules = _rules(("+", "u", "//a[b]"))
-    status = _lane(rules, "u").open("a").status()
+    status = _open(_lane(rules, "u"), "a").status()
     assert isinstance(status, Pending)
     assert len(status.unknowns) == 1
     controller = AccessController(rules, "u")
@@ -83,10 +96,10 @@ def test_pending_status_surfaces_conditions():
 def test_close_pops_decision_stack():
     rules = _rules(("+", "u", "/a"))
     lane = _lane(rules, "u")
-    lane.open("a")
-    inner = lane.open("x")
+    _open(lane, "a")
+    inner = _open(lane, "x")
     assert lane.decisions[-1] is inner
-    lane.close()
+    _close(lane)
     assert lane.decisions[-1] is not inner
     assert len(lane.decisions) == 2
 

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.core import AccessRule, RuleSet, authorized_view
-from repro.core.pipeline import AccessController, stream_authorized_view
-from repro.core.delivery import _Record
+from repro.core.pipeline import AccessController
+from repro.core.delivery import Record
 from repro.xmlstream.parser import parse_string
 from repro.xmlstream.writer import write_string
 
@@ -20,10 +20,21 @@ def test_authorized_view_one_call():
     assert write_string(out) == "<r>x</r>"
 
 
-def test_stream_authorized_view_incremental():
+def test_feed_loop_releases_incrementally():
+    """Each delivered event is released by the event itself."""
     events = parse_string("<r><a>1</a><secret>hidden</secret><b>2</b></r>")
-    streamed = list(stream_authorized_view(events, RULES, "u"))
+    controller = AccessController(RULES, "u")
+    streamed, released_by = [], []
+    for event in events:
+        released = controller.feed(event)
+        released_by.append(list(released))
+        streamed.extend(released)
+    streamed.extend(controller.finish())
     assert streamed == authorized_view(events, RULES, "u")
+    # <secret>, its text and </secret> release nothing.
+    assert released_by == (
+        [[event] for event in events[:4]] + [[], [], []] + [[event] for event in events[7:]]
+    )
 
 
 def test_query_accepts_text_or_ast():
@@ -39,10 +50,10 @@ def test_current_status_reports_innermost():
     controller = AccessController(RULES, "u")
     controller.feed(parse_string("<r><secret></secret></r>")[0])
     kind, __ = controller.current_status()
-    assert kind == _Record.DELIVER == controller.current_kind()
+    assert kind == Record.DELIVER == controller.records[-1].kind
     controller.feed(parse_string("<r><secret></secret></r>")[1])
     kind, __ = controller.current_status()
-    assert kind == _Record.DROP == controller.current_kind()
+    assert kind == Record.DROP == controller.records[-1].kind
 
 
 def test_subtree_is_irrelevant_combines_evaluators():

@@ -7,12 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.skipindex.bitset import (
-    decode_relative,
-    ids_from_bitmap,
-    peel_ids,
-    relative_width,
-)
+from repro.skipindex.bitset import peel_ids, relative_width
 from repro.skipindex.decoder import (
     SXSDecoder,
     SXSFormatError,
@@ -25,6 +20,7 @@ from repro.xmlstream.events import CloseEvent, OpenEvent, ValueEvent
 from repro.xmlstream.parser import parse_string
 from repro.xmlstream.tree import tree_to_events
 
+from tests.skipindex.oracles import decode_relative, ids_from_bitmap
 from tests.strategies import elements
 
 
@@ -80,7 +76,7 @@ def _decode_with_skips(data, pieces, seed):
             if (
                 type(event) is OpenEvent
                 and decoder.mode is not IndexMode.NONE
-                and decoder.depth > 1
+                and len(decoder.frames) > 1
                 and rng.random() < 0.3
             ):
                 resumes.append(decoder.skip_open_subtree())
@@ -133,11 +129,11 @@ def test_index_metadata_contents():
     decoder = SXSDecoder()
     decoder.push(data)
     assert decoder.next_item() == OpenEvent("a")
-    frame = decoder.frame
+    frame = decoder.frames[-1]
     assert decoder.dictionary.ids_to_names(frame.tags_inside) == {"b", "c", "d"}
     assert frame.content_start + frame.content_size == len(data)
     assert decoder.next_item() == OpenEvent("b")
-    assert decoder.dictionary.ids_to_names(decoder.frame.tags_inside) == {"c"}
+    assert decoder.dictionary.ids_to_names(decoder.frames[-1].tags_inside) == {"c"}
 
 
 def test_no_index_mode_has_no_metadata():
@@ -146,8 +142,8 @@ def test_no_index_mode_has_no_metadata():
     decoder = SXSDecoder()
     decoder.push(data)
     assert decoder.next_item() == OpenEvent("a")
-    assert decoder.frame.tags_inside is None
-    assert decoder.frame.content_size is None
+    assert decoder.frames[-1].tags_inside is None
+    assert decoder.frames[-1].content_size is None
 
 
 def test_skip_synthesizes_close_and_lands_after_subtree():
@@ -182,7 +178,7 @@ def test_skip_too_late_rejected():
     decoder.next_item()  # a
     decoder.next_item()  # b
     decoder.next_item()  # c -- b's content started
-    decoder._stack.pop()  # force the b frame on top
+    decoder.frames.pop()  # force the b frame on top
     with pytest.raises(RuntimeError):
         decoder.skip_open_subtree()
 
@@ -311,7 +307,7 @@ def test_for_region_decodes_subtree():
     decoder.push(data)
     decoder.next_item()  # a
     assert decoder.next_item() == OpenEvent("mid")
-    frame = decoder.frame
+    frame = decoder.frames[-1]
     resume = decoder.skip_open_subtree()
     region = SXSDecoder.for_region(decoder.dictionary, decoder.mode, frame)
     region.push(data[frame.content_start:resume], frame.content_start)
@@ -352,7 +348,7 @@ def _opens_with_ids(data, chunk, decoder=None):
         decoder.push(data[start:start + chunk], start)
         while (event := decoder.next_item()) is not None:
             if type(event) is OpenEvent:
-                frame = decoder.frame
+                frame = decoder.frames[-1]
                 parent = stack[-1] if stack else None
                 ids = _eager_ids(data, frame, parent, len(decoder.dictionary))
                 stack.append(ids)
@@ -388,9 +384,9 @@ def _stray_padding_stream():
     decoder = SXSDecoder()
     decoder.push(bytes(data))
     decoder.next_item()  # a
-    assert len(decoder.frame.tags_inside) == 9
+    assert len(decoder.frames[-1].tags_inside) == 9
     decoder.next_item()  # b
-    bitmap_end = decoder.frame.content_start
+    bitmap_end = decoder.frames[-1].content_start
     data[bitmap_end - 1] |= 0xFE  # bits 9..15 of b's two-byte bitmap
     return parse_string(xml), bytes(data), decoder.dictionary
 
@@ -402,7 +398,7 @@ def test_stray_padding_bits_are_ignored():
     names = []
     while (event := decoder.next_item()) is not None:
         if type(event) is OpenEvent:
-            names.append(dictionary.ids_to_names(decoder.frame.tags_inside))
+            names.append(dictionary.ids_to_names(decoder.frames[-1].tags_inside))
     assert decoder.document_done and decoder.position == len(data)
     assert names[:3] == [
         frozenset({"b", "c1", "c2", *(f"t{i}" for i in range(6))}),
@@ -420,15 +416,15 @@ def test_for_region_replay_decodes_the_same_ids():
     decoder.push(data)
     decoder.next_item()  # the root
     decoder.next_item()  # its first child, which has children of its own
-    frame = decoder.frame
+    frame = decoder.frames[-1]
     resume = decoder.skip_open_subtree()
     region = SXSDecoder.for_region(decoder.dictionary, decoder.mode, frame)
     region.push(data[frame.content_start:resume], frame.content_start)
     replayed = 0
     while (event := region.next_item()) is not None:
         if type(event) is OpenEvent:
-            start = region.frame.content_start
-            assert region.frame.tags_inside == expected[start]
+            start = region.frames[-1].content_start
+            assert region.frames[-1].tags_inside == expected[start]
             replayed += 1
     assert region.document_done and replayed > 3
     assert frame.tags_inside == expected[frame.content_start]
@@ -453,7 +449,7 @@ def test_decoding_builds_no_id_set_until_one_is_read(monkeypatch):
             decoder.push(data[start:start + chunk], start)
             while (event := decoder.next_item()) is not None:
                 if type(event) is OpenEvent:
-                    frames.append(decoder.frame)
+                    frames.append(decoder.frames[-1])
         assert decoder.document_done
     assert len(frames) > 30 and calls == []
     # Reading a leaf's ids decodes its chain of supports, once each.

@@ -92,8 +92,8 @@ def _trace(decoder: SXSDecoder, data: bytes, chunk: int):
                 continue
             ordinal += 1
             indexed = decoder.mode is not IndexMode.NONE
-            if indexed and decoder.depth > 1 and _skip(event.tag, ordinal):
-                frame = decoder.frame
+            if indexed and len(decoder.frames) > 1 and _skip(event.tag, ordinal):
+                frame = decoder.frames[-1]
                 if largest is None or frame.content_size > largest.content_size:
                     largest = frame
                 buffered_end = decoder.next_needed_offset

@@ -7,6 +7,16 @@ from hypothesis import strategies as st
 from repro.skipindex.tagdict import TagDictionary
 
 
+def id_of(dictionary: TagDictionary, name: str) -> int:
+    """Id of a known tag (KeyError if absent), from iteration order."""
+    return {tag: tag_id for tag_id, tag in enumerate(dictionary)}[name]
+
+
+def name_of(dictionary: TagDictionary, tag_id: int) -> str:
+    """Name of a known id (IndexError if out of range)."""
+    return list(dictionary)[tag_id]
+
+
 def test_intern_assigns_sequential_ids():
     dictionary = TagDictionary()
     assert dictionary.intern("a") == 0
@@ -17,17 +27,17 @@ def test_intern_assigns_sequential_ids():
 
 def test_lookup_both_directions():
     dictionary = TagDictionary(["x", "y"])
-    assert dictionary.id_of("y") == 1
-    assert dictionary.name_of(0) == "x"
+    assert id_of(dictionary, "y") == 1
+    assert name_of(dictionary, 0) == "x"
     assert "x" in dictionary and "z" not in dictionary
 
 
 def test_unknown_lookups_raise():
     dictionary = TagDictionary(["x"])
     with pytest.raises(KeyError):
-        dictionary.id_of("nope")
+        id_of(dictionary, "nope")
     with pytest.raises(IndexError):
-        dictionary.name_of(5)
+        name_of(dictionary, 5)
 
 
 def test_ids_to_names():
@@ -60,4 +70,4 @@ def test_decode_rejects_repeated_names():
 def test_unicode_tags_survive():
     dictionary = TagDictionary(["élément"])
     decoded, __ = TagDictionary.decode(dictionary.encode())
-    assert decoded.name_of(0) == "élément"
+    assert name_of(decoded, 0) == "élément"

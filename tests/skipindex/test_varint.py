@@ -5,13 +5,22 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.skipindex.varint import (
-    decode_bounded,
+    Truncated,
     decode_varint,
     encode_bounded,
     encode_varint,
     varint_size,
     width_for_bound,
 )
+
+
+def decode_bounded(data: bytes, offset: int, bound: int) -> tuple[int, int]:
+    """The oracle of ``encode_bounded``: decode a width-bounded integer;
+    return ``(value, next_offset)``."""
+    width = width_for_bound(bound)
+    if offset + width > len(data):
+        raise Truncated("truncated bounded integer")
+    return int.from_bytes(data[offset:offset + width], "little"), offset + width
 
 
 @given(st.integers(min_value=0, max_value=2**63 - 1))
