@@ -5,8 +5,8 @@ SAX) raising open, value and close events respectively for each opening,
 text and closing tag in the input document".  These three event classes
 are the common currency of the whole system: the parser produces them,
 the skip-index encoder serializes them, the card applet consumes them and
-the delivery module re-emits the authorized subset, as plain slotted
-:class:`~repro.values.ValueObject` classes.
+the delivery module re-emits the authorized subset.  Each is a plain
+slotted :class:`~repro.values.ValueObject`.
 """
 
 from __future__ import annotations
