@@ -5,8 +5,9 @@
   partitioned into authorization-equivalence classes, one key per
   class.  Sharing is static: every policy change re-encrypts data and
   redistributes keys (experiment E8).
-* :mod:`repro.baselines.full_decrypt` -- our engine without the skip
-  index: the card decrypts and parses everything (E1/E2 ablation).
+* the engine without its skip index (the E1/E2 ablation) is no module
+  of its own: a pull session with ``PullSetup(index_mode=IndexMode.NONE)``
+  makes the card receive, decrypt and parse every chunk.
 * :mod:`repro.baselines.server_filter` -- a *trusted* server computing
   views in plaintext: the architecture the paper's threat model rules
   out, kept as a latency reference point (E6).

@@ -56,7 +56,6 @@ class StaticEncryptionScheme:
         self.subjects = list(subjects)
         self._vectors: dict[int, frozenset[str]] = {}
         self._key_sets: dict[str, set[frozenset[str]]] = {}
-        self.total_bytes = sum(_node_bytes(node) for node in root.iter())
         self._compute(rules)
 
     def _compute(self, rules: RuleSet) -> None:
@@ -85,13 +84,6 @@ class StaticEncryptionScheme:
     def class_count(self) -> int:
         """Number of distinct encryption classes (keys) in use."""
         return len(set(self._vectors.values()))
-
-    def keys_held_by(self, subject: str) -> int:
-        return len(self._key_sets.get(subject, ()))
-
-    def initial_encryption_bytes(self) -> int:
-        """Everything is encrypted once at setup."""
-        return self.total_bytes
 
     def rekey_for(self, new_rules: RuleSet) -> ChurnCost:
         """Price a policy change, then adopt it.

@@ -7,6 +7,13 @@ HMAC-SHA-256 integrity tags and a simulated PKI (the paper's own demo
 connection").  Costs are charged per byte to the card CPU model, so the
 *relative* cost structure -- decryption linear in bytes, which is what
 the skip index optimizes -- matches the paper's platform.
+
+One layer per concept: the keyed
+:class:`~repro.crypto.xtea.XTEACipher` owns CBC with PKCS#7 padding
+(the one CBC layer, shared by sealing, opening and key wraps);
+:mod:`~repro.crypto.mac` computes the positional tags; and
+:mod:`~repro.crypto.container` seals documents and blobs and opens
+each sealed item through one verify-then-decrypt routine.
 """
 
 from repro.crypto.container import (
@@ -20,8 +27,7 @@ from repro.crypto.container import (
 )
 from repro.crypto.merkle import AuthPath, MerkleTree, verify_chunk
 from repro.crypto.keys import DocumentKeys, KeyRing, derive_key
-from repro.crypto.mac import chunk_mac, header_mac, verify_mac
-from repro.crypto.modes import cbc_decrypt, cbc_encrypt
+from repro.crypto.mac import chunk_mac, header_mac
 from repro.crypto.pki import KeyPair, SimulatedPKI
 from repro.crypto.xtea import xtea_decrypt_block, xtea_encrypt_block
 
@@ -35,8 +41,6 @@ __all__ = [
     "KeyRing",
     "MerkleTree",
     "SimulatedPKI",
-    "cbc_decrypt",
-    "cbc_encrypt",
     "chunk_mac",
     "derive_key",
     "header_mac",
@@ -45,7 +49,6 @@ __all__ = [
     "seal_blob",
     "seal_document",
     "verify_chunk",
-    "verify_mac",
     "xtea_decrypt_block",
     "xtea_encrypt_block",
 ]

@@ -12,20 +12,11 @@ while substitution/reorder/replay/truncation all remain detectable
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from hmac import compare_digest
 
 from repro.crypto.keys import DocumentKeys
-from repro.crypto.mac import (
-    DEFAULT_TAG_LENGTH,
-    chunk_mac,
-    header_mac,
-    verify_mac,
-)
-from repro.crypto.modes import (
-    PaddingError,
-    cbc_decrypt,
-    cbc_encrypt,
-    cbc_encrypt_many,
-)
+from repro.crypto.mac import DEFAULT_TAG_LENGTH, chunk_mac, header_mac
+from repro.crypto.xtea import PaddingError
 from repro.errors import TamperDetected
 
 DEFAULT_CHUNK_SIZE = 96  # plaintext bytes per chunk; fits card RAM easily
@@ -66,7 +57,7 @@ class DocumentHeader:
             self.payload(),
             self.tag_length,
         )
-        if not verify_mac(expected, self.tag):
+        if not compare_digest(expected, self.tag):
             raise IntegrityError(f"header MAC mismatch for {self.doc_id!r}")
 
 
@@ -97,16 +88,13 @@ def seal_document(
     chunk_count = max(1, -(-len(plaintext) // chunk_size))
     # All chunks encrypt through one shared keyed cipher, bit-sliced
     # across chunks (each chunk chains internally on its own IV).
-    ciphertexts = cbc_encrypt_many(
-        [
-            (
-                plaintext[index * chunk_size:(index + 1) * chunk_size],
-                keys.iv(doc_id, version, index),
-            )
-            for index in range(chunk_count)
-        ],
-        keys.cipher,
-    )
+    ciphertexts = keys.cipher.cbc_encrypt_many([
+        (
+            plaintext[index * chunk_size:(index + 1) * chunk_size],
+            keys.iv(doc_id, version, index),
+        )
+        for index in range(chunk_count)
+    ])
     chunks: list[bytes] = []
     for index, ciphertext in enumerate(ciphertexts):
         tag = chunk_mac(
@@ -138,10 +126,51 @@ def seal_blob(
     """Encrypt and authenticate a small standalone blob (e.g. one access
     rule record).  The label namespaces the MAC so a blob can never be
     replayed as a document chunk or as a different record."""
-    iv = keys.iv(label, version, 0)
-    ciphertext = cbc_encrypt(plaintext, keys.cipher, iv)
+    ciphertext = keys.cipher.cbc_encrypt(plaintext, keys.iv(label, version, 0))
     tag = chunk_mac(keys.mac, label, version, 0, 1, ciphertext, tag_length)
     return ciphertext + tag
+
+
+#: ``IntegrityError`` messages of :func:`_open_sealed`, per item kind:
+#: too short, MAC mismatch, failed to decrypt.
+_CHUNK_ERRORS = (
+    "chunk too short",
+    "chunk {index} MAC mismatch for {name!r}",
+    "chunk {index} failed to decrypt",
+)
+_BLOB_ERRORS = (
+    "blob {name!r} too short",
+    "blob MAC mismatch for {name!r}",
+    "blob {name!r} failed to decrypt",
+)
+
+
+def _open_sealed(
+    blob: bytes,
+    name: str,
+    version: int,
+    index: int,
+    count: int,
+    tag_length: int,
+    keys: DocumentKeys,
+    errors: tuple[str, str, str],
+) -> bytes:
+    """Verify the positional MAC of ``ciphertext || tag``, then decrypt.
+
+    ``errors`` holds the kind's three messages (``_CHUNK_ERRORS`` or
+    ``_BLOB_ERRORS``), formatted with ``name`` and ``index`` only when
+    one is raised.
+    """
+    if len(blob) <= tag_length:
+        raise IntegrityError(errors[0].format(name=name, index=index))
+    ciphertext = blob[:-tag_length]
+    expected = chunk_mac(keys.mac, name, version, index, count, ciphertext, tag_length)
+    if not compare_digest(expected, blob[-tag_length:]):
+        raise IntegrityError(errors[1].format(name=name, index=index))
+    try:
+        return keys.cipher.cbc_decrypt(ciphertext, keys.iv(name, version, index))
+    except PaddingError as exc:
+        raise IntegrityError(errors[2].format(name=name, index=index)) from exc
 
 
 def open_blob(
@@ -152,17 +181,7 @@ def open_blob(
     tag_length: int = DEFAULT_TAG_LENGTH,
 ) -> bytes:
     """Verify and decrypt a blob sealed by :func:`seal_blob`."""
-    if len(blob) <= tag_length:
-        raise IntegrityError(f"blob {label!r} too short")
-    ciphertext, tag = blob[:-tag_length], blob[-tag_length:]
-    expected = chunk_mac(keys.mac, label, version, 0, 1, ciphertext, tag_length)
-    if not verify_mac(expected, tag):
-        raise IntegrityError(f"blob MAC mismatch for {label!r}")
-    iv = keys.iv(label, version, 0)
-    try:
-        return cbc_decrypt(ciphertext, keys.cipher, iv)
-    except (PaddingError, ValueError) as exc:
-        raise IntegrityError(f"blob {label!r} failed to decrypt") from exc
+    return _open_sealed(blob, label, version, 0, 1, tag_length, keys, _BLOB_ERRORS)
 
 
 def open_chunk(
@@ -177,31 +196,12 @@ def open_chunk(
     """
     if not 0 <= index < header.chunk_count:
         raise IntegrityError(f"chunk index {index} out of range")
-    if len(blob) <= header.tag_length:
-        raise IntegrityError("chunk too short")
-    ciphertext, tag = blob[:-header.tag_length], blob[-header.tag_length:]
-    expected = chunk_mac(
-        keys.mac,
-        header.doc_id,
-        header.version,
-        index,
-        header.chunk_count,
-        ciphertext,
-        header.tag_length,
+    plaintext = _open_sealed(
+        blob, header.doc_id, header.version, index, header.chunk_count,
+        header.tag_length, keys, _CHUNK_ERRORS,
     )
-    if not verify_mac(expected, tag):
-        raise IntegrityError(
-            f"chunk {index} MAC mismatch for {header.doc_id!r}"
-        )
-    iv = keys.iv(header.doc_id, header.version, index)
-    try:
-        plaintext = cbc_decrypt(ciphertext, keys.cipher, iv)
-    except (PaddingError, ValueError) as exc:
-        raise IntegrityError(f"chunk {index} failed to decrypt") from exc
-    expected_length = min(
-        header.chunk_size,
-        header.total_length - index * header.chunk_size,
-    )
-    if len(plaintext) != expected_length:
+    if len(plaintext) != min(
+        header.chunk_size, header.total_length - index * header.chunk_size
+    ):
         raise IntegrityError(f"chunk {index} has unexpected length")
     return plaintext

@@ -21,8 +21,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 
-from repro.crypto.modes import cbc_decrypt, cbc_encrypt
-from repro.crypto.xtea import BLOCK_SIZE
+from repro.crypto.xtea import BLOCK_SIZE, XTEACipher
 
 _wrap_calls = 0
 
@@ -46,9 +45,9 @@ def wrap_with_kek(kek: bytes, context: str, secret: bytes) -> bytes:
     """Wrap ``secret`` under ``kek``, IV-bound to ``context``."""
     global _wrap_calls
     _wrap_calls += 1
-    return cbc_encrypt(secret, kek, _context_iv(kek, context))
+    return XTEACipher.for_key(kek).cbc_encrypt(secret, _context_iv(kek, context))
 
 
 def unwrap_with_kek(kek: bytes, context: str, wrapped: bytes) -> bytes:
     """Invert :func:`wrap_with_kek` for the same ``(kek, context)``."""
-    return cbc_decrypt(wrapped, kek, _context_iv(kek, context))
+    return XTEACipher.for_key(kek).cbc_decrypt(wrapped, _context_iv(kek, context))

@@ -27,12 +27,6 @@ def derive_key(secret: bytes, label: str, length: int = KEY_SIZE) -> bytes:
     return keyed_digest(secret, b"derive:" + label.encode("utf-8"))[:length]
 
 
-def derive_iv(secret: bytes, doc_id: str, version: int, index: int) -> bytes:
-    """Deterministic per-chunk IV; no IV storage in the container."""
-    message = f"iv:{doc_id}:{version}:{index}".encode("utf-8")
-    return keyed_digest(secret, message)[:BLOCK_SIZE]
-
-
 @dataclass(frozen=True, slots=True)
 class DocumentKeys:
     """The derived key bundle for one document.
@@ -54,7 +48,9 @@ class DocumentKeys:
         object.__setattr__(self, "cipher", XTEACipher.for_key(self.encryption))
 
     def iv(self, doc_id: str, version: int, index: int) -> bytes:
-        return derive_iv(self.secret, doc_id, version, index)
+        """Deterministic per-chunk IV; no IV storage in the container."""
+        message = f"iv:{doc_id}:{version}:{index}".encode("utf-8")
+        return keyed_digest(self.secret, message)[:BLOCK_SIZE]
 
 
 class KeyRing:

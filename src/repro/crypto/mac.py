@@ -24,7 +24,6 @@ bandwidth); the length is a parameter of the container.
 from __future__ import annotations
 
 import hashlib
-import hmac
 
 DEFAULT_TAG_LENGTH = 8
 
@@ -60,10 +59,6 @@ def keyed_digest(key: bytes, message: bytes) -> bytes:
     return outer.digest()
 
 
-def _mac(key: bytes, message: bytes, length: int) -> bytes:
-    return keyed_digest(key, message)[:length]
-
-
 def chunk_mac(
     key: bytes,
     doc_id: str,
@@ -81,7 +76,7 @@ def chunk_mac(
         + index.to_bytes(8, "big")
         + chunk_count.to_bytes(8, "big")
     )
-    return _mac(key, header + ciphertext, length)
+    return keyed_digest(key, header + ciphertext)[:length]
 
 
 def header_mac(
@@ -102,9 +97,4 @@ def header_mac(
         + chunk_count.to_bytes(8, "big")
         + chunk_size.to_bytes(8, "big")
     )
-    return _mac(key, header + payload, length)
-
-
-def verify_mac(expected: bytes, actual: bytes) -> bool:
-    """Constant-time tag comparison."""
-    return hmac.compare_digest(expected, actual)
+    return keyed_digest(key, header + payload)[:length]

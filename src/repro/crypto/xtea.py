@@ -10,25 +10,30 @@ Two implementation layers:
 * the historical block functions (:func:`xtea_encrypt_block`,
   :func:`xtea_decrypt_block`) remain the readable reference and the
   bit-for-bit ground truth the batched paths are tested against;
-* :class:`XTEACipher` is the wall-clock hot path: the key schedule
-  (the 64 per-round ``sum + key[...]`` constants, which depend only on
-  the key) is computed once per key and memoized, and whole buffers of
-  blocks are processed per call.  The CBC paths run the rounds
-  *bit-sliced across blocks*: a buffer read as one big-endian integer
-  already holds one 8-byte block per 64-bit lane, so ``whole & mask``
-  and ``(whole >> 32) & mask`` split it into the two 32-bit halves and
-  one arithmetic operation advances every block at once.  The round
-  function needs no mask of its own: its low part stays below 2^38
-  and the ``>> 5`` spill from the next lane sits in bits 59-63, so no
-  carry crosses a lane and one mask per half-round clears both.
-  Per-lane subtraction is an add of the complement,
-  ``v - x == v + (x ^ 0xFFFFFFFF) + 1 (mod 2^32)``, with the
-  complement folded into the replicated round keys.
+* :class:`XTEACipher` is the one CBC layer every seal, open and
+  key-wrap path uses: CBC with PKCS#7 padding over whole buffers
+  (:meth:`~XTEACipher.cbc_encrypt`, the batched
+  :meth:`~XTEACipher.cbc_encrypt_many` and
+  :meth:`~XTEACipher.cbc_decrypt`, which raises :class:`PaddingError`).
+  The key schedule (the 64 per-round ``sum + key[...]`` constants,
+  which depend only on the key) is computed once per key and memoized.
+  The CBC paths run the rounds *bit-sliced across blocks*: a buffer
+  read as one big-endian integer already holds one 8-byte block per
+  64-bit lane, so ``whole & mask`` and ``(whole >> 32) & mask`` split
+  it into the two 32-bit halves and one arithmetic operation advances
+  every block at once.  The round function needs no mask of its own:
+  its low part stays below 2^38 and the ``>> 5`` spill from the next
+  lane sits in bits 59-63, so no carry crosses a lane and one mask per
+  half-round clears both.  Per-lane subtraction is an add of the
+  complement, ``v - x == v + (x ^ 0xFFFFFFFF) + 1 (mod 2^32)``, with
+  the complement folded into the replicated round keys.
 """
 
 from __future__ import annotations
 
 import struct
+
+from repro.errors import TamperDetected
 
 _DELTA = 0x9E3779B9
 _MASK = 0xFFFFFFFF
@@ -42,6 +47,21 @@ KEY_SIZE = 16
 #: sequential, and lane setup has fixed overhead).
 _SWAR_MIN_BLOCKS = 3
 
+#: Lane counts cached per cipher and direction before the cache resets.
+_LANE_CACHE_LIMIT = 16
+
+#: ``_PADS[n]`` is ``n`` bytes of value ``n``: the PKCS#7 tail.
+_PADS = tuple(bytes([n]) * n for n in range(BLOCK_SIZE + 1))
+
+
+class PaddingError(TamperDetected, ValueError):
+    """Raised when a CBC ciphertext does not decrypt to PKCS#7 padding.
+
+    Malformed padding after an authenticated decrypt means the key or
+    ciphertext was wrong -- tamper evidence, hence the taxonomy parent
+    -- but it stays a :class:`ValueError` for historical callers.
+    """
+
 
 def _key_schedule(key: bytes) -> tuple[int, int, int, int]:
     if len(key) != KEY_SIZE:
@@ -49,22 +69,14 @@ def _key_schedule(key: bytes) -> tuple[int, int, int, int]:
     return struct.unpack(">4L", key)
 
 
-class _LaneState:
-    """Per-lane-count constants for the bit-sliced paths.
+def _pkcs7(data: bytes) -> bytes:
+    """``data`` with its PKCS#7 padding (always 1..BLOCK_SIZE bytes)."""
+    return data + _PADS[BLOCK_SIZE - len(data) % BLOCK_SIZE]
 
-    ``dec``/``enc`` hold the lane-replicated round schedules, built on
-    first use per direction (a cipher that only ever decrypts never
-    pays for the encrypt replication, and vice versa) and cached with
-    the constants so repeated calls share them.
-    """
 
-    __slots__ = ("ones", "mask", "dec", "enc")
-
-    def __init__(self, count: int) -> None:
-        self.ones = (1 << (64 * count)) // ((1 << 64) - 1)  # 0x0001_0001...
-        self.mask = _MASK * self.ones
-        self.dec: tuple[tuple[int, int], ...] | None = None
-        self.enc: tuple[tuple[int, int], ...] | None = None
+def _ones(count: int) -> int:
+    """The integer with a 1 in each of ``count`` 64-bit lanes."""
+    return (1 << (64 * count)) // ((1 << 64) - 1)
 
 
 class XTEACipher:
@@ -77,7 +89,7 @@ class XTEACipher:
     open and key-wrap paths all land on the same object.
     """
 
-    __slots__ = ("key", "enc_schedule", "dec_schedule", "_lane_cache")
+    __slots__ = ("key", "enc_schedule", "dec_schedule", "_dec_lanes", "_enc_lanes")
 
     #: Per-key instance cache (bounded; keys are 16-byte strings).
     _instances: dict[bytes, "XTEACipher"] = {}
@@ -95,8 +107,11 @@ class XTEACipher:
             enc.append((sum0, sum1))
         self.enc_schedule = tuple(enc)
         self.dec_schedule = tuple((s1, s0) for s0, s1 in reversed(enc))
-        # lane count -> cached lane constants + replicated schedules
-        self._lane_cache: dict[int, _LaneState] = {}
+        # Lane count -> lane constants and replicated round keys, built
+        # on first use per direction (a cipher that only ever decrypts
+        # never pays for the encrypt replication, and vice versa).
+        self._dec_lanes: dict[int, tuple[int, int, tuple[tuple[int, int], ...]]] = {}
+        self._enc_lanes: dict[int, tuple[int, tuple[tuple[int, int], ...]]] = {}
 
     @classmethod
     def for_key(cls, key: bytes) -> "XTEACipher":
@@ -129,44 +144,18 @@ class XTEACipher:
             v0 = (v0 - ((((v1 << 4) ^ (v1 >> 5)) + v1) ^ sum0)) & _MASK
         return struct.pack(">2L", v0, v1)
 
-    # -- lane helpers ---------------------------------------------------------
+    # -- CBC with PKCS#7 padding over whole buffers ---------------------------
 
-    def _lanes(self, count: int) -> "_LaneState":
-        """Lane constants for ``count`` lanes (replications built lazily)."""
-        state = self._lane_cache.get(count)
-        if state is None:
-            if len(self._lane_cache) >= 16:
-                self._lane_cache.clear()
-            state = self._lane_cache[count] = _LaneState(count)
-        return state
-
-    def _dec_replicated(self, state: "_LaneState") -> tuple[tuple[int, int], ...]:
-        """Replicated decrypt keys, complemented for add-as-subtract."""
-        if state.dec is None:
-            ones = state.ones
-            state.dec = tuple(
-                ((sum1 ^ _MASK) * ones, (sum0 ^ _MASK) * ones)
-                for sum1, sum0 in self.dec_schedule
-            )
-        return state.dec
-
-    def _enc_replicated(self, state: "_LaneState") -> tuple[tuple[int, int], ...]:
-        if state.enc is None:
-            ones = state.ones
-            state.enc = tuple(
-                (sum0 * ones, sum1 * ones) for sum0, sum1 in self.enc_schedule
-            )
-        return state.enc
-
-    # -- CBC over whole buffers ----------------------------------------------
-
-    def cbc_encrypt_padded(self, padded: bytes, iv: bytes) -> bytes:
-        """CBC-encrypt a block-aligned buffer (padding already applied).
+    def cbc_encrypt(self, plaintext: bytes, iv: bytes) -> bytes:
+        """Pad ``plaintext`` (PKCS#7) and CBC-encrypt it under ``iv``.
 
         Chaining makes encryption inherently sequential, so this is the
         scheduled per-block loop with the XOR done on integers (no
         per-byte work, no per-block key schedule).
         """
+        if len(iv) != BLOCK_SIZE:
+            raise ValueError(f"IV must be {BLOCK_SIZE} bytes")
+        padded = _pkcs7(plaintext)
         count = len(padded) // BLOCK_SIZE
         words = struct.unpack(f">{2 * count}L", padded)
         p0, p1 = struct.unpack(">2L", iv)
@@ -186,34 +175,31 @@ class XTEACipher:
     def cbc_encrypt_many(
         self, messages: list[tuple[bytes, bytes]]
     ) -> list[bytes]:
-        """CBC-encrypt independent ``(padded, iv)`` messages together.
+        """Pad and CBC-encrypt independent ``(plaintext, iv)`` messages.
 
-        Messages chain internally but not across each other, so the
-        lane dimension is the *message*: CBC step ``j`` joins block
-        ``j`` of every equal-length message into one integer (first
-        message in the top lane) and encrypts them in one bit-sliced
-        pass.  Messages are grouped by block count; each group costs
-        ``blocks`` sequential steps regardless of how many messages it
-        holds.  Output order matches input order.
+        Each result is bit-for-bit what :meth:`cbc_encrypt` returns for
+        that message.  Messages chain internally but not across each
+        other, so the lane dimension is the *message*: CBC step ``j``
+        joins block ``j`` of every equal-length message into one
+        integer (first message in the top lane) and encrypts them in one
+        bit-sliced pass.  Messages are grouped by padded block count;
+        each group costs ``blocks`` sequential steps regardless of how
+        many messages it holds.  Output order matches input order.
         """
         results: list[bytes | None] = [None] * len(messages)
         groups: dict[int, list[int]] = {}
-        for position, (padded, iv) in enumerate(messages):
-            if len(padded) % BLOCK_SIZE or not padded:
-                raise ValueError("messages must be padded to block multiples")
+        for position, (plaintext, iv) in enumerate(messages):
             if len(iv) != BLOCK_SIZE:
                 raise ValueError(f"IV must be {BLOCK_SIZE} bytes")
-            groups.setdefault(len(padded) // BLOCK_SIZE, []).append(position)
+            groups.setdefault(len(plaintext) // BLOCK_SIZE + 1, []).append(position)
         for block_count, positions in groups.items():
             lanes = len(positions)
             if lanes < _SWAR_MIN_BLOCKS:
                 for position in positions:
-                    results[position] = self.cbc_encrypt_padded(*messages[position])
+                    results[position] = self.cbc_encrypt(*messages[position])
                 continue
-            state = self._lanes(lanes)
-            mask = state.mask
-            schedule = self._enc_replicated(state)
-            padded_group = [messages[p][0] for p in positions]
+            mask, schedule = self._enc_lanes.get(lanes) or self._replicate_enc(lanes)
+            padded_group = [_pkcs7(messages[p][0]) for p in positions]
             prev = int.from_bytes(b"".join(messages[p][1] for p in positions), "big")
             steps: list[bytes] = []
             for start in range(0, BLOCK_SIZE * block_count, BLOCK_SIZE):
@@ -237,9 +223,11 @@ class XTEACipher:
                 )
         return results  # type: ignore[return-value]
 
-    def cbc_decrypt_raw(self, ciphertext: bytes, iv: bytes) -> bytes:
-        """CBC-decrypt a block-aligned buffer; padding left in place.
+    def cbc_decrypt(self, ciphertext: bytes, iv: bytes) -> bytes:
+        """CBC-decrypt under ``iv`` and strip the PKCS#7 padding.
 
+        Raises :class:`PaddingError` when the ciphertext is not a
+        non-empty block multiple or decrypts to malformed padding.
         Decryption has no chaining dependency (every block decrypts
         independently, then XORs with the previous *ciphertext* block),
         so the whole buffer runs bit-sliced at every length: one lane
@@ -247,21 +235,50 @@ class XTEACipher:
         shifted down one lane, the IV filling the top lane.
         """
         length = len(ciphertext)
-        if length % BLOCK_SIZE:
-            raise ValueError("ciphertext length is not a block multiple")
-        if not length:
-            return b""
+        if len(iv) != BLOCK_SIZE:
+            raise ValueError(f"IV must be {BLOCK_SIZE} bytes")
+        if not length or length % BLOCK_SIZE:
+            raise PaddingError("ciphertext length is not a block multiple")
         count = length // BLOCK_SIZE
-        state = self._lanes(count)
-        mask, ones = state.mask, state.ones
+        ones, mask, schedule = self._dec_lanes.get(count) or self._replicate_dec(count)
         whole = int.from_bytes(ciphertext, "big")
         v1 = whole & mask
         v0 = (whole >> 32) & mask
-        for r1c, r0c in self._dec_replicated(state):
+        for r1c, r0c in schedule:
             v1 = (v1 + ((((v0 << 4) ^ (v0 >> 5)) + v0) ^ r1c) + ones) & mask
             v0 = (v0 + ((((v1 << 4) ^ (v1 >> 5)) + v1) ^ r0c) + ones) & mask
         chain = (whole >> 64) | (int.from_bytes(iv, "big") << (64 * (count - 1)))
-        return (((v0 << 32) | v1) ^ chain).to_bytes(length, "big")
+        padded = (((v0 << 32) | v1) ^ chain).to_bytes(length, "big")
+        pad = padded[-1]
+        if not 1 <= pad <= BLOCK_SIZE or not padded.endswith(_PADS[pad]):
+            raise PaddingError("bad padding bytes")
+        return padded[:-pad]
+
+    # -- lane-replicated round keys, cached per lane count --------------------
+
+    def _replicate_dec(self, count: int) -> tuple[int, int, tuple[tuple[int, int], ...]]:
+        """``(ones, mask, keys)`` for ``count`` decrypt lanes, cached.
+
+        The keys are complemented for add-as-subtract.
+        """
+        if len(self._dec_lanes) >= _LANE_CACHE_LIMIT:
+            self._dec_lanes.clear()
+        ones = _ones(count)
+        keys = tuple(
+            ((sum1 ^ _MASK) * ones, (sum0 ^ _MASK) * ones)
+            for sum1, sum0 in self.dec_schedule
+        )
+        entry = self._dec_lanes[count] = (ones, _MASK * ones, keys)
+        return entry
+
+    def _replicate_enc(self, count: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+        """``(mask, keys)`` for ``count`` encrypt lanes, cached."""
+        if len(self._enc_lanes) >= _LANE_CACHE_LIMIT:
+            self._enc_lanes.clear()
+        ones = _ones(count)
+        keys = tuple((sum0 * ones, sum1 * ones) for sum0, sum1 in self.enc_schedule)
+        entry = self._enc_lanes[count] = (_MASK * ones, keys)
+        return entry
 
 
 def xtea_encrypt_block(block: bytes, key: bytes) -> bytes:

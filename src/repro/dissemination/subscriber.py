@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING, Callable
 
 from repro.core.compiled import PolicyRegistry
 from repro.core.delivery import ViewMode
-from repro.errors import KeyNotGranted, PolicyError, ReproError
+from repro.errors import KeyNotGranted, PolicyError, ReproError, TransportError
 from repro.smartcard.card import SmartCard, decode_header
 from repro.smartcard.resources import LinkModel, SessionMetrics, SimClock
 from repro.terminal.cardlink import CardLink, ProxyError, card_error

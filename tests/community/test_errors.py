@@ -5,8 +5,8 @@ import pytest
 from repro.community import Community
 from repro.crypto.container import IntegrityError
 from repro.crypto.keys import KeyRing
-from repro.crypto.modes import PaddingError
 from repro.crypto.pki import SimulatedPKI
+from repro.crypto.xtea import PaddingError
 from repro.errors import (
     AccessDenied,
     DocumentLocked,

@@ -12,16 +12,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.modes import (
-    PaddingError,
-    cbc_decrypt,
-    cbc_encrypt,
-    cbc_encrypt_many,
-    pkcs7_pad,
-)
 from repro.crypto.xtea import (
     BLOCK_SIZE,
     KEY_SIZE,
+    PaddingError,
     XTEACipher,
     xtea_decrypt_block,
     xtea_encrypt_block,
@@ -29,6 +23,7 @@ from repro.crypto.xtea import (
 
 KEY = bytes(range(16))
 IV = bytes(range(8))
+CIPHER = XTEACipher.for_key(KEY)
 
 
 # -- published-style vectors --------------------------------------------------
@@ -80,8 +75,20 @@ def _xor(a: bytes, b: bytes) -> bytes:
     return bytes(x ^ y for x, y in zip(a, b))
 
 
-def reference_cbc_encrypt(plaintext: bytes, key: bytes, iv: bytes) -> bytes:
-    padded = pkcs7_pad(plaintext)
+def reference_pad(data: bytes) -> bytes:
+    pad = BLOCK_SIZE - len(data) % BLOCK_SIZE
+    return data + bytes([pad]) * pad
+
+
+def reference_unpad(padded: bytes) -> bytes | None:
+    """``padded`` without its PKCS#7 tail, or ``None`` if malformed."""
+    pad = padded[-1] if padded else 0
+    if not 1 <= pad <= BLOCK_SIZE or padded[-pad:] != bytes([pad]) * pad:
+        return None
+    return padded[:-pad]
+
+
+def reference_cbc_encrypt_raw(padded: bytes, key: bytes, iv: bytes) -> bytes:
     out = bytearray()
     previous = iv
     for offset in range(0, len(padded), BLOCK_SIZE):
@@ -89,6 +96,10 @@ def reference_cbc_encrypt(plaintext: bytes, key: bytes, iv: bytes) -> bytes:
         previous = xtea_encrypt_block(block, key)
         out.extend(previous)
     return bytes(out)
+
+
+def reference_cbc_encrypt(plaintext: bytes, key: bytes, iv: bytes) -> bytes:
+    return reference_cbc_encrypt_raw(reference_pad(plaintext), key, iv)
 
 
 def reference_cbc_decrypt_raw(ciphertext: bytes, key: bytes, iv: bytes) -> bytes:
@@ -105,14 +116,11 @@ def reference_cbc_decrypt_raw(ciphertext: bytes, key: bytes, iv: bytes) -> bytes
 def test_batched_cbc_matches_reference_bit_for_bit(size):
     rng = random.Random(size)
     plaintext = rng.randbytes(size)
-    ciphertext = cbc_encrypt(plaintext, KEY, IV)
+    ciphertext = CIPHER.cbc_encrypt(plaintext, IV)
     assert ciphertext == reference_cbc_encrypt(plaintext, KEY, IV)
-    assert cbc_decrypt(ciphertext, KEY, IV) == plaintext
-    # Raw (unpadded) decryption agrees block-for-block too.
-    cipher = XTEACipher.for_key(KEY)
-    assert cipher.cbc_decrypt_raw(ciphertext, IV) == reference_cbc_decrypt_raw(
-        ciphertext, KEY, IV
-    )
+    assert CIPHER.cbc_decrypt(ciphertext, IV) == plaintext
+    # The reference block-at-a-time decryption agrees block for block.
+    assert reference_cbc_decrypt_raw(ciphertext, KEY, IV) == reference_pad(plaintext)
 
 
 keys = st.binary(min_size=KEY_SIZE, max_size=KEY_SIZE)
@@ -123,25 +131,45 @@ def _blocks(count):
     return st.binary(min_size=count * BLOCK_SIZE, max_size=count * BLOCK_SIZE)
 
 
+def _plaintexts(blocks):
+    """Plaintexts that pad to exactly ``blocks`` blocks."""
+    return st.binary(
+        min_size=(blocks - 1) * BLOCK_SIZE, max_size=blocks * BLOCK_SIZE - 1
+    )
+
+
 # The 1-3 block examples sit where a scalar path once handed over to
 # the lanes.
+@settings(max_examples=60, deadline=None)
+@given(key=keys, iv=ivs, plaintext=st.integers(1, 40).flatmap(_plaintexts))
+@example(key=KEY, iv=IV, plaintext=bytes(range(7)))
+@example(key=KEY, iv=IV, plaintext=bytes(range(15)))
+@example(key=KEY, iv=IV, plaintext=bytes(range(23)))
+def test_decrypt_matches_reference_chain(key, iv, plaintext):
+    ciphertext = reference_cbc_encrypt(plaintext, key, iv)
+    assert XTEACipher.for_key(key).cbc_decrypt(ciphertext, iv) == plaintext
+
+
 @settings(max_examples=60, deadline=None)
 @given(key=keys, iv=ivs, ciphertext=st.integers(1, 40).flatmap(_blocks))
 @example(key=KEY, iv=IV, ciphertext=bytes(range(8)))
 @example(key=KEY, iv=IV, ciphertext=bytes(range(16)))
 @example(key=KEY, iv=IV, ciphertext=bytes(range(24)))
-def test_decrypt_raw_matches_reference_chain(key, iv, ciphertext):
+def test_decrypt_accepts_exactly_what_the_reference_unpads(key, iv, ciphertext):
+    expected = reference_unpad(reference_cbc_decrypt_raw(ciphertext, key, iv))
     cipher = XTEACipher.for_key(key)
-    assert cipher.cbc_decrypt_raw(ciphertext, iv) == reference_cbc_decrypt_raw(
-        ciphertext, key, iv
-    )
+    if expected is None:
+        with pytest.raises(PaddingError):
+            cipher.cbc_decrypt(ciphertext, iv)
+    else:
+        assert cipher.cbc_decrypt(ciphertext, iv) == expected
 
 
-def test_decrypt_raw_empty_and_misaligned():
-    cipher = XTEACipher.for_key(KEY)
-    assert cipher.cbc_decrypt_raw(b"", IV) == b""
-    with pytest.raises(ValueError):
-        cipher.cbc_decrypt_raw(b"x" * 9, IV)
+def test_decrypt_empty_and_misaligned():
+    with pytest.raises(PaddingError):
+        CIPHER.cbc_decrypt(b"", IV)
+    with pytest.raises(PaddingError):
+        CIPHER.cbc_decrypt(b"x" * 9, IV)
 
 
 @settings(max_examples=40, deadline=None)
@@ -161,43 +189,42 @@ def test_decrypt_raw_empty_and_misaligned():
 def test_encrypt_many_matches_reference_over_mixed_groups(key, messages):
     # Plaintexts pad to 1-4 blocks, so a draw mixes single-message
     # groups (the sequential path) with lane groups of 3 or more.
-    batched = cbc_encrypt_many(messages, key)
+    batched = XTEACipher.for_key(key).cbc_encrypt_many(messages)
     assert batched == [
         reference_cbc_encrypt(plaintext, key, iv) for plaintext, iv in messages
     ]
 
 
 def test_cbc_empty_plaintext_round_trip():
-    ciphertext = cbc_encrypt(b"", KEY, IV)
+    ciphertext = CIPHER.cbc_encrypt(b"", IV)
     assert len(ciphertext) == BLOCK_SIZE  # one full padding block
-    assert cbc_decrypt(ciphertext, KEY, IV) == b""
+    assert CIPHER.cbc_decrypt(ciphertext, IV) == b""
 
 
 def test_cbc_one_block_and_odd_tail():
     one = b"A" * BLOCK_SIZE
-    assert cbc_decrypt(cbc_encrypt(one, KEY, IV), KEY, IV) == one
+    assert CIPHER.cbc_decrypt(CIPHER.cbc_encrypt(one, IV), IV) == one
     odd = b"B" * (BLOCK_SIZE + 3)
-    assert cbc_decrypt(cbc_encrypt(odd, KEY, IV), KEY, IV) == odd
+    assert CIPHER.cbc_decrypt(CIPHER.cbc_encrypt(odd, IV), IV) == odd
 
 
 def test_malformed_padding_raises_padding_error():
-    cipher = XTEACipher.for_key(KEY)
     # Craft ciphertexts that decrypt to invalid PKCS#7 tails.
     for bad_tail in (b"\x00", b"\x09", b"\xff", b"\x03\x03"):
         plain = b"C" * (BLOCK_SIZE - len(bad_tail)) + bad_tail
         assert len(plain) % BLOCK_SIZE == 0
-        ciphertext = cipher.cbc_encrypt_padded(plain, IV)
+        ciphertext = reference_cbc_encrypt_raw(plain, KEY, IV)
         with pytest.raises(PaddingError):
-            cbc_decrypt(ciphertext, KEY, IV)
+            CIPHER.cbc_decrypt(ciphertext, IV)
 
 
 def test_cbc_rejects_bad_lengths():
     with pytest.raises(ValueError):
-        cbc_decrypt(b"", KEY, IV)
+        CIPHER.cbc_decrypt(b"", IV)
     with pytest.raises(ValueError):
-        cbc_decrypt(b"x" * 9, KEY, IV)
+        CIPHER.cbc_decrypt(b"x" * 9, IV)
     with pytest.raises(ValueError):
-        cbc_encrypt(b"x", KEY, b"short")
+        CIPHER.cbc_encrypt(b"x", b"short")
 
 
 def test_encrypt_many_matches_per_message_calls():
@@ -206,9 +233,9 @@ def test_encrypt_many_matches_per_message_calls():
     for index in range(23):
         size = rng.choice([0, 5, 8, 64, 64, 64, 96, 31])
         messages.append((rng.randbytes(size), rng.randbytes(BLOCK_SIZE)))
-    batched = cbc_encrypt_many(messages, KEY)
+    batched = CIPHER.cbc_encrypt_many(messages)
     for (plaintext, iv), ciphertext in zip(messages, batched):
-        assert ciphertext == cbc_encrypt(plaintext, KEY, iv)
+        assert ciphertext == CIPHER.cbc_encrypt(plaintext, iv)
         assert ciphertext == reference_cbc_encrypt(plaintext, KEY, iv)
 
 
@@ -216,19 +243,20 @@ def test_encrypt_many_small_groups_use_scalar_path():
     # Below the bit-slicing threshold the per-message path runs; output
     # must be indistinguishable either way.
     messages = [(b"tiny", IV), (b"x" * 64, bytes(8))]
-    assert cbc_encrypt_many(messages, KEY) == [
-        cbc_encrypt(b"tiny", KEY, IV),
-        cbc_encrypt(b"x" * 64, KEY, bytes(8)),
+    assert CIPHER.cbc_encrypt_many(messages) == [
+        CIPHER.cbc_encrypt(b"tiny", IV),
+        CIPHER.cbc_encrypt(b"x" * 64, bytes(8)),
     ]
 
 
 def test_key_and_block_size_validation():
     with pytest.raises(ValueError):
         XTEACipher.for_key(b"short")
-    cipher = XTEACipher.for_key(KEY)
     with pytest.raises(ValueError):
-        cipher.encrypt_block(b"short")
+        CIPHER.encrypt_block(b"short")
     with pytest.raises(ValueError):
-        cipher.decrypt_block(b"toolongblock")
+        CIPHER.decrypt_block(b"toolongblock")
     with pytest.raises(ValueError):
-        cbc_encrypt_many([(b"data", b"short")], KEY)
+        CIPHER.cbc_encrypt_many([(b"data", b"short")])
+    with pytest.raises(ValueError):
+        CIPHER.cbc_decrypt(b"x" * BLOCK_SIZE, b"short")

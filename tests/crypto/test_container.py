@@ -1,5 +1,7 @@
 """Unit tests for the chunked encrypted container."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +14,7 @@ from repro.crypto.container import (
     seal_document,
 )
 from repro.crypto.keys import DocumentKeys
+from repro.crypto.mac import chunk_mac
 
 KEYS = DocumentKeys(b"secret-material!")
 OTHER = DocumentKeys(b"other-material!!")
@@ -106,3 +109,104 @@ def test_empty_document_seals():
     container = seal_document(b"", "doc", 1, KEYS)
     assert container.header.chunk_count == 1
     assert _open_all(container) == b""
+
+
+# -- every tamper path and its exact message ---------------------------------
+
+LABEL = "doc#rule:0"
+DOC = seal_document(bytes(range(250)), "doc", 1, KEYS, chunk_size=100)
+BLOB = seal_blob(b"rule line", LABEL, 3, KEYS)
+
+
+def _flip(data: bytes, at: int) -> bytes:
+    return data[:at] + bytes([data[at] ^ 1]) + data[at + 1:]
+
+
+def _chunk(ciphertext: bytes, index: int = 0, header=DOC.header) -> bytes:
+    """``ciphertext`` with a valid tag for ``index`` under ``header``."""
+    return ciphertext + chunk_mac(
+        KEYS.mac, header.doc_id, header.version, index, header.chunk_count,
+        ciphertext, header.tag_length,
+    )
+
+
+def _blob(ciphertext: bytes) -> bytes:
+    return ciphertext + chunk_mac(KEYS.mac, LABEL, 3, 0, 1, ciphertext)
+
+
+def _open0(blob: bytes, header=DOC.header, index: int = 0) -> bytes:
+    return open_chunk(header, index, blob, KEYS)
+
+
+TAMPER_CASES = {
+    # chunks
+    "chunk no longer than its tag": (
+        lambda: _open0(DOC.chunks[0][:8]), "chunk too short"),
+    "chunk tag byte flipped": (
+        lambda: _open0(_flip(DOC.chunks[0], -1)), "chunk 0 MAC mismatch for 'doc'"),
+    "chunk ciphertext byte flipped": (
+        lambda: _open0(_flip(DOC.chunks[0], 0)), "chunk 0 MAC mismatch for 'doc'"),
+    "chunk at the wrong index": (
+        lambda: _open0(DOC.chunks[1]), "chunk 0 MAC mismatch for 'doc'"),
+    "chunk of another version": (
+        lambda: _open0(seal_document(bytes(250), "doc", 2, KEYS, 100).chunks[0]),
+        "chunk 0 MAC mismatch for 'doc'"),
+    "chunk under another chunk count": (
+        lambda: _open0(seal_document(bytes(150), "doc", 1, KEYS, 100).chunks[0]),
+        "chunk 0 MAC mismatch for 'doc'"),
+    "chunk of another document": (
+        lambda: _open0(seal_document(bytes(250), "other", 1, KEYS, 100).chunks[0]),
+        "chunk 0 MAC mismatch for 'doc'"),
+    "chunk index past the end": (
+        lambda: _open0(DOC.chunks[0], index=3), "chunk index 3 out of range"),
+    "negative chunk index": (
+        lambda: _open0(DOC.chunks[0], index=-1), "chunk index -1 out of range"),
+    "chunk with a valid tag and bad padding": (
+        lambda: _open0(_chunk(bytes(8))), "chunk 0 failed to decrypt"),
+    "chunk with a valid tag and a partial block": (
+        lambda: _open0(_chunk(bytes(9))), "chunk 0 failed to decrypt"),
+    "chunk with a valid tag and the wrong length": (
+        lambda: _open0(seal_document(bytes(90), "doc", 1, KEYS, 100).chunks[0],
+                       header=seal_document(bytes(95), "doc", 1, KEYS, 100).header),
+        "chunk 0 has unexpected length"),
+    # blobs
+    "blob no longer than its tag": (
+        lambda: open_blob(BLOB[:8], LABEL, 3, KEYS), "blob 'doc#rule:0' too short"),
+    "blob tag byte flipped": (
+        lambda: open_blob(_flip(BLOB, -1), LABEL, 3, KEYS),
+        "blob MAC mismatch for 'doc#rule:0'"),
+    "blob ciphertext byte flipped": (
+        lambda: open_blob(_flip(BLOB, 0), LABEL, 3, KEYS),
+        "blob MAC mismatch for 'doc#rule:0'"),
+    "blob of another version": (
+        lambda: open_blob(BLOB, LABEL, 4, KEYS), "blob MAC mismatch for 'doc#rule:0'"),
+    "blob under another label": (
+        lambda: open_blob(BLOB, "doc#rule:1", 3, KEYS),
+        "blob MAC mismatch for 'doc#rule:1'"),
+    "blob with a valid tag and bad padding": (
+        lambda: open_blob(_blob(bytes(8)), LABEL, 3, KEYS),
+        "blob 'doc#rule:0' failed to decrypt"),
+    "blob with a valid tag and a partial block": (
+        lambda: open_blob(_blob(bytes(9)), LABEL, 3, KEYS),
+        "blob 'doc#rule:0' failed to decrypt"),
+    # the header
+    "header tag byte flipped": (
+        lambda: replace(DOC.header, tag=_flip(DOC.header.tag, 0)).verify(KEYS),
+        "header MAC mismatch for 'doc'"),
+    "header with another chunk count": (
+        lambda: replace(DOC.header, chunk_count=2).verify(KEYS),
+        "header MAC mismatch for 'doc'"),
+    "header with another total length": (
+        lambda: replace(DOC.header, total_length=249).verify(KEYS),
+        "header MAC mismatch for 'doc'"),
+    "header under another key": (
+        lambda: DOC.header.verify(OTHER), "header MAC mismatch for 'doc'"),
+}
+
+
+@pytest.mark.parametrize("case", list(TAMPER_CASES))
+def test_tamper_raises_integrity_error_with_exact_message(case):
+    attempt, message = TAMPER_CASES[case]
+    with pytest.raises(IntegrityError) as caught:
+        attempt()
+    assert str(caught.value) == message

@@ -77,7 +77,7 @@ def test_pki_wrong_recipient_cannot_unwrap():
     for name in ("owner", "reader", "eve"):
         pki.enroll(name)
     wrapped = pki.wrap_secret("owner", "reader", b"s" * 16)
-    from repro.crypto.modes import PaddingError
+    from repro.crypto.xtea import PaddingError
 
     try:
         result = pki.unwrap_secret("eve", "owner", wrapped)
