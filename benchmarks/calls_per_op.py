@@ -8,8 +8,9 @@ fresh process (``PYTHONHASHSEED=0``) that imports that checkout's
 runs ``--warmup`` operations of the seeded sequence, then counts every
 Python ``call`` event (``sys.setprofile``; calls into C do not count)
 over the next ``--ops`` operations.  The script prints the mean calls
-per op, in total and per module (``repro`` modules by their path inside
-the package, anything else by file name), for both checkouts.
+per op, in total, per module (``repro`` modules by their path inside
+the package, anything else by file name) and per function
+(``module:qualname``), the ``--top`` of each, for both checkouts.
 
 Only the single-client workloads (``pull``, ``pull_cached``, ``feed``)
 have a seeded operation sequence in one process; ``served`` replays its
@@ -49,6 +50,7 @@ def count(tree: pathlib.Path, workload: str, seed: int, warmup: int, ops: int) -
     world = WORKLOADS[workload](seed)
     world.build()
     calls: collections.Counter[str] = collections.Counter()
+    functions: collections.Counter[str] = collections.Counter()
     by_code: collections.Counter = collections.Counter()
 
     def profile(frame, event, _arg) -> None:
@@ -69,8 +71,10 @@ def count(tree: pathlib.Path, workload: str, seed: int, warmup: int, ops: int) -
     finally:
         world.close()
     for code, n in by_code.items():
-        calls[_module(code.co_filename)] += n
-    return {"ops": ops, "calls": dict(calls)}
+        module = _module(code.co_filename)
+        calls[module] += n
+        functions[f"{module}:{getattr(code, 'co_qualname', code.co_name)}"] += n
+    return {"ops": ops, "calls": dict(calls), "functions": dict(functions)}
 
 
 def measure(tree: pathlib.Path, args: argparse.Namespace) -> dict:
@@ -99,7 +103,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--warmup", type=int, default=10, help="uncounted ops first")
     parser.add_argument("--ops", type=int, default=40, help="counted ops")
-    parser.add_argument("--top", type=int, default=15, help="modules listed")
+    parser.add_argument("--top", type=int, default=15,
+                        help="modules listed, and functions listed")
     parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:
@@ -107,21 +112,23 @@ def main(argv: list[str] | None = None) -> int:
         print(json.dumps(result))
         return 0
     results = [measure(tree.resolve(), args) for tree in args.trees]
-    per_op = [
-        {module: n / result["ops"] for module, n in result["calls"].items()}
-        for result in results
-    ]
-    totals = [sum(side.values()) for side in per_op]
     print(f"E20 {args.workload}: seed {args.seed}, Python calls per op over "
           f"{args.ops} ops after {args.warmup}")
     header = "".join(f"{tree.name[-14:]:>16}" for tree in args.trees)
-    print(f"  {'module':<28}{header}")
-    print(f"  {'total':<28}" + "".join(f"{total:>16,.1f}" for total in totals))
-    modules = sorted(
-        set().union(*per_op), key=lambda module: -max(side.get(module, 0.0) for side in per_op)
-    )
-    for module in modules[:args.top]:
-        print(f"  {module:<28}" + "".join(f"{side.get(module, 0.0):>16,.1f}" for side in per_op))
+    for key, title in (("calls", "module"), ("functions", "function")):
+        per_op = [
+            {name: n / result["ops"] for name, n in result[key].items()}
+            for result in results
+        ]
+        print(f"  {title:<44}{header}")
+        if key == "calls":
+            totals = [sum(side.values()) for side in per_op]
+            print(f"  {'total':<44}" + "".join(f"{total:>16,.1f}" for total in totals))
+        names = sorted(
+            set().union(*per_op), key=lambda name: -max(side.get(name, 0.0) for side in per_op)
+        )
+        for name in names[:args.top]:
+            print(f"  {name:<44}" + "".join(f"{side.get(name, 0.0):>16,.1f}" for side in per_op))
     return 0
 
 

@@ -16,8 +16,10 @@ The package implements Section 2 of the paper:
   Denial-Takes-Precedence and Most-Specific-Object-Takes-Precedence,
 * :mod:`repro.core.evaluator` + :mod:`repro.core.delivery` +
   :mod:`repro.core.pipeline` -- the streaming evaluator producing the
-  authorized view of a document: one :class:`~repro.core.evaluator.Lane`
-  per compiled policy, and a pull query is a one-rule policy too
+  authorized view of a document: one lane
+  (:func:`~repro.core.evaluator.add_lane`) per compiled policy, the
+  delivery records as the one decision stack, and a pull query is a
+  one-rule policy too
   (``AccessController``'s ``query`` takes the
   :class:`~repro.core.compiled.CompiledPolicy` of
   :func:`~repro.core.compiled.compile_query` or

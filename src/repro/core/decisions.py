@@ -1,10 +1,12 @@
 """Per-node authorization decisions and conflict resolution.
 
 This module is the paper's *sign stack* generalized to three-valued
-logic.  Each open element gets a :class:`DecisionNode` linked to its
-parent's; the chain of decision nodes along the open-element path plays
-the role of the stack that "keeps on the top the current sign that is
-propagated if no other rule applies" (Section 2.3).
+logic.  An open element that some rule matches gets a
+:class:`DecisionNode` linked to its parent's; any other element takes
+its parent's node, since the stack "keeps on the top the current sign
+that is propagated if no other rule applies" (Section 2.3).  The nodes
+ride the delivery records of the open elements
+(:class:`~repro.core.delivery.Record`), the one stack that holds them.
 
 Conflict resolution (Section 2.2):
 
@@ -47,6 +49,9 @@ class Pending:
 
 Status = Resolved | Pending
 
+#: The direct matches of one node on one lane: ``(sign, conditions)``.
+Matches = list[tuple[Sign, frozenset[Condition]]]
+
 #: Shared resolution singletons -- ``status()`` runs once or more per
 #: element per evaluator, and the two resolved outcomes are value
 #: objects (frozen, compared by field), so one instance each suffices.
@@ -65,7 +70,7 @@ class DecisionNode:
     """
 
     __slots__ = (
-        "parent", "matched", "_definite_deny", "_definite_permit", "_pending",
+        "parent", "_definite_deny", "_definite_permit", "_pending",
         "_resolved",
     )
 
@@ -75,8 +80,6 @@ class DecisionNode:
         matches: "Iterable[tuple[Sign, frozenset[Condition]]]" = (),
     ) -> None:
         self.parent = parent
-        #: Whether a direct match was recorded (definite or pending).
-        self.matched = False
         self._definite_deny = False
         self._definite_permit = False
         self._pending: list[tuple[frozenset[Condition], Sign]] = []
@@ -90,7 +93,6 @@ class DecisionNode:
     def default_root(cls, sign: Sign) -> "DecisionNode":
         """The virtual decision above the document root (default policy)."""
         root = cls(None)
-        root.matched = True
         if sign is Sign.DENY:
             root._definite_deny = True
         else:
@@ -109,9 +111,7 @@ class DecisionNode:
                 return
             if state is Tristate.UNKNOWN:
                 self._pending.append((conditions, sign))
-                self.matched = True
                 return
-        self.matched = True
         if sign is Sign.DENY:
             self._definite_deny = True
         else:
@@ -135,18 +135,6 @@ class DecisionNode:
     def _evaluate(self) -> Status:
         if self._definite_deny:
             return _RESOLVED_DENY
-        if not self.matched:
-            # Pure fallback node: nothing recorded here can ever decide
-            # (the match set is complete at open), so the answer is the
-            # nearest ancestor that holds any decision state.  Compress
-            # the parent pointer to that ancestor -- repeated status
-            # probes on deep chains become O(1) instead of O(depth).
-            target = self.parent
-            assert target is not None, "virtual root must be definite"
-            while target.parent is not None and not target.matched:
-                target = target.parent
-            self.parent = target
-            return target.status()
         unknowns: set[Condition] = set()
         deny_open = False
         for conditions, sign in self._pending:

@@ -24,17 +24,22 @@ skeleton iff any real content ends up inside"), a pending element's hole
 resolves when its conditions do.  Holes are created lazily -- a denied
 element with no delivered descendant never allocates one.
 
-The pending path is kept cheap by sharing.  A hole's sign lives in a
-:class:`_Fate`, the one object that watches the conditions its decision
-hangs on.  Only an element with direct rule matches of its own gets a
-new fate; an element with none, on either lane, has its parent's status
-at every moment (:meth:`~repro.core.decisions.DecisionNode.status`
-falls back to the parent), so it takes its parent's delivery kind
-without folding a status, and under a pending parent its hole joins the
-parent's fate instead of subscribing listeners of its own.  The buffers
-settle only when something can have changed -- a hole closed or a fate
-resolved since the last drain -- so the events that queue behind a
-blocked region cost no settle.
+The records of the open elements are the one decision stack: each
+:class:`Record` carries its element's decision node on the policy lane
+and on the query lane.  Only an element that a rule matches gets a new
+node on that lane; an element with no match on either lane takes its
+parent's nodes (the sign "propagated if no other rule applies"), and
+with them its parent's delivery kind without folding a status.
+
+The pending path is kept cheap by the same sharing.  A hole's sign
+lives in a :class:`_Fate`, the one object that watches the conditions
+its decision hangs on.  Only an element with direct rule matches of its
+own gets a new fate; under a pending parent the hole of an element with
+none joins the parent's fate instead of subscribing listeners of its
+own.  The buffers settle only when something can have changed -- a hole
+closed or a fate resolved since the last drain -- so the events that
+queue behind a blocked region cost no settle; and once a drain empties
+the root buffer no hole is left, so drains stop until the next one.
 
 Output order is document order: a hole blocks the emission of
 everything behind it until it resolves (all holes resolve by the close
@@ -47,7 +52,7 @@ import enum
 from typing import Union
 
 from repro.core.conditions import Condition
-from repro.core.decisions import DecisionNode, Resolved
+from repro.core.decisions import DecisionNode, Matches, Resolved
 from repro.core.rules import Sign
 from repro.xmlstream.events import (
     CloseEvent,
@@ -242,41 +247,67 @@ class Record:
     delivered, decided at its open.  ``sink`` receives the element's
     content: the parent's sink (the root buffer at the top) for a
     delivered element, a :class:`_Sink` for a denied one and the
-    element's own :class:`_Hole` for a pending one (``hole``).
+    element's own :class:`_Hole` for a pending one.  ``auth`` and
+    ``query`` are the element's decision nodes on the policy and query
+    lanes (``query`` is None without a query).
     """
 
     DELIVER = "deliver"
     DROP = "drop"
     PENDING = "pending"
 
-    __slots__ = ("kind", "sink", "hole")
+    __slots__ = ("kind", "sink", "auth", "query")
 
-    def __init__(self, kind: str, sink, hole: _Hole | None = None) -> None:
+    def __init__(
+        self, kind: str, sink, auth: DecisionNode, query: DecisionNode | None
+    ) -> None:
         self.kind = kind
         self.sink = sink
-        self.hole = hole
+        self.auth = auth
+        self.query = query
 
 
 class DeliveryEngine:
-    """Streams the authorized view, buffering only undecided regions."""
+    """Streams the authorized view, buffering only undecided regions.
 
-    def __init__(self, mode: ViewMode = ViewMode.SKELETON, memory=None) -> None:
+    ``default`` is the policy's default sign and ``query_default`` the
+    query's (None without a query): the decisions above the document
+    root.
+    """
+
+    def __init__(
+        self,
+        default: Sign,
+        query_default: Sign | None = None,
+        mode: ViewMode = ViewMode.SKELETON,
+        memory=None,
+    ) -> None:
         self.mode = mode
         self._memory = memory
         self._prune = mode is ViewMode.PRUNE
         self._root_items: list[Item] = []
-        #: The records of the open elements, innermost last.
+        #: The records of the open elements, innermost last; each holds
+        #: its element's decision nodes, so this is the decision stack.
         self.records: list[Record] = []
+        auth = DecisionNode.default_root(default)
+        query = None if query_default is None else DecisionNode.default_root(query_default)
+        #: The virtual record above the document root: the parent of
+        #: the root element's record.
+        self._document = Record(
+            self._combined_status(auth, query)[0], self._root_items, auth, query
+        )
         #: Peak of the meter's "pending" pool at the drains (what E10
         #: reports).  Holes sample it right after each charge: the pool
         #: only grows by those charges and only shrinks while a drain
         #: settles, so each drain reads the last sample before it.
         self.max_pending_bytes = 0
-        #: Set the first time a pending hole is created; until then the
-        #: root buffer provably holds plain events only (shell holes
-        #: are only ever triggered by a pending hole flowing through),
-        #: so :meth:`drain` can skip the hole scan.
-        self._hole_born = False
+        #: Set when a pending hole is created, cleared when a drain
+        #: empties the root buffer: every hole sits in that buffer or
+        #: inside a hole there.  While it is clear the root buffer
+        #: holds plain events only (shell holes are only ever triggered
+        #: by a pending hole flowing through), so :meth:`drain` can skip
+        #: the hole scan.
+        self._holes_buffered = False
         #: Set when a hole closed or a fate resolved: only then can a
         #: hole have become finalizable, so only then does
         #: :meth:`drain` settle the buffers.
@@ -325,20 +356,30 @@ class DeliveryEngine:
     def open(
         self,
         event: OpenEvent,
-        auth: DecisionNode,
-        query: DecisionNode | None = None,
+        auth_matches: Matches,
+        query_matches: Matches | None = None,
     ) -> None:
-        """Process an element open with its (possibly pending) decisions."""
+        """Process an element open with the matches each lane collected.
+
+        An element with matches gets a new decision node on that lane;
+        any other takes its parent's.
+        """
         records = self.records
+        parent = records[-1] if records else self._document
+        parent_sink = parent.sink
+        auth = parent.auth
+        query = parent.query
+        if auth_matches:
+            auth = DecisionNode(auth, auth_matches)
+        if query_matches:
+            query = DecisionNode(query, query_matches)
         fate = None
-        if records and not auth.matched and (query is None or not query.matched):
+        if auth is parent.auth and query is parent.query:
             # No direct match on either lane: the parent's status is
             # this element's, so is its delivery kind (or fate).
-            parent = records[-1]
-            parent_sink = parent.sink
             kind = parent.kind
             if kind == Record.PENDING:
-                fate = parent.hole.fate
+                fate = parent.sink.fate
                 if fate.sign is not None:
                     kind = Record.DELIVER if fate.sign is Sign.PERMIT else Record.DROP
             elif kind == Record.DELIVER:
@@ -346,7 +387,6 @@ class DeliveryEngine:
                 records.append(parent)  # a delivered child shares it
                 return
         else:
-            parent_sink = records[-1].sink if records else self._root_items
             kind, unknowns = self._combined_status(auth, query)
         # A denied parent's sink that already passes its items on is
         # resolved to its destination here, once, so that descendants
@@ -355,18 +395,18 @@ class DeliveryEngine:
             parent_sink.append(event)
             if type(parent_sink) is _Sink:
                 parent_sink = parent_sink.resolved()
-            record = Record(kind, parent_sink)
+            record = Record(kind, parent_sink, auth, query)
         elif kind == Record.DROP:
             if type(parent_sink) is _Sink:
                 parent_sink = parent_sink.resolved()
-            record = Record(kind, _Sink(parent_sink, event, self, self._prune))
+            record = Record(kind, _Sink(parent_sink, event, self, self._prune), auth, query)
         else:
             if fate is None:
                 fate = _Fate(self, auth, query, unknowns)
             hole = _Hole(event, self, fate)
-            self._hole_born = True
+            self._holes_buffered = True
             parent_sink.append(hole)
-            record = Record(kind, hole, hole)
+            record = Record(kind, hole, auth, query)
         records.append(record)
 
     def value(self, event: ValueEvent) -> None:
@@ -375,7 +415,7 @@ class DeliveryEngine:
         if record.kind == Record.DELIVER:
             record.sink.append(event)
         elif record.kind == Record.PENDING:
-            record.hole.append(_SelfText(event))
+            record.sink.append(_SelfText(event))
         # DROP: text is never delivered.
 
     def close(self, event: CloseEvent) -> None:
@@ -391,7 +431,7 @@ class DeliveryEngine:
             elif sink.materialized and not self._prune:
                 sink.append(CloseEvent(event.tag))
         else:
-            record.hole.closed = True
+            record.sink.closed = True
             self._dirty = True
 
     # -- output ---------------------------------------------------------------
@@ -449,9 +489,9 @@ class DeliveryEngine:
     def drain(self) -> list[Event]:
         """Emit every event no longer order-blocked by a pending hole."""
         root_items = self._root_items
-        if not self._hole_born:
-            # Hot path: no hole was ever created, so nothing is
-            # order-blocked and nothing was charged to "pending".
+        if not self._holes_buffered:
+            # Hot path: no hole is buffered, so nothing is order-blocked
+            # and nothing is charged to "pending".
             emitted = list(root_items)
             root_items.clear()
             return emitted
@@ -463,6 +503,8 @@ class DeliveryEngine:
             if type(item) is _Hole:
                 break
             count += 1
+        if count == len(root_items):
+            self._holes_buffered = False  # this drain empties the buffer
         if not count:
             return []
         emitted = root_items[:count]

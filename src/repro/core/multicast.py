@@ -7,8 +7,9 @@ subscriber in isolation parses (and tokenizes, and advances automata
 over) the identical stream N times.  This module amortizes that: one
 :class:`~repro.core.product.ProductEngine` pumps every subscriber's
 automata over a single pass of the event stream, while each subscriber
-keeps a private :class:`~repro.core.evaluator.Lane` (its decision
-stack) and delivery engine (their views genuinely differ).
+keeps a private lane (:func:`~repro.core.evaluator.add_lane`, its
+match list) and delivery engine, whose records are its decision stack
+(their views genuinely differ).
 
 Shared automata are shared for real: when two subscribers carry the
 same compiled policy (one registry entry -- e.g. two members of the
@@ -29,7 +30,7 @@ from typing import Iterable, Sequence
 
 from repro.core.compiled import CompiledPolicy, PolicyRegistry, compile_policy
 from repro.core.delivery import DeliveryEngine, ViewMode
-from repro.core.evaluator import Lane
+from repro.core.evaluator import add_lane
 from repro.core.product import ProductEngine
 from repro.core.rules import RuleSet, Sign, Subject
 from repro.core.runtime import EngineStats
@@ -56,8 +57,12 @@ class MultiSubjectEvaluator:
             raise ValueError("at least one policy required")
         self.stats = stats or EngineStats()
         self._engine = ProductEngine(stats=self.stats)
-        self._lanes = [Lane(self._engine, policy) for policy in policies]
-        self._deliveries = [DeliveryEngine(mode) for __ in policies]
+        #: Per lane, the match list its delivery engine folds at opens.
+        self._lanes = [
+            (add_lane(self._engine, policy), DeliveryEngine(policy.default, mode=mode))
+            for policy in policies
+        ]
+        self._deliveries = [delivery for __, delivery in self._lanes]
         self._depth = 0
         self._finished = False
 
@@ -86,11 +91,11 @@ class MultiSubjectEvaluator:
         if self._finished:
             raise RuntimeError("evaluator already finished")
         if isinstance(event, OpenEvent):
-            for lane in self._lanes:
-                lane.collected.clear()
+            for matches, __ in self._lanes:
+                matches.clear()
             self._engine.open(event.tag)
-            for lane, delivery in zip(self._lanes, self._deliveries):
-                delivery.open(event, lane.push())
+            for matches, delivery in self._lanes:
+                delivery.open(event, matches)
             self._depth += 1
         elif isinstance(event, ValueEvent):
             if self._depth == 0:
@@ -104,8 +109,6 @@ class MultiSubjectEvaluator:
             for delivery in self._deliveries:
                 delivery.close(event)
             self._engine.close()
-            for lane in self._lanes:
-                lane.pop()
             self._depth -= 1
         else:  # pragma: no cover - defensive
             raise TypeError(f"not an event: {event!r}")

@@ -81,10 +81,6 @@ class CompiledPath:
     comparison: Comparison | None
     suffix_labels: tuple[frozenset[str], ...]
 
-    @property
-    def final_index(self) -> int:
-        return len(self.steps) - 1
-
     def state_count(self) -> int:
         """Number of navigational states, including sub-automata."""
         count = len(self.steps) + 1

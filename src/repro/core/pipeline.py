@@ -2,8 +2,12 @@
 
 :class:`AccessController` is the pure, in-memory form of the engine the
 card applet runs -- the applet adds crypto, the skip index and resource
-accounting around this same object.  :func:`authorized_view` is the
-one-call convenience API used by examples and tests.
+accounting around this same object.  It steps a policy lane and, with a
+query, a query lane (:mod:`repro.core.evaluator`), each on its own
+engine, and hands their matches to one delivery engine, whose records
+of the open elements carry the decisions (:mod:`repro.core.delivery`).
+:func:`authorized_view` is the one-call convenience API used by
+examples and tests.
 """
 
 from __future__ import annotations
@@ -16,9 +20,9 @@ from repro.core.compiled import (
     compile_policy,
     compile_query,
 )
-from repro.core.decisions import DECISION_BYTES, DecisionNode
+from repro.core.decisions import DECISION_BYTES
 from repro.core.delivery import DeliveryEngine, ViewMode
-from repro.core.evaluator import Lane
+from repro.core.evaluator import add_lane
 from repro.core.product import ProductEngine
 from repro.core.rules import RuleSet, Sign, Subject
 from repro.core.runtime import EngineStats
@@ -46,10 +50,10 @@ class AccessController:
     :func:`~repro.core.compiled.compile_query` or
     :meth:`~repro.core.compiled.PolicyRegistry.get_query`.
 
-    Each of the two :class:`~repro.core.evaluator.Lane` objects -- the
-    authorization lane and, with a query, the query lane -- runs alone
-    on its own :class:`~repro.core.product.ProductEngine`, so it adopts
-    its policy's solved tables.
+    Each of the two lanes (:func:`~repro.core.evaluator.add_lane`) --
+    the authorization lane and, with a query, the query lane -- runs
+    alone on its own :class:`~repro.core.product.ProductEngine`, so it
+    adopts its policy's solved tables.
 
     A :class:`CompiledPolicy` carries its subject and default sign;
     passing a conflicting ``subject`` or ``default`` alongside one is
@@ -86,18 +90,23 @@ class AccessController:
             policy = compile_policy(rules, subject, default if default is not None else Sign.DENY)
         self.compiled_policy = policy
         self._memory = memory
-        self._policy = Lane(ProductEngine(memory=memory, stats=self.stats), policy)
-        if query is not None and not isinstance(query, CompiledPolicy):
-            query = registry.get_query(query) if registry is not None else compile_query(query)
+        self._policy = ProductEngine(memory=memory, stats=self.stats)
+        self._policy_matches = add_lane(self._policy, policy)
+        #: The lanes :meth:`feed` steps, policy first: (engine, matches).
+        self._lanes = ((self._policy, self._policy_matches),)
+        self._query = self._query_matches = query_default = None
+        if query is not None:
+            if not isinstance(query, CompiledPolicy):
+                query = registry.get_query(query) if registry is not None else compile_query(query)
+            self._query = ProductEngine(memory=memory, stats=self.stats)
+            self._query_matches = add_lane(self._query, query)
+            self._lanes += ((self._query, self._query_matches),)
+            query_default = query.default
         self.compiled_query = query
-        self._query = None if query is None else Lane(
-            ProductEngine(memory=memory, stats=self.stats), query
-        )
-        #: The lanes :meth:`feed` steps, policy first.
-        self._lanes = (self._policy,) if self._query is None else (self._policy, self._query)
-        self._delivery = DeliveryEngine(mode, memory=memory)
+        self._delivery = DeliveryEngine(policy.default, query_default, mode, memory)
         #: The open elements' delivery records, innermost last: the
-        #: innermost delivery kind is ``records[-1].kind``.
+        #: innermost delivery kind is ``records[-1].kind``, its decision
+        #: nodes ``records[-1].auth`` and ``.query``.
         self.records = self._delivery.records
         self._finished = False
 
@@ -106,30 +115,27 @@ class AccessController:
     def feed(self, event: Event) -> list[Event]:
         """Process one event; return the output events it released.
 
-        Read the returned list before the next call: until a pending
-        hole appears it is the delivery's root buffer itself, emptied
-        then, so a delivering event allocates no list.  Dispatch is on
-        the exact event type.  Each lane's engine and decision stack
-        are stepped here, policy lane first, and with a memory meter
-        each open decision is charged inline to its ``signs`` pool.
+        Read the returned list before the next call: while no pending
+        hole is buffered it is the delivery's root buffer itself,
+        emptied then, so a delivering event allocates no list.  Dispatch
+        is on the exact event type.  Each lane's engine is stepped here,
+        policy lane first, and with a memory meter each open's decision
+        is charged inline to the ``signs`` pool, once per lane.
         """
         if self._finished:
             raise RuntimeError("controller already finished")
         delivery = self._delivery
         released = delivery._root_items
-        if released and not delivery._hole_born:
+        if released and not delivery._holes_buffered:
             released.clear()  # the previous event's release, read by now
         cls = type(event)
         if cls is OpenEvent:
             tag = event.tag
             memory = self._memory
-            for lane in self._lanes:
-                collected = lane.collected
-                if collected:
-                    collected.clear()
-                lane.engine.open(tag)
-                decisions = lane.decisions
-                node = DecisionNode(decisions[-1], collected)
+            for engine, matches in self._lanes:
+                if matches:
+                    matches.clear()
+                engine.open(tag)
                 if memory is not None:
                     used = memory.used + DECISION_BYTES
                     if used > memory.limit:
@@ -139,32 +145,27 @@ class AccessController:
                         memory.signs += DECISION_BYTES
                         if used > memory.high_water:
                             memory.high_water = used
-                decisions.append(node)
-            if self._query is None:
-                delivery.open(event, node, None)
-            else:
-                delivery.open(event, self._policy.decisions[-1], node)
+            delivery.open(event, self._policy_matches, self._query_matches)
         elif cls is ValueEvent:
             if not self.records:
                 raise ValueError("text event outside the root element")
             text = event.text
-            for lane in self._lanes:
-                lane.engine.value(text)
+            for engine, __ in self._lanes:
+                engine.value(text)
             delivery.value(event)
         elif cls is CloseEvent:
             if not self.records:
                 raise ValueError("unbalanced close event")
             delivery.close(event)
             memory = self._memory
-            for lane in self._lanes:
-                lane.engine.close()
-                lane.decisions.pop()
+            for engine, __ in self._lanes:
+                engine.close()
                 if memory is not None:
                     memory.used -= DECISION_BYTES
                     memory.signs -= DECISION_BYTES
         else:
             raise TypeError(f"not an event: {event!r}")
-        if delivery._hole_born:
+        if delivery._holes_buffered:
             return delivery.drain()
         return released
 
@@ -174,7 +175,7 @@ class AccessController:
             raise ValueError("document ended with unclosed elements")
         self._finished = True
         delivery = self._delivery
-        if not delivery._hole_born:
+        if not delivery._holes_buffered:
             delivery._root_items.clear()  # the last event's release
         return delivery.finish()
 
@@ -188,29 +189,21 @@ class AccessController:
         The applet combines this with the delivery status (a subtree is
         only actually skipped when it is also not being delivered).
         """
-        policy = self._policy.engine
+        policy = self._policy
         if policy.can_complete_inside(tags_inside) or policy.has_watchers_on_top():
             return False
-        if self._query is None:
+        query = self._query
+        if query is None:
             return True
-        query = self._query.engine
         return not (
             query.can_complete_inside(tags_inside) or query.has_watchers_on_top()
         )
 
-    def current_status(self):
-        """Combined delivery status of the innermost open element.
-
-        Returns ``(kind, unknowns)`` where kind is one of the
-        :class:`~repro.core.delivery.Record` constants (``"deliver"``, ``"drop"``, ``"pending"``).
-        """
-        return self._delivery._combined_status(*self.current_decision_nodes())
-
     def current_decision_nodes(self):
-        """The (auth, query) decision nodes of the innermost element."""
-        auth = self._policy.decisions[-1]
-        query = self._query.decisions[-1] if self._query else None
-        return auth, query
+        """The (auth, query) decision nodes of the innermost element
+        (above the document root, the default decisions)."""
+        record = self.records[-1] if self.records else self._delivery._document
+        return record.auth, record.query
 
     def status_of(self, auth, query):
         """Combined status for externally held decision nodes (refetch)."""
@@ -221,9 +214,9 @@ class AccessController:
         return self._delivery.max_pending_bytes
 
     def active_token_count(self) -> int:
-        count = self._policy.engine.active_token_count()
+        count = self._policy.active_token_count()
         if self._query is not None:
-            count += self._query.engine.active_token_count()
+            count += self._query.active_token_count()
         return count
 
 

@@ -62,11 +62,18 @@ class Element:
         return "".join(c for c in self.children if isinstance(c, str))
 
     def iter(self) -> Iterator["Element"]:
-        """Iterate over this element and all descendants, document order."""
-        yield self
-        for child in self.children:
-            if isinstance(child, Element):
-                yield from child.iter()
+        """Iterate over this element and all descendants, document order.
+
+        The walk keeps its own stack, so it costs one generator for the
+        whole tree and no Python recursion, at any depth.
+        """
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            for child in reversed(node.children):
+                if isinstance(child, Element):
+                    stack.append(child)
 
     def ancestors(self) -> Iterator["Element"]:
         """Iterate over ancestors from parent up to the root."""

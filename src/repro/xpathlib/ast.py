@@ -28,10 +28,6 @@ class NodeTest:
 
     name: str | None
 
-    @property
-    def is_wildcard(self) -> bool:
-        return self.name is None
-
     def matches(self, tag: str) -> bool:
         """Whether this test accepts an element with the given tag."""
         return self.name is None or self.name == tag
@@ -146,10 +142,6 @@ class Path:
         return "".join(parts)
 
     # -- structural helpers used by the compiler and analyses ---------
-
-    @property
-    def has_predicates(self) -> bool:
-        return any(step.predicates for step in self.steps)
 
     def label_set(self) -> frozenset[str]:
         """All non-wildcard tag names mentioned anywhere in the path.

@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.conditions import Condition
+from repro.core.conditions import Condition, Tristate, conjunction_state
 from repro.core.decisions import DecisionNode, Pending, Resolved
 from repro.core.rules import Sign
 
@@ -102,7 +102,9 @@ def test_failed_match_never_recorded():
     node = DecisionNode(_root(Sign.PERMIT))
     node.add_match(Sign.DENY, frozenset({condition}))
     assert node.status() == Resolved(Sign.PERMIT)
-    assert not node.matched
+    # Nor a failed permission: the node follows its parent either way.
+    node = DecisionNode(_root(Sign.DENY), [(Sign.PERMIT, frozenset({condition}))])
+    assert node.status() == Resolved(Sign.DENY)
 
 
 def test_pending_inheritance_through_chain():
@@ -148,6 +150,9 @@ def test_status_is_monotone_and_fallback_nodes_follow_their_parent(default, step
     pool = [Condition(depth=1) for __ in range(4)]
     nodes = [_root(default)]
     parents: list[DecisionNode | None] = [None]
+    #: Whether each node recorded a direct match: one whose conditions
+    #: had not already failed when it was added.
+    recorded = [True]
     settled: dict[int, Resolved] = {}
 
     def check() -> None:
@@ -157,7 +162,7 @@ def test_status_is_monotone_and_fallback_nodes_follow_their_parent(default, step
                 assert status == settled[index]
             elif isinstance(status, Resolved):
                 settled[index] = status
-            if parents[index] is not None and not node.matched:
+            if not recorded[index]:
                 assert status == parents[index].status()
 
     for step in steps:
@@ -165,10 +170,14 @@ def test_status_is_monotone_and_fallback_nodes_follow_their_parent(default, step
             __, at, matches = step
             parent = nodes[at % len(nodes)]
             node = DecisionNode(parent)
+            alive = False
             for sign, members in matches:
-                node.add_match(sign, frozenset(pool[i] for i in members))
+                conditions = frozenset(pool[i] for i in members)
+                alive |= conjunction_state(conditions) is not Tristate.FALSE
+                node.add_match(sign, conditions)
             nodes.append(node)
             parents.append(parent)
+            recorded.append(alive)
         else:
             __, which, outcome = step
             condition = pool[which]

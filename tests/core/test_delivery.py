@@ -3,8 +3,12 @@
 from repro.core import AccessRule, RuleSet
 from repro.core.delivery import ViewMode
 from repro.core.pipeline import AccessController
+from repro.core.reference import reference_view
+from repro.workloads.docgen import video_catalog
+from repro.workloads.rulegen import parental_rules
 from repro.xmlstream.events import CloseEvent, OpenEvent, ValueEvent
 from repro.xmlstream.parser import parse_string
+from repro.xmlstream.tree import tree_to_events
 from repro.xmlstream.writer import write_string
 
 
@@ -130,12 +134,45 @@ def test_pending_descendants_without_matches_share_the_parents_fate():
     assert [record.kind for record in records] == [
         "drop", "pending", "pending", "pending"
     ]
-    fates = {id(record.hole.fate) for record in records[1:]}
+    fates = {id(record.sink.fate) for record in records[1:]}
     assert len(fates) == 1
     for event in events[5:]:
         output.extend(controller.feed(event))
     output.extend(controller.finish())
     assert write_string(output) == "<r><b><c><d>t</d></c><x>1</x></b></r>"
+
+
+def test_settled_pending_region_stops_draining():
+    """Once a drain empties the root buffer no hole is left anywhere
+    (each one sits in that buffer or inside a hole there), so ``feed``
+    hands back the root buffer again and calls no drain until the next
+    pending region opens."""
+    events = list(tree_to_events(video_catalog(8)))
+    controller = AccessController(parental_rules("kid"), "kid")
+    delivery = controller._delivery
+    drains = 0
+    drain = delivery.drain
+
+    def counting_drain():
+        nonlocal drains
+        drains += 1
+        return drain()
+
+    delivery.drain = counting_drain
+    output, fast_after_pending, pending_seen = [], 0, False
+    for event in events:
+        before = drains
+        released = controller.feed(event)
+        output.extend(released)
+        if delivery._holes_buffered:
+            pending_seen = True
+        elif released is delivery._root_items and drains == before:
+            fast_after_pending += pending_seen
+    output.extend(controller.finish())
+    assert pending_seen and fast_after_pending > 0
+    assert write_string(output) == write_string(
+        reference_view(video_catalog(8), parental_rules("kid"), "kid")
+    )
 
 
 def test_feed_after_finish_rejected():

@@ -1,4 +1,5 @@
-"""Unit tests for the lane: one compiled policy's decision stack."""
+"""Unit tests for the lanes and the decision stack they feed: one
+compiled policy's matches, folded into the delivery records."""
 
 import gc
 
@@ -6,7 +7,7 @@ import pytest
 
 from repro.core.compiled import PolicyRegistry, compile_policy, compile_query
 from repro.core.decisions import Pending, Resolved
-from repro.core.evaluator import Lane
+from repro.core.evaluator import add_lane
 from repro.core.pipeline import AccessController
 from repro.core.product import ProductEngine
 from repro.core.rules import AccessRule, RuleSet, Sign, Subject
@@ -24,21 +25,19 @@ def _rules(*defs):
     ])
 
 
-def _lane(rules, subject, default=Sign.DENY) -> Lane:
-    return Lane(ProductEngine(), compile_policy(rules, subject, default))
+def _lane(rules, subject, default=Sign.DENY) -> AccessController:
+    """A controller running one policy lane alone."""
+    return AccessController(compile_policy(rules, subject, default))
 
 
-def _open(lane: Lane, tag: str):
-    """Step a lane alone on its engine through an open, as the
-    controller does; return the new node's decision."""
-    lane.collected.clear()
-    lane.engine.open(tag)
-    return lane.push()
+def _open(lane: AccessController, tag: str):
+    """Step a lane through an open; return the new element's decision."""
+    lane.feed(OpenEvent(tag))
+    return lane.current_decision_nodes()[0]
 
 
-def _close(lane: Lane) -> None:
-    lane.engine.close()
-    lane.pop()
+def _close(lane: AccessController, tag: str) -> None:
+    lane.feed(CloseEvent(tag))
 
 
 def test_policy_evaluator_filters_by_subject():
@@ -66,7 +65,7 @@ def test_default_sign_controls_root():
 
 
 def test_query_selector_selects_subtrees():
-    selector = Lane(ProductEngine(), compile_query("//b"))
+    selector = AccessController(compile_query("//b"))
     assert _open(selector, "a").status() == Resolved(Sign.DENY)
     assert _open(selector, "b").status() == Resolved(Sign.PERMIT)
     # Children of a selected node inherit selection.
@@ -89,29 +88,56 @@ def test_pending_status_surfaces_conditions():
     assert len(status.unknowns) == 1
     controller = AccessController(rules, "u")
     controller.feed(OpenEvent("a"))
-    kind, unknowns = controller.current_status()
+    kind, unknowns = controller.status_of(*controller.current_decision_nodes())
     assert kind == "pending" and len(unknowns) == 1
 
 
 def test_close_pops_decision_stack():
-    rules = _rules(("+", "u", "/a"))
+    rules = _rules(("+", "u", "/a"), ("-", "u", "//x"))
     lane = _lane(rules, "u")
-    _open(lane, "a")
+    outer = _open(lane, "a")
     inner = _open(lane, "x")
-    assert lane.decisions[-1] is inner
-    _close(lane)
-    assert lane.decisions[-1] is not inner
-    assert len(lane.decisions) == 2
+    assert lane.records[-1].auth is inner
+    _close(lane, "x")
+    assert lane.records[-1].auth is outer is not inner
+    assert len(lane.records) == 1
+
+
+def test_unmatched_open_shares_its_parents_decision():
+    """Only an open that some rule matches gets a decision node of its
+    own; any other takes its parent's node, and below a delivered
+    parent its record too."""
+    lane = _lane(_rules(("+", "u", "/a"), ("-", "u", "//x")), "u")
+    outer = _open(lane, "a")
+    delivered = lane.records[-1]
+    assert _open(lane, "b") is outer and lane.records[-1] is delivered
+    inner = _open(lane, "x")
+    assert inner is not outer and inner.parent is outer
+    assert lane.records[-1] is not delivered
+    # Below a denied element the node is shared, not the record.
+    assert _open(lane, "c") is inner
+    assert lane.records[-1] is not lane.records[-2]
+    assert lane.records[-1].auth is lane.records[-2].auth
+    # On two lanes a match on either builds a node there only.
+    controller = AccessController(_rules(("+", "u", "/a")), "u", query="//b")
+    nodes = []
+    for tag in ("a", "b", "c"):
+        controller.feed(OpenEvent(tag))
+        nodes.append(controller.current_decision_nodes())
+    (a_auth, a_query), (b_auth, b_query), (c_auth, c_query) = nodes
+    assert b_auth is a_auth and b_query is not a_query
+    assert c_auth is a_auth and c_query is b_query
+    assert controller.records[-1] is controller.records[-2]
 
 
 def test_add_rule_after_start_rejected():
     """A lane cannot join an engine whose root already opened."""
     rules = _rules(("+", "u", "/a"))
     engine = ProductEngine()
-    Lane(engine, compile_policy(rules, "u"))
+    add_lane(engine, compile_policy(rules, "u"))
     engine.open("a")
     with pytest.raises(RuntimeError):
-        Lane(engine, compile_query("/b"))
+        add_lane(engine, compile_query("/b"))
 
 
 def test_stats_accumulate():

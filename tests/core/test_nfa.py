@@ -8,7 +8,7 @@ from repro.xpathlib.parser import parse_path
 def test_simple_spine():
     compiled = compile_path(parse_path("/a/b"))
     assert len(compiled.steps) == 2
-    assert compiled.final_index == 1
+    assert compiled.steps[-1].test.name == "b"
     assert compiled.comparison is None
 
 
@@ -41,7 +41,7 @@ def test_trailing_comparison_on_predicate_path():
     compiled = compile_path(parse_path('//a[b/c = "1"]'))
     predicate = compiled.steps[0].predicates[0]
     assert predicate.comparison is not None
-    assert predicate.final_index == 1
+    assert [step.test.name for step in predicate.steps] == ["b", "c"]
 
 
 def test_suffix_labels():

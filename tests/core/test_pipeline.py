@@ -49,10 +49,10 @@ def test_query_accepts_text_or_ast():
 def test_current_status_reports_innermost():
     controller = AccessController(RULES, "u")
     controller.feed(parse_string("<r><secret></secret></r>")[0])
-    kind, __ = controller.current_status()
+    kind, __ = controller.status_of(*controller.current_decision_nodes())
     assert kind == Record.DELIVER == controller.records[-1].kind
     controller.feed(parse_string("<r><secret></secret></r>")[1])
-    kind, __ = controller.current_status()
+    kind, __ = controller.status_of(*controller.current_decision_nodes())
     assert kind == Record.DROP == controller.records[-1].kind
 
 

@@ -23,7 +23,7 @@ from repro.core.compiled import compile_policy
 from repro.core.conditions import Condition, Tristate, conjunction_state
 from repro.core.multicast import MultiSubjectEvaluator
 from repro.core import product
-from repro.core.evaluator import Lane
+from repro.core.evaluator import add_lane
 from repro.core.product import ProductEngine
 from repro.core.rules import AccessRule, RuleSet, Sign
 from repro.core.runtime import EngineStats
@@ -283,8 +283,9 @@ def test_sessions_of_one_policy_share_its_tables():
     assert [getattr(warm, n) for n in modeled] == [
         getattr(cold, n) for n in modeled
     ]
-    lane = Lane(ProductEngine(), policy)
-    assert lane.engine._tables is policy.tables
+    lane = ProductEngine()
+    add_lane(lane, policy)
+    assert lane._tables is policy.tables
     extended = ProductEngine()
     extended.add_policy(policy, [_NullSink()] * len(policy))
     extended.add_automaton(policy.automata[0], _NullSink())

@@ -37,17 +37,17 @@ AGENDA_MEMBERS = ["alice", "bruno", "carla", "deng", "elsa", "farid"]
 #: name -> (document, rules, reader, direct and total calls per item).
 SESSIONS = {
     "hospital-doctor": (
-        lambda: hospital(n_patients=10), hospital_rules, "doctor", 2.85, 7.40
+        lambda: hospital(n_patients=10), hospital_rules, "doctor", 2.85, 7.02
     ),
     "agenda-member": (
         lambda: agenda(n_members=6, events_per_member=4),
         lambda: agenda_rules(AGENDA_MEMBERS),
         "alice",
         2.45,
-        8.55,
+        7.60,
     ),
     "video-kid": (
-        lambda: video_catalog(16), lambda: parental_rules("kid"), "kid", 3.10, 19.40
+        lambda: video_catalog(16), lambda: parental_rules("kid"), "kid", 3.10, 19.10
     ),
 }
 

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings
 
+from repro.workloads import docgen
 from repro.xmlstream.events import OpenEvent
 from repro.xmlstream.tree import (
     Element,
@@ -36,6 +37,35 @@ def test_paths_and_depth():
 def test_iter_is_document_order():
     root = parse_tree("<a><b><c/></b><d/></a>")
     assert [n.tag for n in root.iter()] == ["a", "b", "c", "d"]
+
+
+def _recursive_iter(node: Element):
+    """The recursive pre-order walk, kept as the oracle of ``iter``."""
+    yield node
+    for child in node.children:
+        if isinstance(child, Element):
+            yield from _recursive_iter(child)
+
+
+@pytest.mark.parametrize("build", [
+    docgen.hospital, docgen.bibliography, docgen.agenda,
+    docgen.video_catalog, docgen.nested,
+])
+def test_iter_matches_the_recursive_walk(build):
+    root = build()
+    nodes = list(root.iter())
+    assert nodes == list(_recursive_iter(root))
+    # Every subtree walks the same way.
+    for node in nodes[::7]:
+        assert list(node.iter()) == list(_recursive_iter(node))
+
+
+def test_iter_walks_a_chain_deeper_than_the_recursion_limit():
+    depth = 1200
+    root = parse_tree("<n>" * depth + "</n>" * depth)
+    nodes = list(root.iter())
+    assert len(nodes) == tree_size(root) == depth
+    assert nodes[-1].depth() == depth and not nodes[-1].children
 
 
 def test_find_all_excludes_self():

@@ -7,7 +7,7 @@ from repro.xpathlib.parser import parse_path
 
 
 def test_node_test_wildcard():
-    assert NodeTest(None).is_wildcard
+    assert NodeTest(None).name is None
     assert NodeTest(None).matches("x")
     assert NodeTest("a").matches("a")
     assert not NodeTest("a").matches("b")
@@ -52,7 +52,7 @@ def test_label_set_ignores_wildcards():
 def test_spine_strips_predicates():
     path = parse_path("//a[b]/c[d]")
     spine = path.spine()
-    assert not spine.has_predicates
+    assert not any(step.predicates for step in spine.steps)
     assert str(spine) == "//a/c"
 
 

@@ -30,7 +30,7 @@ def test_mixed_axes():
 
 def test_wildcard():
     path = parse_path("//*")
-    assert path.steps[0].test.is_wildcard
+    assert path.steps[0].test.name is None
     assert path.steps[0].test.matches("anything")
 
 
