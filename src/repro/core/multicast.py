@@ -57,12 +57,8 @@ class MultiSubjectEvaluator:
             raise ValueError("at least one policy required")
         self.stats = stats or EngineStats()
         self._engine = ProductEngine(stats=self.stats)
-        #: Per lane, the match list its delivery engine folds at opens.
-        self._lanes = [
-            (add_lane(self._engine, policy), DeliveryEngine(policy.default, mode=mode))
-            for policy in policies
-        ]
-        self._deliveries = [delivery for __, delivery in self._lanes]
+        self._matches = [add_lane(self._engine, policy) for policy in policies]
+        self._deliveries = [DeliveryEngine(policy.default, mode=mode) for policy in policies]
         self._depth = 0
         self._finished = False
 
@@ -91,10 +87,10 @@ class MultiSubjectEvaluator:
         if self._finished:
             raise RuntimeError("evaluator already finished")
         if isinstance(event, OpenEvent):
-            for matches, __ in self._lanes:
+            for matches in self._matches:
                 matches.clear()
             self._engine.open(event.tag)
-            for matches, delivery in self._lanes:
+            for matches, delivery in zip(self._matches, self._deliveries):
                 delivery.open(event, matches)
             self._depth += 1
         elif isinstance(event, ValueEvent):
