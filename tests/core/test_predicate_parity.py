@@ -3,8 +3,11 @@
 Every other golden in the suite pins predicate-free policies.  This
 module pins the sessions where pending predicates do real work: the E10
 late-``[flag]`` mail document under both pending strategies, the
-parental-rating rules over a segment stream, the collaborative agenda
-policy, and a three-lane shared-pass evaluation of one predicate policy.
+parental-rating rules over a segment stream, the two E20 feed tiers
+that go pending (kids: a rating-predicated permit under default deny;
+family: the whole stream less R-rated segments), the collaborative
+agenda policy, and a three-lane shared-pass evaluation of one predicate
+policy.
 Each case records its authorized view (sha256), the modeled SimClock
 (total and per-component breakdown, as exact floats; ``card_cpu`` is
 exactly ``card_cycles / cpu_hz``), card cycles, RAM
@@ -58,6 +61,14 @@ E10_RULES = RuleSet(
     [AccessRule.parse("+", "u", '//msg[flag = "keep"]/body', rule_id="E10")]
 )
 AGENDA_MEMBERS = ["alice", "bruno", "carla", "deng"]
+#: The E20 ``feed`` workload's kids and family tiers, as plain rules.
+KIDS_TIER_RULES = RuleSet(
+    [AccessRule.parse("+", "kid", '//segment[meta/rating = "G"]', rule_id="K0")]
+)
+FAMILY_RULES = RuleSet([
+    AccessRule.parse("+", "family", "/stream", rule_id="F0"),
+    AccessRule.parse("-", "family", '//segment[meta/rating = "R"]', rule_id="F1"),
+])
 
 
 def _e10_document(payload: int = 160, messages: int = 6) -> str:
@@ -148,6 +159,13 @@ CASES = {
         parental_rules("kid", max_rating="PG13"),
         "kid",
         PendingStrategy.REFETCH,
+    ),
+    # The two E20 feed tiers that go pending, as card sessions.
+    "video-kids-tier": lambda: _card_session(
+        tree_to_events(video_catalog(16)), KIDS_TIER_RULES, "kid", PendingStrategy.BUFFER
+    ),
+    "video-family": lambda: _card_session(
+        tree_to_events(video_catalog(16)), FAMILY_RULES, "family", PendingStrategy.BUFFER
     ),
     "agenda-alice": lambda: _card_session(
         tree_to_events(agenda(n_members=4, events_per_member=4)),

@@ -4,7 +4,8 @@ Per decoded item the pump calls ``SXSDecoder.next_item`` and
 ``AccessController.feed`` and nothing else of its own; everything else
 it needs (the decoder's frame stack, the controller's delivery records)
 it holds in locals.  ``sys.setprofile`` counts the ``call`` events of
-``repro`` frames while a pump runs, for three fixed E20 pull sessions,
+``repro`` frames while a pump runs, for five fixed E20 sessions (three
+pulls and the two pending feed tiers, pulled by one card),
 after a warm-up pull of the same session (so the policy is compiled
 and the engine's tables are solved).  Two budgets per session, per
 decoded item (a non-``None`` ``next_item`` result):
@@ -25,6 +26,7 @@ import sys
 import pytest
 
 from repro.community import Community
+from repro.core.rules import AccessRule, RuleSet
 from repro.skipindex.decoder import SXSDecoder
 from repro.smartcard.applet import CardApplet
 from repro.terminal.transfer import TransferPolicy
@@ -48,6 +50,26 @@ SESSIONS = {
     ),
     "video-kid": (
         lambda: video_catalog(16), lambda: parental_rules("kid"), "kid", 3.10, 19.10
+    ),
+    # The E20 feed tiers that go pending, pulled by one card.
+    "video-kids-tier": (
+        lambda: video_catalog(16),
+        lambda: RuleSet(
+            [AccessRule.parse("+", "kid", '//segment[meta/rating = "G"]', rule_id="K0")]
+        ),
+        "kid",
+        3.15,
+        16.85,
+    ),
+    "video-family": (
+        lambda: video_catalog(16),
+        lambda: RuleSet([
+            AccessRule.parse("+", "family", "/stream", rule_id="F0"),
+            AccessRule.parse("-", "family", '//segment[meta/rating = "R"]', rule_id="F1"),
+        ]),
+        "family",
+        3.10,
+        14.50,
     ),
 }
 
