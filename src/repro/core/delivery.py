@@ -80,10 +80,12 @@ class _Fate:
     ``sign`` stays None while the decision is open.  A fate subscribes
     once to each condition the decision of ``auth`` (and ``query``)
     hangs on and refolds the decision when one resolves; every hole
-    that joined it resolves with it.
+    that joined it resolves with it.  ``hole`` is the outermost of
+    them, the hole of the element that built the fate: the others sit
+    inside it, so only it can be reachable when the fate resolves.
     """
 
-    __slots__ = ("sign", "_delivery", "_auth", "_query", "_watched")
+    __slots__ = ("sign", "hole", "_delivery", "_auth", "_query", "_watched")
 
     def __init__(
         self,
@@ -93,6 +95,7 @@ class _Fate:
         unknowns: frozenset[Condition],
     ) -> None:
         self.sign: Sign | None = None
+        self.hole: _Hole | None = None
         self._delivery = delivery
         self._auth = auth
         self._query = query
@@ -113,7 +116,12 @@ class _Fate:
                     condition.add_listener(self.refresh)
             return
         self.sign = Sign.PERMIT if kind == Record.DELIVER else Sign.DENY
-        delivery._dirty = True
+        hole = self.hole
+        self.hole = None  # no reference cycle outlives the resolution
+        if hole.closed:
+            holder = hole.holder()
+            if holder is None or holder.waiting:
+                delivery.changed.append(hole)
 
 
 #: The fate of a denied element's shell: resolved from birth.
@@ -133,12 +141,25 @@ class _SelfText:
 class _Hole:
     """Buffered, possibly undecided output of one element.
 
-    Contributes to its parent buffer once (a) the element has closed,
-    (b) its fate resolved, and (c) for a DENY resolution, emptiness is
-    decidable.
+    A hole is *settleable* once it is closed and its fate resolved, and
+    *reachable* once every hole around it has been settled: its
+    container is the root buffer or a hole ``waiting`` on its nested
+    holes.  A reachable settleable hole is settled at the next drain:
+    its contribution to the container is decided -- always for PERMIT,
+    and for DENY once it holds plain content or no undecided nested
+    hole, which ``plain`` and ``nested`` count -- and stored in
+    ``out``; an undecidable DENY hole waits instead.
+
+    ``container`` is the hole the element was buffered in (None for
+    the root buffer).  A settled hole's undecided nested holes move up
+    into its container, so the hole that counts one of them is the
+    first unsettled hole up that chain.
     """
 
-    __slots__ = ("open_event", "items", "closed", "fate", "_delivery", "charged")
+    __slots__ = (
+        "open_event", "items", "closed", "fate", "_delivery", "charged",
+        "container", "plain", "nested", "waiting", "out",
+    )
 
     def __init__(
         self, open_event: OpenEvent, delivery: "DeliveryEngine", fate: _Fate
@@ -149,15 +170,28 @@ class _Hole:
         self.fate = fate
         self._delivery = delivery
         self.charged = 0
+        self.container: _Hole | None = None
+        #: Plain items (not own text, not holes), then also non-empty
+        #: contributions of settled nested holes: only zero matters.
+        self.plain = 0
+        #: Undecided holes this hole contains, moved-up ones included.
+        self.nested = 0
+        self.waiting = False
+        #: The finished contribution: plain events and undecided holes.
+        self.out: list[Item] | None = None
 
     def append(self, item: "Item") -> None:
         self.items.append(item)
+        kind = type(item)
+        if kind is _Hole:
+            item.container = self
+            self.nested += 1
+            return  # nested holes charge their own items
+        if kind is not _SelfText:
+            self.plain += 1
         delivery = self._delivery
         memory = delivery._memory
         if memory is not None:
-            kind = type(item)
-            if kind is _Hole:
-                return  # nested holes charge their own items
             nbytes = (
                 len(item.event.text) if kind is _SelfText else event_size(item)
             )
@@ -173,14 +207,12 @@ class _Hole:
             if memory.pending > delivery.max_pending_bytes:
                 delivery.max_pending_bytes = memory.pending
 
-    def discharge(self) -> None:
-        """Release the modeled RAM held by this hole's buffered items."""
-        charged = self.charged
-        if charged:
-            memory = self._delivery._memory
-            memory.used -= charged
-            memory.pending -= charged
-            self.charged = 0
+    def holder(self) -> "_Hole | None":
+        """The unsettled hole that counts this one (None: the root)."""
+        container = self.container
+        while container is not None and container.out is not None:
+            container = container.container
+        return container
 
 
 Item = Union[Event, _SelfText, _Hole]
@@ -301,17 +333,15 @@ class DeliveryEngine:
         #: only grows by those charges and only shrinks while a drain
         #: settles, so each drain reads the last sample before it.
         self.max_pending_bytes = 0
-        #: Set when a pending hole is created, cleared when a drain
-        #: empties the root buffer: every hole sits in that buffer or
-        #: inside a hole there.  While it is clear the root buffer
-        #: holds plain events only (shell holes are only ever triggered
-        #: by a pending hole flowing through), so :meth:`drain` can skip
-        #: the hole scan.
-        self._holes_buffered = False
-        #: Set when a hole closed or a fate resolved: only then can a
-        #: hole have become finalizable, so only then does
-        #: :meth:`drain` settle the buffers.
-        self._dirty = False
+        #: What a step released when no drain is due: the root buffer
+        #: while no hole is buffered (the caller reads it before the next
+        #: step, which empties it), else a list that stays empty.
+        self.released: list[Event] = self._root_items
+        self._blocked: list[Event] = []
+        #: Reachable holes that became settleable (closed with a
+        #: resolved fate) since the last drain: only these can change
+        #: the output, so a step with none needs no drain.
+        self.changed: list[_Hole] = []
 
     # -- decision combination ---------------------------------------------
 
@@ -403,8 +433,10 @@ class DeliveryEngine:
         else:
             if fate is None:
                 fate = _Fate(self, auth, query, unknowns)
-            hole = _Hole(event, self, fate)
-            self._holes_buffered = True
+                hole = fate.hole = _Hole(event, self, fate)
+            else:
+                hole = _Hole(event, self, fate)
+            self.released = self._blocked
             parent_sink.append(hole)
             record = Record(kind, hole, auth, query)
         records.append(record)
@@ -421,90 +453,122 @@ class DeliveryEngine:
     def close(self, event: CloseEvent) -> None:
         """Process an element close."""
         record = self.records.pop()
-        if record.kind == Record.DELIVER:
+        kind = record.kind
+        if kind == Record.DELIVER:
             record.sink.append(event)
-        elif record.kind == Record.DROP:
+            return
+        if kind == Record.DROP:
             sink = record.sink
-            if sink.shell is not None:
-                sink.shell.closed = True
-                self._dirty = True
-            elif sink.materialized and not self._prune:
-                sink.append(CloseEvent(event.tag))
+            hole = sink.shell
+            if hole is None:
+                if sink.materialized and not self._prune:
+                    sink.append(CloseEvent(event.tag))
+                return
         else:
-            record.sink.closed = True
-            self._dirty = True
+            hole = record.sink
+        hole.closed = True
+        # The holes around a closing element's are its open ancestors',
+        # none of them settled: it is reachable only from the root.
+        if hole.fate.sign is not None and hole.container is None:
+            self.changed.append(hole)
 
     # -- output ---------------------------------------------------------------
 
-    def _hole_contribution(self, hole: _Hole) -> list[Item] | None:
-        """Finalized contribution of a hole, or None if not decidable yet."""
-        sign = hole.fate.sign
-        if not hole.closed or sign is None:
-            return None
-        self._settle(hole.items)
-        if sign is Sign.PERMIT:
-            out: list[Item] = [hole.open_event]
-            for item in hole.items:
-                out.append(item.event if type(item) is _SelfText else item)
-            out.append(CloseEvent(hole.open_event.tag))
-            hole.discharge()
-            return out
-        # DENY: keep only content contributed by delivered descendants.
-        content: list[Item] = [
-            item for item in hole.items if type(item) is not _SelfText
-        ]
-        has_nested_hole = any(type(item) is _Hole for item in content)
-        has_plain = any(type(item) is not _Hole for item in content)
-        if has_nested_hole and not has_plain:
-            return None  # emptiness unknown until nested holes resolve
-        hole.discharge()
-        if not content:
-            return []
-        if self._prune:
-            return content
-        skeleton: list[Item] = [OpenEvent(hole.open_event.tag)]
-        skeleton.extend(content)
-        skeleton.append(CloseEvent(hole.open_event.tag))
-        return skeleton
+    def _settle(self, hole: _Hole) -> None:
+        """Settle a reachable settleable hole.
 
-    def _settle(self, items: list[Item]) -> None:
-        """Replace finalizable holes with their contributions, in place.
-
-        One pass suffices: a contribution's own holes were tried (and
-        found undecidable) while it was built.
+        A DENY hole with no plain content but undecided nested holes
+        first settles the nested ones that can be; if it still has no
+        plain content it waits.  Otherwise its contribution is built,
+        its RAM released and the hole that counts it told, which then
+        settles too if it was waiting only for this.
         """
-        settled: list[Item] = []
-        changed = False
-        for item in items:
-            if type(item) is _Hole:
-                contribution = self._hole_contribution(item)
-                if contribution is not None:
-                    settled.extend(contribution)
-                    changed = True
-                    continue
-            settled.append(item)
-        if changed:
-            items[:] = settled
+        permit = hole.fate.sign is Sign.PERMIT
+        if not permit and not hole.plain and hole.nested:
+            for item in hole.items:
+                if (
+                    type(item) is _Hole
+                    and item.out is None
+                    and not item.waiting
+                    and item.closed
+                    and item.fate.sign is not None
+                ):
+                    self._settle(item)
+            if not hole.plain and hole.nested:
+                hole.waiting = True
+                return
+        hole.waiting = False
+        tag = hole.open_event.tag
+        out: list[Item] = [hole.open_event] if permit else []
+        for item in hole.items:
+            kind = type(item)
+            if kind is _Hole:
+                if item.out is None:
+                    if not item.waiting and item.closed and item.fate.sign is not None:
+                        self._settle(item)
+                    if item.out is None:
+                        out.append(item)
+                        continue
+                out += item.out
+                item.out.clear()  # drop its moved-up holes' back-references
+            elif kind is _SelfText:
+                if permit:
+                    out.append(item.event)
+            else:
+                out.append(item)
+        if permit:
+            out.append(CloseEvent(tag))
+        elif out and not self._prune:
+            out.insert(0, OpenEvent(tag))
+            out.append(CloseEvent(tag))
+        hole.out = out
+        hole.items = []
+        charged = hole.charged
+        if charged:
+            memory = self._memory
+            memory.used -= charged
+            memory.pending -= charged
+            hole.charged = 0
+        holder = hole.container  # hole.holder(), inlined: once per hole
+        while holder is not None and holder.out is not None:
+            holder = holder.container
+        if holder is not None:
+            holder.nested += hole.nested - 1
+            if out:
+                holder.plain += 1
+            if holder.waiting and (holder.plain or not holder.nested):
+                self._settle(holder)
 
     def drain(self) -> list[Event]:
         """Emit every event no longer order-blocked by a pending hole."""
         root_items = self._root_items
-        if not self._holes_buffered:
-            # Hot path: no hole is buffered, so nothing is order-blocked
-            # and nothing is charged to "pending".
+        if self.released is root_items:
+            # No hole is buffered: nothing is order-blocked and nothing
+            # is charged to "pending".
             emitted = list(root_items)
             root_items.clear()
             return emitted
-        if self._dirty:
-            self._dirty = False
-            self._settle(root_items)
+        changed = self.changed
+        if changed:
+            for hole in changed:
+                if hole.out is None and not hole.waiting:
+                    self._settle(hole)
+            changed.clear()
+        # Splice finished holes into the root buffer up to the first
+        # undecided one; everything before it is released.
         count = 0
-        for item in root_items:
+        while count < len(root_items):
+            item = root_items[count]
             if type(item) is _Hole:
-                break
-            count += 1
+                out = item.out
+                if out is None:
+                    break
+                root_items[count:count + 1] = out
+                out.clear()
+            else:
+                count += 1
         if count == len(root_items):
-            self._holes_buffered = False  # this drain empties the buffer
+            self.released = root_items  # no hole is left anywhere
         if not count:
             return []
         emitted = root_items[:count]

@@ -115,18 +115,20 @@ class AccessController:
     def feed(self, event: Event) -> list[Event]:
         """Process one event; return the output events it released.
 
-        Read the returned list before the next call: while no pending
-        hole is buffered it is the delivery's root buffer itself,
-        emptied then, so a delivering event allocates no list.  Dispatch
-        is on the exact event type.  Each lane's engine is stepped here,
-        policy lane first, and with a memory meter each open's decision
-        is charged inline to the ``signs`` pool, once per lane.
+        Read the returned list before the next call: unless a drain
+        was due it is the delivery's ``released`` list, emptied then, so
+        an event allocates no list.  A drain is due only when a pending
+        hole closed or a fate resolved (``DeliveryEngine.changed``).
+        Dispatch is on the exact event type.  Each lane's engine is
+        stepped here, policy lane first, and with a memory meter each
+        open's decision is charged inline to the ``signs`` pool, once
+        per lane.
         """
         if self._finished:
             raise RuntimeError("controller already finished")
         delivery = self._delivery
-        released = delivery._root_items
-        if released and not delivery._holes_buffered:
+        released = delivery.released
+        if released:
             released.clear()  # the previous event's release, read by now
         cls = type(event)
         if cls is OpenEvent:
@@ -165,9 +167,9 @@ class AccessController:
                     memory.signs -= DECISION_BYTES
         else:
             raise TypeError(f"not an event: {event!r}")
-        if delivery._holes_buffered:
+        if delivery.changed:
             return delivery.drain()
-        return released
+        return delivery.released
 
     def finish(self) -> list[Event]:
         """Signal end of document; return the final output events."""
@@ -175,8 +177,7 @@ class AccessController:
             raise ValueError("document ended with unclosed elements")
         self._finished = True
         delivery = self._delivery
-        if not delivery._holes_buffered:
-            delivery._root_items.clear()  # the last event's release
+        delivery.released.clear()  # the last event's release
         return delivery.finish()
 
     # -- skip-index interface (used by the card applet) -----------------------

@@ -390,7 +390,8 @@ class CardApplet:
         Decoder RAM is checked after opens only, the one item that
         deepens the stack.  An open leaves the loop for
         :meth:`_maybe_skip` only when the stream carries an index and the
-        element is not delivered.  If an item faults (a strict-RAM
+        element is dropped, or pending under ``PendingStrategy.REFETCH``.
+        If an item faults (a strict-RAM
         overflow), the items before it keep the charges a per-item pump
         made: their output and engine work, and no decode charge.
         """
@@ -399,6 +400,9 @@ class CardApplet:
         frames = decoder.frames
         records = controller.records
         deliver = Record.DELIVER
+        # Under BUFFER a pending open is never skipped, only buffered.
+        skip_pending = self._strategy is PendingStrategy.REFETCH
+        pending = Record.PENDING
         stats = controller.stats
         allocate = self.soe.memory.allocate
         decoder_ram = self._decoder_ram
@@ -415,7 +419,7 @@ class CardApplet:
                     frame = frames[-1]
                     if frame.content_size is not None:
                         kind = records[-1].kind
-                        if kind != deliver:
+                        if kind != deliver and (skip_pending or kind != pending):
                             self._maybe_skip(controller, decoder, frame, kind)
                 else:
                     released += feed(event)
@@ -442,11 +446,9 @@ class CardApplet:
         """Apply the skip rule of Section 2.3 to a freshly opened subtree.
 
         ``frame`` is the decoder's innermost frame, indexed, and ``kind``
-        its delivery kind, not DELIVER; its tag ids are decoded, and
-        become names, only here.
+        its delivery kind: DROP, or PENDING under the REFETCH strategy;
+        its tag ids are decoded, and become names, only here.
         """
-        if kind == Record.PENDING and self._strategy is not PendingStrategy.REFETCH:
-            return
         assert decoder.dictionary is not None and frame.tags_inside is not None
         tags_inside = decoder.dictionary.ids_to_names(frame.tags_inside)
         if not controller.subtree_is_irrelevant(tags_inside):

@@ -101,15 +101,26 @@ class Element:
 
 
 def tree_to_events(root: Element) -> Iterator[Event]:
-    """Serialize a tree to the event stream the card would consume."""
+    """Serialize a tree to the event stream the card would consume.
+
+    Like :meth:`Element.iter` the walk keeps its own stack (of each
+    open element and its children still to visit), so it needs no
+    Python recursion, at any depth.
+    """
     yield OpenEvent(root.tag, tuple(root.attributes.items()))
-    for child in root.children:
-        if isinstance(child, Element):
-            yield from tree_to_events(child)
-        else:
+    stack = [(root, iter(root.children))]
+    while stack:
+        node, children = stack[-1]
+        for child in children:
+            if isinstance(child, Element):
+                yield OpenEvent(child.tag, tuple(child.attributes.items()))
+                stack.append((child, iter(child.children)))
+                break
             if child:
                 yield ValueEvent(child)
-    yield CloseEvent(root.tag)
+        else:
+            stack.pop()
+            yield CloseEvent(node.tag)
 
 
 def events_to_tree(events: Iterable[Event]) -> Element:

@@ -164,7 +164,7 @@ def test_settled_pending_region_stops_draining():
         before = drains
         released = controller.feed(event)
         output.extend(released)
-        if delivery._holes_buffered:
+        if delivery.released is not delivery._root_items:
             pending_seen = True
         elif released is delivery._root_items and drains == before:
             fast_after_pending += pending_seen

@@ -24,6 +24,7 @@ from repro.core.rules import AccessRule, RuleSet, Sign
 from repro.smartcard.memory import CardMemoryError, MemoryMeter
 from repro.workloads.docgen import video_catalog
 from repro.workloads.rulegen import parental_rules
+from repro.xmlstream.parser import parse_string
 from repro.xmlstream.tree import tree_to_events
 from repro.xmlstream.writer import write_string
 
@@ -110,6 +111,60 @@ def test_live_delivery_matches_frozen_reference(root, rules, default, mode):
 )
 def test_live_delivery_matches_frozen_reference_with_query(root, rules, query, mode):
     _run_in_lockstep(list(tree_to_events(root)), rules, query=query, mode=mode)
+
+
+#: Hand-built shapes the random documents rarely reach, each a
+#: (document, rules) pair whose predicate on ``a`` resolves at ``z``,
+#: after the pending region closed.
+LATE_CASES = {
+    # A denied shell at the root with plain content and an undecided
+    # nested hole: it is decidable at its close.
+    "shell-with-plain": (
+        "<a><m><b>t</b><k>v</k></m><z/></a>",
+        [("+", "/a"), ("-", "/a/m"), ("+", "/a[z]/m/b"), ("+", "/a/m/k")],
+    ),
+    # A denied shell holding only an undecided hole waits; the nested
+    # hole's late resolution settles both.
+    "waiting-shell": (
+        "<a><m><b>t</b></m><m><b>u</b></m><z/></a>",
+        [("+", "/a"), ("-", "/a/m"), ("+", "/a[z]/m/b")],
+    ),
+    # The same with the nested hole resolving to DENY: the shell's
+    # contribution is empty.
+    "waiting-shell-empty": (
+        "<a><m><b>t</b></m><k>v</k><z/></a>",
+        [("+", "/a"), ("-", "/a/m"), ("-", "/a[z]/m/b"), ("+", "/a/m/b")],
+    ),
+    # A permitted hole settles around an undecided nested hole, which
+    # moves up into the root buffer and resolves later.
+    "moved-up-hole": (
+        '<a><p><q>t<r>s</r></q><w>1</w></p><z/></a>',
+        [("+", "/a"), ("-", '/a/p[w = "2"]'), ("-", "/a[z]/p/q"), ("+", "//r")],
+    ),
+    # A denied shell holding two holes: settling the early one gives it
+    # content, so it is decidable at its close though the late one is not.
+    "shell-gains-content": (
+        "<a><m><c>t</c><b>u</b></m><z/></a>",
+        [("+", "/a"), ("-", "/a/m"), ("+", '/a/m/c[. = "t"]'), ("+", "/a[z]/m/b")],
+    ),
+    # Nested waiting shells: the outer waits on the inner, which waits
+    # on the late hole.
+    "nested-waiting-shells": (
+        "<a><m><n><b>t</b></n></m><k/><z/></a>",
+        [("+", "/a"), ("-", "/a/m"), ("+", "/a[z]/m/n/b")],
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", list(ViewMode), ids=lambda mode: mode.value)
+@pytest.mark.parametrize("name", sorted(LATE_CASES))
+def test_late_resolutions_match_frozen_reference(name, mode):
+    document, rule_defs = LATE_CASES[name]
+    rules = RuleSet([
+        AccessRule.parse(sign, "u", path, rule_id=f"L{index}")
+        for index, (sign, path) in enumerate(rule_defs)
+    ])
+    _run_in_lockstep(list(parse_string(document)), rules, mode=mode)
 
 
 @pytest.mark.parametrize("mode", list(ViewMode), ids=lambda mode: mode.value)

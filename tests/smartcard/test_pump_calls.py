@@ -45,11 +45,11 @@ SESSIONS = {
         lambda: agenda(n_members=6, events_per_member=4),
         lambda: agenda_rules(AGENDA_MEMBERS),
         "alice",
-        2.45,
-        7.60,
+        2.43,
+        7.15,
     ),
     "video-kid": (
-        lambda: video_catalog(16), lambda: parental_rules("kid"), "kid", 3.10, 19.10
+        lambda: video_catalog(16), lambda: parental_rules("kid"), "kid", 2.85, 15.83
     ),
     # The E20 feed tiers that go pending, pulled by one card.
     "video-kids-tier": (
@@ -58,8 +58,8 @@ SESSIONS = {
             [AccessRule.parse("+", "kid", '//segment[meta/rating = "G"]', rule_id="K0")]
         ),
         "kid",
-        3.15,
-        16.85,
+        2.81,
+        12.62,
     ),
     "video-family": (
         lambda: video_catalog(16),
@@ -68,8 +68,8 @@ SESSIONS = {
             AccessRule.parse("-", "family", '//segment[meta/rating = "R"]', rule_id="F1"),
         ]),
         "family",
-        3.10,
-        14.50,
+        2.76,
+        11.73,
     ),
 }
 

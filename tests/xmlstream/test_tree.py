@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro.workloads import docgen
-from repro.xmlstream.events import OpenEvent
+from repro.xmlstream.events import CloseEvent, OpenEvent, ValueEvent
 from repro.xmlstream.tree import (
     Element,
     events_to_tree,
@@ -66,6 +66,37 @@ def test_iter_walks_a_chain_deeper_than_the_recursion_limit():
     nodes = list(root.iter())
     assert len(nodes) == tree_size(root) == depth
     assert nodes[-1].depth() == depth and not nodes[-1].children
+
+
+def _recursive_events(node: Element):
+    """The recursive serialization, kept as the oracle of ``tree_to_events``."""
+    yield OpenEvent(node.tag, tuple(node.attributes.items()))
+    for child in node.children:
+        if isinstance(child, Element):
+            yield from _recursive_events(child)
+        elif child:
+            yield ValueEvent(child)
+    yield CloseEvent(node.tag)
+
+
+@pytest.mark.parametrize("build", [
+    docgen.hospital, docgen.bibliography, docgen.agenda,
+    docgen.video_catalog, docgen.nested,
+])
+def test_tree_to_events_matches_the_recursive_walk(build):
+    root = build()
+    assert list(tree_to_events(root)) == list(_recursive_events(root))
+    for node in list(root.iter())[::7]:
+        assert list(tree_to_events(node)) == list(_recursive_events(node))
+
+
+def test_tree_to_events_serializes_a_chain_deeper_than_the_recursion_limit():
+    depth = 1200
+    root = parse_tree("<n>" * depth + "</n>" * depth)
+    events = list(tree_to_events(root))
+    assert len(events) == 2 * depth
+    assert events[:depth] == [OpenEvent("n")] * depth
+    assert events[depth:] == [CloseEvent("n")] * depth
 
 
 def test_find_all_excludes_self():
