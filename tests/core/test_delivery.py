@@ -175,6 +175,33 @@ def test_settled_pending_region_stops_draining():
     )
 
 
+def test_feed_drains_only_when_a_hole_can_settle():
+    """Holes nested in an unsettled one cannot change the output: under
+    the kids tier every segment's holes sit in the stream's shell, so
+    ``feed`` drains once, when the stream closes, and releases the
+    whole view there."""
+    rules = RuleSet([AccessRule.parse("+", "u", '//segment[meta/rating = "G"]')])
+    events = list(tree_to_events(video_catalog(8)))
+    controller = AccessController(rules, "u")
+    delivery = controller._delivery
+    drains = []
+    drain = delivery.drain
+
+    def counting_drain():
+        drains.append(len(controller.records))
+        return drain()
+
+    delivery.drain = counting_drain
+    output = []
+    for event in events:
+        output.extend(controller.feed(event))
+    assert drains == [0]  # the root's close, nothing before
+    output.extend(controller.finish())
+    assert write_string(output) == write_string(
+        reference_view(video_catalog(8), rules, "u")
+    )
+
+
 def test_feed_after_finish_rejected():
     import pytest
 
