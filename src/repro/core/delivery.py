@@ -44,8 +44,8 @@ plain items and its undecided nested holes, so a DENY hole knows from
 two integers whether its skeleton's emptiness is decided yet, and a
 finished contribution is spliced into its container in place.  On E20
 ``feed`` (seed 1, 40 ops after 10) this took ``drain`` from 115.0 to
-4.6 calls per op and the ``core/delivery`` calls from 958 to 569, and
-the video/kid pull's pump from 18.21 to 15.08 Python calls per decoded
+4.6 calls per op and the ``core/delivery`` calls from 958 to 560, and
+the video/kid pull's pump from 18.21 to 14.99 Python calls per decoded
 item.  Released events, ``max_pending_bytes`` and every charge to the
 meter's ``pending`` pool happen at the same events as under the
 whole-buffer settle this replaced; ``tests/core/delivery_reference.py``

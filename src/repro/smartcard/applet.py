@@ -391,9 +391,9 @@ class CardApplet:
         deepens the stack.  An open leaves the loop for
         :meth:`_maybe_skip` only when the stream carries an index and the
         element is dropped, or pending under ``PendingStrategy.REFETCH``.
-        If an item faults (a strict-RAM
-        overflow), the items before it keep the charges a per-item pump
-        made: their output and engine work, and no decode charge.
+        If an item faults (a strict-RAM overflow), the items before it
+        keep the charges a per-item pump made: their output and engine
+        work, and no decode charge.
         """
         next_item = decoder.next_item
         feed = controller.feed
