@@ -74,6 +74,44 @@ def test_second_frame_of_one_recv_needs_no_further_recv():
     assert len(sock.asked) == 2
 
 
+def test_frame_whole_in_one_recv():
+    body = b"a whole response"
+    sock = _ScriptedSocket(_frames(body))
+    reader = FrameReader(sock)
+    got = reader.read()
+    assert got == body and type(got) is bytes
+    assert sock.asked == [RECV_SIZE]
+    assert reader.read() is None
+    assert sock.asked == [RECV_SIZE, RECV_SIZE]
+
+
+@pytest.mark.parametrize("tail", [1, 3, 4, 7])
+def test_whole_frame_then_the_first_bytes_of_the_next(tail):
+    """Mid-prefix (1, 3) and mid-body (4, 7) tails carry over intact."""
+    first, second = b"first frame", b"second, longer frame"
+    stream = _frames(first, second)
+    cut = 4 + len(first) + tail
+    sock = _ScriptedSocket(stream[:cut], stream[cut:])
+    reader = FrameReader(sock)
+    got = reader.read()
+    assert got == first and type(got) is bytes
+    assert sock.asked == [RECV_SIZE]
+    got = reader.read()
+    assert got == second and type(got) is bytes
+    assert sock.asked == [RECV_SIZE, RECV_SIZE]
+    assert reader.read() is None
+
+
+def test_two_whole_frames_in_one_recv():
+    sock = _ScriptedSocket(_frames(b"one", b"two"))
+    reader = FrameReader(sock)
+    assert reader.read() == b"one"
+    got = reader.read()
+    assert got == b"two" and type(got) is bytes
+    assert sock.asked == [RECV_SIZE]
+    assert reader.read() is None
+
+
 def test_eof_at_frame_boundary_is_none():
     assert FrameReader(_ScriptedSocket()).read() is None
     reader = FrameReader(_ScriptedSocket(_frames(b"last")))

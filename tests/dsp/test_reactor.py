@@ -140,6 +140,99 @@ def test_slow_reader_does_not_stall_the_fleet(published_community):
             slow.close()
 
 
+# -- framing: however the request bytes arrive --------------------------------
+
+
+def _served(community, frames, segments=None, admission=None, late=0.0):
+    """Serve ``frames`` on one connection of a fresh reactor.
+
+    Without ``segments`` the client sends one frame and reads its
+    response before the next (the ``RemoteDSP`` shape); with them it
+    sends each segment on its own, pausing so the reactor reads each in
+    its own ``recv``, waits ``late`` seconds and only then reads the
+    responses.  Returns the response bodies, the server's ``requests``
+    and ``cache_hits``, the connection's stats, and the bytes the
+    reactor still held queued just before the client began to read.
+    """
+    with community.serve(admission=admission) as server:
+        sock = _tiny_buffer_connection(server.address)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        reader = FrameReader(sock)
+        queued = 0
+        if segments is None:
+            responses = []
+            for framed in frames:
+                sock.sendall(framed)
+                responses.append(reader.read())
+        else:
+            for segment in segments:
+                sock.sendall(segment)
+                time.sleep(0.02)
+            time.sleep(late)
+            queued = sum(conn.pending_bytes for conn in server._conns)
+            responses = [reader.read() for _ in frames]
+        sock.close()
+        (stats,) = server.connections
+        counts = (stats.requests, stats.errors, stats.bytes_in, stats.bytes_out)
+        return responses, server.requests, server.cache_hits, counts, queued
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["one-segment", "split-prefix", "two-in-one-segment", "frame-and-a-half"],
+)
+def test_request_segmentation_never_changes_the_answers(published_community, case):
+    header = frame(encode_request(GetHeader(DOC_ID)))
+    chunks = frame(encode_request(GetChunkRange(DOC_ID, 0, 8)))
+    if case == "one-segment":
+        frames = [header]
+        segments = [header]
+    elif case == "split-prefix":
+        frames = [header]
+        segments = [header[:2], header[2:]]
+    elif case == "two-in-one-segment":
+        # The second, identical request is a response-cache hit.
+        frames = [header, header]
+        segments = [header + header]
+    else:
+        frames = [header, chunks]
+        segments = [header + chunks[: len(chunks) // 2], chunks[len(chunks) // 2:]]
+    expected = _served(published_community, frames)
+    got = _served(published_community, frames, segments)
+    assert got[:4] == expected[:4]
+    responses, requests, hits, counts, _ = got
+    assert all(body is not None for body in responses)
+    assert requests == len(frames)
+    assert hits == (1 if case == "two-in-one-segment" else 0)
+    assert counts == (
+        len(frames),
+        0,
+        sum(map(len, frames)),
+        sum(4 + len(body) for body in responses),
+    )
+
+
+def test_response_larger_than_sndbuf_reaches_a_late_reader(published_community):
+    owner = published_community.member("owner")
+    owner.publish(
+        list(tree_to_events(hospital(n_patients=80, seed=7))),
+        hospital_rules(),
+        to=list(READERS),
+        doc_id="large",
+        chunk_size=64,
+    )
+    big = frame(encode_request(GetChunkRange("large", 0, 9999)))
+    policy = AdmissionPolicy(sndbuf=16384)
+    expected = _served(published_community, [big], admission=policy)
+    got = _served(published_community, [big], [big], admission=policy, late=0.3)
+    assert got[:4] == expected[:4]
+    (body,), _, _, counts, queued = got
+    assert len(body) > 4 * 16384
+    # The kernel took only part of it: the rest waited under EVENT_WRITE.
+    assert queued > 0
+    assert counts == (1, 0, len(big), 4 + len(body))
+
+
 def test_server_close_marks_connections_closed(published_community):
     reference = _reference_views(published_community)
     server = published_community.serve()

@@ -7,6 +7,7 @@ per-connection accounting.
 """
 
 import threading
+import time
 
 import pytest
 
@@ -181,8 +182,16 @@ def test_timeout_poisons_the_connection():
 
     client = RemoteDSP.connect((address[0], address[1]), timeout=0.3)
     server_side, _ = listener.accept()
+    # Should the timeout stop being enforced, this hang-up ends the
+    # wait and the elapsed-time bound below fails the test.
+    guard = threading.Timer(5.0, server_side.shutdown, (socketlib.SHUT_RDWR,))
+    guard.start()
+    started = time.monotonic()
     with pytest.raises(TransportError):
         client.get_chunk("doc", 5)  # server never answers -> timeout
+    elapsed = time.monotonic() - started
+    guard.cancel()
+    assert 0.25 <= elapsed < 2.5
     # The late response for chunk 5 arrives after the timeout...
     from repro.dsp import wire
 

@@ -1,17 +1,21 @@
-"""Blob-list responses decode and encode exactly as the per-blob codec did.
+"""The codec encodes and decodes exactly as the field-by-field one did.
 
-``_Reader.blobs`` reads a ``GetChunkRange`` or ``GetRules`` response
-in one loop, and ``encode_response`` joins the blob list once.  The
-frozen codec below is the earlier per-blob one (``_Reader.blob`` per
-chunk, ``+=`` per blob).  On real responses from a published
-document, every truncation and every single-byte flip must decode to
-the same value, or raise the same exception type with the same
-message, and the encoded bytes must be identical.
+``_blob_list`` reads a ``GetChunkRange`` or ``GetRules`` response in
+one loop, ``encode_response`` joins the blob list once, and requests
+are packed and parsed from one layout per kind.  The frozen codec
+below is the earlier field-by-field one (a cursor read per field,
+``_Reader.blob`` per chunk, ``+=`` per blob).  On real responses from
+a published document, and on every request kind, every truncation and
+every single-byte flip must decode to the same value, or raise the
+same exception type with the same message, and the encoded bytes must
+be identical.
 """
 
 import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.community import Community
 from repro.dsp import wire
@@ -108,6 +112,48 @@ def _frozen_encode(request, value):
     return body
 
 
+def _frozen_pack_str(value):
+    raw = value.encode("utf-8")
+    if len(raw) > 0xFFFF:
+        raise wire.WireError("string field exceeds 65535 bytes")
+    return _U16.pack(len(raw)) + raw
+
+
+def _frozen_encode_request(request):
+    body = bytes([wire._REQUEST_OPS[type(request)]]) + _frozen_pack_str(request.doc_id)
+    if isinstance(request, wire.GetChunk):
+        body += _U32.pack(request.index)
+    elif isinstance(request, wire.GetChunkRange):
+        body += _U32.pack(request.start) + _U32.pack(request.count)
+    elif isinstance(request, wire.GetWrappedKey):
+        body += _frozen_pack_str(request.recipient)
+    elif isinstance(request, wire.GetMeta):
+        body += _frozen_pack_str(request.subject)
+    return body
+
+
+def _frozen_decode_request(body):
+    reader = _FrozenReader(body)
+    op = reader.u8()
+    doc_id = reader.string()
+    if op == wire.OP_HEADER:
+        request = wire.GetHeader(doc_id)
+    elif op == wire.OP_CHUNK:
+        request = wire.GetChunk(doc_id, reader.u32())
+    elif op == wire.OP_CHUNK_RANGE:
+        request = wire.GetChunkRange(doc_id, reader.u32(), reader.u32())
+    elif op == wire.OP_RULES:
+        request = wire.GetRules(doc_id)
+    elif op == wire.OP_WRAPPED_KEY:
+        request = wire.GetWrappedKey(doc_id, reader.string())
+    elif op == wire.OP_META:
+        request = wire.GetMeta(doc_id, reader.string())
+    else:
+        raise wire.WireError(f"unknown request opcode {op:#04x}")
+    reader.finish()
+    return request
+
+
 # -- real responses ------------------------------------------------------------
 
 
@@ -198,3 +244,59 @@ def test_flips_reach_every_error_message(responses):
         "blob length exceeds frame bound",
         "trailing bytes after message",
     } <= messages
+
+
+# -- requests --------------------------------------------------------------------
+
+REQUESTS = [
+    wire.GetHeader(DOC_ID),
+    wire.GetChunk(DOC_ID, 7),
+    wire.GetChunkRange(DOC_ID, 16, 8),
+    wire.GetRules(DOC_ID),
+    wire.GetWrappedKey(DOC_ID, "doctor"),
+    wire.GetMeta("d\u00e9j\u00e0-vu", "nurse"),
+]
+
+
+def _request_outcome(decode, body):
+    try:
+        return ("value", decode(body))
+    except Exception as exc:  # noqa: BLE001 - the outcome is compared
+        return ("raised", type(exc), str(exc))
+
+
+@pytest.mark.parametrize("request_", REQUESTS, ids=lambda r: type(r).__name__)
+def test_requests_encode_and_decode_alike(request_):
+    body = wire.encode_request(request_)
+    assert body == _frozen_encode_request(request_)
+    cases = [body[:cut] for cut in range(len(body) + 1)] + [body + b"\x00"]
+    for offset in range(len(body)):
+        for mask in (0xFF, 0x01, 0x80):
+            flipped = bytearray(body)
+            flipped[offset] ^= mask
+            cases.append(bytes(flipped))
+    for case in cases:
+        assert _request_outcome(wire.decode_request, case) == _request_outcome(
+            _frozen_decode_request, case
+        ), case
+
+
+@given(
+    st.one_of(st.just(b""), st.integers(0, 7).map(lambda op: bytes([op]))),
+    st.binary(max_size=64),
+)
+@settings(max_examples=300, deadline=None)
+def test_garbage_requests_decode_alike(opcode, noise):
+    body = opcode + noise
+    assert _request_outcome(wire.decode_request, body) == _request_outcome(
+        _frozen_decode_request, body
+    )
+
+
+def test_oversized_request_string_rejected_alike():
+    request = wire.GetWrappedKey(DOC_ID, "x" * 0x10000)
+    with pytest.raises(wire.WireError, match="exceeds 65535") as new:
+        wire.encode_request(request)
+    with pytest.raises(wire.WireError) as old:
+        _frozen_encode_request(request)
+    assert str(new.value) == str(old.value)
