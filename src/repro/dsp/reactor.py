@@ -1,11 +1,16 @@
-"""The DSP's event-loop server: non-blocking, buffered, admission-controlled.
+"""The DSP's event-loop server: non-blocking, admission-controlled.
 
 A thread per connection with every dispatch serialized behind one
 lock is fine for a handful of terminals and hopeless for "millions of
 users".  :class:`ReactorDSPServer` is the DSP's one server: one
-non-blocking selector loop with per-connection read/write buffering
-over the same length-prefixed :mod:`repro.dsp.wire` codec, so
+non-blocking selector loop over the same length-prefixed
+:mod:`repro.dsp.wire` codec, so
 
+* a request costs one pass over its bytes: each frame is cut straight
+  out of the bytes ``recv`` returned, and only a frame a read ended
+  inside waits in the connection's input buffer; a lone response goes
+  to ``send`` as it is, and only bytes the kernel refused wait, under
+  ``EVENT_WRITE``, in the connection's write queue;
 * a slow reader never blocks anyone -- its responses queue in *its*
   write buffer while the loop keeps serving everybody else;
 * there is no dispatch lock -- the loop serves its connections
@@ -46,6 +51,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 from types import TracebackType
 
 from repro.dsp.freshness import UNSTAMPED
@@ -154,6 +160,7 @@ class _Connection:
     def __init__(self, sock: socket.socket, stats: ConnectionStats) -> None:
         self.sock = sock
         self.stats = stats
+        #: The start of a frame the last read ended inside, if any.
         self.inbuf = bytearray()
         #: Whole outbound frames awaiting the socket; ``head_sent``
         #: bytes of the head frame are already on the wire.
@@ -236,8 +243,8 @@ class ReactorDSPServer:
         # ``close()`` wakes a loop blocked in ``select`` through this pair.
         self._wake_r, self._wake_w = socket.socketpair()
         self._wake_r.setblocking(False)
-        self._selector.register(self._wake_r, selectors.EVENT_READ, "wake")
-        self._selector.register(self._listener, selectors.EVENT_READ, "listener")
+        self._selector.register(self._wake_r, selectors.EVENT_READ, self._drain_wake)
+        self._selector.register(self._listener, selectors.EVENT_READ, self._accept_ready)
         self._thread = threading.Thread(
             target=self._run, name=f"dsp-reactor-{self.address[1]}", daemon=True
         )
@@ -251,16 +258,14 @@ class ReactorDSPServer:
         try:
             while True:
                 for key, events in self._selector.select(timeout):
-                    if key.data == "wake":
-                        self._drain_wake()
-                    elif key.data == "listener":
-                        self._accept_ready()
-                    else:
-                        conn: _Connection = key.data
-                        if events & selectors.EVENT_WRITE:
-                            self._writable(conn)
-                        if events & selectors.EVENT_READ:
-                            self._readable(conn)
+                    conn = key.data
+                    if not isinstance(conn, _Connection):
+                        conn()  # the wake pipe or the listener
+                        continue
+                    if events & selectors.EVENT_WRITE:
+                        self._writable(conn)
+                    if events & selectors.EVENT_READ:
+                        self._readable(conn)
                 if self._closed:
                     return
                 if idle is not None:
@@ -358,46 +363,55 @@ class ReactorDSPServer:
             self._close_conn(conn)
             return
         conn.last_activity = time.monotonic()
-        conn.inbuf += data
-        self._drain_frames(conn)
-
-    def _drain_frames(self, conn: _Connection) -> bool:
-        """Process every complete frame buffered on ``conn``.
-
-        Returns ``False`` if the connection was closed (protocol
-        violation or hard backlog overflow).
-        """
         buf = conn.inbuf
+        if buf:
+            # The last read ended inside a frame.  A whole prefix passed
+            # the MAX_FRAME check then, so append until the frame is
+            # complete instead of copying the held bytes on every read.
+            held = len(buf)
+            buf += data
+            if held >= 4 and len(buf) < 4 + _U32.unpack_from(buf)[0]:
+                return
+            data = bytes(buf)
+            buf.clear()
+        self._drain_frames(conn, data)
+
+    def _drain_frames(self, conn: _Connection, data: bytes) -> bool:
+        """Serve every complete frame in ``data``, one read's bytes.
+
+        Frame bodies are cut straight out of ``data``; only an
+        unfinished last frame is kept, in ``conn.inbuf``.  Returns
+        ``False`` if the connection was closed (protocol violation or
+        hard backlog overflow).
+        """
         offset = 0
-        try:
-            while True:
-                if len(buf) - offset < 4:
-                    break
-                (length,) = _U32.unpack_from(buf, offset)
-                if length > MAX_FRAME:
-                    # A hostile length prefix: drop the connection;
-                    # nothing sensible can follow it on the stream.
-                    self._close_conn(conn)
-                    return False
-                if len(buf) - offset < 4 + length:
-                    break
-                body = bytes(buf[offset + 4:offset + 4 + length])
-                offset += 4 + length
-                if not self._serve_frame(conn, body):
-                    self._close_conn(conn)
-                    return False
-                if conn not in self._conns:
-                    # A write error closed the connection mid-batch;
-                    # the remaining buffered frames died with it.
-                    return False
-            # One flush per batch: a pipelined burst of responses
-            # leaves in coalesced sends, and anything the kernel
-            # refuses stays queued under EVENT_WRITE.
-            if conn.pending:
-                self._writable(conn)
-        finally:
-            if offset:
-                del buf[:offset]
+        size = len(data)
+        while size - offset >= 4:
+            (length,) = _U32.unpack_from(data, offset)
+            if length > MAX_FRAME:
+                # A hostile length prefix: drop the connection;
+                # nothing sensible can follow it on the stream.
+                self._close_conn(conn)
+                return False
+            end = offset + 4 + length
+            if end > size:
+                break
+            body = data[offset + 4:end]
+            offset = end
+            if not self._serve_frame(conn, body):
+                self._close_conn(conn)
+                return False
+            if conn not in self._conns:
+                # A write error closed the connection mid-batch;
+                # the remaining frames died with it.
+                return False
+        if offset < size:
+            conn.inbuf += data[offset:]
+        # One flush per batch: a pipelined burst of responses leaves in
+        # coalesced sends, and anything the kernel refuses stays queued
+        # under EVENT_WRITE.
+        if conn.pending:
+            self._writable(conn)
         return True
 
     def _serve_frame(self, conn: _Connection, body: bytes) -> bool:
@@ -406,7 +420,7 @@ class ReactorDSPServer:
         stats.bytes_in += 4 + len(body)
         self.requests += 1
         stamp = self.store.stamp
-        if not self._cache_stamp.same_stamp(stamp):
+        if stamp is not self._cache_stamp and not self._cache_stamp.same_stamp(stamp):
             self._cache.clear()
             self._cache_bytes = 0
             self._cache_stamp = stamp
@@ -521,29 +535,27 @@ class ReactorDSPServer:
     # -- writing ------------------------------------------------------------
 
     def _queue(self, conn: _Connection, framed: bytes) -> None:
+        size = len(framed)
         conn.pending.append(framed)
-        conn.pending_bytes += len(framed)
-        conn.stats.bytes_out += len(framed)
-        self.bytes_served += len(framed)
+        conn.pending_bytes += size
+        conn.stats.bytes_out += size
+        self.bytes_served += size
         self._inflight += 1
 
     def _writable(self, conn: _Connection) -> None:
+        pending = conn.pending
         try:
-            while conn.pending:
-                head = conn.pending[0]
-                headroom = len(head) - conn.head_sent
-                if len(conn.pending) == 1 or headroom >= _COALESCE_BYTES:
-                    payload: bytes | memoryview = memoryview(head)[
-                        conn.head_sent:
-                    ]
-                else:
+            while pending:
+                head = pending[0]
+                payload: bytes | memoryview = head
+                if conn.head_sent:
+                    payload = memoryview(head)[conn.head_sent:]
+                if len(pending) > 1 and len(payload) < _COALESCE_BYTES:
                     # Join a run of small frames so a pipelined batch
                     # goes out in one syscall.
-                    parts: list[bytes | memoryview] = [
-                        memoryview(head)[conn.head_sent:]
-                    ]
-                    size = headroom
-                    for nxt in list(conn.pending)[1:]:
+                    parts = [payload]
+                    size = len(payload)
+                    for nxt in islice(pending, 1, None):
                         if size >= _COALESCE_BYTES:
                             break
                         parts.append(nxt)
@@ -554,17 +566,15 @@ class ReactorDSPServer:
                     break
                 conn.pending_bytes -= sent
                 conn.last_activity = time.monotonic()
-                while sent:
-                    head = conn.pending[0]
-                    headroom = len(head) - conn.head_sent
-                    if sent >= headroom:
-                        conn.pending.popleft()
-                        conn.head_sent = 0
-                        self._inflight -= 1
-                        sent -= headroom
-                    else:
-                        conn.head_sent += sent
-                        sent = 0
+                # Retire every frame the send finished; what it left of
+                # the new head is that frame's progress.
+                sent += conn.head_sent
+                while pending and sent >= len(pending[0]):
+                    sent -= len(pending.popleft())
+                    self._inflight -= 1
+                conn.head_sent = sent
+                if sent:
+                    break  # the kernel refused the rest: wait for EVENT_WRITE
         except (BlockingIOError, InterruptedError):
             pass
         except OSError:

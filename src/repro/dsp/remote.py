@@ -5,8 +5,13 @@ talks to a DSP served by :class:`~repro.dsp.reactor.ReactorDSPServer`:
 it connects, sends one frame per request and decodes the response,
 re-raising the server's typed errors.  Many terminals in separate
 processes can each hold one and pull from the same durable DSP
-concurrently.  The module also holds the length-prefixed frame helpers
-and the per-connection :class:`ConnectionStats` the server keeps.
+concurrently.  A request costs one pass over its bytes: the request
+frame is packed in one piece, and :class:`FrameReader` cuts the
+response straight out of the bytes ``recv`` returned.  The connection
+timeout is the kernel's (``SO_RCVTIMEO``/``SO_SNDTIMEO`` on a blocking
+socket), so a request pays no ``poll()`` before its ``send`` and its
+``recv``.  The module also holds the length-prefixed frame helpers and
+the per-connection :class:`ConnectionStats` the server keeps.
 
 Typical wiring (see ``Community.serve`` / ``Community.attach``)::
 
@@ -60,6 +65,8 @@ __all__ = [
 ]
 
 _U32 = struct.Struct(">I")
+#: ``struct timeval`` for ``SO_RCVTIMEO`` / ``SO_SNDTIMEO``.
+_TIMEVAL = struct.Struct("@ll")
 
 
 class SocketLike(Protocol):
@@ -84,13 +91,26 @@ class SocketLike(Protocol):
 RECV_SIZE, RECV_MAX = 4096, 1 << 16
 
 
+def _frame_end(data: bytes | bytearray) -> int:
+    """Prefix plus body of the frame ``data`` starts with; 0 while
+    fewer than 4 bytes are there to say."""
+    if len(data) < 4:
+        return 0
+    length: int = _U32.unpack_from(data)[0]
+    if length > MAX_FRAME:
+        raise WireError(f"peer announced an oversized frame ({length} B)")
+    return 4 + length
+
+
 class FrameReader:
     """Length-prefixed frame bodies off one socket.
 
     ``recv`` asks for the bytes still missing, at least ``RECV_SIZE``
     and at most ``RECV_MAX``, so a frame under 4 KiB costs one call and
-    a large one is read in 64 KiB calls.  Bytes read past a frame (a peer
-    that pipelines) stay buffered for the next :meth:`read`, so a
+    a large one is read in 64 KiB calls.  A frame that one ``recv``
+    returned whole is cut straight out of it; only a frame that spans
+    reads, and bytes read past a frame (a peer that pipelines), go
+    through the buffer, which is kept for the next :meth:`read`, so a
     reader lives and dies with its socket.
     """
 
@@ -103,24 +123,28 @@ class FrameReader:
     def read(self) -> bytes | None:
         """One frame body, or ``None`` on EOF at a frame boundary."""
         buf = self._buf
-        end = 0  # prefix plus body, once the prefix is buffered
-        while True:
-            have = len(buf)
-            if not end and have >= 4:
-                length: int = _U32.unpack_from(buf)[0]
-                if length > MAX_FRAME:
-                    raise WireError(f"peer announced an oversized frame ({length} B)")
-                end = 4 + length
-            if end and have >= end:
-                body = bytes(buf[4:end])
-                del buf[:end]
-                return body
-            chunk = self._sock.recv(max(RECV_SIZE, min(RECV_MAX, (end or 4) - have)))
-            if not chunk:
-                if have:
-                    raise TransportError("DSP connection closed mid-frame")
+        if not buf:
+            data = self._sock.recv(RECV_SIZE)
+            if not data:
                 return None
+            end = _frame_end(data)
+            if end and len(data) >= end:
+                if len(data) > end:
+                    buf += data[end:]
+                return data[4:end]
+            buf += data
+        end = _frame_end(buf)
+        while not end or len(buf) < end:
+            chunk = self._sock.recv(
+                max(RECV_SIZE, min(RECV_MAX, (end or 4) - len(buf)))
+            )
+            if not chunk:
+                raise TransportError("DSP connection closed mid-frame")
             buf += chunk
+            end = end or _frame_end(buf)
+        body = bytes(buf[4:end])
+        del buf[:end]
+        return body
 
 
 def write_frame(sock: SocketLike, body: bytes) -> None:
@@ -256,6 +280,12 @@ class RemoteDSP:
     ) -> "RemoteDSP":
         """Open a connection to a served DSP.
 
+        ``timeout`` bounds each socket wait, and an expired one raises
+        :class:`~repro.errors.TransportError` and poisons the handle.
+        The kernel enforces it (``SO_RCVTIMEO``/``SO_SNDTIMEO``), not
+        CPython's timeout mode, which polls before every ``send`` and
+        ``recv``; a :class:`RetryPolicy` deadline still narrows it per
+        request through ``settimeout``.
         ``retry`` turns on the resilience layer (see the class doc).
         ``socket_wrapper`` interposes on every socket the handle ever
         opens -- the initial connection *and* each reconnect -- which
@@ -284,7 +314,15 @@ class RemoteDSP:
             raise TransportError(
                 f"cannot reach DSP at {address[0]}:{address[1]}: {exc}"
             ) from exc
-        sock.settimeout(timeout)
+        # A blocking socket whose timeout the kernel enforces: in
+        # CPython's own timeout mode every send and recv pays a poll()
+        # first.  An expired wait raises BlockingIOError.
+        sock.settimeout(None)
+        if timeout is not None:
+            seconds, micros = divmod(max(1, round(timeout * 1e6)), 1_000_000)
+            limit = _TIMEVAL.pack(seconds, micros)
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO, limit)
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO, limit)
         return sock if wrap is None else wrap(sock)
 
     def _poison(self, reason: str) -> None:
@@ -364,12 +402,14 @@ class RemoteDSP:
                 except OSError:
                     pass
             try:
-                write_frame(self._sock, encode_request(request))
+                self._sock.sendall(frame(encode_request(request)))
                 body = self._reader.read()
             except (OSError, TransportError, WireError) as exc:
-                self._poison(str(exc))
+                # A kernel timeout (see ``_open``) surfaces as EAGAIN.
+                reason = "timed out" if isinstance(exc, BlockingIOError) else str(exc)
+                self._poison(reason)
                 raise TransportError(
-                    f"DSP connection failed: {exc}"
+                    f"DSP connection failed: {reason}"
                 ) from exc
             self.requests += 1
             if body is None:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Union
 
 from repro.crypto.container import DocumentHeader
 from repro.dsp.freshness import Freshness
@@ -64,6 +64,10 @@ MAX_FRAME = 1 << 26  # 64 MiB
 _U16 = struct.Struct(">H")
 _U32 = struct.Struct(">I")
 _U64 = struct.Struct(">Q")
+_U32X2 = struct.Struct(">II")
+_NO_FIELDS = struct.Struct(">")
+#: An opcode and the ``u16`` length of the string that follows it.
+_OP_STR = struct.Struct(">BH")
 
 OP_HEADER = 0x01
 OP_CHUNK = 0x02
@@ -175,6 +179,23 @@ _REQUEST_OPS: dict[type[object], int] = {
     GetMeta: OP_META,
 }
 
+#: Per request opcode: the request type and the fields after its
+#: document id, as one struct of ``u32`` fields (``None``: one more
+#: string instead).
+_REQUEST_LAYOUTS: dict[int, tuple[Callable[..., Request], struct.Struct | None]] = {
+    OP_HEADER: (GetHeader, _NO_FIELDS),
+    OP_CHUNK: (GetChunk, _U32),
+    OP_CHUNK_RANGE: (GetChunkRange, _U32X2),
+    OP_RULES: (GetRules, _NO_FIELDS),
+    OP_WRAPPED_KEY: (GetWrappedKey, None),
+    OP_META: (GetMeta, None),
+}
+
+#: Each request type's success-response opcode, as the body's first byte.
+_RESPONSE_HEADS: dict[type[object], bytes] = {
+    kind: bytes([_OK | op]) for kind, op in _REQUEST_OPS.items()
+}
+
 
 # -- primitive fields --------------------------------------------------------
 
@@ -192,10 +213,55 @@ def _pack_bytes(value: bytes) -> bytes:
 
 def _pack_blobs(head: bytes, blobs: list[bytes]) -> bytes:
     """``head``, a ``u16`` count, then each blob ``u32``-prefixed."""
+    pack = _U32.pack
     parts = [head, _U16.pack(len(blobs))]
+    append = parts.append
     for blob in blobs:
-        parts += (_U32.pack(len(blob)), blob)
+        append(pack(len(blob)))
+        append(blob)
     return b"".join(parts)
+
+
+def _string_at(data: bytes, pos: int) -> tuple[str, int]:
+    """The ``u16``-prefixed UTF-8 string at ``pos``, and where it ends."""
+    start = pos + 2
+    if start > len(data):
+        raise WireError("truncated frame")
+    length: int = _U16.unpack_from(data, pos)[0]
+    end = start + length
+    if end > len(data):
+        raise WireError("truncated frame")
+    try:
+        return data[start:end].decode("utf-8"), end
+    except UnicodeDecodeError as exc:
+        raise WireError("string field is not valid UTF-8") from exc
+
+
+def _blob_list(data: bytes, pos: int) -> list[bytes]:
+    """A ``u16`` count and that many ``u32``-prefixed blobs from ``pos``
+    to the end of ``data``, read in one loop."""
+    end = len(data)
+    if pos + 2 > end:
+        raise WireError("truncated frame")
+    count: int = _U16.unpack_from(data, pos)[0]
+    pos += 2
+    unpack = _U32.unpack_from
+    blobs: list[bytes] = []
+    append = blobs.append
+    for __ in range(count):
+        start = pos + 4
+        if start > end:
+            raise WireError("truncated frame")
+        length: int = unpack(data, pos)[0]
+        if length > MAX_FRAME:
+            raise WireError("blob length exceeds frame bound")
+        pos = start + length
+        if pos > end:
+            raise WireError("truncated frame")
+        append(data[start:pos])
+    if pos != end:
+        raise WireError("trailing bytes after message")
+    return blobs
 
 
 class _Reader:
@@ -203,9 +269,9 @@ class _Reader:
 
     __slots__ = ("data", "pos")
 
-    def __init__(self, data: bytes) -> None:
+    def __init__(self, data: bytes, pos: int = 0) -> None:
         self.data = data
-        self.pos = 0
+        self.pos = pos
 
     def take(self, count: int) -> bytes:
         end = self.pos + count
@@ -218,10 +284,6 @@ class _Reader:
     def u8(self) -> int:
         return self.take(1)[0]
 
-    def u16(self) -> int:
-        value: int = _U16.unpack(self.take(2))[0]
-        return value
-
     def u32(self) -> int:
         value: int = _U32.unpack(self.take(4))[0]
         return value
@@ -231,35 +293,14 @@ class _Reader:
         return value
 
     def string(self) -> str:
-        raw = self.take(self.u16())
-        try:
-            return raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise WireError("string field is not valid UTF-8") from exc
+        value, self.pos = _string_at(self.data, self.pos)
+        return value
 
     def blob(self) -> bytes:
         length = self.u32()
         if length > MAX_FRAME:
             raise WireError("blob length exceeds frame bound")
         return self.take(length)
-
-    def blobs(self) -> list[bytes]:
-        """A ``u16`` count and that many blobs, read in one loop."""
-        count = self.u16()
-        data, pos, end = self.data, self.pos, len(self.data)
-        values: list[bytes] = []
-        for __ in range(count):
-            if pos + 4 > end:
-                raise WireError("truncated frame")
-            length: int = _U32.unpack_from(data, pos)[0]
-            if length > MAX_FRAME:
-                raise WireError("blob length exceeds frame bound")
-            pos += 4 + length
-            if pos > end:
-                raise WireError("truncated frame")
-            values.append(data[pos - length:pos])
-        self.pos = pos
-        return values
 
     def finish(self) -> None:
         if self.pos != len(self.data):
@@ -278,41 +319,42 @@ def frame(body: bytes) -> bytes:
 
 def encode_request(request: Request) -> bytes:
     """One request as a frame body (no length prefix)."""
-    op = _REQUEST_OPS[type(request)]
-    body = bytes([op]) + _pack_str(request.doc_id)
+    raw = request.doc_id.encode("utf-8")
+    if len(raw) > 0xFFFF:
+        raise WireError("string field exceeds 65535 bytes")
+    body = _OP_STR.pack(_REQUEST_OPS[type(request)], len(raw)) + raw
+    if isinstance(request, GetChunkRange):
+        return body + _U32X2.pack(request.start, request.count)
     if isinstance(request, GetChunk):
-        body += _U32.pack(request.index)
-    elif isinstance(request, GetChunkRange):
-        body += _U32.pack(request.start) + _U32.pack(request.count)
-    elif isinstance(request, GetWrappedKey):
-        body += _pack_str(request.recipient)
-    elif isinstance(request, GetMeta):
-        body += _pack_str(request.subject)
+        return body + _U32.pack(request.index)
+    if isinstance(request, GetWrappedKey):
+        return body + _pack_str(request.recipient)
+    if isinstance(request, GetMeta):
+        return body + _pack_str(request.subject)
     return body
 
 
 def decode_request(body: bytes) -> Request:
     """Parse a frame body into a request; raises :class:`WireError`."""
-    reader = _Reader(body)
-    op = reader.u8()
-    doc_id = reader.string()
-    request: Request
-    if op == OP_HEADER:
-        request = GetHeader(doc_id)
-    elif op == OP_CHUNK:
-        request = GetChunk(doc_id, reader.u32())
-    elif op == OP_CHUNK_RANGE:
-        request = GetChunkRange(doc_id, reader.u32(), reader.u32())
-    elif op == OP_RULES:
-        request = GetRules(doc_id)
-    elif op == OP_WRAPPED_KEY:
-        request = GetWrappedKey(doc_id, reader.string())
-    elif op == OP_META:
-        request = GetMeta(doc_id, reader.string())
+    if not body:
+        raise WireError("truncated frame")
+    doc_id, pos = _string_at(body, 1)
+    layout = _REQUEST_LAYOUTS.get(body[0])
+    if layout is None:
+        raise WireError(f"unknown request opcode {body[0]:#04x}")
+    kind, fields = layout
+    values: tuple[object, ...]
+    if fields is None:
+        second, pos = _string_at(body, pos)
+        values = (second,)
     else:
-        raise WireError(f"unknown request opcode {op:#04x}")
-    reader.finish()
-    return request
+        if pos + fields.size > len(body):
+            raise WireError("truncated frame")
+        values = fields.unpack_from(body, pos)
+        pos += fields.size
+    if pos != len(body):
+        raise WireError("trailing bytes after message")
+    return kind(doc_id, *values)
 
 
 # -- responses ---------------------------------------------------------------
@@ -325,17 +367,16 @@ def encode_response(request: Request, value: object) -> bytes:
     a :class:`DocumentHeader`, a chunk blob, a list of chunk blobs, a
     ``(version, records)`` pair, or a wrapped-key blob.
     """
-    op = _OK | _REQUEST_OPS[type(request)]
-    head = bytes([op])
+    head = _RESPONSE_HEADS[type(request)]
+    if isinstance(request, GetChunkRange):
+        assert isinstance(value, list)
+        return _pack_blobs(head, value)
     if isinstance(request, GetHeader):
         assert isinstance(value, DocumentHeader)
         return head + _pack_bytes(encode_header(value))
     if isinstance(request, (GetChunk, GetWrappedKey)):
         assert isinstance(value, bytes)
         return head + _pack_bytes(value)
-    if isinstance(request, GetChunkRange):
-        assert isinstance(value, list)
-        return _pack_blobs(head, value)
     if isinstance(request, GetMeta):
         assert isinstance(value, DocMeta)
         return (
@@ -433,15 +474,22 @@ def decode_response(request: Request, body: bytes) -> object:
     ``DSPServer`` method would have returned, so a remote client is a
     drop-in for the local one.
     """
-    reader = _Reader(body)
-    op = reader.u8()
-    if op == OP_ERROR:
-        _raise_error(reader)
-    if op != (_OK | _REQUEST_OPS[type(request)]):
+    if body[:1] != _RESPONSE_HEADS[type(request)]:
+        reader = _Reader(body)
+        op = reader.u8()
+        if op == OP_ERROR:
+            _raise_error(reader)
         raise WireError(
             f"response opcode {op:#04x} does not answer "
             f"{type(request).__name__}"
         )
+    if isinstance(request, GetChunkRange):
+        return _blob_list(body, 1)
+    if isinstance(request, GetRules):
+        if len(body) < 9:
+            raise WireError("truncated frame")
+        return _U64.unpack_from(body, 1)[0], _blob_list(body, 9)
+    reader = _Reader(body, 1)
     value: object
     if isinstance(request, GetHeader):
         try:
@@ -452,9 +500,7 @@ def decode_response(request: Request, body: bytes) -> object:
             raise WireError(f"malformed header payload: {exc}") from exc
     elif isinstance(request, (GetChunk, GetWrappedKey)):
         value = reader.blob()
-    elif isinstance(request, GetChunkRange):
-        value = reader.blobs()
-    elif isinstance(request, GetMeta):
+    else:
         value = DocMeta(
             doc_version=reader.u64(),
             rules_version=reader.u64(),
@@ -462,8 +508,5 @@ def decode_response(request: Request, body: bytes) -> object:
             boot=reader.string(),
             has_key=reader.u8() != 0,
         )
-    else:
-        version = reader.u64()
-        value = (version, reader.blobs())
     reader.finish()
     return value
