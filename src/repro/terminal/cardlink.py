@@ -152,7 +152,8 @@ class CardLink:
     def provision_key(
         self, doc_id: str, secret: bytes, metrics: SessionMetrics
     ) -> None:
-        """Install a document secret over the (simulated) secure channel."""
+        """Install a document secret: ``len | doc_id | secret`` in one
+        plaintext ``ADMIN_PROVISION_KEY`` APDU."""
         self._select_once(metrics)
         doc = doc_id.encode("utf-8")
         self.transmit(

@@ -110,7 +110,12 @@ class CardProxy:
         self._link.card = card
 
     def provision_key(self, doc_id: str, secret: bytes) -> None:
-        """Install a document secret over the (simulated) secure channel."""
+        """Install a document secret on the card.
+
+        The secret travels in plaintext in one ``ADMIN_PROVISION_KEY``
+        APDU, so the terminal sees it (see
+        ``tests/integration/test_key_provisioning.py``).
+        """
         self._link.provision_key(doc_id, secret, SessionMetrics())
 
     # -- pull session ------------------------------------------------------------

@@ -173,6 +173,26 @@ def test_tier_revocation_does_not_rotate_the_content_key():
         resolve_tier_keys(dsp, pki, "intel", "partner", "owner", "bob")
 
 
+def test_colluding_dsp_undoes_a_tier_revocation():
+    """The pinned soft spot of key-level revocation: a DSP that hands a
+    revoked member its old member blob back lets the member resolve the
+    tier keys again and unwrap a document published after the revoke.
+    Keys decide who can decrypt; the cards' policy decides what is
+    delivered (the paper separates the two)."""
+    community, feed, __ = _feed_community()
+    store = community.store
+    anchor = feed_doc_id("intel")
+    row = member_recipient("intel", "partner", "bob")
+    kept = store.get(anchor).wrapped_keys[row]
+    feed.revoke("bob")
+    later = feed.publish("<report><summary>later</summary></report>", doc_id="later")
+    store.put_wrapped_key(anchor, row, kept)
+    dsp, pki = community.dsp, community.pki
+    keys = resolve_tier_keys(dsp, pki, "intel", "partner", "owner", "bob")
+    secret = resolve_doc_secret(dsp, keys, "intel", "partner", later.doc_id)
+    assert secret == later._owner_secret()
+
+
 def test_revoked_member_is_detached_and_denied_catch_up():
     __, feed, handles = _feed_community()
     feed.broadcast()
