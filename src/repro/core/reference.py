@@ -4,12 +4,14 @@ Implements the access-control semantics of Section 2.2 directly on a
 materialized tree, with none of the streaming machinery: rule node sets
 come from the reference XPath evaluator, decisions from a literal
 reading of the conflict-resolution policies, and the view from a
-recursive walk.  The streaming engine must agree with this module on
+plain walk of the tree.  The streaming engine must agree with this module on
 every document -- that equivalence is the central property test of the
 repository.
 """
 
 from __future__ import annotations
+
+from typing import Iterator
 
 from repro.core.delivery import ViewMode
 from repro.core.rules import RuleSet, Sign, Subject
@@ -37,18 +39,27 @@ def _decide(
     cache: dict[int, Sign],
 ) -> Sign:
     """Decision for ``node``: direct matches with Denial-Takes-Precedence,
-    else the nearest ancestor decision (Most-Specific-Object)."""
-    cached = cache.get(id(node))
-    if cached is not None:
-        return cached
-    direct = matches.get(id(node))
-    if direct:
-        decision = Sign.DENY if Sign.DENY in direct else Sign.PERMIT
-    elif node.parent is not None:
-        decision = _decide(node.parent, matches, default, cache)
-    else:
-        decision = default
-    cache[id(node)] = decision
+    else the nearest ancestor decision (Most-Specific-Object).
+
+    Walks up the parent chain with a loop, so any depth is fine, and
+    caches the decision of every node it passed.
+    """
+    passed: list[Element] = []
+    current: Element | None = node
+    decision = default
+    while current is not None:
+        cached = cache.get(id(current))
+        if cached is not None:
+            decision = cached
+            break
+        passed.append(current)
+        direct = matches.get(id(current))
+        if direct:
+            decision = Sign.DENY if Sign.DENY in direct else Sign.PERMIT
+            break
+        current = current.parent
+    for each in passed:
+        cache[id(each)] = decision
     return decision
 
 
@@ -91,21 +102,39 @@ def reference_view(
             return False
         return _decide(node, matches, default, decision_cache) is Sign.PERMIT
 
-    def contribution(node: Element) -> list[Event]:
-        child_events: list[Event] = []
-        is_delivered = delivered(node)
-        for child in node.children:
-            if isinstance(child, Element):
-                child_events.extend(contribution(child))
-            elif is_delivered and child:
-                child_events.append(ValueEvent(child))
-        if is_delivered:
-            open_event = OpenEvent(node.tag, tuple(node.attributes.items()))
-            return [open_event, *child_events, CloseEvent(node.tag)]
-        if not child_events:
-            return []
-        if mode is ViewMode.PRUNE:
-            return child_events
-        return [OpenEvent(node.tag), *child_events, CloseEvent(node.tag)]
+    # One pass in document order with an explicit stack, so any depth is
+    # fine.  An undelivered element opens as a ``None`` placeholder: at
+    # its close it is dropped when nothing was retained inside it, else
+    # it becomes a bare skeleton open (SKELETON) or stays a placeholder
+    # that the final filter splices out (PRUNE).
+    out: list[Event | None] = []
+    stack: list[tuple[Element, bool, int, Iterator[Element | str]]] = []
 
-    return contribution(root)
+    def enter(node: Element) -> None:
+        is_delivered = delivered(node)
+        out.append(
+            OpenEvent(node.tag, tuple(node.attributes.items()))
+            if is_delivered
+            else None
+        )
+        stack.append((node, is_delivered, len(out), iter(node.children)))
+
+    enter(root)
+    while stack:
+        node, is_delivered, start, children = stack[-1]
+        child = next(children, None)
+        if isinstance(child, Element):
+            enter(child)
+        elif child is not None:
+            if is_delivered and child:
+                out.append(ValueEvent(child))
+        else:
+            stack.pop()
+            if is_delivered:
+                out.append(CloseEvent(node.tag))
+            elif len(out) == start:
+                out.pop()
+            elif mode is not ViewMode.PRUNE:
+                out[start - 1] = OpenEvent(node.tag)
+                out.append(CloseEvent(node.tag))
+    return [event for event in out if event is not None]

@@ -75,6 +75,17 @@ def test_answer_selects_subtrees_with_retained_ancestors():
     assert semantic.answer_from_view(view, "/notes/none") == ""
 
 
+def test_answer_from_a_view_deeper_than_the_recursion_limit():
+    """A cached view as deep as ``parse_tree`` accepts is answered, not a
+    ``RecursionError`` out of ``Session.query``."""
+    depth = 1200
+    view = "<n>" * depth + "<leaf>x</leaf><other>y</other>" + "</n>" * depth
+    assert semantic.answer_from_view(view, "//leaf") == (
+        "<n>" * depth + "<leaf>x</leaf>" + "</n>" * depth
+    )
+    assert semantic.answer_from_view(view, "/n") == view
+
+
 def test_answer_refuses_predicates_even_when_direct():
     view = "<notes><work>plan</work></notes>"
     assert semantic.answer_from_view(view, "/notes/work[x]") is None
