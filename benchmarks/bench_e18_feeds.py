@@ -17,8 +17,8 @@ probe subscribers on every tier and byte-compares their views against
 an equivalent flat-``Channel`` broadcast of the same composed policy,
 so the key-hierarchy savings can never come from serving different
 bytes.  Key-economics phases assert the exact wrap counts: 1 per join,
-one per tier per publish (vs one per *member* flat), and exactly 1 --
-plus an epoch bump -- per revocation.
+one per tier per publish (vs one per *member* flat), and 0 per
+revocation, which deletes the member's key blob.
 
 Usage::
 
@@ -38,7 +38,8 @@ from _common import emit
 from repro.community import Community, TierSpec
 from repro.core.nfa import compile_call_count
 from repro.crypto.groupkey import wrap_call_count
-from repro.feeds import compose_rules
+from repro.feeds import compose_rules, feed_doc_id
+from repro.feeds.keys import member_recipient
 from repro.workloads.docgen import video_catalog
 from repro.xmlstream.tree import tree_to_events
 
@@ -106,7 +107,7 @@ def _measure_size(members: int, cycles: int) -> dict:
         stats["per_cycle_ms"] = best * 1e3
         # Key economics at this membership: publishing one more
         # document costs one wrap per TIER (the flat model pays one per
-        # MEMBER); revoking is one re-wrap plus an epoch bump.
+        # MEMBER); revoking deletes one blob and wraps nothing.
         wraps = wrap_call_count()
         feed.publish(
             list(tree_to_events(video_catalog(CHANNELS))),
@@ -116,12 +117,12 @@ def _measure_size(members: int, cycles: int) -> dict:
         stats["publish_wraps"] = wrap_call_count() - wraps
         stats["flat_publish_wraps"] = members  # one per member, per doc
         if members:
-            epoch_before = feed.epoch("public")
             wraps = wrap_call_count()
             feed.revoke("m00000")
             stats["revoke_wraps"] = wrap_call_count() - wraps
-            stats["revoke_epoch_bumped"] = (
-                feed.epoch("public") == epoch_before + 1
+            stats["revoke_blob_removed"] = (
+                member_recipient(FEED, "public", "m00000")
+                not in community.store.get(feed_doc_id(FEED)).wrapped_keys
             )
     finally:
         community.close()
@@ -279,11 +280,11 @@ def check(result: dict) -> int:
             (f"publish wraps == tiers at {n}",
              stats["publish_wraps"] == len(TIERS),
              f"{stats['publish_wraps']} (flat would pay {n})"),
-            (f"revocation is one re-wrap at {n}",
-             stats.get("revoke_wraps") == 1
-             and stats.get("revoke_epoch_bumped") is True,
+            (f"revocation is zero wraps and one removed blob at {n}",
+             stats.get("revoke_wraps") == 0
+             and stats.get("revoke_blob_removed") is True,
              f"{stats.get('revoke_wraps')} wraps, "
-             f"epoch bumped: {stats.get('revoke_epoch_bumped')}"),
+             f"blob removed: {stats.get('revoke_blob_removed')}"),
         ])
     failures = 0
     for name, passed, detail in checks:

@@ -8,12 +8,13 @@ A CTI-style bulletin desk publishes one report stream to three tiers:
   not a text pass);
 * ``internal`` -- everything.
 
-Each tier is ONE group key: a member costs one PKI wrap at join, a
+Each tier is ONE content key: a member costs one PKI wrap at join, a
 carousel cycle costs the publisher zero wraps and zero policy
-compiles, and revoking a member is exactly one re-wrap plus an epoch
-bump -- however many members and documents exist.  A late joiner
-catches up from the persisted last cycle and sees byte-identical
-views; a revoked member's next catch-up dies with ``KeyNotGranted``.
+compiles, and revoking a member deletes its key blob and wraps
+nothing -- however many members and documents exist.  A late joiner
+replays one cycle rebuilt from the stored containers and sees
+byte-identical views; a revoked member's next catch-up dies with
+``KeyNotGranted``.
 
 Run with::
 
@@ -79,8 +80,8 @@ def main() -> None:
         print(f"{name:8s} [{handle.tier:8s}] {len(handle.view):4d} B, "
               f"secrets visible: {secrets}")
 
-    # A late joiner replays the persisted last cycle -- byte-identical
-    # to having listened live.
+    # A late joiner replays one cycle from the stored containers --
+    # byte-identical to having listened live.
     community.enroll("late-isac", strict_memory=False)
     feed.subscribe("late-isac", "partner", attach=False)
     late = feed.catch_up("late-isac")
@@ -88,12 +89,10 @@ def main() -> None:
     print(f"\nlate joiner caught up byte-identical: "
           f"{late.view == handles['isac-a'].view}")
 
-    # Tier revocation: one re-wrap, one epoch bump, nobody else moves.
+    # Tier revocation: one blob deleted, zero wraps, nobody else moves.
     wraps = wrap_call_count()
-    epoch = feed.epoch("partner")
     feed.revoke("isac-b")
-    print(f"revoked isac-b: {wrap_call_count() - wraps} re-wrap, "
-          f"partner epoch {epoch} -> {feed.epoch('partner')}")
+    print(f"revoked isac-b: {wrap_call_count() - wraps} wraps")
     try:
         feed.catch_up("isac-b")
         raise AssertionError("revoked member caught up")

@@ -2,18 +2,18 @@
 
 Historically each layer that needed to hand a secret to someone open-
 coded the same CBC-under-a-KEK construction (the PKI's pairwise wraps,
-and now the feeds' tier-key hierarchy).  This module is the single
+and now the feeds' tier keys).  This module is the single
 shared implementation: a wrap is ``CBC_KEK(secret)`` with a
 deterministic IV bound to a *context* string, so the same (KEK,
 context) pair always produces the same blob -- deterministic tests,
 idempotent re-grants -- while distinct contexts (different principal
-pairs, different tiers, different epochs) never share an IV.
+pairs, different tiers, different documents) never share an IV.
 
 :func:`wrap_call_count` is a process-wide counter in the style of
 :func:`repro.core.nfa.compile_call_count`: tests and benchmarks read it
-to assert key-wrap economics exactly -- e.g. that revoking a member
-from a feed tier performs *one* re-wrap, not one per member or per
-document.
+to assert key-wrap economics exactly -- e.g. that publishing to a
+feed performs one wrap per tier, not one per member, and that revoking
+a member performs none.
 """
 
 from __future__ import annotations

@@ -5,10 +5,10 @@ push core, beside the per-document ``community.Channel``: the
 publisher declares named **tiers** (public / partner / internal) as
 frozen rule templates (:class:`TierSpec`), members subscribe to a tier
 (one :class:`~repro.dissemination.SubscriberHandle` per member, on the
-tier's lane), and each tier is backed by a group-key hierarchy
-(:mod:`repro.feeds.keys`) so a tier costs ONE wrapped key -- a
-per-member wrap happens only at join, and revoking a member from a
-tier is one re-wrap plus an epoch bump, never N re-grants.
+tier's lane), and each tier is backed by one content key
+(:mod:`repro.feeds.keys`) wrapped once per member at join and once per
+document at publish -- revoking a member deletes its blob and wraps
+nothing, never N re-grants.
 
 Broadcast cost per carousel cycle is therefore O(tiers), not
 O(members), and the head-end previews the whole audience in one

@@ -11,8 +11,8 @@ tier.  The publisher's per-cycle work is O(tiers):
   (:mod:`repro.feeds.keys`), written at publish time -- carousel
   cycles, joins and policy churn never touch it;
 * members cost one PKI wrap at join, and nothing per cycle;
-* revoking a member is one blob deletion, one epoch bump and exactly
-  one re-wrap, regardless of member and document count.
+* revoking a member is one blob deletion and zero wraps, regardless
+  of member and document count.
 
 Late joiners call :meth:`Feed.catch_up`: one cycle is rebuilt from
 the containers the DSP stores and replayed through the member's card.
@@ -22,8 +22,7 @@ revocation is served by construction, never a stale cycle.
 
 A feed restored by ``Community.open`` is **sealed** (the owner's tier
 keyrings and plaintext live only in the publishing process): catch-up
-and epoch inspection work, publishing/subscribing/revoking need the
-owner process -- the same split as sealed :class:`Document` handles.
+works, publishing/subscribing/revoking need the owner process -- the same split as sealed :class:`Document` handles.
 """
 
 from __future__ import annotations
@@ -42,10 +41,7 @@ from repro.errors import KeyNotGranted, PolicyError
 from repro.feeds.keys import (
     ResolvedTierKeys,
     TierKeyring,
-    decode_epoch,
-    epoch_recipient,
     feed_doc_id,
-    grant_recipient,
     member_recipient,
     resolve_doc_secret,
     resolve_tier_keys,
@@ -79,7 +75,9 @@ class _TierState:
 class Feed:
     """Tiered, group-keyed dissemination of one owner's documents.
 
-    Build through ``community.feed(name, owner=..., tiers=[...])``;
+    Each tier has one content key: a join wraps it once for the member,
+    a publish wraps each document secret once under it, and a revoke
+    deletes the member's blob.  Build through ``community.feed(name, owner=..., tiers=[...])``;
     the constructor is wired by the facade.
     """
 
@@ -136,7 +134,7 @@ class Feed:
             raise PolicyError(
                 f"feed {self.name!r} is a sealed handle; {operation} needs "
                 "the owner's tier keyrings, which only the publishing "
-                "process holds (catch_up and epoch inspection still work)",
+                "process holds (catch_up still works)",
                 subject=self.owner.name,
             )
 
@@ -155,10 +153,10 @@ class Feed:
         return state
 
     def _create_anchor(self) -> None:
-        """Upload the manifest document anchoring this feed's key blobs.
+        """Upload the manifest document anchoring this feed's member blobs.
 
         The container is a minimal sealed blob under a throwaway key --
-        nobody ever reads it; it exists so the feed's tier blobs can
+        nobody ever reads it; it exists so the feed's member blobs can
         ride the ordinary ``wrapped_keys`` table under a document id
         every backend and topology already persists and serves.
         """
@@ -177,15 +175,6 @@ class Feed:
             chunk_size=64,
         )
         store.put_document(container)
-        for tier, state in self._tiers.items():
-            keyring = state.keyring
-            assert keyring is not None
-            store.put_wrapped_key(
-                anchor, epoch_recipient(self.name, tier), keyring.epoch_record()
-            )
-            store.put_wrapped_key(
-                anchor, grant_recipient(self.name, tier), keyring.wrap_grant()
-            )
 
     # -- introspection ----------------------------------------------------
 
@@ -206,17 +195,6 @@ class Feed:
         if tier is not None:
             return list(self._tier(tier).handles)
         return [h for state in self._tiers.values() for h in state.handles]
-
-    def epoch(self, tier: str) -> int:
-        """The tier's current epoch, as recorded at the DSP.
-
-        Works on sealed feeds: the epoch record is a public blob.
-        """
-        self._tier(tier)
-        record = self.community.dsp.get_wrapped_key(
-            feed_doc_id(self.name), epoch_recipient(self.name, tier)
-        )
-        return decode_epoch(record)
 
     def broadcast_list(self, tier: str) -> "list[Document]":
         """The documents one cycle carries to ``tier`` (quota applied)."""
@@ -338,7 +316,7 @@ class Feed:
     ) -> SubscriberHandle:
         """Join a member to a tier: ONE PKI wrap, ever.
 
-        The member's wrapped ``S_tier`` blob is written at the DSP, the
+        ``C_tier`` wrapped for the member is written at the DSP, the
         tier keys are resolved back through the reader path (proving
         the blob works), and the returned handle starts listening on
         the tier's lane from the next cycle.
@@ -382,26 +360,21 @@ class Feed:
         return handle
 
     def revoke(self, member: "Member | str") -> None:
-        """Remove a member from its tier: one re-wrap, one epoch bump.
+        """Remove a member from its tier: one blob deletion, zero wraps.
 
-        Deletes the member's ``S_tier`` blob, bumps the tier epoch and
-        re-wraps the tier content key under the new epoch key -- the
-        only wrap performed, however many members and documents exist.
+        Deletes the member's blob, so its next key fetch fails; however
+        many members and documents exist, nothing is re-wrapped.
         Attached handles are detached immediately (no further frames),
         and the member's next catch-up fails with
         :class:`~repro.errors.KeyNotGranted`.
 
-        Like flat-channel revocation this is *soft* against a member
-        whose terminal already resolved the tier keys (the paper's
-        model) -- and note the epoch bump rotates only the *wrapping*
-        of ``C_tier``, never ``C_tier`` itself: a revoked member who
-        retained a :class:`~repro.feeds.keys.ResolvedTierKeys` handle
-        can keep unwrapping document secrets, **including documents
-        published after the revocation**, until the tier is re-keyed.
-        The epoch machinery cuts off the DSP *fetch* path, not
-        already-resolved keys; durable exclusion pairs this with a
-        policy update (the cards enforce rules regardless of keys) or
-        a tier re-key.
+        Like flat-channel revocation this is *soft* (the paper's
+        model): ``C_tier`` never rotates, so a revoked member who
+        retained a :class:`~repro.feeds.keys.ResolvedTierKeys` handle,
+        or whose DSP hands its old blob back, can keep unwrapping
+        document secrets, **including documents published after the
+        revocation**.  Durable exclusion pairs this with a policy
+        update (the cards enforce rules regardless of keys).
         """
         self._require_live("revocation")
         name = member if isinstance(member, str) else member.name
@@ -411,16 +384,8 @@ class Feed:
                 f"{name!r} is not subscribed to feed {self.name!r}",
                 subject=name,
             )
-        store = self._store()
-        anchor = feed_doc_id(self.name)
-        store.remove_wrapped_key(anchor, member_recipient(self.name, tier, name))
-        keyring = self._keyring(tier)
-        keyring.bump_epoch()
-        store.put_wrapped_key(
-            anchor, epoch_recipient(self.name, tier), keyring.epoch_record()
-        )
-        store.put_wrapped_key(
-            anchor, grant_recipient(self.name, tier), keyring.wrap_grant()
+        self._store().remove_wrapped_key(
+            feed_doc_id(self.name), member_recipient(self.name, tier, name)
         )
         state = self._tier(tier)
         for handle in state.handles:

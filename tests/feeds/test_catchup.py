@@ -8,6 +8,7 @@ from repro.community import Community, TierSpec
 from repro.dissemination import SubscriberHandle
 from repro.dsp.backends import MemoryBackend
 from repro.errors import PolicyError
+from repro.feeds.keys import feed_doc_id, member_recipient
 from repro.smartcard.resources import CostModel
 
 REPORT = (
@@ -103,9 +104,10 @@ def test_republish_invalidates_snapshot():
 
 
 def test_revocation_invalidates_snapshot_for_remaining_members():
-    """After a tier revoke the old snapshot (old epoch) must never be
-    served: the surviving member's catch-up is rebuilt under the new
-    epoch."""
+    """A tier revoke leaves the surviving member's catch-up whole: the
+    cycle is rebuilt from the stored containers and the member's own
+    blob still resolves the tier key, while the revoked member's blob
+    is gone."""
     community = Community()
     feed = _build(community)
     feed.subscribe("alice", "internal")
@@ -115,7 +117,9 @@ def test_revocation_invalidates_snapshot_for_remaining_members():
     caught = feed.catch_up("alice")
     caught.require_ok()
     assert "<secret>classified</secret>" in caught.view
-    assert feed.epoch("internal") == 2
+    rows = community.store.get(feed_doc_id("intel")).wrapped_keys
+    assert member_recipient("intel", "internal", "alice") in rows
+    assert member_recipient("intel", "internal", "bob") not in rows
 
 
 def test_durable_reopen_serves_catch_up(tmp_path):
@@ -136,7 +140,8 @@ def test_durable_reopen_serves_catch_up(tmp_path):
     caught = restored.catch_up("late")
     caught.require_ok()
     assert caught.view == live_view
-    assert restored.epoch("internal") == 1
+    rows = reopened.store.get(feed_doc_id("intel")).wrapped_keys
+    assert member_recipient("intel", "internal", "late") in rows
     reopened.close()
 
 

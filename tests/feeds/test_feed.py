@@ -7,7 +7,7 @@ The acceptance contracts of the tiered-feeds PR live here:
 * a carousel cycle performs ZERO key wraps and ZERO policy compiles,
   however many members subscribed;
 * a join costs exactly one PKI wrap, ever;
-* revoking a member performs exactly ONE re-wrap plus an epoch bump,
+* revoking a member deletes its blob and performs ZERO wraps,
   regardless of member and document count.
 """
 
@@ -16,7 +16,8 @@ import pytest
 from repro.community import Community, TierSpec
 from repro.core.nfa import compile_call_count
 from repro.crypto.groupkey import wrap_call_count
-from repro.errors import KeyNotGranted, PolicyError
+from repro.crypto.keys import random_key
+from repro.errors import KeyNotGranted, PolicyError, TamperDetected
 from repro.feeds import compose_rules, feed_doc_id
 from repro.feeds.keys import member_recipient, resolve_doc_secret, resolve_tier_keys
 
@@ -133,7 +134,7 @@ def test_publish_costs_one_wrap_per_tier_not_per_member():
     assert wrap_call_count() - before == len(feed.tiers)
 
 
-def test_revocation_is_exactly_one_rewrap_plus_epoch_bump():
+def test_revocation_is_zero_wraps_and_one_deleted_blob():
     community, feed, handles = _feed_community()
     feed.broadcast()
     store = community.store
@@ -142,30 +143,32 @@ def test_revocation_is_exactly_one_rewrap_plus_epoch_bump():
         in store.get(feed_doc_id("intel")).wrapped_keys
     )
     before = wrap_call_count()
-    epoch_before = feed.epoch("partner")
     feed.revoke("bob")
-    assert wrap_call_count() - before == 1
-    assert feed.epoch("partner") == epoch_before + 1
+    assert wrap_call_count() == before
     assert (
         member_recipient("intel", "partner", "bob")
         not in store.get(feed_doc_id("intel")).wrapped_keys
     )
-    # Unrelated tiers keep their epoch.
-    assert feed.epoch("public") == 1
-    assert feed.epoch("internal") == 1
+    # Members of the other tiers still resolve their tier keys.
+    dsp, pki = community.dsp, community.pki
+    for name, tier in (("alice", "public"), ("carol", "internal")):
+        keys = resolve_tier_keys(dsp, pki, "intel", tier, "owner", name)
+        assert resolve_doc_secret(dsp, keys, "intel", tier, "rpt") == (
+            feed.documents[0]._owner_secret()
+        )
 
 
 def test_tier_revocation_does_not_rotate_the_content_key():
-    """The documented contract: a revoke bumps the tier epoch and
-    re-wraps ``C_tier`` once, but never rotates ``C_tier`` itself.  Keys
-    a member resolved before the revoke still unwrap documents
-    published after it; only the DSP fetch path is cut off."""
+    """The documented contract: a revoke deletes the member's blob and
+    wraps nothing, so ``C_tier`` never rotates.  Keys a member resolved
+    before the revoke still unwrap documents published after it; only
+    the DSP fetch path is cut off."""
     community, feed, __ = _feed_community()
     dsp, pki = community.dsp, community.pki
     retained = resolve_tier_keys(dsp, pki, "intel", "partner", "owner", "bob")
     before = wrap_call_count()
     feed.revoke("bob")
-    assert wrap_call_count() - before == 1
+    assert wrap_call_count() == before
     later = feed.publish("<report><summary>later</summary></report>", doc_id="later")
     secret = resolve_doc_secret(dsp, retained, "intel", "partner", later.doc_id)
     assert secret == later._owner_secret()
@@ -191,6 +194,22 @@ def test_colluding_dsp_undoes_a_tier_revocation():
     keys = resolve_tier_keys(dsp, pki, "intel", "partner", "owner", "bob")
     secret = resolve_doc_secret(dsp, keys, "intel", "partner", later.doc_id)
     assert secret == later._owner_secret()
+
+
+def test_member_blob_of_the_old_key_chain_fails_typed():
+    """A member blob written by the epoch-layer chain (a wrapped tier
+    master under the ``:member`` context) never yields plaintext: it
+    unwraps to no valid tier key, and the catch-up dies with tamper
+    evidence."""
+    community, feed, __ = _feed_community()
+    old_blob = community.pki.wrap_for(
+        "owner", "bob", "feed:intel:partner:member", random_key()
+    )
+    community.store.put_wrapped_key(
+        feed_doc_id("intel"), member_recipient("intel", "partner", "bob"), old_blob
+    )
+    with pytest.raises(TamperDetected):
+        feed.catch_up("bob").require_ok()
 
 
 def test_revoked_member_is_detached_and_denied_catch_up():
@@ -220,7 +239,7 @@ def test_remaining_members_unaffected_by_revocation():
 
 def test_revoked_member_may_rejoin():
     """Revocation is a membership change, not a ban: a fresh subscribe
-    re-wraps the tier master for the member under the new epoch."""
+    wraps the tier content key for the member again."""
     __, feed, __ = _feed_community()
     feed.revoke("bob")
     handle = feed.subscribe("bob", "public")
