@@ -22,7 +22,8 @@ revocation is served by construction, never a stale cycle.
 
 A feed restored by ``Community.open`` is **sealed** (the owner's tier
 keyrings and plaintext live only in the publishing process): catch-up
-works, publishing/subscribing/revoking need the owner process -- the same split as sealed :class:`Document` handles.
+works, publishing/subscribing/revoking need the owner process -- the
+same split as sealed :class:`Document` handles.
 """
 
 from __future__ import annotations
@@ -77,8 +78,9 @@ class Feed:
 
     Each tier has one content key: a join wraps it once for the member,
     a publish wraps each document secret once under it, and a revoke
-    deletes the member's blob.  Build through ``community.feed(name, owner=..., tiers=[...])``;
-    the constructor is wired by the facade.
+    deletes the member's blob.  Build through
+    ``community.feed(name, owner=..., tiers=[...])``; the constructor
+    is wired by the facade.
     """
 
     def __init__(
