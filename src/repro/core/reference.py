@@ -88,7 +88,6 @@ def reference_view(
     if isinstance(query, str):
         query = parse_path(query)
     matches = _direct_matches(rules, root)
-    decision_cache: dict[int, Sign] = {}
 
     selected: set[int] | None = None
     if query is not None:
@@ -97,40 +96,42 @@ def reference_view(
             for member in node.iter():
                 selected.add(id(member))
 
-    def delivered(node: Element) -> bool:
-        if selected is not None and id(node) not in selected:
-            return False
-        return _decide(node, matches, default, decision_cache) is Sign.PERMIT
-
     # One pass in document order with an explicit stack, so any depth is
-    # fine.  An undelivered element opens as a ``None`` placeholder: at
-    # its close it is dropped when nothing was retained inside it, else
-    # it becomes a bare skeleton open (SKELETON) or stays a placeholder
-    # that the final filter splices out (PRUNE).
+    # fine.  A child without direct matches takes its parent's decision
+    # (Most-Specific-Object).  An undelivered element opens as a ``None``
+    # placeholder: at its close it is dropped when nothing was retained
+    # inside it, else it becomes a bare skeleton open (SKELETON) or stays
+    # a placeholder that the final filter splices out (PRUNE).
     out: list[Event | None] = []
-    stack: list[tuple[Element, bool, int, Iterator[Element | str]]] = []
+    stack: list[tuple[Element, Sign, bool, int, Iterator[Element | str]]] = []
 
-    def enter(node: Element) -> None:
-        is_delivered = delivered(node)
+    def enter(node: Element, decision: Sign) -> None:
+        delivered = decision is Sign.PERMIT and (
+            selected is None or id(node) in selected
+        )
         out.append(
             OpenEvent(node.tag, tuple(node.attributes.items()))
-            if is_delivered
+            if delivered
             else None
         )
-        stack.append((node, is_delivered, len(out), iter(node.children)))
+        stack.append((node, decision, delivered, len(out), iter(node.children)))
 
-    enter(root)
+    enter(root, _decide(root, matches, default, {}))
     while stack:
-        node, is_delivered, start, children = stack[-1]
-        child = next(children, None)
-        if isinstance(child, Element):
-            enter(child)
-        elif child is not None:
-            if is_delivered and child:
+        node, decision, delivered, start, children = stack[-1]
+        for child in children:
+            if isinstance(child, Element):
+                direct = matches.get(id(child))
+                if direct:
+                    enter(child, Sign.DENY if Sign.DENY in direct else Sign.PERMIT)
+                else:
+                    enter(child, decision)
+                break
+            if delivered and child:
                 out.append(ValueEvent(child))
         else:
             stack.pop()
-            if is_delivered:
+            if delivered:
                 out.append(CloseEvent(node.tag))
             elif len(out) == start:
                 out.pop()
