@@ -4,9 +4,9 @@ Implements the access-control semantics of Section 2.2 directly on a
 materialized tree, with none of the streaming machinery: rule node sets
 come from the reference XPath evaluator, decisions from a literal
 reading of the conflict-resolution policies, and the view from a
-plain walk of the tree.  The streaming engine must agree with this module on
-every document -- that equivalence is the central property test of the
-repository.
+plain walk of the tree.  The streaming engine must agree with this
+module on every document -- that equivalence is the central property
+test of the repository.
 """
 
 from __future__ import annotations
